@@ -1,7 +1,7 @@
 //! The trigger engine: the *Monitor/Analyze* half of self-configuration.
 //!
 //! [`TriggerEngine`] is an ordinary [`Listener`]: registered on an engine's
-//! (or simulator's) `ListenerRegistry`, it replays every event through the
+//! (or simulator's) `ListenerRegistry`, it replays the events through the
 //! same per-kind state machines the WCT controller uses
 //! ([`askel_core::SmTracker`]), maintaining EWMA duration and cardinality
 //! estimates per muscle. On top of the event stream it tracks two
@@ -10,9 +10,19 @@
 //!
 //! Rules ([`crate::rules`]) are evaluated **only** at safe points, via
 //! [`TriggerEngine::plan`] — never from inside `on_event` — so a rewrite
-//! can fire at most once per safe point and never mid-item. Every applied
-//! rewrite is recorded in an auditable decision log ([`AdaptRecord`]),
-//! symmetric to the controller's `AnalysisRecord`.
+//! can fire at most once per safe point and never mid-item. Nothing
+//! therefore needs event-derived state to be current *between* reads, and
+//! `on_event` does not update it: on the muscle's thread it appends a
+//! 48-byte record to a per-thread log (`event_log`) and returns. Every
+//! method that reads or edits that state — [`plan`](TriggerEngine::plan),
+//! [`read_estimates`](TriggerEngine::read_estimates),
+//! [`decision_log`](TriggerEngine::decision_log), … — first **folds** the
+//! log: replays the logged records, in order, through the state machines.
+//! Trigger state is thus current *as of the last read*; a log that fills
+//! up is folded by the thread that found it full, so memory is bounded
+//! even when nobody reads. Every applied rewrite is recorded in an
+//! auditable decision log ([`AdaptRecord`]), symmetric to the controller's
+//! `AnalysisRecord`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,9 +30,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use askel_core::{AutonomicController, EstimatorTable, Ewma, SmTracker};
-use askel_events::{Event, Listener, Payload, When, Where};
+use askel_events::{Event, EventRecord, Interest, Listener, Payload, When, Where};
 use askel_skeletons::{InstanceId, Node, NodeId, TimeNs};
 
+use crate::event_log::EventLog;
 use crate::forecast::Forecast;
 use crate::metrics::AdaptMetrics;
 use crate::rules::{Concern, ErrorStats, RewriteAction, Rule, RuleCtx};
@@ -92,11 +103,15 @@ struct TrigInner {
     /// Metrics handles once attached to a hub (see [`crate::metrics`]):
     /// rule-fire counters and the forecast-error histogram.
     metrics: Option<AdaptMetrics>,
+    /// Where a fold gathers the log's records; kept for its capacity.
+    fold_buf: Vec<EventRecord>,
 }
 
 /// Event-driven rule host; see the module docs.
 pub struct TriggerEngine {
     inner: Mutex<TrigInner>,
+    /// Events logged by `on_event` and not yet folded into `inner`.
+    log: EventLog,
 }
 
 impl TriggerEngine {
@@ -105,7 +120,7 @@ impl TriggerEngine {
     pub fn new(rho: f64) -> Arc<Self> {
         Arc::new(TriggerEngine {
             inner: Mutex::new(TrigInner {
-                tracker: SmTracker::new(rho),
+                tracker: SmTracker::estimators_only(rho),
                 errors: ErrorStats::default(),
                 input_size: Ewma::new(rho.clamp(0.0, 1.0)),
                 rules: Vec::new(),
@@ -116,8 +131,30 @@ impl TriggerEngine {
                 evaluations: 0,
                 item_starts: HashMap::new(),
                 metrics: None,
+                fold_buf: Vec::new(),
             }),
+            log: EventLog::default(),
         })
+    }
+
+    /// The event positions the state machines read. The parent-side
+    /// nesting events carry nothing they use (children announce
+    /// themselves), and a rewrite announcement is not a muscle execution.
+    pub const INTEREST: Interest = Interest::ALL
+        .without(Interest::at(Where::NestedSkeleton))
+        .without(Interest::at(Where::Reconfigured));
+
+    /// Locks the state with every logged event folded in. Lock order:
+    /// state, then log shards.
+    fn current(&self) -> parking_lot::MutexGuard<'_, TrigInner> {
+        let mut inner = self.inner.lock();
+        let mut records = std::mem::take(&mut inner.fold_buf);
+        self.log.drain_into(&mut records);
+        for record in records.drain(..) {
+            inner.apply(record);
+        }
+        inner.fold_buf = records;
+        inner
     }
 
     /// Attaches this trigger engine to a metrics hub: rule fires are
@@ -187,7 +224,7 @@ impl TriggerEngine {
 
     /// Read access to the event-derived estimator table.
     pub fn read_estimates<T>(&self, f: impl FnOnce(&EstimatorTable) -> T) -> T {
-        let inner = self.inner.lock();
+        let inner = self.current();
         f(inner.tracker.estimates())
     }
 
@@ -197,12 +234,12 @@ impl TriggerEngine {
     /// world, instead of each warming up separately.
     pub fn seed_from(&self, controller: &AutonomicController) {
         let table = controller.read_estimates(|t| t.clone());
-        *self.inner.lock().tracker.estimates_mut() = table;
+        *self.current().tracker.estimates_mut() = table;
     }
 
     /// Programmatic estimator initialization (tests, benches).
     pub fn with_estimates(&self, f: impl FnOnce(&mut EstimatorTable)) {
-        f(self.inner.lock().tracker.estimates_mut());
+        f(self.current().tracker.estimates_mut());
     }
 
     /// One safe point: evaluates every live rule once against the current
@@ -218,7 +255,7 @@ impl TriggerEngine {
         lp: usize,
         _now: TimeNs,
     ) -> Vec<PlannedRewrite> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.current();
         inner.safe_points += 1;
         if !inner.enabled {
             return Vec::new();
@@ -286,7 +323,9 @@ impl TriggerEngine {
 
     /// Appends one applied rewrite to the decision log.
     pub fn record(&self, record: AdaptRecord) {
-        self.inner.lock().log.push(record);
+        // Folded first: items that completed before this rewrite must not
+        // find it in the log when their realized WCT looks for an audit.
+        self.current().log.push(record);
     }
 
     /// Drops every estimator entry (durations, cardinalities, group
@@ -298,8 +337,7 @@ impl TriggerEngine {
     /// from the live tree instead of being steered by history of a
     /// subtree that no longer exists.
     pub fn invalidate_estimates_for(&self, removed: &[NodeId]) -> usize {
-        self.inner
-            .lock()
+        self.current()
             .tracker
             .estimates_mut()
             .invalidate_nodes(removed)
@@ -318,7 +356,7 @@ impl TriggerEngine {
 
     /// The decision log: every applied rewrite, in order.
     pub fn decision_log(&self) -> Vec<AdaptRecord> {
-        self.inner.lock().log.clone()
+        self.current().log.clone()
     }
 
     /// How many safe points have been evaluated.
@@ -365,9 +403,30 @@ pub fn decision_log_to_chrome(log: &[AdaptRecord], trace: &mut askel_obs::Chrome
 }
 
 impl Listener for TriggerEngine {
+    /// Logs the event for the next fold; see the module docs. Below log
+    /// capacity this takes one lock no other thread is waiting for and
+    /// allocates nothing (after the thread's first event).
     fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
-        let mut inner = self.inner.lock();
-        if event.wher == Where::Skeleton && event.trace.depth() == 1 {
+        // A registry never delivers these; a direct caller (the serve
+        // monitor's routing, a test) might.
+        if !Self::INTEREST.contains(event.when, event.wher) {
+            return;
+        }
+        let record = EventRecord::from(event);
+        while !self.log.try_push(record) {
+            drop(self.current());
+        }
+    }
+
+    fn interest(&self) -> Interest {
+        Self::INTEREST
+    }
+}
+
+impl TrigInner {
+    /// Replays one logged event.
+    fn apply(&mut self, event: EventRecord) {
+        if event.wher == Where::Skeleton && event.is_root() {
             match event.when {
                 When::Before => {
                     // A fresh root submission: drop finished instance
@@ -376,11 +435,11 @@ impl Listener for TriggerEngine {
                     // whole point). Track the item's start for the
                     // forecast audit (bounded: items that never complete
                     // — poisoned runs — are swept wholesale at the cap).
-                    inner.tracker.prune_finished();
-                    if inner.item_starts.len() >= 1024 {
-                        inner.item_starts.clear();
+                    self.tracker.prune_finished();
+                    if self.item_starts.len() >= 1024 {
+                        self.item_starts.clear();
                     }
-                    inner.item_starts.insert(event.index, event.timestamp);
+                    self.item_starts.insert(event.index, event.timestamp);
                 }
                 When::After => {
                     // A root submission completed: its realized WCT
@@ -391,9 +450,9 @@ impl Listener for TriggerEngine {
                     // rewrites honest: an item submitted under version 2
                     // can never close version 1's audit, even when it
                     // completes first.
-                    if let Some(started) = inner.item_starts.remove(&event.index) {
+                    if let Some(started) = self.item_starts.remove(&event.index) {
                         let realized = event.timestamp.saturating_sub(started);
-                        let ran_under = inner
+                        let ran_under = self
                             .log
                             .iter()
                             .filter(|r| r.at <= started)
@@ -401,7 +460,7 @@ impl Listener for TriggerEngine {
                             .max();
                         let mut audit_error = None;
                         if let Some(version) = ran_under {
-                            if let Some(forecast) = inner
+                            if let Some(forecast) = self
                                 .log
                                 .iter_mut()
                                 .filter(|r| r.version == version && r.at <= started)
@@ -412,14 +471,14 @@ impl Listener for TriggerEngine {
                                 audit_error = Some(realized.0.abs_diff(forecast.predicted.0));
                             }
                         }
-                        if let (Some(err), Some(m)) = (audit_error, &inner.metrics) {
+                        if let (Some(err), Some(m)) = (audit_error, &self.metrics) {
                             m.note_forecast_error(err);
                         }
                     }
                 }
             }
         }
-        inner.tracker.observe(event);
+        self.tracker.observe(event);
     }
 }
 
@@ -628,5 +687,205 @@ mod tests {
             Some(TimeNs::from_millis(15)),
             "v2's closed audit is not overwritten"
         );
+    }
+
+    /// A gated record applied at `at`.
+    fn gated(at: TimeNs, version: u64) -> AdaptRecord {
+        AdaptRecord {
+            at,
+            version,
+            rule: "promote".into(),
+            target: None,
+            action: "replace".into(),
+            why: "gated".into(),
+            forecast: Some(crate::forecast::Forecast {
+                predicted: TimeNs(40),
+                baseline: TimeNs(100),
+                realized: None,
+            }),
+        }
+    }
+
+    #[test]
+    fn events_wait_in_the_log_until_state_is_read() {
+        use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole};
+        let t = TriggerEngine::new(0.5);
+        let node = NodeId(11);
+        let event = |when, wher, at| Event {
+            node,
+            kind: KindTag::Seq,
+            when,
+            wher,
+            index: InstanceId(1),
+            trace: askel_events::Trace::root(node, InstanceId(1), KindTag::Seq),
+            timestamp: TimeNs(at),
+            info: askel_events::EventInfo::None,
+        };
+        t.on_event(&mut Payload::None, &event(When::Before, Where::Skeleton, 0));
+        t.on_event(&mut Payload::None, &event(When::After, Where::Skeleton, 60));
+        // Positions the state machines ignore are not even logged.
+        t.on_event(
+            &mut Payload::None,
+            &event(When::After, Where::NestedSkeleton, 61),
+        );
+        t.on_event(
+            &mut Payload::None,
+            &event(When::After, Where::Reconfigured, 62),
+        );
+        let mut logged = Vec::new();
+        t.log.drain_into(&mut logged);
+        assert_eq!(logged.len(), 2);
+        assert!(t
+            .inner
+            .lock()
+            .tracker
+            .estimates()
+            .snapshot()
+            .durations
+            .is_empty());
+        for r in logged {
+            assert!(t.log.try_push(r));
+        }
+        let fe = MuscleId::new(node, MuscleRole::Execute);
+        assert_eq!(t.read_estimates(|e| e.duration(fe)), Some(TimeNs(60)));
+    }
+
+    #[test]
+    fn a_full_log_is_folded_by_the_thread_that_fills_it() {
+        use crate::event_log::SHARD_CAPACITY;
+        use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole};
+        let t = TriggerEngine::new(1.0);
+        let node = NodeId(11);
+        // Nobody reads: 3 capacities' worth of seq spans, each 1 ns
+        // longer than the last.
+        let spans = 3 * SHARD_CAPACITY as u64 / 2;
+        for i in 0..spans {
+            for (when, at) in [(When::Before, 10 * i), (When::After, 10 * i + i)] {
+                t.on_event(
+                    &mut Payload::None,
+                    &Event {
+                        node,
+                        kind: KindTag::Seq,
+                        when,
+                        wher: Where::Skeleton,
+                        index: InstanceId(i + 1),
+                        trace: askel_events::Trace::root(node, InstanceId(i + 1), KindTag::Seq),
+                        timestamp: TimeNs(at),
+                        info: askel_events::EventInfo::None,
+                    },
+                );
+            }
+        }
+        let mut left = Vec::new();
+        t.log.drain_into(&mut left);
+        assert!(left.len() <= SHARD_CAPACITY, "the log stayed bounded");
+        for r in left {
+            assert!(t.log.try_push(r));
+        }
+        // ρ = 1: the estimate is the last span, so nothing was dropped
+        // and nothing replayed out of order.
+        let fe = MuscleId::new(node, MuscleRole::Execute);
+        assert_eq!(
+            t.read_estimates(|e| e.duration(fe)),
+            Some(TimeNs(spans - 1))
+        );
+    }
+
+    /// Every event of six items of a `map` over `d&C`s streamed three at a
+    /// time through the simulator, restamped so that no two share a
+    /// timestamp (equal timestamps are `event_log`'s tests' business).
+    fn recorded_stream() -> &'static [Event] {
+        use askel_events::FnListener;
+        use askel_sim::cost::TableCost;
+        use askel_sim::SimEngine;
+        use askel_skeletons::{dac, map};
+        use std::sync::OnceLock;
+        static EVENTS: OnceLock<Vec<Event>> = OnceLock::new();
+        EVENTS.get_or_init(|| {
+            let sort = dac(
+                |v: &Vec<i64>| v.len() > 2,
+                |v: Vec<i64>| {
+                    let (a, b) = v.split_at(v.len() / 2);
+                    vec![a.to_vec(), b.to_vec()]
+                },
+                seq(|mut v: Vec<i64>| {
+                    v.sort_unstable();
+                    v
+                }),
+                |parts: Vec<Vec<i64>>| {
+                    let mut out: Vec<i64> = parts.into_iter().flatten().collect();
+                    out.sort_unstable();
+                    out
+                },
+            );
+            let program = map(
+                |v: Vec<i64>| v.chunks(8).map(<[i64]>::to_vec).collect::<Vec<_>>(),
+                sort,
+                |parts: Vec<Vec<i64>>| parts.into_iter().flatten().collect::<Vec<i64>>(),
+            );
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&events);
+            let mut sim = SimEngine::new(2, Arc::new(TableCost::new(TimeNs(700))));
+            sim.registry().add_listener(Arc::new(FnListener(
+                move |_: &mut Payload<'_>, e: &Event| sink.lock().push(e.clone()),
+            )));
+            sim.run_stream(
+                3,
+                |i| {
+                    (i < 6).then(|| {
+                        (
+                            program.clone(),
+                            (0..24).map(|x| (x * 7 + i as i64) % 11).collect(),
+                        )
+                    })
+                },
+                |_, out: Result<Vec<i64>, _>| assert!(out.is_ok()),
+                &mut [],
+            );
+            let mut events = std::mem::take(&mut *events.lock());
+            for (i, e) in events.iter_mut().enumerate() {
+                e.timestamp = TimeNs(e.timestamp.0 + 13 * i as u64);
+            }
+            assert!(events.windows(2).all(|w| w[0].timestamp < w[1].timestamp));
+            events
+        })
+    }
+
+    proptest::proptest! {
+        /// One event sequence fed in order, and the same sequence dealt
+        /// arbitrarily over several threads' logs, leave the same
+        /// estimates and the same decision log.
+        #[test]
+        fn folding_split_logs_equals_feeding_in_order(
+            threads in 1usize..=crate::event_log::SHARDS,
+            deal in proptest::collection::vec(0usize..crate::event_log::SHARDS, 1..64),
+            cut in 0usize..1000,
+        ) {
+            let events = recorded_stream();
+            // In the first third, so that whole items still follow it.
+            let cut = cut % (events.len() / 3);
+            let in_order = TriggerEngine::new(0.5);
+            let split = TriggerEngine::new(0.5);
+            for (i, event) in events.iter().enumerate() {
+                if i == cut {
+                    // A rewrite lands mid-stream: later items close its audit.
+                    in_order.record(gated(event.timestamp, 1));
+                    split.record(gated(event.timestamp, 1));
+                }
+                in_order.on_event(&mut Payload::None, event);
+                if TriggerEngine::INTEREST.contains(event.when, event.wher) {
+                    let shard = deal[i % deal.len()] % threads;
+                    while !split.log.try_push_to(shard, EventRecord::from(event)) {
+                        drop(split.current());
+                    }
+                }
+            }
+            let table = |t: &TriggerEngine| t.read_estimates(|e| e.snapshot());
+            proptest::prop_assert_eq!(table(&in_order), table(&split));
+            proptest::prop_assert!(!table(&split).durations.is_empty());
+            proptest::prop_assert_eq!(in_order.decision_log(), split.decision_log());
+            let audit = split.decision_log()[0].forecast.expect("recorded with one");
+            proptest::prop_assert!(audit.realized.is_some());
+        }
     }
 }

@@ -66,6 +66,8 @@ fn closed_forecast_audits_record_their_error() {
     // An item submitted after the rewrite runs 45 ms: |45 - 40| = 5 ms.
     t.on_event(&mut Payload::None, &root_event(node, When::Before, 2, 25));
     t.on_event(&mut Payload::None, &root_event(node, When::After, 2, 70));
+    // The audit closes when the trigger's state is next read.
+    assert_eq!(t.decision_log().len(), 1);
     let h = hub.snapshot();
     let err = h.histogram("adapt_forecast_error_ns").unwrap().clone();
     assert_eq!(err.count(), 1);

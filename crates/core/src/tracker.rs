@@ -20,9 +20,9 @@
 //! the controller's job (`askel-core::controller`), which also keeps event
 //! observation and ADG analysis under one lock.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use askel_events::{Event, EventInfo, When, Where};
+use askel_events::{EventInfo, EventRecord, When, Where};
 use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole, NodeId, TimeNs};
 
 use crate::estimate::EstimatorTable;
@@ -104,8 +104,19 @@ pub struct SmTracker {
     estimates: EstimatorTable,
     instances: HashMap<InstanceId, InstanceRecord>,
     /// Root instances in arrival order; the last is the current submission.
-    roots: Vec<InstanceId>,
+    roots: VecDeque<InstanceId>,
+    /// Instances whose parent was unknown when they began (it was pruned,
+    /// or its Before event never arrived): reachable from no root, so
+    /// [`prune_finished`](SmTracker::prune_finished) drops them by name.
+    orphans: Vec<InstanceId>,
+    /// Whether an instance's record outlives the instance. The ADG is
+    /// built from finished records; the estimators never read one.
+    keep_finished: bool,
 }
+
+/// Unfinished roots kept across prunes — the newest this many. An item
+/// that never completes (a poisoned run) ages out instead of leaking.
+const MAX_LIVE_ROOTS: usize = 1024;
 
 impl SmTracker {
     /// A tracker with a fresh estimator table using weight `rho`.
@@ -119,7 +130,20 @@ impl SmTracker {
         SmTracker {
             estimates,
             instances: HashMap::new(),
-            roots: Vec::new(),
+            roots: VecDeque::new(),
+            orphans: Vec::new(),
+            keep_finished: true,
+        }
+    }
+
+    /// A tracker that serves only its estimator table: every instance's
+    /// record is dropped the moment the instance ends, so memory follows
+    /// the instances *running*, not the items in flight. No ADG can be
+    /// built from it.
+    pub fn estimators_only(rho: f64) -> Self {
+        SmTracker {
+            keep_finished: false,
+            ..Self::new(rho)
         }
     }
 
@@ -135,7 +159,7 @@ impl SmTracker {
 
     /// The current (most recent) root instance.
     pub fn current_root(&self) -> Option<&InstanceRecord> {
-        self.roots.last().and_then(|id| self.instances.get(id))
+        self.roots.back().and_then(|id| self.instances.get(id))
     }
 
     /// Looks an instance up.
@@ -148,48 +172,47 @@ impl SmTracker {
         self.instances.len()
     }
 
-    /// Drops the records of finished roots (estimates are kept); reduces
-    /// memory on long-lived engines.
+    /// Drops the records of finished roots and of orphans (estimates are
+    /// kept), so memory stays bounded on long-lived engines. Every
+    /// unfinished root keeps its whole subtree — with several items in
+    /// flight, each one's later events still find their records. Costs
+    /// O(roots kept + records dropped).
     pub fn prune_finished(&mut self) {
-        let keep_root = match self.roots.last() {
-            Some(id) => match self.instances.get(id) {
-                Some(r) if !r.is_finished() => Some(*id),
-                _ => None,
-            },
-            None => None,
+        let mut roots = std::mem::take(&mut self.roots);
+        roots.retain(|&root| {
+            let live = self.instances.get(&root).is_some_and(|r| !r.is_finished());
+            if !live {
+                self.drop_subtree(root);
+            }
+            live
+        });
+        while roots.len() > MAX_LIVE_ROOTS {
+            let oldest = roots.pop_front().expect("len checked");
+            self.drop_subtree(oldest);
+        }
+        self.roots = roots;
+        for orphan in std::mem::take(&mut self.orphans) {
+            self.drop_subtree(orphan);
+        }
+    }
+
+    /// Removes `top` and everything below it, walking the child links.
+    fn drop_subtree(&mut self, top: InstanceId) {
+        let Some(rec) = self.instances.remove(&top) else {
+            return;
         };
-        match keep_root {
-            Some(root) => {
-                // Keep only instances belonging to the live root.
-                let live: std::collections::HashSet<InstanceId> = self
-                    .instances
-                    .values()
-                    .filter(|r| self.root_of(r.id) == Some(root))
-                    .map(|r| r.id)
-                    .collect();
-                self.instances.retain(|id, _| live.contains(id));
-                self.roots.retain(|id| *id == root);
-            }
-            None => {
-                self.instances.clear();
-                self.roots.clear();
+        let mut pending = rec.children;
+        while let Some(id) = pending.pop() {
+            if let Some(rec) = self.instances.remove(&id) {
+                pending.extend(rec.children);
             }
         }
     }
 
-    fn root_of(&self, mut id: InstanceId) -> Option<InstanceId> {
-        loop {
-            let rec = self.instances.get(&id)?;
-            match rec.parent {
-                Some(p) if self.instances.contains_key(&p) => id = p,
-                Some(_) => return None,
-                None => return Some(id),
-            }
-        }
-    }
-
-    /// Feeds one event through the state machines.
-    pub fn observe(&mut self, event: &Event) {
+    /// Feeds one event through the state machines: an `&Event` as it is
+    /// raised, or the [`EventRecord`] a listener kept of it.
+    pub fn observe(&mut self, event: impl Into<EventRecord>) {
+        let event = &event.into();
         match (event.when, event.wher) {
             (When::Before, Where::Skeleton) => self.on_instance_begin(event),
             (When::After, Where::Skeleton) => self.on_instance_end(event),
@@ -208,8 +231,8 @@ impl SmTracker {
         }
     }
 
-    fn on_instance_begin(&mut self, event: &Event) {
-        let parent = event.trace.parent().map(|p| p.instance);
+    fn on_instance_begin(&mut self, event: &EventRecord) {
+        let parent = event.parent();
         let dc_depth = if event.kind == KindTag::DivideConquer {
             match parent.and_then(|p| self.instances.get(&p)) {
                 Some(pr) if pr.node == event.node => pr.dc_depth + 1,
@@ -235,8 +258,9 @@ impl SmTracker {
             dc_max_depth: dc_depth,
         };
         if let Some(p) = parent {
-            if let Some(pr) = self.instances.get_mut(&p) {
-                pr.children.push(event.index);
+            match self.instances.get_mut(&p) {
+                Some(pr) => pr.children.push(event.index),
+                None => self.orphans.push(event.index),
             }
         }
         // Propagate d&C depth to the recursion root.
@@ -259,12 +283,12 @@ impl SmTracker {
             }
         }
         if parent.is_none() {
-            self.roots.push(event.index);
+            self.roots.push_back(event.index);
         }
         self.instances.insert(event.index, record);
     }
 
-    fn on_instance_end(&mut self, event: &Event) {
+    fn on_instance_end(&mut self, event: &EventRecord) {
         let Some(rec) = self.instances.get_mut(&event.index) else {
             return;
         };
@@ -290,9 +314,12 @@ impl SmTracker {
             }
             _ => {}
         }
+        if !self.keep_finished {
+            self.instances.remove(&event.index);
+        }
     }
 
-    fn on_muscle_begin(&mut self, event: &Event, role: MuscleRole) {
+    fn on_muscle_begin(&mut self, event: &EventRecord, role: MuscleRole) {
         let Some(rec) = self.instances.get_mut(&event.index) else {
             return;
         };
@@ -304,7 +331,7 @@ impl SmTracker {
         }
     }
 
-    fn on_split_end(&mut self, event: &Event) {
+    fn on_split_end(&mut self, event: &EventRecord) {
         let Some(rec) = self.instances.get_mut(&event.index) else {
             return;
         };
@@ -319,13 +346,13 @@ impl SmTracker {
         let muscle = MuscleId::new(event.node, MuscleRole::Split);
         self.estimates
             .observe_duration(muscle, event.timestamp.saturating_sub(started));
-        if let EventInfo::SplitCardinality(card) = event.info {
+        if let EventInfo::SplitCardinality(card) = event.info() {
             rec.split_card = Some(card);
             self.estimates.observe_cardinality(muscle, card as f64);
         }
     }
 
-    fn on_merge_end(&mut self, event: &Event) {
+    fn on_merge_end(&mut self, event: &EventRecord) {
         let Some(rec) = self.instances.get_mut(&event.index) else {
             return;
         };
@@ -343,7 +370,7 @@ impl SmTracker {
         );
     }
 
-    fn on_cond_begin(&mut self, event: &Event) {
+    fn on_cond_begin(&mut self, event: &EventRecord) {
         let Some(rec) = self.instances.get_mut(&event.index) else {
             return;
         };
@@ -353,11 +380,11 @@ impl SmTracker {
         });
     }
 
-    fn on_cond_end(&mut self, event: &Event) {
+    fn on_cond_end(&mut self, event: &EventRecord) {
         let Some(rec) = self.instances.get_mut(&event.index) else {
             return;
         };
-        let verdict = event.info.condition_result();
+        let verdict = event.info().condition_result();
         let started = match rec.conds.last_mut() {
             Some(c) => {
                 c.span.finished = Some(event.timestamp);
@@ -388,7 +415,7 @@ impl SmTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use askel_events::Trace;
+    use askel_events::{Event, Trace};
 
     #[allow(clippy::too_many_arguments)]
     fn ev(
@@ -687,6 +714,147 @@ mod tests {
             .estimates()
             .duration(MuscleId::new(NodeId(1), MuscleRole::Execute))
             .is_some());
+    }
+
+    #[test]
+    fn prune_keeps_every_unfinished_root() {
+        // Two `map` items in flight at once (a stream window > 1): the
+        // prune that runs when the second begins must not cost the first
+        // its record, or its merge is never observed.
+        let mut t = SmTracker::new(0.5);
+        let map =
+            |inst, when, wher, at| ev(5, KindTag::Map, when, wher, inst, None, at, EventInfo::None);
+        for (inst, at) in [(20, 0), (21, 1)] {
+            t.prune_finished();
+            t.observe(&map(inst, When::Before, Where::Skeleton, at));
+            t.observe(&ev(
+                6,
+                KindTag::Seq,
+                When::Before,
+                Where::Skeleton,
+                inst + 10,
+                Some((5, KindTag::Map, inst)),
+                at,
+                EventInfo::None,
+            ));
+        }
+        assert_eq!(t.instance_count(), 4);
+        t.observe(&map(20, When::Before, Where::Merge, 10));
+        t.observe(&map(20, When::After, Where::Merge, 15));
+        t.observe(&map(21, When::Before, Where::Merge, 20));
+        t.observe(&map(21, When::After, Where::Merge, 35));
+        let fm = MuscleId::new(NodeId(5), MuscleRole::Merge);
+        assert_eq!(
+            t.estimates().duration(fm),
+            Some(TimeNs(10)),
+            "EWMA of 5 and 15"
+        );
+        // Finished roots go, with their subtrees; the live one stays whole.
+        t.observe(&map(20, When::After, Where::Skeleton, 40));
+        t.prune_finished();
+        assert_eq!(t.instance_count(), 2);
+        assert_eq!(t.current_root().unwrap().id, InstanceId(21));
+        assert!(t.instance(InstanceId(31)).is_some());
+    }
+
+    #[test]
+    fn estimators_only_keeps_no_finished_record() {
+        let mut t = SmTracker::estimators_only(0.5);
+        let map = |when, wher, at, info| ev(5, KindTag::Map, when, wher, 20, None, at, info);
+        t.observe(&map(When::Before, Where::Skeleton, 0, EventInfo::None));
+        t.observe(&map(When::Before, Where::Split, 0, EventInfo::None));
+        t.observe(&map(
+            When::After,
+            Where::Split,
+            10,
+            EventInfo::SplitCardinality(2),
+        ));
+        for (inst, from, to) in [(30, 10, 40), (31, 12, 32)] {
+            let seq = |when, at| {
+                let parent = Some((5, KindTag::Map, 20));
+                ev(
+                    6,
+                    KindTag::Seq,
+                    when,
+                    Where::Skeleton,
+                    inst,
+                    parent,
+                    at,
+                    EventInfo::None,
+                )
+            };
+            t.observe(&seq(When::Before, from));
+            assert!(t.instance(InstanceId(inst)).is_some());
+            t.observe(&seq(When::After, to));
+            assert!(t.instance(InstanceId(inst)).is_none());
+        }
+        assert_eq!(t.instance_count(), 1, "only the running map is left");
+        t.observe(&map(When::Before, Where::Merge, 40, EventInfo::None));
+        t.observe(&map(When::After, Where::Merge, 45, EventInfo::None));
+        t.observe(&map(When::After, Where::Skeleton, 45, EventInfo::None));
+        assert_eq!(t.instance_count(), 0);
+        t.prune_finished();
+        // Every estimate a full tracker would hold is there.
+        let fe = MuscleId::new(NodeId(6), MuscleRole::Execute);
+        let fs = MuscleId::new(NodeId(5), MuscleRole::Split);
+        let fm = MuscleId::new(NodeId(5), MuscleRole::Merge);
+        assert_eq!(
+            t.estimates().duration(fe),
+            Some(TimeNs(25)),
+            "EWMA of 30 and 20"
+        );
+        assert_eq!(t.estimates().duration(fs), Some(TimeNs(10)));
+        assert_eq!(t.estimates().cardinality(fs), Some(2.0));
+        assert_eq!(t.estimates().duration(fm), Some(TimeNs(5)));
+    }
+
+    #[test]
+    fn prune_drops_orphans_and_caps_unfinished_roots() {
+        let mut t = SmTracker::new(0.5);
+        // A child whose parent was never seen, and its own child.
+        t.observe(&ev(
+            6,
+            KindTag::Map,
+            When::Before,
+            Where::Skeleton,
+            90,
+            Some((5, KindTag::Map, 89)),
+            0,
+            EventInfo::None,
+        ));
+        let trace = Trace::root(NodeId(5), InstanceId(89), KindTag::Map)
+            .child(NodeId(6), InstanceId(90), KindTag::Map)
+            .child(NodeId(7), InstanceId(91), KindTag::Seq);
+        t.observe(&Event {
+            node: NodeId(7),
+            kind: KindTag::Seq,
+            when: When::Before,
+            wher: Where::Skeleton,
+            index: InstanceId(91),
+            trace,
+            timestamp: TimeNs(1),
+            info: EventInfo::None,
+        });
+        assert_eq!(t.instance_count(), 2);
+        t.prune_finished();
+        assert_eq!(t.instance_count(), 0);
+        // Roots that never finish age out, oldest first.
+        for i in 0..(MAX_LIVE_ROOTS as u64 + 5) {
+            t.observe(&ev(
+                1,
+                KindTag::Seq,
+                When::Before,
+                Where::Skeleton,
+                1000 + i,
+                None,
+                i,
+                EventInfo::None,
+            ));
+        }
+        t.prune_finished();
+        assert_eq!(t.instance_count(), MAX_LIVE_ROOTS);
+        assert!(t.instance(InstanceId(1004)).is_none());
+        assert!(t.instance(InstanceId(1005)).is_some());
     }
 
     #[test]

@@ -37,7 +37,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
+use askel_events::{
+    Event, EventInfo, ListenerRegistry, ListenerSnapshot, Payload, Trace, When, Where,
+};
 use askel_pool::{ResizablePool, Task};
 use askel_skeletons::{Clock, Data, EvalError, InstanceId, Node, NodeKind, Skel};
 
@@ -104,15 +106,17 @@ struct SubCtx {
     pool: ResizablePool,
     registry: Arc<ListenerRegistry>,
     clock: Arc<dyn Clock>,
-    /// Whether any listener was registered when this submission started.
-    /// Sampled once at submit time: when false, the whole event path —
-    /// instance ids, trace extension (an allocation per scheduled node)
-    /// and emission — is skipped for the submission's lifetime.
-    tracing: bool,
-    /// Shared zero-allocation stand-in trace used when `tracing` is off.
+    /// The listeners registered when this submission started, taken once
+    /// at submit time; `None` when there were none, and then the whole
+    /// event path — instance ids, trace extension (an allocation per
+    /// scheduled node) and emission — is skipped for the submission's
+    /// lifetime. Events dispatch through this view, so a worker emitting
+    /// one touches nothing another worker writes (see [`SubCtx::emit`]).
+    listeners: Option<Arc<ListenerSnapshot>>,
+    /// Shared zero-allocation stand-in trace used when not `tracing`.
     empty_trace: Trace,
     /// Span probe for the metrics hub, sampled once at submit time like
-    /// `tracing`: `None` whenever the hub was disabled, making every
+    /// `listeners`: `None` whenever the hub was disabled, making every
     /// per-step check a plain discriminant test.
     span: Option<SpanProbe>,
     failed: AtomicBool,
@@ -120,6 +124,11 @@ struct SubCtx {
 }
 
 impl SubCtx {
+    /// Whether any listener was registered when this submission started.
+    fn tracing(&self) -> bool {
+        self.listeners.is_some()
+    }
+
     fn fail(&self, err: EngineError) {
         self.failed.store(true, Ordering::SeqCst);
         if let Some(span) = &self.span {
@@ -161,7 +170,28 @@ impl SubCtx {
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) {
-        if !self.tracing || self.registry.is_empty() {
+        let Some(taken) = &self.listeners else {
+            return;
+        };
+        // One Acquire load of a line that is only written when a listener
+        // is added or removed. While it has not moved, dispatch goes
+        // through the view taken at submit: no lock, no allocation, no
+        // reference count. Once it has, every event of this submission
+        // re-reads the registry, so listeners added or removed mid-item
+        // take effect at the next event, as they always did.
+        let fresh;
+        let listeners = if self.registry.generation() == taken.generation() {
+            taken
+        } else {
+            let Some(now) = self.registry.snapshot() else {
+                return;
+            };
+            fresh = now;
+            &fresh
+        };
+        // A position nobody wants costs nothing further: no clock read,
+        // no trace clone, no event.
+        if !listeners.interest().contains(when, wher) {
             return;
         }
         let event = Event {
@@ -174,7 +204,7 @@ impl SubCtx {
             timestamp: self.clock.now(),
             info,
         };
-        self.registry.emit(payload, &event);
+        listeners.dispatch(payload, &event);
     }
 }
 
@@ -263,13 +293,13 @@ where
 {
     let (future, promise) = pair::<R>();
     let fail_promise = promise.clone();
-    let tracing = !registry.is_empty();
+    let listeners = registry.snapshot();
     let span = metrics.probe(&*clock);
     let ctx = Arc::new(SubCtx {
         pool,
         registry,
         clock,
-        tracing,
+        listeners,
         empty_trace: Trace::empty(),
         span,
         failed: AtomicBool::new(false),
@@ -312,7 +342,7 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
-    let tracing = !registry.is_empty();
+    let listeners = registry.snapshot();
     // One enabled check and one clock read for the whole batch; every
     // item's span shares the submit timestamp.
     let submitted_at = if metrics.enabled() {
@@ -329,7 +359,7 @@ where
             pool: pool.clone(),
             registry: Arc::clone(&registry),
             clock: Arc::clone(&clock),
-            tracing,
+            listeners: listeners.clone(),
             empty_trace: Trace::empty(),
             span: submitted_at.map(|at| metrics.probe_at(at)),
             failed: AtomicBool::new(false),
@@ -359,7 +389,7 @@ where
 /// scheduled node — or the shared zero-cost stand-ins when no listener
 /// can observe this submission.
 fn instance(ctx: &Arc<SubCtx>, node: &Arc<Node>, parent: Option<&Trace>) -> (InstanceId, Trace) {
-    if ctx.tracing {
+    if ctx.tracing() {
         let inst = InstanceId::fresh();
         let trace = match parent {
             Some(t) => t.child(node.id, inst, node.tag()),
@@ -524,7 +554,7 @@ fn exec_farm(
     let inner = Arc::clone(inner);
     // The closing wrapper only emits events; with no listener the
     // parent's continuation passes through without a fresh box.
-    let cont = if ctx.tracing {
+    let cont = if ctx.tracing() {
         let trace2 = trace.clone();
         let node2 = Arc::clone(&node);
         Cont::f(move |ctx, mut out| {
@@ -781,7 +811,7 @@ fn step_if(
         &mut Payload::Single(&mut data),
     );
     // Branch-closing wrapper: identity without a listener.
-    let cont = if ctx.tracing {
+    let cont = if ctx.tracing() {
         let node2 = Arc::clone(&node);
         let trace2 = trace.clone();
         Cont::f(move |ctx, mut out| {
@@ -1115,7 +1145,7 @@ fn step_dac(
         // The base-case wrapper exists only to emit the closing events;
         // with no listener it is the identity, so the parent's
         // continuation passes through without a fresh box.
-        let cont = if ctx.tracing {
+        let cont = if ctx.tracing() {
             let node2 = Arc::clone(&node);
             let trace2 = trace.clone();
             Cont::f(move |ctx, mut out| {
@@ -1289,7 +1319,7 @@ fn spawn_merge(
             | NodeKind::DivideConquer { fm, .. } => fm,
             _ => unreachable!("merge scheduled on a kind without a merge muscle"),
         };
-        let mut out = if ctx.tracing {
+        let mut out = if ctx.tracing() {
             // Listeners may transform the partial results, so the
             // event payload needs the plain vector shape.
             let mut results: Vec<Data> = slots

@@ -113,10 +113,12 @@ impl Engine {
 
     /// The listener registry; register non-functional concerns here.
     ///
-    /// Register listeners **before** submitting: each submission samples
-    /// the registry once when it starts (see [`Engine::submit`]), so a
-    /// listener added while a submission is in flight observes no events
-    /// from it — only from submissions started afterwards.
+    /// Register listeners **before** submitting: each submission looks at
+    /// the registry once when it starts (see [`Engine::submit`]), and one
+    /// that finds it empty emits nothing for its whole lifetime. One that
+    /// finds a listener dispatches through the view it took then, and
+    /// re-reads the registry only after a change — so a listener added
+    /// or removed mid-item takes effect at that item's next event.
     pub fn registry(&self) -> &Arc<ListenerRegistry> {
         &self.registry
     }

@@ -146,6 +146,87 @@ pub struct Event {
     pub info: EventInfo,
 }
 
+/// Everything an [`Event`] carries except its [`Trace`], as plain data:
+/// what the event-driven state machines need to replay an event later,
+/// on another thread. Of the trace it keeps only what they read — the
+/// parent instance and the nesting depth (saturating at 255). Small
+/// (48 bytes) and `Copy`, so a listener can append it to a log on the
+/// muscle's thread and return.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EventRecord {
+    /// Node that raised the event.
+    pub node: NodeId,
+    /// The instance index `i`.
+    pub index: InstanceId,
+    /// Engine timestamp (real or virtual nanoseconds).
+    pub timestamp: TimeNs,
+    // `InstanceId::fresh` starts at 1, so 0 encodes "no parent" without
+    // the 8 bytes an `Option` would add.
+    parent: u64,
+    // `EventInfo` flattened to a tag byte plus one word.
+    info_value: u64,
+    info_tag: u8,
+    /// Kind of that node.
+    pub kind: KindTag,
+    /// Before or after.
+    pub when: When,
+    /// Which part of the instance.
+    pub wher: Where,
+    /// Nesting depth of the raising instance (root = 1), saturating.
+    pub depth: u8,
+}
+
+impl EventRecord {
+    /// The enclosing instance, if any.
+    pub fn parent(&self) -> Option<InstanceId> {
+        (self.parent != 0).then_some(InstanceId(self.parent))
+    }
+
+    /// The event's extra runtime information.
+    pub fn info(&self) -> EventInfo {
+        match self.info_tag {
+            1 => EventInfo::SplitCardinality(self.info_value as usize),
+            2 => EventInfo::ConditionResult(self.info_value != 0),
+            3 => EventInfo::ChildIndex(self.info_value as usize),
+            4 => EventInfo::Iteration(self.info_value as usize),
+            5 => EventInfo::Reconfigured {
+                version: self.info_value,
+            },
+            _ => EventInfo::None,
+        }
+    }
+
+    /// `true` for an event of a root submission (trace depth 1).
+    pub fn is_root(&self) -> bool {
+        self.depth == 1
+    }
+}
+
+impl From<&Event> for EventRecord {
+    fn from(e: &Event) -> Self {
+        let (info_tag, info_value) = match e.info {
+            EventInfo::None => (0, 0),
+            EventInfo::SplitCardinality(n) => (1, n as u64),
+            EventInfo::ConditionResult(b) => (2, b as u64),
+            EventInfo::ChildIndex(k) => (3, k as u64),
+            EventInfo::Iteration(k) => (4, k as u64),
+            EventInfo::Reconfigured { version } => (5, version),
+        };
+        EventRecord {
+            node: e.node,
+            index: e.index,
+            timestamp: e.timestamp,
+            parent: e.trace.parent().map_or(0, |p| p.instance.0),
+            info_value,
+            info_tag,
+            kind: e.kind,
+            when: e.when,
+            wher: e.wher,
+            depth: e.trace.depth().min(u8::MAX as usize) as u8,
+        }
+    }
+}
+
 impl Event {
     /// `true` if this is the event `(when, wher)` on a node of `kind`.
     pub fn is(&self, kind: KindTag, when: When, wher: Where) -> bool {
@@ -232,6 +313,36 @@ mod tests {
         assert_eq!(e.paper_notation(), "map@rc(i42, v=2)");
         assert_eq!(e.info.reconfigured_version(), Some(2));
         assert_eq!(EventInfo::None.reconfigured_version(), None);
+    }
+
+    #[test]
+    fn record_keeps_what_the_state_machines_read() {
+        assert!(std::mem::size_of::<EventRecord>() <= 48);
+        let infos = [
+            EventInfo::None,
+            EventInfo::SplitCardinality(7),
+            EventInfo::ConditionResult(true),
+            EventInfo::ConditionResult(false),
+            EventInfo::ChildIndex(3),
+            EventInfo::Iteration(9),
+            EventInfo::Reconfigured { version: 2 },
+        ];
+        for info in infos {
+            let mut e = event(KindTag::Map, When::After, Where::Split, info);
+            let r = EventRecord::from(&e);
+            assert_eq!(r.info(), info);
+            assert_eq!(
+                (r.node, r.index, r.timestamp),
+                (e.node, e.index, e.timestamp)
+            );
+            assert_eq!((r.kind, r.when, r.wher), (e.kind, e.when, e.wher));
+            assert_eq!(r.parent(), None);
+            assert!(r.is_root());
+            e.trace = e.trace.child(NodeId(2), InstanceId(43), KindTag::Seq);
+            let r = EventRecord::from(&e);
+            assert_eq!(r.parent(), Some(InstanceId(42)));
+            assert_eq!(r.depth, 2);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod registry;
 pub mod trace;
 pub mod util;
 
-pub use event::{Event, EventInfo, When, Where};
-pub use listener::{EventFilter, FnListener, Listener, Payload};
-pub use registry::ListenerRegistry;
+pub use event::{Event, EventInfo, EventRecord, When, Where};
+pub use listener::{EventFilter, FnListener, Interest, Listener, Payload};
+pub use registry::{ListenerRegistry, ListenerSnapshot};
 pub use trace::{Trace, TraceEntry};

@@ -76,10 +76,79 @@ impl<'a> Payload<'a> {
     }
 }
 
+/// A set of `(When, Where)` event positions, one bit each.
+///
+/// This is the part of a listener's filter that engines can test
+/// *before* building an event: positions nobody is interested in cost a
+/// submission one bit test — no clock read, no trace clone, no dispatch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Interest(u16);
+
+impl Interest {
+    /// No position.
+    pub const NONE: Interest = Interest(0);
+    /// Every position (what a *generic listener* wants).
+    pub const ALL: Interest = Interest((1 << 12) - 1);
+
+    const fn bit(when: When, wher: Where) -> u16 {
+        1 << (wher as u16 * 2 + when as u16)
+    }
+
+    /// Both the Before and the After position of `wher`.
+    pub const fn at(wher: Where) -> Interest {
+        Interest(Self::bit(When::Before, wher) | Self::bit(When::After, wher))
+    }
+
+    /// Every `wher` position of one `when`.
+    pub const fn when(when: When) -> Interest {
+        let mut bits = 0;
+        let mut w = 0;
+        while w < 6 {
+            bits |= 1 << (w * 2 + when as u16);
+            w += 1;
+        }
+        Interest(bits)
+    }
+
+    /// Positions in either set.
+    pub const fn union(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
+    }
+
+    /// Positions in both sets.
+    pub const fn intersect(self, other: Interest) -> Interest {
+        Interest(self.0 & other.0)
+    }
+
+    /// Positions of `self` not in `other`.
+    pub const fn without(self, other: Interest) -> Interest {
+        Interest(self.0 & !other.0)
+    }
+
+    /// Is the position `(when, wher)` in the set?
+    pub const fn contains(self, when: When, wher: Where) -> bool {
+        self.0 & Self::bit(when, wher) != 0
+    }
+}
+
 /// Non-functional code attached to skeleton events.
 pub trait Listener: Send + Sync {
     /// Handles one event. Runs on the muscle's thread; keep it fast.
     fn on_event(&self, payload: &mut Payload<'_>, event: &Event);
+
+    /// The event positions this listener wants; everything by default.
+    ///
+    /// A listener that ignores some positions should say so here: the
+    /// registry intersects this with the registration filter, and an
+    /// engine skips — before reading the clock or building the event —
+    /// every position no registered listener wants. Events outside the
+    /// set are never delivered through a registry. The registry reads
+    /// this when the listener is registered; a listener whose answer
+    /// changes later must call
+    /// [`ListenerRegistry::refresh`](crate::ListenerRegistry::refresh).
+    fn interest(&self) -> Interest {
+        Interest::ALL
+    }
 }
 
 /// Adapter turning a closure into a [`Listener`].
@@ -139,6 +208,14 @@ impl EventFilter {
         self
     }
 
+    /// The positions the filter can match — its `when`/`wher` part; the
+    /// `node`/`kind` part needs the event itself ([`matches`](Self::matches)).
+    pub fn interest(&self) -> Interest {
+        let when = self.when.map_or(Interest::ALL, Interest::when);
+        let wher = self.wher.map_or(Interest::ALL, Interest::at);
+        when.intersect(wher)
+    }
+
     /// Does the event pass the filter?
     pub fn matches(&self, e: &Event) -> bool {
         self.node.is_none_or(|n| e.node == n)
@@ -189,6 +266,39 @@ mod tests {
             .when(When::After)
             .wher(Where::Split)
             .matches(&e));
+    }
+
+    #[test]
+    fn interest_is_the_when_where_part_of_a_filter() {
+        let all = [
+            Where::Skeleton,
+            Where::Split,
+            Where::Merge,
+            Where::Condition,
+            Where::NestedSkeleton,
+            Where::Reconfigured,
+        ];
+        for wher in all {
+            for when in [When::Before, When::After] {
+                assert!(Interest::ALL.contains(when, wher));
+                assert!(!Interest::NONE.contains(when, wher));
+                assert!(EventFilter::all().interest().contains(when, wher));
+                let f = EventFilter::all().when(When::After).wher(Where::Split);
+                assert_eq!(
+                    f.interest().contains(when, wher),
+                    when == When::After && wher == Where::Split
+                );
+            }
+        }
+        let no_nested = Interest::ALL.without(Interest::at(Where::NestedSkeleton));
+        assert!(!no_nested.contains(When::Before, Where::NestedSkeleton));
+        assert!(no_nested.contains(When::Before, Where::Merge));
+        assert_eq!(
+            no_nested.union(Interest::at(Where::NestedSkeleton)),
+            Interest::ALL
+        );
+        // node/kind narrowing cannot be expressed as positions.
+        assert_eq!(EventFilter::all().node(NodeId(3)).interest(), Interest::ALL);
     }
 
     #[test]

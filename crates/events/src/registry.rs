@@ -1,32 +1,108 @@
 //! The listener registry: where engines publish events and non-functional
 //! concerns subscribe.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::event::Event;
-use crate::listener::{EventFilter, Listener, Payload};
+use crate::listener::{EventFilter, Interest, Listener, Payload};
 
+#[derive(Clone)]
 struct Entry {
     filter: EventFilter,
+    /// `filter.interest() ∩ listener.interest()`, read at registration.
+    interest: Interest,
     listener: Arc<dyn Listener>,
+}
+
+impl Entry {
+    fn new(filter: EventFilter, listener: Arc<dyn Listener>) -> Self {
+        Entry {
+            filter,
+            interest: filter.interest().intersect(listener.interest()),
+            listener,
+        }
+    }
+}
+
+/// An immutable view of a registry's listeners, taken with
+/// [`ListenerRegistry::snapshot`].
+///
+/// An engine takes one per submission and dispatches through it without
+/// touching the registry again, as long as
+/// [`ListenerRegistry::generation`] still equals
+/// [`generation`](ListenerSnapshot::generation).
+pub struct ListenerSnapshot {
+    generation: u64,
+    /// Union of the entries' interests.
+    interest: Interest,
+    entries: Box<[Entry]>,
+}
+
+impl ListenerSnapshot {
+    fn new(generation: u64, entries: Vec<Entry>) -> Arc<Self> {
+        Arc::new(ListenerSnapshot {
+            generation,
+            interest: entries
+                .iter()
+                .fold(Interest::NONE, |acc, e| acc.union(e.interest)),
+            entries: entries.into(),
+        })
+    }
+
+    /// The registry generation this view was taken at.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The positions at least one listener wants: an event elsewhere
+    /// need not be built at all.
+    pub fn interest(&self) -> Interest {
+        self.interest
+    }
+
+    /// Dispatches an event to every matching listener, synchronously on
+    /// the calling thread, in registration order. Takes no lock and
+    /// allocates nothing.
+    pub fn dispatch(&self, payload: &mut Payload<'_>, event: &Event) {
+        for e in self.entries.iter() {
+            if e.interest.contains(event.when, event.wher) && e.filter.matches(event) {
+                e.listener.on_event(payload, event);
+            }
+        }
+    }
 }
 
 /// A set of listeners with their registration filters.
 ///
 /// Engines call [`emit`](ListenerRegistry::emit) around every muscle; the
 /// registry dispatches synchronously, in registration order, on the calling
-/// thread. Registration is cheap and may happen while skeletons run; the
-/// listener list is copy-on-read (short read-lock, no lock held during
-/// handler execution — handlers may themselves register listeners).
-#[derive(Default)]
+/// thread. Registration is cheap and may happen while skeletons run: the
+/// listener list is copy-on-write, so dispatch walks an immutable
+/// [`ListenerSnapshot`] with no lock held — handlers may themselves
+/// register listeners.
 pub struct ListenerRegistry {
-    entries: RwLock<Vec<Entry>>,
+    current: RwLock<Arc<ListenerSnapshot>>,
+    /// Bumped (under the write lock) by every change; equals
+    /// `current.generation`. Emitters holding a snapshot compare it to
+    /// this with one `Acquire` load per event — a line nobody writes in
+    /// the steady state.
+    generation: AtomicU64,
     // Cached count so engines can skip event construction entirely when
     // nobody listens (the common fast path measured by overhead_events).
     count: AtomicUsize,
+}
+
+impl Default for ListenerRegistry {
+    fn default() -> Self {
+        ListenerRegistry {
+            current: RwLock::new(ListenerSnapshot::new(0, Vec::new())),
+            generation: AtomicU64::new(0),
+            count: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl ListenerRegistry {
@@ -42,19 +118,44 @@ impl ListenerRegistry {
 
     /// Registers a listener restricted by `filter`.
     pub fn add_filtered(&self, filter: EventFilter, listener: Arc<dyn Listener>) {
-        self.entries.write().push(Entry { filter, listener });
-        self.count.fetch_add(1, Ordering::Release);
+        self.replace(|entries| {
+            entries.push(Entry::new(filter, listener));
+        });
     }
 
     /// Removes every registration of a listener (pointer identity).
-    /// Returns how many registrations were removed.
+    /// Returns how many registrations were removed. An event emitted
+    /// after this returns never reaches the listener.
     pub fn remove_listener(&self, listener: &Arc<dyn Listener>) -> usize {
-        let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|e| !Arc::ptr_eq(&e.listener, listener));
-        let removed = before - entries.len();
-        self.count.fetch_sub(removed, Ordering::Release);
-        removed
+        self.replace(|entries| {
+            let before = entries.len();
+            entries.retain(|e| !Arc::ptr_eq(&e.listener, listener));
+            before - entries.len()
+        })
+    }
+
+    /// Re-reads every registered listener's [`Listener::interest`].
+    pub fn refresh(&self) {
+        self.replace(|entries| {
+            for e in entries.iter_mut() {
+                *e = Entry::new(e.filter, Arc::clone(&e.listener));
+            }
+        });
+    }
+
+    /// Publishes an edited copy of the entries as the next generation.
+    fn replace<T>(&self, edit: impl FnOnce(&mut Vec<Entry>) -> T) -> T {
+        let mut current = self.current.write();
+        let mut entries = current.entries.to_vec();
+        let out = edit(&mut entries);
+        let generation = current.generation + 1;
+        self.count.store(entries.len(), Ordering::Release);
+        *current = ListenerSnapshot::new(generation, entries);
+        // Release: pairs with the Acquire load in `generation()`. Stored
+        // before the write lock is released, so a reader that sees the
+        // old generation after this call returned does not exist.
+        self.generation.store(generation, Ordering::Release);
+        out
     }
 
     /// Number of registrations.
@@ -68,24 +169,25 @@ impl ListenerRegistry {
         self.len() == 0
     }
 
-    /// Dispatches an event to every matching listener, synchronously on the
-    /// calling thread, in registration order.
-    pub fn emit(&self, payload: &mut Payload<'_>, event: &Event) {
+    /// The current listeners, or `None` when there are none (one atomic
+    /// load — a submission nobody listens to pays nothing else).
+    pub fn snapshot(&self) -> Option<Arc<ListenerSnapshot>> {
         if self.is_empty() {
-            return;
+            return None;
         }
-        // Snapshot the matching listeners so no lock is held during
-        // handler execution.
-        let matching: Vec<Arc<dyn Listener>> = {
-            let entries = self.entries.read();
-            entries
-                .iter()
-                .filter(|e| e.filter.matches(event))
-                .map(|e| Arc::clone(&e.listener))
-                .collect()
-        };
-        for l in matching {
-            l.on_event(payload, event);
+        Some(Arc::clone(&self.current.read()))
+    }
+
+    /// Moves whenever a listener is added, removed or refreshed.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Dispatches an event to every matching listener, synchronously on
+    /// the calling thread, in registration order. Allocates nothing.
+    pub fn emit(&self, payload: &mut Payload<'_>, event: &Event) {
+        if let Some(snapshot) = self.snapshot() {
+            snapshot.dispatch(payload, event);
         }
     }
 }

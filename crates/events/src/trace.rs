@@ -25,14 +25,15 @@ pub struct TraceEntry {
 /// An immutable path of [`TraceEntry`] values from the root instance
 /// (first) to the raising instance (last).
 ///
-/// Cloning is an `Arc` bump; extending copies the (short) path once.
+/// Cloning is an `Arc` bump; extending copies the (short) path once, into
+/// one allocation.
 #[derive(Clone, Debug)]
 pub struct Trace(Arc<[TraceEntry]>);
 
 impl Trace {
     /// A trace containing only the root instance.
     pub fn root(node: NodeId, instance: InstanceId, kind: KindTag) -> Self {
-        Trace(Arc::from(vec![TraceEntry {
+        Trace(Arc::from([TraceEntry {
             node,
             instance,
             kind,
@@ -41,19 +42,25 @@ impl Trace {
 
     /// An empty trace (used only as a neutral placeholder in tests).
     pub fn empty() -> Self {
-        Trace(Arc::from(Vec::new()))
+        Trace(Arc::from([]))
     }
 
     /// The trace extended with one more (deeper) level.
     pub fn child(&self, node: NodeId, instance: InstanceId, kind: KindTag) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(TraceEntry {
+        let leaf = TraceEntry {
             node,
             instance,
             kind,
-        });
-        Trace(Arc::from(v))
+        };
+        // An exact-size iterator: the `Arc<[_]>` is allocated once, at
+        // its final length, and filled in place.
+        Trace(
+            self.0
+                .iter()
+                .copied()
+                .chain(std::iter::once(leaf))
+                .collect(),
+        )
     }
 
     /// The entries, root first.

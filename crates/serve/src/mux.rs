@@ -24,7 +24,14 @@
 //! shard's registry lock, so the event path cannot serialize ingress or
 //! drain on another shard. The shard tag is bookkeeping for
 //! diagnostics ([`shard_routes`](ServeMonitor::shard_routes)) and route
-//! audits; delivery itself stays a flat `NodeId` lookup.
+//! audits; delivery itself stays a flat `NodeId` lookup: one read lock,
+//! under which the node's owner list (an `Arc<[Route]>`) and the
+//! controller are cloned by reference count — no allocation, and no
+//! callback under the lock.
+//!
+//! Without a controller the monitor asks engines only for the event
+//! positions trigger engines read ([`TriggerEngine::INTEREST`]); with one
+//! it asks for everything, as the controller analyses every event.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,10 +40,11 @@ use parking_lot::RwLock;
 
 use askel_adapt::TriggerEngine;
 use askel_core::AutonomicController;
-use askel_events::{Event, Listener, Payload};
+use askel_events::{Event, Interest, Listener, Payload};
 use askel_skeletons::{Node, NodeId};
 
 /// One node's route: the owning tenant, its shard, and its trigger.
+#[derive(Clone)]
 struct Route {
     tenant: u64,
     shard: u32,
@@ -48,8 +56,15 @@ struct Route {
 /// [`ShardedServe`](crate::ShardedServe).
 #[derive(Default)]
 pub struct ServeMonitor {
-    routes: RwLock<HashMap<NodeId, Vec<Route>>>,
-    controller: RwLock<Option<Arc<AutonomicController>>>,
+    table: RwLock<Table>,
+}
+
+#[derive(Default)]
+struct Table {
+    /// Owner lists are immutable and replaced whole, so delivery can take
+    /// one by reference count.
+    routes: HashMap<NodeId, Arc<[Route]>>,
+    controller: Option<Arc<AutonomicController>>,
 }
 
 impl ServeMonitor {
@@ -58,8 +73,10 @@ impl ServeMonitor {
     }
 
     /// Installs (or replaces) the shared WCT controller fed every event.
+    /// This widens [`interest`](Listener::interest): a caller that has
+    /// already registered the monitor must `refresh` that registry.
     pub(crate) fn set_controller(&self, controller: Arc<AutonomicController>) {
-        *self.controller.write() = Some(controller);
+        self.table.write().controller = Some(controller);
     }
 
     /// Routes every node of `root`'s tree to `tenant`'s trigger engine
@@ -73,15 +90,16 @@ impl ServeMonitor {
         root: &Arc<Node>,
     ) -> Vec<NodeId> {
         let nodes: Vec<NodeId> = root.collect_nodes().iter().map(|n| n.id).collect();
-        let mut routes = self.routes.write();
+        let mut table = self.table.write();
         for &id in &nodes {
-            let owners = routes.entry(id).or_default();
+            let owners = table.routes.entry(id).or_insert_with(|| Arc::from([]));
             if !owners.iter().any(|r| r.tenant == tenant) {
-                owners.push(Route {
+                let route = Route {
                     tenant,
                     shard,
                     trigger: Arc::clone(trigger),
-                });
+                };
+                *owners = owners.iter().cloned().chain([route]).collect();
             }
         }
         nodes
@@ -89,12 +107,18 @@ impl ServeMonitor {
 
     /// Removes `tenant`'s routes for `ids`.
     pub(crate) fn unroute(&self, tenant: u64, ids: &[NodeId]) {
-        let mut routes = self.routes.write();
+        let mut table = self.table.write();
         for id in ids {
-            if let Some(owners) = routes.get_mut(id) {
-                owners.retain(|r| r.tenant != tenant);
+            if let Some(owners) = table.routes.get_mut(id) {
+                if owners.iter().any(|r| r.tenant == tenant) {
+                    *owners = owners
+                        .iter()
+                        .filter(|r| r.tenant != tenant)
+                        .cloned()
+                        .collect();
+                }
                 if owners.is_empty() {
-                    routes.remove(id);
+                    table.routes.remove(id);
                 }
             }
         }
@@ -103,15 +127,16 @@ impl ServeMonitor {
     /// How many node ids currently have at least one route (tests,
     /// diagnostics).
     pub fn routed_nodes(&self) -> usize {
-        self.routes.read().len()
+        self.table.read().routes.len()
     }
 
     /// How many `(node, tenant)` routes belong to `shard` (tests,
     /// diagnostics — e.g. auditing that a detached shard left nothing
     /// behind).
     pub fn shard_routes(&self, shard: u32) -> usize {
-        self.routes
+        self.table
             .read()
+            .routes
             .values()
             .map(|owners| owners.iter().filter(|r| r.shard == shard).count())
             .sum()
@@ -120,22 +145,29 @@ impl ServeMonitor {
 
 impl Listener for ServeMonitor {
     fn on_event(&self, payload: &mut Payload<'_>, event: &Event) {
-        if let Some(controller) = self.controller.read().as_ref() {
-            controller.on_event(payload, event);
-        }
-        // Collect the owners under the read lock, deliver outside it: a
-        // trigger callback must never run while the route table is
+        // Take the controller and the owners under the read lock, deliver
+        // outside it: a callback must never run while the table is
         // locked (a rewrite on another thread may be re-routing), and
         // delivery must never wait on a shard's registry lock.
-        let owners: Vec<Arc<TriggerEngine>> = {
-            let routes = self.routes.read();
-            match routes.get(&event.node) {
-                Some(owners) => owners.iter().map(|r| Arc::clone(&r.trigger)).collect(),
-                None => return,
-            }
+        let (controller, owners) = {
+            let table = self.table.read();
+            (
+                table.controller.clone(),
+                table.routes.get(&event.node).cloned(),
+            )
         };
-        for trigger in owners {
-            trigger.on_event(payload, event);
+        if let Some(controller) = controller {
+            controller.on_event(payload, event);
+        }
+        for route in owners.iter().flat_map(|owners| owners.iter()) {
+            route.trigger.on_event(payload, event);
+        }
+    }
+
+    fn interest(&self) -> Interest {
+        match self.table.read().controller {
+            Some(_) => Interest::ALL,
+            None => TriggerEngine::INTEREST,
         }
     }
 }

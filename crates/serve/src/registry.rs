@@ -255,6 +255,8 @@ where
     pub fn attach_controller(&mut self, controller: Arc<AutonomicController>) {
         self.monitor.set_controller(Arc::clone(&controller));
         self.ensure_monitor();
+        // The monitor now wants every event, not only the trigger's.
+        self.engine.registry().refresh();
         self.controller = Some(controller);
     }
 
