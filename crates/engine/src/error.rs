@@ -43,17 +43,6 @@ impl From<EvalError> for EngineError {
     }
 }
 
-/// Renders a caught panic payload as a message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,15 +55,5 @@ mod tests {
         let e = EngineError::MusclePanic("boom".into());
         assert!(e.to_string().contains("boom"));
         assert!(EngineError::Shutdown.to_string().contains("shut down"));
-    }
-
-    #[test]
-    fn panic_messages_extract_strings() {
-        let p: Box<dyn std::any::Any + Send> = Box::new("static str");
-        assert_eq!(panic_message(p.as_ref()), "static str");
-        let p: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
-        assert_eq!(panic_message(p.as_ref()), "owned");
-        let p: Box<dyn std::any::Any + Send> = Box::new(42i32);
-        assert_eq!(panic_message(p.as_ref()), "<non-string panic payload>");
     }
 }

@@ -1,10 +1,11 @@
 //! Multithreaded execution engine for algorithmic skeletons.
 //!
-//! This crate is the Rust counterpart of Skandium's runtime: it interprets
-//! the type-erased skeleton AST (`askel-skeletons`) over the resizable
-//! worker pool (`askel-pool`), emitting the full event vocabulary of
-//! `askel-events` around every muscle, **on the thread that executes the
-//! muscle** (the paper's thread guarantee for listeners).
+//! This crate is the Rust counterpart of Skandium's runtime: it runs the
+//! skeleton interpreter (`askel_events::interp` — shared, code for code,
+//! with the simulator) over the resizable worker pool (`askel-pool`),
+//! emitting the full event vocabulary of `askel-events` around every
+//! muscle, **on the thread that executes the muscle** (the paper's thread
+//! guarantee for listeners).
 //!
 //! Execution is continuation-passing over the pool's sharded
 //! work-stealing queue (see `docs/ARCHITECTURE.md`). Data-parallel
@@ -173,14 +174,7 @@ impl Engine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        exec::submit(
-            self.pool.clone(),
-            Arc::clone(&self.registry),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.metrics),
-            skel,
-            input,
-        )
+        exec::submit(self, skel, input)
     }
 
     /// Submits a batch of inputs to one skeleton in a single pool
@@ -198,14 +192,7 @@ impl Engine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        exec::submit_batch(
-            self.pool.clone(),
-            Arc::clone(&self.registry),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.metrics),
-            skel,
-            inputs,
-        )
+        exec::submit_batch(self, skel, inputs)
     }
 
     /// Shuts the pool down, finishing queued work first.

@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod interp;
 pub mod listener;
 pub mod registry;
 pub mod trace;

@@ -2,12 +2,15 @@
 //!
 //! The paper's evaluation ran on a 12-core / 24-thread Xeon; the autonomic
 //! *mechanism*, however, is platform independent (the paper says so
-//! explicitly, §4/§6). This crate provides that platform as a simulator: it
-//! interprets the same AST as `askel-engine`, emits the same events through
-//! the same listener registry, and honours the same LIFO / no-preemption
-//! scheduling discipline — but time is **virtual**: muscle durations come
-//! from a [`cost::CostModel`] and a [`ManualClock`] advances
-//! through a completion-event queue.
+//! explicitly, §4/§6). This crate provides that platform as a simulator: a
+//! second runtime under the one skeleton interpreter
+//! (`askel_events::interp`) that `askel-engine` runs on threads. The
+//! per-kind control flow, the event sequences and the fan-out/join logic
+//! are therefore the same code; the simulator supplies the machine — the
+//! same listener registry, the same LIFO / no-preemption scheduling
+//! discipline — with **virtual** time: muscle durations come from a
+//! [`cost::CostModel`] and a [`ManualClock`] advances through a
+//! completion-event queue.
 //!
 //! Why this exists:
 //!
@@ -56,7 +59,6 @@
 
 pub mod components;
 pub mod cost;
-mod exec;
 mod rt;
 pub mod sched;
 pub mod workers;
@@ -78,7 +80,7 @@ use workers::{UniformWorkers, WorkerModel};
 pub enum SimError {
     /// Structural error (same vocabulary as the reference interpreter).
     Eval(EvalError),
-    /// A muscle (or listener) panicked; the panic was caught.
+    /// A muscle, listener or continuation panicked; the panic was caught.
     MusclePanic(String),
     /// Work remained but no worker could ever pick it up (LP driven to 0).
     Stalled {
@@ -204,6 +206,13 @@ impl SimEngine {
     }
 
     /// The listener registry (identical type to the threaded engine's).
+    ///
+    /// Register listeners **before** running. As on threads, a submission
+    /// — one [`run`](SimEngine::run), or one item of a
+    /// [`run_stream`](SimEngine::run_stream) — looks at the registry once,
+    /// when its root is scheduled; one that finds it empty raises no event
+    /// for its whole life, one that finds a listener hands each event to
+    /// whoever is registered when it is raised.
     pub fn registry(&self) -> &Arc<ListenerRegistry> {
         &self.registry
     }

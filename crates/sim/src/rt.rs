@@ -1,43 +1,36 @@
 //! The discrete-event runtime: virtual clock, worker slots, policy-ordered
 //! ready/completion queues, and component ticks.
+//!
+//! [`SimRt`] implements [`Runtime`] for the shared skeleton interpreter
+//! ([`askel_events::interp`]) — the same per-kind code the threaded engine
+//! runs, so what the simulator schedules, fuzzes and times is what ships.
+//! Here a spawned step joins the policy-ordered ready pool under its
+//! placement tag (the dispatch hint means nothing on one thread), a
+//! muscle is priced by the cost model before it is called for real, and
+//! what follows it waits in the completion queue until its virtual
+//! duration has passed. Every work step, and the scheduling of every
+//! root, runs under [`SimRt::guarded`].
 
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use askel_events::interp::{self, panic_message, Fault, Hint, Runtime};
 use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
 use askel_pool::PoolTelemetry;
 use askel_skeletons::{Clock, Data, InstanceId, ManualClock, MuscleId, Node, TimeNs};
 
 use crate::components::{Command, Component};
 use crate::cost::{CostModel, MuscleCall};
-use crate::exec;
 use crate::sched::{EventQueue, OrderingPolicy, ReadyQueue};
 use crate::workers::WorkerModel;
 use crate::{SimError, SimLpControl};
 
-/// A unit of simulated work. Returning [`Step::Busy`] keeps the worker
-/// occupied until `now + dur`, when `then` runs; [`Step::Done`] releases
-/// the worker.
-pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt) -> Step>;
-
-/// Continuation receiving a node's result at the virtual instant it is
-/// produced.
-pub(crate) type SimCont = Box<dyn FnOnce(&mut SimRt, Data)>;
-
-/// Outcome of one work step.
-pub(crate) enum Step {
-    /// Worker stays busy for `dur`; `then` runs at completion time.
-    Busy {
-        /// Virtual duration of the muscle just metered.
-        dur: TimeNs,
-        /// Continuation at completion time.
-        then: SimWork,
-    },
-    /// Chain finished; the worker token is released.
-    Done,
-}
+/// A unit of simulated work. A step that ends in [`Runtime::busy`] keeps
+/// its worker occupied until `now + dur`, when the parked continuation
+/// runs; any other step ends its chain and releases the worker.
+pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt)>;
 
 /// A ready task plus the placement annotation of the node that produced
 /// it (`None` = run anywhere).
@@ -72,6 +65,9 @@ pub(crate) struct SimRt {
     muscle_counts: HashMap<MuscleId, u64>,
     /// Scheduler events processed: work-step executions + component ticks.
     pub(crate) events: u64,
+    /// What the step now executing parked with [`Runtime::busy`]: the
+    /// metered duration and the work to resume after it.
+    parked: Option<(TimeNs, SimWork)>,
     /// Results of finished stream items, filled by per-item root
     /// continuations during [`run_stream`].
     stream_done: Vec<(usize, Data)>,
@@ -79,17 +75,18 @@ pub(crate) struct SimRt {
     pub(crate) result: Option<Data>,
 }
 
-impl SimRt {
-    /// Queues simulated work on the policy-ordered ready pool, tagged with
-    /// the placement annotation of the node that produced it.
-    pub(crate) fn push_ready(&mut self, placement: Option<Arc<str>>, work: SimWork) {
-        self.ready.push(ReadyTask { placement, work });
+impl Runtime for SimRt {
+    type Cost = TimeNs;
+    type Batch = ();
+    const METERED: bool = true;
+
+    fn unobserved(&self) -> Option<Trace> {
+        self.registry.is_empty().then(Trace::empty)
     }
 
     /// Emits an event at the current virtual instant.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit(
-        &self,
+    fn emit(
+        &mut self,
         node: &Node,
         trace: &Trace,
         index: InstanceId,
@@ -114,9 +111,27 @@ impl SimRt {
         self.registry.emit(payload, &event);
     }
 
+    /// Queues the step on the policy-ordered ready pool, tagged with the
+    /// placement annotation of the node that produced it.
+    fn spawn(
+        &mut self,
+        placement: Option<Arc<str>>,
+        _hint: Hint<'_, ()>,
+        step: impl FnOnce(&mut Self) + Send + 'static,
+    ) {
+        self.ready.push(ReadyTask {
+            placement,
+            work: Box::new(step),
+        });
+    }
+
+    fn batch(_n: usize) {}
+
+    fn flush(&mut self, (): ()) {}
+
     /// Asks the cost model for this invocation's duration and advances the
     /// muscle's invocation counter.
-    pub(crate) fn cost_of(&mut self, muscle: MuscleId, items: usize, payload: &dyn Any) -> TimeNs {
+    fn meter(&mut self, muscle: MuscleId, items: usize, payload: &dyn Any) -> TimeNs {
         let seq_no = {
             let c = self.muscle_counts.entry(muscle).or_insert(0);
             let s = *c;
@@ -132,20 +147,31 @@ impl SimRt {
         })
     }
 
-    /// Runs a muscle, converting a panic into a simulation failure.
-    /// Returns `None` when the run is now poisoned.
-    pub(crate) fn guard<T>(&mut self, f: impl FnOnce() -> T) -> Option<T> {
-        match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(v) => Some(v),
-            Err(p) => {
-                self.fail(SimError::MusclePanic(panic_message(p.as_ref())));
-                None
-            }
+    fn busy(&mut self, dur: TimeNs, then: impl FnOnce(&mut Self) + Send + 'static) {
+        debug_assert!(self.parked.is_none(), "one muscle per work step");
+        self.parked = Some((dur, Box::new(then)));
+    }
+
+    fn fail(&mut self, fault: Fault) {
+        self.poison(match fault {
+            Fault::Eval(e) => SimError::Eval(e),
+            Fault::Internal(msg) => SimError::MusclePanic(msg.into()),
+        });
+    }
+}
+
+impl SimRt {
+    /// Runs a piece of interpreter work — muscle, listeners and
+    /// continuation alike — converting a panic into a simulation failure.
+    fn guarded(&mut self, f: impl FnOnce(&mut SimRt)) {
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(self))) {
+            self.parked = None;
+            self.poison(SimError::MusclePanic(panic_message(p.as_ref())));
         }
     }
 
     /// Poisons the run (first failure wins).
-    pub(crate) fn fail(&mut self, err: SimError) {
+    fn poison(&mut self, err: SimError) {
         if self.error.is_none() {
             self.error = Some(err);
         }
@@ -215,8 +241,9 @@ impl SimRt {
 
     fn execute(&mut self, work: SimWork, slot: usize, overhead: TimeNs) {
         self.events += 1;
-        match work(self) {
-            Step::Busy { dur, then } => {
+        self.guarded(work);
+        match self.parked.take() {
+            Some((dur, then)) => {
                 // Asymmetric node speeds: the slot's cost factor scales
                 // the muscle duration (not the communication overhead).
                 let factor = self.workers.cost_factor(slot);
@@ -229,7 +256,7 @@ impl SimRt {
                 self.completions
                     .push(self.now + dur + overhead, Completion { work: then, slot });
             }
-            Step::Done => {
+            None => {
                 self.occupied.remove(&slot);
                 if slot < self.workers.capacity() {
                     self.free.insert(slot);
@@ -278,7 +305,7 @@ impl SimRt {
         let Some(completion_at) = self.completions.peek_at() else {
             if !self.ready.is_empty() && self.occupied.is_empty() {
                 let (at, ready) = (self.now, self.ready.len());
-                self.fail(SimError::Stalled { at, ready });
+                self.poison(SimError::Stalled { at, ready });
             }
             return false;
         };
@@ -333,16 +360,6 @@ impl SimRt {
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Outcome of one simulated run: the erased result (or error) plus the
 /// worker model handed back to the engine either way.
 pub(crate) type RunResult = Result<(Data, Box<dyn WorkerModel>), (SimError, Box<dyn WorkerModel>)>;
@@ -370,6 +387,7 @@ fn new_rt(
         free: BTreeSet::new(),
         muscle_counts: HashMap::new(),
         events: 0,
+        parked: None,
         stream_done: Vec::new(),
         error: None,
         result: None,
@@ -395,10 +413,9 @@ pub(crate) fn run(
     let mut rt = new_rt(
         registry, clock, telemetry, cost, workers, lp_control, policy,
     );
-    let root_cont: SimCont = Box::new(|rt, data| {
-        rt.result = Some(data);
+    rt.guarded(|rt| {
+        interp::start(rt, node, input, Box::new(|rt, data| rt.result = Some(data)));
     });
-    exec::schedule_node(&mut rt, node, None, input, root_cont);
     rt.run_loop(&mut []);
     if let Some(err) = rt.error {
         return Err((err, rt.workers));
@@ -467,10 +484,10 @@ pub(crate) fn run_stream(
                     let index = next_index;
                     next_index += 1;
                     in_flight.push(index);
-                    let root: SimCont = Box::new(move |rt, data| {
-                        rt.stream_done.push((index, data));
+                    rt.guarded(|rt| {
+                        let done = move |rt: &mut SimRt, data| rt.stream_done.push((index, data));
+                        interp::start(rt, &node, input, Box::new(done));
                     });
-                    exec::schedule_node(&mut rt, &node, None, input, root);
                 }
                 None => source_done = true,
             }

@@ -12,8 +12,8 @@
 //! | skeleton language | [`skeletons`] | typed, nestable `seq`/`farm`/`pipe`/`while`/`if`/`for`/`map`/`fork`/`d&C` with Execute/Split/Merge/Condition muscles |
 //! | events | [`events`] | statically-defined events around every muscle, delivered on the muscle's thread; listeners may transform partial solutions |
 //! | pool | [`pool`] | a worker pool whose size (the Level of Parallelism, LP) changes while work runs |
-//! | threaded engine | [`engine`] | continuation-passing interpreter over the pool |
-//! | simulator | [`sim`] | the same interpreter over a discrete-event scheduler in virtual time, with pluggable cost models and ordering policies (deterministic replay, or seeded-ordering fuzzing) |
+//! | threaded engine | [`engine`] | the threaded runtime for the one skeleton interpreter ([`events::interp`]): guarded continuation-passing steps over the pool |
+//! | simulator | [`sim`] | the discrete-event runtime for the same interpreter: virtual time, pluggable cost models and ordering policies (deterministic replay, or seeded-ordering fuzzing) |
 //! | autonomic layer | [`core`] | EWMA estimators, event state machines, Activity Dependency Graphs, best-effort/limited-LP strategies, and the WCT/LP controller |
 //! | self-configuration | [`adapt`] | structural rewrite rules (promotion, fallback-swap, width/grain retuning, offload, cost guard) arbitrated across concerns and applied at stream safe points, with `Reconfigured` events and a decision log |
 //! | serving | [`serve`] | multi-tenant session registry over one shared pool: admission control, batched ingestion, and a multiplexed autonomic loop with structure-keyed estimator sharing |

@@ -2,15 +2,17 @@
 //! reference interpreter must agree on every program — for randomly
 //! generated skeleton ASTs over `i64`.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use askel_engine::Engine;
+use askel_events::{Event, FnListener, Listener, Payload, Where};
 use askel_sim::cost::ZeroCost;
 use askel_sim::SimEngine;
-use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, Skel};
+use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel};
 
 /// A generated program: the skeleton plus a description for shrinking
 /// diagnostics.
@@ -121,6 +123,50 @@ fn program_strategy() -> impl Strategy<Value = Program> {
     })
 }
 
+/// A listener that keeps every event it is handed.
+fn recorder() -> (Arc<dyn Listener>, Arc<Mutex<Vec<Event>>>) {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
+    let listener = FnListener(move |_: &mut Payload<'_>, e: &Event| {
+        sink.lock().unwrap().push(e.clone());
+    });
+    (Arc::new(listener), events)
+}
+
+/// One instance: trace node-id path, events in order, fan-out child markers.
+type InstanceShape = (Vec<u64>, Vec<String>, Vec<String>);
+
+/// What one run raised, with everything a runtime is free to choose taken
+/// out: per instance, the node-id path of its trace and its events in the
+/// order they were raised; the instances as a sorted multiset (ids and
+/// timestamps dropped). A fan-out's children run concurrently, so for
+/// `map`/`fork`/`d&C` instances the per-child `NestedSkeleton` markers
+/// are compared sorted by child, apart from the rest of the sequence.
+fn per_instance(events: &[Event]) -> Vec<InstanceShape> {
+    let mut instances: BTreeMap<u64, InstanceShape> = BTreeMap::new();
+    for e in events {
+        let path = e.trace.entries().iter().map(|t| t.node.0).collect();
+        let (_, ordered, markers) = instances
+            .entry(e.index.0)
+            .or_insert_with(|| (path, Vec::new(), Vec::new()));
+        let fans_out = matches!(
+            e.kind,
+            KindTag::Map | KindTag::Fork | KindTag::DivideConquer
+        );
+        if fans_out && e.wher == Where::NestedSkeleton {
+            markers.push(format!("{:?} {:?}", e.info, e.when));
+        } else {
+            ordered.push(format!("{:?} {:?} {:?}", e.when, e.wher, e.info));
+        }
+    }
+    let mut shape: Vec<_> = instances.into_values().collect();
+    for (_, _, markers) in &mut shape {
+        markers.sort();
+    }
+    shape.sort();
+    shape
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -146,6 +192,32 @@ proptest! {
         let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
         let got = sim.run(&program.skel, input).expect("sim failed");
         prop_assert_eq!(got.result, expected);
+    }
+
+    #[test]
+    fn both_runtimes_raise_the_same_events_per_instance(
+        program in program_strategy(),
+        input in -100i64..100,
+    ) {
+        let (listener, threaded) = recorder();
+        let engine = Engine::new(2);
+        engine.registry().add_listener(listener);
+        engine
+            .submit(&program.skel, input)
+            .get_timeout(Duration::from_secs(60))
+            .expect("engine timed out")
+            .expect("engine failed");
+        engine.shutdown();
+
+        let (listener, simulated) = recorder();
+        let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
+        sim.registry().add_listener(listener);
+        sim.run(&program.skel, input).expect("sim failed");
+
+        let threaded = per_instance(&threaded.lock().unwrap());
+        let simulated = per_instance(&simulated.lock().unwrap());
+        prop_assert!(!threaded.is_empty());
+        prop_assert_eq!(threaded, simulated);
     }
 
     #[test]

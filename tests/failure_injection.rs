@@ -38,20 +38,58 @@ fn panic_in_nested_child_poisons_only_that_submission() {
 
 #[test]
 fn panicking_listener_poisons_like_a_muscle() {
-    let program: Skel<i64, i64> = seq(|x: i64| x);
+    use std::sync::atomic::{AtomicBool, Ordering};
+    // Panics in the listener on the first item only, at the closing
+    // event — inside the continuation that follows the muscle.
+    fn listener(armed: &Arc<AtomicBool>) -> Arc<dyn Listener> {
+        let armed = Arc::clone(armed);
+        Arc::new(FnListener(
+            move |_: &mut Payload<'_>, e: &autonomic_skeletons::events::Event| {
+                if e.when == When::After && armed.swap(false, Ordering::SeqCst) {
+                    panic!("listener bug");
+                }
+            },
+        ))
+    }
+    let program: Skel<i64, i64> = seq(|x: i64| x + 1);
+
+    let armed = Arc::new(AtomicBool::new(true));
     let engine = Engine::new(1);
-    engine.registry().add_listener(Arc::new(FnListener(
-        |_: &mut Payload<'_>, _: &autonomic_skeletons::events::Event| {
-            panic!("listener bug");
-        },
-    )));
+    engine.registry().add_listener(listener(&armed));
     let err = engine
         .submit(&program, 1)
         .get_timeout(Duration::from_secs(30))
         .unwrap()
         .unwrap_err();
     assert!(matches!(err, EngineError::MusclePanic(m) if m.contains("listener bug")));
+    let again = engine
+        .submit(&program, 1)
+        .get_timeout(Duration::from_secs(30));
+    assert_eq!(again.unwrap().unwrap(), 2);
     engine.shutdown();
+
+    armed.store(true, Ordering::SeqCst);
+    let mut sim = SimEngine::new(1, Arc::new(ZeroCost));
+    sim.registry().add_listener(listener(&armed));
+    let err = sim.run(&program, 1).unwrap_err();
+    assert!(matches!(
+        err,
+        autonomic_skeletons::sim::SimError::MusclePanic(m) if m.contains("listener bug")
+    ));
+    // The worker model came back: the engine still runs.
+    assert_eq!(sim.run(&program, 1).unwrap().result, 2);
+
+    // A stream reports the poisoned item through its sink and carries on.
+    armed.store(true, Ordering::SeqCst);
+    let mut outcomes = Vec::new();
+    sim.run_stream(
+        1,
+        |i| (i < 2).then(|| (program.clone(), 1)),
+        |i, r| outcomes.push((i, r.map_err(|e| e.to_string()))),
+        &mut [],
+    );
+    assert!(matches!(&outcomes[0], (0, Err(m)) if m.contains("listener bug")));
+    assert_eq!(outcomes[1], (1, Ok(2)));
 }
 
 #[test]

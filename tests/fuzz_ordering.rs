@@ -5,7 +5,10 @@
 //! timestamp — so each seed is one plausible concurrent schedule, and a
 //! sweep over seeds is a concurrency fuzzer with none of the flakiness:
 //! any failure names its seed, and `ASKEL_SIM_SEED=<seed>` replays it
-//! bit-for-bit.
+//! bit-for-bit. What it fuzzes is the interpreter that ships: the
+//! simulator and the threaded engine are two runtimes under one
+//! `askel_events::interp`, so the fan-outs, joins, guards and event
+//! sequences reordered here are the ones the pool's workers run.
 //!
 //! Two acceptance scenarios run under every seed, twice each:
 //!
