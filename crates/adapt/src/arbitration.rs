@@ -100,14 +100,10 @@ pub struct ArbitrationOutcome {
 ///   anchor).
 /// * A knob action never conflicts with a tree action.
 pub fn conflicts(a: &RewriteAction, b: &RewriteAction, root: &Arc<Node>) -> bool {
-    use RewriteAction::{Place, Replace, SetKnob};
-    let target_of = |action: &RewriteAction| match action {
-        Replace { target, .. } | Place { target, .. } => Some(*target),
-        SetKnob { .. } => None,
-    };
+    use RewriteAction::SetKnob;
     match (a, b) {
         (SetKnob { knob: ka, .. }, SetKnob { knob: kb, .. }) => ka.shares_state(kb),
-        _ => match (target_of(a), target_of(b)) {
+        _ => match (a.target(), b.target()) {
             (Some(ta), Some(tb)) => {
                 if ta == tb {
                     return true;

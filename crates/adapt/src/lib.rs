@@ -44,11 +44,13 @@
 //!   ([`TriggerEngine::invalidate_estimates_for`]) so the next forecast
 //!   is computed from the live tree.
 //!
-//! [`AdaptiveSession`] packages the loop over `askel-engine`'s
-//! `StreamSession`; [`AdaptiveSimSession`] packages the *same* loop over
-//! the discrete-event simulator (`askel-sim`), where rewrite decisions —
-//! timestamps included — replay deterministically, and where a seeded
-//! ordering policy fuzzes the decision stack across tie-break schedules.
+//! [`Adaptive`] packages the loop, once, over any
+//! `askel_events::StreamRuntime`: harvest → in-flight bound → size hint →
+//! [`Reconfigurator::apply`] → submit. [`AdaptiveSession`] is that type
+//! over `askel-engine`'s `StreamSession`; [`AdaptiveSimSession`] the same
+//! type over the discrete-event simulator (`askel-sim`), where rewrite
+//! decisions — timestamps included — replay deterministically, and where
+//! a seeded ordering policy fuzzes the very `feed` the threads run.
 //!
 //! In-flight items always finish on the skeleton *tree* they were
 //! submitted with (versions are immutable `Arc` trees), so a subtree
@@ -67,7 +69,6 @@ pub mod forecast;
 mod metrics;
 pub mod rules;
 pub mod session;
-pub mod sim_session;
 pub mod trigger;
 
 pub use arbitration::{arbitrate, ArbitrationOutcome, ConflictPolicy, Suppressed};
@@ -76,6 +77,5 @@ pub use rules::{
     Concern, CostGuard, ErrorStats, FallbackSwap, Hysteresis, Knob, Offload, Promote, RetuneGrain,
     RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
 };
-pub use session::{AdaptiveSession, Reconfigurator, VersionedSkel};
-pub use sim_session::AdaptiveSimSession;
+pub use session::{Adaptive, AdaptiveSession, AdaptiveSimSession, Reconfigurator, VersionedSkel};
 pub use trigger::{decision_log_to_chrome, AdaptRecord, PlannedRewrite, TriggerEngine};

@@ -228,6 +228,21 @@ pub enum RewriteAction {
     },
 }
 
+impl RewriteAction {
+    /// The subtree a tree action (`Replace`/`Place`) is anchored at;
+    /// `None` for a knob.
+    pub fn target(&self) -> Option<NodeId> {
+        match self {
+            RewriteAction::Replace { target, .. } | RewriteAction::Place { target, .. } => {
+                Some(*target)
+            }
+            RewriteAction::SetKnob { .. } => None,
+        }
+    }
+}
+
+/// The rendering the decision log records: for a knob, `old -> new` as
+/// long as the action has not been applied yet.
 impl std::fmt::Debug for RewriteAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

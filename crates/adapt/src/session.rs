@@ -8,24 +8,30 @@
 //! engine and the discrete-event simulator, which is what makes rewrite
 //! decisions reproducible in tests and benches.
 //!
-//! [`AdaptiveSession`] wires it into a stream: a `StreamSession` whose
-//! skeleton is re-planned **between items** (the safe points). Items
-//! already in flight always finish on the *tree* they were submitted
-//! with; a subtree swap is only visible to subsequent feeds. Knob
-//! retunes are live immediately (see [`crate::Knob`] for the
+//! [`Adaptive`] wires it into a stream, once, for any [`StreamRuntime`]
+//! — [`AdaptiveSession`] over the pool's `StreamSession`,
+//! [`AdaptiveSimSession`] over the simulator's `SimStream`: a stream
+//! whose skeleton is re-planned **between items** (the safe points).
+//! Items already in flight always finish on the *tree* they were
+//! submitted with; a subtree swap is only visible to subsequent feeds.
+//! Knob retunes are live immediately (see [`crate::Knob`] for the
 //! result-invariance contract that makes that safe).
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use askel_core::AutonomicController;
-use askel_engine::{Engine, EngineError, StreamSession};
-use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
-use askel_skeletons::{Clock, InstanceId, NodeId, Skel};
+use askel_engine::{Engine, StreamSession};
+use askel_events::{
+    Event, EventInfo, ListenerRegistry, Payload, StreamRuntime, StreamTypes, Trace, When, Where,
+};
+use askel_sim::components::Component;
+use askel_sim::{SimEngine, SimError, SimStream, StreamReport};
+use askel_skeletons::{Clock, InstanceId, Node, NodeId, Skel, TimeNs};
 
 use crate::arbitration::{arbitrate, ConflictPolicy};
 use crate::rules::RewriteAction;
-use crate::trigger::{AdaptRecord, TriggerEngine};
+use crate::trigger::{AdaptRecord, PlannedRewrite, TriggerEngine};
 
 /// Input-size probe recorded per fed item. `Send` so a session can move
 /// across threads (the serving layer shards sessions over workers).
@@ -176,129 +182,62 @@ impl Reconfigurator {
         }
         let mut applied = 0;
         for plan in outcome.winners {
-            let forecast = plan.forecast;
-            let (record, event_node) = match plan.action {
+            // Rendered before it is applied: a knob still shows its old value.
+            let mut text = format!("{:?}", plan.action);
+            let event_node = match &plan.action {
                 RewriteAction::Replace {
                     target,
                     replacement,
                 } => {
-                    // Snapshot the replaced subtree's node ids before the
-                    // rewrite; whatever does not survive into the new
-                    // tree has its estimator history invalidated below.
-                    let old_nodes: Vec<NodeId> = vskel
-                        .skel
-                        .node()
-                        .find(target)
-                        .map(|sub| sub.collect_nodes().iter().map(|n| n.id).collect())
-                        .unwrap_or_default();
-                    let Some(new_skel) = vskel.skel.rewritten(target, &replacement) else {
-                        self.trigger.rearm(plan.rule_index);
-                        self.trigger.record(AdaptRecord {
-                            at: now,
-                            version: vskel.version,
-                            rule: plan.rule,
-                            target: Some(target),
-                            action: format!("skipped: target {target} no longer in the skeleton"),
-                            why: plan.why,
-                            forecast: None,
-                        });
+                    // Whatever of the replaced subtree does not survive
+                    // into the new tree has its estimator history dropped.
+                    let ids = |root: &Arc<Node>| -> HashSet<NodeId> {
+                        root.collect_nodes().iter().map(|n| n.id).collect()
+                    };
+                    let old = vskel.skel.node().find(*target).map(|sub| ids(&sub));
+                    let Some(new_skel) = vskel.skel.rewritten(*target, replacement) else {
+                        self.skip(now, vskel.version, *target, plan);
                         continue;
                     };
                     vskel.skel = new_skel;
-                    vskel.version += 1;
-                    let kept: HashSet<NodeId> = vskel
-                        .skel
-                        .node()
-                        .collect_nodes()
-                        .iter()
-                        .map(|n| n.id)
-                        .collect();
-                    let removed: Vec<NodeId> = old_nodes
-                        .into_iter()
-                        .collect::<HashSet<_>>()
-                        .into_iter()
-                        .filter(|id| !kept.contains(id))
-                        .collect();
+                    let kept = ids(vskel.skel.node());
+                    let removed: Vec<NodeId> =
+                        old.unwrap_or_default().difference(&kept).copied().collect();
                     let dropped = self.trigger.invalidate_estimates_for(&removed);
                     if let Some(controller) = &self.controller {
                         controller.invalidate_estimates_for(&removed);
                     }
-                    self.trigger.note_replaced(target, &replacement);
-                    let mut action = format!("replace {target} with {}", replacement.id);
+                    self.trigger.note_replaced(*target, replacement);
                     if dropped > 0 {
-                        action.push_str(&format!("; dropped {dropped} stale estimator entries"));
+                        text.push_str(&format!("; dropped {dropped} stale estimator entries"));
                     }
-                    (
-                        AdaptRecord {
-                            at: now,
-                            version: vskel.version,
-                            rule: plan.rule,
-                            target: Some(target),
-                            action,
-                            why: plan.why,
-                            forecast,
-                        },
-                        Arc::clone(&replacement),
-                    )
+                    Arc::clone(replacement)
                 }
                 RewriteAction::SetKnob { knob, value } => {
-                    let old = knob.get();
-                    if old == value {
+                    if knob.get() == *value {
                         continue;
                     }
-                    knob.set(value);
-                    vskel.version += 1;
-                    (
-                        AdaptRecord {
-                            at: now,
-                            version: vskel.version,
-                            rule: plan.rule,
-                            target: None,
-                            action: format!("set knob `{}` {old} -> {value}", knob.name()),
-                            why: plan.why,
-                            forecast,
-                        },
-                        Arc::clone(vskel.skel.node()),
-                    )
+                    knob.set(*value);
+                    Arc::clone(vskel.skel.node())
                 }
                 RewriteAction::Place { target, node } => {
                     // Both failure shapes — the target vanished before
                     // `placed_at`, or (defensively) the placed tree does
                     // not contain it afterwards — skip with an audit
                     // record instead of panicking the session.
-                    let placed = vskel.skel.placed_at(target, &node).and_then(|new_skel| {
-                        let placed_root = new_skel.node().find(target)?;
+                    let placed = vskel.skel.placed_at(*target, node).and_then(|new_skel| {
+                        let placed_root = new_skel.node().find(*target)?;
                         Some((new_skel, placed_root))
                     });
                     let Some((new_skel, placed_root)) = placed else {
-                        self.trigger.rearm(plan.rule_index);
-                        self.trigger.record(AdaptRecord {
-                            at: now,
-                            version: vskel.version,
-                            rule: plan.rule,
-                            target: Some(target),
-                            action: format!("skipped: target {target} no longer in the skeleton"),
-                            why: plan.why,
-                            forecast: None,
-                        });
+                        self.skip(now, vskel.version, *target, plan);
                         continue;
                     };
                     vskel.skel = new_skel;
-                    vskel.version += 1;
-                    (
-                        AdaptRecord {
-                            at: now,
-                            version: vskel.version,
-                            rule: plan.rule,
-                            target: Some(target),
-                            action: format!("place {target} on `{node}`"),
-                            why: plan.why,
-                            forecast,
-                        },
-                        placed_root,
-                    )
+                    placed_root
                 }
             };
+            vskel.version += 1;
             let event = Event {
                 node: event_node.id,
                 kind: event_node.tag(),
@@ -312,42 +251,72 @@ impl Reconfigurator {
                 },
             };
             self.registry.emit(&mut Payload::None, &event);
-            self.trigger.record(record);
+            self.trigger.record(audit(now, vskel.version, plan, text));
             applied += 1;
         }
         // Losers after winners, so the log reads "what happened, then
-        // what was overruled" — each suppressed fire is audited (no
-        // version bump) and its rule re-armed for the next safe point.
+        // what was overruled".
         for s in outcome.suppressed {
-            self.trigger.rearm(s.plan.rule_index);
-            let target = match &s.plan.action {
-                RewriteAction::Replace { target, .. } | RewriteAction::Place { target, .. } => {
-                    Some(*target)
-                }
-                RewriteAction::SetKnob { .. } => None,
-            };
-            self.trigger.record(AdaptRecord {
-                at: now,
-                version: vskel.version,
-                rule: s.plan.rule,
-                target,
-                action: format!("suppressed by `{}`: {:?}", s.by, s.plan.action),
-                why: s.plan.why,
-                forecast: None,
-            });
+            let text = format!("suppressed by `{}`: {:?}", s.by, s.plan.action);
+            self.not_applied(now, vskel.version, s.plan, text);
         }
         applied
     }
+
+    /// A winning plan whose `target` an earlier rewrite of the same safe
+    /// point removed.
+    fn skip(&self, now: TimeNs, version: u64, target: NodeId, plan: PlannedRewrite) {
+        let text = format!("skipped: target {target} no longer in the skeleton");
+        self.not_applied(now, version, plan, text);
+    }
+
+    /// A fire that did not happen (skipped, suppressed): audited with no
+    /// version bump and no forecast to realize, and its rule re-armed.
+    fn not_applied(&self, now: TimeNs, version: u64, plan: PlannedRewrite, text: String) {
+        self.trigger.rearm(plan.rule_index);
+        let plan = PlannedRewrite {
+            forecast: None,
+            ..plan
+        };
+        self.trigger.record(audit(now, version, plan, text));
+    }
 }
 
-/// An ordered stream whose skeleton reshapes itself between items.
+/// The decision-log entry for `plan`, at `version`, reading `action`.
+fn audit(at: TimeNs, version: u64, plan: PlannedRewrite, action: String) -> AdaptRecord {
+    AdaptRecord {
+        at,
+        version,
+        target: plan.action.target(),
+        rule: plan.rule,
+        action,
+        why: plan.why,
+        forecast: plan.forecast,
+    }
+}
+
+/// An ordered stream whose skeleton reshapes itself between items,
+/// written once over whatever [`StreamRuntime`] `S` executes it.
 ///
-/// Wraps [`StreamSession`]: identical feeding/collection semantics (and —
-/// with no rules registered, or the trigger disabled — identical results,
-/// property-tested), plus a safe point before every submission where the
-/// [`TriggerEngine`]'s rules may rewrite the skeleton for subsequent
-/// items. Item outcomes are reported back to the trigger engine as results
-/// are collected, which is what drives fallback-swap rules.
+/// Feeding and collection are `S`'s (and — with no rules registered, or
+/// the trigger disabled — so are the results, property-tested), plus a
+/// safe point before every submission where the [`TriggerEngine`]'s rules
+/// may rewrite the skeleton for subsequent items. Item outcomes are
+/// reported back to the trigger engine as results are collected, which is
+/// what drives fallback-swap rules.
+pub struct Adaptive<S: StreamTypes> {
+    stream: S,
+    reconf: Reconfigurator,
+    vskel: VersionedSkel<S::In, S::Out>,
+    /// Results already collected from the inner stream (in submission
+    /// order, older than anything the stream still holds).
+    out: VecDeque<Result<S::Out, S::Error>>,
+    max_in_flight: usize,
+    size_of: Option<SizeProbe<S::In>>,
+}
+
+/// [`Adaptive`] over the work-stealing pool: an `askel_engine`
+/// [`StreamSession`] whose skeleton reshapes itself between items.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -374,16 +343,15 @@ impl Reconfigurator {
 /// assert_eq!(stream.version(), 1);
 /// engine.shutdown();
 /// ```
-pub struct AdaptiveSession<P, R> {
-    stream: StreamSession<P, R>,
-    reconf: Reconfigurator,
-    vskel: VersionedSkel<P, R>,
-    /// Results already collected from the inner stream (in submission
-    /// order, older than anything the stream still holds).
-    out: VecDeque<Result<R, EngineError>>,
-    max_in_flight: usize,
-    size_of: Option<SizeProbe<P>>,
-}
+pub type AdaptiveSession<P, R> = Adaptive<StreamSession<P, R>>;
+
+/// [`Adaptive`] over the discrete-event simulator (an `askel_sim`
+/// [`SimStream`]): virtual time, so every decision — timestamps included
+/// — replays deterministically, and under `OrderingPolicy::SeededRandom`
+/// the fuzz suite runs the [`feed`](Adaptive::feed) that ships. Actors
+/// reviewing on virtual time (`askel_dist::ProvisioningReview`) ride
+/// along as scheduler [`Component`]s.
+pub type AdaptiveSimSession<P, R> = Adaptive<SimStream<P, R>>;
 
 impl<P, R> AdaptiveSession<P, R>
 where
@@ -400,7 +368,7 @@ where
     /// it, only outcome- and input-size-triggered rules can fire (and the
     /// per-event overhead is avoided).
     pub fn new(engine: &Engine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
-        AdaptiveSession {
+        Adaptive {
             stream: StreamSession::new(engine, skel),
             reconf: Reconfigurator::for_engine(engine, trigger),
             vskel: VersionedSkel::new(skel),
@@ -417,9 +385,93 @@ where
         self
     }
 
+    /// Items fed so far.
+    pub fn fed(&self) -> usize {
+        self.stream.fed()
+    }
+}
+
+impl<P, R> AdaptiveSimSession<P, R>
+where
+    P: Send + 'static,
+    R: Send + 'static,
+{
+    /// A session streaming `skel` through `sim`, adapted by `trigger`'s
+    /// rules. Lock-step (`window == 1`) by default — the strongest
+    /// safe-point guarantee; see [`window`](Adaptive::window).
+    /// Registering the trigger as a listener on `sim.registry()` stays
+    /// the caller's choice, exactly as with the threaded session.
+    pub fn new(sim: SimEngine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
+        let clock: Arc<dyn Clock> = Arc::clone(sim.clock()) as Arc<dyn Clock>;
+        Adaptive {
+            reconf: Reconfigurator::new(Arc::clone(sim.registry()), clock, trigger),
+            stream: SimStream::new(sim, skel),
+            vskel: VersionedSkel::new(skel),
+            out: VecDeque::new(),
+            max_in_flight: 1,
+            size_of: None,
+        }
+    }
+
+    /// Items in flight at once (≥ 1). Above 1, safe points still run
+    /// before each submission but items already in flight finish on the
+    /// tree they were submitted with.
+    pub fn window(mut self, n: usize) -> Self {
+        self.max_in_flight = n.max(1);
+        self
+    }
+
+    /// Forwards to [`Reconfigurator::lp_source`]: where width rules read
+    /// the current level of parallelism.
+    pub fn lp_source(mut self, f: impl Fn() -> usize + Send + Sync + 'static) -> Self {
+        self.reconf = self.reconf.lp_source(f);
+        self
+    }
+
+    /// Streams `items` to completion on a fresh run of the machine —
+    /// [`feed`](Adaptive::feed) each, then collect — returning their
+    /// outcomes in item order. `components` tick on virtual time while
+    /// work is in flight (pass `&mut []` for none).
+    pub fn run_stream(
+        &mut self,
+        items: impl IntoIterator<Item = P>,
+        components: &mut [Box<dyn Component>],
+    ) -> Vec<Result<R, SimError>> {
+        self.stream.open(components);
+        for input in items {
+            self.feed(input);
+        }
+        let results = self.collect_all();
+        self.stream.close(components);
+        results
+    }
+
+    /// Scheduler totals for the most recent
+    /// [`run_stream`](Adaptive::run_stream) call.
+    pub fn report(&self) -> Option<StreamReport> {
+        self.stream.report()
+    }
+
+    /// The underlying simulator (registry, clock, telemetry).
+    pub fn sim(&self) -> &SimEngine {
+        self.stream.sim()
+    }
+
+    /// Mutable access to the simulator (e.g. `set_lp` between streams).
+    pub fn sim_mut(&mut self) -> &mut SimEngine {
+        self.stream.sim_mut()
+    }
+}
+
+impl<S> Adaptive<S>
+where
+    S: StreamRuntime,
+    S::In: Send + 'static,
+    S::Out: Send + 'static,
+{
     /// Records `f(input)` as an input-size hint per feed; promotion rules
     /// gate on the EWMA of these (`Trigger::InputSizeAtLeast`).
-    pub fn input_size(mut self, f: impl Fn(&P) -> usize + Send + 'static) -> Self {
+    pub fn input_size(mut self, f: impl Fn(&S::In) -> usize + Send + 'static) -> Self {
         self.size_of = Some(Box::new(f));
         self
     }
@@ -439,7 +491,7 @@ where
         self
     }
 
-    fn observe(&self, result: &Result<R, EngineError>) {
+    fn observe(&self, result: &Result<S::Out, S::Error>) {
         self.reconf.trigger().record_outcome(result.is_ok());
     }
 
@@ -465,41 +517,42 @@ where
     /// harvested (outcomes recorded), backpressure is applied, and the
     /// safe point runs — rules may swap in a new skeleton version, which
     /// this and all subsequent feeds then use.
-    pub fn feed(&mut self, input: P) {
+    pub fn feed(&mut self, input: S::In) {
         self.harvest();
         while self.stream.in_flight() >= self.max_in_flight {
             self.collect_one();
         }
-        if let Some(size_of) = &self.size_of {
-            self.reconf.trigger().observe_input_size(size_of(&input));
-        }
-        if self.reconf.apply(&mut self.vskel) > 0 {
-            self.stream.swap_skel(self.vskel.skel());
-        }
+        self.safe_point([&input]);
         self.stream.feed(input);
     }
 
-    /// Submits a batch of inputs with **one safe point for the whole
-    /// batch**, then hands the items to the engine through the batched
-    /// submission path ([`StreamSession::feed_batch`] →
-    /// `Engine::submit_batch`): one pool transaction per bound-sized
-    /// chunk instead of one per item. Input-size hints are recorded for
-    /// every item before the safe point runs, so size-gated rules see
-    /// the batch; every batched item then runs on the same skeleton
-    /// version. Results still collect in submission order.
-    pub fn feed_batch(&mut self, inputs: Vec<P>) {
-        if inputs.is_empty() {
-            return;
-        }
-        self.harvest();
+    /// The safe point: size hints of what is about to be submitted, one
+    /// [`Reconfigurator::apply`], and the stream takes a rewritten tree.
+    fn safe_point<'a>(&mut self, inputs: impl IntoIterator<Item = &'a S::In>) {
         if let Some(size_of) = &self.size_of {
-            for input in &inputs {
+            for input in inputs {
                 self.reconf.trigger().observe_input_size(size_of(input));
             }
         }
         if self.reconf.apply(&mut self.vskel) > 0 {
             self.stream.swap_skel(self.vskel.skel());
         }
+    }
+
+    /// Submits a batch of inputs with **one safe point for the whole
+    /// batch**, then hands the items to the engine through the batched
+    /// submission path (on threads [`StreamSession::feed_batch`] →
+    /// `Engine::submit_batch`: one pool transaction per bound-sized
+    /// chunk instead of one per item). Input-size hints are recorded for
+    /// every item before the safe point runs, so size-gated rules see
+    /// the batch; every batched item then runs on the same skeleton
+    /// version. Results still collect in submission order.
+    pub fn feed_batch(&mut self, inputs: Vec<S::In>) {
+        if inputs.is_empty() {
+            return;
+        }
+        self.harvest();
+        self.safe_point(&inputs);
         // The in-flight bound holds across the batch: submit bound-sized
         // chunks, collecting (and outcome-recording) the oldest items
         // between chunks. No safe point runs between chunks — the whole
@@ -522,7 +575,7 @@ where
 
     /// The next result in submission order, blocking until it is ready;
     /// `None` once every fed item has been collected.
-    pub fn next_result(&mut self) -> Option<Result<R, EngineError>> {
+    pub fn next_result(&mut self) -> Option<Result<S::Out, S::Error>> {
         if let Some(r) = self.out.pop_front() {
             return Some(r);
         }
@@ -531,13 +584,13 @@ where
         Some(r)
     }
 
+    fn collect_all(&mut self) -> Vec<Result<S::Out, S::Error>> {
+        std::iter::from_fn(|| self.next_result()).collect()
+    }
+
     /// Blocks for every outstanding result, in submission order.
-    pub fn drain(mut self) -> impl Iterator<Item = Result<R, EngineError>> {
-        let mut results = Vec::new();
-        while let Some(r) = self.next_result() {
-            results.push(r);
-        }
-        results.into_iter()
+    pub fn drain(mut self) -> impl Iterator<Item = Result<S::Out, S::Error>> {
+        self.collect_all().into_iter()
     }
 
     /// Non-blocking, non-consuming harvest: collects every
@@ -546,10 +599,10 @@ where
     /// submission order, leaving the session alive for further feeds.
     ///
     /// This is the interleaving primitive a multi-tenant registry needs:
-    /// unlike [`drain`](AdaptiveSession::drain), which consumes the
+    /// unlike [`drain`](Adaptive::drain), which consumes the
     /// session and blocks to the end, `drain_ready` lets a driver visit
     /// many sessions round-robin, taking from each only what is ready.
-    pub fn drain_ready(&mut self) -> Vec<Result<R, EngineError>> {
+    pub fn drain_ready(&mut self) -> Vec<Result<S::Out, S::Error>> {
         self.harvest();
         self.out.drain(..).collect()
     }
@@ -560,18 +613,13 @@ where
     }
 
     /// The skeleton the next feed will use.
-    pub fn skeleton(&self) -> &Skel<P, R> {
+    pub fn skeleton(&self) -> &Skel<S::In, S::Out> {
         self.vskel.skel()
     }
 
     /// The trigger engine (decision log, statistics).
     pub fn trigger(&self) -> &Arc<TriggerEngine> {
         self.reconf.trigger()
-    }
-
-    /// Items fed so far.
-    pub fn fed(&self) -> usize {
-        self.stream.fed()
     }
 
     /// Items currently in flight.

@@ -17,9 +17,9 @@
 //!   per safe point) and is the figure to watch before arming forecast
 //!   gates on hot streams.
 //!
-//! Recorded in `BENCH_offload_decision.json` alongside
-//! `BENCH_adapt_overhead.json` (which keeps the end-to-end <5% no-fire
-//! budget for the classic rules).
+//! The ladder benchmark has no rung for these three; the end-to-end
+//! no-fire cost of a session with the classic rules armed is its
+//! `adapt.session_delta_ns`.
 
 use std::sync::Arc;
 

@@ -31,10 +31,13 @@
 pub mod adg;
 pub mod controller;
 pub mod estimate;
-pub mod json;
 pub mod render;
 pub mod strategy;
 pub mod tracker;
+
+/// The dependency-free JSON module estimator snapshots are written in;
+/// it lives in the leaf crate `askel-obs`.
+pub use askel_obs::json;
 
 pub use adg::{ActState, Activity, Adg, AdgBuilder};
 pub use controller::{

@@ -8,7 +8,8 @@
 //!
 //! * every step body (muscle + listeners + continuation) runs under
 //!   [`ThreadRt::guarded`]: a panic poisons the submission and
-//!   short-circuits its remaining steps;
+//!   short-circuits its remaining steps — the root's scheduling on the
+//!   submitting thread (a structural root's opening events) included;
 //! * [`Hint::Run`] steps (pipe stages, while/for iterations, a fan-out's
 //!   last child, the merge its closing child spawns) run **inline in the
 //!   current task** with no closure box and no dispatch while the depth
@@ -99,6 +100,13 @@ impl ThreadRt {
         if let Some(span) = &self.0.span {
             span.note_start(&*self.0.clock);
         }
+        self.caught(f);
+    }
+
+    /// The panic half of [`guarded`](ThreadRt::guarded) alone. [`submit`]
+    /// schedules its root under this on the caller's thread; the span's
+    /// first pickup stays the first *worker's*.
+    fn caught(&mut self, f: impl FnOnce(&mut ThreadRt)) {
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(self))) {
             self.0
                 .fail(EngineError::MusclePanic(panic_message(p.as_ref())));
@@ -282,7 +290,7 @@ where
 {
     let span = engine.metrics.probe(&*engine.clock);
     let (mut rt, future, done) = submission(engine, engine.registry.snapshot(), span);
-    interp::start(&mut rt, skel.node(), Box::new(input), done);
+    rt.caught(|rt| interp::start(rt, skel.node(), Box::new(input), done));
     future
 }
 

@@ -9,6 +9,7 @@
 
 use std::collections::VecDeque;
 
+use askel_events::{StreamRuntime, StreamTypes};
 use askel_skeletons::Skel;
 
 use crate::error::EngineError;
@@ -192,6 +193,44 @@ where
     /// buffered).
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
+    }
+}
+
+impl<P, R> StreamTypes for StreamSession<P, R> {
+    type In = P;
+    type Out = R;
+    type Error = EngineError;
+}
+
+/// The threaded stream runtime: every call is the inherent method of
+/// the same name.
+impl<P, R> StreamRuntime for StreamSession<P, R>
+where
+    P: Send + 'static,
+    R: Send + 'static,
+{
+    fn swap_skel(&mut self, skel: &Skel<P, R>) {
+        StreamSession::swap_skel(self, skel);
+    }
+
+    fn feed(&mut self, input: P) {
+        StreamSession::feed(self, input);
+    }
+
+    fn feed_batch(&mut self, inputs: Vec<P>) {
+        StreamSession::feed_batch(self, inputs);
+    }
+
+    fn poll_ready(&mut self) -> usize {
+        StreamSession::poll_ready(self)
+    }
+
+    fn next_result(&mut self) -> Option<Result<R, EngineError>> {
+        StreamSession::next_result(self)
+    }
+
+    fn in_flight(&self) -> usize {
+        StreamSession::in_flight(self)
     }
 }
 

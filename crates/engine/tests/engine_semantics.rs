@@ -160,6 +160,52 @@ fn muscle_panic_poisons_future_not_engine() {
     engine.shutdown();
 }
 
+/// A `farm`/`pipe`/`for` root raises its opening events on the thread
+/// that calls `submit`. A listener panicking there must poison that one
+/// submission — not unwind out of `Engine::submit` into the caller.
+#[test]
+fn listener_panic_on_a_structural_root_poisons_the_submission_not_the_caller() {
+    use askel_events::{Event, FnListener, Payload, When, Where};
+    use askel_skeletons::KindTag;
+    use std::sync::atomic::AtomicBool;
+
+    let leaf = || seq(|x: i64| x + 1);
+    let roots: [(KindTag, Skel<i64, i64>); 3] = [
+        (KindTag::Farm, farm(leaf())),
+        (KindTag::Pipe, pipe(leaf(), leaf())),
+        (KindTag::For, sfor(2, leaf())),
+    ];
+    for (kind, program) in roots {
+        let engine = Engine::new(1);
+        let armed = Arc::new(AtomicBool::new(true));
+        let fuse = Arc::clone(&armed);
+        engine.registry().add_listener(Arc::new(FnListener(
+            move |_: &mut Payload<'_>, e: &Event| {
+                if e.is(kind, When::Before, Where::Skeleton) && fuse.swap(false, Ordering::SeqCst) {
+                    panic!("listener bug on the root");
+                }
+            },
+        )));
+        // Returning at all is the point: the panic stayed inside.
+        let poisoned = engine.submit(&program, 1);
+        match poisoned.get_timeout(Duration::from_secs(30)) {
+            Ok(Err(EngineError::MusclePanic(m))) => {
+                assert!(m.contains("listener bug on the root"), "{kind:?}: {m}")
+            }
+            Ok(other) => panic!("{kind:?}: expected MusclePanic, got {other:?}"),
+            Err(_) => panic!("{kind:?}: the poisoned future never resolved"),
+        }
+        assert!(!armed.load(Ordering::SeqCst), "{kind:?}: the listener ran");
+        let expected = program.apply(1);
+        assert_eq!(
+            get(&engine, &program, 1),
+            expected,
+            "{kind:?}: next one runs"
+        );
+        engine.shutdown();
+    }
+}
+
 #[test]
 fn panic_in_one_map_child_poisons_the_submission() {
     let engine = Engine::new(2);

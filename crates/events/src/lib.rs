@@ -29,10 +29,12 @@ pub mod event;
 pub mod interp;
 pub mod listener;
 pub mod registry;
+pub mod stream;
 pub mod trace;
 pub mod util;
 
 pub use event::{Event, EventInfo, EventRecord, When, Where};
 pub use listener::{EventFilter, FnListener, Interest, Listener, Payload};
 pub use registry::{ListenerRegistry, ListenerSnapshot};
+pub use stream::{StreamRuntime, StreamTypes};
 pub use trace::{Trace, TraceEntry};

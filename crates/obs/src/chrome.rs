@@ -2,7 +2,7 @@
 //!
 //! [`ChromeTrace`] collects counter, instant, and complete events and
 //! renders them as a JSON object-format trace (`{"traceEvents": [...]}`)
-//! through [`askel_core::json`]. Events may be pushed in any order;
+//! through [`crate::json`]. Events may be pushed in any order;
 //! [`render`](ChromeTrace::render) sorts by timestamp, so the emitted
 //! file always has monotonic `ts` fields — what the viewers expect.
 //!
@@ -13,7 +13,7 @@
 //! whole run — thread activity, LP retargets, rule fires — lands on one
 //! zoomable timeline.
 
-use askel_core::json::Json;
+use crate::json::Json;
 use askel_skeletons::TimeNs;
 
 /// One trace event in the Chrome trace-event object format.

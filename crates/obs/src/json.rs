@@ -1,8 +1,10 @@
 //! A deliberately tiny JSON reader/writer.
 //!
 //! The workspace builds in environments without crates.io access, so
-//! snapshots ([`crate::Snapshot`]) and the bench series renderers carry
-//! their own dependency-free JSON support. Numbers are `f64` (every value
+//! metric snapshots ([`crate::MetricsSnapshot`]), Chrome traces, the
+//! controller's estimator snapshots (`askel_core::Snapshot`, which
+//! re-exports this module as `askel_core::json`) and the bench series
+//! renderers carry their own dependency-free JSON support. Numbers are `f64` (every value
 //! we persist — node ids, nanosecond durations, cardinalities — fits
 //! `f64` exactly), and rendering uses Rust's shortest-round-trip float
 //! formatting, so parse ∘ render is the identity on the values we write.

@@ -35,6 +35,7 @@
 mod chrome;
 mod hist;
 mod hub;
+pub mod json;
 mod snapshot;
 
 pub use chrome::{ChromeTrace, TraceEvent};
@@ -42,7 +43,4 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use hub::{Counter, Gauge, MetricsHub};
 pub use snapshot::MetricsSnapshot;
 
-// The JSON value type [`TraceEvent::args`] and the JSON exporter speak,
-// re-exported so downstream crates need no direct `askel-core` edge to
-// build or inspect trace arguments.
-pub use askel_core::json::Json;
+pub use json::Json;

@@ -14,7 +14,7 @@
 //!   label into the existing set. [`scrape`] reads one series back out
 //!   of the text — the round-trip check benches and tests use.
 //! * **JSON** ([`to_json`]/[`from_json`]): a lossless dump through
-//!   [`askel_core::json`] including raw histogram buckets, so a
+//!   [`crate::json`] including raw histogram buckets, so a
 //!   snapshot can be persisted and re-queried (`from_json ∘ to_json`
 //!   is the identity, which the integration tests pin down).
 //!
@@ -23,7 +23,7 @@
 //! [`from_json`]: MetricsSnapshot::from_json
 //! [`scrape`]: MetricsSnapshot::scrape
 
-use askel_core::json::Json;
+use crate::json::Json;
 
 use crate::hist::HistogramSnapshot;
 use crate::hub::{sanitize_base, split_labels};

@@ -31,9 +31,10 @@
 //! reproduce a failing seed from the command line). Long-lived actors —
 //! provisioning-policy review points, telemetry samplers — plug in as
 //! [`components::Component`]s that tick on virtual time, and
-//! [`SimEngine::run_stream`] feeds a whole item stream through one
-//! persistent simulated machine (thousands of nodes, millions of items,
-//! idle nodes cost nothing).
+//! [`SimEngine::run_stream`] (completion order) or a [`SimStream`]
+//! (submission order) feeds a whole item stream through one persistent
+//! simulated machine (thousands of nodes, millions of items, idle nodes
+//! cost nothing).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -61,6 +62,7 @@ pub mod components;
 pub mod cost;
 mod rt;
 pub mod sched;
+mod stream;
 pub mod workers;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,11 +70,13 @@ use std::sync::Arc;
 
 use askel_events::ListenerRegistry;
 use askel_pool::PoolTelemetry;
-use askel_skeletons::{Clock, Data, EvalError, ManualClock, Skel, TimeNs};
+use askel_skeletons::{Data, EvalError, ManualClock, Skel, TimeNs};
 
 use components::Component;
 use cost::CostModel;
+use rt::SimRt;
 pub use sched::OrderingPolicy;
+pub use stream::SimStream;
 use workers::{UniformWorkers, WorkerModel};
 
 /// Why a simulated run failed.
@@ -147,6 +151,12 @@ impl SimLpControl {
         self.request.store(lp, Ordering::SeqCst);
     }
 
+    pub(crate) fn new() -> Self {
+        SimLpControl {
+            request: Arc::new(AtomicUsize::new(Self::NONE)),
+        }
+    }
+
     pub(crate) fn take(&self) -> Option<usize> {
         let v = self.request.swap(Self::NONE, Ordering::SeqCst);
         (v != Self::NONE).then_some(v)
@@ -160,13 +170,14 @@ impl SimLpControl {
 /// accumulate history across runs exactly as they would on a long-lived
 /// engine.
 pub struct SimEngine {
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<ManualClock>,
-    telemetry: Arc<PoolTelemetry>,
-    cost: Arc<dyn CostModel>,
-    workers: Option<Box<dyn WorkerModel>>,
-    lp_control: SimLpControl,
-    ordering: OrderingPolicy,
+    rt: SimRt,
+}
+
+/// An item's erased outcome, downcast to the skeleton's result type.
+fn typed<R: 'static>(outcome: Result<Data, SimError>) -> Result<R, SimError> {
+    let data = outcome?;
+    let result = data.downcast().map_err(|_| SimError::WrongResultType)?;
+    Ok(*result)
 }
 
 impl SimEngine {
@@ -180,15 +191,7 @@ impl SimEngine {
     /// per-slot communication overheads — see `askel-dist`).
     pub fn with_workers(workers: Box<dyn WorkerModel>, cost: Arc<dyn CostModel>) -> Self {
         SimEngine {
-            registry: ListenerRegistry::new(),
-            clock: ManualClock::new(),
-            telemetry: Arc::new(PoolTelemetry::new()),
-            cost,
-            workers: Some(workers),
-            lp_control: SimLpControl {
-                request: Arc::new(AtomicUsize::new(SimLpControl::NONE)),
-            },
-            ordering: OrderingPolicy::from_env(),
+            rt: SimRt::new(cost, workers, OrderingPolicy::from_env()),
         }
     }
 
@@ -196,40 +199,41 @@ impl SimEngine {
     /// default comes from [`OrderingPolicy::from_env`]: `Deterministic`
     /// unless the `ASKEL_SIM_SEED` env var names a fuzz seed.
     pub fn ordering(mut self, policy: OrderingPolicy) -> Self {
-        self.ordering = policy;
+        self.rt.policy = policy;
+        self.rt.restart();
         self
     }
 
     /// The active same-timestamp ordering policy.
     pub fn ordering_policy(&self) -> OrderingPolicy {
-        self.ordering
+        self.rt.policy
     }
 
     /// The listener registry (identical type to the threaded engine's).
     ///
     /// Register listeners **before** running. As on threads, a submission
-    /// — one [`run`](SimEngine::run), or one item of a
-    /// [`run_stream`](SimEngine::run_stream) — looks at the registry once,
-    /// when its root is scheduled; one that finds it empty raises no event
-    /// for its whole life, one that finds a listener hands each event to
-    /// whoever is registered when it is raised.
+    /// — one [`run`](SimEngine::run), or one item of a stream — looks at
+    /// the registry once, when its root is scheduled; one that finds it
+    /// empty raises no event for its whole life, one that finds a
+    /// listener hands each event to whoever is registered when it is
+    /// raised.
     pub fn registry(&self) -> &Arc<ListenerRegistry> {
-        &self.registry
+        &self.rt.registry
     }
 
     /// The virtual clock.
     pub fn clock(&self) -> &Arc<ManualClock> {
-        &self.clock
+        &self.rt.clock
     }
 
     /// Telemetry: active-activity timeline, peak LP, etc.
     pub fn telemetry(&self) -> &Arc<PoolTelemetry> {
-        &self.telemetry
+        &self.rt.telemetry
     }
 
     /// The LP-request handle to hand to an autonomic controller.
     pub fn lp_control(&self) -> SimLpControl {
-        self.lp_control.clone()
+        self.rt.lp_control.clone()
     }
 
     /// Renders everything simulated so far as a Chrome trace timeline
@@ -240,20 +244,20 @@ impl SimEngine {
     /// before saving.
     pub fn chrome_trace(&self) -> askel_obs::ChromeTrace {
         let mut trace = askel_obs::ChromeTrace::new();
-        askel_pool::telemetry_to_chrome(&self.telemetry.samples(), &mut trace);
+        askel_pool::telemetry_to_chrome(&self.rt.telemetry.samples(), &mut trace);
         trace
     }
 
-    /// Current LP (between runs; during a run the pending request applies).
+    /// Current LP (a pending request applies at the next scheduling round).
     pub fn lp(&self) -> usize {
-        self.workers.as_ref().map(|w| w.capacity()).unwrap_or(0)
+        self.rt.workers.capacity()
     }
 
-    /// Sets the LP used by the next run (clamped by the worker model).
+    /// Sets the LP from here on (clamped by the worker model); shrinking
+    /// never preempts what is running.
     pub fn set_lp(&mut self, lp: usize) {
-        if let Some(w) = self.workers.as_mut() {
-            w.set_capacity(lp);
-        }
+        self.rt.workers.set_capacity(lp);
+        self.rt.rebuild_free();
     }
 
     /// Runs one submission to completion in virtual time.
@@ -262,37 +266,17 @@ impl SimEngine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        let started_at = self.clock.now();
-        let workers = self
-            .workers
-            .take()
-            .expect("worker model is always restored");
-        self.telemetry.record_target(started_at, workers.capacity());
-        let outcome = rt::run(
-            Arc::clone(&self.registry),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.telemetry),
-            Arc::clone(&self.cost),
-            workers,
-            self.lp_control.clone(),
-            self.ordering,
-            skel.node(),
-            Box::new(input),
-        );
-        let result = match outcome {
-            Ok((result, workers)) => {
-                self.workers = Some(workers);
-                result
-            }
-            Err((err, workers)) => {
-                self.workers = Some(workers);
-                return Err(err);
-            }
-        };
-        let finished_at = self.clock.now();
-        let result = *result
-            .downcast::<R>()
-            .map_err(|_| SimError::WrongResultType)?;
+        self.rt.begin(&mut []);
+        let started_at = self.rt.now;
+        self.rt.submit(skel.node(), Box::new(input));
+        let outcome = self.rt.wait();
+        self.rt.end(&mut []);
+        let (_, outcome) = outcome.expect("the item in flight finishes or fails");
+        let result = typed(outcome)?;
+        // What a listener asked for on the run's last event holds from
+        // here, not from the next run's first scheduling round.
+        self.rt.apply_lp_request();
+        let finished_at = self.rt.now;
         Ok(SimOutcome {
             result,
             started_at,
@@ -303,24 +287,24 @@ impl SimEngine {
 
     /// Streams items through one **persistent** simulated machine.
     ///
-    /// Unlike repeated [`run`](SimEngine::run) calls — which build a
-    /// fresh runtime per item — the machine survives across items:
-    /// worker occupancy, in-flight chains, and per-muscle invocation
-    /// counters (cost-model `seq_no`s) all carry over, matching a
-    /// long-lived threaded engine fed a stream. Up to `window` items are
-    /// in flight at once; `window == 1` is strict lock-step
-    /// (`source(i)` → run → `on_result(i)` → `source(i + 1)`), the
-    /// natural place for safe-point adaptation between items.
+    /// Unlike repeated [`run`](SimEngine::run) calls — each a fresh run
+    /// of the machine — worker occupancy, in-flight chains, and
+    /// per-muscle invocation counters (cost-model `seq_no`s) all carry
+    /// over from item to item, matching a long-lived threaded engine fed
+    /// a stream. Up to `window` items are in flight at once; `window == 1`
+    /// is strict lock-step (`source(i)` → run → `on_result(i)` →
+    /// `source(i + 1)`).
     ///
     /// `source` is polled with the next item index and may return a
-    /// different skeleton each time (reconfiguration between items);
-    /// `None` ends the stream. `on_result` observes every item in
-    /// completion order. `components` tick on virtual time while work is
-    /// in flight (see [`components::Component`]).
+    /// different skeleton each time; `None` ends the stream. `on_result`
+    /// observes every item in completion order. `components` tick on
+    /// virtual time while work is in flight (see
+    /// [`components::Component`]).
     ///
     /// A failure poisons the whole machine: every item in flight reports
     /// the same error and the queues reset (at `window == 1` that is
     /// plain per-item error reporting).
+    /// A [`SimStream`] is the same stream collected in submission order.
     pub fn run_stream<P, R>(
         &mut self,
         window: usize,
@@ -332,52 +316,38 @@ impl SimEngine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        let started_at = self.clock.now();
-        let workers = self
-            .workers
-            .take()
-            .expect("worker model is always restored");
-        self.telemetry.record_target(started_at, workers.capacity());
-        let mut items = 0usize;
-        let mut raw_source = |index: usize| {
-            source(index).map(|(skel, input)| (Arc::clone(skel.node()), Box::new(input) as Data))
-        };
-        let mut raw_sink = |index: usize, outcome: Result<Data, SimError>| {
-            items += 1;
-            let typed = outcome.and_then(|data| {
-                data.downcast::<R>()
-                    .map(|b| *b)
-                    .map_err(|_| SimError::WrongResultType)
-            });
-            on_result(index, typed);
-        };
-        let (stats, workers) = rt::run_stream(
-            Arc::clone(&self.registry),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.telemetry),
-            Arc::clone(&self.cost),
-            workers,
-            self.lp_control.clone(),
-            self.ordering,
-            window,
-            &mut raw_source,
-            &mut raw_sink,
-            components,
-        );
-        self.workers = Some(workers);
-        StreamReport {
-            items,
-            events: stats.events,
-            started_at,
-            finished_at: stats.finished_at,
+        let window = window.max(1);
+        self.rt.begin(components);
+        let mut open = true;
+        loop {
+            while open && self.rt.run.in_flight.len() < window {
+                match source(self.rt.run.submitted) {
+                    Some((skel, input)) => {
+                        self.rt.submit(skel.node(), Box::new(input));
+                    }
+                    None => open = false,
+                }
+            }
+            // Everything that finished together is reported before the
+            // source is asked again.
+            let Some(first) = self.rt.wait() else {
+                break;
+            };
+            let mut next = Some(first);
+            while let Some((index, outcome)) = next {
+                on_result(index, typed(outcome));
+                next = self.rt.try_next();
+            }
         }
+        self.rt.end(components)
     }
 }
 
-/// Scheduler totals for one [`SimEngine::run_stream`] call.
+/// Scheduler totals for one [`SimEngine::run_stream`] call (or one
+/// [`SimStream`] from `open` to `close`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamReport {
-    /// Items delivered to `on_result` (successes and failures).
+    /// Items finished (successes and failures).
     pub items: usize,
     /// Scheduler events processed: work-step executions plus component
     /// ticks — the unit the throughput bench records per second.

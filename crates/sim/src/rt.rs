@@ -10,9 +10,15 @@
 //! what follows it waits in the completion queue until its virtual
 //! duration has passed. Every work step, and the scheduling of every
 //! root, runs under [`SimRt::guarded`].
+//!
+//! The machine's one way in and out is a **push stream**:
+//! [`SimRt::submit`] an item, [`SimRt::try_next`] for what has finished,
+//! [`SimRt::wait`] — the one driver — to advance virtual time until
+//! something does. `SimEngine::run`, `run_stream` and
+//! [`SimStream`](crate::SimStream) are built from those three calls.
 
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -25,12 +31,12 @@ use crate::components::{Command, Component};
 use crate::cost::{CostModel, MuscleCall};
 use crate::sched::{EventQueue, OrderingPolicy, ReadyQueue};
 use crate::workers::WorkerModel;
-use crate::{SimError, SimLpControl};
+use crate::{SimError, SimLpControl, StreamReport};
 
 /// A unit of simulated work. A step that ends in [`Runtime::busy`] keeps
 /// its worker occupied until `now + dur`, when the parked continuation
 /// runs; any other step ends its chain and releases the worker.
-pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt)>;
+pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt) + Send>;
 
 /// A ready task plus the placement annotation of the node that produced
 /// it (`None` = run anywhere).
@@ -46,33 +52,86 @@ struct Completion {
     slot: usize,
 }
 
-/// The simulator's mutable state, threaded through every work step.
+/// One finished item: its submission index and how it ended.
+pub(crate) type Finished = (usize, Result<Data, SimError>);
+
+/// Stands in a caller's slice for a component on loan to the machine.
+struct OnLoan;
+
+impl Component for OnLoan {
+    fn next_tick(&self, _now: TimeNs) -> Option<TimeNs> {
+        None
+    }
+
+    fn tick(&mut self, _now: TimeNs) -> Vec<Command> {
+        Vec::new()
+    }
+}
+
+/// The simulated machine, threaded through every work step: built once
+/// per [`SimEngine`](crate::SimEngine), its services and worker model
+/// persist while [`begin`](SimRt::begin) starts a fresh [`Run`].
 pub(crate) struct SimRt {
     pub(crate) now: TimeNs,
-    clock: Arc<ManualClock>,
-    registry: Arc<ListenerRegistry>,
+    pub(crate) clock: Arc<ManualClock>,
+    pub(crate) registry: Arc<ListenerRegistry>,
     cost: Arc<dyn CostModel>,
-    telemetry: Arc<PoolTelemetry>,
-    lp_control: SimLpControl,
+    pub(crate) telemetry: Arc<PoolTelemetry>,
+    pub(crate) lp_control: SimLpControl,
+    pub(crate) policy: OrderingPolicy,
+    pub(crate) workers: Box<dyn WorkerModel>,
+    /// On loan from the caller from [`begin`](SimRt::begin) to `end`.
+    components: Vec<Box<dyn Component>>,
+    pub(crate) run: Run,
+}
+
+/// What one run — one `SimEngine::run`, or one stream — accumulates:
+/// queues (with the policy's tie keys), slot occupancy, muscle invocation
+/// counters, item indices and totals.
+pub(crate) struct Run {
     ready: ReadyQueue<ReadyTask>,
     completions: EventQueue<Completion>,
-    workers: Box<dyn WorkerModel>,
     /// Slots currently running a chain.
     occupied: BTreeSet<usize>,
     /// Slots below capacity and not occupied — kept in lock-step with
     /// `occupied` so slot picks are O(log n) instead of O(capacity).
     free: BTreeSet<usize>,
     muscle_counts: HashMap<MuscleId, u64>,
-    /// Scheduler events processed: work-step executions + component ticks.
-    pub(crate) events: u64,
     /// What the step now executing parked with [`Runtime::busy`]: the
     /// metered duration and the work to resume after it.
     parked: Option<(TimeNs, SimWork)>,
-    /// Results of finished stream items, filled by per-item root
-    /// continuations during [`run_stream`].
-    stream_done: Vec<(usize, Data)>,
-    pub(crate) error: Option<SimError>,
-    pub(crate) result: Option<Data>,
+    error: Option<SimError>,
+    /// Items submitted so far; the next index.
+    pub(crate) submitted: usize,
+    /// Indices submitted and not yet finished, oldest first.
+    pub(crate) in_flight: Vec<usize>,
+    /// Finished items nobody has taken yet, in completion order.
+    done: VecDeque<Finished>,
+    /// Start, items finished, events (work steps + component ticks).
+    totals: StreamReport,
+}
+
+impl Run {
+    fn new(policy: OrderingPolicy, now: TimeNs) -> Run {
+        Run {
+            ready: ReadyQueue::new(policy),
+            completions: EventQueue::new(policy),
+            occupied: BTreeSet::new(),
+            free: BTreeSet::new(),
+            muscle_counts: HashMap::new(),
+            parked: None,
+            error: None,
+            submitted: 0,
+            in_flight: Vec::new(),
+            done: VecDeque::new(),
+            totals: StreamReport {
+                items: 0,
+                events: 0,
+                started_at: now,
+                finished_at: now,
+            },
+        }
+    }
 }
 
 impl Runtime for SimRt {
@@ -119,7 +178,7 @@ impl Runtime for SimRt {
         _hint: Hint<'_, ()>,
         step: impl FnOnce(&mut Self) + Send + 'static,
     ) {
-        self.ready.push(ReadyTask {
+        self.run.ready.push(ReadyTask {
             placement,
             work: Box::new(step),
         });
@@ -133,7 +192,7 @@ impl Runtime for SimRt {
     /// muscle's invocation counter.
     fn meter(&mut self, muscle: MuscleId, items: usize, payload: &dyn Any) -> TimeNs {
         let seq_no = {
-            let c = self.muscle_counts.entry(muscle).or_insert(0);
+            let c = self.run.muscle_counts.entry(muscle).or_insert(0);
             let s = *c;
             *c += 1;
             s
@@ -148,8 +207,8 @@ impl Runtime for SimRt {
     }
 
     fn busy(&mut self, dur: TimeNs, then: impl FnOnce(&mut Self) + Send + 'static) {
-        debug_assert!(self.parked.is_none(), "one muscle per work step");
-        self.parked = Some((dur, Box::new(then)));
+        debug_assert!(self.run.parked.is_none(), "one muscle per work step");
+        self.run.parked = Some((dur, Box::new(then)));
     }
 
     fn fail(&mut self, fault: Fault) {
@@ -165,28 +224,28 @@ impl SimRt {
     /// continuation alike — converting a panic into a simulation failure.
     fn guarded(&mut self, f: impl FnOnce(&mut SimRt)) {
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(self))) {
-            self.parked = None;
+            self.run.parked = None;
             self.poison(SimError::MusclePanic(panic_message(p.as_ref())));
         }
     }
 
     /// Poisons the run (first failure wins).
     fn poison(&mut self, err: SimError) {
-        if self.error.is_none() {
-            self.error = Some(err);
+        if self.run.error.is_none() {
+            self.run.error = Some(err);
         }
     }
 
     /// Recomputes the free-slot set from capacity and occupancy. Called on
-    /// construction, capacity changes, and stream error resets.
-    fn rebuild_free(&mut self) {
+    /// construction, capacity changes, and error resets.
+    pub(crate) fn rebuild_free(&mut self) {
         let capacity = self.workers.capacity();
-        self.free = (0..capacity)
-            .filter(|s| !self.occupied.contains(s))
+        self.run.free = (0..capacity)
+            .filter(|s| !self.run.occupied.contains(s))
             .collect();
     }
 
-    fn apply_lp_request(&mut self) {
+    pub(crate) fn apply_lp_request(&mut self) {
         if let Some(lp) = self.lp_control.take() {
             if lp != self.workers.capacity() {
                 self.workers.set_capacity(lp);
@@ -209,19 +268,21 @@ impl SimRt {
     /// back to running anywhere, so placement can never stall the run.
     fn pick_ready(&self) -> Option<(usize, usize)> {
         let capacity = self.workers.capacity();
-        let lowest_free = *self.free.first()?;
-        for i in self.ready.order() {
-            match &self.ready.get(i).placement {
+        let lowest_free = *self.run.free.first()?;
+        for i in self.run.ready.order() {
+            match &self.run.ready.get(i).placement {
                 Some(p) if self.workers.placement_enabled(p) => {
                     // Prefer the model's contiguous slot-block hint
                     // (O(log n)); fall back to probing each free slot.
                     let slot = match self.workers.slot_range(p) {
                         Some((lo, hi)) => self
+                            .run
                             .free
                             .range(lo.max(lowest_free)..hi.min(capacity))
                             .next()
                             .copied(),
                         None => self
+                            .run
                             .free
                             .range(lowest_free..capacity)
                             .find(|&&s| self.workers.slot_matches(s, p))
@@ -240,9 +301,9 @@ impl SimRt {
     }
 
     fn execute(&mut self, work: SimWork, slot: usize, overhead: TimeNs) {
-        self.events += 1;
+        self.run.totals.events += 1;
         self.guarded(work);
-        match self.parked.take() {
+        match self.run.parked.take() {
             Some((dur, then)) => {
                 // Asymmetric node speeds: the slot's cost factor scales
                 // the muscle duration (not the communication overhead).
@@ -253,13 +314,14 @@ impl SimRt {
                     TimeNs(((dur.0 as f64) * factor.max(0.0)).round() as u64)
                 };
                 self.workers.note_busy(slot, dur + overhead);
-                self.completions
+                self.run
+                    .completions
                     .push(self.now + dur + overhead, Completion { work: then, slot });
             }
             None => {
-                self.occupied.remove(&slot);
+                self.run.occupied.remove(&slot);
                 if slot < self.workers.capacity() {
-                    self.free.insert(slot);
+                    self.run.free.insert(slot);
                 }
                 self.telemetry.record_task_end(self.now, false);
             }
@@ -273,8 +335,8 @@ impl SimRt {
     ///
     /// Returns `false` when the machine can make no further progress —
     /// drained, stalled, or poisoned.
-    fn step(&mut self, components: &mut [Box<dyn Component>]) -> bool {
-        if self.error.is_some() {
+    fn step(&mut self) -> bool {
+        if self.run.error.is_some() {
             return false;
         }
         self.apply_lp_request();
@@ -282,19 +344,19 @@ impl SimRt {
         // communication overhead (zero for local workers) is charged on
         // the chain's first busy segment.
         loop {
-            if self.ready.is_empty() {
+            if self.run.ready.is_empty() {
                 break;
             }
             let Some((index, slot)) = self.pick_ready() else {
                 break;
             };
-            self.occupied.insert(slot);
-            self.free.remove(&slot);
-            let task = self.ready.remove(index);
+            self.run.occupied.insert(slot);
+            self.run.free.remove(&slot);
+            let task = self.run.ready.remove(index);
             let overhead = self.workers.chain_overhead(slot);
             self.telemetry.record_task_start(self.now);
             self.execute(task.work, slot, overhead);
-            if self.error.is_some() {
+            if self.run.error.is_some() {
                 return false;
             }
             self.apply_lp_request();
@@ -302,15 +364,16 @@ impl SimRt {
         // Advance virtual time. Components only tick while completions
         // are pending: an idle machine costs nothing and the simulation
         // terminates regardless of what components would like next.
-        let Some(completion_at) = self.completions.peek_at() else {
-            if !self.ready.is_empty() && self.occupied.is_empty() {
-                let (at, ready) = (self.now, self.ready.len());
+        let Some(completion_at) = self.run.completions.peek_at() else {
+            if !self.run.ready.is_empty() && self.run.occupied.is_empty() {
+                let (at, ready) = (self.now, self.run.ready.len());
                 self.poison(SimError::Stalled { at, ready });
             }
             return false;
         };
-        if !components.is_empty() {
-            let due: Vec<(usize, TimeNs)> = components
+        if !self.components.is_empty() {
+            let due: Vec<(usize, TimeNs)> = self
+                .components
                 .iter()
                 .enumerate()
                 .filter_map(|(i, c)| c.next_tick(self.now).map(|t| (i, t)))
@@ -325,8 +388,8 @@ impl SimRt {
                 self.clock.advance_to(self.now);
                 for (i, t) in due {
                     if t <= self.now {
-                        self.events += 1;
-                        for cmd in components[i].tick(self.now) {
+                        self.run.totals.events += 1;
+                        for cmd in self.components[i].tick(self.now) {
                             match cmd {
                                 Command::RequestLp(lp) => self.lp_control.request(lp),
                             }
@@ -336,7 +399,7 @@ impl SimRt {
                 return true;
             }
         }
-        let Some((at, c)) = self.completions.pop() else {
+        let Some((at, c)) = self.run.completions.pop() else {
             return false;
         };
         self.now = self.now.max(at);
@@ -345,193 +408,113 @@ impl SimRt {
         true
     }
 
-    fn run_loop(&mut self, components: &mut [Box<dyn Component>]) {
-        while self.step(components) {}
+    /// An idle machine at time zero, its ties ordered by `policy`.
+    pub(crate) fn new(
+        cost: Arc<dyn CostModel>,
+        workers: Box<dyn WorkerModel>,
+        policy: OrderingPolicy,
+    ) -> SimRt {
+        let clock = ManualClock::new();
+        let mut rt = SimRt {
+            now: clock.now(),
+            run: Run::new(policy, clock.now()),
+            clock,
+            registry: ListenerRegistry::new(),
+            cost,
+            telemetry: Arc::new(PoolTelemetry::new()),
+            lp_control: SimLpControl::new(),
+            policy,
+            workers,
+            components: Vec::new(),
+        };
+        rt.rebuild_free();
+        rt
     }
 
-    /// Drops every queued task and in-flight completion (stream error
-    /// recovery: the whole simulated machine is poisoned and reset).
-    fn reset_machine(&mut self) {
-        self.ready.clear();
-        self.completions.clear();
-        self.stream_done.clear();
-        self.occupied.clear();
+    /// Drops whatever is queued and starts a fresh [`Run`] under the
+    /// current policy.
+    pub(crate) fn restart(&mut self) {
+        self.run = Run::new(self.policy, self.now);
         self.rebuild_free();
     }
-}
 
-/// Outcome of one simulated run: the erased result (or error) plus the
-/// worker model handed back to the engine either way.
-pub(crate) type RunResult = Result<(Data, Box<dyn WorkerModel>), (SimError, Box<dyn WorkerModel>)>;
-
-fn new_rt(
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<ManualClock>,
-    telemetry: Arc<PoolTelemetry>,
-    cost: Arc<dyn CostModel>,
-    workers: Box<dyn WorkerModel>,
-    lp_control: SimLpControl,
-    policy: OrderingPolicy,
-) -> SimRt {
-    let mut rt = SimRt {
-        now: clock.now(),
-        clock,
-        registry,
-        cost,
-        telemetry,
-        lp_control,
-        ready: ReadyQueue::new(policy),
-        completions: EventQueue::new(policy),
-        workers,
-        occupied: BTreeSet::new(),
-        free: BTreeSet::new(),
-        muscle_counts: HashMap::new(),
-        events: 0,
-        parked: None,
-        stream_done: Vec::new(),
-        error: None,
-        result: None,
-    };
-    rt.rebuild_free();
-    rt
-}
-
-/// Runs one submission to completion; returns the erased result and the
-/// final worker model.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<ManualClock>,
-    telemetry: Arc<PoolTelemetry>,
-    cost: Arc<dyn CostModel>,
-    workers: Box<dyn WorkerModel>,
-    lp_control: SimLpControl,
-    policy: OrderingPolicy,
-    node: &Arc<Node>,
-    input: Data,
-) -> RunResult {
-    let mut rt = new_rt(
-        registry, clock, telemetry, cost, workers, lp_control, policy,
-    );
-    rt.guarded(|rt| {
-        interp::start(rt, node, input, Box::new(|rt, data| rt.result = Some(data)));
-    });
-    rt.run_loop(&mut []);
-    if let Some(err) = rt.error {
-        return Err((err, rt.workers));
+    /// Starts a [`Run`]; virtual time and the worker model carry on.
+    /// `components` tick until [`end`](SimRt::end) hands them back.
+    pub(crate) fn begin(&mut self, components: &mut [Box<dyn Component>]) {
+        self.now = self.clock.now();
+        self.telemetry
+            .record_target(self.now, self.workers.capacity());
+        self.restart();
+        self.components
+            .resize_with(components.len(), || Box::new(OnLoan));
+        self.components.swap_with_slice(components);
     }
-    match rt.result {
-        Some(data) => Ok((data, rt.workers)),
-        None => {
-            let err = SimError::Stalled {
-                at: rt.now,
-                ready: rt.ready.len(),
+
+    /// Returns the components [`begin`](SimRt::begin) took (the same
+    /// slice) and reports the run's totals.
+    pub(crate) fn end(&mut self, components: &mut [Box<dyn Component>]) -> StreamReport {
+        self.components.swap_with_slice(components);
+        self.components.clear();
+        StreamReport {
+            finished_at: self.now,
+            ..self.run.totals
+        }
+    }
+
+    /// Schedules one item's root, guarded, and returns its index;
+    /// nothing runs until [`wait`](SimRt::wait) drives the machine.
+    pub(crate) fn submit(&mut self, node: &Arc<Node>, input: Data) -> usize {
+        let index = self.run.submitted;
+        self.run.submitted += 1;
+        self.run.in_flight.push(index);
+        self.guarded(|rt| {
+            let done = move |rt: &mut SimRt, data| rt.finish(index, Ok(data));
+            interp::start(rt, node, input, Box::new(done));
+        });
+        index
+    }
+
+    fn finish(&mut self, index: usize, outcome: Result<Data, SimError>) {
+        self.run.in_flight.retain(|&i| i != index);
+        self.run.totals.items += 1;
+        self.run.done.push_back((index, outcome));
+    }
+
+    /// A finished item nobody has taken yet, without advancing time.
+    pub(crate) fn try_next(&mut self) -> Option<Finished> {
+        self.run.done.pop_front()
+    }
+
+    /// The stream driver: advances virtual time until an item finishes
+    /// and returns it, in completion order; `None` when nothing is in
+    /// flight.
+    ///
+    /// A failure — a poisoned step, or no progress possible with items
+    /// still in flight — fails **every** item in flight with the same
+    /// error and resets the queues: they share worker slots, and one
+    /// poisoned chain cannot be unwound from under its neighbours.
+    pub(crate) fn wait(&mut self) -> Option<Finished> {
+        while self.run.done.is_empty() {
+            if self.run.in_flight.is_empty() {
+                return None;
+            }
+            let progressed = self.step();
+            let err = match self.run.error.take() {
+                Some(err) => err,
+                None if progressed || !self.run.done.is_empty() => continue,
+                None => SimError::Stalled {
+                    at: self.now,
+                    ready: self.run.ready.len(),
+                },
             };
-            Err((err, rt.workers))
+            self.run.ready.clear();
+            self.run.completions.clear();
+            self.run.occupied.clear();
+            self.rebuild_free();
+            for index in std::mem::take(&mut self.run.in_flight) {
+                self.finish(index, Err(err.clone()));
+            }
         }
+        self.run.done.pop_front()
     }
-}
-
-/// Scheduler totals for one streamed run (erased layer).
-pub(crate) struct StreamStats {
-    /// Scheduler events processed (work steps + component ticks).
-    pub(crate) events: u64,
-    /// Virtual time when the stream drained.
-    pub(crate) finished_at: TimeNs,
-}
-
-/// Streams items through one persistent simulated machine.
-///
-/// Unlike [`run`], the runtime survives across items: worker occupancy,
-/// virtual time, *and per-muscle invocation counters* carry over —
-/// matching a long-lived threaded engine fed a stream, which is exactly
-/// the regime the adapt stack tunes. Up to `window` items are in flight
-/// at once (`window == 1` is strict lock-step: `source(i)` → run →
-/// `sink(i)` → `source(i + 1)`). `source` is polled with the next item
-/// index and ends the stream by returning `None`; `sink` observes every
-/// item's outcome in completion order.
-///
-/// Error semantics: a failure poisons the *whole machine* — every item
-/// then in flight is reported failed with the same error and the queues
-/// are reset — because in-flight items share worker slots and one
-/// poisoned chain cannot be unwound from under its neighbours. With
-/// `window == 1` this degrades to the obvious per-item error reporting.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_stream(
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<ManualClock>,
-    telemetry: Arc<PoolTelemetry>,
-    cost: Arc<dyn CostModel>,
-    workers: Box<dyn WorkerModel>,
-    lp_control: SimLpControl,
-    policy: OrderingPolicy,
-    window: usize,
-    source: &mut dyn FnMut(usize) -> Option<(Arc<Node>, Data)>,
-    sink: &mut dyn FnMut(usize, Result<Data, SimError>),
-    components: &mut [Box<dyn Component>],
-) -> (StreamStats, Box<dyn WorkerModel>) {
-    let window = window.max(1);
-    let mut rt = new_rt(
-        registry, clock, telemetry, cost, workers, lp_control, policy,
-    );
-    let mut next_index = 0usize;
-    let mut in_flight: Vec<usize> = Vec::new();
-    let mut source_done = false;
-    loop {
-        while !source_done && in_flight.len() < window {
-            match source(next_index) {
-                Some((node, input)) => {
-                    let index = next_index;
-                    next_index += 1;
-                    in_flight.push(index);
-                    rt.guarded(|rt| {
-                        let done = move |rt: &mut SimRt, data| rt.stream_done.push((index, data));
-                        interp::start(rt, &node, input, Box::new(done));
-                    });
-                }
-                None => source_done = true,
-            }
-        }
-        if in_flight.is_empty() {
-            // The submit loop only exits with nothing in flight once the
-            // source is exhausted.
-            break;
-        }
-        // Drive the machine until an item finishes, the run poisons, or
-        // nothing can make progress.
-        loop {
-            let progressed = rt.step(components);
-            if !rt.stream_done.is_empty() || rt.error.is_some() || !progressed {
-                break;
-            }
-        }
-        if let Some(err) = rt.error.take() {
-            for index in in_flight.drain(..) {
-                sink(index, Err(err.clone()));
-            }
-            rt.reset_machine();
-            continue;
-        }
-        if rt.stream_done.is_empty() {
-            // Machine drained with items still in flight: stalled.
-            let err = SimError::Stalled {
-                at: rt.now,
-                ready: rt.ready.len(),
-            };
-            for index in in_flight.drain(..) {
-                sink(index, Err(err.clone()));
-            }
-            rt.reset_machine();
-            continue;
-        }
-        for (index, data) in std::mem::take(&mut rt.stream_done) {
-            in_flight.retain(|&i| i != index);
-            sink(index, Ok(data));
-        }
-    }
-    let stats = StreamStats {
-        events: rt.events,
-        finished_at: rt.now,
-    };
-    (stats, rt.workers)
 }

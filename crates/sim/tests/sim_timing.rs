@@ -293,3 +293,22 @@ fn clock_continues_across_runs() {
     assert_eq!(b.finished_at, secs(6));
     assert_eq!(b.wct, secs(3));
 }
+
+#[test]
+fn sim_stream_advances_time_only_while_waiting() {
+    use askel_events::StreamRuntime;
+    use askel_sim::SimStream;
+    use askel_skeletons::Clock;
+
+    let cost = Arc::new(TableCost::new(TimeNs::from_secs(1)));
+    let program = seq(|x: i64| x + 1);
+    let mut stream = SimStream::new(SimEngine::new(2, cost), &program);
+    stream.feed(1);
+    stream.feed(2);
+    assert_eq!(stream.poll_ready(), 0, "feeding takes no virtual time");
+    assert_eq!(stream.next_result(), Some(Ok(2)));
+    assert_eq!(stream.poll_ready(), 1, "two workers: both finished at 1s");
+    assert_eq!(stream.next_result(), Some(Ok(3)));
+    assert_eq!(stream.next_result(), None);
+    assert_eq!(stream.sim().clock().now(), TimeNs::from_secs(1));
+}

@@ -52,7 +52,7 @@ fn main() {
     ])
     .with_capacity(1);
     let telemetry = cluster.telemetry();
-    let mut sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost));
+    let sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost));
 
     // Self-configuration: grain retune (damped) + offload.
     let trigger = TriggerEngine::new(0.5);
@@ -68,14 +68,6 @@ fn main() {
     );
     trigger
         .add_rule(Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2));
-    let lp_view = telemetry.clone();
-    let reconf = Reconfigurator::new(
-        Arc::clone(sim.registry()),
-        sim.clock().clone(),
-        trigger.clone(),
-    )
-    .lp_source(move || lp_view.capacity().max(1));
-
     // Dynamic node provisioning from the same telemetry.
     let mut policy = ProvisioningPolicy::new(0.8, 0.0).cooldown(3).announce_via(
         Arc::clone(sim.registry()),
@@ -83,24 +75,28 @@ fn main() {
         KindTag::Map,
     );
 
-    let mut vskel = VersionedSkel::new(&scenario.program);
+    // The adaptive session over the simulator — the same `feed` the
+    // threaded `AdaptiveSession` runs, in virtual time.
     let clock = sim.clock().clone();
+    let lp_view = telemetry.clone();
+    let mut session = AdaptiveSimSession::new(sim, &scenario.program, trigger.clone())
+        .lp_source(move || lp_view.capacity().max(1));
     println!(
         "feeding {} oscillating items through the cluster:",
         items.len()
     );
+    // Lock-step, so the provisioning review sits between items.
     for (k, input) in items.iter().enumerate() {
-        let out = sim.run(vskel.skel(), input.clone()).expect("sim run");
+        session.feed(input.clone());
+        let out = session.next_result().expect("one item in flight");
         assert_eq!(
-            out.result,
+            out.expect("sim run"),
             GrainedSquareSum::reference(input),
             "item {k} diverged from the sequential reference"
         );
-        trigger.record_outcome(true);
         if let Some(capacity) = policy.review(&telemetry, clock.now()) {
-            sim.set_lp(capacity);
+            session.sim_mut().set_lp(capacity);
         }
-        reconf.apply(&mut vskel);
     }
 
     println!("provisioning log:");

@@ -8,7 +8,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use autonomic_skeletons::adapt::Reconfigurator;
 use autonomic_skeletons::prelude::*;
 use autonomic_skeletons::skeletons::MuscleId;
 use autonomic_skeletons::workloads::adaptive::{AdaptiveWordCount, POISON};
@@ -105,9 +104,8 @@ fn adaptive_wordcount_reshapes_mid_stream() {
     assert!(log.iter().all(|d| !d.why.is_empty()));
 }
 
-/// The same loop driven by the `Reconfigurator` over the discrete-event
-/// simulator: rewrite decisions (virtual timestamps included) replay
-/// identically across runs.
+/// The same session over the discrete-event simulator: rewrite decisions
+/// (virtual timestamps included) replay identically across runs.
 #[test]
 fn sim_rewrite_decisions_are_deterministic() {
     fn run_once() -> (Vec<(TimeNs, u64, String)>, Vec<i64>) {
@@ -123,7 +121,7 @@ fn sim_rewrite_decisions_are_deterministic() {
         );
         // Every muscle costs 1s of virtual time.
         let cost = Arc::new(TableCost::new(TimeNs::from_secs(1)));
-        let mut sim = SimEngine::new(2, cost);
+        let sim = SimEngine::new(2, cost);
         let trigger = TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
         let fe = MuscleId::new(v1.node().children()[0].id, MuscleRole::Execute);
@@ -132,22 +130,14 @@ fn sim_rewrite_decisions_are_deterministic() {
                 .named("collapse-fan")
                 .when(Trigger::DurationAtLeast(fe, TimeNs::from_millis(500))),
         );
-        let reconf = Reconfigurator::new(
-            Arc::clone(sim.registry()),
-            sim.clock().clone(),
-            trigger.clone(),
-        )
-        .lp_source(|| 2);
-        let mut vskel = VersionedSkel::new(&v1);
-        let mut outputs = Vec::new();
-        for round in 0..4 {
-            let input: Vec<i64> = (0..=round as i64).collect();
-            let out = sim.run(vskel.skel(), input).expect("sim run");
-            trigger.record_outcome(true);
-            outputs.push(out.result);
-            reconf.apply(&mut vskel);
-        }
-        assert_eq!(vskel.version(), 1, "the promotion fired exactly once");
+        let mut session = AdaptiveSimSession::new(sim, &v1, trigger.clone()).lp_source(|| 2);
+        let items = (0..4).map(|round| (0..=round).collect::<Vec<i64>>());
+        let outputs = session
+            .run_stream(items, &mut [])
+            .into_iter()
+            .map(|r| r.expect("sim run"))
+            .collect();
+        assert_eq!(session.version(), 1, "the promotion fired exactly once");
         let log: Vec<(TimeNs, u64, String)> = trigger
             .decision_log()
             .into_iter()
@@ -188,7 +178,7 @@ fn skewed_cluster_offload_acceptance() {
         actions: Vec<String>,
         provisions: Vec<(TimeNs, String, usize)>,
         outputs: Vec<i64>,
-        grain_trace: Vec<(usize, usize)>, // (item index, grain after apply)
+        grain_trace: Vec<(usize, usize)>, // (item index, grain after its safe point)
         hub_busy: TimeNs,
     }
 
@@ -213,7 +203,7 @@ fn skewed_cluster_offload_acceptance() {
         ])
         .with_capacity(1);
         let telemetry = cluster.telemetry();
-        let mut sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost));
+        let sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost));
 
         let trigger = TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
@@ -229,32 +219,30 @@ fn skewed_cluster_offload_acceptance() {
         trigger.add_rule(
             Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2),
         );
-        let lp_view = telemetry.clone();
-        let reconf = Reconfigurator::new(
-            Arc::clone(sim.registry()),
-            sim.clock().clone(),
-            trigger.clone(),
-        )
-        .lp_source(move || lp_view.capacity().max(1));
         let mut policy = ProvisioningPolicy::new(0.8, 0.0).cooldown(3).announce_via(
             Arc::clone(sim.registry()),
             scenario.program.id(),
             KindTag::Map,
         );
-
-        let mut vskel = VersionedSkel::new(&scenario.program);
         let clock = sim.clock().clone();
+        let lp_view = telemetry.clone();
+        let mut session = AdaptiveSimSession::new(sim, &scenario.program, trigger.clone())
+            .lp_source(move || lp_view.capacity().max(1));
+
+        // Lock-step, so the provisioning review sits between items; the
+        // safe point runs inside `feed`, before the submission.
         let mut outputs = Vec::new();
         let mut grain_trace = Vec::new();
         for (k, input) in items.iter().enumerate() {
-            let out = sim.run(vskel.skel(), input.clone()).expect("sim run");
-            outputs.push(out.result);
-            trigger.record_outcome(true);
-            if let Some(capacity) = policy.review(&telemetry, clock.now()) {
-                sim.set_lp(capacity);
-            }
-            if reconf.apply(&mut vskel) > 0 {
+            let version = session.version();
+            session.feed(input.clone());
+            if session.version() > version {
                 grain_trace.push((k, scenario.grain.load(Ordering::SeqCst)));
+            }
+            let out = session.next_result().expect("one item in flight");
+            outputs.push(out.expect("sim run"));
+            if let Some(capacity) = policy.review(&telemetry, clock.now()) {
+                session.sim_mut().set_lp(capacity);
             }
         }
         // Results identical to the sequential reference.
@@ -374,7 +362,7 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
                 .with(v1_fe, TimeNs::from_millis(800))
                 .with(v2_fe, TimeNs::from_millis(200)),
         );
-        let mut sim = SimEngine::new(lp, cost);
+        let sim = SimEngine::new(lp, cost);
         let trigger = TriggerEngine::new(0.5);
         trigger.seed_from(&controller);
         sim.registry().add_listener(trigger.clone());
@@ -384,27 +372,23 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
                 .when(Trigger::InputSizeAtLeast(1.0))
                 .forecast_gated(0.2),
         );
-        let reconf = Reconfigurator::new(
-            Arc::clone(sim.registry()),
-            sim.clock().clone(),
-            trigger.clone(),
-        )
-        .lp_source(move || lp);
-        let mut vskel = VersionedSkel::new(&v1);
+        let clock = sim.clock().clone();
+        let mut session = AdaptiveSimSession::new(sim, &v1, trigger.clone()).lp_source(move || lp);
         let mut realized_wcts = Vec::new();
         for round in 0..3 {
-            // Round 0's safe point sees no input-size EWMA yet, so the
-            // earliest possible fire is round 1's — item 0 always runs
-            // on v1, giving the audit a pre-rewrite item to skip.
-            reconf.apply(&mut vskel);
-            let input: Vec<i64> = (0..16).collect();
-            let out = sim.run(vskel.skel(), input).expect("sim run");
-            assert_eq!(out.result, 120, "round {round}");
+            // The size hint is recorded after the item rather than through
+            // `input_size`, so round 0's safe point sees no input-size
+            // EWMA yet and the earliest possible fire is round 1's — item
+            // 0 always runs on v1, giving the audit a pre-rewrite item to
+            // skip.
+            let started = clock.now();
+            session.feed((0..16).collect());
+            let out = session.next_result().expect("one item in flight");
+            assert_eq!(out.expect("sim run"), 120, "round {round}");
             trigger.observe_input_size(16);
-            trigger.record_outcome(true);
-            realized_wcts.push(out.wct);
+            realized_wcts.push(clock.now().saturating_sub(started));
         }
-        (vskel.version(), trigger.decision_log(), realized_wcts)
+        (session.version(), trigger.decision_log(), realized_wcts)
     };
 
     // LP 1: the fan-out buys nothing — the gate stays closed.
@@ -472,6 +456,6 @@ fn facade_exports_adaptive_surface() {
     // Re-exported rule/record types are nameable through the prelude.
     let _ = |r: AdaptRecord| r.version;
     let _ = |v: VersionedSkel<i64, i64>| v.version();
-    let _ = Reconfigurator::new;
+    let _ = autonomic_skeletons::adapt::Reconfigurator::new;
     let _ = RetuneGrain::new;
 }

@@ -1,6 +1,7 @@
 //! Property tests: the threaded engine, the simulator and the sequential
 //! reference interpreter must agree on every program — for randomly
-//! generated skeleton ASTs over `i64`.
+//! generated skeleton ASTs over `i64` — and the one adaptive session must
+//! decide the same things whichever of the two runtimes executes it.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -8,8 +9,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use askel_adapt::{
+    Adaptive, AdaptiveSession, AdaptiveSimSession, FallbackSwap, Knob, Promote, RetuneWidth,
+    Trigger, TriggerEngine,
+};
 use askel_engine::Engine;
-use askel_events::{Event, FnListener, Listener, Payload, Where};
+use askel_events::{Event, FnListener, Listener, Payload, StreamRuntime, Where};
 use askel_sim::cost::ZeroCost;
 use askel_sim::SimEngine;
 use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel};
@@ -167,6 +172,76 @@ fn per_instance(events: &[Event]) -> Vec<InstanceShape> {
     shape
 }
 
+/// The adaptive word-count shape in miniature: a fragile filter stage a
+/// fallback-swap can replace, a counting stage a size-gated promotion
+/// can fan out, and a width knob retuned to the LP. None of the rules
+/// reads a clock or an event-derived estimate, so what they decide is a
+/// function of the item trace alone.
+struct AdaptiveCase {
+    program: Skel<Vec<i64>, i64>,
+    trigger: Arc<TriggerEngine>,
+}
+
+const POISON: i64 = -1;
+
+impl AdaptiveCase {
+    fn new() -> Self {
+        let fragile = seq(|v: Vec<i64>| {
+            assert!(!v.contains(&POISON), "fragile filter rejects poison");
+            v
+        });
+        let robust = seq(|v: Vec<i64>| v.into_iter().filter(|x| *x != POISON).collect::<Vec<_>>());
+        let count = seq(|v: Vec<i64>| v.iter().sum::<i64>());
+        let width = Knob::new("width", 1);
+        let w = width.clone();
+        let parallel = map(
+            move |v: Vec<i64>| {
+                let per = v.len().div_ceil(w.get().max(1)).max(1);
+                v.chunks(per).map(<[i64]>::to_vec).collect::<Vec<_>>()
+            },
+            seq(|v: Vec<i64>| v.iter().sum::<i64>()),
+            |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
+        );
+        let trigger = TriggerEngine::new(1.0); // ρ=1: the size EWMA is the last hint
+        trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("swap-filter"));
+        trigger.add_rule(
+            Promote::new(&count, &parallel)
+                .named("promote-count")
+                .when(Trigger::InputSizeAtLeast(8.0)),
+        );
+        trigger.add_rule(RetuneWidth::new(width, 2).bounds(1, 16));
+        AdaptiveCase {
+            program: pipe(fragile, count),
+            trigger,
+        }
+    }
+
+    /// Feeds `items` in lock-step through `session` — the same calls on
+    /// either instantiation — and returns each item's outcome plus the
+    /// `(version, rule)` sequence of the decision log.
+    fn drive<S>(
+        &self,
+        mut session: Adaptive<S>,
+        items: &[Vec<i64>],
+    ) -> (Vec<Option<i64>>, Vec<(u64, String)>)
+    where
+        S: StreamRuntime<In = Vec<i64>, Out = i64>,
+    {
+        let outcomes = items
+            .iter()
+            .map(|item| {
+                session.feed(item.clone());
+                session.next_result().expect("one item in flight").ok()
+            })
+            .collect();
+        let decisions = self.trigger.decision_log();
+        (
+            outcomes,
+            decisions.into_iter().map(|d| (d.version, d.rule)).collect(),
+        )
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -230,5 +305,47 @@ proptest! {
         }
         prop_assert_eq!(results[0], results[1]);
         prop_assert_eq!(results[1], results[2]);
+    }
+
+    #[test]
+    fn adaptive_session_decides_alike_on_both_runtimes(
+        sizes in proptest::collection::vec(1usize..16, 4..20),
+        poisoned in proptest::collection::vec(any::<bool>(), 20),
+    ) {
+        let items: Vec<Vec<i64>> = sizes
+            .iter()
+            .zip(&poisoned)
+            .map(|(&n, &bad)| {
+                let mut item: Vec<i64> = (0..n as i64).collect();
+                if bad {
+                    item[0] = POISON;
+                }
+                item
+            })
+            .collect();
+
+        let case = AdaptiveCase::new();
+        let engine = Engine::new(2);
+        let session = AdaptiveSession::new(&engine, &case.program, case.trigger.clone())
+            .input_size(|v: &Vec<i64>| v.len());
+        let threaded = case.drive(session, &items);
+        engine.shutdown();
+
+        let case = AdaptiveCase::new();
+        let sim = SimEngine::new(2, Arc::new(ZeroCost));
+        let session = AdaptiveSimSession::new(sim, &case.program, case.trigger.clone())
+            .lp_source(|| 2)
+            .input_size(|v: &Vec<i64>| v.len());
+        let simulated = case.drive(session, &items);
+
+        prop_assert!(!threaded.1.is_empty(), "the width retune always fires");
+        prop_assert_eq!(&threaded, &simulated);
+        // And both agree with the reference wherever the item succeeded.
+        for (item, outcome) in items.iter().zip(&threaded.0) {
+            if let Some(sum) = outcome {
+                let expected: i64 = item.iter().filter(|x| **x != POISON).sum();
+                prop_assert_eq!(*sum, expected);
+            }
+        }
     }
 }

@@ -194,7 +194,6 @@ fn zero_cardinality_splits_flow_through_the_autonomic_stack() {
 /// the sim decision log replays deterministically.
 #[test]
 fn remote_errors_trigger_fallback_swap_offload_back() {
-    use autonomic_skeletons::adapt::Reconfigurator;
     use autonomic_skeletons::dist::{Cluster, NodeSpec};
 
     const POISON: i64 = -999;
@@ -237,7 +236,7 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
         ]);
         let telemetry = cluster.telemetry();
         let cost = Arc::new(TableCost::new(TimeNs::from_millis(10)));
-        let mut sim = SimEngine::with_workers(Box::new(cluster), cost);
+        let sim = SimEngine::with_workers(Box::new(cluster), cost);
 
         let trigger = autonomic_skeletons::adapt::TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
@@ -246,14 +245,8 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
                 .water_marks(0.7, 0.2),
         );
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
-        let reconf = Reconfigurator::new(
-            Arc::clone(sim.registry()),
-            sim.clock().clone(),
-            trigger.clone(),
-        )
-        .lp_source(|| 4);
+        let mut session = AdaptiveSimSession::new(sim, &fragile, trigger.clone()).lp_source(|| 4);
 
-        let mut vskel = VersionedSkel::new(&fragile);
         // Items 3 and 4 are poisoned: the hub (where the offload moved
         // the map) starts erroring mid-stream. The long healthy tail
         // after the swap lets the edge's cumulative busy share re-skew
@@ -272,21 +265,19 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
         let mut edge_busy_before_swap = TimeNs::ZERO;
         let mut hub_got_work = false;
         let mut hub_busy_at_swap = None;
+        // Lock-step: each `feed` runs the safe point (outcome of the item
+        // before already recorded), then submits.
         for input in &items {
-            let result = match sim.run(vskel.skel(), input.clone()) {
-                Ok(out) => Ok(out.result),
-                Err(e) => Err(e.to_string()),
-            };
-            trigger.record_outcome(result.is_ok());
-            outcomes.push(result);
-            if vskel.version() < 2 {
+            if session.version() < 2 {
                 edge_busy_before_swap = telemetry.busy_per_node()[0];
             }
-            reconf.apply(&mut vskel);
+            session.feed(input.clone());
             hub_got_work |= telemetry.busy_per_node()[1] > TimeNs::ZERO;
-            if vskel.version() >= 2 && hub_busy_at_swap.is_none() {
+            if session.version() >= 2 && hub_busy_at_swap.is_none() {
                 hub_busy_at_swap = Some(telemetry.busy_per_node()[1]);
             }
+            let result = session.next_result().expect("one item in flight");
+            outcomes.push(result.map_err(|e| e.to_string()));
         }
         assert_eq!(outcomes.len(), fed, "one outcome per fed item");
         Run {
@@ -300,7 +291,7 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
             hub_got_work,
             hub_busy_at_swap: hub_busy_at_swap.expect("the swap happened"),
             hub_busy_final: telemetry.busy_per_node()[1],
-            final_version: vskel.version(),
+            final_version: session.version(),
         }
     }
 

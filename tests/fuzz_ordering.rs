@@ -5,10 +5,15 @@
 //! timestamp — so each seed is one plausible concurrent schedule, and a
 //! sweep over seeds is a concurrency fuzzer with none of the flakiness:
 //! any failure names its seed, and `ASKEL_SIM_SEED=<seed>` replays it
-//! bit-for-bit. What it fuzzes is the interpreter that ships: the
-//! simulator and the threaded engine are two runtimes under one
+//! bit-for-bit. What it fuzzes is the code that ships, at both levels:
+//! the simulator and the threaded engine are two runtimes under one
 //! `askel_events::interp`, so the fan-outs, joins, guards and event
-//! sequences reordered here are the ones the pool's workers run.
+//! sequences reordered here are the ones the pool's workers run; and
+//! `AdaptiveSimSession` is the same `Adaptive` session as the threaded
+//! `AdaptiveSession`, so every safe point below — harvest, outcome
+//! recording, size hint, arbitration, rewrite, submit — is the `feed`
+//! that serves real streams. Nothing here builds a `Reconfigurator` or
+//! records an outcome by hand.
 //!
 //! Two acceptance scenarios run under every seed, twice each:
 //!
@@ -117,7 +122,7 @@ mod skewed {
         ])
         .with_capacity(1);
         let telemetry = cluster.telemetry();
-        let mut sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost)).ordering(policy);
+        let sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost)).ordering(policy);
 
         let trigger = TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
@@ -133,32 +138,30 @@ mod skewed {
         trigger.add_rule(
             Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2),
         );
-        let lp_view = telemetry.clone();
-        let reconf = Reconfigurator::new(
-            Arc::clone(sim.registry()),
-            sim.clock().clone(),
-            trigger.clone(),
-        )
-        .lp_source(move || lp_view.capacity().max(1));
         let mut policy_prov = ProvisioningPolicy::new(0.8, 0.0).cooldown(3).announce_via(
             Arc::clone(sim.registry()),
             scenario.program.id(),
             KindTag::Map,
         );
-
-        let mut vskel = VersionedSkel::new(&scenario.program);
         let clock = sim.clock().clone();
+        let lp_view = telemetry.clone();
+        let mut session = AdaptiveSimSession::new(sim, &scenario.program, trigger.clone())
+            .lp_source(move || lp_view.capacity().max(1));
+
+        // Lock-step, so the provisioning review sits between items: the
+        // session's safe point runs inside `feed`, before the submission.
         let mut outputs = Vec::new();
         let mut grain_trace = Vec::new();
         for (k, input) in items.iter().enumerate() {
-            let out = sim.run(vskel.skel(), input.clone()).expect("sim run");
-            outputs.push(out.result);
-            trigger.record_outcome(true);
-            if let Some(capacity) = policy_prov.review(&telemetry, clock.now()) {
-                sim.set_lp(capacity);
-            }
-            if reconf.apply(&mut vskel) > 0 {
+            let version = session.version();
+            session.feed(input.clone());
+            if session.version() > version {
                 grain_trace.push((k, scenario.grain.load(Ordering::SeqCst)));
+            }
+            let out = session.next_result().expect("one item in flight");
+            outputs.push(out.expect("sim run"));
+            if let Some(capacity) = policy_prov.review(&telemetry, clock.now()) {
+                session.sim_mut().set_lp(capacity);
             }
         }
         Run {
@@ -252,20 +255,14 @@ mod remote_errors {
         ]);
         let telemetry = cluster.telemetry();
         let cost = Arc::new(TableCost::new(TimeNs::from_millis(10)));
-        let mut sim = SimEngine::with_workers(Box::new(cluster), cost).ordering(policy);
+        let sim = SimEngine::with_workers(Box::new(cluster), cost).ordering(policy);
 
         let trigger = TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
         trigger.add_rule(Offload::new(&fragile, "hub", telemetry.clone()).water_marks(0.7, 0.2));
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
-        let reconf = Reconfigurator::new(
-            Arc::clone(sim.registry()),
-            sim.clock().clone(),
-            trigger.clone(),
-        )
-        .lp_source(|| 4);
+        let mut session = AdaptiveSimSession::new(sim, &fragile, trigger.clone()).lp_source(|| 4);
 
-        let mut vskel = VersionedSkel::new(&fragile);
         let items: Vec<Vec<i64>> = (0..28)
             .map(|k| {
                 if k == 3 || k == 4 {
@@ -275,16 +272,11 @@ mod remote_errors {
                 }
             })
             .collect();
-        let mut outcomes = Vec::new();
-        for input in &items {
-            let result = match sim.run(vskel.skel(), input.clone()) {
-                Ok(out) => Ok(out.result),
-                Err(e) => Err(e.to_string()),
-            };
-            trigger.record_outcome(result.is_ok());
-            outcomes.push(result);
-            reconf.apply(&mut vskel);
-        }
+        let outcomes = session
+            .run_stream(items, &mut [])
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
         Run {
             outcomes,
             decisions: trigger
@@ -292,7 +284,7 @@ mod remote_errors {
                 .into_iter()
                 .map(|d| (d.at, d.version, d.rule))
                 .collect(),
-            final_version: vskel.version(),
+            final_version: session.version(),
         }
     }
 
