@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use askel_core::{AutonomicController, ControllerConfig, Decision, FnActuator, Snapshot};
 use askel_pool::TimelinePoint;
-use askel_sim::cost::{CostModel, JitterCost, MuscleCall, PerMuscleCost, TableCost};
+use askel_sim::cost::{CostModel, JitterCost, PerMuscleCost, TableCost};
 use askel_sim::SimEngine;
 use askel_skeletons::{MuscleRole, TimeNs};
 use askel_workloads::tweets::{generate_corpus, TweetGenConfig};
@@ -302,11 +302,6 @@ pub fn nominal_sequential_work(params: &ScenarioParams) -> TimeNs {
     let executes = (params.outer_chunks * params.inner_chunks) as u64 * params.execute_cost.0;
     let merges = (params.outer_chunks as u64 + 1) * params.merge_cost.0;
     TimeNs(splits + executes + merges)
-}
-
-#[allow(dead_code)]
-fn silence_unused(call: &MuscleCall<'_>) -> usize {
-    call.items
 }
 
 #[cfg(test)]

@@ -27,11 +27,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use askel_events::{Event, Listener, Payload, When, Where};
-use askel_skeletons::{MuscleDescriptor, Node, TimeNs};
+use askel_skeletons::{Node, TimeNs};
 
-use crate::adg::AdgBuilder;
+use crate::adg::AdgWorkspace;
 use crate::estimate::{EstimatorTable, Snapshot};
-use crate::strategy::{best_effort, limited_lp};
+use crate::strategy::{Layouts, Scheduler};
 use crate::tracker::SmTracker;
 
 /// Something that can change an engine's level of parallelism.
@@ -259,6 +259,10 @@ pub struct AnalysisRecord {
 
 struct Inner {
     tracker: SmTracker,
+    /// The graph arena, the finished instances' blocks and the layout
+    /// buffers, reused from one analysis to the next.
+    workspace: AdgWorkspace,
+    scheduler: Scheduler,
     current_lp: usize,
     deadline: Option<TimeNs>,
     last_analysis: Option<TimeNs>,
@@ -271,7 +275,6 @@ struct Inner {
 /// The autonomic controller. See the module docs.
 pub struct AutonomicController {
     ast: Arc<Node>,
-    muscles: Vec<MuscleDescriptor>,
     config: ControllerConfig,
     actuator: Arc<dyn LpActuator>,
     inner: Mutex<Inner>,
@@ -285,19 +288,18 @@ impl AutonomicController {
         config: ControllerConfig,
         actuator: Arc<dyn LpActuator>,
     ) -> Arc<Self> {
-        let muscles = ast.collect_muscles();
         let initial_lp = config.initial_lp;
         let mut tracker = SmTracker::new(config.rho);
         for (m, canonical) in &config.aliases {
             tracker.estimates_mut().set_alias(*m, *canonical);
         }
         Arc::new(AutonomicController {
-            ast,
-            muscles,
             config: config.clone(),
             actuator,
             inner: Mutex::new(Inner {
                 tracker,
+                workspace: AdgWorkspace::new(&ast),
+                scheduler: Scheduler::default(),
                 current_lp: initial_lp,
                 deadline: None,
                 last_analysis: None,
@@ -306,6 +308,7 @@ impl AutonomicController {
                 analysis_log: Vec::new(),
                 analyses: 0,
             }),
+            ast,
         })
     }
 
@@ -413,10 +416,6 @@ impl AutonomicController {
                 }
             }
         }
-        // Analysis gate: every muscle estimated at least once (§4).
-        if !inner.tracker.estimates().covers(&self.muscles) {
-            return;
-        }
         let root_live = inner
             .tracker
             .current_root()
@@ -425,103 +424,126 @@ impl AutonomicController {
         if !root_live {
             return;
         }
+        // Analysis gate: every muscle estimated at least once (§4). The
+        // same pass reads the estimates the graph is built from.
+        if !inner.workspace.refresh(inner.tracker.estimates()) {
+            return;
+        }
         inner.last_analysis = Some(now);
         inner.analyses += 1;
 
-        let adg = AdgBuilder::new(&inner.tracker).build(&self.ast);
+        let adg = inner.workspace.build_refreshed(&inner.tracker);
         if adg.is_empty() {
             return;
         }
+        let mut layouts = inner.scheduler.on(adg, now);
         let cur = inner.current_lp;
-        let cur_finish = limited_lp(&adg, now, cur).finish;
+        let cur_finish = layouts.limited_lp(cur);
         inner.analysis_log.push(AnalysisRecord {
             at: now,
             lp: cur,
             predicted_finish: cur_finish,
-            best_effort_finish: best_effort(&adg, now).finish,
+            best_effort_finish: layouts.best_effort(),
         });
+        let change = if cur_finish > deadline {
+            self.raise(&mut layouts, now, cur, deadline)
+        } else {
+            self.decrease(&mut layouts, now, cur, deadline, inner.last_decrease)
+        };
+        if let Some((to_lp, reason, predicted)) = change {
+            self.apply(inner, now, to_lp, reason, predicted);
+        }
+    }
 
-        if cur_finish > deadline {
-            // Self-configuration: more threads.
-            let be = best_effort(&adg, now);
-            let opt = be.max_concurrency_from(now).max(self.config.min_lp);
-            let cap = opt.min(self.config.max_lp);
-            if cap <= cur {
-                return; // nothing a raise could do
+    /// Self-configuration: more threads. `None` when no raise could help.
+    fn raise(
+        &self,
+        layouts: &mut Layouts<'_>,
+        now: TimeNs,
+        cur: usize,
+        deadline: TimeNs,
+    ) -> Option<(usize, DecisionReason, TimeNs)> {
+        let opt = layouts
+            .best_effort_concurrency_from(now)
+            .max(self.config.min_lp);
+        let cap = opt.min(self.config.max_lp);
+        if cap <= cur {
+            return None; // nothing a raise could do
+        }
+        let cap_finish = layouts.limited_lp(cap);
+        // Minimal LP achieving `target_finish`, by binary search (WCT
+        // is non-increasing in LP under the paper's assumption).
+        let mut minimal_for = |target_finish: TimeNs| -> usize {
+            let mut lo = cur + 1;
+            let mut hi = cap;
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if layouts.limited_lp(mid) <= target_finish {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
             }
-            let cap_finish = limited_lp(&adg, now, cap).finish;
-            // Minimal LP achieving `target_finish`, by binary search (WCT
-            // is non-increasing in LP under the paper's assumption).
-            let minimal_for = |target_finish: TimeNs| -> usize {
-                let mut lo = cur + 1;
-                let mut hi = cap;
+            lo
+        };
+        let (target, reason) = if cap_finish <= deadline {
+            (minimal_for(deadline), DecisionReason::RaiseToMeetGoal)
+        } else {
+            // Goal unreachable even at the cap: the smallest LP that
+            // achieves the best possible completion.
+            (minimal_for(cap_finish), DecisionReason::RaiseBestPossible)
+        };
+        let target = ((target as f64 * self.config.raise_headroom).round() as usize).min(cap);
+        let to_lp = match self.config.raise {
+            RaisePolicy::Unbounded => target,
+            RaisePolicy::Doubling => target.min(cur * 2 + 1),
+        };
+        Some((to_lp, reason, layouts.limited_lp(to_lp)))
+    }
+
+    /// Self-optimization: fewer threads when safe.
+    fn decrease(
+        &self,
+        layouts: &mut Layouts<'_>,
+        now: TimeNs,
+        cur: usize,
+        deadline: TimeNs,
+        last_decrease: Option<TimeNs>,
+    ) -> Option<(usize, DecisionReason, TimeNs)> {
+        if let Some(last) = last_decrease {
+            if self.config.decrease_cooldown > TimeNs::ZERO
+                && now < last + self.config.decrease_cooldown
+            {
+                return None;
+            }
+        }
+        // A decrease must keep the goal safe with margin.
+        let margin =
+            TimeNs::from_secs_f64(self.config.wct_goal.as_secs_f64() * self.config.decrease_safety);
+        let safe_deadline = deadline.saturating_sub(margin);
+        let to_lp = match self.config.decrease {
+            DecreasePolicy::Never => return None,
+            DecreasePolicy::Halve => (cur / 2).max(self.config.min_lp),
+            DecreasePolicy::ToMinimal => {
+                let mut lo = self.config.min_lp;
+                let mut hi = cur;
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    if limited_lp(&adg, now, mid).finish <= target_finish {
+                    if layouts.limited_lp(mid) <= safe_deadline {
                         hi = mid;
                     } else {
                         lo = mid + 1;
                     }
                 }
                 lo
-            };
-            let (target, reason) = if cap_finish <= deadline {
-                (minimal_for(deadline), DecisionReason::RaiseToMeetGoal)
-            } else {
-                // Goal unreachable even at the cap: the smallest LP that
-                // achieves the best possible completion.
-                (minimal_for(cap_finish), DecisionReason::RaiseBestPossible)
-            };
-            let target = ((target as f64 * self.config.raise_headroom).round() as usize).min(cap);
-            let to_lp = match self.config.raise {
-                RaisePolicy::Unbounded => target,
-                RaisePolicy::Doubling => target.min(cur * 2 + 1),
-            };
-            let predicted = limited_lp(&adg, now, to_lp).finish;
-            self.apply(inner, now, to_lp, reason, predicted);
-        } else {
-            // Self-optimization: fewer threads when safe.
-            if let Some(last) = inner.last_decrease {
-                if self.config.decrease_cooldown > TimeNs::ZERO
-                    && now < last + self.config.decrease_cooldown
-                {
-                    return;
-                }
             }
-            // A decrease must keep the goal safe with margin.
-            let margin = TimeNs::from_secs_f64(
-                self.config.wct_goal.as_secs_f64() * self.config.decrease_safety,
-            );
-            let safe_deadline = deadline.saturating_sub(margin);
-            match self.config.decrease {
-                DecreasePolicy::Never => {}
-                DecreasePolicy::Halve => {
-                    let half = (cur / 2).max(self.config.min_lp);
-                    if half < cur {
-                        let predicted = limited_lp(&adg, now, half).finish;
-                        if predicted <= safe_deadline {
-                            self.apply(inner, now, half, DecisionReason::Decrease, predicted);
-                        }
-                    }
-                }
-                DecreasePolicy::ToMinimal => {
-                    let mut lo = self.config.min_lp;
-                    let mut hi = cur;
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        if limited_lp(&adg, now, mid).finish <= safe_deadline {
-                            hi = mid;
-                        } else {
-                            lo = mid + 1;
-                        }
-                    }
-                    if lo < cur {
-                        let predicted = limited_lp(&adg, now, lo).finish;
-                        self.apply(inner, now, lo, DecisionReason::Decrease, predicted);
-                    }
-                }
-            }
+        };
+        if to_lp >= cur {
+            return None;
         }
+        let predicted = layouts.limited_lp(to_lp);
+        // The search ends on an LP that is safe, or on `cur` itself.
+        (predicted <= safe_deadline).then_some((to_lp, DecisionReason::Decrease, predicted))
     }
 
     fn apply(
@@ -561,6 +583,7 @@ impl Listener for AutonomicController {
             && event.trace.depth() == 1
         {
             inner.tracker.prune_finished();
+            inner.workspace.forget_finished();
             inner.deadline = Some(event.timestamp + self.config.wct_goal);
         }
         inner.tracker.observe(event);

@@ -71,7 +71,7 @@ impl Ewma {
 /// Which estimate a cardinality refers to.
 ///
 /// Only Split and Condition muscles have cardinalities (paper §4).
-fn role_has_cardinality(tag: KindTag, role: MuscleRole) -> bool {
+pub(crate) fn role_has_cardinality(tag: KindTag, role: MuscleRole) -> bool {
     matches!(
         (tag, role),
         (KindTag::Map, MuscleRole::Split)

@@ -39,12 +39,15 @@ pub mod tracker;
 /// it lives in the leaf crate `askel-obs`.
 pub use askel_obs::json;
 
-pub use adg::{ActState, Activity, Adg, AdgBuilder};
+pub use adg::{ActState, Activity, Adg, AdgBuilder, AdgWorkspace};
 pub use controller::{
     AnalysisRecord, AutonomicController, ControllerConfig, Decision, DecisionReason,
     DecreasePolicy, FnActuator, LpActuator, RaisePolicy,
 };
 pub use estimate::{EstimatorTable, Ewma, Snapshot, SnapshotEntry};
 pub use render::{gantt_ascii, to_dot};
-pub use strategy::{best_effort, limited_lp, optimal_lp, predictive_wct, Schedule, TimelinePoint};
+pub use strategy::{
+    best_effort, limited_lp, optimal_lp, predictive_wct, Layouts, Schedule, Scheduler,
+    TimelinePoint,
+};
 pub use tracker::{CondSpan, InstanceRecord, SmTracker, Span};

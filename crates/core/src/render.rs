@@ -29,8 +29,8 @@ pub fn to_dot(adg: &Adg, schedule: Option<&Schedule>) -> String {
         };
         out.push_str(&format!("  a{i} [label=\"{label}\", fillcolor={color}];\n"));
     }
-    for (i, a) in adg.activities.iter().enumerate() {
-        for &p in &a.preds {
+    for i in 0..adg.len() {
+        for p in adg.preds(i) {
             out.push_str(&format!("  a{p} -> a{i};\n"));
         }
     }
@@ -81,37 +81,34 @@ pub fn gantt_ascii(adg: &Adg, schedule: &Schedule, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adg::Activity;
     use askel_skeletons::{MuscleId, MuscleRole, NodeId};
 
     fn small_adg() -> Adg {
-        Adg {
-            activities: vec![
-                Activity {
-                    muscle: MuscleId::new(NodeId(1), MuscleRole::Split),
-                    state: ActState::Done {
-                        start: TimeNs::ZERO,
-                        end: TimeNs::from_secs(10),
-                    },
-                    est: TimeNs::from_secs(10),
-                    preds: vec![],
-                },
-                Activity {
-                    muscle: MuscleId::new(NodeId(2), MuscleRole::Execute),
-                    state: ActState::Running {
-                        start: TimeNs::from_secs(10),
-                    },
-                    est: TimeNs::from_secs(15),
-                    preds: vec![0],
-                },
-                Activity {
-                    muscle: MuscleId::new(NodeId(1), MuscleRole::Merge),
-                    state: ActState::Pending,
-                    est: TimeNs::from_secs(5),
-                    preds: vec![1],
-                },
-            ],
-        }
+        let mut adg = Adg::default();
+        adg.push(
+            MuscleId::new(NodeId(1), MuscleRole::Split),
+            ActState::Done {
+                start: TimeNs::ZERO,
+                end: TimeNs::from_secs(10),
+            },
+            TimeNs::from_secs(10),
+            &[],
+        );
+        adg.push(
+            MuscleId::new(NodeId(2), MuscleRole::Execute),
+            ActState::Running {
+                start: TimeNs::from_secs(10),
+            },
+            TimeNs::from_secs(15),
+            &[0],
+        );
+        adg.push(
+            MuscleId::new(NodeId(1), MuscleRole::Merge),
+            ActState::Pending,
+            TimeNs::from_secs(5),
+            &[1],
+        );
+        adg
     }
 
     #[test]
@@ -152,14 +149,13 @@ mod tests {
 
     #[test]
     fn gantt_marks_zero_length_spans() {
-        let adg = Adg {
-            activities: vec![Activity {
-                muscle: MuscleId::new(NodeId(1), MuscleRole::Execute),
-                state: ActState::Pending,
-                est: TimeNs::ZERO,
-                preds: vec![],
-            }],
-        };
+        let mut adg = Adg::default();
+        adg.push(
+            MuscleId::new(NodeId(1), MuscleRole::Execute),
+            ActState::Pending,
+            TimeNs::ZERO,
+            &[],
+        );
         let sched = crate::strategy::best_effort(&adg, TimeNs::ZERO);
         // Horizon is clamped to 1ns; the zero-length activity renders as ·
         let art = gantt_ascii(&adg, &sched, 20);

@@ -14,6 +14,9 @@
 //!   (Fig. 2: "a maximum requirement of 3 active threads … therefore the
 //!   optimal LP is 3").
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use askel_skeletons::TimeNs;
 
 use crate::adg::{ActState, Adg};
@@ -70,27 +73,7 @@ impl Schedule {
     /// Maximum concurrency at or after `t` — the forward-looking variant
     /// the controller uses (history cannot be rescheduled).
     pub fn max_concurrency_from(&self, t: TimeNs) -> usize {
-        let mut deltas: Vec<(TimeNs, i64)> = Vec::new();
-        let mut at_t: i64 = 0;
-        for &(s, e) in &self.spans {
-            if e <= s || e <= t {
-                continue;
-            }
-            if s <= t {
-                at_t += 1;
-            } else {
-                deltas.push((s, 1));
-            }
-            deltas.push((e, -1));
-        }
-        deltas.sort_by_key(|&(time, d)| (time, d));
-        let mut max = at_t;
-        let mut cur = at_t;
-        for (_, d) in deltas {
-            cur += d;
-            max = max.max(cur);
-        }
-        max.max(0) as usize
+        max_concurrency_from(&self.spans, t, &mut Vec::new())
     }
 }
 
@@ -104,23 +87,43 @@ pub struct TimelinePoint {
     pub active: usize,
 }
 
+/// Maximum concurrency of `spans` at or after `t`; `deltas` is scratch.
+fn max_concurrency_from(
+    spans: &[(TimeNs, TimeNs)],
+    t: TimeNs,
+    deltas: &mut Vec<(TimeNs, i64)>,
+) -> usize {
+    deltas.clear();
+    let mut at_t: i64 = 0;
+    for &(s, e) in spans {
+        if e <= s || e <= t {
+            continue;
+        }
+        if s <= t {
+            at_t += 1;
+        } else {
+            deltas.push((s, 1));
+        }
+        deltas.push((e, -1));
+    }
+    deltas.sort_unstable();
+    let mut max = at_t;
+    let mut cur = at_t;
+    for &(_, d) in deltas.iter() {
+        cur += d;
+        max = max.max(cur);
+    }
+    max.max(0) as usize
+}
+
 /// Best-effort schedule: infinite LP.
 pub fn best_effort(adg: &Adg, now: TimeNs) -> Schedule {
-    let mut spans: Vec<(TimeNs, TimeNs)> = Vec::with_capacity(adg.len());
-    let mut finish = TimeNs::ZERO;
-    for a in &adg.activities {
-        let span = match a.state {
-            ActState::Done { start, end } => (start, end),
-            ActState::Running { start } => (start, (start + a.est).max(now)),
-            ActState::Pending => {
-                let ti = a.preds.iter().map(|&p| spans[p].1).fold(now, TimeNs::max); // past-clamp: ti ≥ now
-                (ti, ti + a.est)
-            }
-        };
-        finish = finish.max(span.1);
-        spans.push(span);
+    let mut scheduler = Scheduler::default();
+    let finish = scheduler.on(adg, now).best_effort();
+    Schedule {
+        spans: scheduler.best_effort_spans,
+        finish,
     }
-    Schedule { spans, finish }
 }
 
 /// Limited-LP schedule: greedy list scheduling with at most `lp`
@@ -136,201 +139,312 @@ pub fn best_effort(adg: &Adg, now: TimeNs) -> Schedule {
 /// bound still guarantees every `lp ≥ 1` is at least as good as serial
 /// execution (property-tested in `tests/strategy_properties.rs`).
 pub fn limited_lp(adg: &Adg, now: TimeNs, lp: usize) -> Schedule {
-    let n = adg.len();
-    let mut spans: Vec<(TimeNs, TimeNs)> = vec![(TimeNs::ZERO, TimeNs::ZERO); n];
-    let mut scheduled = vec![false; n];
-    let mut finish = TimeNs::ZERO;
+    let mut scheduler = Scheduler::default();
+    let finish = scheduler.on(adg, now).limited_lp(lp);
+    Schedule {
+        spans: scheduler.spans,
+        finish,
+    }
+}
 
-    // Reverse adjacency + pending-predecessor counts.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut missing_preds = vec![0usize; n];
-    for (i, a) in adg.activities.iter().enumerate() {
-        if matches!(a.state, ActState::Pending) {
-            for &p in &a.preds {
-                succs[p].push(i);
-            }
-            missing_preds[i] = a.preds.len();
+type Completion = Reverse<(TimeNs, u32)>;
+
+/// The buffers the layouts work in. The controller keeps one for its
+/// lifetime, so that laying a graph out allocates nothing once they have
+/// grown to its size; [`best_effort`] and [`limited_lp`] use one apiece.
+#[derive(Debug, Default)]
+pub struct Scheduler {
+    // What every limited-LP layout of one graph at one instant starts
+    // from (`Layouts::prepare`).
+    prepared: bool,
+    /// Latest end among the `Done` and `Running` activities.
+    fixed_finish: TimeNs,
+    /// Per pending activity: how many predecessors are not `Done`.
+    waits: Vec<u32>,
+    /// The pending successors of activity `i`, one entry per edge, are
+    /// `succ[succ_at[i]..succ_at[i + 1]]`; edges out of `Done`
+    /// activities are left out (they are counted in nobody's `waits`).
+    succ_at: Vec<u32>,
+    succ: Vec<u32>,
+    /// Pending activities that wait for nothing, with their ready times.
+    ready: Vec<(TimeNs, u32)>,
+    /// When each `Running` activity is expected to complete.
+    running: Vec<(TimeNs, u32)>,
+    pending: usize,
+    /// Limited-LP finishes already laid out for this graph, by `lp`.
+    finishes: Vec<(usize, TimeNs)>,
+
+    // One limited-LP layout. `prepare` fills in the spans history fixes
+    // (`Done`, `Running`) and zeroes the rest; a layout assigns every
+    // pending activity's and touches no other.
+    spans: Vec<(TimeNs, TimeNs)>,
+    missing: Vec<u32>,
+    /// Startable now; the highest index goes first (mirrors the
+    /// runtime's LIFO stack on ties).
+    eligible: BinaryHeap<u32>,
+    /// Waiting for nothing but the clock: ready at a time still ahead.
+    later: BinaryHeap<Completion>,
+    completions: BinaryHeap<Completion>,
+
+    best_effort_finish: Option<TimeNs>,
+    best_effort_spans: Vec<(TimeNs, TimeNs)>,
+    deltas: Vec<(TimeNs, i64)>,
+}
+
+impl Scheduler {
+    /// Starts laying `adg` out as of `now`. No layout is computed twice
+    /// through the handle returned: best effort is kept, and so is the
+    /// limited-LP finish of every `lp` asked for.
+    pub fn on<'a>(&'a mut self, adg: &'a Adg, now: TimeNs) -> Layouts<'a> {
+        self.prepared = false;
+        self.finishes.clear();
+        self.best_effort_finish = None;
+        Layouts {
+            adg,
+            now,
+            buffers: self,
         }
     }
+}
 
-    // Completion events: (time, activity index).
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(TimeNs, usize)>> =
-        std::collections::BinaryHeap::new();
-    // Ready pending activities: (ready_time, idx).
-    let mut ready: Vec<(TimeNs, usize)> = Vec::new();
-    let mut in_use = 0usize;
-    let mut pending_left = 0usize;
+/// The layouts of one graph at one instant, over a [`Scheduler`]'s
+/// buffers.
+pub struct Layouts<'a> {
+    adg: &'a Adg,
+    now: TimeNs,
+    buffers: &'a mut Scheduler,
+}
 
-    let resolve = |i: usize,
-                   end: TimeNs,
-                   missing_preds: &mut Vec<usize>,
-                   ready: &mut Vec<(TimeNs, usize)>,
-                   spans: &Vec<(TimeNs, TimeNs)>,
-                   succs: &Vec<Vec<usize>>,
-                   scheduled: &Vec<bool>,
-                   adg: &Adg| {
-        let _ = end;
-        for &s in &succs[i] {
-            if missing_preds[s] > 0 {
-                missing_preds[s] -= 1;
-                if missing_preds[s] == 0 {
-                    let ready_time = adg.activities[s]
-                        .preds
+impl Layouts<'_> {
+    /// Completion time of the best-effort (infinite-LP) layout.
+    pub fn best_effort(&mut self) -> TimeNs {
+        if let Some(finish) = self.buffers.best_effort_finish {
+            return finish;
+        }
+        let (adg, now) = (self.adg, self.now);
+        let spans = &mut self.buffers.best_effort_spans;
+        spans.clear();
+        spans.reserve(adg.len());
+        let mut finish = TimeNs::ZERO;
+        for (i, a) in adg.activities.iter().enumerate() {
+            let span = match a.state {
+                ActState::Done { start, end } => (start, end),
+                ActState::Running { start } => (start, (start + a.est).max(now)),
+                ActState::Pending => {
+                    // past-clamp: ti ≥ now
+                    let ti = adg
+                        .pred_slice(i)
                         .iter()
-                        .map(|&p| spans[p].1)
-                        .fold(now, TimeNs::max);
-                    debug_assert!(scheduled.iter().len() >= s);
-                    ready.push((ready_time, s));
+                        .fold(now, |ti, &p| ti.max(spans[p as usize].1));
+                    (ti, ti + a.est)
                 }
-            }
+            };
+            finish = finish.max(span.1);
+            spans.push(span);
         }
-    };
-
-    // Seed with Done and Running activities.
-    for (i, a) in adg.activities.iter().enumerate() {
-        match a.state {
-            ActState::Done { start, end } => {
-                spans[i] = (start, end);
-                scheduled[i] = true;
-                finish = finish.max(end);
-            }
-            ActState::Running { start } => {
-                let end = (start + a.est).max(now);
-                spans[i] = (start, end);
-                scheduled[i] = true;
-                finish = finish.max(end);
-                in_use += 1;
-                events.push(std::cmp::Reverse((end, i)));
-            }
-            ActState::Pending => pending_left += 1,
-        }
-    }
-    // Resolve successors of *Done* activities only — Running ones resolve
-    // when their completion event fires (resolving them here too would
-    // count them twice and let successors start before their preds end).
-    for i in 0..n {
-        if matches!(adg.activities[i].state, ActState::Done { .. }) {
-            let end = spans[i].1;
-            resolve(
-                i,
-                end,
-                &mut missing_preds,
-                &mut ready,
-                &spans,
-                &succs,
-                &scheduled,
-                adg,
-            );
-        }
-    }
-    // Pending activities with no pending preds at all (their preds were
-    // all Done/Running, already handled) — also those with zero preds.
-    for (i, a) in adg.activities.iter().enumerate() {
-        if matches!(a.state, ActState::Pending) && missing_preds[i] == 0 {
-            let ready_time = a.preds.iter().map(|&p| spans[p].1).fold(now, TimeNs::max);
-            if !ready.iter().any(|&(_, j)| j == i) {
-                ready.push((ready_time, i));
-            }
-        }
+        self.buffers.best_effort_finish = Some(finish);
+        finish
     }
 
-    if pending_left > 0 && lp == 0 {
-        return Schedule {
-            spans,
-            finish: TimeNs::MAX,
-        };
+    /// Maximum concurrency of the best-effort layout at or after `t` —
+    /// the forward-looking optimal LP (history cannot be rescheduled).
+    pub fn best_effort_concurrency_from(&mut self, t: TimeNs) -> usize {
+        self.best_effort();
+        let Scheduler {
+            best_effort_spans,
+            deltas,
+            ..
+        } = &mut *self.buffers;
+        max_concurrency_from(best_effort_spans, t, deltas)
     }
 
-    let mut t = now;
-    loop {
-        // Start everything ready and startable at time t, LIFO-ish.
-        loop {
-            if in_use >= lp {
-                break;
-            }
-            // Eligible: ready_time ≤ t; pick the highest index (mirrors
-            // the runtime's LIFO stack on ties).
-            let mut best: Option<usize> = None; // position in `ready`
-            for (pos, &(rt, idx)) in ready.iter().enumerate() {
-                if rt <= t {
-                    match best {
-                        Some(b) if ready[b].1 >= idx => {}
-                        _ => best = Some(pos),
+    /// Completion time of the limited-LP layout with `lp` workers (see
+    /// [`limited_lp`]).
+    pub fn limited_lp(&mut self, lp: usize) -> TimeNs {
+        if let Some(&(_, finish)) = self.buffers.finishes.iter().find(|&&(l, _)| l == lp) {
+            return finish;
+        }
+        let finish = self.lay_out(lp);
+        self.buffers.finishes.push((lp, finish));
+        finish
+    }
+
+    /// Everything about the graph that does not depend on `lp`: the spans
+    /// history fixes, which pending activities wait for how many others,
+    /// and who follows whom.
+    fn prepare(&mut self) {
+        let (adg, now) = (self.adg, self.now);
+        let s = &mut *self.buffers;
+        let n = adg.len();
+        s.spans.clear();
+        s.spans.resize(n, (TimeNs::ZERO, TimeNs::ZERO));
+        s.waits.clear();
+        s.waits.resize(n, 0);
+        s.succ_at.clear();
+        s.succ_at.resize(n + 1, 0);
+        s.ready.clear();
+        s.running.clear();
+        s.fixed_finish = TimeNs::ZERO;
+        s.pending = 0;
+        for (i, a) in adg.activities.iter().enumerate() {
+            match a.state {
+                ActState::Done { start, end } => {
+                    s.spans[i] = (start, end);
+                    s.fixed_finish = s.fixed_finish.max(end);
+                }
+                ActState::Running { start } => {
+                    let end = (start + a.est).max(now);
+                    s.spans[i] = (start, end);
+                    s.fixed_finish = s.fixed_finish.max(end);
+                    s.running.push((end, i as u32));
+                }
+                ActState::Pending => {
+                    s.pending += 1;
+                    let mut ready_time = now;
+                    for &p in adg.pred_slice(i) {
+                        match adg.activities[p as usize].state {
+                            ActState::Done { end, .. } => ready_time = ready_time.max(end),
+                            _ => {
+                                s.waits[i] += 1;
+                                s.succ_at[p as usize + 1] += 1;
+                            }
+                        }
+                    }
+                    if s.waits[i] == 0 {
+                        s.ready.push((ready_time, i as u32));
                     }
                 }
             }
-            let Some(pos) = best else { break };
-            let (_, i) = ready.swap_remove(pos);
-            let est = adg.activities[i].est;
-            spans[i] = (t, t + est);
-            scheduled[i] = true;
-            finish = finish.max(t + est);
-            pending_left -= 1;
-            if est.0 == 0 {
-                // Zero-duration activities complete instantly and do not
-                // occupy a worker.
-                resolve(
-                    i,
-                    t,
-                    &mut missing_preds,
-                    &mut ready,
-                    &spans,
-                    &succs,
-                    &scheduled,
-                    adg,
-                );
-            } else {
-                in_use += 1;
-                events.push(std::cmp::Reverse((t + est, i)));
+        }
+        // Counts → offsets, then fill each activity's stretch; `missing`
+        // is free until a layout starts and serves as the fill cursors.
+        for i in 0..n {
+            s.succ_at[i + 1] += s.succ_at[i];
+        }
+        s.succ.clear();
+        s.succ.resize(s.succ_at[n] as usize, 0);
+        s.missing.clear();
+        s.missing.extend_from_slice(&s.succ_at[..n]);
+        for (i, a) in adg.activities.iter().enumerate() {
+            if s.waits[i] == 0 || !matches!(a.state, ActState::Pending) {
+                continue;
+            }
+            for &p in adg.pred_slice(i) {
+                if !matches!(adg.activities[p as usize].state, ActState::Done { .. }) {
+                    s.succ[s.missing[p as usize] as usize] = i as u32;
+                    s.missing[p as usize] += 1;
+                }
             }
         }
-        if pending_left == 0 && events.is_empty() {
-            break;
-        }
-        // Advance to the next completion.
-        let Some(std::cmp::Reverse((et, i))) = events.pop() else {
-            // No running activity but work left: only possible when every
-            // ready_time is in the future relative to t — advance to the
-            // earliest.
-            let Some(&(rt, _)) = ready.iter().min_by_key(|&&(rt, _)| rt) else {
-                break;
-            };
-            t = t.max(rt);
-            continue;
-        };
-        t = t.max(et);
-        in_use -= 1;
-        resolve(
-            i,
-            et,
-            &mut missing_preds,
-            &mut ready,
-            &spans,
-            &succs,
-            &scheduled,
-            adg,
-        );
-        // Drain simultaneous completions.
-        while let Some(&std::cmp::Reverse((et2, _))) = events.peek() {
-            if et2 != t {
-                break;
-            }
-            let std::cmp::Reverse((_, j)) = events.pop().expect("peeked");
-            in_use -= 1;
-            resolve(
-                j,
-                t,
-                &mut missing_preds,
-                &mut ready,
-                &spans,
-                &succs,
-                &scheduled,
-                adg,
-            );
-        }
+        s.prepared = true;
     }
 
-    Schedule { spans, finish }
+    /// One limited-LP layout into `spans`: an event-driven list
+    /// scheduler, O((n + e) log n).
+    fn lay_out(&mut self, lp: usize) -> TimeNs {
+        if !self.buffers.prepared {
+            self.prepare();
+        }
+        let (adg, now) = (self.adg, self.now);
+        let s = &mut *self.buffers;
+        if s.pending > 0 && lp == 0 {
+            return TimeNs::MAX;
+        }
+        s.missing.clear();
+        s.missing.extend_from_slice(&s.waits);
+        s.eligible.clear();
+        s.later.clear();
+        for &(ready_time, i) in &s.ready {
+            if ready_time <= now {
+                s.eligible.push(i);
+            } else {
+                s.later.push(Reverse((ready_time, i)));
+            }
+        }
+        s.completions.clear();
+        s.completions.extend(s.running.iter().map(|&c| Reverse(c)));
+        let mut in_use = s.running.len();
+        let mut pending_left = s.pending;
+        let mut finish = s.fixed_finish;
+
+        // `i` completed: its successors wait for one activity fewer.
+        // Whoever waits for none is ready once its last predecessor ends
+        // — now, unless a `Done` one is recorded as ending in the future.
+        let mut release = |i: u32,
+                           t: TimeNs,
+                           spans: &[(TimeNs, TimeNs)],
+                           eligible: &mut BinaryHeap<u32>,
+                           later: &mut BinaryHeap<Completion>| {
+            let (from, to) = (s.succ_at[i as usize], s.succ_at[i as usize + 1]);
+            for &next in &s.succ[from as usize..to as usize] {
+                s.missing[next as usize] -= 1;
+                if s.missing[next as usize] == 0 {
+                    let ready_time = adg
+                        .pred_slice(next as usize)
+                        .iter()
+                        .fold(now, |at, &p| at.max(spans[p as usize].1));
+                    if ready_time <= t {
+                        eligible.push(next);
+                    } else {
+                        later.push(Reverse((ready_time, next)));
+                    }
+                }
+            }
+        };
+
+        let mut t = now;
+        loop {
+            while let Some(&Reverse((ready_time, i))) = s.later.peek() {
+                if ready_time > t {
+                    break;
+                }
+                s.later.pop();
+                s.eligible.push(i);
+            }
+            // Start everything ready and startable at time t.
+            while in_use < lp {
+                let Some(i) = s.eligible.pop() else { break };
+                let est = adg.activities[i as usize].est;
+                s.spans[i as usize] = (t, t + est);
+                finish = finish.max(t + est);
+                pending_left -= 1;
+                if est.0 == 0 {
+                    // Zero-duration activities complete instantly and do
+                    // not occupy a worker.
+                    release(i, t, &s.spans, &mut s.eligible, &mut s.later);
+                } else {
+                    in_use += 1;
+                    s.completions.push(Reverse((t + est, i)));
+                }
+            }
+            if pending_left == 0 && s.completions.is_empty() {
+                break;
+            }
+            // Advance to the next completion.
+            let Some(Reverse((at, i))) = s.completions.pop() else {
+                // No running activity but work left: everything ready is
+                // ready in the future — advance to the earliest.
+                let Some(&Reverse((ready_time, _))) = s.later.peek() else {
+                    break;
+                };
+                t = t.max(ready_time);
+                continue;
+            };
+            t = t.max(at);
+            in_use -= 1;
+            release(i, t, &s.spans, &mut s.eligible, &mut s.later);
+            // Drain simultaneous completions.
+            while let Some(&Reverse((at, j))) = s.completions.peek() {
+                if at != t {
+                    break;
+                }
+                s.completions.pop();
+                in_use -= 1;
+                release(j, t, &s.spans, &mut s.eligible, &mut s.later);
+            }
+        }
+        finish
+    }
 }
 
 /// The paper's optimal LP: the maximum concurrency of the best-effort
@@ -353,43 +467,45 @@ pub fn predictive_wct(
     root: &std::sync::Arc<askel_skeletons::Node>,
     lp: usize,
 ) -> Option<TimeNs> {
-    if !estimates.covers(&root.collect_muscles()) {
+    let mut workspace = crate::adg::AdgWorkspace::new(root);
+    if !workspace.refresh(estimates) {
         return None;
     }
-    let tracker = crate::tracker::SmTracker::with_estimates(estimates.clone());
-    let adg = crate::adg::AdgBuilder::new(&tracker).build_predictive(root);
+    let adg = workspace.predict_refreshed();
     if adg.is_empty() {
         return None;
     }
-    Some(limited_lp(&adg, TimeNs::ZERO, lp.max(1)).finish)
+    Some(
+        Scheduler::default()
+            .on(adg, TimeNs::ZERO)
+            .limited_lp(lp.max(1)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adg::Activity;
     use askel_skeletons::{MuscleId, MuscleRole, NodeId};
 
-    fn act(state: ActState, est: u64, preds: Vec<usize>) -> Activity {
-        Activity {
-            muscle: MuscleId::new(NodeId(1), MuscleRole::Execute),
-            state,
-            est: TimeNs(est),
-            preds,
+    /// A graph of `(state, est, preds)` activities.
+    fn adg_of(activities: &[(ActState, u64, &[usize])]) -> Adg {
+        let mut adg = Adg::default();
+        for &(state, est, preds) in activities {
+            let muscle = MuscleId::new(NodeId(1), MuscleRole::Execute);
+            adg.push(muscle, state, TimeNs(est), preds);
         }
+        adg
     }
 
     /// split(10) → 3 × fe(15) → merge(5), nothing started.
     fn fan_adg() -> Adg {
-        Adg {
-            activities: vec![
-                act(ActState::Pending, 10, vec![]),
-                act(ActState::Pending, 15, vec![0]),
-                act(ActState::Pending, 15, vec![0]),
-                act(ActState::Pending, 15, vec![0]),
-                act(ActState::Pending, 5, vec![1, 2, 3]),
-            ],
-        }
+        adg_of(&[
+            (ActState::Pending, 10, &[]),
+            (ActState::Pending, 15, &[0]),
+            (ActState::Pending, 15, &[0]),
+            (ActState::Pending, 15, &[0]),
+            (ActState::Pending, 5, &[1, 2, 3]),
+        ])
     }
 
     #[test]
@@ -418,13 +534,11 @@ mod tests {
     fn running_activities_hold_their_workers() {
         // Two running activities (est 10, started at 0), one pending (5),
         // LP 2, now = 2: the pending one must wait until 10.
-        let adg = Adg {
-            activities: vec![
-                act(ActState::Running { start: TimeNs(0) }, 10, vec![]),
-                act(ActState::Running { start: TimeNs(0) }, 10, vec![]),
-                act(ActState::Pending, 5, vec![]),
-            ],
-        };
+        let adg = adg_of(&[
+            (ActState::Running { start: TimeNs(0) }, 10, &[]),
+            (ActState::Running { start: TimeNs(0) }, 10, &[]),
+            (ActState::Pending, 5, &[]),
+        ]);
         let s = limited_lp(&adg, TimeNs(2), 2);
         assert_eq!(s.spans[2], (TimeNs(10), TimeNs(15)));
         assert_eq!(s.finish, TimeNs(15));
@@ -433,9 +547,7 @@ mod tests {
     #[test]
     fn overdue_running_activity_is_clamped_to_now() {
         // Started at 0 with est 10, but now = 25: tf = now (paper rule).
-        let adg = Adg {
-            activities: vec![act(ActState::Running { start: TimeNs(0) }, 10, vec![])],
-        };
+        let adg = adg_of(&[(ActState::Running { start: TimeNs(0) }, 10, &[])]);
         let s = best_effort(&adg, TimeNs(25));
         assert_eq!(s.spans[0], (TimeNs(0), TimeNs(25)));
     }
@@ -443,19 +555,17 @@ mod tests {
     #[test]
     fn pending_start_is_clamped_to_now() {
         // Pred finished at 5, now = 20: the pending activity starts at 20.
-        let adg = Adg {
-            activities: vec![
-                act(
-                    ActState::Done {
-                        start: TimeNs(0),
-                        end: TimeNs(5),
-                    },
-                    5,
-                    vec![],
-                ),
-                act(ActState::Pending, 10, vec![0]),
-            ],
-        };
+        let adg = adg_of(&[
+            (
+                ActState::Done {
+                    start: TimeNs(0),
+                    end: TimeNs(5),
+                },
+                5,
+                &[],
+            ),
+            (ActState::Pending, 10, &[0]),
+        ]);
         let s = best_effort(&adg, TimeNs(20));
         assert_eq!(s.spans[1], (TimeNs(20), TimeNs(30)));
         let s = limited_lp(&adg, TimeNs(20), 1);
@@ -464,19 +574,17 @@ mod tests {
 
     #[test]
     fn done_history_is_preserved_and_does_not_take_capacity() {
-        let adg = Adg {
-            activities: vec![
-                act(
-                    ActState::Done {
-                        start: TimeNs(0),
-                        end: TimeNs(100),
-                    },
-                    100,
-                    vec![],
-                ),
-                act(ActState::Pending, 10, vec![]),
-            ],
-        };
+        let adg = adg_of(&[
+            (
+                ActState::Done {
+                    start: TimeNs(0),
+                    end: TimeNs(100),
+                },
+                100,
+                &[],
+            ),
+            (ActState::Pending, 10, &[]),
+        ]);
         let s = limited_lp(&adg, TimeNs(100), 1);
         assert_eq!(s.spans[0], (TimeNs(0), TimeNs(100)));
         assert_eq!(s.spans[1], (TimeNs(100), TimeNs(110)));
@@ -492,14 +600,12 @@ mod tests {
     fn zero_duration_activities_do_not_occupy_workers() {
         // Three zero-cost activities + one real one, LP 1: all zero-cost
         // ones run "instantly" alongside.
-        let adg = Adg {
-            activities: vec![
-                act(ActState::Pending, 0, vec![]),
-                act(ActState::Pending, 0, vec![0]),
-                act(ActState::Pending, 7, vec![1]),
-                act(ActState::Pending, 0, vec![2]),
-            ],
-        };
+        let adg = adg_of(&[
+            (ActState::Pending, 0, &[]),
+            (ActState::Pending, 0, &[0]),
+            (ActState::Pending, 7, &[1]),
+            (ActState::Pending, 0, &[2]),
+        ]);
         let s = limited_lp(&adg, TimeNs::ZERO, 1);
         assert_eq!(s.finish, TimeNs(7));
     }

@@ -3,8 +3,10 @@
 
 use proptest::prelude::*;
 
-use askel_core::{best_effort, limited_lp, ActState, Activity, Adg};
+use askel_core::{best_effort, limited_lp, ActState, Adg, Scheduler};
 use askel_skeletons::{MuscleId, MuscleRole, NodeId, TimeNs};
+
+mod oracle;
 
 /// A random DAG in topological order: each activity picks predecessors
 /// among earlier indices; a prefix of activities is Done (historical),
@@ -20,7 +22,7 @@ fn adg_strategy() -> impl Strategy<Value = (Adg, TimeNs)> {
             (Just(n), durations, pred_seeds, done_cut, 0usize..4)
         })
         .prop_map(|(n, durations, pred_seeds, done_cut, running_extra)| {
-            let mut activities = Vec::with_capacity(n);
+            let mut adg = Adg::default();
             let mut clock = 0u64;
             let running_end = (done_cut + running_extra).min(n);
             for i in 0..n {
@@ -47,15 +49,55 @@ fn adg_strategy() -> impl Strategy<Value = (Adg, TimeNs)> {
                 } else {
                     ActState::Pending
                 };
-                activities.push(Activity {
-                    muscle: MuscleId::new(NodeId(i as u64 + 1), MuscleRole::Execute),
-                    state,
-                    est,
-                    preds,
-                });
+                let muscle = MuscleId::new(NodeId(i as u64 + 1), MuscleRole::Execute);
+                adg.push(muscle, state, est, &preds);
             }
             let now = TimeNs(clock);
-            (Adg { activities }, now)
+            (adg, now)
+        })
+}
+
+/// `(state, est, preds)` per activity, and `now`.
+type Spec = (Vec<(ActState, TimeNs, Vec<usize>)>, TimeNs);
+
+/// A DAG for the differential test against the pre-rewrite scheduler.
+/// Unlike [`adg_strategy`] it mixes the three states freely, lets `Done`
+/// activities end after `now` (so a pending one can be ready at a time
+/// still ahead), repeats predecessors, and draws every time from a
+/// handful of values — so completions coincide, several activities
+/// become eligible at once and the highest-index tie-break decides —
+/// with zero durations among them.
+fn mixed_spec() -> impl Strategy<Value = Spec> {
+    (1usize..24)
+        .prop_flat_map(|n| {
+            let activity = (0u8..4, 0u64..5, 0u64..8, 0u64..5);
+            let pred_seeds =
+                proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..4), n);
+            (proptest::collection::vec(activity, n), pred_seeds, 0u64..8)
+        })
+        .prop_map(|(activities, pred_seeds, now)| {
+            let spec = activities
+                .into_iter()
+                .zip(pred_seeds)
+                .enumerate()
+                .map(|(i, ((kind, est, start, len), seeds))| {
+                    let start = TimeNs(start * 1_000);
+                    let state = match kind {
+                        0 => ActState::Done {
+                            start,
+                            end: start + TimeNs(len * 1_000),
+                        },
+                        1 => ActState::Running { start },
+                        _ => ActState::Pending,
+                    };
+                    let preds = match i {
+                        0 => vec![],
+                        _ => seeds.iter().map(|s| *s as usize % i).collect(),
+                    };
+                    (state, TimeNs(est * 1_000), preds)
+                })
+                .collect();
+            (spec, TimeNs(now * 1_000))
         })
 }
 
@@ -97,7 +139,7 @@ proptest! {
         for sched in [best_effort(&adg, now), limited_lp(&adg, now, 2)] {
             for (i, a) in adg.activities.iter().enumerate() {
                 if matches!(a.state, ActState::Pending) {
-                    for &p in &a.preds {
+                    for p in adg.preds(i) {
                         prop_assert!(
                             sched.spans[i].0 >= sched.spans[p].1,
                             "activity {} starts {:?} before pred {} ends {:?}",
@@ -205,5 +247,34 @@ proptest! {
         }
         // The last point has active = 0, so the integral is complete.
         prop_assert_eq!(total, integral);
+    }
+
+    #[test]
+    fn layouts_equal_the_pre_rewrite_scheduler((spec, now) in mixed_spec()) {
+        let mut adg = Adg::default();
+        let mut old = oracle::Adg::default();
+        for (i, (state, est, preds)) in spec.into_iter().enumerate() {
+            let muscle = MuscleId::new(NodeId(i as u64 + 1), MuscleRole::Execute);
+            adg.push(muscle, state, est, &preds);
+            old.activities.push(oracle::Activity { muscle, state, est, preds });
+        }
+        let be = best_effort(&adg, now);
+        let old_be = oracle::best_effort(&old, now);
+        prop_assert_eq!((&be.spans, be.finish), (&old_be.spans, old_be.finish));
+        // One set of buffers for every `lp`, as the controller uses them.
+        let mut scheduler = Scheduler::default();
+        let mut layouts = scheduler.on(&adg, now);
+        for lp in 0..=adg.len() {
+            let ll = limited_lp(&adg, now, lp);
+            let old_ll = oracle::limited_lp(&old, now, lp);
+            prop_assert_eq!(&ll.spans, &old_ll.spans, "spans at lp {}", lp);
+            prop_assert_eq!(ll.finish, old_ll.finish, "finish at lp {}", lp);
+            prop_assert_eq!(layouts.limited_lp(lp), old_ll.finish, "reused buffers, lp {}", lp);
+        }
+        prop_assert_eq!(layouts.best_effort(), old_be.finish);
+        prop_assert_eq!(
+            layouts.best_effort_concurrency_from(now),
+            be.max_concurrency_from(now)
+        );
     }
 }

@@ -100,4 +100,92 @@ fn deterministic_ordering_reproduces_pre_refactor_decision_logs() {
             (7_296_682_231, 6, 3, DecisionReason::Decrease, 8_088_884_201),
         ]
     );
+
+    // Same test, run after the pins above: node ids come from a process-wide
+    // counter and seed the cost jitter, so a second `#[test]` racing this
+    // one would make both sets of constants depend on thread timing.
+    benchmark_scale_goal_scenario_is_pinned();
+}
+
+/// FNV-1a over every field of every record: one number that moves if any
+/// analysis moved.
+fn analysis_log_hash(log: &[autonomic_skeletons::core::AnalysisRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in log {
+        for word in [
+            r.at.0,
+            r.lp as u64,
+            r.predicted_finish.0,
+            r.best_effort_finish.0,
+        ] {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn benchmark_scale_goal_scenario_is_pinned() {
+    // The ladder's `sim_goal` shape: a 602-activity graph, wide enough
+    // that the limited-LP tie-breaks (highest ready index first) decide
+    // among dozens of eligible leaves at once. Captured on the revision
+    // before the analysis path was made incremental.
+    let scenarios = PaperScenarios::new(ScenarioParams {
+        outer_chunks: 20,
+        inner_chunks: 28,
+        ..Default::default()
+    });
+    let run = scenarios.run(TimeNs(30_000_000_000), None);
+    assert_eq!(run.wct, TimeNs(23_522_128_650));
+    assert_eq!((run.peak_active, run.final_lp), (4, 1));
+    assert_eq!(run.analysis_log.len(), 1030);
+    assert_eq!(analysis_log_hash(&run.analysis_log), 0x101b_de22_642b_a6aa);
+    assert_eq!(
+        pin(&run.decisions),
+        vec![
+            (
+                8_425_548_562,
+                1,
+                6,
+                DecisionReason::RaiseToMeetGoal,
+                16_496_155_470
+            ),
+            (
+                8_425_548_562,
+                6,
+                3,
+                DecisionReason::Decrease,
+                23_589_866_089
+            ),
+            (
+                17_299_021_171,
+                3,
+                1,
+                DecisionReason::Decrease,
+                26_197_801_782
+            ),
+            (
+                17_637_742_707,
+                1,
+                4,
+                DecisionReason::RaiseToMeetGoal,
+                20_838_184_198
+            ),
+            (
+                18_333_997_621,
+                4,
+                2,
+                DecisionReason::Decrease,
+                21_991_086_081
+            ),
+            (
+                19_341_713_635,
+                2,
+                1,
+                DecisionReason::Decrease,
+                23_253_298_622
+            ),
+        ]
+    );
 }
