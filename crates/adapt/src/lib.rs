@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arbitration;
-mod event_log;
 pub mod forecast;
 mod metrics;
 pub mod rules;

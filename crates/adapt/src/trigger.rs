@@ -13,7 +13,7 @@
 //! can fire at most once per safe point and never mid-item. Nothing
 //! therefore needs event-derived state to be current *between* reads, and
 //! `on_event` does not update it: on the muscle's thread it appends a
-//! 48-byte record to a per-thread log (`event_log`) and returns. Every
+//! 48-byte record to a per-thread log ([`EventLog`]) and returns. Every
 //! method that reads or edits that state — [`plan`](TriggerEngine::plan),
 //! [`read_estimates`](TriggerEngine::read_estimates),
 //! [`decision_log`](TriggerEngine::decision_log), … — first **folds** the
@@ -30,10 +30,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use askel_core::{AutonomicController, EstimatorTable, Ewma, SmTracker};
-use askel_events::{Event, EventRecord, Interest, Listener, Payload, When, Where};
+use askel_events::{Event, EventLog, EventRecord, Interest, Listener, Payload, When, Where};
 use askel_skeletons::{InstanceId, Node, NodeId, TimeNs};
 
-use crate::event_log::EventLog;
 use crate::forecast::Forecast;
 use crate::metrics::AdaptMetrics;
 use crate::rules::{Concern, ErrorStats, RewriteAction, Rule, RuleCtx};
@@ -752,7 +751,7 @@ mod tests {
 
     #[test]
     fn a_full_log_is_folded_by_the_thread_that_fills_it() {
-        use crate::event_log::SHARD_CAPACITY;
+        use askel_events::event_log::SHARD_CAPACITY;
         use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole};
         let t = TriggerEngine::new(1.0);
         let node = NodeId(11);
@@ -857,8 +856,8 @@ mod tests {
         /// estimates and the same decision log.
         #[test]
         fn folding_split_logs_equals_feeding_in_order(
-            threads in 1usize..=crate::event_log::SHARDS,
-            deal in proptest::collection::vec(0usize..crate::event_log::SHARDS, 1..64),
+            threads in 1usize..=askel_events::event_log::SHARDS,
+            deal in proptest::collection::vec(0usize..askel_events::event_log::SHARDS, 1..64),
             cut in 0usize..1000,
         ) {
             let events = recorded_stream();

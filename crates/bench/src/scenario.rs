@@ -120,6 +120,9 @@ pub struct ScenarioOutcome {
     pub distinct_tokens: usize,
     /// Every analysis with its predictions (accuracy studies).
     pub analysis_log: Vec<askel_core::AnalysisRecord>,
+    /// How many of those were replayed rather than computed
+    /// ([`AutonomicController::replayed`]).
+    pub replayed: usize,
 }
 
 impl ScenarioOutcome {
@@ -284,6 +287,7 @@ impl PaperScenarios {
             snapshot: controller.snapshot(),
             distinct_tokens: out.result.len(),
             analysis_log: controller.analysis_log(),
+            replayed: controller.replayed(),
         }
     }
 }

@@ -42,7 +42,7 @@ pub use askel_obs::json;
 pub use adg::{ActState, Activity, Adg, AdgBuilder, AdgWorkspace};
 pub use controller::{
     AnalysisRecord, AutonomicController, ControllerConfig, Decision, DecisionReason,
-    DecreasePolicy, FnActuator, LpActuator, RaisePolicy,
+    DecreasePolicy, FnActuator, LpActuator, RaisePolicy, ANALYSIS_LOG_CAPACITY,
 };
 pub use estimate::{EstimatorTable, Ewma, Snapshot, SnapshotEntry};
 pub use render::{gantt_ascii, to_dot};

@@ -112,6 +112,8 @@ pub struct SmTracker {
     /// Whether an instance's record outlives the instance. The ADG is
     /// built from finished records; the estimators never read one.
     keep_finished: bool,
+    /// See [`revision`](SmTracker::revision).
+    revision: u64,
 }
 
 /// Unfinished roots kept across prunes — the newest this many. An item
@@ -133,6 +135,7 @@ impl SmTracker {
             roots: VecDeque::new(),
             orphans: Vec::new(),
             keep_finished: true,
+            revision: 0,
         }
     }
 
@@ -154,7 +157,20 @@ impl SmTracker {
 
     /// Mutable access to the estimator table (for initialization).
     pub fn estimates_mut(&mut self) -> &mut EstimatorTable {
+        self.revision += 1;
         &mut self.estimates
+    }
+
+    /// A counter that moves whenever a record or an estimator may have:
+    /// on every event [`observe`](SmTracker::observe) acts on, every
+    /// [`estimates_mut`](SmTracker::estimates_mut) and every
+    /// [`prune_finished`](SmTracker::prune_finished). While it stands,
+    /// anything derived from this tracker — an ADG, an analysis — would
+    /// come out as it last did. The two positions `observe` ignores leave
+    /// it alone, which is what lets the controller replay an analysis
+    /// instead of repeating it.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// The current (most recent) root instance.
@@ -178,6 +194,7 @@ impl SmTracker {
     /// flight, each one's later events still find their records. Costs
     /// O(roots kept + records dropped).
     pub fn prune_finished(&mut self) {
+        self.revision += 1;
         let mut roots = std::mem::take(&mut self.roots);
         roots.retain(|&root| {
             let live = self.instances.get(&root).is_some_and(|r| !r.is_finished());
@@ -224,11 +241,12 @@ impl SmTracker {
             (When::After, Where::Condition) => self.on_cond_end(event),
             // Children announce themselves through their own Skeleton
             // events; the parent-side nesting events carry no extra state.
-            (_, Where::NestedSkeleton) => {}
             // Structural rewrites (askel-adapt) are session-level
             // announcements, not muscle executions: nothing to estimate.
-            (_, Where::Reconfigured) => {}
+            // Neither changes anything, so neither may look like a change.
+            (_, Where::NestedSkeleton | Where::Reconfigured) => return,
         }
+        self.revision += 1;
     }
 
     fn on_instance_begin(&mut self, event: &EventRecord) {

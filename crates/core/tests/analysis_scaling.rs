@@ -9,11 +9,13 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use askel_core::{AutonomicController, ControllerConfig, DecreasePolicy, FnActuator};
-use askel_events::{Event, FnListener, Listener, Payload};
+use askel_core::{
+    AutonomicController, ControllerConfig, DecreasePolicy, FnActuator, ANALYSIS_LOG_CAPACITY,
+};
+use askel_events::{Event, EventInfo, FnListener, Listener, Payload, Trace, When, Where};
 use askel_sim::cost::{JitterCost, TableCost};
 use askel_sim::SimEngine;
-use askel_skeletons::{map, seq, Skel, TimeNs};
+use askel_skeletons::{map, seq, InstanceId, KindTag, MuscleId, MuscleRole, Skel, TimeNs};
 
 /// Counts this thread's heap allocations (the other test's thread shares
 /// the process).
@@ -121,6 +123,49 @@ fn a_steady_state_analysis_allocates_nothing() {
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(controller.analyses(), 230, "every forced analysis ran");
     assert_eq!(allocations, 0);
+}
+
+#[test]
+fn the_analysis_log_keeps_the_latest_records_and_then_stops_growing() {
+    // One running `seq` with a known duration: a one-activity graph.
+    let program = seq(|x: i64| x);
+    let node = program.node();
+    let config = ControllerConfig::new(TimeNs::from_secs(1_000_000), 4).manual_analysis(true);
+    let controller = AutonomicController::new(node.clone(), config, Arc::new(FnActuator(|_| {})));
+    let fe = MuscleId::new(node.id, MuscleRole::Execute);
+    controller.with_estimates(|table| table.init_duration(fe, TimeNs::from_secs(1)));
+    controller.on_event(
+        &mut Payload::None,
+        &Event {
+            node: node.id,
+            kind: KindTag::Seq,
+            when: When::Before,
+            wher: Where::Skeleton,
+            index: InstanceId(1),
+            trace: Trace::root(node.id, InstanceId(1), KindTag::Seq),
+            timestamp: TimeNs(0),
+            info: EventInfo::None,
+        },
+    );
+    let n = ANALYSIS_LOG_CAPACITY as u64;
+    for now in 0..3 * n {
+        controller.force_analyze(TimeNs(now));
+    }
+    assert_eq!(controller.analyses() as u64, 3 * n);
+    let log = controller.analysis_log();
+    assert!(
+        log.iter().map(|r| r.at.0).eq(2 * n..3 * n),
+        "the last {n} analyses, oldest first"
+    );
+    // Full, the log is a ring: nothing more from the allocator, ever.
+    let before = ALLOCATIONS.with(Cell::get);
+    for now in 3 * n..3 * n + 1_000 {
+        controller.force_analyze(TimeNs(now));
+    }
+    assert_eq!(ALLOCATIONS.with(Cell::get) - before, 0);
+    let log = controller.analysis_log();
+    assert_eq!(log.len() as u64, n);
+    assert_eq!(log.last().map(|r| r.at.0), Some(3 * n + 999));
 }
 
 /// Median over five samples of the wall time of 50 analyses, in ns.

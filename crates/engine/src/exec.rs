@@ -39,7 +39,7 @@ use askel_events::{
     Event, EventInfo, ListenerRegistry, ListenerSnapshot, Payload, Trace, When, Where,
 };
 use askel_pool::{ResizablePool, Task};
-use askel_skeletons::{Clock, Data, InstanceId, MuscleId, Node, Skel};
+use askel_skeletons::{Clock, Data, InstanceId, MuscleId, Node, Skel, TimeNs};
 
 use crate::error::EngineError;
 use crate::future::{pair, SkelFuture};
@@ -86,19 +86,31 @@ impl SubCtx {
 /// One task's handle on its submission: what the interpreter sees as the
 /// runtime. Each pool task owns one (the `Arc` bump a task always paid);
 /// inline steps borrow their caller's.
-struct ThreadRt(Arc<SubCtx>);
+struct ThreadRt {
+    ctx: Arc<SubCtx>,
+    /// The timestamp of the event this task raised last, while no `emit`
+    /// since has gone by without raising one (see [`ThreadRt::emit`]).
+    last_raised: Option<TimeNs>,
+}
 
 impl ThreadRt {
+    fn new(ctx: Arc<SubCtx>) -> Self {
+        ThreadRt {
+            ctx,
+            last_raised: None,
+        }
+    }
+
     /// Runs a step now: short-circuits if the submission is poisoned,
     /// poisons it if the body panics. The guard both inline execution
     /// and pool tasks run under — a step behaves identically wherever
     /// it executes.
     fn guarded(&mut self, f: impl FnOnce(&mut ThreadRt)) {
-        if self.0.failed.load(Ordering::SeqCst) {
+        if self.ctx.failed.load(Ordering::SeqCst) {
             return;
         }
-        if let Some(span) = &self.0.span {
-            span.note_start(&*self.0.clock);
+        if let Some(span) = &self.ctx.span {
+            span.note_start(&*self.ctx.clock);
         }
         self.caught(f);
     }
@@ -108,14 +120,14 @@ impl ThreadRt {
     /// first pickup stays the first *worker's*.
     fn caught(&mut self, f: impl FnOnce(&mut ThreadRt)) {
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(self))) {
-            self.0
+            self.ctx
                 .fail(EngineError::MusclePanic(panic_message(p.as_ref())));
         }
     }
 
     /// Wraps a step into a guarded pool task.
     fn task(&self, f: impl FnOnce(&mut ThreadRt) + Send + 'static) -> Task {
-        let mut rt = ThreadRt(Arc::clone(&self.0));
+        let mut rt = ThreadRt::new(Arc::clone(&self.ctx));
         Box::new(move || rt.guarded(f))
     }
 }
@@ -139,12 +151,20 @@ impl Runtime for ThreadRt {
     const METERED: bool = false;
 
     fn unobserved(&self) -> Option<Trace> {
-        match self.0.listeners {
+        match self.ctx.listeners {
             Some(_) => None,
-            None => Some(self.0.empty_trace.clone()),
+            None => Some(self.ctx.empty_trace.clone()),
         }
     }
 
+    /// Timestamps: every event reads the clock, except a
+    /// [`Where::NestedSkeleton`] one raised right after another event of
+    /// the same task, which carries that event's timestamp. The
+    /// interpreter raises a nesting event next to the `Skeleton`, `Split`
+    /// or `Condition` event that caused it with no muscle in between, so
+    /// the two are one instant — as they are on the simulator's virtual
+    /// clock — and a listener that keys on `(state, now)`, like the
+    /// controller's analysis memo, sees them as such.
     fn emit(
         &mut self,
         node: &Node,
@@ -155,7 +175,10 @@ impl Runtime for ThreadRt {
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) {
-        let ctx = &*self.0;
+        // Whatever returns early below raised nothing: the next nesting
+        // event may then follow a muscle, and reads the clock.
+        let last_raised = self.last_raised.take();
+        let ctx = &*self.ctx;
         let Some(taken) = &ctx.listeners else {
             return;
         };
@@ -180,6 +203,10 @@ impl Runtime for ThreadRt {
         if !listeners.interest().contains(when, wher) {
             return;
         }
+        let timestamp = match last_raised {
+            Some(at) if wher == Where::NestedSkeleton => at,
+            _ => ctx.clock.now(),
+        };
         let event = Event {
             node: node.id,
             kind: node.tag(),
@@ -187,10 +214,11 @@ impl Runtime for ThreadRt {
             wher,
             index,
             trace: trace.clone(),
-            timestamp: ctx.clock.now(),
+            timestamp,
             info,
         };
         listeners.dispatch(payload, &event);
+        self.last_raised = Some(timestamp);
     }
 
     /// [`Hint::Run`] executes the step **inline in the current task** when
@@ -211,7 +239,7 @@ impl Runtime for ThreadRt {
     ) {
         match hint {
             Hint::Run => {
-                if self.0.pool.on_worker_thread() {
+                if self.ctx.pool.on_worker_thread() {
                     let depth = INLINE_DEPTH.get();
                     if depth < MAX_INLINE_DEPTH {
                         INLINE_DEPTH.set(depth + 1);
@@ -220,9 +248,9 @@ impl Runtime for ThreadRt {
                         return;
                     }
                 }
-                self.0.pool.submit_next(self.task(step));
+                self.ctx.pool.submit_next(self.task(step));
             }
-            Hint::Submit => self.0.pool.submit(self.task(step)),
+            Hint::Submit => self.ctx.pool.submit(self.task(step)),
             Hint::Batch(batch) => batch.push(self.task(step)),
         }
     }
@@ -232,7 +260,7 @@ impl Runtime for ThreadRt {
     }
 
     fn flush(&mut self, batch: Vec<Task>) {
-        self.0.pool.submit_batch(batch);
+        self.ctx.pool.submit_batch(batch);
     }
 
     fn meter(&mut self, _muscle: MuscleId, _items: usize, _payload: &dyn Any) {}
@@ -242,7 +270,7 @@ impl Runtime for ThreadRt {
     }
 
     fn fail(&mut self, fault: Fault) {
-        self.0.fail(match fault {
+        self.ctx.fail(match fault {
             Fault::Eval(e) => EngineError::Eval(e),
             Fault::Internal(msg) => EngineError::Internal(msg),
         });
@@ -258,7 +286,7 @@ fn submission<R: Send + 'static>(
 ) -> (ThreadRt, SkelFuture<R>, BoxedCont<ThreadRt>) {
     let (future, promise) = pair::<R>();
     let fail_promise = promise.clone();
-    let rt = ThreadRt(Arc::new(SubCtx {
+    let rt = ThreadRt::new(Arc::new(SubCtx {
         pool: engine.pool.clone(),
         registry: Arc::clone(&engine.registry),
         clock: Arc::clone(&engine.clock),
@@ -269,8 +297,8 @@ fn submission<R: Send + 'static>(
         fail_fn: Box::new(move |e| fail_promise.fail(e)),
     }));
     let done = Box::new(move |rt: &mut ThreadRt, data: Data| {
-        if let Some(span) = &rt.0.span {
-            span.finish(&*rt.0.clock);
+        if let Some(span) = &rt.ctx.span {
+            span.finish(&*rt.ctx.clock);
         }
         match data.downcast::<R>() {
             Ok(r) => promise.fulfill(*r),

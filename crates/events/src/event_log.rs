@@ -1,10 +1,12 @@
-//! The trigger engine's append log: where `on_event` leaves an event for
-//! the next reader of trigger state to replay.
+//! An append log for listeners that keep state: where `on_event` leaves
+//! an event for whoever next reads or advances that state to replay.
 //!
-//! Events arrive on the muscles' threads, many per microsecond; trigger
-//! state is read at safe points, once per item. So the listener does not
-//! update state: it appends a 48-byte [`EventRecord`] to a log and
-//! returns, and whoever reads state next replays ("folds") the log first.
+//! Events arrive on the muscles' threads, many per microsecond; a
+//! listener's state is read far less often (the trigger engine's at safe
+//! points, once per item) or can be advanced by one thread on behalf of
+//! all (the controller's). So such a listener does not update state in
+//! `on_event`: it appends a 48-byte [`EventRecord`] to a log and returns,
+//! and whoever holds the state next replays ("folds") the log first.
 //!
 //! The log is sharded by thread, so that in the steady state two workers
 //! never write the same cache line: each live thread owns a small dense
@@ -19,14 +21,14 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-use askel_events::{EventRecord, When};
+use crate::event::{EventRecord, When};
 
 /// Shards per log. More live emitting threads than this share shards,
 /// which costs contention, not correctness.
-pub(crate) const SHARDS: usize = 8;
+pub const SHARDS: usize = 8;
 
 /// Records a shard holds before its next push must fold first.
-pub(crate) const SHARD_CAPACITY: usize = 256;
+pub const SHARD_CAPACITY: usize = 256;
 
 /// One thread's part of the log, on its own cache line.
 #[repr(align(64))]
@@ -35,7 +37,7 @@ struct Shard(Mutex<Vec<EventRecord>>);
 
 /// See the module docs.
 #[derive(Default)]
-pub(crate) struct EventLog {
+pub struct EventLog {
     shards: OnceLock<Box<[Shard; SHARDS]>>,
 }
 
@@ -44,11 +46,13 @@ impl EventLog {
     /// nothing appended — when that shard is at capacity: the caller
     /// folds the log and tries again, so no event is ever dropped and
     /// the log never grows past `SHARDS * SHARD_CAPACITY` records.
-    pub(crate) fn try_push(&self, record: EventRecord) -> bool {
+    pub fn try_push(&self, record: EventRecord) -> bool {
         self.try_push_to(thread_slot() % SHARDS, record)
     }
 
-    pub(crate) fn try_push_to(&self, shard: usize, record: EventRecord) -> bool {
+    /// [`try_push`](EventLog::try_push) to a named shard (`< SHARDS`):
+    /// tests deal one stream over several threads' shards with this.
+    pub fn try_push_to(&self, shard: usize, record: EventRecord) -> bool {
         let shards = self.shards.get_or_init(Default::default);
         let mut buf = shards[shard].0.lock();
         if buf.len() == SHARD_CAPACITY {
@@ -61,6 +65,16 @@ impl EventLog {
         true
     }
 
+    /// `true` when no shard holds a record. A folder calls this after
+    /// letting go of its state (see the controller's fold protocol): it
+    /// takes each shard's lock in turn, so a push it does not see
+    /// happened after the caller's last unlock.
+    pub fn is_empty(&self) -> bool {
+        self.shards
+            .get()
+            .is_none_or(|shards| shards.iter().all(|shard| shard.0.lock().is_empty()))
+    }
+
     /// Moves every logged record onto the end of `out`, in the order
     /// they must be replayed.
     ///
@@ -71,7 +85,7 @@ impl EventLog {
     /// timestamps put `Before` ahead of `After`, outer `Before` first and
     /// inner `After` first — an instance begins after its parent and
     /// ends before it — and otherwise keep shard order.
-    pub(crate) fn drain_into(&self, out: &mut Vec<EventRecord>) {
+    pub fn drain_into(&self, out: &mut Vec<EventRecord>) {
         let Some(shards) = self.shards.get() else {
             return;
         };
@@ -131,7 +145,7 @@ fn thread_slot() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use askel_events::{Event, EventInfo, Trace, Where};
+    use crate::{Event, EventInfo, Trace, Where};
     use askel_skeletons::{InstanceId, KindTag, NodeId, TimeNs};
 
     /// An event of instance `depth` of a chain `#1/#2/…`, at time `at`.
@@ -164,8 +178,14 @@ mod tests {
     fn an_untouched_log_holds_nothing_and_allocates_nothing() {
         let log = EventLog::default();
         assert!(log.shards.get().is_none());
+        assert!(log.is_empty());
         assert!(drained(&log).is_empty());
         assert!(log.shards.get().is_none());
+        // Held by any shard, a record shows; drained, it is gone.
+        assert!(log.try_push_to(SHARDS - 1, rec(1, When::Before, 1)));
+        assert!(!log.is_empty());
+        assert_eq!(drained(&log).len(), 1);
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -214,6 +234,22 @@ mod tests {
                 (1, When::After, 5),
                 (1, When::After, 7),
             ]
+        );
+    }
+
+    #[test]
+    fn a_childs_end_folds_before_its_parents_marker_for_it() {
+        // A threaded engine stamps the marker with the child's own
+        // timestamp; were the two ever logged by different threads, the
+        // child (the inner `After`) still comes first.
+        let log = EventLog::default();
+        let mut marker = rec(1, When::After, 5);
+        marker.wher = Where::NestedSkeleton;
+        log.try_push_to(0, marker);
+        log.try_push_to(1, rec(2, When::After, 5));
+        assert_eq!(
+            drained(&log),
+            vec![(2, When::After, 5), (1, When::After, 5)]
         );
     }
 

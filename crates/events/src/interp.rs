@@ -93,6 +93,14 @@ pub trait Runtime: Sized + 'static {
     fn unobserved(&self) -> Option<Trace>;
 
     /// Raises one event on the current thread at the current time.
+    ///
+    /// A [`Where::NestedSkeleton`] event is raised in the same step as,
+    /// and right after, the event that caused it — the child's `(After,
+    /// Skeleton)`, the parent's `(After, Split)` or `(After, Condition)`,
+    /// the previous child's marker — with no muscle in between, so both
+    /// must carry **the same timestamp**: a virtual clock gives that for
+    /// free, a real one reuses the previous event's reading instead of
+    /// taking another.
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &mut self,

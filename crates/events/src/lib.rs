@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod event_log;
 pub mod interp;
 pub mod listener;
 pub mod registry;
@@ -34,6 +35,7 @@ pub mod trace;
 pub mod util;
 
 pub use event::{Event, EventInfo, EventRecord, When, Where};
+pub use event_log::EventLog;
 pub use listener::{EventFilter, FnListener, Interest, Listener, Payload};
 pub use registry::{ListenerRegistry, ListenerSnapshot};
 pub use stream::{StreamRuntime, StreamTypes};

@@ -31,7 +31,8 @@
 //!
 //! Without a controller the monitor asks engines only for the event
 //! positions trigger engines read ([`TriggerEngine::INTEREST`]); with one
-//! it asks for everything, as the controller analyses every event.
+//! it also asks for the controller's ([`AutonomicController::INTEREST`],
+//! which adds the `(After, NestedSkeleton)` analysis points).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -166,7 +167,7 @@ impl Listener for ServeMonitor {
 
     fn interest(&self) -> Interest {
         match self.table.read().controller {
-            Some(_) => Interest::ALL,
+            Some(_) => TriggerEngine::INTEREST.union(AutonomicController::INTEREST),
             None => TriggerEngine::INTEREST,
         }
     }

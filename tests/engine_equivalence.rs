@@ -3,8 +3,9 @@
 //! generated skeleton ASTs over `i64` — and the one adaptive session must
 //! decide the same things whichever of the two runtimes executes it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -15,9 +16,9 @@ use askel_adapt::{
 };
 use askel_engine::Engine;
 use askel_events::{Event, FnListener, Listener, Payload, StreamRuntime, Where};
-use askel_sim::cost::ZeroCost;
+use askel_sim::cost::{TableCost, ZeroCost};
 use askel_sim::SimEngine;
-use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel};
+use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel, TimeNs};
 
 /// A generated program: the skeleton plus a description for shrinking
 /// diagnostics.
@@ -128,14 +129,52 @@ fn program_strategy() -> impl Strategy<Value = Program> {
     })
 }
 
+/// What a [`recorder`] keeps: every event, with the thread that raised it.
+type Recording = Arc<Mutex<Vec<(ThreadId, Event)>>>;
+
 /// A listener that keeps every event it is handed.
-fn recorder() -> (Arc<dyn Listener>, Arc<Mutex<Vec<Event>>>) {
-    let events = Arc::new(Mutex::new(Vec::new()));
+fn recorder() -> (Arc<dyn Listener>, Recording) {
+    let events = Recording::default();
     let sink = Arc::clone(&events);
     let listener = FnListener(move |_: &mut Payload<'_>, e: &Event| {
-        sink.lock().unwrap().push(e.clone());
+        let raised = (std::thread::current().id(), e.clone());
+        sink.lock().unwrap().push(raised);
     });
     (Arc::new(listener), events)
+}
+
+/// The engines' timestamp rule: a nesting marker is raised in the same
+/// step as, and right after, the event that caused it, and carries that
+/// event's timestamp. A thread runs one step at a time and no step
+/// begins with a marker, so "the event before it in its step" is the
+/// event its thread raised last. Returns how many markers were checked.
+fn markers_carry_their_predecessors_timestamp(
+    events: &[(ThreadId, Event)],
+) -> Result<usize, String> {
+    let mut last: HashMap<ThreadId, &Event> = HashMap::new();
+    let mut markers = 0;
+    for (thread, event) in events {
+        if event.wher == Where::NestedSkeleton {
+            let Some(previous) = last.get(thread) else {
+                return Err(format!(
+                    "{} begins a thread's events",
+                    event.paper_notation()
+                ));
+            };
+            if previous.timestamp != event.timestamp {
+                return Err(format!(
+                    "{} at {} follows {} at {}",
+                    event.paper_notation(),
+                    event.timestamp,
+                    previous.paper_notation(),
+                    previous.timestamp
+                ));
+            }
+            markers += 1;
+        }
+        last.insert(*thread, event);
+    }
+    Ok(markers)
 }
 
 /// One instance: trace node-id path, events in order, fan-out child markers.
@@ -147,9 +186,9 @@ type InstanceShape = (Vec<u64>, Vec<String>, Vec<String>);
 /// timestamps dropped). A fan-out's children run concurrently, so for
 /// `map`/`fork`/`d&C` instances the per-child `NestedSkeleton` markers
 /// are compared sorted by child, apart from the rest of the sequence.
-fn per_instance(events: &[Event]) -> Vec<InstanceShape> {
+fn per_instance(events: &[(ThreadId, Event)]) -> Vec<InstanceShape> {
     let mut instances: BTreeMap<u64, InstanceShape> = BTreeMap::new();
-    for e in events {
+    for (_, e) in events {
         let path = e.trace.entries().iter().map(|t| t.node.0).collect();
         let (_, ordered, markers) = instances
             .entry(e.index.0)
@@ -284,13 +323,19 @@ proptest! {
             .expect("engine failed");
         engine.shutdown();
 
+        // Muscles that take virtual time, so that equal timestamps mean
+        // something on the simulator too.
         let (listener, simulated) = recorder();
-        let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
+        let mut sim = SimEngine::new(2, Arc::new(TableCost::new(TimeNs::from_micros(3))));
         sim.registry().add_listener(listener);
         sim.run(&program.skel, input).expect("sim failed");
 
-        let threaded = per_instance(&threaded.lock().unwrap());
-        let simulated = per_instance(&simulated.lock().unwrap());
+        let (threaded, simulated) = (threaded.lock().unwrap(), simulated.lock().unwrap());
+        let markers = markers_carry_their_predecessors_timestamp(&threaded);
+        prop_assert_eq!(&markers, &markers_carry_their_predecessors_timestamp(&simulated));
+        prop_assert!(markers.is_ok(), "{:?}", markers);
+        let threaded = per_instance(&threaded);
+        let simulated = per_instance(&simulated);
         prop_assert!(!threaded.is_empty());
         prop_assert_eq!(threaded, simulated);
     }
