@@ -77,4 +77,6 @@ pub use rules::{
     RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
 };
 pub use session::{Adaptive, AdaptiveSession, AdaptiveSimSession, Reconfigurator, VersionedSkel};
-pub use trigger::{decision_log_to_chrome, AdaptRecord, PlannedRewrite, TriggerEngine};
+pub use trigger::{
+    decision_log_to_chrome, AdaptRecord, PlannedRewrite, TriggerEngine, DECISION_LOG_CAPACITY,
+};

@@ -22,9 +22,10 @@
 //! up is folded by the thread that found it full, so memory is bounded
 //! even when nobody reads. Every applied rewrite is recorded in an
 //! auditable decision log ([`AdaptRecord`]), symmetric to the controller's
-//! `AnalysisRecord`.
+//! `AnalysisRecord` and, like it, a ring of the most recent
+//! [`DECISION_LOG_CAPACITY`] records.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -60,6 +61,12 @@ pub struct AdaptRecord {
     pub forecast: Option<Forecast>,
 }
 
+/// How many [`AdaptRecord`]s a trigger engine keeps: the most recent this
+/// many. A standing veto logs one `suppressed by …` record per safe point
+/// for the life of the stream, and every completed item scans the log for
+/// the audit it closes, so the log must not grow with the stream.
+pub const DECISION_LOG_CAPACITY: usize = 1 << 10;
+
 /// A rewrite a rule requested at a safe point, awaiting arbitration and
 /// application.
 #[derive(Clone)]
@@ -93,7 +100,8 @@ struct TrigInner {
     /// Parallel to `rules`: `true` once a once-rule has fired.
     retired: Vec<bool>,
     enabled: bool,
-    log: Vec<AdaptRecord>,
+    /// The last [`DECISION_LOG_CAPACITY`] records, oldest first.
+    log: VecDeque<AdaptRecord>,
     safe_points: usize,
     evaluations: usize,
     /// Start timestamps of in-flight root submissions, keyed by instance
@@ -125,7 +133,7 @@ impl TriggerEngine {
                 rules: Vec::new(),
                 retired: Vec::new(),
                 enabled: true,
-                log: Vec::new(),
+                log: VecDeque::new(),
                 safe_points: 0,
                 evaluations: 0,
                 item_starts: HashMap::new(),
@@ -143,16 +151,11 @@ impl TriggerEngine {
         .without(Interest::at(Where::NestedSkeleton))
         .without(Interest::at(Where::Reconfigured));
 
-    /// Locks the state with every logged event folded in. Lock order:
-    /// state, then log shards.
+    /// Locks the state with every logged event folded in.
     fn current(&self) -> parking_lot::MutexGuard<'_, TrigInner> {
         let mut inner = self.inner.lock();
-        let mut records = std::mem::take(&mut inner.fold_buf);
-        self.log.drain_into(&mut records);
-        for record in records.drain(..) {
-            inner.apply(record);
-        }
-        inner.fold_buf = records;
+        self.log
+            .fold(&mut *inner, |state| &mut state.fold_buf, TrigInner::apply);
         inner
     }
 
@@ -320,11 +323,16 @@ impl TriggerEngine {
         }
     }
 
-    /// Appends one applied rewrite to the decision log.
+    /// Appends one applied rewrite to the decision log, dropping the
+    /// oldest record once [`DECISION_LOG_CAPACITY`] are held.
     pub fn record(&self, record: AdaptRecord) {
         // Folded first: items that completed before this rewrite must not
         // find it in the log when their realized WCT looks for an audit.
-        self.current().log.push(record);
+        let mut inner = self.current();
+        if inner.log.len() == DECISION_LOG_CAPACITY {
+            inner.log.pop_front();
+        }
+        inner.log.push_back(record);
     }
 
     /// Drops every estimator entry (durations, cardinalities, group
@@ -353,9 +361,10 @@ impl TriggerEngine {
         }
     }
 
-    /// The decision log: every applied rewrite, in order.
+    /// The decision log: the most recent [`DECISION_LOG_CAPACITY`]
+    /// records, oldest first.
     pub fn decision_log(&self) -> Vec<AdaptRecord> {
-        self.current().log.clone()
+        self.current().log.iter().cloned().collect()
     }
 
     /// How many safe points have been evaluated.
@@ -402,19 +411,9 @@ pub fn decision_log_to_chrome(log: &[AdaptRecord], trace: &mut askel_obs::Chrome
 }
 
 impl Listener for TriggerEngine {
-    /// Logs the event for the next fold; see the module docs. Below log
-    /// capacity this takes one lock no other thread is waiting for and
-    /// allocates nothing (after the thread's first event).
+    /// Logs the event for the next fold; see the module docs.
     fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
-        // A registry never delivers these; a direct caller (the serve
-        // monitor's routing, a test) might.
-        if !Self::INTEREST.contains(event.when, event.wher) {
-            return;
-        }
-        let record = EventRecord::from(event);
-        while !self.log.try_push(record) {
-            drop(self.current());
-        }
+        self.log.log(event, Self::INTEREST, || drop(self.current()));
     }
 
     fn interest(&self) -> Interest {

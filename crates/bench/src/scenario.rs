@@ -58,9 +58,6 @@ pub struct ScenarioParams {
     /// Decrease cooldown ("does not reduce the LP as fast as it
     /// increases it").
     pub decrease_cooldown: TimeNs,
-    /// Minimum spacing between controller analyses (keeps same-instant
-    /// event bursts from ramping the LP several times at once).
-    pub min_analysis_interval: TimeNs,
     /// Raise headroom (the paper's controller over-provisions; see
     /// [`askel_core::ControllerConfig::raise_headroom`]).
     pub raise_headroom: f64,
@@ -88,7 +85,6 @@ impl Default for ScenarioParams {
             max_lp: 24,
             initial_lp: 1,
             decrease_cooldown: TimeNs::from_millis(1_000),
-            min_analysis_interval: TimeNs::ZERO,
             raise_headroom: 2.0,
             decrease_safety: 0.1,
             raise_policy: askel_core::RaisePolicy::Unbounded,
@@ -253,7 +249,6 @@ impl PaperScenarios {
         let mut config = ControllerConfig::new(goal, self.params.max_lp)
             .initial_lp(self.params.initial_lp)
             .decrease_cooldown(self.params.decrease_cooldown)
-            .min_analysis_interval(self.params.min_analysis_interval)
             .raise_headroom(self.params.raise_headroom)
             .decrease_safety(self.params.decrease_safety)
             .raise(self.params.raise_policy);

@@ -47,7 +47,8 @@
 //! not goes back to its muscle — its event is in the log and the holder
 //! looks at the log once more after letting go, so no event waits for the
 //! next one. Every accessor folds first, so what it returns reflects every
-//! event raised before the call. Lock order: state, then log shards.
+//! event raised before the call. Logging, folding and their lock order
+//! are [`askel_events::event_log`]'s.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -143,9 +144,6 @@ pub struct ControllerConfig {
     /// Minimum time between two *decreases* ("Skandium does not reduce
     /// the LP as fast as it increases it", §4/§5).
     pub decrease_cooldown: TimeNs,
-    /// Minimum virtual/real time between two analyses (0 = analyze on
-    /// every `After` event).
-    pub min_analysis_interval: TimeNs,
     /// When `true`, events only feed the state machines; analyses run
     /// exclusively through
     /// [`AutonomicController::force_analyze`] (snapshot studies, benches).
@@ -159,7 +157,7 @@ pub struct ControllerConfig {
 
 impl ControllerConfig {
     /// A config with the paper's defaults: `min_lp` 1, ρ 0.5, initial LP 1,
-    /// halving decrease, no analysis throttling.
+    /// halving decrease.
     pub fn new(wct_goal: TimeNs, max_lp: usize) -> Self {
         ControllerConfig {
             wct_goal,
@@ -172,7 +170,6 @@ impl ControllerConfig {
             raise_headroom: 1.0,
             decrease_safety: 0.0,
             decrease_cooldown: TimeNs::ZERO,
-            min_analysis_interval: TimeNs::ZERO,
             manual_analysis: false,
             aliases: Vec::new(),
         }
@@ -193,12 +190,6 @@ impl ControllerConfig {
     /// Sets the decrease policy.
     pub fn decrease(mut self, policy: DecreasePolicy) -> Self {
         self.decrease = policy;
-        self
-    }
-
-    /// Sets the analysis throttle.
-    pub fn min_analysis_interval(mut self, interval: TimeNs) -> Self {
-        self.min_analysis_interval = interval;
         self
     }
 
@@ -307,7 +298,6 @@ struct Inner {
     scheduler: Scheduler,
     current_lp: usize,
     deadline: Option<TimeNs>,
-    last_analysis: Option<TimeNs>,
     last_decrease: Option<TimeNs>,
     decisions: Vec<Decision>,
     /// The last [`ANALYSIS_LOG_CAPACITY`] analyses, oldest first.
@@ -361,7 +351,6 @@ impl AutonomicController {
                 scheduler: Scheduler::default(),
                 current_lp: initial_lp,
                 deadline: None,
-                last_analysis: None,
                 last_decrease: None,
                 decisions: Vec::new(),
                 analysis_log: VecDeque::new(),
@@ -393,12 +382,11 @@ impl AutonomicController {
 
     /// Replays the logged events, in order, analysing after each `After`.
     fn fold(&self, inner: &mut Inner) {
-        let mut records = std::mem::take(&mut inner.fold_buf);
-        self.log.drain_into(&mut records);
-        for record in records.drain(..) {
-            self.replay(inner, record);
-        }
-        inner.fold_buf = records;
+        self.log.fold(
+            inner,
+            |state| &mut state.fold_buf,
+            |state, record| self.replay(state, record),
+        );
     }
 
     fn replay(&self, inner: &mut Inner, event: EventRecord) {
@@ -523,15 +511,6 @@ impl AutonomicController {
         let Some(deadline) = inner.deadline else {
             return;
         };
-        if !forced {
-            if let Some(last) = inner.last_analysis {
-                if self.config.min_analysis_interval > TimeNs::ZERO
-                    && now < last + self.config.min_analysis_interval
-                {
-                    return;
-                }
-            }
-        }
         let inputs = AnalysisInputs {
             revision: inner.tracker.revision(),
             lp: inner.current_lp,
@@ -559,7 +538,6 @@ impl AutonomicController {
         if !inner.workspace.refresh(inner.tracker.estimates()) {
             return;
         }
-        inner.last_analysis = Some(now);
         inner.analyses += 1;
 
         let adg = inner.workspace.build_refreshed(&inner.tracker);
@@ -712,15 +690,8 @@ impl Listener for AutonomicController {
     /// Logs the event; an `After` event then folds the log if nobody else
     /// is doing so. See *Who runs it* in the module docs.
     fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
-        // A registry never delivers these; a direct caller might.
-        if !Self::INTEREST.contains(event.when, event.wher) {
-            return;
-        }
-        let record = EventRecord::from(event);
-        while !self.log.try_push(record) {
-            drop(self.current());
-        }
-        if event.when != When::After {
+        let logged = self.log.log(event, Self::INTEREST, || drop(self.current()));
+        if !logged || event.when != When::After {
             return;
         }
         while let Some(mut inner) = self.inner.try_lock() {

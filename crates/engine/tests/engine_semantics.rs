@@ -407,3 +407,42 @@ fn deep_while_loop_does_not_blow_the_stack() {
     assert_eq!(get(&engine, &program, 0), 20_000);
     engine.shutdown();
 }
+
+/// Nobody asked for the pool timeline, so a default engine keeps none:
+/// no sample per task, while the counters the pool's accounting stands on
+/// run regardless. Asking brings the samples and the timeline back.
+#[test]
+fn a_default_engine_retains_no_timeline_until_asked() {
+    let engine = Engine::new(2);
+    let telemetry = engine.pool().telemetry();
+    let program = map(
+        |x: i64| vec![x, x + 1],
+        seq(|x: i64| x * 2),
+        |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
+    );
+    let run = |items: i64| {
+        let futures: Vec<_> = (0..items).map(|i| engine.submit(&program, i)).collect();
+        for (i, f) in futures.into_iter().enumerate() {
+            let got = f.get_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            assert_eq!(got, 4 * i as i64 + 2);
+        }
+        engine.pool().wait_idle();
+    };
+
+    run(1_000);
+    assert!(telemetry.samples().is_empty(), "nobody switched it on");
+    assert_eq!(telemetry.active_timeline().len(), 1, "the origin only");
+    let finished = telemetry.tasks_finished();
+    assert!(finished >= 1_000, "every item ran at least one task");
+    assert_eq!(telemetry.tasks_started(), finished);
+    assert!((1..=2).contains(&telemetry.peak_active()));
+
+    telemetry.set_recording(true);
+    run(10);
+    // Joins the workers: a task's end sample follows its counter.
+    engine.shutdown();
+    let tasks = telemetry.tasks_finished() - finished;
+    assert_eq!(telemetry.samples().len(), 2 * tasks, "a start and an end");
+    let timeline = telemetry.active_timeline();
+    assert!(timeline.len() > 1 && timeline.iter().all(|p| p.active <= 2));
+}

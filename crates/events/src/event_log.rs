@@ -7,6 +7,13 @@
 //! all (the controller's). So such a listener does not update state in
 //! `on_event`: it appends a 48-byte [`EventRecord`] to a log and returns,
 //! and whoever holds the state next replays ("folds") the log first.
+//! Both halves are written here once — [`EventLog::log`] for `on_event`,
+//! [`EventLog::fold`] for whoever holds the state — and a listener keeps
+//! only what differs: when it folds, and what applying a record means.
+//! Lock order, for every listener: its own state, then the log's shards.
+//! `fold` is therefore called with the state locked, and the `make_room`
+//! a listener hands to `log` locks the state to fold — so `on_event` must
+//! never run under that lock.
 //!
 //! The log is sharded by thread, so that in the steady state two workers
 //! never write the same cache line: each live thread owns a small dense
@@ -21,7 +28,8 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-use crate::event::{EventRecord, When};
+use crate::event::{Event, EventRecord, When};
+use crate::listener::Interest;
 
 /// Shards per log. More live emitting threads than this share shards,
 /// which costs contention, not correctness.
@@ -42,6 +50,43 @@ pub struct EventLog {
 }
 
 impl EventLog {
+    /// `on_event`'s half: appends `event` if `interest` holds its
+    /// position (a registry filters by interest already; a direct caller
+    /// might not) and says whether it did. A full shard calls
+    /// `make_room`, which must [`fold`](EventLog::fold) this log, and
+    /// tries again. Below capacity this takes one lock no other thread
+    /// is waiting for and allocates nothing (after the thread's first
+    /// event).
+    pub fn log(&self, event: &Event, interest: Interest, mut make_room: impl FnMut()) -> bool {
+        if !interest.contains(event.when, event.wher) {
+            return false;
+        }
+        let record = EventRecord::from(event);
+        while !self.try_push(record) {
+            make_room();
+        }
+        true
+    }
+
+    /// The state holder's half, called with `state` locked: takes the
+    /// buffer `buf` finds in it (empty between folds, kept for its
+    /// capacity), gathers every logged record there, hands them to
+    /// `apply` in replay order (see [`drain_into`](EventLog::drain_into))
+    /// and puts the buffer back.
+    pub fn fold<S>(
+        &self,
+        state: &mut S,
+        buf: impl Fn(&mut S) -> &mut Vec<EventRecord>,
+        mut apply: impl FnMut(&mut S, EventRecord),
+    ) {
+        let mut records = std::mem::take(buf(state));
+        self.drain_into(&mut records);
+        for record in records.drain(..) {
+            apply(state, record);
+        }
+        *buf(state) = records;
+    }
+
     /// Appends `record` to the calling thread's shard; `false` — and
     /// nothing appended — when that shard is at capacity: the caller
     /// folds the log and tries again, so no event is ever dropped and

@@ -143,9 +143,8 @@ pub trait Listener: Send + Sync {
     /// engine skips — before reading the clock or building the event —
     /// every position no registered listener wants. Events outside the
     /// set are never delivered through a registry. The registry reads
-    /// this when the listener is registered; a listener whose answer
-    /// changes later must call
-    /// [`ListenerRegistry::refresh`](crate::ListenerRegistry::refresh).
+    /// this once, when the listener is registered: the answer must not
+    /// depend on state that changes afterwards.
     fn interest(&self) -> Interest {
         Interest::ALL
     }

@@ -91,7 +91,8 @@ pub struct ListenerRegistry {
     /// the steady state.
     generation: AtomicU64,
     // Cached count so engines can skip event construction entirely when
-    // nobody listens (the common fast path measured by overhead_events).
+    // nobody listens (the base of the ladder's
+    // `events.noop_listener_delta_ns`).
     count: AtomicUsize,
 }
 
@@ -134,15 +135,6 @@ impl ListenerRegistry {
         })
     }
 
-    /// Re-reads every registered listener's [`Listener::interest`].
-    pub fn refresh(&self) {
-        self.replace(|entries| {
-            for e in entries.iter_mut() {
-                *e = Entry::new(e.filter, Arc::clone(&e.listener));
-            }
-        });
-    }
-
     /// Publishes an edited copy of the entries as the next generation.
     fn replace<T>(&self, edit: impl FnOnce(&mut Vec<Entry>) -> T) -> T {
         let mut current = self.current.write();
@@ -178,7 +170,7 @@ impl ListenerRegistry {
         Some(Arc::clone(&self.current.read()))
     }
 
-    /// Moves whenever a listener is added, removed or refreshed.
+    /// Moves whenever a listener is added or removed.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }

@@ -49,8 +49,10 @@
 //! The pool keeps an exact count of queued tasks across the injector
 //! *and* every worker deque, so [`ResizablePool::queued_tasks`] and
 //! [`ResizablePool::wait_idle`] cannot miss work resident in a local
-//! deque. [`PoolTelemetry`] records a timestamped timeline of active-task
-//! counts and target changes; the figure benches plot it directly.
+//! deque. [`PoolTelemetry`] carries those counters and, once
+//! [`set_recording(true)`](PoolTelemetry::set_recording) asks for it, a
+//! timestamped timeline of active-task counts and target changes (the
+//! simulator always records one; the figure benches plot it directly).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -482,7 +484,7 @@ impl ResizablePool {
         if target != coord.target {
             self.inner
                 .telemetry
-                .record_target(self.inner.clock.now(), target);
+                .record_target(self.inner.sample_time(), target);
         }
         let shrinking = target < coord.target;
         coord.target = target;

@@ -1,9 +1,10 @@
 //! Pool telemetry: the "Number of Active Threads vs Wall Clock Time" data
 //! behind Figures 5–7 of the paper.
 //!
-//! Recording is lock-free for the hot counters and takes a short mutex only
-//! to append timeline samples; it can be switched off entirely for the
-//! overhead benches.
+//! The hot counters are lock-free and always run. The timeline is opt-in
+//! ([`PoolTelemetry::set_recording`]): while nobody asked for it the pool
+//! reads no clock and retains nothing per task; once on, each sample takes
+//! a short mutex to append.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -85,14 +86,15 @@ pub struct PoolTelemetry {
 }
 
 impl PoolTelemetry {
-    /// Fresh telemetry with timeline recording enabled.
+    /// Fresh telemetry: counters at zero, timeline not recording.
     pub fn new() -> Self {
-        let t = PoolTelemetry::default();
-        t.recording.store(true, Ordering::Relaxed);
-        t
+        PoolTelemetry::default()
     }
 
-    /// Enables or disables timeline sample recording (counters always run).
+    /// Enables or disables timeline sample recording (counters always
+    /// run). Off until a reader of [`samples`](Self::samples) or the
+    /// timelines switches it on: two samples per task, kept until
+    /// [`reset_timeline`](Self::reset_timeline).
     pub fn set_recording(&self, on: bool) {
         self.recording.store(on, Ordering::Relaxed);
     }
@@ -276,6 +278,12 @@ pub fn telemetry_to_chrome(samples: &[TelemetrySample], trace: &mut askel_obs::C
 mod tests {
     use super::*;
 
+    fn recording() -> PoolTelemetry {
+        let t = PoolTelemetry::new();
+        t.set_recording(true);
+        t
+    }
+
     #[test]
     fn counters_track_start_end() {
         let t = PoolTelemetry::new();
@@ -292,7 +300,7 @@ mod tests {
 
     #[test]
     fn timeline_is_a_step_function() {
-        let t = PoolTelemetry::new();
+        let t = recording();
         t.record_task_start(TimeNs(10));
         t.record_target(TimeNs(15), 4);
         t.record_task_start(TimeNs(20));
@@ -335,7 +343,7 @@ mod tests {
 
     #[test]
     fn same_instant_samples_collapse() {
-        let t = PoolTelemetry::new();
+        let t = recording();
         t.record_task_start(TimeNs(10));
         t.record_task_end(TimeNs(10), false);
         let tl = t.active_timeline();
@@ -357,17 +365,23 @@ mod tests {
     #[test]
     fn recording_can_be_disabled() {
         let t = PoolTelemetry::new();
-        t.set_recording(false);
+        assert!(!t.is_recording() && !PoolTelemetry::default().is_recording());
+        t.record_target(TimeNs(5), 2);
         t.record_task_start(TimeNs(10));
-        t.record_task_end(TimeNs(20), false);
         assert!(t.samples().is_empty());
-        // Counters still work.
-        assert_eq!(t.tasks_started(), 1);
+        t.set_recording(true);
+        t.record_task_end(TimeNs(20), false);
+        assert_eq!(t.samples().len(), 1);
+        t.set_recording(false);
+        t.record_task_start(TimeNs(30));
+        assert_eq!(t.samples().len(), 1);
+        // Counters run either way.
+        assert_eq!((t.tasks_started(), t.tasks_finished()), (2, 1));
     }
 
     #[test]
     fn reset_preserves_inflight_active() {
-        let t = PoolTelemetry::new();
+        let t = recording();
         t.record_task_start(TimeNs(10));
         t.reset_timeline();
         assert!(t.samples().is_empty());
@@ -387,7 +401,7 @@ mod tests {
     fn samples_render_as_chrome_counter_tracks() {
         use askel_obs::Json;
 
-        let t = PoolTelemetry::new();
+        let t = recording();
         t.record_task_start(TimeNs(10_000));
         t.record_target(TimeNs(15_000), 4);
         t.record_task_end(TimeNs(20_000), true);

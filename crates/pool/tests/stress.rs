@@ -64,7 +64,6 @@ fn no_task_lost_or_doubled_under_target_oscillation() {
     const TOTAL: usize = SUBMITTERS * PARENTS_PER_SUBMITTER * (1 + CHILDREN_PER_PARENT);
 
     let pool = ResizablePool::new(2);
-    pool.telemetry().set_recording(false);
     let ledger = Ledger::new(TOTAL);
 
     let mut threads = Vec::new();
@@ -154,7 +153,6 @@ fn wait_idle_accounts_for_worker_local_deques() {
 fn retiring_worker_drains_its_deque() {
     for _ in 0..20 {
         let pool = ResizablePool::new(1);
-        pool.telemetry().set_recording(false);
         let ledger = Ledger::new(9);
         let p2 = pool.clone();
         let l2 = Arc::clone(&ledger);
@@ -287,7 +285,6 @@ fn slot_chains_survive_target_oscillation() {
     const CHAINS: usize = 4;
     const LINKS: usize = 25;
     let pool = ResizablePool::new(2);
-    pool.telemetry().set_recording(false);
     let ledger = Ledger::new(CHAINS * LINKS);
     for c in 0..CHAINS {
         let base = c * LINKS;
@@ -324,7 +321,6 @@ fn slot_chains_survive_target_oscillation() {
 #[test]
 fn no_wakeup_lost_when_submit_races_the_sleep_path() {
     let pool = ResizablePool::new(3);
-    pool.telemetry().set_recording(false);
     let (tx, rx) = std::sync::mpsc::channel();
     const ROUNDS: usize = 300;
     const PER_ROUND: usize = 8;
@@ -391,7 +387,6 @@ proptest! {
             })
             .sum();
         let pool = ResizablePool::new(initial);
-        pool.telemetry().set_recording(false);
         let ledger = Ledger::new(total);
         let mut next_id = 0;
         for op in &ops {

@@ -1,31 +1,9 @@
 //! Admission control: per-tenant quotas, shared-pool backpressure, and
 //! latency-aware cost pricing.
 //!
-//! The registry admits each fed item through four gates, in order:
-//!
-//! 1. **In-flight quota** — a tenant may hold at most
-//!    [`max_in_flight`](AdmissionPolicy::max_in_flight) items on the
-//!    shared pool. Beyond it, items queue in the tenant's backlog.
-//! 2. **Pool backpressure** — when
-//!    [`max_pool_queue`](AdmissionPolicy::max_pool_queue) is set and the
-//!    shared pool already holds that many queued tasks
-//!    (`ResizablePool::queue_depth_hint`, sampled **once per ingress
-//!    call**, not per item), new items queue regardless of per-tenant
-//!    room: one tenant's burst must not bury everyone's latency.
-//! 3. **Latency pricing** — when
-//!    [`max_queue_cost`](AdmissionPolicy::max_queue_cost) is set, an
-//!    item submits only while `pool queue depth × the tenant's
-//!    estimated per-item cost` stays under the bound. The cost comes
-//!    from the structure-keyed
-//!    [`SharedEstimators`](crate::SharedEstimators) pool
-//!    ([`estimated_cost`](crate::SharedEstimators::estimated_cost)), so
-//!    a *cheap* tenant keeps submitting into a queue that an
-//!    *expensive* tenant must stop feeding — static quotas alone would
-//!    shed both. Tenants whose structure has no pooled history are not
-//!    priced: the gate degrades to the static quotas above.
-//! 4. **Backlog bound** — a tenant queues at most
-//!    [`max_backlog`](AdmissionPolicy::max_backlog) items; beyond that,
-//!    feeds are [`Rejected`](Admission::Rejected) (load shedding).
+//! The registry admits each fed item through the four gates
+//! [`AdmissionPolicy`] describes — in-flight quota, pool backpressure,
+//! latency pricing, backlog bound — evaluated in that order.
 //!
 //! Queued items are dispatched by
 //! [`ServeRegistry::drain_cycle`](crate::ServeRegistry::drain_cycle),
@@ -44,18 +22,25 @@
 ///    [`max_in_flight`](AdmissionPolicy::max_in_flight) items on the
 ///    shared pool. Beyond it, items queue in the tenant's backlog.
 /// 2. **Pool backpressure** — when
-///    [`max_pool_queue`](AdmissionPolicy::max_pool_queue) is set and
-///    the shared pool already holds that many queued tasks, new items
-///    queue regardless of per-tenant room.
+///    [`max_pool_queue`](AdmissionPolicy::max_pool_queue) is set and the
+///    shared pool already holds that many queued tasks
+///    (`ResizablePool::queue_depth_hint`, sampled **once per ingress
+///    call**, not per item), new items queue regardless of per-tenant
+///    room: one tenant's burst must not bury everyone's latency.
 /// 3. **Latency pricing** — when
-///    [`max_queue_cost`](AdmissionPolicy::max_queue_cost) is set and
-///    the tenant's structure has pooled cost history, items queue while
-///    `queue depth × estimated per-item cost (ns)` exceeds the bound;
-///    unpriced tenants fall back to the static gates.
+///    [`max_queue_cost`](AdmissionPolicy::max_queue_cost) is set, an
+///    item submits only while `pool queue depth × the tenant's
+///    estimated per-item cost (ns)` stays under the bound. The cost
+///    comes from the structure-keyed
+///    [`SharedEstimators`](crate::SharedEstimators) pool
+///    ([`estimated_cost`](crate::SharedEstimators::estimated_cost)), so
+///    a *cheap* tenant keeps submitting into a queue that an
+///    *expensive* tenant must stop feeding — static quotas alone would
+///    shed both. Tenants whose structure has no pooled history are not
+///    priced: the gate degrades to the static quotas above.
 /// 4. **Backlog bound** — a tenant queues at most
-///    [`max_backlog`](AdmissionPolicy::max_backlog) items; beyond
-///    that, feeds are [`Rejected`](Admission::Rejected) (load
-///    shedding).
+///    [`max_backlog`](AdmissionPolicy::max_backlog) items; beyond that,
+///    feeds are [`Rejected`](Admission::Rejected) (load shedding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Items one tenant may have in flight on the shared pool at once.

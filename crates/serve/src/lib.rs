@@ -23,9 +23,7 @@
 //!   metrics hub, one monitor, and one cross-shard estimator pool.
 //! * **A multiplexed autonomic loop**: one registered listener
 //!   ([`ServeMonitor`]) routes events to the owning tenants' trigger
-//!   engines (and one shared
-//!   [`AutonomicController`](askel_core::AutonomicController), when
-//!   attached), and [`SharedEstimators`] pools estimator history across
+//!   engines, and [`SharedEstimators`] pools estimator history across
 //!   tenants by **skeleton structure**
 //!   ([`Skel::structure_key`](askel_skeletons::Skel::structure_key)):
 //!   tenant N's observations warm tenant N+1's forecast gates when —

@@ -6,9 +6,10 @@
 //! [`ServeMonitor`] inverts that: it is the **single** listener the
 //! registry installs, and it routes each event to the trigger engines of
 //! the tenants whose tree contains the event's node (an O(1) map
-//! lookup). A shared [`AutonomicController`] — the self-optimization
-//! half of the multiplexed loop — receives every event, exactly as if it
-//! were registered directly.
+//! lookup). There is no slot for a shared `AutonomicController`: a
+//! controller analyses one AST against one WCT goal, so it belongs to a
+//! session (`Adaptive::sync_controller`), not to a front that carries
+//! every tenant's events.
 //!
 //! Routing is by `NodeId`, so tenants running *the same* `Skel` clone
 //! (shared identity) both receive events for their shared nodes — the
@@ -25,22 +26,20 @@
 //! drain on another shard. The shard tag is bookkeeping for
 //! diagnostics ([`shard_routes`](ServeMonitor::shard_routes)) and route
 //! audits; delivery itself stays a flat `NodeId` lookup: one read lock,
-//! under which the node's owner list (an `Arc<[Route]>`) and the
-//! controller are cloned by reference count — no allocation, and no
-//! callback under the lock.
+//! under which the node's owner list (an `Arc<[Route]>`) is cloned by
+//! reference count — no allocation, and no callback under the lock.
 //!
-//! Without a controller the monitor asks engines only for the event
-//! positions trigger engines read ([`TriggerEngine::INTEREST`]); with one
-//! it also asks for the controller's ([`AutonomicController::INTEREST`],
-//! which adds the `(After, NestedSkeleton)` analysis points).
+//! The monitor asks engines only for the event positions trigger engines
+//! read ([`TriggerEngine::INTEREST`]).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use askel_adapt::TriggerEngine;
-use askel_core::AutonomicController;
+use askel_engine::Engine;
 use askel_events::{Event, Interest, Listener, Payload};
 use askel_skeletons::{Node, NodeId};
 
@@ -57,15 +56,11 @@ struct Route {
 /// [`ShardedServe`](crate::ShardedServe).
 #[derive(Default)]
 pub struct ServeMonitor {
-    table: RwLock<Table>,
-}
-
-#[derive(Default)]
-struct Table {
     /// Owner lists are immutable and replaced whole, so delivery can take
     /// one by reference count.
-    routes: HashMap<NodeId, Arc<[Route]>>,
-    controller: Option<Arc<AutonomicController>>,
+    routes: RwLock<HashMap<NodeId, Arc<[Route]>>>,
+    /// Whether the monitor is an engine listener yet.
+    installed: AtomicBool,
 }
 
 impl ServeMonitor {
@@ -73,11 +68,12 @@ impl ServeMonitor {
         Arc::new(ServeMonitor::default())
     }
 
-    /// Installs (or replaces) the shared WCT controller fed every event.
-    /// This widens [`interest`](Listener::interest): a caller that has
-    /// already registered the monitor must `refresh` that registry.
-    pub(crate) fn set_controller(&self, controller: Arc<AutonomicController>) {
-        self.table.write().controller = Some(controller);
+    /// Registers the monitor as `engine`'s listener, once — whichever
+    /// shard's first adaptive tenant gets here first.
+    pub(crate) fn install(self: &Arc<Self>, engine: &Engine) {
+        if !self.installed.swap(true, Ordering::SeqCst) {
+            engine.registry().add_listener(Arc::clone(self) as _);
+        }
     }
 
     /// Routes every node of `root`'s tree to `tenant`'s trigger engine
@@ -91,9 +87,9 @@ impl ServeMonitor {
         root: &Arc<Node>,
     ) -> Vec<NodeId> {
         let nodes: Vec<NodeId> = root.collect_nodes().iter().map(|n| n.id).collect();
-        let mut table = self.table.write();
+        let mut routes = self.routes.write();
         for &id in &nodes {
-            let owners = table.routes.entry(id).or_insert_with(|| Arc::from([]));
+            let owners = routes.entry(id).or_insert_with(|| Arc::from([]));
             if !owners.iter().any(|r| r.tenant == tenant) {
                 let route = Route {
                     tenant,
@@ -108,9 +104,9 @@ impl ServeMonitor {
 
     /// Removes `tenant`'s routes for `ids`.
     pub(crate) fn unroute(&self, tenant: u64, ids: &[NodeId]) {
-        let mut table = self.table.write();
+        let mut routes = self.routes.write();
         for id in ids {
-            if let Some(owners) = table.routes.get_mut(id) {
+            if let Some(owners) = routes.get_mut(id) {
                 if owners.iter().any(|r| r.tenant == tenant) {
                     *owners = owners
                         .iter()
@@ -119,7 +115,7 @@ impl ServeMonitor {
                         .collect();
                 }
                 if owners.is_empty() {
-                    table.routes.remove(id);
+                    routes.remove(id);
                 }
             }
         }
@@ -128,16 +124,15 @@ impl ServeMonitor {
     /// How many node ids currently have at least one route (tests,
     /// diagnostics).
     pub fn routed_nodes(&self) -> usize {
-        self.table.read().routes.len()
+        self.routes.read().len()
     }
 
     /// How many `(node, tenant)` routes belong to `shard` (tests,
     /// diagnostics — e.g. auditing that a detached shard left nothing
     /// behind).
     pub fn shard_routes(&self, shard: u32) -> usize {
-        self.table
+        self.routes
             .read()
-            .routes
             .values()
             .map(|owners| owners.iter().filter(|r| r.shard == shard).count())
             .sum()
@@ -146,29 +141,17 @@ impl ServeMonitor {
 
 impl Listener for ServeMonitor {
     fn on_event(&self, payload: &mut Payload<'_>, event: &Event) {
-        // Take the controller and the owners under the read lock, deliver
-        // outside it: a callback must never run while the table is
-        // locked (a rewrite on another thread may be re-routing), and
-        // delivery must never wait on a shard's registry lock.
-        let (controller, owners) = {
-            let table = self.table.read();
-            (
-                table.controller.clone(),
-                table.routes.get(&event.node).cloned(),
-            )
-        };
-        if let Some(controller) = controller {
-            controller.on_event(payload, event);
-        }
+        // Take the owners under the read lock, deliver outside it: a
+        // callback must never run while the table is locked (a rewrite
+        // on another thread may be re-routing), and delivery must never
+        // wait on a shard's registry lock.
+        let owners = self.routes.read().get(&event.node).cloned();
         for route in owners.iter().flat_map(|owners| owners.iter()) {
             route.trigger.on_event(payload, event);
         }
     }
 
     fn interest(&self) -> Interest {
-        match self.table.read().controller {
-            Some(_) => TriggerEngine::INTEREST.union(AutonomicController::INTEREST),
-            None => TriggerEngine::INTEREST,
-        }
+        TriggerEngine::INTEREST
     }
 }

@@ -4,9 +4,8 @@
 //! per-tenant [`AdaptiveSession`]s over it. Each tenant keeps its own
 //! trigger engine, safe-point arbitration and rewrite history — the
 //! per-tenant half of the MAPE loop stays fully independent — while the
-//! monitor ([`crate::ServeMonitor`]), the optional shared
-//! [`AutonomicController`] and the [`SharedEstimators`] pool are
-//! multiplexed across all of them. Under a
+//! monitor ([`crate::ServeMonitor`]) and the [`SharedEstimators`] pool
+//! are multiplexed across all of them. Under a
 //! [`ShardedServe`](crate::ShardedServe) front, many registries run as
 //! shards sharing **one** monitor and **one** estimator pool over the
 //! same engine; the registry itself is shard-agnostic — it just tags
@@ -25,11 +24,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use askel_adapt::{AdaptiveSession, TriggerEngine};
-use askel_core::AutonomicController;
 use askel_engine::{Engine, EngineError};
 use askel_obs::{HistogramSnapshot, MetricsSnapshot};
 use askel_skeletons::{Clock, NodeId, Skel};
@@ -164,11 +161,6 @@ pub struct ServeRegistry<P, R> {
     policy: AdmissionPolicy,
     shared: SharedEstimators,
     monitor: Arc<ServeMonitor>,
-    /// Whether `monitor` has been installed as an engine listener.
-    /// Shared across every shard of a `ShardedServe` so the monitor is
-    /// registered exactly once no matter which shard first needs it.
-    monitor_registered: Arc<AtomicBool>,
-    controller: Option<Arc<AutonomicController>>,
     tenants: BTreeMap<u64, Tenant<P, R>>,
     next_id: u64,
     /// The key the previous drain cycle first visited; the next cycle
@@ -192,30 +184,22 @@ where
     /// default [`AdmissionPolicy`]. Shutting the engine down remains the
     /// caller's job (after [`quiesce`](ServeRegistry::quiesce)).
     pub fn new(engine: &Engine) -> Self {
-        ServeRegistry {
-            clock: engine.clock(),
-            metrics: ServeMetrics::register(engine.metrics_hub()),
-            engine: engine.clone(),
-            policy: AdmissionPolicy::default(),
-            shared: SharedEstimators::new(0.5),
-            monitor: ServeMonitor::new(),
-            monitor_registered: Arc::new(AtomicBool::new(false)),
-            controller: None,
-            tenants: BTreeMap::new(),
-            next_id: 0,
-            cursor: None,
-            shard: 0,
-        }
+        Self::new_shard(
+            engine,
+            ServeMonitor::new(),
+            SharedEstimators::new(0.5),
+            0,
+            AdmissionPolicy::default(),
+        )
     }
 
     /// A shard registry for a [`ShardedServe`](crate::ShardedServe):
-    /// shares the front's monitor, estimator pool and
-    /// listener-registration latch instead of owning its own.
+    /// shares the front's monitor and estimator pool instead of owning
+    /// its own.
     pub(crate) fn new_shard(
         engine: &Engine,
         monitor: Arc<ServeMonitor>,
         shared: SharedEstimators,
-        monitor_registered: Arc<AtomicBool>,
         shard: u32,
         policy: AdmissionPolicy,
     ) -> Self {
@@ -226,8 +210,6 @@ where
             policy,
             shared,
             monitor,
-            monitor_registered,
-            controller: None,
             tenants: BTreeMap::new(),
             next_id: 0,
             cursor: None,
@@ -241,31 +223,11 @@ where
         self
     }
 
-    /// Replaces the admission policy in place (applies to subsequent
-    /// feeds and drain cycles).
-    pub fn set_policy(&mut self, policy: AdmissionPolicy) {
-        self.policy = policy;
-    }
-
-    /// Attaches one shared WCT controller to the multiplexed loop: it
-    /// receives every engine event through the monitor, and adaptive
-    /// tenants registered **after** this call have their estimator
-    /// history invalidated in it on every applied subtree replacement
-    /// ([`askel_adapt::Reconfigurator::sync_controller`]).
-    pub fn attach_controller(&mut self, controller: Arc<AutonomicController>) {
-        self.monitor.set_controller(Arc::clone(&controller));
-        self.ensure_monitor();
-        // The monitor now wants every event, not only the trigger's.
-        self.engine.registry().refresh();
-        self.controller = Some(controller);
-    }
-
     /// Registers a plain tenant: a session with a private, rule-less
     /// trigger engine and **no** event routing — zero per-event overhead,
     /// no estimator sharing. The cheap default for bulk tenants.
     pub fn register(&mut self, skel: &Skel<P, R>) -> TenantId {
-        let id = self.alloc_id();
-        self.register_with_id(id, skel)
+        self.insert(self.next_id, skel, None)
     }
 
     /// Registers an adaptive tenant driving `trigger`'s rules:
@@ -273,70 +235,44 @@ where
     /// * the tenant's trigger is **warm-started** from the shared pool's
     ///   history for structurally identical programs (only entries the
     ///   trigger does not already hold; see [`SharedEstimators::warm`]),
+    ///   and
     /// * engine events for the tenant's tree are routed to the trigger
-    ///   through the multiplexed monitor, and
-    /// * if a controller is attached, the session invalidates its
-    ///   estimates alongside the trigger's on applied rewrites.
+    ///   through the multiplexed monitor.
     pub fn register_adaptive(
         &mut self,
         skel: &Skel<P, R>,
         trigger: Arc<TriggerEngine>,
     ) -> TenantId {
-        let id = self.alloc_id();
-        self.register_adaptive_with_id(id, skel, trigger)
+        self.insert(self.next_id, skel, Some(trigger))
     }
 
-    fn alloc_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// [`register`](Self::register) under an externally-allocated id
-    /// (the sharded front allocates globally so ids hash to shards).
-    pub(crate) fn register_with_id(&mut self, id: u64, skel: &Skel<P, R>) -> TenantId {
-        let trigger = TriggerEngine::new(0.5);
-        self.insert(id, skel, trigger, false)
-    }
-
-    /// [`register_adaptive`](Self::register_adaptive) under an
-    /// externally-allocated id.
-    pub(crate) fn register_adaptive_with_id(
+    /// Both registrations, under the caller's `id` (the sharded front
+    /// allocates ids globally so they hash to shards): adaptive over
+    /// `Some(trigger)`, plain over `None`.
+    pub(crate) fn insert(
         &mut self,
         id: u64,
         skel: &Skel<P, R>,
-        trigger: Arc<TriggerEngine>,
-    ) -> TenantId {
-        trigger.with_estimates(|est| {
-            self.shared.warm(skel.node(), est);
-        });
-        self.ensure_monitor();
-        self.insert(id, skel, trigger, true)
-    }
-
-    fn insert(
-        &mut self,
-        id: u64,
-        skel: &Skel<P, R>,
-        trigger: Arc<TriggerEngine>,
-        adaptive: bool,
+        trigger: Option<Arc<TriggerEngine>>,
     ) -> TenantId {
         debug_assert!(
             !self.tenants.contains_key(&id),
             "tenant id {id} registered twice"
         );
         self.next_id = self.next_id.max(id + 1);
-        let routed = if adaptive {
-            self.monitor.route(id, self.shard, &trigger, skel.node())
-        } else {
-            Vec::new()
-        };
-        let mut session = AdaptiveSession::new(&self.engine, skel, trigger);
-        if adaptive {
-            if let Some(controller) = &self.controller {
-                session = session.sync_controller(Arc::clone(controller));
+        let adaptive = trigger.is_some();
+        let (trigger, routed) = match trigger {
+            Some(trigger) => {
+                trigger.with_estimates(|est| {
+                    self.shared.warm(skel.node(), est);
+                });
+                self.monitor.install(&self.engine);
+                let routed = self.monitor.route(id, self.shard, &trigger, skel.node());
+                (trigger, routed)
             }
-        }
+            None => (TriggerEngine::new(0.5), Vec::new()),
+        };
+        let session = AdaptiveSession::new(&self.engine, skel, trigger);
         let cost_ns = self.shared.estimated_cost(skel.node()).map(|c| c.0);
         self.tenants.insert(
             id,
@@ -357,14 +293,6 @@ where
             },
         );
         TenantId(id)
-    }
-
-    fn ensure_monitor(&mut self) {
-        if !self.monitor_registered.swap(true, Ordering::SeqCst) {
-            self.engine
-                .registry()
-                .add_listener(Arc::clone(&self.monitor) as _);
-        }
     }
 
     /// Feeds one item through admission control; see

@@ -39,7 +39,6 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 use askel_adapt::TriggerEngine;
-use askel_core::AutonomicController;
 use askel_engine::{Engine, EngineError};
 use askel_obs::{HistogramSnapshot, MetricsSnapshot};
 use askel_skeletons::Skel;
@@ -110,14 +109,12 @@ where
         let shards = shards.max(1);
         let monitor = ServeMonitor::new();
         let shared = SharedEstimators::new(0.5);
-        let registered = Arc::new(AtomicBool::new(false));
         let slots = (0..shards)
             .map(|i| ShardSlot {
                 registry: Mutex::new(ServeRegistry::new_shard(
                     engine,
                     Arc::clone(&monitor),
                     shared.clone(),
-                    Arc::clone(&registered),
                     i as u32,
                     policy,
                 )),
@@ -145,26 +142,10 @@ where
         ShardedServe { inner, drivers }
     }
 
-    /// Attaches one shared WCT controller to the multiplexed loop (all
-    /// shards; see [`ServeRegistry::attach_controller`]).
-    pub fn attach_controller(&self, controller: Arc<AutonomicController>) {
-        for slot in &self.inner.shards {
-            slot.registry
-                .lock()
-                .attach_controller(Arc::clone(&controller));
-        }
-    }
-
     /// Registers a plain tenant on its hash-owned shard (see
     /// [`ServeRegistry::register`]).
     pub fn register(&self, skel: &Skel<P, R>) -> TenantId {
-        let id = self.inner.next_tenant.fetch_add(1, Ordering::SeqCst);
-        let tenant = TenantId(id);
-        self.inner
-            .slot(tenant)
-            .registry
-            .lock()
-            .register_with_id(id, skel)
+        self.insert(skel, None)
     }
 
     /// Registers an adaptive tenant on its hash-owned shard: events are
@@ -173,13 +154,14 @@ where
     /// warms structural twins on every shard (see
     /// [`ServeRegistry::register_adaptive`]).
     pub fn register_adaptive(&self, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> TenantId {
+        self.insert(skel, Some(trigger))
+    }
+
+    /// Ids are allocated here, globally, so that they hash to shards.
+    fn insert(&self, skel: &Skel<P, R>, trigger: Option<Arc<TriggerEngine>>) -> TenantId {
         let id = self.inner.next_tenant.fetch_add(1, Ordering::SeqCst);
-        let tenant = TenantId(id);
-        self.inner
-            .slot(tenant)
-            .registry
-            .lock()
-            .register_adaptive_with_id(id, skel, trigger)
+        let slot = self.inner.slot(TenantId(id));
+        slot.registry.lock().insert(id, skel, trigger)
     }
 
     /// Feeds one item through the owning shard's admission gates and

@@ -236,18 +236,6 @@ impl SimEngine {
         self.rt.lp_control.clone()
     }
 
-    /// Renders everything simulated so far as a Chrome trace timeline
-    /// (virtual time): `active` and `target_workers` counter tracks from
-    /// the telemetry stream, ready for `chrome://tracing` / Perfetto.
-    /// Decision-driven runs can overlay their rewrite markers with
-    /// `askel_adapt::decision_log_to_chrome` on the returned trace
-    /// before saving.
-    pub fn chrome_trace(&self) -> askel_obs::ChromeTrace {
-        let mut trace = askel_obs::ChromeTrace::new();
-        askel_pool::telemetry_to_chrome(&self.rt.telemetry.samples(), &mut trace);
-        trace
-    }
-
     /// Current LP (a pending request applies at the next scheduling round).
     pub fn lp(&self) -> usize {
         self.rt.workers.capacity()

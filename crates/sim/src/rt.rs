@@ -415,13 +415,17 @@ impl SimRt {
         policy: OrderingPolicy,
     ) -> SimRt {
         let clock = ManualClock::new();
+        // The simulator is the Fig. 5–7 instrument: its timeline always
+        // has a reader, so it records from the first sample on.
+        let telemetry = PoolTelemetry::new();
+        telemetry.set_recording(true);
         let mut rt = SimRt {
             now: clock.now(),
             run: Run::new(policy, clock.now()),
             clock,
             registry: ListenerRegistry::new(),
             cost,
-            telemetry: Arc::new(PoolTelemetry::new()),
+            telemetry: Arc::new(telemetry),
             lp_control: SimLpControl::new(),
             policy,
             workers,

@@ -66,6 +66,28 @@ fn infinite_lp_gives_critical_path() {
     assert_eq!(sim.telemetry().peak_active(), 6);
 }
 
+/// The simulator is the figures' instrument: unlike a threaded pool it
+/// records its timeline unasked, from the run's initial LP target on.
+#[test]
+fn a_fresh_simulator_records_its_timeline_from_the_initial_target() {
+    use askel_pool::TelemetrySample;
+
+    let mut sim = SimEngine::new(3, Arc::new(TableCost::new(secs(1))));
+    assert!(sim.telemetry().is_recording());
+    sim.run(&flat_map(2), vec![1, 2]).unwrap();
+    let samples = sim.telemetry().samples();
+    assert_eq!(
+        samples[0],
+        TelemetrySample::TargetChange {
+            at: TimeNs::ZERO,
+            target: 3
+        }
+    );
+    // split, two executes, merge: a start and an end each.
+    assert_eq!(samples.len(), 1 + 2 * 4);
+    assert_eq!(sim.telemetry().target_timeline().len(), 1);
+}
+
 #[test]
 fn limited_lp_paces_the_fan_out() {
     // 6 executes of 15s over 2 workers: 3 waves of 15s.

@@ -33,6 +33,8 @@ fn main() {
     // One switch turns on recording across pool, engine, serve and
     // adapt — everything shares this hub.
     engine.metrics_hub().set_enabled(true);
+    // The pool's active-task timeline (exporter 2) is opt-in as well.
+    engine.pool().telemetry().set_recording(true);
 
     let mut registry: ServeRegistry<Vec<i64>, i64> = ServeRegistry::new(&engine)
         .with_policy(AdmissionPolicy::default().max_in_flight(4).max_backlog(64));

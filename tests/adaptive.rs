@@ -165,155 +165,31 @@ fn sim_rewrite_decisions_are_deterministic() {
 /// timestamps included) replays deterministically.
 #[test]
 fn skewed_cluster_offload_acceptance() {
-    use autonomic_skeletons::dist::{Cluster, NodeSpec, ProvisionAction, ProvisioningPolicy};
-    use autonomic_skeletons::skeletons::KindTag;
-    use autonomic_skeletons::workloads::{GrainedSquareSum, OscillatingLoad};
+    use askel_bench::run_skewed_cluster;
 
-    const COOLDOWN: usize = 4;
-
-    struct Run {
-        /// `(at, version, rule)` — action strings are excluded because
-        /// they embed process-global fresh `NodeId`s.
-        decisions: Vec<(TimeNs, u64, String)>,
-        actions: Vec<String>,
-        provisions: Vec<(TimeNs, String, usize)>,
-        outputs: Vec<i64>,
-        grain_trace: Vec<(usize, usize)>, // (item index, grain after its safe point)
-        hub_busy: TimeNs,
-    }
-
-    fn run_once() -> Run {
-        let scenario = GrainedSquareSum::new(32);
-        let load = OscillatingLoad::new(4, 160, 3);
-        let items = load.inputs(18);
-        let leaf = MuscleId::new(
-            scenario.program.node().children()[0].id,
-            MuscleRole::Execute,
-        );
-        let cost = PerMuscleCost::new(Arc::new(TableCost::new(TimeNs::from_millis(1)))).route(
-            leaf,
-            Arc::new(
-                LinearCost::new(TimeNs::ZERO, TimeNs::from_millis(1))
-                    .with_probe(|p| p.downcast_ref::<Vec<i64>>().map(Vec::len)),
-            ),
-        );
-        let cluster = Cluster::new(vec![
-            NodeSpec::local("edge", 1),
-            NodeSpec::remote("hub", 4, TimeNs::from_millis(2)).with_speed(2.0),
-        ])
-        .with_capacity(1);
-        let telemetry = cluster.telemetry();
-        let sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost));
-
-        let trigger = TriggerEngine::new(0.5);
-        sim.registry().add_listener(trigger.clone());
-        trigger.add_rule(
-            RetuneGrain::new(
-                Knob::from_shared("grain", Arc::clone(&scenario.grain)),
-                leaf,
-                TimeNs::from_millis(10),
-            )
-            .bounds(4, 256)
-            .hysteresis(autonomic_skeletons::adapt::Hysteresis::new(COOLDOWN, 0.2)),
-        );
-        trigger.add_rule(
-            Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2),
-        );
-        let mut policy = ProvisioningPolicy::new(0.8, 0.0).cooldown(3).announce_via(
-            Arc::clone(sim.registry()),
-            scenario.program.id(),
-            KindTag::Map,
-        );
-        let clock = sim.clock().clone();
-        let lp_view = telemetry.clone();
-        let mut session = AdaptiveSimSession::new(sim, &scenario.program, trigger.clone())
-            .lp_source(move || lp_view.capacity().max(1));
-
-        // Lock-step, so the provisioning review sits between items; the
-        // safe point runs inside `feed`, before the submission.
-        let mut outputs = Vec::new();
-        let mut grain_trace = Vec::new();
-        for (k, input) in items.iter().enumerate() {
-            let version = session.version();
-            session.feed(input.clone());
-            if session.version() > version {
-                grain_trace.push((k, scenario.grain.load(Ordering::SeqCst)));
-            }
-            let out = session.next_result().expect("one item in flight");
-            outputs.push(out.expect("sim run"));
-            if let Some(capacity) = policy.review(&telemetry, clock.now()) {
-                session.sim_mut().set_lp(capacity);
-            }
-        }
-        // Results identical to the sequential reference.
-        for (k, input) in items.iter().enumerate() {
-            assert_eq!(
-                outputs[k],
-                GrainedSquareSum::reference(input),
-                "item {k} diverged"
-            );
-        }
-        Run {
-            decisions: trigger
-                .decision_log()
-                .iter()
-                .map(|d| (d.at, d.version, d.rule.clone()))
-                .collect(),
-            actions: trigger
-                .decision_log()
-                .into_iter()
-                .map(|d| format!("{}: {}", d.rule, d.action))
-                .collect(),
-            provisions: policy
-                .log()
-                .iter()
-                .filter(|r| r.action == ProvisionAction::Add)
-                .map(|r| (r.at, r.node.clone(), r.capacity))
-                .collect(),
-            outputs,
-            grain_trace,
-            hub_busy: telemetry.busy_per_node()[1],
-        }
-    }
-
-    let a = run_once();
+    let a = run_skewed_cluster(OrderingPolicy::from_env());
+    // Results identical to the sequential reference; the grain knob
+    // never reversed direction within the cooldown window.
+    a.check_invariants("");
     // Exactly one audited Offload fired, onto the hub.
-    let offloads: Vec<_> = a
-        .actions
-        .iter()
-        .filter(|d| d.starts_with("offload:"))
-        .collect();
-    assert_eq!(offloads.len(), 1, "{:?}", a.actions);
-    assert!(offloads[0].contains("`hub`"), "{:?}", offloads[0]);
+    let offloads: Vec<_> = a.decisions.iter().filter(|d| d.rule == "offload").collect();
+    assert_eq!(offloads.len(), 1, "{:?}", a.decisions);
+    assert!(offloads[0].action.contains("`hub`"), "{:?}", offloads[0]);
     // Provisioning brought the hub online and offloaded work ran there.
-    assert_eq!(a.provisions.len(), 1, "{:?}", a.provisions);
-    assert_eq!(a.provisions[0].1, "hub");
-    assert_eq!(a.provisions[0].2, 5, "edge slot + 4 hub slots");
-    assert!(a.hub_busy > TimeNs::ZERO);
-    // The grain knob moved, and never reversed direction within the
-    // cooldown window (safe points = items here).
-    assert!(!a.grain_trace.is_empty());
-    let mut prev: Option<(usize, i64)> = None; // (item, direction)
-    let mut grain = 32i64;
-    for &(item, value) in &a.grain_trace {
-        let dir = (value as i64 - grain).signum();
-        if let Some((last_item, last_dir)) = prev {
-            if dir != last_dir {
-                assert!(
-                    item - last_item >= COOLDOWN,
-                    "grain reversed after {} items (cooldown {COOLDOWN}): {:?}",
-                    item - last_item,
-                    a.grain_trace
-                );
-            }
-        }
-        prev = Some((item, dir));
-        grain = value as i64;
-    }
+    let additions = a.additions();
+    assert_eq!(additions.len(), 1, "{additions:?}");
+    assert_eq!(additions[0].1, "hub");
+    assert_eq!(additions[0].2, 5, "edge slot + 4 hub slots");
+    assert!(a.telemetry.busy_per_node()[1] > TimeNs::ZERO);
+    assert!(!a.grain_trace.is_empty(), "the grain knob moved");
     // Deterministic: the whole decision sequence replays identically.
-    let b = run_once();
-    assert_eq!(a.decisions, b.decisions, "virtual timestamps included");
-    assert_eq!(a.provisions, b.provisions);
+    let b = run_skewed_cluster(OrderingPolicy::from_env());
+    assert_eq!(
+        a.decision_keys(),
+        b.decision_keys(),
+        "virtual timestamps included"
+    );
+    assert_eq!(additions, b.additions());
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.grain_trace, b.grain_trace);
 }

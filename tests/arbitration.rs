@@ -126,6 +126,71 @@ fn veto_policy_blocks_the_knob_regardless_of_priority() {
 }
 
 #[test]
+fn a_standing_veto_leaves_the_decision_log_a_ring_that_still_audits() {
+    // The veto scenario above, held for a whole stream: one `suppressed
+    // by` record per safe point. The log keeps the newest
+    // DECISION_LOG_CAPACITY of them, and a forecast-gated rewrite that
+    // lands inside that window is still found by the item that closes
+    // its audit.
+    const N: u64 = autonomic_skeletons::adapt::DECISION_LOG_CAPACITY as u64;
+    let width = Knob::new("width", 2);
+    let trigger = TriggerEngine::new(0.5);
+    trigger.add_rule(
+        RetuneWidth::new(width.clone(), 2)
+            .named("grow-width")
+            .priority(5),
+    );
+    trigger.add_rule(CostGuard::knob(
+        NodeHoursMeter::new(),
+        TimeNs::ZERO,
+        width.clone(),
+        2,
+    ));
+    let (mut sim, reconf) = harness(&trigger);
+    let reconf = reconf.conflict_policy(ConflictPolicy::Veto);
+    sim.registry().add_listener(trigger.clone());
+    let program: Skel<i64, i64> = seq(|x: i64| x);
+    let mut vskel = VersionedSkel::new(&program);
+
+    let gated_at = 3 * N - 8;
+    for point in 1..=3 * N {
+        sim.clock().advance_to(TimeNs(point));
+        assert_eq!(reconf.apply(&mut vskel), 0, "the veto stands");
+        if point == gated_at {
+            trigger.record(AdaptRecord {
+                at: TimeNs(point),
+                version: 1,
+                rule: "promote".into(),
+                target: None,
+                action: "replace".into(),
+                why: "gated".into(),
+                forecast: Some(Forecast {
+                    predicted: TimeNs(40),
+                    baseline: TimeNs(100),
+                    realized: None,
+                }),
+            });
+            assert_eq!(sim.run(&program, 7).expect("sim run").result, 7);
+        }
+    }
+
+    let log = trigger.decision_log();
+    assert_eq!(log.len() as u64, N, "3N + 1 records were logged");
+    // Oldest first: the gated record sits among the last N - 1 vetoes.
+    assert_eq!(log[0].at, TimeNs(2 * N + 2));
+    assert_eq!(log.last().unwrap().at, TimeNs(3 * N));
+    assert!(log.windows(2).all(|w| w[0].at <= w[1].at));
+    let gated: Vec<_> = log.iter().filter(|r| r.rule == "promote").collect();
+    assert_eq!(gated.len(), 1);
+    let audit = gated[0].forecast.expect("recorded with a forecast");
+    assert!(audit.realized.is_some(), "the item run under it closed it");
+    assert!(log
+        .iter()
+        .filter(|r| r.rule != "promote")
+        .all(|r| r.action.contains("suppressed by `cost-guard`")));
+}
+
+#[test]
 fn uncontested_veto_is_dropped_silently() {
     // A veto with nothing to block is administrative noise: no record,
     // no version bump, and the vetoing rule re-arms for the next safe

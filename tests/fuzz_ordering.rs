@@ -17,7 +17,8 @@
 //!
 //! Two acceptance scenarios run under every seed, twice each:
 //!
-//! * the skewed-cluster offload scenario (`tests/adaptive.rs`), and
+//! * the skewed-cluster offload scenario (`askel_bench::skewed`, also
+//!   `tests/adaptive.rs`), and
 //! * the remote-errors fallback-swap scenario
 //!   (`tests/failure_injection.rs`).
 //!
@@ -31,12 +32,10 @@
 //! `ASKEL_SIM_FUZZ_SEEDS=<n>` overrides the sweep width (default 32);
 //! `ASKEL_SIM_SEED=<seed>` narrows the sweep to that single seed.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use askel_bench::run_skewed_cluster;
 use autonomic_skeletons::prelude::*;
-use autonomic_skeletons::skeletons::KindTag;
-use autonomic_skeletons::workloads::{GrainedSquareSum, OscillatingLoad};
 
 /// The seeds to sweep: `ASKEL_SIM_SEED` narrows to one seed,
 /// `ASKEL_SIM_FUZZ_SEEDS` sets the sweep width, default 32.
@@ -81,138 +80,6 @@ fn assert_at_most_once_per_safe_point(decisions: &[(TimeNs, u64, String)], seed:
             "rule fired twice at one safe point ({at}): {rules:?} — {}",
             repro(seed)
         );
-    }
-}
-
-/// Scenario A — the skewed-cluster offload acceptance scenario from
-/// `tests/adaptive.rs`, parameterized over the ordering policy.
-mod skewed {
-    use super::*;
-
-    pub const COOLDOWN: usize = 4;
-
-    pub struct Run {
-        /// `(at, version, rule)` — action strings are excluded because
-        /// they embed process-global fresh `NodeId`s.
-        pub decisions: Vec<(TimeNs, u64, String)>,
-        pub provisions: Vec<(TimeNs, String, usize)>,
-        pub outputs: Vec<i64>,
-        pub grain_trace: Vec<(usize, usize)>,
-        pub inputs: Vec<Vec<i64>>,
-    }
-
-    pub fn run_once(policy: OrderingPolicy) -> Run {
-        let scenario = GrainedSquareSum::new(32);
-        let load = OscillatingLoad::new(4, 160, 3);
-        let items = load.inputs(18);
-        let leaf = MuscleId::new(
-            scenario.program.node().children()[0].id,
-            MuscleRole::Execute,
-        );
-        let cost = PerMuscleCost::new(Arc::new(TableCost::new(TimeNs::from_millis(1)))).route(
-            leaf,
-            Arc::new(
-                LinearCost::new(TimeNs::ZERO, TimeNs::from_millis(1))
-                    .with_probe(|p| p.downcast_ref::<Vec<i64>>().map(Vec::len)),
-            ),
-        );
-        let cluster = Cluster::new(vec![
-            NodeSpec::local("edge", 1),
-            NodeSpec::remote("hub", 4, TimeNs::from_millis(2)).with_speed(2.0),
-        ])
-        .with_capacity(1);
-        let telemetry = cluster.telemetry();
-        let sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost)).ordering(policy);
-
-        let trigger = TriggerEngine::new(0.5);
-        sim.registry().add_listener(trigger.clone());
-        trigger.add_rule(
-            RetuneGrain::new(
-                Knob::from_shared("grain", Arc::clone(&scenario.grain)),
-                leaf,
-                TimeNs::from_millis(10),
-            )
-            .bounds(4, 256)
-            .hysteresis(Hysteresis::new(COOLDOWN, 0.2)),
-        );
-        trigger.add_rule(
-            Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2),
-        );
-        let mut policy_prov = ProvisioningPolicy::new(0.8, 0.0).cooldown(3).announce_via(
-            Arc::clone(sim.registry()),
-            scenario.program.id(),
-            KindTag::Map,
-        );
-        let clock = sim.clock().clone();
-        let lp_view = telemetry.clone();
-        let mut session = AdaptiveSimSession::new(sim, &scenario.program, trigger.clone())
-            .lp_source(move || lp_view.capacity().max(1));
-
-        // Lock-step, so the provisioning review sits between items: the
-        // session's safe point runs inside `feed`, before the submission.
-        let mut outputs = Vec::new();
-        let mut grain_trace = Vec::new();
-        for (k, input) in items.iter().enumerate() {
-            let version = session.version();
-            session.feed(input.clone());
-            if session.version() > version {
-                grain_trace.push((k, scenario.grain.load(Ordering::SeqCst)));
-            }
-            let out = session.next_result().expect("one item in flight");
-            outputs.push(out.expect("sim run"));
-            if let Some(capacity) = policy_prov.review(&telemetry, clock.now()) {
-                session.sim_mut().set_lp(capacity);
-            }
-        }
-        Run {
-            decisions: trigger
-                .decision_log()
-                .iter()
-                .map(|d| (d.at, d.version, d.rule.clone()))
-                .collect(),
-            provisions: policy_prov
-                .log()
-                .iter()
-                .filter(|r| r.action == ProvisionAction::Add)
-                .map(|r| (r.at, r.node.clone(), r.capacity))
-                .collect(),
-            outputs,
-            grain_trace,
-            inputs: items,
-        }
-    }
-
-    pub fn check_invariants(run: &Run, seed: u64) {
-        // Results equal the sequential reference, whatever the schedule.
-        for (k, input) in run.inputs.iter().enumerate() {
-            assert_eq!(
-                run.outputs[k],
-                GrainedSquareSum::reference(input),
-                "item {k} diverged — {}",
-                repro(seed)
-            );
-        }
-        assert_at_most_once_per_safe_point(&run.decisions, seed);
-        // The hysteresis-damped grain knob never reverses direction
-        // within its cooldown window (safe points = items here).
-        let mut prev: Option<(usize, i64)> = None;
-        let mut grain = 32i64;
-        for &(item, value) in &run.grain_trace {
-            let dir = (value as i64 - grain).signum();
-            if let Some((last_item, last_dir)) = prev {
-                if dir != last_dir {
-                    assert!(
-                        item - last_item >= COOLDOWN,
-                        "grain reversed after {} items (cooldown {COOLDOWN}): {:?} — {}",
-                        item - last_item,
-                        run.grain_trace,
-                        repro(seed)
-                    );
-                }
-            }
-            prev = Some((item, dir));
-            grain = value as i64;
-        }
     }
 }
 
@@ -326,16 +193,17 @@ fn seeded_ordering_sweep_preserves_invariants_and_replays() {
     for seed in seeds() {
         let policy = OrderingPolicy::SeededRandom(seed);
 
-        let a = skewed::run_once(policy);
-        skewed::check_invariants(&a, seed);
-        let b = skewed::run_once(policy);
+        let a = run_skewed_cluster(policy);
+        a.check_invariants(&format!(" — {}", repro(seed)));
+        assert_at_most_once_per_safe_point(&a.decision_keys(), seed);
+        let b = run_skewed_cluster(policy);
         assert_eq!(
-            a.decisions,
-            b.decisions,
+            a.decision_keys(),
+            b.decision_keys(),
             "skewed decisions must replay — {}",
             repro(seed)
         );
-        assert_eq!(a.provisions, b.provisions, "{}", repro(seed));
+        assert_eq!(a.additions(), b.additions(), "{}", repro(seed));
         assert_eq!(a.outputs, b.outputs, "{}", repro(seed));
         assert_eq!(a.grain_trace, b.grain_trace, "{}", repro(seed));
 
