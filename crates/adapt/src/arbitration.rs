@@ -99,7 +99,7 @@ pub struct ArbitrationOutcome {
 ///   `root` (an outer replacement would tear out the inner one's
 ///   anchor).
 /// * A knob action never conflicts with a tree action.
-pub fn conflicts(a: &RewriteAction, b: &RewriteAction, root: &Arc<Node>) -> bool {
+pub(crate) fn conflicts(a: &RewriteAction, b: &RewriteAction, root: &Arc<Node>) -> bool {
     use RewriteAction::SetKnob;
     match (a, b) {
         (SetKnob { knob: ka, .. }, SetKnob { knob: kb, .. }) => ka.shares_state(kb),

@@ -19,17 +19,14 @@
 //! controller's `AnalysisRecord` studies.
 //!
 //! Like the controller's analysis gate, the forecast refuses to guess:
-//! [`predicted_wct`] returns `None` unless the estimator table covers
+//! [`askel_core::predictive_wct`] returns `None` unless the estimator table covers
 //! every muscle of the tree being forecast (seed replacement subtrees via
 //! [`TriggerEngine::seed_from`](crate::TriggerEngine::seed_from),
 //! [`TriggerEngine::with_estimates`](crate::TriggerEngine::with_estimates),
 //! or estimator aliases) — an uncovered forecast gate simply keeps its
 //! rule closed.
 
-use std::sync::Arc;
-
-use askel_core::EstimatorTable;
-use askel_skeletons::{Node, TimeNs};
+use askel_skeletons::TimeNs;
 
 /// A forecast-gated rewrite's audit trail: what the gate predicted, what
 /// it was compared against, and — once the first item has completed under
@@ -45,29 +42,10 @@ pub struct Forecast {
     pub realized: Option<TimeNs>,
 }
 
-impl Forecast {
-    /// `baseline − predicted`: the improvement the gate promised.
-    pub fn predicted_gain(&self) -> TimeNs {
-        self.baseline.saturating_sub(self.predicted)
-    }
-}
-
-/// Predicts the WCT of one submission of the skeleton rooted at `root`
-/// under `lp` workers, from the estimator table alone (a cold predictive
-/// ADG — no live execution state). Delegates to the controller-shared
-/// [`askel_core::predictive_wct`].
-///
-/// Returns `None` when `estimates` does not cover every muscle of
-/// `root` (the analysis gate: never decide from a guess) or the tree
-/// expands to an empty graph.
-pub fn predicted_wct(estimates: &EstimatorTable, root: &Arc<Node>, lp: usize) -> Option<TimeNs> {
-    askel_core::predictive_wct(estimates, root, lp)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use askel_skeletons::{map, seq, MuscleId, MuscleRole, Skel};
+    use askel_core::{predictive_wct, EstimatorTable};
+    use askel_skeletons::{map, seq, MuscleId, MuscleRole, Skel, TimeNs};
 
     fn fan_program() -> Skel<Vec<i64>, i64> {
         map(
@@ -96,16 +74,16 @@ mod tests {
     fn uncovered_estimates_refuse_to_forecast() {
         let program = fan_program();
         let est = EstimatorTable::new(0.5);
-        assert_eq!(predicted_wct(&est, program.node(), 2), None);
+        assert_eq!(predictive_wct(&est, program.node(), 2), None);
     }
 
     #[test]
     fn forecast_scales_with_lp() {
         let program = fan_program();
         let est = seeded(&program, 8.0);
-        let at1 = predicted_wct(&est, program.node(), 1).unwrap();
-        let at4 = predicted_wct(&est, program.node(), 4).unwrap();
-        let at8 = predicted_wct(&est, program.node(), 8).unwrap();
+        let at1 = predictive_wct(&est, program.node(), 1).unwrap();
+        let at4 = predictive_wct(&est, program.node(), 4).unwrap();
+        let at8 = predictive_wct(&est, program.node(), 8).unwrap();
         assert!(at4 < at1, "parallelism shortens the forecast: {at1} {at4}");
         assert!(at8 <= at4);
         // 8 children × 100ms over 4 workers ≈ 200ms of execute time.
@@ -126,18 +104,8 @@ mod tests {
             MuscleId::new(leaf.id(), MuscleRole::Execute),
             TimeNs::from_millis(800),
         );
-        let seq_wct = predicted_wct(&est, leaf.node(), 4).unwrap();
-        let map_wct = predicted_wct(&est, promoted.node(), 4).unwrap();
+        let seq_wct = predictive_wct(&est, leaf.node(), 4).unwrap();
+        let map_wct = predictive_wct(&est, promoted.node(), 4).unwrap();
         assert!(map_wct < seq_wct, "{map_wct} !< {seq_wct}");
-    }
-
-    #[test]
-    fn predicted_gain_saturates() {
-        let f = Forecast {
-            predicted: TimeNs::from_millis(300),
-            baseline: TimeNs::from_millis(200),
-            realized: None,
-        };
-        assert_eq!(f.predicted_gain(), TimeNs::ZERO);
     }
 }

@@ -71,7 +71,7 @@ pub mod session;
 pub mod trigger;
 
 pub use arbitration::{arbitrate, ArbitrationOutcome, ConflictPolicy, Suppressed};
-pub use forecast::{predicted_wct, Forecast};
+pub use forecast::Forecast;
 pub use rules::{
     Concern, CostGuard, ErrorStats, FallbackSwap, Hysteresis, Knob, Offload, Promote, RetuneGrain,
     RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,

@@ -2,9 +2,8 @@
 //!
 //! Attached to a [`TriggerEngine`](crate::TriggerEngine) via
 //! [`attach_metrics`](crate::TriggerEngine::attach_metrics) — done
-//! automatically by [`AdaptiveSession::new`](crate::AdaptiveSession::new)
-//! and [`Reconfigurator::for_engine`](crate::Reconfigurator::for_engine),
-//! which know the engine's hub. The inventory:
+//! automatically by [`AdaptiveSession::new`](crate::AdaptiveSession::new),
+//! which knows the engine's hub. The inventory:
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|

@@ -46,7 +46,7 @@ use askel_core::EstimatorTable;
 use askel_dist::ClusterTelemetry;
 use askel_skeletons::{MuscleId, Node, NodeId, Skel, TimeNs};
 
-use crate::forecast::{predicted_wct, Forecast};
+use crate::forecast::Forecast;
 
 /// The non-functional concern a rule optimizes for. Multi-concern
 /// autonomic work (Aldinucci/Danelutto/Kilpatrick) runs one manager per
@@ -115,21 +115,21 @@ impl RuleCtx<'_> {
     /// from this context's estimator table (`None` while the table does
     /// not cover `root`'s muscles — see [`crate::forecast`]).
     pub fn forecast_wct(&self, root: &Arc<Node>) -> Option<TimeNs> {
-        predicted_wct(self.estimates, root, self.lp)
+        askel_core::predictive_wct(self.estimates, root, self.lp)
     }
 
     /// Like [`forecast_wct`](Self::forecast_wct), with the estimator
     /// table tweaked first (e.g. a split cardinality overridden to a
     /// candidate knob value). The tweak is applied to a private clone;
     /// the live table is untouched.
-    pub fn forecast_wct_with(
+    pub(crate) fn forecast_wct_with(
         &self,
         root: &Arc<Node>,
         tweak: impl FnOnce(&mut EstimatorTable),
     ) -> Option<TimeNs> {
         let mut table = self.estimates.clone();
         tweak(&mut table);
-        predicted_wct(&table, root, self.lp)
+        askel_core::predictive_wct(&table, root, self.lp)
     }
 }
 
@@ -336,7 +336,7 @@ impl Trigger {
     }
 
     /// Renders the condition with its observed value, for decision logs.
-    pub fn describe(&self, ctx: &RuleCtx<'_>) -> String {
+    pub(crate) fn describe(&self, ctx: &RuleCtx<'_>) -> String {
         match *self {
             Trigger::DurationAtLeast(m, min) => format!(
                 "t({m})={:?} >= {min}",
@@ -1127,9 +1127,9 @@ enum CostScope {
     Subtree(NodeId),
 }
 
-/// The **cost** concern as a rule: watches accumulated node-time (from
-/// `askel_dist::NodeHoursMeter`, fed by a metered
-/// `askel_dist::ProvisioningPolicy`) and, once spend crosses its budget,
+/// The **cost** concern as a rule: watches accumulated node-time (an
+/// `askel_dist::NodeHoursMeter`, fed by the caller through
+/// `NodeHoursMeter::observe`) and, once spend crosses its budget,
 /// opposes the performance rules' grow/offload decisions.
 ///
 /// Over a knob ([`CostGuard::knob`]) the guard fires a real

@@ -22,12 +22,10 @@ use std::sync::Arc;
 
 use askel_core::AutonomicController;
 use askel_engine::{Engine, StreamSession};
-use askel_events::{
-    Event, EventInfo, ListenerRegistry, Payload, StreamRuntime, StreamTypes, Trace, When, Where,
-};
+use askel_events::{Event, ListenerRegistry, Payload, StreamRuntime, StreamTypes};
 use askel_sim::components::Component;
 use askel_sim::{SimEngine, SimError, SimStream, StreamReport};
-use askel_skeletons::{Clock, InstanceId, Node, NodeId, Skel, TimeNs};
+use askel_skeletons::{Clock, Node, NodeId, Skel, TimeNs};
 
 use crate::arbitration::{arbitrate, ConflictPolicy};
 use crate::rules::RewriteAction;
@@ -101,15 +99,6 @@ impl Reconfigurator {
         }
     }
 
-    /// Convenience wiring for a threaded engine: its registry, its clock,
-    /// and its live LP as the width rules' input.
-    pub fn for_engine(engine: &Engine, trigger: Arc<TriggerEngine>) -> Self {
-        let pool = engine.pool().clone();
-        trigger.attach_metrics(engine.metrics_hub());
-        Reconfigurator::new(Arc::clone(engine.registry()), engine.clock(), trigger)
-            .lp_source(move || pool.target_workers())
-    }
-
     /// Sets where the current level of parallelism is read from (rules
     /// like `RetuneWidth` scale structure to it).
     pub fn lp_source(mut self, f: impl Fn() -> usize + Send + Sync + 'static) -> Self {
@@ -152,9 +141,8 @@ impl Reconfigurator {
     ///
     /// * **Suppressed losers** — fires that conflicted with a winner (or
     ///   were blocked by a veto) are logged as `suppressed by \`rule\``
-    ///   records (no version bump) and their rules re-armed
-    ///   ([`TriggerEngine::rearm`], so a once-rule is not lost); idle
-    ///   vetoes are re-armed but not logged.
+    ///   records (no version bump) and their rules re-armed (so a
+    ///   once-rule is not lost); idle vetoes are re-armed but not logged.
     /// * **Skipped plans** — a `Replace`/`Place` whose target no longer
     ///   occurs (an earlier rewrite *in the same safe point* removed it)
     ///   is not applied: the rule is re-armed and a `skipped` entry
@@ -238,18 +226,7 @@ impl Reconfigurator {
                 }
             };
             vskel.version += 1;
-            let event = Event {
-                node: event_node.id,
-                kind: event_node.tag(),
-                when: When::After,
-                wher: Where::Reconfigured,
-                index: InstanceId(vskel.version),
-                trace: Trace::root(event_node.id, InstanceId(vskel.version), event_node.tag()),
-                timestamp: now,
-                info: EventInfo::Reconfigured {
-                    version: vskel.version,
-                },
-            };
+            let event = Event::reconfigured(event_node.id, event_node.tag(), vskel.version, now);
             self.registry.emit(&mut Payload::None, &event);
             self.trigger.record(audit(now, vskel.version, plan, text));
             applied += 1;
@@ -368,9 +345,16 @@ where
     /// it, only outcome- and input-size-triggered rules can fire (and the
     /// per-event overhead is avoided).
     pub fn new(engine: &Engine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
+        let stream = StreamSession::new(engine, skel);
+        // The engine's registry and clock, and its live LP as the width
+        // rules' input.
+        let pool = engine.pool().clone();
+        trigger.attach_metrics(engine.metrics_hub());
+        let reconf = Reconfigurator::new(Arc::clone(engine.registry()), engine.clock(), trigger)
+            .lp_source(move || pool.target_workers());
         Adaptive {
-            stream: StreamSession::new(engine, skel),
-            reconf: Reconfigurator::for_engine(engine, trigger),
+            stream,
+            reconf,
             vskel: VersionedSkel::new(skel),
             out: VecDeque::new(),
             max_in_flight: usize::MAX,
@@ -397,10 +381,11 @@ where
     R: Send + 'static,
 {
     /// A session streaming `skel` through `sim`, adapted by `trigger`'s
-    /// rules. Lock-step (`window == 1`) by default — the strongest
-    /// safe-point guarantee; see [`window`](Adaptive::window).
-    /// Registering the trigger as a listener on `sim.registry()` stays
-    /// the caller's choice, exactly as with the threaded session.
+    /// rules. Lock-step: one item in flight at a time, so every safe
+    /// point sees the outcome of every item before it — the strongest
+    /// safe-point guarantee. Registering the trigger as a listener on
+    /// `sim.registry()` stays the caller's choice, exactly as with the
+    /// threaded session.
     pub fn new(sim: SimEngine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
         let clock: Arc<dyn Clock> = Arc::clone(sim.clock()) as Arc<dyn Clock>;
         Adaptive {
@@ -411,14 +396,6 @@ where
             max_in_flight: 1,
             size_of: None,
         }
-    }
-
-    /// Items in flight at once (≥ 1). Above 1, safe points still run
-    /// before each submission but items already in flight finish on the
-    /// tree they were submitted with.
-    pub fn window(mut self, n: usize) -> Self {
-        self.max_in_flight = n.max(1);
-        self
     }
 
     /// Forwards to [`Reconfigurator::lp_source`]: where width rules read
@@ -633,6 +610,7 @@ mod tests {
     use super::*;
     use crate::rules::{FallbackSwap, Knob, Promote, RetuneWidth, Trigger};
     use askel_engine::Engine;
+    use askel_events::Where;
     use askel_skeletons::{map, pipe, seq};
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -73,9 +73,10 @@ pub const DECISION_LOG_CAPACITY: usize = 1 << 10;
 pub struct PlannedRewrite {
     /// Name of the rule that fired.
     pub rule: String,
-    /// Registration index of that rule — pass it back to
-    /// [`TriggerEngine::rearm`] if the plan could not be applied, so a
-    /// once-rule retired at fire time is not lost.
+    /// Registration index of that rule: the
+    /// [`Reconfigurator`](crate::Reconfigurator) re-arms it by this index
+    /// if the plan could not be applied, so a once-rule retired at fire
+    /// time is not lost.
     pub rule_index: usize,
     /// The requested change — or, for a veto, the contested resource.
     pub action: RewriteAction,
@@ -163,9 +164,8 @@ impl TriggerEngine {
     /// counted as `adapt_rule_fires_total` (plus one labelled series per
     /// rule), and every closed [`Forecast`] audit records its
     /// |realized − predicted| error into `adapt_forecast_error_ns`.
-    /// Idempotent per hub; [`crate::AdaptiveSession::new`] and
-    /// [`crate::Reconfigurator::for_engine`] call this with the engine's
-    /// hub automatically.
+    /// Idempotent per hub; [`crate::AdaptiveSession::new`] calls this with
+    /// the engine's hub automatically.
     pub fn attach_metrics(&self, hub: &Arc<askel_obs::MetricsHub>) {
         self.inner.lock().metrics = Some(AdaptMetrics::register(hub));
     }
@@ -220,7 +220,8 @@ impl TriggerEngine {
     }
 
     /// Current error statistics.
-    pub fn error_stats(&self) -> ErrorStats {
+    #[cfg(test)]
+    pub(crate) fn error_stats(&self) -> ErrorStats {
         self.inner.lock().errors
     }
 
@@ -316,7 +317,7 @@ impl TriggerEngine {
     /// planned subtree replacement could not be applied — e.g. an earlier rewrite in the
     /// same safe point removed its target — so the rule gets another
     /// chance instead of being silently lost.
-    pub fn rearm(&self, index: usize) {
+    pub(crate) fn rearm(&self, index: usize) {
         let mut inner = self.inner.lock();
         if let Some(retired) = inner.retired.get_mut(index) {
             *retired = false;
@@ -354,7 +355,7 @@ impl TriggerEngine {
     /// subtree `target` with `replacement` ([`Rule::on_replaced`]) —
     /// how e.g. [`Offload`](crate::Offload) follows its subtree through
     /// a fallback swap and re-arms.
-    pub fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
+    pub(crate) fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
         let inner = self.inner.lock();
         for rule in &inner.rules {
             rule.on_replaced(target, replacement);

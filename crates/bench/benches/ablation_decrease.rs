@@ -7,13 +7,12 @@
 
 use std::sync::Arc;
 
-use askel_bench::{PaperScenarios, ScenarioParams};
-use askel_core::{AutonomicController, ControllerConfig, DecreasePolicy, FnActuator};
+use askel_bench::PaperScenarios;
+use askel_core::{AutonomicController, DecreasePolicy, FnActuator};
 use askel_sim::SimEngine;
 use askel_skeletons::TimeNs;
 
 fn main() {
-    let params = ScenarioParams::default();
     let goal = TimeNs::from_millis(10_500);
     println!("# Ablation: decrease policy (Fig. 7 scenario, goal 10.5s)");
     println!("# policy\twct(s)\tpeak_active\tfinal_lp\tdecreases\tgoal_met");
@@ -22,19 +21,10 @@ fn main() {
         ("never", DecreasePolicy::Never),
         ("to-minimal", DecreasePolicy::ToMinimal),
     ] {
-        let scenarios = PaperScenarios::new(params.clone());
-        let mut sim = SimEngine::new(params.initial_lp, scenarios.cost_model());
+        let scenarios = PaperScenarios::default();
+        let config = scenarios.controller_config(goal).decrease(policy);
+        let mut sim = SimEngine::new(config.initial_lp, scenarios.cost_model());
         let lp_control = sim.lp_control();
-        let mut config = ControllerConfig::new(goal, params.max_lp)
-            .initial_lp(params.initial_lp)
-            .decrease(policy)
-            .decrease_cooldown(params.decrease_cooldown)
-            .raise_headroom(params.raise_headroom)
-            .decrease_safety(params.decrease_safety)
-            .raise(params.raise_policy);
-        for (m, canonical) in scenarios.program.shared_muscle_aliases() {
-            config = config.alias(m, canonical);
-        }
         let controller = AutonomicController::new(
             scenarios.program.skel.node().clone(),
             config,

@@ -6,32 +6,22 @@
 
 use std::sync::Arc;
 
-use askel_bench::{PaperScenarios, ScenarioParams};
-use askel_core::{AutonomicController, ControllerConfig, FnActuator};
+use askel_bench::PaperScenarios;
+use askel_core::{AutonomicController, FnActuator};
 use askel_sim::SimEngine;
 use askel_skeletons::TimeNs;
 
 fn main() {
-    let params = ScenarioParams::default();
     let goal = TimeNs::from_millis(9_500);
     println!("# Ablation: estimator weight ρ (Fig. 5 scenario, goal 9.5s)");
     println!("# rho\twct(s)\tpeak_active\tfirst_decision(s)\tdecisions\tgoal_met");
     for rho in [0.0, 0.1, 0.5, 0.9, 1.0] {
-        let scenarios = PaperScenarios::new(params.clone());
+        let scenarios = PaperScenarios::default();
         // Rebuild the controller with the custom ρ (the harness default is
         // 0.5, so run manually here).
-        let mut sim = SimEngine::new(params.initial_lp, scenario_cost(&scenarios));
+        let config = scenarios.controller_config(goal).rho(rho);
+        let mut sim = SimEngine::new(config.initial_lp, scenarios.cost_model());
         let lp_control = sim.lp_control();
-        let mut config = ControllerConfig::new(goal, params.max_lp)
-            .initial_lp(params.initial_lp)
-            .rho(rho)
-            .decrease_cooldown(params.decrease_cooldown)
-            .raise_headroom(params.raise_headroom)
-            .decrease_safety(params.decrease_safety)
-            .raise(params.raise_policy);
-        for (m, canonical) in scenarios.program.shared_muscle_aliases() {
-            config = config.alias(m, canonical);
-        }
         let controller = AutonomicController::new(
             scenarios.program.skel.node().clone(),
             config,
@@ -54,8 +44,4 @@ fn main() {
             out.wct <= goal,
         );
     }
-}
-
-fn scenario_cost(s: &PaperScenarios) -> Arc<dyn askel_sim::cost::CostModel> {
-    s.cost_model()
 }

@@ -17,7 +17,9 @@
 
 use std::sync::Arc;
 
-use askel_core::{AutonomicController, ControllerConfig, Decision, FnActuator, Snapshot};
+use askel_core::{
+    AutonomicController, ControllerConfig, Decision, FnActuator, RaisePolicy, Snapshot,
+};
 use askel_pool::TimelinePoint;
 use askel_sim::cost::{CostModel, JitterCost, PerMuscleCost, TableCost};
 use askel_sim::SimEngine;
@@ -25,47 +27,18 @@ use askel_skeletons::{MuscleRole, TimeNs};
 use askel_workloads::tweets::{generate_corpus, TweetGenConfig};
 use askel_workloads::wordcount::{Counts, WordCountProgram};
 
-/// Workload parameters (defaults = the paper's §5 setup).
+/// The workload parameters a caller varies (defaults = the paper's §5
+/// setup). The rest of the §5 calibration is fixed: the constants below.
 #[derive(Clone, Debug)]
 pub struct ScenarioParams {
     /// Outer split cardinality.
     pub outer_chunks: usize,
     /// Inner split cardinality.
     pub inner_chunks: usize,
-    /// Outer split cost (the paper's 6.4 s file read).
-    pub outer_split_cost: TimeNs,
-    /// Inner split cost (≈ 7× faster).
-    pub inner_split_cost: TimeNs,
-    /// `fe` cost.
-    pub execute_cost: TimeNs,
-    /// `fm` cost (both levels).
-    pub merge_cost: TimeNs,
-    /// Jitter amplitude on inner splits (equal chunk sizes ⇒ near-uniform).
-    pub split_jitter: f64,
-    /// Jitter amplitude on `fe` (token distribution varies per sub-chunk;
-    /// the paper: "in practice some execution muscles took less time").
-    pub execute_jitter: f64,
-    /// Jitter amplitude on merges.
-    pub merge_jitter: f64,
     /// Jitter / corpus seed.
     pub seed: u64,
     /// Synthetic corpus size (data flow only; costs are virtual).
     pub tweets: usize,
-    /// Max LP (the Xeon's 24 hardware threads).
-    pub max_lp: usize,
-    /// Initial LP.
-    pub initial_lp: usize,
-    /// Decrease cooldown ("does not reduce the LP as fast as it
-    /// increases it").
-    pub decrease_cooldown: TimeNs,
-    /// Raise headroom (the paper's controller over-provisions; see
-    /// [`askel_core::ControllerConfig::raise_headroom`]).
-    pub raise_headroom: f64,
-    /// Decrease safety margin (fraction of the goal).
-    pub decrease_safety: f64,
-    /// Raise policy (the paper's controller jumps straight to its target;
-    /// `Doubling` is the rate-limited ablation).
-    pub raise_policy: askel_core::RaisePolicy,
 }
 
 impl Default for ScenarioParams {
@@ -73,24 +46,42 @@ impl Default for ScenarioParams {
         ScenarioParams {
             outer_chunks: 5,
             inner_chunks: 7,
-            outer_split_cost: TimeNs::from_millis(6_400),
-            inner_split_cost: TimeNs::from_micros(914_286),
-            execute_cost: TimeNs::from_millis(40),
-            merge_cost: TimeNs::from_millis(40),
-            split_jitter: 0.05,
-            execute_jitter: 0.6,
-            merge_jitter: 0.25,
             seed: 20130725,
             tweets: 2_000,
-            max_lp: 24,
-            initial_lp: 1,
-            decrease_cooldown: TimeNs::from_millis(1_000),
-            raise_headroom: 2.0,
-            decrease_safety: 0.1,
-            raise_policy: askel_core::RaisePolicy::Unbounded,
         }
     }
 }
+
+/// Outer split cost (the paper's 6.4 s file read).
+const OUTER_SPLIT_COST: TimeNs = TimeNs::from_millis(6_400);
+/// Inner split cost (≈ 7× faster).
+const INNER_SPLIT_COST: TimeNs = TimeNs::from_micros(914_286);
+/// `fe` cost.
+const EXECUTE_COST: TimeNs = TimeNs::from_millis(40);
+/// `fm` cost (both levels).
+const MERGE_COST: TimeNs = TimeNs::from_millis(40);
+/// Jitter amplitude on inner splits (equal chunk sizes ⇒ near-uniform).
+const SPLIT_JITTER: f64 = 0.05;
+/// Jitter amplitude on `fe` (token distribution varies per sub-chunk; the
+/// paper: "in practice some execution muscles took less time").
+const EXECUTE_JITTER: f64 = 0.6;
+/// Jitter amplitude on merges.
+const MERGE_JITTER: f64 = 0.25;
+/// Max LP (the Xeon's 24 hardware threads).
+const MAX_LP: usize = 24;
+/// Initial LP.
+const INITIAL_LP: usize = 1;
+/// Decrease cooldown ("does not reduce the LP as fast as it increases
+/// it").
+const DECREASE_COOLDOWN: TimeNs = TimeNs::from_millis(1_000);
+/// Raise headroom (the paper's controller over-provisions; see
+/// [`ControllerConfig::raise_headroom`]).
+const RAISE_HEADROOM: f64 = 2.0;
+/// Decrease safety margin (fraction of the goal).
+const DECREASE_SAFETY: f64 = 0.1;
+/// Raise policy (the paper's controller jumps straight to its target;
+/// `Doubling` is the rate-limited ablation).
+const RAISE_POLICY: RaisePolicy = RaisePolicy::Unbounded;
 
 /// Everything one scenario run reports.
 #[derive(Clone, Debug)]
@@ -131,8 +122,6 @@ impl ScenarioOutcome {
 /// The §5 testbed: program + corpus + cost model, reusable across runs so
 /// snapshots stay meaningful (node identities are per-program).
 pub struct PaperScenarios {
-    /// Workload parameters.
-    pub params: ScenarioParams,
     /// The word-count program (stable node ids across runs).
     pub program: WordCountProgram,
     corpus: Vec<String>,
@@ -151,32 +140,26 @@ impl PaperScenarios {
         });
         let expected = askel_workloads::wordcount::count_tokens(&corpus);
 
-        let mut table = TableCost::new(params.execute_cost);
+        let mut table = TableCost::new(EXECUTE_COST);
         table.set(
             program.muscle(program.outer, MuscleRole::Split),
-            params.outer_split_cost,
+            OUTER_SPLIT_COST,
         );
         table.set(
             program.muscle(program.inner, MuscleRole::Split),
-            params.inner_split_cost,
+            INNER_SPLIT_COST,
         );
         table.set(
             program.muscle(program.leaf, MuscleRole::Execute),
-            params.execute_cost,
+            EXECUTE_COST,
         );
-        table.set(
-            program.muscle(program.outer, MuscleRole::Merge),
-            params.merge_cost,
-        );
-        table.set(
-            program.muscle(program.inner, MuscleRole::Merge),
-            params.merge_cost,
-        );
+        table.set(program.muscle(program.outer, MuscleRole::Merge), MERGE_COST);
+        table.set(program.muscle(program.inner, MuscleRole::Merge), MERGE_COST);
         // Per-muscle jitter; the outer split (a single sequential file
         // read, quoted as exactly 6.4 s) stays deterministic.
         let cost = PerMuscleCost::new(Arc::new(JitterCost::new(
             table.clone(),
-            params.execute_jitter,
+            EXECUTE_JITTER,
             params.seed,
         )))
         .route(
@@ -185,30 +168,17 @@ impl PaperScenarios {
         )
         .route(
             program.muscle(program.inner, MuscleRole::Split),
-            Arc::new(JitterCost::new(
-                table.clone(),
-                params.split_jitter,
-                params.seed,
-            )),
+            Arc::new(JitterCost::new(table.clone(), SPLIT_JITTER, params.seed)),
         )
         .route(
             program.muscle(program.outer, MuscleRole::Merge),
-            Arc::new(JitterCost::new(
-                table.clone(),
-                params.merge_jitter,
-                params.seed,
-            )),
+            Arc::new(JitterCost::new(table.clone(), MERGE_JITTER, params.seed)),
         )
         .route(
             program.muscle(program.inner, MuscleRole::Merge),
-            Arc::new(JitterCost::new(
-                table.clone(),
-                params.merge_jitter,
-                params.seed,
-            )),
+            Arc::new(JitterCost::new(table.clone(), MERGE_JITTER, params.seed)),
         );
         PaperScenarios {
-            params,
             program,
             corpus,
             cost: Arc::new(cost),
@@ -241,23 +211,30 @@ impl PaperScenarios {
         out.wct
     }
 
-    /// One autonomic run: WCT goal `goal`, estimators optionally
-    /// initialized from `init`.
-    pub fn run(&self, goal: TimeNs, init: Option<&Snapshot>) -> ScenarioOutcome {
-        let mut sim = SimEngine::new(self.params.initial_lp, Arc::clone(&self.cost));
-        let lp_control = sim.lp_control();
-        let mut config = ControllerConfig::new(goal, self.params.max_lp)
-            .initial_lp(self.params.initial_lp)
-            .decrease_cooldown(self.params.decrease_cooldown)
-            .raise_headroom(self.params.raise_headroom)
-            .decrease_safety(self.params.decrease_safety)
-            .raise(self.params.raise_policy);
+    /// The paper controller's configuration for the WCT goal `goal`: the
+    /// §5 calibration plus the program's shared-muscle aliases. The
+    /// ablations vary one setting of it.
+    pub fn controller_config(&self, goal: TimeNs) -> ControllerConfig {
+        let mut config = ControllerConfig::new(goal, MAX_LP)
+            .initial_lp(INITIAL_LP)
+            .decrease_cooldown(DECREASE_COOLDOWN)
+            .raise_headroom(RAISE_HEADROOM)
+            .decrease_safety(DECREASE_SAFETY)
+            .raise(RAISE_POLICY);
         for (m, canonical) in self.program.shared_muscle_aliases() {
             config = config.alias(m, canonical);
         }
+        config
+    }
+
+    /// One autonomic run: WCT goal `goal`, estimators optionally
+    /// initialized from `init`.
+    pub fn run(&self, goal: TimeNs, init: Option<&Snapshot>) -> ScenarioOutcome {
+        let mut sim = SimEngine::new(INITIAL_LP, Arc::clone(&self.cost));
+        let lp_control = sim.lp_control();
         let controller = AutonomicController::new(
             self.program.skel.node().clone(),
-            config,
+            self.controller_config(goal),
             Arc::new(FnActuator(move |lp| lp_control.request(lp))),
         );
         if let Some(snapshot) = init {
@@ -294,23 +271,19 @@ impl Default for PaperScenarios {
     }
 }
 
-/// A raw-cost probe used by unit tests: total sequential work implied by
-/// the cost table (without jitter).
-pub fn nominal_sequential_work(params: &ScenarioParams) -> TimeNs {
-    let splits = params.outer_split_cost.0 + params.outer_chunks as u64 * params.inner_split_cost.0;
-    let executes = (params.outer_chunks * params.inner_chunks) as u64 * params.execute_cost.0;
-    let merges = (params.outer_chunks as u64 + 1) * params.merge_cost.0;
-    TimeNs(splits + executes + merges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn nominal_work_matches_the_papers_12_5_seconds() {
-        let w = nominal_sequential_work(&ScenarioParams::default());
-        let secs = w.as_secs_f64();
+        // Total sequential work implied by the cost table, without jitter.
+        let p = ScenarioParams::default();
+        let (outer, inner) = (p.outer_chunks as u64, p.inner_chunks as u64);
+        let splits = OUTER_SPLIT_COST.0 + outer * INNER_SPLIT_COST.0;
+        let executes = outer * inner * EXECUTE_COST.0;
+        let merges = (outer + 1) * MERGE_COST.0;
+        let secs = TimeNs(splits + executes + merges).as_secs_f64();
         assert!(
             (12.0..13.2).contains(&secs),
             "nominal sequential work {secs:.2}s should be ≈12.5s"

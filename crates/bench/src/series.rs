@@ -1,4 +1,4 @@
-//! Plain-text and JSON rendering of timeline series for the figure
+//! Plain-text rendering of timeline series for the figure
 //! benches: each bench prints the same rows the paper plots.
 
 use askel_pool::TimelinePoint;
@@ -12,23 +12,6 @@ pub fn render_rows(points: &[TimelinePoint]) -> String {
         out.push_str(&format!("{:.0}\t{}\n", p.at.as_millis_f64(), p.active));
     }
     out
-}
-
-/// Renders a step function as a JSON array of `[ms, value]` pairs.
-pub fn render_json(points: &[TimelinePoint]) -> String {
-    use askel_core::json::Json;
-    Json::Arr(
-        points
-            .iter()
-            .map(|p| {
-                Json::Arr(vec![
-                    Json::Num(p.at.as_millis_f64()),
-                    Json::Num(p.active as f64),
-                ])
-            })
-            .collect(),
-    )
-    .render()
 }
 
 /// A fixed-width ASCII sketch of the series (handy in terminals).
@@ -108,26 +91,6 @@ mod tests {
     fn rows_are_tab_separated() {
         let s = render_rows(&pts());
         assert_eq!(s, "0\t0\n10\t2\n20\t0\n");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let s = render_json(&pts());
-        let doc = askel_core::json::Json::parse(&s).unwrap();
-        let v: Vec<(f64, usize)> = doc
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_array().unwrap();
-                (
-                    pair[0].as_f64().unwrap(),
-                    pair[1].as_f64().unwrap() as usize,
-                )
-            })
-            .collect();
-        assert_eq!(v.len(), 3);
-        assert_eq!(v[1], (10.0, 2));
     }
 
     #[test]

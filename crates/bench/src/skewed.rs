@@ -114,7 +114,7 @@ pub fn run_skewed_cluster(ordering: OrderingPolicy) -> SkewedRun {
         outputs,
         grain_trace,
         decisions: trigger.decision_log(),
-        provisions: provisioning.log().to_vec(),
+        provisions: provisioning.log(),
         telemetry,
     }
 }

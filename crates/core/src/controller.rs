@@ -120,8 +120,6 @@ pub struct ControllerConfig {
     pub wct_goal: TimeNs,
     /// Upper bound for the LP (the paper's overload guard).
     pub max_lp: usize,
-    /// Lower bound for the LP (≥ 1 keeps the engine live).
-    pub min_lp: usize,
     /// The estimators' ρ.
     pub rho: f64,
     /// The LP the engine starts with (the controller's initial belief).
@@ -156,13 +154,12 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// A config with the paper's defaults: `min_lp` 1, ρ 0.5, initial LP 1,
-    /// halving decrease.
+    /// A config with the paper's defaults: ρ 0.5, initial LP 1, halving
+    /// decrease.
     pub fn new(wct_goal: TimeNs, max_lp: usize) -> Self {
         ControllerConfig {
             wct_goal,
             max_lp: max_lp.max(1),
-            min_lp: 1,
             rho: 0.5,
             initial_lp: 1,
             decrease: DecreasePolicy::Halve,
@@ -234,6 +231,10 @@ impl ControllerConfig {
         self
     }
 }
+
+/// The controller never lowers the LP below this: one worker keeps the
+/// engine live.
+const MIN_LP: usize = 1;
 
 /// Why the controller changed the LP.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -576,9 +577,7 @@ impl AutonomicController {
         cur: usize,
         deadline: TimeNs,
     ) -> Option<(usize, DecisionReason, TimeNs)> {
-        let opt = layouts
-            .best_effort_concurrency_from(now)
-            .max(self.config.min_lp);
+        let opt = layouts.best_effort_concurrency_from(now).max(MIN_LP);
         let cap = opt.min(self.config.max_lp);
         if cap <= cur {
             return None; // nothing a raise could do
@@ -636,9 +635,9 @@ impl AutonomicController {
         let safe_deadline = deadline.saturating_sub(margin);
         let to_lp = match self.config.decrease {
             DecreasePolicy::Never => return None,
-            DecreasePolicy::Halve => (cur / 2).max(self.config.min_lp),
+            DecreasePolicy::Halve => (cur / 2).max(MIN_LP),
             DecreasePolicy::ToMinimal => {
-                let mut lo = self.config.min_lp;
+                let mut lo = MIN_LP;
                 let mut hi = cur;
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;

@@ -162,7 +162,7 @@ impl EstimatorTable {
     }
 
     /// Feeds a duration measurement for `t(m)`.
-    pub fn observe_duration(&mut self, m: MuscleId, actual: TimeNs) {
+    pub(crate) fn observe_duration(&mut self, m: MuscleId, actual: TimeNs) {
         self.durations
             .entry(m)
             .or_insert_with(|| Ewma::new(self.rho))

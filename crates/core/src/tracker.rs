@@ -92,11 +92,6 @@ impl InstanceRecord {
     pub fn is_finished(&self) -> bool {
         self.finished.is_some()
     }
-
-    /// The latest condition evaluation, if any.
-    pub fn last_cond(&self) -> Option<&CondSpan> {
-        self.conds.last()
-    }
 }
 
 /// Event-driven execution tracker + estimator updater.
@@ -184,7 +179,8 @@ impl SmTracker {
     }
 
     /// Number of instances currently recorded.
-    pub fn instance_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn instance_count(&self) -> usize {
         self.instances.len()
     }
 

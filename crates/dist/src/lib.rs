@@ -44,8 +44,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use askel_events::{Event, Payload};
 use askel_sim::components::{Command, Component};
 use askel_sim::workers::WorkerModel;
 use askel_skeletons::TimeNs;
@@ -122,11 +124,6 @@ impl NodeSpec {
     pub fn round_trip(&self) -> TimeNs {
         self.round_trip
     }
-
-    /// Whether this node is local (no communication overhead).
-    pub fn is_local(&self) -> bool {
-        self.round_trip == TimeNs::ZERO
-    }
 }
 
 #[derive(Debug)]
@@ -194,13 +191,13 @@ impl ClusterTelemetry {
     }
 
     /// Provisioned slots per node.
-    pub fn slots_per_node(&self) -> Vec<usize> {
+    pub(crate) fn slots_per_node(&self) -> Vec<usize> {
         self.lock().slots.clone()
     }
 
     /// Currently-enabled slots per node (live: follows every capacity
     /// change, including mid-run LP requests).
-    pub fn enabled_per_node(&self) -> Vec<usize> {
+    pub(crate) fn enabled_per_node(&self) -> Vec<usize> {
         self.lock().enabled.clone()
     }
 
@@ -231,8 +228,8 @@ impl ClusterTelemetry {
     }
 
     /// `busy / (wall × enabled_slots)` per node — the utilization figures
-    /// the dist example and benches print. `enabled` comes from the
-    /// cluster that produced this handle (`Cluster::enabled_per_node`).
+    /// the dist example and benches print. `enabled` is the enabled slot
+    /// count per node, in node order.
     pub fn utilization(&self, wall: TimeNs, enabled: &[usize]) -> Vec<f64> {
         self.busy_per_node()
             .iter()
@@ -325,7 +322,7 @@ impl Cluster {
     }
 
     /// The node owning `slot`, if the slot is provisioned.
-    pub fn node_of_slot(&self, slot: usize) -> Option<&NodeSpec> {
+    pub(crate) fn node_of_slot(&self, slot: usize) -> Option<&NodeSpec> {
         self.node_index_of_slot(slot).map(|i| &self.nodes[i])
     }
 
@@ -349,7 +346,7 @@ impl Cluster {
 
     /// How many of each node's slots are enabled at the current capacity,
     /// as `(node, enabled)` pairs in slot order.
-    pub fn enabled_per_node(&self) -> Vec<(&NodeSpec, usize)> {
+    pub(crate) fn enabled_per_node(&self) -> Vec<(&NodeSpec, usize)> {
         self.nodes
             .iter()
             .zip(&self.starts)
@@ -458,11 +455,9 @@ pub struct ProvisionRecord {
 /// The meter is fed at explicit observation points:
 /// [`observe`](NodeHoursMeter::observe) charges the elapsed time since
 /// the previous observation at the capacity that *was* enabled across
-/// that interval, then records the new capacity. Wire it into a
-/// [`ProvisioningPolicy`] via [`metered`](ProvisioningPolicy::metered)
-/// and every review point keeps the meter current — the same safe-point
-/// cadence the `Reconfigurator` runs on, so adaptation rules read a
-/// spend figure that is never staler than one safe point.
+/// that interval, then records the new capacity. Observing at every safe
+/// point keeps the spend figure adaptation rules read never staler than
+/// one safe point.
 #[derive(Clone, Debug, Default)]
 pub struct NodeHoursMeter {
     inner: Arc<Mutex<MeterInner>>,
@@ -541,7 +536,7 @@ impl NodeHoursMeter {
 /// new capacity for the caller to apply through its engine's LP channel
 /// (`SimEngine::set_lp`, `SimLpControl::request`) — symmetric to how the
 /// WCT controller actuates. Every change is logged as a
-/// [`ProvisionRecord`] and, when wired via
+/// [`ProvisionRecord`] (the most recent 1 024 are kept) and, when wired via
 /// [`announce_via`](ProvisioningPolicy::announce_via), announced as an
 /// `(After, Reconfigured)` event — the same vocabulary as the tree
 /// rewrites.
@@ -549,17 +544,21 @@ pub struct ProvisioningPolicy {
     high_water: f64,
     low_water: f64,
     cooldown_points: usize,
-    min_capacity: usize,
     review_points: usize,
     last_change: Option<usize>,
     /// Per-node busy totals at the last applied change (`None` until
     /// one): the start of the current observation window.
     window_start: Option<Vec<TimeNs>>,
     version: u64,
-    log: Vec<ProvisionRecord>,
+    /// The last [`PROVISION_LOG_CAPACITY`] records, oldest first.
+    log: VecDeque<ProvisionRecord>,
     announce: Option<ProvisionAnnounce>,
-    meter: Option<NodeHoursMeter>,
 }
+
+/// How many [`ProvisionRecord`]s a policy keeps: the most recent this
+/// many. A review component keeps reviewing for as long as work is in
+/// flight, and a load that flaps the tail block adds a record per review.
+const PROVISION_LOG_CAPACITY: usize = 1 << 10;
 
 struct ProvisionAnnounce {
     registry: Arc<askel_events::ListenerRegistry>,
@@ -569,41 +568,25 @@ struct ProvisionAnnounce {
 
 impl ProvisioningPolicy {
     /// A policy with the given busy-share water marks (clamped to
-    /// `[0, 1]`, `low ≤ high`), no cooldown, and a minimum capacity of 1.
+    /// `[0, 1]`, `low ≤ high`) and no cooldown.
     pub fn new(high_water: f64, low_water: f64) -> Self {
         let high_water = high_water.clamp(0.0, 1.0);
         ProvisioningPolicy {
             high_water,
             low_water: low_water.clamp(0.0, high_water),
             cooldown_points: 0,
-            min_capacity: 1,
             review_points: 0,
             last_change: None,
             window_start: None,
             version: 0,
-            log: Vec::new(),
+            log: VecDeque::new(),
             announce: None,
-            meter: None,
         }
     }
 
     /// Minimum review points between two capacity changes.
     pub fn cooldown(mut self, points: usize) -> Self {
         self.cooldown_points = points;
-        self
-    }
-
-    /// Charges enabled capacity to `meter` at every review point, so the
-    /// cost concern reads a node-time spend that tracks provisioning
-    /// decisions (see [`NodeHoursMeter`]). Keep a clone of the meter.
-    pub fn metered(mut self, meter: NodeHoursMeter) -> Self {
-        self.meter = Some(meter);
-        self
-    }
-
-    /// Never retires below this many enabled slots (≥ 1).
-    pub fn min_capacity(mut self, n: usize) -> Self {
-        self.min_capacity = n.max(1);
         self
     }
 
@@ -625,12 +608,12 @@ impl ProvisioningPolicy {
         self
     }
 
-    /// Every applied provisioning change, in order.
-    pub fn log(&self) -> &[ProvisionRecord] {
-        &self.log
+    /// The most recent 1 024 applied provisioning changes, oldest first.
+    pub fn log(&self) -> Vec<ProvisionRecord> {
+        self.log.iter().cloned().collect()
     }
 
-    /// Number of applied changes so far.
+    /// Number of applied changes so far (the log may hold fewer).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -640,9 +623,6 @@ impl ProvisioningPolicy {
     /// online one. Returns the new total capacity for the caller to apply
     /// (`None` = hold). Deterministic: same telemetry, same decision.
     pub fn review(&mut self, telemetry: &ClusterTelemetry, now: TimeNs) -> Option<usize> {
-        if let Some(meter) = &self.meter {
-            meter.observe(now, telemetry.capacity());
-        }
         self.review_points += 1;
         if let Some(last) = self.last_change {
             if self.review_points.saturating_sub(last) < self.cooldown_points {
@@ -707,7 +687,7 @@ impl ProvisioningPolicy {
             return None; // never retire the first node
         }
         let new_capacity: usize = slots[..last].iter().sum();
-        if shares[last] <= self.low_water && new_capacity >= self.min_capacity {
+        if shares[last] <= self.low_water && new_capacity >= 1 {
             self.apply(
                 now,
                 names[last].clone(),
@@ -742,26 +722,13 @@ impl ProvisioningPolicy {
         // Start a fresh observation window at every applied change.
         self.window_start = Some(busy_now);
         if let Some(announce) = &self.announce {
-            use askel_events::{Event, EventInfo, Payload, Trace, When, Where};
-            let event = Event {
-                node: announce.subject,
-                kind: announce.kind,
-                when: When::After,
-                wher: Where::Reconfigured,
-                index: askel_skeletons::InstanceId(self.version),
-                trace: Trace::root(
-                    announce.subject,
-                    askel_skeletons::InstanceId(self.version),
-                    announce.kind,
-                ),
-                timestamp: now,
-                info: EventInfo::Reconfigured {
-                    version: self.version,
-                },
-            };
+            let event = Event::reconfigured(announce.subject, announce.kind, self.version, now);
             announce.registry.emit(&mut Payload::None, &event);
         }
-        self.log.push(ProvisionRecord {
+        if self.log.len() == PROVISION_LOG_CAPACITY {
+            self.log.pop_front();
+        }
+        self.log.push_back(ProvisionRecord {
             at: now,
             version: self.version,
             node,
@@ -1161,6 +1128,31 @@ mod tests {
     }
 
     #[test]
+    fn a_tail_block_flapping_at_every_review_leaves_a_bounded_log() {
+        let c = Cluster::new(vec![
+            NodeSpec::local("edge", 1),
+            NodeSpec::remote("hub", 1, TimeNs::ZERO),
+        ])
+        .with_capacity(1);
+        let t = c.telemetry();
+        // No cooldown, and all load on the edge: the hub is added, then
+        // retired at the next review (idle in its window), and so on.
+        let mut policy = ProvisioningPolicy::new(0.5, 0.0);
+        let n = PROVISION_LOG_CAPACITY as u64;
+        for s in 1..=3 * n {
+            t.add(0, TimeNs::from_secs(1));
+            let cap = policy.review(&t, TimeNs::from_secs(s)).expect("flaps");
+            t.set_enabled(vec![1, cap - 1]);
+        }
+        assert_eq!(policy.version(), 3 * n);
+        let log = policy.log();
+        assert_eq!(log.len(), PROVISION_LOG_CAPACITY);
+        assert_eq!(log[0].version, 2 * n + 1, "the oldest records went");
+        assert!(log.windows(2).all(|w| w[0].version + 1 == w[1].version));
+        assert_eq!(log.last().unwrap().at, TimeNs::from_secs(3 * n));
+    }
+
+    #[test]
     fn slot_range_agrees_with_slot_matches() {
         let c = Cluster::new(vec![
             NodeSpec::local("idle", 0),
@@ -1181,6 +1173,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn provisioning_review_ticks_one_interval_after_now() {
+        let t = two_node().telemetry();
+        let mut review = ProvisioningReview::new(ProvisioningPolicy::new(0.8, 0.1), t, TimeNs(10));
+        let mut now = TimeNs::ZERO;
+        let mut ticks = Vec::new();
+        for _ in 0..3 {
+            let at = review.next_tick(now).unwrap();
+            assert!(at > now, "tick must be strictly in the future");
+            now = at;
+            review.tick(now);
+            ticks.push(now);
+        }
+        assert_eq!(ticks, vec![TimeNs(10), TimeNs(20), TimeNs(30)]);
+    }
+
+    #[test]
+    fn a_zero_review_interval_still_terminates() {
+        let t = two_node().telemetry();
+        let mut review =
+            ProvisioningReview::new(ProvisioningPolicy::new(0.8, 0.1), t, TimeNs::ZERO);
+        let at = review.next_tick(TimeNs(5)).unwrap();
+        assert!(at > TimeNs(5));
+        review.tick(at);
+        assert!(review.next_tick(at).unwrap() > at);
     }
 
     #[test]

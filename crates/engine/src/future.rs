@@ -25,7 +25,7 @@ pub struct SkelFuture<R> {
 /// The write side handed to the engine internals. The first `fulfill` or
 /// `fail` wins; later calls are ignored (a poisoned submission may race its
 /// own completion).
-pub struct Promise<R> {
+pub(crate) struct Promise<R> {
     shared: Arc<Shared<R>>,
 }
 
@@ -38,7 +38,7 @@ impl<R> Clone for Promise<R> {
 }
 
 /// Creates a connected (future, promise) pair.
-pub fn pair<R>() -> (SkelFuture<R>, Promise<R>) {
+pub(crate) fn pair<R>() -> (SkelFuture<R>, Promise<R>) {
     let shared = Arc::new(Shared {
         slot: Mutex::new(None),
         cond: Condvar::new(),
@@ -53,12 +53,12 @@ pub fn pair<R>() -> (SkelFuture<R>, Promise<R>) {
 
 impl<R> Promise<R> {
     /// Resolves the future with a value (first write wins).
-    pub fn fulfill(&self, value: R) {
+    pub(crate) fn fulfill(&self, value: R) {
         self.set(Ok(value));
     }
 
     /// Resolves the future with an error (first write wins).
-    pub fn fail(&self, err: EngineError) {
+    pub(crate) fn fail(&self, err: EngineError) {
         self.set(Err(err));
     }
 
@@ -135,7 +135,7 @@ impl<R> SkelFuture<R> {
     }
 
     /// `true` once the submission has finished (ok or poisoned).
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.shared.slot.lock().is_some()
     }
 }

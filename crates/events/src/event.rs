@@ -228,6 +228,23 @@ impl From<&Event> for EventRecord {
 }
 
 impl Event {
+    /// The `(After, Reconfigured)` event announcing that the skeleton
+    /// rooted at `node` (of kind `kind`) reached `version` at `at`: a root
+    /// trace whose instance index is the version.
+    pub fn reconfigured(node: NodeId, kind: KindTag, version: u64, at: TimeNs) -> Event {
+        let index = InstanceId(version);
+        Event {
+            node,
+            kind,
+            when: When::After,
+            wher: Where::Reconfigured,
+            index,
+            trace: Trace::root(node, index, kind),
+            timestamp: at,
+            info: EventInfo::Reconfigured { version },
+        }
+    }
+
     /// `true` if this is the event `(when, wher)` on a node of `kind`.
     pub fn is(&self, kind: KindTag, when: When, wher: Where) -> bool {
         self.kind == kind && self.when == when && self.wher == wher
@@ -304,6 +321,10 @@ mod tests {
 
     #[test]
     fn reconfigured_notation_and_accessor() {
+        let e = Event::reconfigured(NodeId(1), KindTag::Map, 42, TimeNs::from_millis(5));
+        assert!(e.is(KindTag::Map, When::After, Where::Reconfigured));
+        assert_eq!(e.trace.depth(), 1);
+        assert_eq!(e.paper_notation(), "map@rc(i42, v=42)");
         let e = event(
             KindTag::Map,
             When::After,

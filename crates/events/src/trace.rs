@@ -82,11 +82,6 @@ impl Trace {
     pub fn depth(&self) -> usize {
         self.0.len()
     }
-
-    /// Does this trace pass through the given instance?
-    pub fn contains_instance(&self, instance: InstanceId) -> bool {
-        self.0.iter().any(|e| e.instance == instance)
-    }
 }
 
 impl std::fmt::Display for Trace {
@@ -118,16 +113,6 @@ mod tests {
         assert_eq!(deeper.parent().unwrap().instance, InstanceId(10));
         assert_eq!(deeper.leaf().unwrap().instance, InstanceId(11));
         assert_eq!(deeper.depth(), 2);
-    }
-
-    #[test]
-    fn contains_instance_checks_whole_path() {
-        let t = Trace::root(NodeId(1), InstanceId(10), KindTag::Map)
-            .child(NodeId(2), InstanceId(11), KindTag::Map)
-            .child(NodeId(3), InstanceId(12), KindTag::Seq);
-        assert!(t.contains_instance(InstanceId(10)));
-        assert!(t.contains_instance(InstanceId(12)));
-        assert!(!t.contains_instance(InstanceId(99)));
     }
 
     #[test]

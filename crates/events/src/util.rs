@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_skeletons::{InstanceId, KindTag, NodeId, TimeNs};
-
-use crate::event::{Event, EventInfo, When, Where};
+use crate::event::{Event, EventRecord};
 use crate::listener::{Listener, Payload};
 
 /// A line-oriented logger listener, equivalent to the paper's Listing 2:
@@ -50,47 +48,11 @@ where
     }
 }
 
-/// A compact record of one event, cheap to store by the million.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecordedEvent {
-    /// Raising node.
-    pub node: NodeId,
-    /// Node kind.
-    pub kind: KindTag,
-    /// Before/After.
-    pub when: When,
-    /// Position.
-    pub wher: Where,
-    /// Instance index `i`.
-    pub index: InstanceId,
-    /// Parent instance (from the trace), if any.
-    pub parent: Option<InstanceId>,
-    /// Timestamp.
-    pub timestamp: TimeNs,
-    /// Extra info.
-    pub info: EventInfo,
-}
-
-impl RecordedEvent {
-    /// Projects an [`Event`] down to its recordable core.
-    pub fn from_event(e: &Event) -> Self {
-        RecordedEvent {
-            node: e.node,
-            kind: e.kind,
-            when: e.when,
-            wher: e.wher,
-            index: e.index,
-            parent: e.trace.parent().map(|p| p.instance),
-            timestamp: e.timestamp,
-            info: e.info,
-        }
-    }
-}
-
-/// Records every event it sees; the workhorse of the integration tests.
+/// Records every event it sees, as compact [`EventRecord`]s; the
+/// workhorse of the integration tests.
 #[derive(Default)]
 pub struct EventCollector {
-    events: Mutex<Vec<RecordedEvent>>,
+    events: Mutex<Vec<EventRecord>>,
 }
 
 impl EventCollector {
@@ -102,7 +64,7 @@ impl EventCollector {
     /// Snapshot of everything recorded so far (in arrival order per
     /// thread; total order is the engine's emission order under the sim,
     /// or an interleaving under the threaded engine).
-    pub fn snapshot(&self) -> Vec<RecordedEvent> {
+    pub fn snapshot(&self) -> Vec<EventRecord> {
         self.events.lock().clone()
     }
 
@@ -124,7 +86,7 @@ impl EventCollector {
 
 impl Listener for EventCollector {
     fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
-        self.events.lock().push(RecordedEvent::from_event(event));
+        self.events.lock().push(EventRecord::from(event));
     }
 }
 
@@ -155,7 +117,9 @@ impl Listener for CountingListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{EventInfo, When, Where};
     use crate::trace::Trace;
+    use askel_skeletons::{InstanceId, KindTag, NodeId, TimeNs};
 
     fn ev(when: When, wher: Where) -> Event {
         Event {
@@ -192,8 +156,8 @@ mod tests {
         c.on_event(&mut Payload::None, &ev(When::Before, Where::Skeleton));
         let snap = c.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].parent, Some(InstanceId(3)));
-        assert_eq!(snap[0].info.split_cardinality(), Some(3));
+        assert_eq!(snap[0].parent(), Some(InstanceId(3)));
+        assert_eq!(snap[0].info().split_cardinality(), Some(3));
         c.clear();
         assert!(c.is_empty());
     }

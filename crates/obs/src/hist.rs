@@ -185,7 +185,7 @@ impl HistogramSnapshot {
     }
 
     /// Records `n` occurrences of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }

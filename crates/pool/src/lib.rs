@@ -15,7 +15,7 @@
 //!   cache. Skandium's scheduler has the same discipline (§5 of the paper
 //!   observes `split → all its executes → its merge` completing before
 //!   sibling splits start), and the discrete-event simulator mirrors it.
-//! * **Global injector** — external `submit`/`submit_all` push onto a
+//! * **Global injector** — external `submit`/`submit_batch` push onto a
 //!   LIFO overflow stack; idle workers grab small batches from its top.
 //! * **Work stealing** — a worker with nothing local and an empty
 //!   injector steals the oldest half of another worker's deque (FIFO from
@@ -86,8 +86,8 @@ pub type Task = Box<dyn FnOnce() + Send>;
 /// * `pool_parks_total` — times a worker gave up spinning and parked.
 /// * `pool_spin_rounds_total` — empty find-task rounds spent in the
 ///   spin-before-park window; together with `pool_parks_total` and the
-///   wake-latency histogram this is the input to tuning
-///   `ASKEL_POOL_SPIN_ROUNDS`.
+///   wake-latency histogram this is what the spin window is tuned
+///   against.
 /// * `pool_wakes_total` — unparks issued by submitters and
 ///   torch-passing workers.
 /// * `pool_wake_latency_ns` — histogram of unpark-signal → worker-
@@ -425,15 +425,9 @@ impl ResizablePool {
         }
     }
 
-    /// Submits several tasks at once, taking the destination queue's lock
-    /// only once; they are stacked in order, so the *last* one is picked
-    /// up first (LIFO).
-    pub fn submit_all(&self, tasks: impl IntoIterator<Item = Task>) {
-        self.submit_batch(tasks.into_iter().collect());
-    }
-
     /// Batch submission: one queue-lock acquisition, then wakes as many
-    /// sleeping workers as there are new tasks.
+    /// sleeping workers as there are new tasks. The tasks are stacked in
+    /// order, so the *last* one is picked up first (LIFO).
     pub fn submit_batch(&self, tasks: Vec<Task>) {
         if tasks.is_empty() {
             return;
@@ -515,12 +509,6 @@ impl ResizablePool {
         self.inner.target.load(Ordering::SeqCst)
     }
 
-    /// Workers currently alive (may exceed the target briefly while a
-    /// shrink drains).
-    pub fn live_workers(&self) -> usize {
-        self.inner.live.load(Ordering::SeqCst)
-    }
-
     /// Tasks currently queued (not yet picked up), counting the injector,
     /// every worker-local deque, *and* any occupied next-task slot.
     pub fn queued_tasks(&self) -> usize {
@@ -534,10 +522,10 @@ impl ResizablePool {
     /// for hot admission paths: both counters are loaded `Relaxed`, so
     /// the value can lag concurrent submits and pick-ups by a few
     /// tasks. Admission gates that sample the depth once per ingress
-    /// batch (the serve layer's backpressure and latency gates) want
-    /// exactly this trade: the gate is already coarse-grained by
-    /// design, and the two `SeqCst` loads of the exact read are
-    /// measurable at ~1 µs/item ingress budgets. Never use this for
+    /// batch (the serve layer's latency gate) want exactly this trade:
+    /// the gate is already coarse-grained by design, and the two `SeqCst`
+    /// loads of the exact read are measurable at ~1 µs/item ingress
+    /// budgets. Never use this for
     /// quiescence proofs — [`wait_idle`](Self::wait_idle) and
     /// [`queued_tasks`](Self::queued_tasks) stay exact.
     pub fn queue_depth_hint(&self) -> usize {
@@ -545,11 +533,6 @@ impl ResizablePool {
             .submitted
             .load(Ordering::Relaxed)
             .saturating_sub(self.inner.telemetry.tasks_started_hint())
-    }
-
-    /// Tasks currently executing.
-    pub fn active_tasks(&self) -> usize {
-        self.inner.telemetry.active_now()
     }
 
     /// The pool's telemetry (shared).
@@ -778,13 +761,9 @@ fn worker_loop(inner: Arc<PoolInner>, shard: Arc<Shard>) {
     // on itself for the next pulse. Bounded, so an idle pool still
     // parks (no spinning herd), and every round re-checks the
     // retire/shutdown conditions at the top of the loop.
-    // Default chosen by measurement on the engine-throughput benches
-    // (fan-out pulses land well within the window); overridable for
-    // tuning via `ASKEL_POOL_SPIN_ROUNDS`.
-    let spin_rounds: u32 = std::env::var("ASKEL_POOL_SPIN_ROUNDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
+    // Chosen by measurement on the engine-throughput benches (fan-out
+    // pulses land well within the window).
+    const SPIN_ROUNDS: u32 = 256;
     let mut idle_rounds = 0u32;
     loop {
         // Retire if surplus (confirmed under the coordinator lock so
@@ -816,7 +795,7 @@ fn worker_loop(inner: Arc<PoolInner>, shard: Arc<Shard>) {
         }
         idle_rounds += 1;
         inner.metrics.spins.inc();
-        if idle_rounds < spin_rounds {
+        if idle_rounds < SPIN_ROUNDS {
             if idle_rounds < 4 {
                 std::hint::spin_loop();
             } else {
@@ -950,7 +929,7 @@ mod tests {
         assert_eq!(pool.target_workers(), 1);
         pool.set_target_workers(4);
         assert_eq!(pool.target_workers(), 4);
-        assert_eq!(pool.live_workers(), 4);
+        assert_eq!(pool.inner.live.load(Ordering::SeqCst), 4);
         pool.shutdown_and_join();
     }
 
@@ -960,12 +939,12 @@ mod tests {
         pool.set_target_workers(1);
         // Give workers a moment to observe the new target.
         for _ in 0..200 {
-            if pool.live_workers() == 1 {
+            if pool.inner.live.load(Ordering::SeqCst) == 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(pool.live_workers(), 1);
+        assert_eq!(pool.inner.live.load(Ordering::SeqCst), 1);
         // The surviving worker still runs tasks.
         let (tx, rx) = mpsc::channel();
         pool.submit(Box::new(move || tx.send(()).unwrap()));
@@ -1191,7 +1170,7 @@ mod tests {
         for _ in 0..3 {
             ready_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        assert_eq!(pool.active_tasks(), 3);
+        assert_eq!(pool.telemetry().active_now(), 3);
         for _ in 0..3 {
             release_tx.send(()).unwrap();
         }

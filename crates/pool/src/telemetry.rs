@@ -93,8 +93,8 @@ impl PoolTelemetry {
 
     /// Enables or disables timeline sample recording (counters always
     /// run). Off until a reader of [`samples`](Self::samples) or the
-    /// timelines switches it on: two samples per task, kept until
-    /// [`reset_timeline`](Self::reset_timeline).
+    /// timelines switches it on: two samples per task, kept for the
+    /// pool's lifetime.
     pub fn set_recording(&self, on: bool) {
         self.recording.store(on, Ordering::Relaxed);
     }
@@ -108,7 +108,8 @@ impl PoolTelemetry {
 
     /// Tasks currently executing (exact: its own counter, incremented at
     /// pick-up and decremented at completion).
-    pub fn active_now(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_now(&self) -> usize {
         self.active.load(Ordering::SeqCst)
     }
 
@@ -130,7 +131,7 @@ impl PoolTelemetry {
     /// paths that tolerate a slightly stale depth.
     ///
     /// [`ResizablePool::queue_depth_hint`]: crate::ResizablePool::queue_depth_hint
-    pub fn tasks_started_hint(&self) -> usize {
+    pub(crate) fn tasks_started_hint(&self) -> usize {
         self.started.load(Ordering::Relaxed)
     }
 
@@ -191,13 +192,6 @@ impl PoolTelemetry {
     /// Raw samples in recording order.
     pub fn samples(&self) -> Vec<TelemetrySample> {
         self.samples.lock().clone()
-    }
-
-    /// Clears recorded samples and the peak (counters for in-flight tasks
-    /// are preserved).
-    pub fn reset_timeline(&self) {
-        self.samples.lock().clear();
-        self.peak.store(self.active_now(), Ordering::Release);
     }
 
     /// The active-task step function over time — the series plotted in
@@ -377,16 +371,6 @@ mod tests {
         assert_eq!(t.samples().len(), 1);
         // Counters run either way.
         assert_eq!((t.tasks_started(), t.tasks_finished()), (2, 1));
-    }
-
-    #[test]
-    fn reset_preserves_inflight_active() {
-        let t = recording();
-        t.record_task_start(TimeNs(10));
-        t.reset_timeline();
-        assert!(t.samples().is_empty());
-        assert_eq!(t.peak_active(), 1);
-        assert_eq!(t.active_now(), 1);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Admission control: per-tenant quotas, shared-pool backpressure, and
-//! latency-aware cost pricing.
+//! Admission control: per-tenant quotas and latency-aware cost pricing.
 //!
-//! The registry admits each fed item through the four gates
-//! [`AdmissionPolicy`] describes — in-flight quota, pool backpressure,
-//! latency pricing, backlog bound — evaluated in that order.
+//! The registry admits each fed item through the three gates
+//! [`AdmissionPolicy`] describes — in-flight quota, latency pricing,
+//! backlog bound — evaluated in that order.
 //!
 //! Queued items are dispatched by
 //! [`ServeRegistry::drain_cycle`](crate::ServeRegistry::drain_cycle),
@@ -13,24 +12,19 @@
 //! often, so a backlogged tenant can never be starved by its
 //! neighbours.
 
-/// Per-tenant admission limits plus the shared-pool backpressure and
-/// latency-pricing bounds.
+/// Per-tenant admission limits plus the latency-pricing bound.
 ///
-/// The registry admits each fed item through four gates, in order:
+/// The registry admits each fed item through three gates, in order:
 ///
 /// 1. **In-flight quota** — a tenant may hold at most
 ///    [`max_in_flight`](AdmissionPolicy::max_in_flight) items on the
 ///    shared pool. Beyond it, items queue in the tenant's backlog.
-/// 2. **Pool backpressure** — when
-///    [`max_pool_queue`](AdmissionPolicy::max_pool_queue) is set and the
-///    shared pool already holds that many queued tasks
-///    (`ResizablePool::queue_depth_hint`, sampled **once per ingress
-///    call**, not per item), new items queue regardless of per-tenant
-///    room: one tenant's burst must not bury everyone's latency.
-/// 3. **Latency pricing** — when
+/// 2. **Latency pricing** — when
 ///    [`max_queue_cost`](AdmissionPolicy::max_queue_cost) is set, an
 ///    item submits only while `pool queue depth × the tenant's
-///    estimated per-item cost (ns)` stays under the bound. The cost
+///    estimated per-item cost (ns)` stays under the bound (the depth is
+///    `ResizablePool::queue_depth_hint`, sampled **once per ingress
+///    call**, not per item). The cost
 ///    comes from the structure-keyed
 ///    [`SharedEstimators`](crate::SharedEstimators) pool
 ///    ([`estimated_cost`](crate::SharedEstimators::estimated_cost)), so
@@ -38,7 +32,7 @@
 ///    *expensive* tenant must stop feeding — static quotas alone would
 ///    shed both. Tenants whose structure has no pooled history are not
 ///    priced: the gate degrades to the static quotas above.
-/// 4. **Backlog bound** — a tenant queues at most
+/// 3. **Backlog bound** — a tenant queues at most
 ///    [`max_backlog`](AdmissionPolicy::max_backlog) items; beyond that,
 ///    feeds are [`Rejected`](Admission::Rejected) (load shedding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,10 +42,6 @@ pub struct AdmissionPolicy {
     /// Items one tenant may hold queued beyond its in-flight quota;
     /// feeds beyond this are rejected.
     pub max_backlog: usize,
-    /// Global backpressure: when `Some(n)` and the shared pool already
-    /// holds ≥ `n` queued tasks, new items queue instead of submitting
-    /// even if the tenant has in-flight room. `None` disables the gate.
-    pub max_pool_queue: Option<usize>,
     /// Latency pricing: when `Some(bound)`, an item submits only while
     /// `pool queue depth × the tenant's estimated per-item cost (ns)`
     /// is ≤ `bound` (units: ns·tasks). Tenants with no pooled cost
@@ -64,7 +54,6 @@ impl Default for AdmissionPolicy {
         AdmissionPolicy {
             max_in_flight: 64,
             max_backlog: 4096,
-            max_pool_queue: None,
             max_queue_cost: None,
         }
     }
@@ -84,12 +73,6 @@ impl AdmissionPolicy {
         self
     }
 
-    /// Enables pool-level backpressure at `n` queued tasks.
-    pub fn max_pool_queue(mut self, n: usize) -> Self {
-        self.max_pool_queue = Some(n);
-        self
-    }
-
     /// Enables latency pricing at `bound` ns·tasks: an item submits
     /// only while `queue depth × estimated per-item cost` stays ≤
     /// `bound`.
@@ -98,12 +81,7 @@ impl AdmissionPolicy {
         self
     }
 
-    /// Gate 2: whether the pool has room at `depth` queued tasks.
-    pub fn pool_room(&self, depth: usize) -> bool {
-        self.max_pool_queue.is_none_or(|n| depth < n)
-    }
-
-    /// Gate 3: whether a tenant priced at `cost_ns` per item may submit
+    /// Gate 2: whether a tenant priced at `cost_ns` per item may submit
     /// at `depth` queued tasks. Unpriced tenants (`cost_ns == None`)
     /// and an unset bound always pass — the static gates then decide.
     pub fn cost_room(&self, depth: usize, cost_ns: Option<u64>) -> bool {

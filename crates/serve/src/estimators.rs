@@ -11,7 +11,7 @@
 //! warming tenant B's table translates them back onto B's concrete
 //! `MuscleId`s.
 //!
-//! This is what opens the forecast gate early: `predicted_wct` refuses
+//! This is what opens the forecast gate early: `predictive_wct` refuses
 //! to forecast until the table covers every muscle of the tree, so a
 //! cold tenant's forecast-gated rules stay closed for its whole warm-up.
 //! Warm-started from a structural twin's history, the gate can open at

@@ -19,15 +19,13 @@
 //! set) via its drain cycle.
 //!
 //! Under a [`ShardedServe`](crate::ShardedServe) the monitor stays the
-//! single registered listener for **all** shards: each route carries the
-//! owning shard's index, and delivery walks only this table's own
-//! `RwLock` — a worker thread emitting an event never touches any
-//! shard's registry lock, so the event path cannot serialize ingress or
-//! drain on another shard. The shard tag is bookkeeping for
-//! diagnostics ([`shard_routes`](ServeMonitor::shard_routes)) and route
-//! audits; delivery itself stays a flat `NodeId` lookup: one read lock,
-//! under which the node's owner list (an `Arc<[Route]>`) is cloned by
-//! reference count — no allocation, and no callback under the lock.
+//! single registered listener for **all** shards: delivery walks only
+//! this table's own `RwLock` — a worker thread emitting an event never
+//! touches any shard's registry lock, so the event path cannot serialize
+//! ingress or drain on another shard. Delivery is a flat `NodeId`
+//! lookup: one read lock, under which the node's owner list (an
+//! `Arc<[Route]>`) is cloned by reference count — no allocation, and no
+//! callback under the lock.
 //!
 //! The monitor asks engines only for the event positions trigger engines
 //! read ([`TriggerEngine::INTEREST`]).
@@ -43,11 +41,10 @@ use askel_engine::Engine;
 use askel_events::{Event, Interest, Listener, Payload};
 use askel_skeletons::{Node, NodeId};
 
-/// One node's route: the owning tenant, its shard, and its trigger.
+/// One node's route: the owning tenant and its trigger.
 #[derive(Clone)]
 struct Route {
     tenant: u64,
-    shard: u32,
     trigger: Arc<TriggerEngine>,
 }
 
@@ -76,13 +73,12 @@ impl ServeMonitor {
         }
     }
 
-    /// Routes every node of `root`'s tree to `tenant`'s trigger engine
-    /// (tagged with the owning `shard`), returning the routed ids (the
-    /// registry keeps them for unrouting after a rewrite or a detach).
+    /// Routes every node of `root`'s tree to `tenant`'s trigger engine,
+    /// returning the routed ids (the registry keeps them for unrouting
+    /// after a rewrite or a detach).
     pub(crate) fn route(
         &self,
         tenant: u64,
-        shard: u32,
         trigger: &Arc<TriggerEngine>,
         root: &Arc<Node>,
     ) -> Vec<NodeId> {
@@ -93,7 +89,6 @@ impl ServeMonitor {
             if !owners.iter().any(|r| r.tenant == tenant) {
                 let route = Route {
                     tenant,
-                    shard,
                     trigger: Arc::clone(trigger),
                 };
                 *owners = owners.iter().cloned().chain([route]).collect();
@@ -121,21 +116,10 @@ impl ServeMonitor {
         }
     }
 
-    /// How many node ids currently have at least one route (tests,
-    /// diagnostics).
-    pub fn routed_nodes(&self) -> usize {
+    /// How many node ids currently have at least one route.
+    #[cfg(test)]
+    pub(crate) fn routed_nodes(&self) -> usize {
         self.routes.read().len()
-    }
-
-    /// How many `(node, tenant)` routes belong to `shard` (tests,
-    /// diagnostics — e.g. auditing that a detached shard left nothing
-    /// behind).
-    pub fn shard_routes(&self, shard: u32) -> usize {
-        self.routes
-            .read()
-            .values()
-            .map(|owners| owners.iter().filter(|r| r.shard == shard).count())
-            .sum()
     }
 }
 

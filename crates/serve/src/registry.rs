@@ -8,8 +8,7 @@
 //! are multiplexed across all of them. Under a
 //! [`ShardedServe`](crate::ShardedServe) front, many registries run as
 //! shards sharing **one** monitor and **one** estimator pool over the
-//! same engine; the registry itself is shard-agnostic — it just tags
-//! its routes with its shard index.
+//! same engine; the registry itself is shard-agnostic.
 //!
 //! Feeding goes through admission control (see [`AdmissionPolicy`]);
 //! queued items are dispatched by [`ServeRegistry::drain_cycle`], which
@@ -23,7 +22,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::ops::Bound;
 use std::sync::Arc;
 
 use askel_adapt::{AdaptiveSession, TriggerEngine};
@@ -168,9 +166,6 @@ pub struct ServeRegistry<P, R> {
     /// never positional — so register/detach churn between cycles
     /// cannot re-favor a tenant.
     cursor: Option<u64>,
-    /// This registry's shard index under a `ShardedServe` (0 standalone);
-    /// tags the monitor's routes.
-    shard: u32,
     clock: Arc<dyn Clock>,
     metrics: Arc<ServeMetrics>,
 }
@@ -188,7 +183,6 @@ where
             engine,
             ServeMonitor::new(),
             SharedEstimators::new(0.5),
-            0,
             AdmissionPolicy::default(),
         )
     }
@@ -200,7 +194,6 @@ where
         engine: &Engine,
         monitor: Arc<ServeMonitor>,
         shared: SharedEstimators,
-        shard: u32,
         policy: AdmissionPolicy,
     ) -> Self {
         ServeRegistry {
@@ -213,7 +206,6 @@ where
             tenants: BTreeMap::new(),
             next_id: 0,
             cursor: None,
-            shard,
         }
     }
 
@@ -267,7 +259,7 @@ where
                     self.shared.warm(skel.node(), est);
                 });
                 self.monitor.install(&self.engine);
-                let routed = self.monitor.route(id, self.shard, &trigger, skel.node());
+                let routed = self.monitor.route(id, &trigger, skel.node());
                 (trigger, routed)
             }
             None => (TriggerEngine::new(0.5), Vec::new()),
@@ -308,7 +300,6 @@ where
         t.harvest(&self.metrics, &*self.clock);
         if t.backlog.is_empty()
             && t.session.in_flight() < policy.max_in_flight
-            && policy.pool_room(depth)
             && policy.cost_room(depth, t.cost_ns)
         {
             t.stamp_fed(1, &self.metrics, &*self.clock);
@@ -328,17 +319,17 @@ where
     }
 
     /// Feeds a batch through admission control. Whatever fits under the
-    /// tenant's quota (and the pool-wide gates) is submitted through the
+    /// tenant's quota (and the latency gate) is submitted through the
     /// batched path — [`AdaptiveSession::feed_batch`], one safe point
     /// and one pool transaction for the whole chunk — the next
     /// `max_backlog - backlog` items queue, and the rest are rejected.
     ///
     /// The pool's queue depth is sampled **once for the whole batch**
-    /// (the backpressure and latency gates are deliberately that
-    /// coarse: a batch admitted at depth `d` may briefly run the pool
-    /// past the bound by the batch length — bounded overshoot in
-    /// exchange for two relaxed loads per batch instead of two `SeqCst`
-    /// loads per item on the ~1 µs/item ingress path).
+    /// (the latency gate is deliberately that coarse: a batch admitted
+    /// at depth `d` may briefly run the pool past the bound by the batch
+    /// length — bounded overshoot in exchange for two relaxed loads per
+    /// batch instead of two `SeqCst` loads per item on the ~1 µs/item
+    /// ingress path).
     pub fn feed_batch(&mut self, tenant: TenantId, inputs: Vec<P>) -> BatchAdmission {
         let depth = self.engine.pool().queue_depth_hint();
         let policy = self.policy;
@@ -352,7 +343,7 @@ where
         t.harvest(&self.metrics, &*self.clock);
         let mut inputs = inputs;
         let mut out = BatchAdmission::default();
-        if t.backlog.is_empty() && policy.pool_room(depth) && policy.cost_room(depth, t.cost_ns) {
+        if t.backlog.is_empty() && policy.cost_room(depth, t.cost_ns) {
             let room = policy.max_in_flight.saturating_sub(t.session.in_flight());
             if room > 0 {
                 let rest = if inputs.len() > room {
@@ -389,13 +380,12 @@ where
     /// cycle's starting key (wrapping) — rotation is over tenant
     /// **keys**, never positions, so a `detach`/`register` between
     /// cycles shifts nobody else's turn and no tenant can be repeatedly
-    /// re-favored (see [`next_first`](Self::next_first)). Per visited
-    /// tenant: finished results are harvested, backlogged items are
-    /// dispatched up to the in-flight quota (through the batched path,
-    /// under the pool-wide gates), event routes are refreshed if a
-    /// rewrite changed the tree, and new estimator history is published
-    /// to the shared pool. Returns how many backlogged items were
-    /// dispatched.
+    /// re-favored. Per visited tenant: finished results are harvested,
+    /// backlogged items are dispatched up to the in-flight quota (through
+    /// the batched path, under the latency gate), event routes are
+    /// refreshed if a rewrite changed the tree, and new estimator history
+    /// is published to the shared pool. Returns how many backlogged items
+    /// were dispatched.
     pub fn drain_cycle(&mut self) -> usize {
         let keys: Vec<u64> = self.tenants.keys().copied().collect();
         if keys.is_empty() {
@@ -418,10 +408,7 @@ where
                 continue;
             };
             t.harvest(&self.metrics, &*self.clock);
-            if !t.backlog.is_empty()
-                && policy.pool_room(depth)
-                && policy.cost_room(depth, t.cost_ns)
-            {
+            if !t.backlog.is_empty() && policy.cost_room(depth, t.cost_ns) {
                 let room = quota.saturating_sub(t.session.in_flight());
                 if room > 0 {
                     let take = room.min(t.backlog.len());
@@ -440,15 +427,15 @@ where
     /// The tenant the next [`drain_cycle`](Self::drain_cycle) will
     /// visit first (`None` when the registry is empty): the first key
     /// strictly greater than the previous cycle's starting key,
-    /// wrapping. Diagnostics — fairness monitors and the churn
-    /// regression tests read it.
-    pub fn next_first(&self) -> Option<TenantId> {
+    /// wrapping. The churn regression tests read it.
+    #[cfg(test)]
+    fn next_first(&self) -> Option<TenantId> {
         let first = || self.tenants.keys().next().copied();
         match self.cursor {
             None => first(),
             Some(prev) => self
                 .tenants
-                .range((Bound::Excluded(prev), Bound::Unbounded))
+                .range((std::ops::Bound::Excluded(prev), std::ops::Bound::Unbounded))
                 .next()
                 .map(|(k, _)| *k)
                 .or_else(first),
@@ -473,7 +460,7 @@ where
             let trigger = Arc::clone(t.session.trigger());
             let root = Arc::clone(t.session.skeleton().node());
             self.monitor.unroute(key, &old);
-            t.routed = self.monitor.route(key, self.shard, &trigger, &root);
+            t.routed = self.monitor.route(key, &trigger, &root);
             t.routed_version = version;
         }
         if t.completed > t.published {

@@ -77,8 +77,14 @@ struct Inner<P, R> {
 }
 
 impl<P, R> Inner<P, R> {
+    /// The index of the shard owning `tenant` (pure hash — stable for the
+    /// front's lifetime).
+    fn shard_of(&self, tenant: TenantId) -> usize {
+        (splitmix64(tenant.0) % self.shards.len() as u64) as usize
+    }
+
     fn slot(&self, tenant: TenantId) -> &ShardSlot<P, R> {
-        &self.shards[(splitmix64(tenant.0) % self.shards.len() as u64) as usize]
+        &self.shards[self.shard_of(tenant)]
     }
 
     /// Rings a shard's doorbell so its driver re-runs the loop now.
@@ -110,12 +116,11 @@ where
         let monitor = ServeMonitor::new();
         let shared = SharedEstimators::new(0.5);
         let slots = (0..shards)
-            .map(|i| ShardSlot {
+            .map(|_| ShardSlot {
                 registry: Mutex::new(ServeRegistry::new_shard(
                     engine,
                     Arc::clone(&monitor),
                     shared.clone(),
-                    i as u32,
                     policy,
                 )),
                 dirty: Mutex::new(false),
@@ -255,12 +260,6 @@ where
         self.inner.shards.len()
     }
 
-    /// The shard index that owns `tenant` (pure hash — stable for the
-    /// front's lifetime).
-    pub fn shard_of(&self, tenant: TenantId) -> usize {
-        (splitmix64(tenant.0) % self.inner.shards.len() as u64) as usize
-    }
-
     /// The shared engine (non-owning clone).
     pub fn engine(&self) -> &Engine {
         &self.inner.engine
@@ -368,7 +367,7 @@ mod tests {
             .collect();
         let mut used = std::collections::BTreeSet::new();
         for &t in &tenants {
-            used.insert(serve.shard_of(t));
+            used.insert(serve.inner.shard_of(t));
         }
         assert!(used.len() > 1, "16 tenants hash onto more than one shard");
         for (i, &t) in tenants.iter().enumerate() {

@@ -37,71 +37,3 @@ pub trait Component: Send {
     /// for the scheduler to apply before resuming dispatch.
     fn tick(&mut self, now: TimeNs) -> Vec<Command>;
 }
-
-/// A fixed-interval component wrapping a callback: fires every `every`
-/// nanoseconds of virtual time, starting one interval after first use.
-pub struct PeriodicTick<F: FnMut(TimeNs) -> Vec<Command> + Send> {
-    every: TimeNs,
-    next: Option<TimeNs>,
-    on_tick: F,
-}
-
-impl<F: FnMut(TimeNs) -> Vec<Command> + Send> PeriodicTick<F> {
-    /// A component calling `on_tick` every `every` of virtual time.
-    pub fn new(every: TimeNs, on_tick: F) -> Self {
-        PeriodicTick {
-            every,
-            next: None,
-            on_tick,
-        }
-    }
-}
-
-impl<F: FnMut(TimeNs) -> Vec<Command> + Send> Component for PeriodicTick<F> {
-    fn next_tick(&self, now: TimeNs) -> Option<TimeNs> {
-        match self.next {
-            Some(at) => Some(at),
-            // Lazy start: first tick one interval after the component is
-            // first consulted, anchored to current virtual time.
-            None => Some(TimeNs(now.0 + self.every.0.max(1))),
-        }
-    }
-
-    fn tick(&mut self, now: TimeNs) -> Vec<Command> {
-        self.next = Some(TimeNs(now.0 + self.every.0.max(1)));
-        (self.on_tick)(now)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn periodic_tick_advances_past_now() {
-        let mut ticks = Vec::new();
-        {
-            let mut c = PeriodicTick::new(TimeNs(10), |now| {
-                ticks.push(now);
-                Vec::new()
-            });
-            let mut now = TimeNs::ZERO;
-            for _ in 0..3 {
-                let at = c.next_tick(now).unwrap();
-                assert!(at > now, "tick must be strictly in the future");
-                now = at;
-                c.tick(now);
-            }
-        }
-        assert_eq!(ticks, vec![TimeNs(10), TimeNs(20), TimeNs(30)]);
-    }
-
-    #[test]
-    fn zero_interval_still_terminates() {
-        let mut c = PeriodicTick::new(TimeNs::ZERO, |_| Vec::new());
-        let at = c.next_tick(TimeNs(5)).unwrap();
-        assert!(at > TimeNs(5));
-        c.tick(at);
-        assert!(c.next_tick(at).unwrap() > at);
-    }
-}

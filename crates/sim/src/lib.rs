@@ -204,11 +204,6 @@ impl SimEngine {
         self
     }
 
-    /// The active same-timestamp ordering policy.
-    pub fn ordering_policy(&self) -> OrderingPolicy {
-        self.rt.policy
-    }
-
     /// The listener registry (identical type to the threaded engine's).
     ///
     /// Register listeners **before** running. As on threads, a submission

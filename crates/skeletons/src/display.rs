@@ -16,14 +16,6 @@ pub fn structure(node: &Arc<Node>) -> String {
     out
 }
 
-/// Renders the skeleton structure with node ids attached to every kind
-/// (e.g. `map[n3](fs, seq[n4](fe), fm)`), for debugging traces.
-pub fn structure_with_ids(node: &Arc<Node>) -> String {
-    let mut out = String::new();
-    write_node_ids(&mut out, node);
-    out
-}
-
 fn write_node(out: &mut String, node: &Arc<Node>) {
     match &node.kind {
         NodeKind::Seq { .. } => out.push_str("seq(fe)"),
@@ -86,25 +78,6 @@ fn write_node(out: &mut String, node: &Arc<Node>) {
     }
 }
 
-fn write_node_ids(out: &mut String, node: &Arc<Node>) {
-    let tag = node.tag();
-    let _ = write!(out, "{tag}[{}]", node.id);
-    if let Some(label) = &node.label {
-        let _ = write!(out, "'{label}'");
-    }
-    let children = node.children();
-    if !children.is_empty() {
-        out.push('(');
-        for (i, c) in children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_node_ids(out, c);
-        }
-        out.push(')');
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,13 +128,5 @@ mod tests {
             "pipe(if(fc, while(fc, seq(fe)), for(2, seq(fe))), \
              fork(fs, {seq(fe), d&C(fc, fs, seq(fe), fm)}, fm))"
         );
-    }
-
-    #[test]
-    fn ids_variant_includes_ids_and_labels() {
-        let s = seq(|x: i64| x).labeled("work");
-        let rendered = structure_with_ids(s.node());
-        assert!(rendered.starts_with("seq[n"));
-        assert!(rendered.contains("'work'"));
     }
 }

@@ -25,7 +25,7 @@
 //! (`askel-engine`, `askel-sim`) interpret.
 //!
 //! The crate also ships a **sequential reference interpreter**
-//! ([`seq_eval()`]) that defines the functional semantics every engine must
+//! ([`Skel::apply`](skel::Skel::apply)) that defines the functional semantics every engine must
 //! agree with; the engines are property-tested against it.
 //!
 //! Nothing in this crate spawns threads or measures time; those concerns live
@@ -47,6 +47,6 @@ pub mod time;
 pub use ids::{InstanceId, MuscleId, MuscleRole, NodeId};
 pub use muscle::{Condition, Data, Execute, Merge, Split};
 pub use node::{KindTag, MuscleDescriptor, Node, NodeKind};
-pub use seq_eval::{seq_eval, EvalError};
+pub use seq_eval::EvalError;
 pub use skel::{dac, farm, fork, map, pipe, seq, sfor, sif, swhile, Skel};
 pub use time::{Clock, ManualClock, RealClock, TimeNs};

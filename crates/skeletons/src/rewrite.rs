@@ -121,7 +121,7 @@ impl Node {
     /// Placement is set deeply because the engines schedule each nested
     /// skeleton's tasks from its *own* node: annotating only the subtree
     /// root would leave its children free to run anywhere.
-    pub fn with_placement(self: &Arc<Node>, node_name: &Arc<str>) -> Arc<Node> {
+    pub(crate) fn with_placement(self: &Arc<Node>, node_name: &Arc<str>) -> Arc<Node> {
         let place = |child: &Arc<Node>| child.with_placement(node_name);
         let place_vec =
             |children: &[Arc<Node>]| -> Vec<Arc<Node>> { children.iter().map(place).collect() };
@@ -184,7 +184,7 @@ where
     /// Returns a new skeleton with the subtree rooted at `target` replaced
     /// by `replacement`, or `None` if `target` does not occur.
     ///
-    /// Like [`Skel::from_node`], the caller asserts that `replacement`
+    /// Like `Skel::from_node`, the caller asserts that `replacement`
     /// computes the same input/output types as the node it replaces — the
     /// typed rule constructors in `askel-adapt` cannot get this wrong. The
     /// original skeleton is untouched (in-flight executions are unaffected).
@@ -196,8 +196,9 @@ where
 
     /// Returns a new skeleton in which the subtree rooted at `target`
     /// carries the placement annotation `node_name` on every node
-    /// (ancestors rebuilt, ids preserved — see
-    /// [`Node::with_placement`]), or `None` if `target` does not occur.
+    /// (ancestors rebuilt, ids preserved; placement is set deeply because
+    /// the engines schedule each nested skeleton's tasks from its *own*
+    /// node), or `None` if `target` does not occur.
     ///
     /// Placement is purely a scheduling hint: results are identical
     /// wherever the subtree runs, which is what makes an `Offload`

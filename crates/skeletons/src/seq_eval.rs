@@ -2,7 +2,7 @@
 //!
 //! Defines the functional semantics of the skeleton language: both the
 //! threaded engine and the simulator must produce results equal to
-//! [`seq_eval`] (they are property-tested against it). It is also the
+//! [`Skel::apply`](crate::Skel::apply) (they are property-tested against it). It is also the
 //! "one thread" baseline used for the paper's sequential-WCT figure.
 
 use std::sync::Arc;
@@ -61,7 +61,7 @@ impl std::error::Error for EvalError {}
 /// Muscles run in the exact dependency order a parallel engine would honour
 /// (split → children in order → merge), so any side effects observe a
 /// canonical ordering.
-pub fn seq_eval(node: &Arc<Node>, input: Data) -> Result<Data, EvalError> {
+pub(crate) fn seq_eval(node: &Arc<Node>, input: Data) -> Result<Data, EvalError> {
     match &node.kind {
         NodeKind::Seq { fe } => Ok(fe.call(input)),
         NodeKind::Farm { inner } => seq_eval(inner, input),

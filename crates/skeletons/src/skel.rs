@@ -72,7 +72,7 @@ where
     ///
     /// The caller asserts that the node really computes `P → R`; prefer the
     /// typed constructors, which cannot get this wrong.
-    pub fn from_node(node: Arc<Node>) -> Self {
+    pub(crate) fn from_node(node: Arc<Node>) -> Self {
         Skel {
             node,
             _types: PhantomData,
@@ -85,7 +85,7 @@ where
     }
 
     /// Consumes the handle, returning the runtime AST.
-    pub fn into_node(self) -> Arc<Node> {
+    pub(crate) fn into_node(self) -> Arc<Node> {
         self.node
     }
 
@@ -130,8 +130,7 @@ where
     ///
     /// # Panics
     /// Propagates muscle panics and panics on structural errors (e.g. a
-    /// `fork` split of the wrong arity) — see [`seq_eval`] for the
-    /// `Result`-returning form.
+    /// `fork` split of the wrong arity, an [`EvalError`](crate::EvalError)).
     pub fn apply(&self, input: P) -> R {
         let out = seq_eval(&self.node, Box::new(input)).unwrap_or_else(|e| panic!("{e}"));
         *out.downcast::<R>()

@@ -181,21 +181,9 @@ impl ManualClock {
         })
     }
 
-    /// Creates a clock at the given time.
-    pub fn starting_at(t: TimeNs) -> Arc<Self> {
-        Arc::new(ManualClock {
-            now: AtomicU64::new(t.0),
-        })
-    }
-
     /// Moves the clock forward to `t`; ignored if `t` is in the past.
     pub fn advance_to(&self, t: TimeNs) {
         self.now.fetch_max(t.0, Ordering::SeqCst);
-    }
-
-    /// Moves the clock forward by `d`.
-    pub fn advance_by(&self, d: TimeNs) {
-        self.now.fetch_add(d.0, Ordering::SeqCst);
     }
 }
 
@@ -248,8 +236,6 @@ mod tests {
         c.advance_to(TimeNs(100));
         c.advance_to(TimeNs(40));
         assert_eq!(c.now(), TimeNs(100));
-        c.advance_by(TimeNs(10));
-        assert_eq!(c.now(), TimeNs(110));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! A stream of tweet corpora flows through `pipe(filter, count)`:
 //!
 //! * the **filter** stage validates a corpus. The initial, fast
-//!   implementation ([`fragile_filter`]) panics on corrupt records (lines
-//!   containing [`POISON`]); its fallback ([`robust_filter`]) drops them
+//!   implementation (`fragile_filter`) panics on corrupt records (lines
+//!   containing [`POISON`]); its fallback (`robust_filter`) drops them
 //!   instead — the structural *fallback-swap* target.
 //! * the **count** stage tallies `#hashtags` and `@mentions`. The initial
-//!   implementation ([`seq_count`]) is a sequential leaf; its promotion
-//!   ([`par_count`]) is a `map` whose chunk width reads a shared counter a
+//!   implementation (`seq_count`) is a sequential leaf; its promotion
+//!   (`par_count`) is a `map` whose chunk width reads a shared counter a
 //!   width-retuning rule can drive — the *seq → map promotion* target.
 //!
 //! On clean input every combination computes identical counts (the map
@@ -23,13 +23,13 @@ use askel_skeletons::{map, pipe, seq, Skel};
 
 use crate::wordcount::{chunk_lines, count_tokens, merge_counts, Counts};
 
-/// Marker token that makes [`fragile_filter`] panic — a stand-in for the
+/// Marker token that makes the fragile filter stage panic — a stand-in for the
 /// corrupt records real ingestion pipelines hit.
 pub const POISON: &str = "#corrupt";
 
 /// The fast-but-fragile validation stage: passes a corpus through
 /// unchanged, panicking on the first poisoned line.
-pub fn fragile_filter() -> Skel<Vec<String>, Vec<String>> {
+fn fragile_filter() -> Skel<Vec<String>, Vec<String>> {
     seq(|lines: Vec<String>| {
         if let Some(bad) = lines.iter().find(|l| l.contains(POISON)) {
             panic!("corrupt record: {bad}");
@@ -41,7 +41,7 @@ pub fn fragile_filter() -> Skel<Vec<String>, Vec<String>> {
 
 /// The fallback validation stage: silently drops poisoned lines. On clean
 /// input it is byte-for-byte the identity, like [`fragile_filter`].
-pub fn robust_filter() -> Skel<Vec<String>, Vec<String>> {
+fn robust_filter() -> Skel<Vec<String>, Vec<String>> {
     seq(|lines: Vec<String>| {
         lines
             .into_iter()
@@ -52,7 +52,7 @@ pub fn robust_filter() -> Skel<Vec<String>, Vec<String>> {
 }
 
 /// The sequential count stage (the promotion target).
-pub fn seq_count() -> Skel<Vec<String>, Counts> {
+fn seq_count() -> Skel<Vec<String>, Counts> {
     seq(|lines: Vec<String>| count_tokens(&lines)).labeled("count-seq")
 }
 
@@ -60,7 +60,7 @@ pub fn seq_count() -> Skel<Vec<String>, Counts> {
 /// `width` chunks (read per execution, so a width-retuning rule can drive
 /// it between items). Computes the same counts as [`seq_count`] on every
 /// input.
-pub fn par_count(width: Arc<AtomicUsize>) -> Skel<Vec<String>, Counts> {
+fn par_count(width: Arc<AtomicUsize>) -> Skel<Vec<String>, Counts> {
     map(
         move |lines: Vec<String>| chunk_lines(lines, width.load(Ordering::SeqCst).max(1)),
         seq(|chunk: Vec<String>| count_tokens(&chunk)),

@@ -32,6 +32,6 @@ pub mod tweets;
 pub mod wordcount;
 
 pub use adaptive::AdaptiveWordCount;
-pub use oscillating::{GrainedSquareSum, KnobbedSquareSum, OscillatingLoad};
+pub use oscillating::{GrainedSquareSum, OscillatingLoad};
 pub use tweets::{generate_corpus, TweetGenConfig};
 pub use wordcount::{count_tokens, merge_counts, Counts, WordCountProgram};

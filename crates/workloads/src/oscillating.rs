@@ -61,43 +61,6 @@ impl OscillatingLoad {
     }
 }
 
-/// A width-knobbed sum-of-squares map: `map(fs, seq(fe), fm)` whose split
-/// produces `width` chunks, read per execution from a shared counter a
-/// `RetuneWidth` rule can drive. The merge is associative, so the result
-/// is invariant under both the knob value and the subtree's placement —
-/// exactly the contract `Offload` and the hysteresis proptests rely on.
-pub struct KnobbedSquareSum {
-    /// The program (`Vec<i64> → i64`).
-    pub program: Skel<Vec<i64>, i64>,
-    /// The chunk-count knob the split reads per execution.
-    pub width: Arc<AtomicUsize>,
-}
-
-impl KnobbedSquareSum {
-    /// Builds the program splitting into `initial_width` chunks until a
-    /// rule retunes it.
-    pub fn new(initial_width: usize) -> Self {
-        let width = Arc::new(AtomicUsize::new(initial_width.max(1)));
-        let w = Arc::clone(&width);
-        let program = map(
-            move |v: Vec<i64>| {
-                let chunks = w.load(Ordering::SeqCst).max(1);
-                let per = v.len().div_ceil(chunks).max(1);
-                v.chunks(per).map(|c| c.to_vec()).collect::<Vec<_>>()
-            },
-            seq(|chunk: Vec<i64>| chunk.iter().map(|x| x * x).sum::<i64>()),
-            |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
-        )
-        .labeled("knobbed-square-sum");
-        KnobbedSquareSum { program, width }
-    }
-
-    /// The reference result for one input, computed without the skeleton.
-    pub fn reference(input: &[i64]) -> i64 {
-        input.iter().map(|x| x * x).sum()
-    }
-}
-
 /// A grain-knobbed sum-of-squares map: the split cuts the input into
 /// chunks of `grain` **elements** (read per execution), so the leaf's
 /// duration tracks `min(grain, len)` — under an [`OscillatingLoad`] the
@@ -164,17 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn knobbed_sum_is_width_invariant() {
-        let k = KnobbedSquareSum::new(1);
-        let input: Vec<i64> = (0..37).collect();
-        let reference = KnobbedSquareSum::reference(&input);
-        for width in [1, 2, 5, 64, 1000] {
-            k.width.store(width, Ordering::SeqCst);
-            assert_eq!(k.program.apply(input.clone()), reference, "width {width}");
-        }
-    }
-
-    #[test]
     fn grained_sum_is_grain_invariant() {
         let g = GrainedSquareSum::new(1);
         let input: Vec<i64> = (0..53).collect();
@@ -189,12 +141,12 @@ mod tests {
 
     #[test]
     fn knobbed_sum_is_placement_invariant() {
-        let k = KnobbedSquareSum::new(4);
-        let placed = k.program.placed_at(k.program.id(), "somewhere").unwrap();
+        let g = GrainedSquareSum::new(4);
+        let placed = g.program.placed_at(g.program.id(), "somewhere").unwrap();
         let input: Vec<i64> = (0..16).collect();
         assert_eq!(
             placed.apply(input.clone()),
-            KnobbedSquareSum::reference(&input)
+            GrainedSquareSum::reference(&input)
         );
     }
 }

@@ -44,7 +44,7 @@ pub fn merge_counts(parts: Vec<Counts>) -> Counts {
 }
 
 /// Splits `lines` into at most `chunks` nearly-equal chunks.
-pub fn chunk_lines(lines: Vec<String>, chunks: usize) -> Vec<Vec<String>> {
+pub(crate) fn chunk_lines(lines: Vec<String>, chunks: usize) -> Vec<Vec<String>> {
     let chunks = chunks.max(1);
     if lines.is_empty() {
         return vec![Vec::new()];

@@ -7,8 +7,8 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 
 use askel_engine::Engine;
-use askel_events::util::{EventCollector, RecordedEvent};
-use askel_events::{EventFilter, FnListener, When, Where};
+use askel_events::util::EventCollector;
+use askel_events::{EventFilter, EventRecord, FnListener, When, Where};
 use askel_sim::cost::ZeroCost;
 use askel_sim::SimEngine;
 use askel_skeletons::{map, seq, swhile, InstanceId, Skel};
@@ -28,7 +28,7 @@ fn nested_map() -> Skel<Vec<i64>, i64> {
 
 /// Every Before event must have exactly one matching After event with the
 /// same (node, index, wher), and Before must come first.
-fn assert_paired(events: &[RecordedEvent]) {
+fn assert_paired(events: &[EventRecord]) {
     let mut open: HashMap<(u64, u64, Where), usize> = HashMap::new();
     for e in events {
         let key = (e.node.0, e.index.0, e.wher);
@@ -64,7 +64,7 @@ fn sim_events_are_paired_and_deterministic() {
     assert_paired(&a);
     let b = run();
     // Same structure run-to-run (instance ids differ; shapes must match).
-    let shape = |evs: &[RecordedEvent]| {
+    let shape = |evs: &[EventRecord]| {
         evs.iter()
             .map(|e| (e.node, e.when, e.wher))
             .collect::<Vec<_>>()
@@ -142,7 +142,7 @@ fn split_cardinality_is_reported() {
         .snapshot()
         .iter()
         .filter(|e| e.node == program.id() && e.wher == Where::Split && e.when == When::After)
-        .filter_map(|e| e.info.split_cardinality())
+        .filter_map(|e| e.info().split_cardinality())
         .collect();
     assert_eq!(
         outer_card,
@@ -191,7 +191,7 @@ fn while_condition_results_are_observable() {
         .snapshot()
         .iter()
         .filter(|e| e.wher == Where::Condition && e.when == When::After)
-        .filter_map(|e| e.info.condition_result())
+        .filter_map(|e| e.info().condition_result())
         .collect();
     assert_eq!(verdicts, vec![true, true, true, false]);
 }
