@@ -1,6 +1,7 @@
-//! Micro-bench for the autonomic analysis pipeline: ADG construction and
-//! both scheduling strategies at growing problem sizes. Substantiates the
-//! paper's claim that runtime estimation (no pre-calculated estimates) is
+//! Micro-bench for the autonomic analysis pipeline: ADG construction, both
+//! scheduling strategies, and one analysis's layouts as the controller
+//! computes them, at growing problem sizes. Substantiates the paper's
+//! claim that runtime estimation (no pre-calculated estimates) is
 //! affordable.
 //!
 //! A purely predictive graph never touches an instance record, so each
@@ -13,7 +14,10 @@ use std::sync::{Arc, Mutex};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use askel_core::{best_effort, limited_lp, AdgBuilder, AdgWorkspace, EstimatorTable, SmTracker};
+use askel_core::{
+    best_effort, limited_lp, ActState, Adg, AdgBuilder, AdgWorkspace, EstimatorTable, Scheduler,
+    SmTracker,
+};
 use askel_events::{Event, EventRecord, FnListener, Payload};
 use askel_sim::cost::{JitterCost, TableCost};
 use askel_sim::SimEngine;
@@ -101,6 +105,26 @@ fn bench_adg_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// The LP the controller rows analyse at.
+const LP: usize = 8;
+
+/// One analysis's layouts as the controller computes them: the finish at
+/// the current LP, best effort, and the decrease probe at half the LP
+/// against a goal of that finish — a probe the controller skips when
+/// `max(best effort, now + pending work ÷ lp)` already misses the goal.
+/// (That bound is private to the scheduler; `pending_work` is summed in
+/// the same pass that prepares the layouts, so it is summed once here.)
+fn controller_layouts(scheduler: &mut Scheduler, adg: &Adg, now: TimeNs, pending_work: u64) {
+    let mut layouts = scheduler.on(adg, now);
+    let goal = layouts.limited_lp(LP);
+    let bound = layouts
+        .best_effort()
+        .max(now + TimeNs(pending_work / (LP / 2) as u64));
+    if bound <= goal {
+        layouts.limited_lp(LP / 2);
+    }
+}
+
 fn bench_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("strategies");
     group.sample_size(30);
@@ -113,6 +137,18 @@ fn bench_strategies(c: &mut Criterion) {
         let (tracker, skel, now) = live_tracker_for(card);
         let live = (AdgBuilder::new(&tracker).build(skel.node()), now);
         for (graph, (adg, now)) in [("predicted", &predicted), ("live", &live)] {
+            let pending_work = adg
+                .activities
+                .iter()
+                .filter(|a| matches!(a.state, ActState::Pending))
+                .map(|a| a.est.0)
+                .sum();
+            let mut scheduler = Scheduler::default();
+            group.bench_with_input(
+                BenchmarkId::new(format!("controller/{graph}"), adg.len()),
+                adg,
+                |b, adg| b.iter(|| controller_layouts(&mut scheduler, adg, *now, pending_work)),
+            );
             group.bench_with_input(
                 BenchmarkId::new(format!("best_effort/{graph}"), adg.len()),
                 adg,
@@ -121,7 +157,7 @@ fn bench_strategies(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("limited_lp_8/{graph}"), adg.len()),
                 adg,
-                |b, adg| b.iter(|| limited_lp(adg, *now, 8)),
+                |b, adg| b.iter(|| limited_lp(adg, *now, LP)),
             );
         }
     }

@@ -590,7 +590,7 @@ impl AutonomicController {
             let mut hi = cap;
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if layouts.limited_lp(mid) <= target_finish {
+                if layouts.limited_lp_within(mid, target_finish).is_some() {
                     hi = mid;
                 } else {
                     lo = mid + 1;
@@ -641,7 +641,7 @@ impl AutonomicController {
                 let mut hi = cur;
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    if layouts.limited_lp(mid) <= safe_deadline {
+                    if layouts.limited_lp_within(mid, safe_deadline).is_some() {
                         hi = mid;
                     } else {
                         lo = mid + 1;
@@ -653,9 +653,9 @@ impl AutonomicController {
         if to_lp >= cur {
             return None;
         }
-        let predicted = layouts.limited_lp(to_lp);
         // The search ends on an LP that is safe, or on `cur` itself.
-        (predicted <= safe_deadline).then_some((to_lp, DecisionReason::Decrease, predicted))
+        let predicted = layouts.limited_lp_within(to_lp, safe_deadline)?;
+        Some((to_lp, DecisionReason::Decrease, predicted))
     }
 
     fn apply(

@@ -149,28 +149,42 @@ pub fn limited_lp(adg: &Adg, now: TimeNs, lp: usize) -> Schedule {
 
 type Completion = Reverse<(TimeNs, u32)>;
 
+/// Ends a successor list.
+const NO_EDGE: u32 = u32::MAX;
+
 /// The buffers the layouts work in. The controller keeps one for its
 /// lifetime, so that laying a graph out allocates nothing once they have
 /// grown to its size; [`best_effort`] and [`limited_lp`] use one apiece.
 #[derive(Debug, Default)]
 pub struct Scheduler {
-    // What every limited-LP layout of one graph at one instant starts
-    // from (`Layouts::prepare`).
+    // What every layout of one graph at one instant starts from, gathered
+    // in one pass (`Layouts::prepare`).
     prepared: bool,
     /// Latest end among the `Done` and `Running` activities.
     fixed_finish: TimeNs,
+    /// How many activities are pending, and their summed durations.
+    pending: usize,
+    pending_work: TimeNs,
     /// Per pending activity: how many predecessors are not `Done`.
     waits: Vec<u32>,
-    /// The pending successors of activity `i`, one entry per edge, are
-    /// `succ[succ_at[i]..succ_at[i + 1]]`; edges out of `Done`
-    /// activities are left out (they are counted in nobody's `waits`).
-    succ_at: Vec<u32>,
-    succ: Vec<u32>,
-    /// Pending activities that wait for nothing, with their ready times.
-    ready: Vec<(TimeNs, u32)>,
+    /// Per pending activity: `now` or the latest end among its `Done`
+    /// predecessors, whichever is later — when it is ready once the
+    /// others have ended (they all have by the instant the last does).
+    ready_at: Vec<TimeNs>,
+    /// The pending successors of activity `i`, one entry per edge: a
+    /// list through `succ` (`(successor, next entry)`) that starts at
+    /// `succ_head[i]`. Edges out of `Done` activities are left out (they
+    /// are counted in nobody's `waits`).
+    succ_head: Vec<u32>,
+    succ: Vec<(u32, u32)>,
+    /// Pending activities that wait for nothing.
+    ready: Vec<u32>,
     /// When each `Running` activity is expected to complete.
     running: Vec<(TimeNs, u32)>,
-    pending: usize,
+    /// Best effort needs no layout of its own: each pending activity
+    /// starts once its predecessors have ended, all known by its turn.
+    best_effort_finish: TimeNs,
+    best_effort_spans: Vec<(TimeNs, TimeNs)>,
     /// Limited-LP finishes already laid out for this graph, by `lp`.
     finishes: Vec<(usize, TimeNs)>,
 
@@ -181,13 +195,11 @@ pub struct Scheduler {
     missing: Vec<u32>,
     /// Startable now; the highest index goes first (mirrors the
     /// runtime's LIFO stack on ties).
-    eligible: BinaryHeap<u32>,
+    eligible: ReadySet,
     /// Waiting for nothing but the clock: ready at a time still ahead.
     later: BinaryHeap<Completion>,
     completions: BinaryHeap<Completion>,
 
-    best_effort_finish: Option<TimeNs>,
-    best_effort_spans: Vec<(TimeNs, TimeNs)>,
     deltas: Vec<(TimeNs, i64)>,
 }
 
@@ -198,7 +210,6 @@ impl Scheduler {
     pub fn on<'a>(&'a mut self, adg: &'a Adg, now: TimeNs) -> Layouts<'a> {
         self.prepared = false;
         self.finishes.clear();
-        self.best_effort_finish = None;
         Layouts {
             adg,
             now,
@@ -218,38 +229,14 @@ pub struct Layouts<'a> {
 impl Layouts<'_> {
     /// Completion time of the best-effort (infinite-LP) layout.
     pub fn best_effort(&mut self) -> TimeNs {
-        if let Some(finish) = self.buffers.best_effort_finish {
-            return finish;
-        }
-        let (adg, now) = (self.adg, self.now);
-        let spans = &mut self.buffers.best_effort_spans;
-        spans.clear();
-        spans.reserve(adg.len());
-        let mut finish = TimeNs::ZERO;
-        for (i, a) in adg.activities.iter().enumerate() {
-            let span = match a.state {
-                ActState::Done { start, end } => (start, end),
-                ActState::Running { start } => (start, (start + a.est).max(now)),
-                ActState::Pending => {
-                    // past-clamp: ti ≥ now
-                    let ti = adg
-                        .pred_slice(i)
-                        .iter()
-                        .fold(now, |ti, &p| ti.max(spans[p as usize].1));
-                    (ti, ti + a.est)
-                }
-            };
-            finish = finish.max(span.1);
-            spans.push(span);
-        }
-        self.buffers.best_effort_finish = Some(finish);
-        finish
+        self.prepare();
+        self.buffers.best_effort_finish
     }
 
     /// Maximum concurrency of the best-effort layout at or after `t` —
     /// the forward-looking optimal LP (history cannot be rescheduled).
     pub fn best_effort_concurrency_from(&mut self, t: TimeNs) -> usize {
-        self.best_effort();
+        self.prepare();
         let Scheduler {
             best_effort_spans,
             deltas,
@@ -269,72 +256,99 @@ impl Layouts<'_> {
         finish
     }
 
-    /// Everything about the graph that does not depend on `lp`: the spans
-    /// history fixes, which pending activities wait for how many others,
-    /// and who follows whom.
+    /// [`limited_lp`](Self::limited_lp) if it is no later than `target`.
+    /// `None` without a layout when [`finish_bound`](Self::finish_bound)
+    /// already exceeds `target` — the usual answer to "would half the LP
+    /// still meet the goal?".
+    pub(crate) fn limited_lp_within(&mut self, lp: usize, target: TimeNs) -> Option<TimeNs> {
+        if self.finish_bound(lp) > target {
+            return None;
+        }
+        Some(self.limited_lp(lp)).filter(|&finish| finish <= target)
+    }
+
+    /// A lower bound on the limited-LP finish with `lp` workers: no
+    /// layout beats best effort, and from `now` on the pending work runs
+    /// on at most `lp` workers at a time. Pending work only: the
+    /// `Running` activities may outnumber `lp` (after a decrease), and
+    /// their ends are in best effort already.
+    fn finish_bound(&mut self, lp: usize) -> TimeNs {
+        let best_effort = self.best_effort();
+        let s = &*self.buffers;
+        match s.pending_work.0.checked_div(lp as u64) {
+            Some(share) if s.pending > 0 => best_effort.max(self.now + TimeNs(share)),
+            _ => best_effort,
+        }
+    }
+
+    /// Everything about the graph that does not depend on `lp`, in one
+    /// pass: the best-effort spans and finish, the spans history fixes,
+    /// how much work is pending, which pending activities wait for how
+    /// many others and from when, and who follows whom.
     fn prepare(&mut self) {
+        if self.buffers.prepared {
+            return;
+        }
         let (adg, now) = (self.adg, self.now);
         let s = &mut *self.buffers;
         let n = adg.len();
         s.spans.clear();
         s.spans.resize(n, (TimeNs::ZERO, TimeNs::ZERO));
+        s.best_effort_spans.clear();
+        s.best_effort_spans.reserve(n);
         s.waits.clear();
         s.waits.resize(n, 0);
-        s.succ_at.clear();
-        s.succ_at.resize(n + 1, 0);
+        s.ready_at.clear();
+        s.ready_at.resize(n, now);
+        s.succ_head.clear();
+        s.succ_head.resize(n, NO_EDGE);
+        s.succ.clear();
         s.ready.clear();
         s.running.clear();
         s.fixed_finish = TimeNs::ZERO;
+        s.best_effort_finish = TimeNs::ZERO;
         s.pending = 0;
+        s.pending_work = TimeNs::ZERO;
         for (i, a) in adg.activities.iter().enumerate() {
-            match a.state {
+            let span = match a.state {
                 ActState::Done { start, end } => {
                     s.spans[i] = (start, end);
                     s.fixed_finish = s.fixed_finish.max(end);
+                    (start, end)
                 }
                 ActState::Running { start } => {
                     let end = (start + a.est).max(now);
                     s.spans[i] = (start, end);
                     s.fixed_finish = s.fixed_finish.max(end);
                     s.running.push((end, i as u32));
+                    (start, end)
                 }
                 ActState::Pending => {
                     s.pending += 1;
-                    let mut ready_time = now;
+                    s.pending_work += a.est;
+                    // past-clamp: ti ≥ now
+                    let mut ti = now;
+                    let mut ready_at = now;
                     for &p in adg.pred_slice(i) {
+                        ti = ti.max(s.best_effort_spans[p as usize].1);
                         match adg.activities[p as usize].state {
-                            ActState::Done { end, .. } => ready_time = ready_time.max(end),
+                            ActState::Done { end, .. } => ready_at = ready_at.max(end),
                             _ => {
                                 s.waits[i] += 1;
-                                s.succ_at[p as usize + 1] += 1;
+                                s.succ.push((i as u32, s.succ_head[p as usize]));
+                                s.succ_head[p as usize] = (s.succ.len() - 1) as u32;
                             }
                         }
                     }
+                    s.ready_at[i] = ready_at;
                     if s.waits[i] == 0 {
-                        s.ready.push((ready_time, i as u32));
+                        s.ready.push(i as u32);
                     }
+                    (ti, ti + a.est)
                 }
-            }
-        }
-        // Counts → offsets, then fill each activity's stretch; `missing`
-        // is free until a layout starts and serves as the fill cursors.
-        for i in 0..n {
-            s.succ_at[i + 1] += s.succ_at[i];
-        }
-        s.succ.clear();
-        s.succ.resize(s.succ_at[n] as usize, 0);
-        s.missing.clear();
-        s.missing.extend_from_slice(&s.succ_at[..n]);
-        for (i, a) in adg.activities.iter().enumerate() {
-            if s.waits[i] == 0 || !matches!(a.state, ActState::Pending) {
-                continue;
-            }
-            for &p in adg.pred_slice(i) {
-                if !matches!(adg.activities[p as usize].state, ActState::Done { .. }) {
-                    s.succ[s.missing[p as usize] as usize] = i as u32;
-                    s.missing[p as usize] += 1;
-                }
-            }
+            };
+            s.best_effort_finish = s.best_effort_finish.max(span.1);
+            s.best_effort_spans.push(span);
         }
         s.prepared = true;
     }
@@ -342,9 +356,7 @@ impl Layouts<'_> {
     /// One limited-LP layout into `spans`: an event-driven list
     /// scheduler, O((n + e) log n).
     fn lay_out(&mut self, lp: usize) -> TimeNs {
-        if !self.buffers.prepared {
-            self.prepare();
-        }
+        self.prepare();
         let (adg, now) = (self.adg, self.now);
         let s = &mut *self.buffers;
         if s.pending > 0 && lp == 0 {
@@ -352,11 +364,12 @@ impl Layouts<'_> {
         }
         s.missing.clear();
         s.missing.extend_from_slice(&s.waits);
-        s.eligible.clear();
+        s.eligible.reset(adg.len());
         s.later.clear();
-        for &(ready_time, i) in &s.ready {
+        for &i in &s.ready {
+            let ready_time = s.ready_at[i as usize];
             if ready_time <= now {
-                s.eligible.push(i);
+                s.eligible.insert(i);
             } else {
                 s.later.push(Reverse((ready_time, i)));
             }
@@ -370,27 +383,23 @@ impl Layouts<'_> {
         // `i` completed: its successors wait for one activity fewer.
         // Whoever waits for none is ready once its last predecessor ends
         // — now, unless a `Done` one is recorded as ending in the future.
-        let mut release = |i: u32,
-                           t: TimeNs,
-                           spans: &[(TimeNs, TimeNs)],
-                           eligible: &mut BinaryHeap<u32>,
-                           later: &mut BinaryHeap<Completion>| {
-            let (from, to) = (s.succ_at[i as usize], s.succ_at[i as usize + 1]);
-            for &next in &s.succ[from as usize..to as usize] {
-                s.missing[next as usize] -= 1;
-                if s.missing[next as usize] == 0 {
-                    let ready_time = adg
-                        .pred_slice(next as usize)
-                        .iter()
-                        .fold(now, |at, &p| at.max(spans[p as usize].1));
-                    if ready_time <= t {
-                        eligible.push(next);
-                    } else {
-                        later.push(Reverse((ready_time, next)));
+        let mut release =
+            |i: u32, t: TimeNs, eligible: &mut ReadySet, later: &mut BinaryHeap<Completion>| {
+                let mut edge = s.succ_head[i as usize];
+                while edge != NO_EDGE {
+                    let (next, after) = s.succ[edge as usize];
+                    edge = after;
+                    s.missing[next as usize] -= 1;
+                    if s.missing[next as usize] == 0 {
+                        let ready_time = s.ready_at[next as usize];
+                        if ready_time <= t {
+                            eligible.insert(next);
+                        } else {
+                            later.push(Reverse((ready_time, next)));
+                        }
                     }
                 }
-            }
-        };
+            };
 
         let mut t = now;
         loop {
@@ -399,11 +408,11 @@ impl Layouts<'_> {
                     break;
                 }
                 s.later.pop();
-                s.eligible.push(i);
+                s.eligible.insert(i);
             }
             // Start everything ready and startable at time t.
             while in_use < lp {
-                let Some(i) = s.eligible.pop() else { break };
+                let Some(i) = s.eligible.pop_max() else { break };
                 let est = adg.activities[i as usize].est;
                 s.spans[i as usize] = (t, t + est);
                 finish = finish.max(t + est);
@@ -411,7 +420,7 @@ impl Layouts<'_> {
                 if est.0 == 0 {
                     // Zero-duration activities complete instantly and do
                     // not occupy a worker.
-                    release(i, t, &s.spans, &mut s.eligible, &mut s.later);
+                    release(i, t, &mut s.eligible, &mut s.later);
                 } else {
                     in_use += 1;
                     s.completions.push(Reverse((t + est, i)));
@@ -432,7 +441,7 @@ impl Layouts<'_> {
             };
             t = t.max(at);
             in_use -= 1;
-            release(i, t, &s.spans, &mut s.eligible, &mut s.later);
+            release(i, t, &mut s.eligible, &mut s.later);
             // Drain simultaneous completions.
             while let Some(&Reverse((at, j))) = s.completions.peek() {
                 if at != t {
@@ -440,10 +449,46 @@ impl Layouts<'_> {
                 }
                 s.completions.pop();
                 in_use -= 1;
-                release(j, t, &s.spans, &mut s.eligible, &mut s.later);
+                release(j, t, &mut s.eligible, &mut s.later);
             }
         }
         finish
+    }
+}
+
+/// A set of activity indices that gives up its highest first: one bit
+/// per activity, and a summary bit per word saying that word is not
+/// empty, so a pop looks at one summary word per 4 096 activities.
+#[derive(Debug, Default)]
+struct ReadySet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl ReadySet {
+    /// Empties the set and sizes it for indices below `n`.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.summary.clear();
+        self.summary.resize(self.words.len().div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, i: u32) {
+        let w = i as usize / 64;
+        self.words[w] |= 1 << (i % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    fn pop_max(&mut self) -> Option<u32> {
+        let top = self.summary.iter().rposition(|&bits| bits != 0)?;
+        let w = top * 64 + 63 - self.summary[top].leading_zeros() as usize;
+        let bit = 63 - self.words[w].leading_zeros();
+        self.words[w] &= !(1 << bit);
+        if self.words[w] == 0 {
+            self.summary[top] &= !(1 << (w % 64));
+        }
+        Some((w * 64) as u32 + bit)
     }
 }
 
@@ -642,6 +687,98 @@ mod tests {
     #[test]
     fn optimal_lp_matches_max_concurrency() {
         assert_eq!(optimal_lp(&fan_adg(), TimeNs::ZERO), 3);
+    }
+
+    /// A small graph of mixed states, and `now`: `Running` activities
+    /// that may outnumber the LP, `Done` ones that may end after `now`,
+    /// zero durations — or, with `all_done`, nothing pending at all, often
+    /// with every end before `now`.
+    fn bound_spec() -> impl proptest::strategy::Strategy<Value = (Adg, TimeNs)> {
+        use proptest::prelude::*;
+        (1usize..16, any::<bool>())
+            .prop_flat_map(|(n, all_done)| {
+                let activity = (0u8..4, 0u64..5, 0u64..8, 0u64..5);
+                let preds = proptest::collection::vec(any::<u32>(), 0..3);
+                (
+                    proptest::collection::vec(activity, n),
+                    proptest::collection::vec(preds, n),
+                    0u64..16,
+                    Just(all_done),
+                )
+            })
+            .prop_map(|(activities, pred_seeds, now, all_done)| {
+                let mut adg = Adg::default();
+                for (i, ((kind, est, start, len), seeds)) in
+                    activities.into_iter().zip(pred_seeds).enumerate()
+                {
+                    let start = TimeNs(start * 1_000);
+                    let state = match kind {
+                        _ if all_done || kind == 0 => ActState::Done {
+                            start,
+                            end: start + TimeNs(len * 1_000),
+                        },
+                        1 => ActState::Running { start },
+                        _ => ActState::Pending,
+                    };
+                    let preds: Vec<usize> = match i {
+                        0 => vec![],
+                        _ => seeds.iter().map(|&s| s as usize % i).collect(),
+                    };
+                    let muscle = MuscleId::new(NodeId(i as u64 + 1), MuscleRole::Execute);
+                    adg.push(muscle, state, TimeNs(est * 1_000), &preds);
+                }
+                (adg, TimeNs(now * 1_000))
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..Default::default()
+        })]
+
+        /// The bound that lets the controller skip a layout never exceeds
+        /// the finish that layout would have computed.
+        #[test]
+        fn the_finish_bound_never_exceeds_the_layout((adg, now) in bound_spec()) {
+            let mut scheduler = Scheduler::default();
+            let mut layouts = scheduler.on(&adg, now);
+            for lp in 1..=adg.len() {
+                let bound = layouts.finish_bound(lp);
+                let finish = layouts.limited_lp(lp);
+                proptest::prop_assert!(
+                    bound <= finish,
+                    "lp {}: bound {:?} > finish {:?}",
+                    lp,
+                    bound,
+                    finish
+                );
+                proptest::prop_assert_eq!(layouts.limited_lp_within(lp, finish), Some(finish));
+                if finish > TimeNs::ZERO {
+                    let early = finish - TimeNs(1);
+                    proptest::prop_assert_eq!(layouts.limited_lp_within(lp, early), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_finish_bound_spreads_pending_work_over_the_lp() {
+        // Four pending activities of 10 on one worker: at least 40 from
+        // `now`, though best effort reads 10.
+        let adg = adg_of(&[
+            (ActState::Pending, 10, &[]),
+            (ActState::Pending, 10, &[]),
+            (ActState::Pending, 10, &[]),
+            (ActState::Pending, 10, &[]),
+        ]);
+        let mut scheduler = Scheduler::default();
+        let mut layouts = scheduler.on(&adg, TimeNs(3));
+        assert_eq!(layouts.best_effort(), TimeNs(13));
+        assert_eq!(layouts.finish_bound(1), TimeNs(43));
+        assert_eq!(layouts.finish_bound(3), TimeNs(16));
+        assert_eq!(layouts.limited_lp_within(1, TimeNs(42)), None);
+        assert_eq!(layouts.limited_lp_within(2, TimeNs(23)), Some(TimeNs(23)));
     }
 
     #[test]

@@ -70,9 +70,9 @@ fn nested_map(outer: usize, inner: usize) -> Skel<Vec<i64>, i64> {
 /// A controller half-way through a run of `nested_map(outer, inner)` at
 /// LP 8 — finished inner maps, live ones, ones not begun — that analyses
 /// only when forced and never decides anything (a far goal, no decrease):
-/// each forced analysis is one build, one limited-LP layout and one
-/// best-effort layout of the same graph. Returns it with the time of the
-/// last event it saw.
+/// each forced analysis is one build, one preparation pass over the graph
+/// (best effort is computed in it, not laid out apart) and one limited-LP
+/// layout. Returns it with the time of the last event it saw.
 fn live_controller(outer: usize, inner: usize) -> (Arc<AutonomicController>, TimeNs) {
     let program = nested_map(outer, inner);
     let config = ControllerConfig::new(TimeNs::from_secs(1_000_000), 64)

@@ -67,15 +67,28 @@ type Spec = (Vec<(ActState, TimeNs, Vec<usize>)>, TimeNs);
 /// handful of values — so completions coincide, several activities
 /// become eligible at once and the highest-index tie-break decides —
 /// with zero durations among them.
+///
+/// One case in five is from a wide band: 60–200 activities, every other
+/// predecessor one of the first two, so fans run past the 64 indices of
+/// one word of the scheduler's ready set.
 fn mixed_spec() -> impl Strategy<Value = Spec> {
-    (1usize..24)
-        .prop_flat_map(|n| {
+    prop_oneof![4 => (1usize..24, Just(usize::MAX)), 1 => (60usize..=200, Just(2))]
+        .prop_flat_map(|(n, hubs)| {
             let activity = (0u8..4, 0u64..5, 0u64..8, 0u64..5);
             let pred_seeds =
                 proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..4), n);
-            (proptest::collection::vec(activity, n), pred_seeds, 0u64..8)
+            (
+                proptest::collection::vec(activity, n),
+                pred_seeds,
+                0u64..8,
+                Just(hubs),
+            )
         })
-        .prop_map(|(activities, pred_seeds, now)| {
+        .prop_map(|(activities, pred_seeds, now, hubs)| {
+            let pred = |i: usize, seed: u32| match seed % 2 {
+                0 => (seed / 2) as usize % i.min(hubs),
+                _ => seed as usize % i,
+            };
             let spec = activities
                 .into_iter()
                 .zip(pred_seeds)
@@ -92,7 +105,7 @@ fn mixed_spec() -> impl Strategy<Value = Spec> {
                     };
                     let preds = match i {
                         0 => vec![],
-                        _ => seeds.iter().map(|s| *s as usize % i).collect(),
+                        _ => seeds.iter().map(|&s| pred(i, s)).collect(),
                     };
                     (state, TimeNs(est * 1_000), preds)
                 })
@@ -248,6 +261,11 @@ proptest! {
         // The last point has active = 0, so the integral is complete.
         prop_assert_eq!(total, integral);
     }
+}
+
+proptest! {
+    // About 256 narrow cases and 64 wide ones.
+    #![proptest_config(ProptestConfig { cases: 320, ..ProptestConfig::default() })]
 
     #[test]
     fn layouts_equal_the_pre_rewrite_scheduler((spec, now) in mixed_spec()) {
@@ -262,9 +280,15 @@ proptest! {
         let old_be = oracle::best_effort(&old, now);
         prop_assert_eq!((&be.spans, be.finish), (&old_be.spans, old_be.finish));
         // One set of buffers for every `lp`, as the controller uses them.
+        // The oracle's layout is O(n · ready): a wide graph gets a few.
+        let n = adg.len();
+        let lps: Vec<usize> = match n {
+            0..60 => (0..=n).collect(),
+            _ => vec![0, 1, 2, 3, 4, n],
+        };
         let mut scheduler = Scheduler::default();
         let mut layouts = scheduler.on(&adg, now);
-        for lp in 0..=adg.len() {
+        for lp in lps {
             let ll = limited_lp(&adg, now, lp);
             let old_ll = oracle::limited_lp(&old, now, lp);
             prop_assert_eq!(&ll.spans, &old_ll.spans, "spans at lp {}", lp);
