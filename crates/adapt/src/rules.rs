@@ -323,7 +323,7 @@ pub enum Trigger {
 
 impl Trigger {
     /// Does the condition hold under `ctx`?
-    pub fn holds(&self, ctx: &RuleCtx<'_>) -> bool {
+    pub(crate) fn holds(&self, ctx: &RuleCtx<'_>) -> bool {
         match *self {
             Trigger::DurationAtLeast(m, min) => ctx.estimates.duration(m).is_some_and(|d| d >= min),
             Trigger::DurationAtMost(m, max) => ctx.estimates.duration(m).is_some_and(|d| d <= max),
@@ -1118,35 +1118,25 @@ impl Rule for Offload {
     }
 }
 
-/// The resource a [`CostGuard`] protects.
-enum CostScope {
-    /// A structural knob: shrink to `economy` when over budget, veto
-    /// growth past it.
-    Knob { knob: Knob, economy: usize },
-    /// A subtree: veto re-placements (offloads) of it while over budget.
-    Subtree(NodeId),
-}
-
 /// The **cost** concern as a rule: watches accumulated node-time (an
 /// `askel_dist::NodeHoursMeter`, fed by the caller through
 /// `NodeHoursMeter::observe`) and, once spend crosses its budget,
-/// opposes the performance rules' grow/offload decisions.
+/// opposes the performance rules' grow decisions.
 ///
-/// Over a knob ([`CostGuard::knob`]) the guard fires a real
+/// Over its knob ([`CostGuard::knob`]) the guard fires a real
 /// [`RewriteAction::SetKnob`] down to the economy value while the knob
 /// sits above it, and a **veto** on the knob once it is there — so a
 /// width rule wanting to grow the same knob at the same safe point
 /// conflicts with the guard and the configured
-/// [`ConflictPolicy`](crate::ConflictPolicy) decides. Over a subtree
-/// ([`CostGuard::subtree`]) it vetoes placements of that subtree
-/// (opposing [`Offload`]). Under budget the guard is silent; idle vetoes
-/// (nothing to oppose at that safe point) are dropped without a log
-/// entry.
+/// [`ConflictPolicy`](crate::ConflictPolicy) decides. Under budget the
+/// guard is silent; idle vetoes (nothing to oppose at that safe point)
+/// are dropped without a log entry.
 pub struct CostGuard {
     name: String,
     meter: askel_dist::NodeHoursMeter,
     budget: TimeNs,
-    scope: CostScope,
+    knob: Knob,
+    economy: usize,
     priority: i32,
 }
 
@@ -1164,27 +1154,8 @@ impl CostGuard {
             name: "cost-guard".to_string(),
             meter,
             budget,
-            scope: CostScope::Knob { knob, economy },
-            priority: 0,
-        }
-    }
-
-    /// Guards the subtree `target`: once over budget, veto placements of
-    /// it (e.g. an [`Offload`] onto a paid node).
-    pub fn subtree<P, R>(
-        meter: askel_dist::NodeHoursMeter,
-        budget: TimeNs,
-        target: &Skel<P, R>,
-    ) -> Self
-    where
-        P: Send + 'static,
-        R: Send + 'static,
-    {
-        CostGuard {
-            name: "cost-guard".to_string(),
-            meter,
-            budget,
-            scope: CostScope::Subtree(target.id()),
+            knob,
+            economy,
             priority: 0,
         }
     }
@@ -1215,7 +1186,7 @@ impl Rule for CostGuard {
         self.priority
     }
 
-    fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
+    fn evaluate(&self, _ctx: &RuleCtx<'_>) -> Option<RuleFire> {
         let spent = self.meter.node_time();
         if spent < self.budget {
             return None;
@@ -1225,38 +1196,25 @@ impl Rule for CostGuard {
             self.budget,
             self.meter.node_hours()
         );
-        match &self.scope {
-            CostScope::Knob { knob, economy } => {
-                let current = knob.get();
-                if current > *economy {
-                    Some(RuleFire::new(
-                        RewriteAction::SetKnob {
-                            knob: knob.clone(),
-                            value: *economy,
-                        },
-                        format!("{why}: shrink `{}` {current} -> {economy}", knob.name()),
-                    ))
-                } else {
-                    Some(RuleFire::veto(
-                        RewriteAction::SetKnob {
-                            knob: knob.clone(),
-                            value: current,
-                        },
-                        format!("{why}: hold `{}` at {current}", knob.name()),
-                    ))
-                }
-            }
-            CostScope::Subtree(target) => {
-                ctx.root.find(*target)?;
-                Some(RuleFire::veto(
-                    RewriteAction::Place {
-                        target: *target,
-                        node: "*".to_string(),
-                    },
-                    format!("{why}: hold placement of {target}"),
-                ))
-            }
-        }
+        let (knob, economy) = (&self.knob, self.economy);
+        let current = knob.get();
+        Some(if current > economy {
+            RuleFire::new(
+                RewriteAction::SetKnob {
+                    knob: knob.clone(),
+                    value: economy,
+                },
+                format!("{why}: shrink `{}` {current} -> {economy}", knob.name()),
+            )
+        } else {
+            RuleFire::veto(
+                RewriteAction::SetKnob {
+                    knob: knob.clone(),
+                    value: current,
+                },
+                format!("{why}: hold `{}` at {current}", knob.name()),
+            )
+        })
     }
 }
 

@@ -29,7 +29,7 @@
 //! An analysis is a pure function of five inputs: the tracker's records,
 //! the estimator table, the current LP, the deadline and `now`. The
 //! tracker counts its own and the table's changes
-//! ([`SmTracker::revision`]); when an unforced analysis finds the revision,
+//! (`SmTracker::revision`); when an unforced analysis finds the revision,
 //! LP, deadline and `now` of the last analysis that ran to its end and
 //! decided nothing, it would compute that analysis again to the bit, so
 //! its record is logged again, [`analyses`](AutonomicController::analyses)

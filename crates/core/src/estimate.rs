@@ -42,7 +42,7 @@ impl Ewma {
     }
 
     /// An estimator pre-initialized to `value`.
-    pub fn initialized(rho: f64, value: f64) -> Self {
+    pub(crate) fn initialized(rho: f64, value: f64) -> Self {
         Ewma {
             rho: rho.clamp(0.0, 1.0),
             value: Some(value),
@@ -244,17 +244,6 @@ impl EstimatorTable {
             self.duration(d.id).is_some()
                 && (!role_has_cardinality(d.tag, d.id.role) || self.cardinality(d.id).is_some())
         })
-    }
-
-    /// The muscles from `muscles` still missing estimates (for diagnostics).
-    pub fn missing<'a>(&self, muscles: &'a [MuscleDescriptor]) -> Vec<&'a MuscleDescriptor> {
-        muscles
-            .iter()
-            .filter(|d| {
-                self.duration(d.id).is_none()
-                    || (role_has_cardinality(d.tag, d.id.role) && self.cardinality(d.id).is_none())
-            })
-            .collect()
     }
 
     /// Drops every entry — positional durations and cardinalities, group
@@ -562,10 +551,8 @@ mod tests {
         t.observe_duration(fm, TimeNs(1));
         t.observe_duration(fe, TimeNs(1));
         assert!(!t.covers(&descriptors), "map split still needs |fs|");
-        assert_eq!(t.missing(&descriptors).len(), 1);
         t.observe_cardinality(fs, 4.0);
         assert!(t.covers(&descriptors));
-        assert!(t.missing(&descriptors).is_empty());
     }
 
     #[test]

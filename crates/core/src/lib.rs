@@ -31,7 +31,6 @@
 pub mod adg;
 pub mod controller;
 pub mod estimate;
-pub mod render;
 pub mod strategy;
 pub mod tracker;
 
@@ -45,7 +44,6 @@ pub use controller::{
     DecreasePolicy, FnActuator, LpActuator, RaisePolicy, ANALYSIS_LOG_CAPACITY,
 };
 pub use estimate::{EstimatorTable, Ewma, Snapshot, SnapshotEntry};
-pub use render::{gantt_ascii, to_dot};
 pub use strategy::{
     best_effort, limited_lp, optimal_lp, predictive_wct, Layouts, Schedule, Scheduler,
     TimelinePoint,

@@ -164,7 +164,7 @@ impl SmTracker {
     /// come out as it last did. The two positions `observe` ignores leave
     /// it alone, which is what lets the controller replay an analysis
     /// instead of repeating it.
-    pub fn revision(&self) -> u64 {
+    pub(crate) fn revision(&self) -> u64 {
         self.revision
     }
 

@@ -99,11 +99,6 @@ impl NodeSpec {
         self
     }
 
-    /// The node's relative execution speed.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
     /// The cost multiplier the simulator applies to durations on this
     /// node (`1 / speed`).
     pub fn cost_factor(&self) -> f64 {
@@ -145,7 +140,7 @@ struct TelemetryInner {
 /// ([`askel_sim::SimEngine::with_workers`] takes it by value), so its
 /// state is surfaced through this handle: keep a clone
 /// ([`Cluster::telemetry`]) before handing the cluster over, and read
-/// per-node utilization while or after the simulation runs. The
+/// per-node busy time while or after the simulation runs. The
 /// `Offload` rule (`askel-adapt`) and [`ProvisioningPolicy`] decide from
 /// exactly this view.
 #[derive(Clone, Debug)]
@@ -226,24 +221,6 @@ impl ClusterTelemetry {
         }
         inner.busy.iter().map(|b| b.as_secs_f64() / total).collect()
     }
-
-    /// `busy / (wall × enabled_slots)` per node — the utilization figures
-    /// the dist example and benches print. `enabled` is the enabled slot
-    /// count per node, in node order.
-    pub fn utilization(&self, wall: TimeNs, enabled: &[usize]) -> Vec<f64> {
-        self.busy_per_node()
-            .iter()
-            .zip(enabled)
-            .map(|(busy, &slots)| {
-                let denom = wall.as_secs_f64() * slots as f64;
-                if denom > 0.0 {
-                    busy.as_secs_f64() / denom
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
 }
 
 /// A heterogeneous set of worker nodes behind one centralised controller.
@@ -311,11 +288,6 @@ impl Cluster {
         self.telemetry.set_enabled(enabled);
     }
 
-    /// Total provisioned slots across all nodes (the LP ceiling).
-    pub fn provisioned(&self) -> usize {
-        self.provisioned
-    }
-
     /// The nodes, in slot order.
     pub fn nodes(&self) -> &[NodeSpec] {
         &self.nodes
@@ -357,9 +329,9 @@ impl Cluster {
             .collect()
     }
 
-    /// `enabled/provisioned` per node, e.g. `master:2/2 worker:5/12` —
-    /// the shape the dist benches print.
-    pub fn utilization(&self) -> String {
+    /// `enabled/provisioned` per node, e.g. `master:2/2 worker:5/12`, as
+    /// the cluster's `Display` ends.
+    fn utilization(&self) -> String {
         self.enabled_per_node()
             .iter()
             .map(|(n, e)| format!("{}:{}/{}", n.name(), e, n.slots()))
@@ -821,7 +793,7 @@ mod tests {
     #[test]
     fn slots_map_to_nodes_in_order() {
         let c = two_node();
-        assert_eq!(c.provisioned(), 14);
+        assert_eq!(c.provisioned, 14);
         assert_eq!(c.node_of_slot(0).unwrap().name(), "master");
         assert_eq!(c.node_of_slot(1).unwrap().name(), "master");
         assert_eq!(c.node_of_slot(2).unwrap().name(), "worker");
@@ -870,10 +842,10 @@ mod tests {
             NodeSpec::local("idle", 0),
             NodeSpec::remote("r", 3, TimeNs::from_millis(10)),
         ]);
-        assert_eq!(c.provisioned(), 3);
+        assert_eq!(c.provisioned, 3);
         assert_eq!(c.node_of_slot(0).unwrap().name(), "r");
         let empty = Cluster::new(vec![]);
-        assert_eq!(empty.provisioned(), 0);
+        assert_eq!(empty.provisioned, 0);
         assert!(empty.node_of_slot(0).is_none());
     }
 
@@ -889,8 +861,8 @@ mod tests {
         assert_eq!(c.cost_factor(2), 1.0);
         assert_eq!(c.cost_factor(99), 1.0, "unprovisioned slots are neutral");
         // Degenerate speeds fall back to baseline.
-        assert_eq!(NodeSpec::local("x", 1).with_speed(0.0).speed(), 1.0);
-        assert_eq!(NodeSpec::local("x", 1).with_speed(f64::NAN).speed(), 1.0);
+        assert_eq!(NodeSpec::local("x", 1).with_speed(0.0).speed, 1.0);
+        assert_eq!(NodeSpec::local("x", 1).with_speed(f64::NAN).speed, 1.0);
     }
 
     #[test]
@@ -905,11 +877,6 @@ mod tests {
             telemetry.busy_per_node(),
             vec![TimeNs::from_millis(12), TimeNs::from_millis(11)]
         );
-        // Utilization: 12ms and 11ms over a 12ms wall.
-        let enabled: Vec<usize> = c.enabled_per_node().iter().map(|(_, e)| *e).collect();
-        let util = telemetry.utilization(TimeNs::from_millis(12), &enabled);
-        assert!((util[0] - 0.5).abs() < 1e-9, "12ms over 2 slots × 12ms");
-        assert!(util[1] > 0.0 && util[1] < 0.1);
     }
 
     #[test]
@@ -1163,7 +1130,7 @@ mod tests {
         assert_eq!(c.slot_range("worker"), Some((2, 14)));
         assert_eq!(c.slot_range("idle"), Some((0, 0)), "empty block");
         assert_eq!(c.slot_range("nope"), None);
-        for slot in 0..c.provisioned() {
+        for slot in 0..c.provisioned {
             for name in ["master", "worker", "idle"] {
                 let (lo, hi) = c.slot_range(name).unwrap();
                 assert_eq!(

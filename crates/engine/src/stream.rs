@@ -53,7 +53,6 @@ pub struct StreamSession<P, R> {
     ready: VecDeque<Result<R, EngineError>>,
     max_in_flight: usize,
     fed: usize,
-    collected: usize,
 }
 
 impl<P, R> StreamSession<P, R>
@@ -76,7 +75,6 @@ where
             ready: VecDeque::new(),
             max_in_flight: usize::MAX,
             fed: 0,
-            collected: 0,
         }
     }
 
@@ -162,11 +160,9 @@ where
     /// `None` once every fed input has been collected.
     pub fn next_result(&mut self) -> Option<Result<R, EngineError>> {
         if let Some(r) = self.ready.pop_front() {
-            self.collected += 1;
             return Some(r);
         }
         let f = self.in_flight.pop_front()?;
-        self.collected += 1;
         Some(f.get())
     }
 
@@ -182,11 +178,6 @@ where
     /// Inputs fed so far.
     pub fn fed(&self) -> usize {
         self.fed
-    }
-
-    /// Results collected so far.
-    pub fn collected(&self) -> usize {
-        self.collected
     }
 
     /// Inputs currently in flight (submitted, not yet collected or
@@ -468,7 +459,6 @@ mod tests {
         assert_eq!(stream.next_result().unwrap().unwrap(), 103);
         assert!(stream.next_result().is_none());
         assert_eq!(stream.fed(), 3);
-        assert_eq!(stream.collected(), 3);
         engine.shutdown();
     }
 }

@@ -111,7 +111,7 @@ impl Interest {
     }
 
     /// Positions in either set.
-    pub const fn union(self, other: Interest) -> Interest {
+    pub(crate) const fn union(self, other: Interest) -> Interest {
         Interest(self.0 | other.0)
     }
 

@@ -141,7 +141,8 @@ impl PoolTelemetry {
     }
 
     /// Tasks that panicked.
-    pub fn panics(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn panics(&self) -> usize {
         self.panics.load(Ordering::Acquire)
     }
 

@@ -26,8 +26,8 @@
 ///    `ResizablePool::queue_depth_hint`, sampled **once per ingress
 ///    call**, not per item). The cost
 ///    comes from the structure-keyed
-///    [`SharedEstimators`](crate::SharedEstimators) pool
-///    ([`estimated_cost`](crate::SharedEstimators::estimated_cost)), so
+///    [`SharedEstimators`](crate::SharedEstimators) pool (its pooled
+///    durations summed over one item of the structure), so
 ///    a *cheap* tenant keeps submitting into a queue that an
 ///    *expensive* tenant must stop feeding — static quotas alone would
 ///    shed both. Tenants whose structure has no pooled history are not

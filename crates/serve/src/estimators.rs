@@ -155,7 +155,7 @@ impl SharedEstimators {
     /// LP, no per-split attribution): admission wants a cheap total-work
     /// price to multiply by the pool's queue depth, not a critical-path
     /// forecast.
-    pub fn estimated_cost(&self, root: &Arc<Node>) -> Option<TimeNs> {
+    pub(crate) fn estimated_cost(&self, root: &Arc<Node>) -> Option<TimeNs> {
         let inner = self.inner.lock();
         let group = inner.groups.get(&root.structure_key())?;
         if group.is_empty() {

@@ -10,15 +10,20 @@
 //! shards sharing **one** monitor and **one** estimator pool over the
 //! same engine; the registry itself is shard-agnostic.
 //!
-//! Feeding goes through admission control (see [`AdmissionPolicy`]);
-//! queued items are dispatched by [`ServeRegistry::drain_cycle`], which
+//! Feeding goes through admission control (see [`AdmissionPolicy`]):
+//! one private function prices a tenant's room under its quota and the
+//! latency gate for `feed`, `feed_batch` and the drain cycle alike, and
+//! every batch submission — `feed_batch`, the drain cycle, `detach`'s
+//! flush — goes through one private dispatch. Queued items are
+//! dispatched by [`ServeRegistry::drain_cycle`], which
 //! visits tenants round-robin, rotating from the previous cycle's
 //! first-visited tenant **key** so no backlogged tenant is ever
 //! starved — even across registration/detach churn. The drain cycle is
 //! also where cross-tenant publication happens: each visited tenant's
 //! estimator history is absorbed into the shared pool (and its
 //! admission cost estimate re-priced), and its event routes are
-//! refreshed if a safe point rewrote its tree since the last visit.
+//! refreshed if a safe point rewrote its tree since the last visit —
+//! work [`settled`](ServeRegistry::settled) counts as owed until done.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -112,6 +117,53 @@ where
         self.ready.extend(got);
     }
 
+    /// How many items the tenant may hand the pool now, at `depth`
+    /// queued pool tasks: its room under the in-flight quota (gate 1), or
+    /// none while latency pricing holds it back (gate 2).
+    fn room(&self, policy: &AdmissionPolicy, depth: usize) -> usize {
+        if policy.cost_room(depth, self.cost_ns) {
+            policy
+                .max_in_flight
+                .saturating_sub(self.session.in_flight())
+        } else {
+            0
+        }
+    }
+
+    /// Hands `items` to the session as one batch (one safe point),
+    /// stamped and counted: every batch submission goes through here.
+    fn dispatch(&mut self, items: Vec<P>, metrics: &ServeMetrics, clock: &dyn Clock) {
+        self.submitted += items.len() as u64;
+        self.stamp_fed(items.len(), metrics, clock);
+        self.session.feed_batch(items);
+    }
+
+    /// Whether the shared pool has yet to absorb harvested history.
+    fn unpublished(&self) -> bool {
+        self.adaptive && self.completed > self.published
+    }
+
+    /// Post-visit bookkeeping for an adaptive tenant (key `key`): re-route
+    /// its events if a safe point rewrote the tree since the last visit,
+    /// absorb new estimator history into `shared`, and re-price the
+    /// tenant's admission cost estimate from it.
+    fn refresh(&mut self, key: u64, monitor: &ServeMonitor, shared: &SharedEstimators) {
+        if !self.adaptive {
+            return;
+        }
+        let (trigger, root) = (self.session.trigger(), self.session.skeleton().node());
+        if self.session.version() != self.routed_version {
+            monitor.unroute(key, &self.routed);
+            self.routed = monitor.route(key, trigger, root);
+            self.routed_version = self.session.version();
+        }
+        if self.unpublished() {
+            self.published = self.completed;
+            trigger.read_estimates(|table| shared.absorb(root, table));
+            self.cost_ns = shared.estimated_cost(root).map(|c| c.0);
+        }
+    }
+
     /// Stamps `n` items handed to the session just now. One clock read
     /// per call when the hub is enabled; zero-stamps (no clock) when not.
     fn stamp_fed(&mut self, n: usize, metrics: &ServeMetrics, clock: &dyn Clock) {
@@ -124,30 +176,18 @@ where
     }
 
     /// Consumes `n` submission stamps (oldest first — the order results
-    /// come back in) and records the sojourns of the stamped ones.
+    /// come back in) and records the sojourns of the stamped ones. Reads
+    /// the clock at most once per call.
     fn note_sojourns(&mut self, n: usize, metrics: &ServeMetrics, clock: &dyn Clock) {
-        note_sojourns(&mut self.fed_at, &mut self.sojourn, n, metrics, clock);
-    }
-}
-
-/// [`Tenant::note_sojourns`] over bare fields, so `detach` can keep
-/// recording after `AdaptiveSession::drain` moves the session out of
-/// the tenant. Reads the clock at most once per call.
-fn note_sojourns(
-    fed_at: &mut VecDeque<u64>,
-    sojourn: &mut HistogramSnapshot,
-    n: usize,
-    metrics: &ServeMetrics,
-    clock: &dyn Clock,
-) {
-    let mut now = None;
-    for _ in 0..n {
-        let stamp = fed_at.pop_front().unwrap_or(0);
-        if stamp != 0 && metrics.enabled() {
-            let at = *now.get_or_insert_with(|| clock.now().0);
-            let ns = at.saturating_sub(stamp);
-            metrics.note_sojourn(ns);
-            sojourn.record(ns);
+        let mut now = None;
+        for _ in 0..n {
+            let stamp = self.fed_at.pop_front().unwrap_or(0);
+            if stamp != 0 && metrics.enabled() {
+                let at = *now.get_or_insert_with(|| clock.now().0);
+                let ns = at.saturating_sub(stamp);
+                metrics.note_sojourn(ns);
+                self.sojourn.record(ns);
+            }
         }
     }
 }
@@ -298,10 +338,7 @@ where
             return Admission::Rejected(RejectReason::UnknownTenant);
         };
         t.harvest(&self.metrics, &*self.clock);
-        if t.backlog.is_empty()
-            && t.session.in_flight() < policy.max_in_flight
-            && policy.cost_room(depth, t.cost_ns)
-        {
+        if t.backlog.is_empty() && t.room(&policy, depth) > 0 {
             t.stamp_fed(1, &self.metrics, &*self.clock);
             t.session.feed(input);
             t.submitted += 1;
@@ -343,20 +380,12 @@ where
         t.harvest(&self.metrics, &*self.clock);
         let mut inputs = inputs;
         let mut out = BatchAdmission::default();
-        if t.backlog.is_empty() && policy.cost_room(depth, t.cost_ns) {
-            let room = policy.max_in_flight.saturating_sub(t.session.in_flight());
-            if room > 0 {
-                let rest = if inputs.len() > room {
-                    inputs.split_off(room)
-                } else {
-                    Vec::new()
-                };
-                out.submitted = inputs.len();
-                t.submitted += inputs.len() as u64;
-                t.stamp_fed(inputs.len(), &self.metrics, &*self.clock);
-                t.session.feed_batch(inputs);
-                inputs = rest;
-            }
+        let room = t.room(&policy, depth);
+        if t.backlog.is_empty() && room > 0 {
+            let rest = inputs.split_off(room.min(inputs.len()));
+            out.submitted = inputs.len();
+            t.dispatch(inputs, &self.metrics, &*self.clock);
+            inputs = rest;
         }
         let space = policy.max_backlog.saturating_sub(t.backlog.len());
         let overflow = if inputs.len() > space {
@@ -396,30 +425,26 @@ where
             Some(prev) => keys.iter().position(|&k| k > prev).unwrap_or(0),
         };
         self.cursor = Some(keys[start]);
-        let quota = self.policy.max_in_flight;
         let policy = self.policy;
         let mut dispatched = 0;
         for i in 0..keys.len() {
             let key = keys[(start + i) % keys.len()];
-            // Re-sampled per visit (not per item): each dispatch batch
-            // changes the depth the next tenant's gates should see.
-            let depth = self.engine.pool().queue_depth_hint();
             let Some(t) = self.tenants.get_mut(&key) else {
                 continue;
             };
             t.harvest(&self.metrics, &*self.clock);
-            if !t.backlog.is_empty() && policy.cost_room(depth, t.cost_ns) {
-                let room = quota.saturating_sub(t.session.in_flight());
-                if room > 0 {
-                    let take = room.min(t.backlog.len());
+            if !t.backlog.is_empty() {
+                // Re-sampled per visit (not per item): each dispatch
+                // batch changes the depth the next tenant's gates see.
+                let depth = self.engine.pool().queue_depth_hint();
+                let take = t.room(&policy, depth).min(t.backlog.len());
+                if take > 0 {
                     let chunk: Vec<P> = t.backlog.drain(..take).collect();
-                    t.submitted += take as u64;
                     dispatched += take;
-                    t.stamp_fed(take, &self.metrics, &*self.clock);
-                    t.session.feed_batch(chunk);
+                    t.dispatch(chunk, &self.metrics, &*self.clock);
                 }
             }
-            self.refresh(key);
+            t.refresh(key, &self.monitor, &self.shared);
         }
         dispatched
     }
@@ -441,38 +466,6 @@ where
                 .or_else(first),
         }
         .map(TenantId)
-    }
-
-    /// Post-visit bookkeeping for one adaptive tenant: re-route events
-    /// if a safe point rewrote the tree since the last visit, absorb
-    /// new estimator history into the shared pool, and re-price the
-    /// tenant's admission cost estimate from it.
-    fn refresh(&mut self, key: u64) {
-        let Some(t) = self.tenants.get_mut(&key) else {
-            return;
-        };
-        if !t.adaptive {
-            return;
-        }
-        let version = t.session.version();
-        if version != t.routed_version {
-            let old = std::mem::take(&mut t.routed);
-            let trigger = Arc::clone(t.session.trigger());
-            let root = Arc::clone(t.session.skeleton().node());
-            self.monitor.unroute(key, &old);
-            t.routed = self.monitor.route(key, &trigger, &root);
-            t.routed_version = version;
-        }
-        if t.completed > t.published {
-            t.published = t.completed;
-            let root = Arc::clone(t.session.skeleton().node());
-            let trigger = Arc::clone(t.session.trigger());
-            trigger.read_estimates(|table| self.shared.absorb(&root, table));
-            let cost = self.shared.estimated_cost(&root).map(|c| c.0);
-            if let Some(t) = self.tenants.get_mut(&key) {
-                t.cost_ns = cost;
-            }
-        }
     }
 
     /// Takes every result the tenant has finished, in submission order,
@@ -507,45 +500,39 @@ where
     /// estimator history is published to the shared pool first, so a
     /// successor tenant of the same structure still warm-starts from it.
     pub fn detach(&mut self, tenant: TenantId) -> Option<Vec<Result<R, EngineError>>> {
-        self.refresh(tenant.0);
         let mut t = self.tenants.remove(&tenant.0)?;
+        t.refresh(tenant.0, &self.monitor, &self.shared);
         // Past the registry's gates now: submit the whole backlog (the
         // session's own batched path still bounds pool transactions).
         let backlog: Vec<P> = t.backlog.drain(..).collect();
-        if !backlog.is_empty() {
-            t.submitted += backlog.len() as u64;
-            t.stamp_fed(backlog.len(), &self.metrics, &*self.clock);
-            t.session.feed_batch(backlog);
-        }
-        let mut results: Vec<Result<R, EngineError>> = t.ready.drain(..).collect();
-        let drained: Vec<Result<R, EngineError>> = t.session.drain().collect();
-        note_sojourns(
-            &mut t.fed_at,
-            &mut t.sojourn,
-            drained.len(),
-            &self.metrics,
-            &*self.clock,
-        );
-        results.extend(drained);
+        t.dispatch(backlog, &self.metrics, &*self.clock);
+        let drained: Vec<_> = std::iter::from_fn(|| t.session.next_result()).collect();
+        t.note_sojourns(drained.len(), &self.metrics, &*self.clock);
+        t.ready.extend(drained);
         if t.adaptive {
             self.monitor.unroute(tenant.0, &t.routed);
         }
-        Some(results)
+        Some(t.ready.into())
     }
 
-    /// Whether no tenant holds backlogged or in-flight items — i.e. a
-    /// drain cycle has nothing left to dispatch or await. The sharded
-    /// front's driver threads and [`quiesce`](Self::quiesce) poll this.
+    /// Whether a drain cycle owes nothing: no tenant holds backlogged or
+    /// in-flight items, or history the shared pool has not absorbed. A
+    /// shard driver sleeps untimed only while this holds.
     pub fn settled(&self) -> bool {
         self.tenants
             .values()
-            .all(|t| t.backlog.is_empty() && t.session.in_flight() == 0)
+            .all(|t| t.backlog.is_empty() && t.session.in_flight() == 0 && !t.unpublished())
     }
 
-    /// Drives drain cycles until no tenant holds backlogged or in-flight
-    /// items — every fed item's result is then harvestable via
-    /// [`take_ready`](ServeRegistry::take_ready). (Results are *not*
-    /// consumed.)
+    /// Whether `tenant` holds history only a drain cycle will publish.
+    pub(crate) fn owes_publication(&self, tenant: TenantId) -> bool {
+        self.tenants.get(&tenant.0).is_some_and(Tenant::unpublished)
+    }
+
+    /// Drives drain cycles until the registry is
+    /// [`settled`](Self::settled) — every fed item's result is then
+    /// harvestable via [`take_ready`](ServeRegistry::take_ready).
+    /// (Results are *not* consumed.)
     pub fn quiesce(&mut self) {
         loop {
             self.drain_cycle();

@@ -30,6 +30,10 @@
 //! concurrently with ingress on every other shard. All registry
 //! semantics (admission gates, key-rotating round-robin fairness,
 //! per-tenant result order) hold per shard unchanged.
+//!
+//! A shard is one lock and one condvar, and a driver with nothing owed
+//! sleeps on it with no timeout (see [`drive`]): an idle front costs no
+//! CPU.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,13 +62,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One shard: its registry, and the doorbell its driver sleeps on.
+/// A driver's nap while items are in flight: completions ring nobody.
+const IN_FLIGHT_NAP: Duration = Duration::from_micros(50);
+
+/// One shard: its registry, and the doorbell its driver sleeps on —
+/// a condvar on the registry's own lock.
 struct ShardSlot<P, R> {
     registry: Mutex<ServeRegistry<P, R>>,
-    /// Set by ingress after handing the shard new work; cleared by the
-    /// driver when it wakes.
-    dirty: Mutex<bool>,
     doorbell: Condvar,
+    #[cfg(test)]
+    passes: std::sync::atomic::AtomicUsize,
 }
 
 struct Inner<P, R> {
@@ -85,12 +92,6 @@ impl<P, R> Inner<P, R> {
 
     fn slot(&self, tenant: TenantId) -> &ShardSlot<P, R> {
         &self.shards[self.shard_of(tenant)]
-    }
-
-    /// Rings a shard's doorbell so its driver re-runs the loop now.
-    fn ring(&self, slot: &ShardSlot<P, R>) {
-        *slot.dirty.lock() = true;
-        slot.doorbell.notify_one();
     }
 }
 
@@ -123,8 +124,9 @@ where
                     shared.clone(),
                     policy,
                 )),
-                dirty: Mutex::new(false),
                 doorbell: Condvar::new(),
+                #[cfg(test)]
+                passes: Default::default(),
             })
             .collect();
         let inner = Arc::new(Inner {
@@ -175,7 +177,7 @@ where
     pub fn feed(&self, tenant: TenantId, input: P) -> Admission {
         let slot = self.inner.slot(tenant);
         let out = slot.registry.lock().feed(tenant, input);
-        self.inner.ring(slot);
+        slot.doorbell.notify_one();
         out
     }
 
@@ -185,14 +187,22 @@ where
     pub fn feed_batch(&self, tenant: TenantId, inputs: Vec<P>) -> BatchAdmission {
         let slot = self.inner.slot(tenant);
         let out = slot.registry.lock().feed_batch(tenant, inputs);
-        self.inner.ring(slot);
+        slot.doorbell.notify_one();
         out
     }
 
     /// Takes every result the tenant has finished, in submission order,
-    /// without blocking (see [`ServeRegistry::take_ready`]).
+    /// without blocking (see [`ServeRegistry::take_ready`]). Rings the
+    /// shard's driver only when the harvest left adaptive history for it
+    /// to publish; a plain tenant's poll never does.
     pub fn take_ready(&self, tenant: TenantId) -> Vec<Result<R, EngineError>> {
-        self.inner.slot(tenant).registry.lock().take_ready(tenant)
+        let slot = self.inner.slot(tenant);
+        let mut registry = slot.registry.lock();
+        let out = registry.take_ready(tenant);
+        if registry.owes_publication(tenant) {
+            slot.doorbell.notify_one();
+        }
+        out
     }
 
     /// Detaches the tenant from its shard, flushing its backlog and
@@ -220,10 +230,11 @@ where
             .cloned()
     }
 
-    /// Blocks until every shard is settled — no backlogged or in-flight
-    /// items anywhere; every fed item's result is then harvestable via
-    /// [`take_ready`](Self::take_ready). The driver threads do the
-    /// draining; this only rings and polls.
+    /// Blocks until every shard is settled (see
+    /// [`ServeRegistry::settled`]); every fed item's result is then
+    /// harvestable via [`take_ready`](Self::take_ready). The driver
+    /// threads do the draining; this only polls, and rings an unsettled
+    /// shard's driver out of its in-flight nap.
     pub fn quiesce(&self) {
         loop {
             let mut all = true;
@@ -231,7 +242,7 @@ where
                 let settled = slot.registry.lock().settled();
                 if !settled {
                     all = false;
-                    self.inner.ring(slot);
+                    slot.doorbell.notify_one();
                 }
             }
             if all {
@@ -297,7 +308,9 @@ impl<P, R> ShardedServe<P, R> {
     fn stop_drivers(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         for slot in &self.inner.shards {
-            self.inner.ring(slot);
+            // With the lock, a driver has either yet to look or waits.
+            drop(slot.registry.lock());
+            slot.doorbell.notify_one();
         }
         for handle in self.drivers.drain(..) {
             let _ = handle.join();
@@ -311,43 +324,32 @@ impl<P, R> Drop for ShardedServe<P, R> {
     }
 }
 
-/// One shard's driver: the feed→drain→harvest loop. Each pass runs one
-/// fairness round (`drain_cycle` — harvest + backlog dispatch + route/
-/// estimator refresh) under the shard lock, then decides how to wait:
-/// keep going while it dispatched something, nap briefly while items
-/// are in flight (harvest again soon without camping on the lock
-/// ingress needs), or sleep on the doorbell until ingress rings.
+/// One shard's driver: the feed→drain→harvest loop. Holding the shard
+/// lock from one look at `stop` to the next, each pass runs one fairness
+/// round (`drain_cycle`), then goes again (letting ingress in first) if
+/// it dispatched, naps while the shard is not
+/// [`settled`](ServeRegistry::settled), or sleeps with no timeout. Every
+/// change that can leave the shard owing work — a feed, a take that
+/// harvested adaptive history, `stop` — is made under that lock and
+/// rings after, so no ring falls between the driver's look and its wait.
 fn drive<P, R>(inner: &Inner<P, R>, idx: usize)
 where
     P: Send + 'static,
     R: Send + 'static,
 {
     let slot = &inner.shards[idx];
-    loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let (dispatched, settled) = {
-            let mut registry = slot.registry.lock();
-            let dispatched = registry.drain_cycle();
-            (dispatched, registry.settled())
-        };
-        if dispatched > 0 {
-            continue;
-        }
-        let wait = if settled {
-            // Nothing owed: sleep until ingress rings (bounded, so a
-            // missed edge can only ever delay work by one period).
-            Duration::from_millis(1)
+    let mut registry = slot.registry.lock();
+    while !inner.stop.load(Ordering::Acquire) {
+        #[cfg(test)]
+        slot.passes.fetch_add(1, Ordering::Relaxed);
+        if registry.drain_cycle() > 0 {
+            drop(registry);
+            registry = slot.registry.lock();
+        } else if registry.settled() {
+            slot.doorbell.wait(&mut registry);
         } else {
-            // In flight on the pool: re-harvest soon, off the lock.
-            Duration::from_micros(50)
-        };
-        let mut dirty = slot.dirty.lock();
-        if !*dirty {
-            slot.doorbell.wait_for(&mut dirty, wait);
+            slot.doorbell.wait_for(&mut registry, IN_FLIGHT_NAP);
         }
-        *dirty = false;
     }
 }
 
@@ -410,6 +412,36 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(got, (1..=64).collect::<Vec<_>>());
+        serve.join();
+        engine.shutdown();
+    }
+
+    /// An idle front sleeps until there is work: once quiesced, each
+    /// driver makes at most one more pass (a ring that raced the last
+    /// one) in 50 ms, where a 1 ms idle timeout would make about 45.
+    #[test]
+    fn an_idle_front_makes_no_driver_passes() {
+        let engine = Engine::new(2);
+        let serve: ShardedServe<i64, i64> =
+            ShardedServe::new(&engine, 2, AdmissionPolicy::default());
+        for _ in 0..1_000 {
+            let t = serve.register(&seq(|x: i64| x + 1));
+            serve.feed(t, 1);
+        }
+        serve.quiesce();
+        let passes = || -> Vec<usize> {
+            serve
+                .inner
+                .shards
+                .iter()
+                .map(|s| s.passes.load(Ordering::Relaxed))
+                .collect()
+        };
+        let before = passes();
+        std::thread::sleep(Duration::from_millis(50));
+        for (shard, (b, a)) in before.iter().zip(passes()).enumerate() {
+            assert!(a - b <= 1, "shard {shard}: {} idle passes in 50 ms", a - b);
+        }
         serve.join();
         engine.shutdown();
     }

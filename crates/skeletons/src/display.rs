@@ -1,8 +1,9 @@
 //! Pretty-printing of skeleton programs in the paper's grammar notation.
 //!
 //! [`structure`] renders an AST as the paper writes it — e.g. the running
-//! example prints as `map(fs, map(fs, seq(fe), fm), fm)` — which makes logs
-//! and error messages immediately comparable with the paper.
+//! example prints as `map(fs, map(fs, seq(fe), fm), fm)` — which makes a
+//! [`Skel`](crate::Skel)'s `Debug` output immediately comparable with the
+//! paper.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -10,7 +11,7 @@ use std::sync::Arc;
 use crate::node::{Node, NodeKind};
 
 /// Renders the skeleton structure in grammar notation.
-pub fn structure(node: &Arc<Node>) -> String {
+pub(crate) fn structure(node: &Arc<Node>) -> String {
     let mut out = String::new();
     write_node(&mut out, node);
     out

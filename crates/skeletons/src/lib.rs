@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod display;
+mod display;
 pub mod ids;
 pub mod muscle;
 pub mod node;

@@ -56,9 +56,10 @@ impl<P, R> std::fmt::Debug for Skel<P, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Skel<{}>({})",
+            "Skel<{}>({}: {})",
             std::any::type_name::<fn(P) -> R>(),
-            self.node.id
+            self.node.id,
+            crate::display::structure(&self.node)
         )
     }
 }

@@ -12,23 +12,14 @@
 //!   `examples/`.
 //!
 //! Name-level, not type-checked: a name shared by two crates is skipped,
-//! and a same-named word anywhere counts as a read. It cannot prove an
-//! item used; it catches the surface nobody names at all.
+//! and a same-named word in code anywhere counts as a read (a comment or
+//! a string literal does not). It cannot prove an item used; it catches
+//! the surface nobody names at all. There is no allowlist: an unread
+//! function is deleted or narrowed to `pub(crate)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Unread functions kept on purpose, each with its reason. An entry that
-/// gains a reader (or goes away) fails the audit, so the list only
-/// shrinks.
-const ALLOWLIST: &[(&str, &str)] = &[
-    (
-        "to_dot",
-        "ADG debug renderer; ROADMAP 6's explain surface adopts or deletes it",
-    ),
-    ("gantt_ascii", "the same, for a schedule"),
-];
 
 /// What one scan of a checkout found.
 struct Audit {
@@ -75,7 +66,7 @@ fn audit(root: &Path) -> Audit {
         .into_iter()
         .chain(rs_files(&root.join("benchmark/src")))
     {
-        // This file names allowlisted functions only to exempt them.
+        // This file's own helpers are no readers of the workspace.
         if !file.ends_with("tests/public_surface.rs") {
             readers.push((None, words(&read(&file))));
         }
@@ -176,8 +167,11 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-fn words(text: &str) -> BTreeSet<String> {
-    text.split(|c: char| !is_ident(c))
+/// The identifiers `src`'s code names: a word in a comment or a literal
+/// reads nothing.
+fn words(src: &str) -> BTreeSet<String> {
+    code_only(src)
+        .split(|c: char| !is_ident(c))
         .filter(|w| !w.is_empty())
         .map(str::to_string)
         .collect()
@@ -300,24 +294,11 @@ fn every_public_function_has_a_reader_and_every_dependency_a_user() {
         "only {} pub fn names found: is the scan looking in the right place?",
         audit.pub_fn_names
     );
-    assert!(ALLOWLIST.len() <= 8, "the allowlist may only shrink");
-    let allowed = |name: &str| ALLOWLIST.iter().any(|(n, _)| *n == name);
     let mut problems: Vec<String> = audit
         .unread
         .iter()
-        .filter(|(name, _)| !allowed(name))
         .map(|(name, at)| format!("`{name}` in {at}: no file outside its crate names it — delete it or make it pub(crate)"))
         .collect();
-    problems.extend(
-        ALLOWLIST
-            .iter()
-            .filter(|(name, _)| !audit.unread.contains_key(*name))
-            .map(|(name, _)| {
-                format!(
-                    "allowlisted `{name}` has a reader now, or is gone — drop it from ALLOWLIST"
-                )
-            }),
-    );
     problems.extend(
         audit
             .unused_deps
@@ -364,9 +345,11 @@ fn the_scanner_reports_what_is_planted() {
         "#,
     );
     write("crates/beta/Cargo.toml", "[dependencies]\n");
+    // A name in a comment or a string literal is no read.
     write(
         "crates/beta/src/lib.rs",
-        "pub fn shared() { read_by_beta(); }\n",
+        "pub fn shared() { read_by_beta(); let _ = \"planted_unread\"; }\n\
+         // read_only_by_own_tests\n",
     );
     write(
         "benchmark/src/main.rs",

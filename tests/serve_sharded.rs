@@ -1,9 +1,15 @@
 //! Sharded-serve integration: per-tenant correctness with concurrent
 //! ingress threads and concurrent shard drivers, including detach under
-//! a live drain.
+//! a live drain, and drivers that sleep without a timeout yet never
+//! sleep through work they owe.
+
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use askel_adapt::TriggerEngine;
 use askel_engine::Engine;
 use askel_serve::{Admission, AdmissionPolicy, RejectReason, ShardedServe};
 use askel_skeletons::{map, pipe, seq, Skel};
@@ -170,6 +176,134 @@ fn detach_while_driver_is_draining_loses_nothing() {
     );
     assert_eq!(serve.detach(t), None, "second detach finds nothing");
     serve.quiesce();
+    serve.join();
+    engine.shutdown();
+}
+
+/// Runs `f` on its own thread and returns its value; fails the test if
+/// it has not finished within `deadline` (a hung driver or `join` shows
+/// up as this failure, not as a test that never ends).
+fn within<T: Send + 'static>(
+    deadline: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(deadline) {
+        Ok(value) => {
+            handle.join().expect("sent its value, so it returns");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} still running after {deadline:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("sender dropped by a panic"))
+        }
+    }
+}
+
+/// A settled shard's driver sleeps with no timeout, so every ingress
+/// edge must wake it: 1 000 idle→busy transitions, each a 2-item batch
+/// at quota 1 — the second item queues, and only the driver can dispatch
+/// it — fed once the shard has settled and delivered through
+/// `take_ready` within 5 s.
+#[test]
+fn a_sleeping_driver_wakes_for_every_ingress_edge() {
+    const EDGES: i64 = 1_000;
+    const DEADLINE: Duration = Duration::from_secs(5);
+    let engine = Engine::new(2);
+    let policy = AdmissionPolicy::default().max_in_flight(1);
+    let serve: ShardedServe<i64, i64> = ShardedServe::new(&engine, 2, policy);
+    let t = serve.register(&seq(|x: i64| x + 1));
+    let run = move || {
+        for edge in 0..EDGES {
+            // Long enough for the driver to end its in-flight nap, see
+            // the shard settled and go to sleep.
+            std::thread::sleep(Duration::from_micros(200));
+            let out = serve.feed_batch(t, vec![2 * edge, 2 * edge + 1]);
+            assert_eq!((out.submitted, out.queued), (1, 1));
+            let started = Instant::now();
+            let mut got = Vec::new();
+            while got.len() < 2 {
+                got.extend(serve.take_ready(t).into_iter().map(|r| r.unwrap()));
+                assert!(
+                    started.elapsed() < DEADLINE,
+                    "edge {edge}: the driver slept through the feed"
+                );
+                std::thread::yield_now();
+            }
+            assert_eq!(got, [2 * edge + 1, 2 * edge + 2]);
+        }
+        serve.join();
+    };
+    within(2 * DEADLINE, "the edges and the join", run);
+    engine.shutdown();
+}
+
+/// `join` must reach a driver in the middle of a pass. The driver here
+/// is held inside one — harvesting a result records its outcome with
+/// the tenant's trigger, which the test keeps locked — while `join` is
+/// called, and that pass leaves the shard settled, so the driver's next
+/// step is a wait with no timeout. The sleeps only give the driver time
+/// to reach that pass; correct code passes whatever they give.
+#[test]
+fn join_reaches_a_driver_in_the_middle_of_a_pass() {
+    let engine = Engine::new(2);
+    let serve: ShardedServe<i64, i64> = ShardedServe::new(&engine, 1, AdmissionPolicy::default());
+    let (open, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    let gated = seq(move |x: i64| {
+        gate.lock().unwrap().recv().ok();
+        x
+    });
+    let trigger = TriggerEngine::new(0.5);
+    let t = serve.register_adaptive(&gated, Arc::clone(&trigger));
+    serve.feed(t, 1);
+    let (held, holding) = mpsc::channel();
+    let holder = std::thread::spawn(move || {
+        trigger.read_estimates(|_| {
+            held.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+        })
+    });
+    holding.recv().unwrap();
+    // The item finishes; the driver's next pass stops in its harvest.
+    open.send(()).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    within(Duration::from_secs(5), "join", move || serve.join());
+    holder.join().unwrap();
+    engine.shutdown();
+}
+
+/// An adaptive tenant's harvested history reaches the shared pool with
+/// no `quiesce`: results polled out by `take_ready` leave history only
+/// the shard's driver publishes, and it must not sleep on it.
+#[test]
+fn history_harvested_by_take_ready_is_published() {
+    const ITEMS: usize = 8;
+    let engine = Engine::new(2);
+    let serve: ShardedServe<Vec<i64>, i64> =
+        ShardedServe::new(&engine, 2, AdmissionPolicy::default());
+    let t = serve.register_adaptive(&fan(), TriggerEngine::new(0.5));
+    for n in 0..ITEMS as i64 {
+        serve.feed(t, (0..=n).collect());
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut taken = 0;
+    while taken < ITEMS {
+        taken += serve.take_ready(t).len();
+        assert!(Instant::now() < deadline, "{taken} of {ITEMS} results");
+        std::thread::yield_now();
+    }
+    while serve.shared_estimators().structures() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "harvested history never published"
+        );
+        std::thread::yield_now();
+    }
     serve.join();
     engine.shutdown();
 }
