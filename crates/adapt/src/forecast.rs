@@ -20,11 +20,14 @@
 //!
 //! Like the controller's analysis gate, the forecast refuses to guess:
 //! [`askel_core::predictive_wct`] returns `None` unless the estimator table covers
-//! every muscle of the tree being forecast (seed replacement subtrees via
-//! [`TriggerEngine::seed_from`](crate::TriggerEngine::seed_from),
-//! [`TriggerEngine::with_estimates`](crate::TriggerEngine::with_estimates),
-//! or estimator aliases) — an uncovered forecast gate simply keeps its
-//! rule closed.
+//! every muscle of the tree being forecast — an uncovered forecast gate
+//! simply keeps its rule closed. The table is the trigger engine's
+//! [`Knowledge`](askel_core::Knowledge): a controller's, when the engine
+//! was made for one ([`TriggerEngine::for_controller`](crate::TriggerEngine::for_controller)),
+//! so both properties forecast from the same estimates. Seed replacement
+//! subtrees through
+//! [`Knowledge::with_estimates`](askel_core::Knowledge::with_estimates)
+//! or estimator aliases.
 
 use askel_skeletons::TimeNs;
 

@@ -12,11 +12,12 @@
 //! The MAPE split mirrors `askel-core`'s:
 //!
 //! * **Monitor/Analyze** — [`TriggerEngine`], an ordinary event
-//!   [`Listener`](askel_events::Listener): per-muscle EWMA durations and
-//!   cardinalities (the same state machines as the WCT controller, and
-//!   optionally *seeded from* a controller via
-//!   [`TriggerEngine::seed_from`]), plus item outcomes and input-size
-//!   hints that events cannot carry.
+//!   [`Listener`](askel_events::Listener) over an
+//!   [`askel_core::Knowledge`]: per-muscle EWMA durations and
+//!   cardinalities from the same state machines as the WCT controller —
+//!   the controller's own, one table and one event log, when the engine
+//!   is made for it ([`TriggerEngine::for_controller`]) — plus item
+//!   outcomes and input-size hints that events cannot carry.
 //! * **Plan** — [`Rule`]s ([`Promote`], [`FallbackSwap`], [`RetuneWidth`],
 //!   [`RetuneGrain`], [`Offload`], [`CostGuard`]) evaluated once per safe
 //!   point, each yielding at most one [`RewriteAction`]. Rules can be
@@ -39,10 +40,11 @@
 //!   persistently (`Skel::rewritten`), the version bumps, an
 //!   `(After, Reconfigured)` event announces the change through the
 //!   registry, an [`AdaptRecord`] lands in the decision log — symmetric
-//!   to the controller's `AnalysisRecord` — and estimator history for
-//!   the replaced subtree is invalidated
-//!   ([`TriggerEngine::invalidate_estimates_for`]) so the next forecast
-//!   is computed from the live tree.
+//!   to the controller's `AnalysisRecord` — and the knowledge is told
+//!   once (`Knowledge::invalidate_estimates_for`): the replaced
+//!   subtree's estimator history goes, so the next forecast is computed
+//!   from the live tree, and a controller sharing the knowledge analyses
+//!   the new tree.
 //!
 //! [`Adaptive`] packages the loop, once, over any
 //! `askel_events::StreamRuntime`: harvest → in-flight bound → size hint →

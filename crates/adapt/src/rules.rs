@@ -560,9 +560,9 @@ impl Promote {
     ///
     /// The gate stays **closed** while either forecast is unavailable
     /// (the estimator table does not yet cover the tree — notably the
-    /// replacement's muscles, which have never run; seed them via
-    /// [`TriggerEngine::seed_from`](crate::TriggerEngine::seed_from) or
-    /// [`TriggerEngine::with_estimates`](crate::TriggerEngine::with_estimates)).
+    /// replacement's muscles, which have never run; seed them through
+    /// the trigger engine's knowledge,
+    /// [`Knowledge::with_estimates`](askel_core::Knowledge::with_estimates)).
     /// Gated firings carry a [`Forecast`] into the decision log, where
     /// the realized WCT is later filled in.
     pub fn forecast_gated(mut self, margin: f64) -> Self {

@@ -20,7 +20,6 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use askel_core::AutonomicController;
 use askel_engine::{Engine, StreamSession};
 use askel_events::{Event, ListenerRegistry, Payload, StreamRuntime, StreamTypes};
 use askel_sim::components::Component;
@@ -75,9 +74,6 @@ pub struct Reconfigurator {
     trigger: Arc<TriggerEngine>,
     lp: Box<dyn Fn() -> usize + Send + Sync>,
     policy: ConflictPolicy,
-    /// A WCT controller whose estimator history is invalidated alongside
-    /// the trigger's on every applied subtree replacement.
-    controller: Option<Arc<AutonomicController>>,
 }
 
 impl Reconfigurator {
@@ -95,7 +91,6 @@ impl Reconfigurator {
             trigger,
             lp: Box::new(|| 1),
             policy: ConflictPolicy::default(),
-            controller: None,
         }
     }
 
@@ -111,18 +106,6 @@ impl Reconfigurator {
     /// [`crate::arbitration`].
     pub fn conflict_policy(mut self, policy: ConflictPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Keeps a WCT controller's estimator table consistent with the
-    /// rewritten tree: on every applied subtree replacement, the
-    /// replaced nodes' history is invalidated in `controller` as well as
-    /// in the trigger engine
-    /// ([`AutonomicController::invalidate_estimates_for`]) — the
-    /// controller↔trigger feedback loop, so post-rewrite forecasts on
-    /// either side are computed from the live tree.
-    pub fn sync_controller(mut self, controller: Arc<AutonomicController>) -> Self {
-        self.controller = Some(controller);
         self
     }
 
@@ -149,12 +132,10 @@ impl Reconfigurator {
     ///   lands in the log. At the next safe point the rule re-evaluates
     ///   against the new tree (the built-in replacement rules gate on
     ///   their target being present).
-    /// * **Estimator invalidation** — every applied `Replace` drops the
-    ///   replaced nodes' estimator history from the trigger engine (and
-    ///   from a [`sync_controller`](Reconfigurator::sync_controller)'d
-    ///   WCT controller), so the next forecast cannot cite a tree that
-    ///   no longer exists, and notifies rules via
-    ///   [`Rule::on_replaced`](crate::Rule::on_replaced).
+    /// * **Estimator invalidation** — every applied `Replace` tells the
+    ///   trigger engine's knowledge once, which drops the replaced nodes'
+    ///   estimator history and gives a controller sharing it the new
+    ///   tree, and notifies rules via [`Rule::on_replaced`](crate::Rule::on_replaced).
     pub fn apply<P, R>(&self, vskel: &mut VersionedSkel<P, R>) -> usize
     where
         P: Send + 'static,
@@ -191,10 +172,8 @@ impl Reconfigurator {
                     let kept = ids(vskel.skel.node());
                     let removed: Vec<NodeId> =
                         old.unwrap_or_default().difference(&kept).copied().collect();
-                    let dropped = self.trigger.invalidate_estimates_for(&removed);
-                    if let Some(controller) = &self.controller {
-                        controller.invalidate_estimates_for(&removed);
-                    }
+                    let knowledge = self.trigger.knowledge();
+                    let dropped = knowledge.invalidate_estimates_for(&removed, vskel.skel.node());
                     self.trigger.note_replaced(*target, replacement);
                     if dropped > 0 {
                         text.push_str(&format!("; dropped {dropped} stale estimator entries"));
@@ -457,14 +436,6 @@ where
     /// rule fires at one safe point are arbitrated.
     pub fn conflict_policy(mut self, policy: ConflictPolicy) -> Self {
         self.reconf = self.reconf.conflict_policy(policy);
-        self
-    }
-
-    /// Forwards to [`Reconfigurator::sync_controller`]: a WCT controller
-    /// whose estimator history is invalidated alongside the trigger
-    /// engine's whenever a subtree is replaced.
-    pub fn sync_controller(mut self, controller: Arc<AutonomicController>) -> Self {
-        self.reconf = self.reconf.sync_controller(controller);
         self
     }
 

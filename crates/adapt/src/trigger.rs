@@ -1,38 +1,29 @@
 //! The trigger engine: the *Monitor/Analyze* half of self-configuration.
 //!
-//! [`TriggerEngine`] is an ordinary [`Listener`]: registered on an engine's
-//! (or simulator's) `ListenerRegistry`, it replays the events through the
-//! same per-kind state machines the WCT controller uses
-//! ([`askel_core::SmTracker`]), maintaining EWMA duration and cardinality
-//! estimates per muscle. On top of the event stream it tracks two
-//! session-level statistics the events cannot carry: per-item outcomes
-//! (error streaks, fed by the adaptive session) and input-size hints.
+//! [`TriggerEngine`] is a [`Listener`] over an [`askel_core::Knowledge`]:
+//! the WCT controller's state machines and EWMA estimators per muscle —
+//! the controller's own, one table and one log, for an engine made with
+//! [`TriggerEngine::for_controller`]. On top of the events it tracks two
+//! session-level statistics they cannot carry: per-item outcomes (error
+//! streaks, fed by the adaptive session) and input-size hints.
 //!
 //! Rules ([`crate::rules`]) are evaluated **only** at safe points, via
 //! [`TriggerEngine::plan`] — never from inside `on_event` — so a rewrite
-//! can fire at most once per safe point and never mid-item. Nothing
-//! therefore needs event-derived state to be current *between* reads, and
-//! `on_event` does not update it: on the muscle's thread it appends a
-//! 48-byte record to a per-thread log ([`EventLog`]) and returns. Every
-//! method that reads or edits that state — [`plan`](TriggerEngine::plan),
-//! [`read_estimates`](TriggerEngine::read_estimates),
-//! [`decision_log`](TriggerEngine::decision_log), … — first **folds** the
-//! log: replays the logged records, in order, through the state machines.
-//! Trigger state is thus current *as of the last read*; a log that fills
-//! up is folded by the thread that found it full, so memory is bounded
-//! even when nobody reads. Every applied rewrite is recorded in an
-//! auditable decision log ([`AdaptRecord`]), symmetric to the controller's
-//! `AnalysisRecord` and, like it, a ring of the most recent
-//! [`DECISION_LOG_CAPACITY`] records.
+//! can fire at most once per safe point and never mid-item; every read
+//! folds the knowledge's log first. Every applied rewrite is recorded in
+//! an auditable decision log ([`AdaptRecord`]), symmetric to the
+//! controller's `AnalysisRecord` and, like it, a ring of the most recent
+//! [`DECISION_LOG_CAPACITY`] records; a forecast-gated record's realized
+//! WCT comes from the root spans the tracker records.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_core::{AutonomicController, EstimatorTable, Ewma, SmTracker};
-use askel_events::{Event, EventLog, EventRecord, Interest, Listener, Payload, When, Where};
-use askel_skeletons::{InstanceId, Node, NodeId, TimeNs};
+use askel_core::{AutonomicController, Ewma, Knowledge, SmTracker, Span};
+use askel_events::{Event, Interest, Listener, Payload};
+use askel_skeletons::{Node, NodeId, TimeNs};
 
 use crate::forecast::Forecast;
 use crate::metrics::AdaptMetrics;
@@ -94,7 +85,6 @@ pub struct PlannedRewrite {
 }
 
 struct TrigInner {
-    tracker: SmTracker,
     errors: ErrorStats,
     input_size: Ewma,
     rules: Vec<Box<dyn Rule>>,
@@ -105,30 +95,42 @@ struct TrigInner {
     log: VecDeque<AdaptRecord>,
     safe_points: usize,
     evaluations: usize,
-    /// Start timestamps of in-flight root submissions, keyed by instance
-    /// — closes the forecast audit loop (realized WCT per item).
-    item_starts: HashMap<InstanceId, TimeNs>,
     /// Metrics handles once attached to a hub (see [`crate::metrics`]):
     /// rule-fire counters and the forecast-error histogram.
     metrics: Option<AdaptMetrics>,
-    /// Where a fold gathers the log's records; kept for its capacity.
-    fold_buf: Vec<EventRecord>,
 }
 
 /// Event-driven rule host; see the module docs.
 pub struct TriggerEngine {
+    /// Its own, or one sharing a controller's; what every event reads of
+    /// it sits apart from anything written (see [`Knowledge`]).
+    knowledge: Knowledge,
+    /// Locked after the knowledge's state, never before.
     inner: Mutex<TrigInner>,
-    /// Events logged by `on_event` and not yet folded into `inner`.
-    log: EventLog,
 }
 
 impl TriggerEngine {
-    /// A trigger engine whose EWMA estimators use weight `rho` (the
-    /// paper's ρ, 0.5 by convention).
+    /// A trigger engine with knowledge of its own, whose EWMA estimators
+    /// use weight `rho` (the paper's ρ, 0.5 by convention).
     pub fn new(rho: f64) -> Arc<Self> {
+        Self::over(Knowledge::new(rho), rho)
+    }
+
+    /// A trigger engine deciding from `controller`'s knowledge: one
+    /// estimator table, one event log and one fold for both autonomic
+    /// properties. Register the controller *or* this engine as a
+    /// listener, not both; a safe point that folds runs the controller's
+    /// analyses, and a rewrite tells the controller which tree it now
+    /// analyses.
+    pub fn for_controller(controller: &AutonomicController) -> Arc<Self> {
+        let knowledge = Knowledge::sharing(controller.knowledge());
+        Self::over(knowledge, controller.config().rho)
+    }
+
+    fn over(knowledge: Knowledge, rho: f64) -> Arc<Self> {
         Arc::new(TriggerEngine {
+            knowledge,
             inner: Mutex::new(TrigInner {
-                tracker: SmTracker::estimators_only(rho),
                 errors: ErrorStats::default(),
                 input_size: Ewma::new(rho.clamp(0.0, 1.0)),
                 rules: Vec::new(),
@@ -137,27 +139,32 @@ impl TriggerEngine {
                 log: VecDeque::new(),
                 safe_points: 0,
                 evaluations: 0,
-                item_starts: HashMap::new(),
                 metrics: None,
-                fold_buf: Vec::new(),
             }),
-            log: EventLog::default(),
         })
     }
 
-    /// The event positions the state machines read. The parent-side
-    /// nesting events carry nothing they use (children announce
-    /// themselves), and a rewrite announcement is not a muscle execution.
-    pub const INTEREST: Interest = Interest::ALL
-        .without(Interest::at(Where::NestedSkeleton))
-        .without(Interest::at(Where::Reconfigured));
+    /// The event positions the state machines read
+    /// ([`SmTracker::INTEREST`]); a trigger engine sharing a controller's
+    /// knowledge asks for the controller's.
+    pub const INTEREST: Interest = SmTracker::INTEREST;
 
-    /// Locks the state with every logged event folded in.
-    fn current(&self) -> parking_lot::MutexGuard<'_, TrigInner> {
-        let mut inner = self.inner.lock();
-        self.log
-            .fold(&mut *inner, |state| &mut state.fold_buf, TrigInner::apply);
-        inner
+    /// The knowledge this engine decides from: its estimator table and
+    /// event log.
+    pub fn knowledge(&self) -> &Knowledge {
+        &self.knowledge
+    }
+
+    /// Folds the knowledge, closes the forecast audits of the items it
+    /// saw complete, and hands `f` the tracker and the trigger state.
+    fn current<T>(&self, f: impl FnOnce(&mut SmTracker, &mut TrigInner) -> T) -> T {
+        self.knowledge().with_tracker(|tracker| {
+            let mut inner = self.inner.lock();
+            for item in tracker.take_finished_roots() {
+                inner.close_audit(item);
+            }
+            f(tracker, &mut inner)
+        })
     }
 
     /// Attaches this trigger engine to a metrics hub: rule fires are
@@ -225,26 +232,6 @@ impl TriggerEngine {
         self.inner.lock().errors
     }
 
-    /// Read access to the event-derived estimator table.
-    pub fn read_estimates<T>(&self, f: impl FnOnce(&EstimatorTable) -> T) -> T {
-        let inner = self.current();
-        f(inner.tracker.estimates())
-    }
-
-    /// Seeds the trigger estimators from a WCT controller's live table —
-    /// the two autonomic layers (self-optimization in `askel-core`,
-    /// self-configuration here) then decide from one shared view of the
-    /// world, instead of each warming up separately.
-    pub fn seed_from(&self, controller: &AutonomicController) {
-        let table = controller.read_estimates(|t| t.clone());
-        *self.current().tracker.estimates_mut() = table;
-    }
-
-    /// Programmatic estimator initialization (tests, benches).
-    pub fn with_estimates(&self, f: impl FnOnce(&mut EstimatorTable)) {
-        f(self.current().tracker.estimates_mut());
-    }
-
     /// One safe point: evaluates every live rule once against the current
     /// statistics and returns the rewrites that fired (at most one per
     /// rule). Once-rules that fire are retired. Returns nothing while
@@ -258,57 +245,57 @@ impl TriggerEngine {
         lp: usize,
         _now: TimeNs,
     ) -> Vec<PlannedRewrite> {
-        let mut inner = self.current();
-        inner.safe_points += 1;
-        if !inner.enabled {
-            return Vec::new();
-        }
-        let TrigInner {
-            tracker,
-            errors,
-            input_size,
-            rules,
-            retired,
-            evaluations,
-            safe_points,
-            metrics,
-            ..
-        } = &mut *inner;
-        let ctx = RuleCtx {
-            estimates: tracker.estimates(),
-            errors,
-            input_size: input_size.value(),
-            root,
-            version,
-            lp,
-            safe_point: *safe_points,
-        };
-        let mut plans = Vec::new();
-        for (index, (rule, retired)) in rules.iter().zip(retired.iter_mut()).enumerate() {
-            if *retired {
-                continue;
+        self.current(|tracker, inner| {
+            inner.safe_points += 1;
+            if !inner.enabled {
+                return Vec::new();
             }
-            *evaluations += 1;
-            if let Some(fire) = rule.evaluate(&ctx) {
-                if rule.once() {
-                    *retired = true;
+            let TrigInner {
+                errors,
+                input_size,
+                rules,
+                retired,
+                evaluations,
+                safe_points,
+                metrics,
+                ..
+            } = inner;
+            let ctx = RuleCtx {
+                estimates: tracker.estimates(),
+                errors,
+                input_size: input_size.value(),
+                root,
+                version,
+                lp,
+                safe_point: *safe_points,
+            };
+            let mut plans = Vec::new();
+            for (index, (rule, retired)) in rules.iter().zip(retired.iter_mut()).enumerate() {
+                if *retired {
+                    continue;
                 }
-                if let Some(m) = metrics.as_mut() {
-                    m.note_fire(rule.name());
+                *evaluations += 1;
+                if let Some(fire) = rule.evaluate(&ctx) {
+                    if rule.once() {
+                        *retired = true;
+                    }
+                    if let Some(m) = metrics.as_mut() {
+                        m.note_fire(rule.name());
+                    }
+                    plans.push(PlannedRewrite {
+                        rule: rule.name().to_string(),
+                        rule_index: index,
+                        action: fire.action,
+                        why: fire.why,
+                        forecast: fire.forecast,
+                        concern: rule.concern(),
+                        priority: rule.priority(),
+                        veto: fire.veto,
+                    });
                 }
-                plans.push(PlannedRewrite {
-                    rule: rule.name().to_string(),
-                    rule_index: index,
-                    action: fire.action,
-                    why: fire.why,
-                    forecast: fire.forecast,
-                    concern: rule.concern(),
-                    priority: rule.priority(),
-                    veto: fire.veto,
-                });
             }
-        }
-        plans
+            plans
+        })
     }
 
     /// Un-retires the rule at `index` (as reported in
@@ -329,26 +316,12 @@ impl TriggerEngine {
     pub fn record(&self, record: AdaptRecord) {
         // Folded first: items that completed before this rewrite must not
         // find it in the log when their realized WCT looks for an audit.
-        let mut inner = self.current();
-        if inner.log.len() == DECISION_LOG_CAPACITY {
-            inner.log.pop_front();
-        }
-        inner.log.push_back(record);
-    }
-
-    /// Drops every estimator entry (durations, cardinalities, group
-    /// fallbacks, aliases) whose muscle belongs to one of `removed` —
-    /// the nodes an applied rewrite removed from the tree. Returns the
-    /// number of positional entries dropped. The
-    /// [`Reconfigurator`](crate::Reconfigurator) calls this after every
-    /// applied subtree replacement, so the next forecast is computed
-    /// from the live tree instead of being steered by history of a
-    /// subtree that no longer exists.
-    pub fn invalidate_estimates_for(&self, removed: &[NodeId]) -> usize {
-        self.current()
-            .tracker
-            .estimates_mut()
-            .invalidate_nodes(removed)
+        self.current(|_, inner| {
+            if inner.log.len() == DECISION_LOG_CAPACITY {
+                inner.log.pop_front();
+            }
+            inner.log.push_back(record);
+        });
     }
 
     /// Tells every registered rule that an applied rewrite replaced the
@@ -365,7 +338,7 @@ impl TriggerEngine {
     /// The decision log: the most recent [`DECISION_LOG_CAPACITY`]
     /// records, oldest first.
     pub fn decision_log(&self) -> Vec<AdaptRecord> {
-        self.current().log.iter().cloned().collect()
+        self.current(|_, inner| inner.log.iter().cloned().collect())
     }
 
     /// How many safe points have been evaluated.
@@ -376,6 +349,43 @@ impl TriggerEngine {
     /// How many individual rule evaluations ran across all safe points.
     pub fn evaluations(&self) -> usize {
         self.inner.lock().evaluations
+    }
+}
+
+impl TrigInner {
+    /// A root submission completed: its realized WCT closes the forecast
+    /// audit of the skeleton version the item actually ran under — the
+    /// last rewrite applied before it started. Matching on version (not
+    /// merely "applied before") keeps back-to-back rewrites honest: an
+    /// item submitted under version 2 can never close version 1's audit,
+    /// even when it completes first.
+    fn close_audit(&mut self, item: Span) {
+        let (started, Some(finished)) = (item.started, item.finished) else {
+            return;
+        };
+        let Some(version) = self
+            .log
+            .iter()
+            .filter(|r| r.at <= started)
+            .map(|r| r.version)
+            .max()
+        else {
+            return;
+        };
+        let Some(forecast) = self
+            .log
+            .iter_mut()
+            .filter(|r| r.version == version && r.at <= started)
+            .filter_map(|r| r.forecast.as_mut())
+            .find(|f| f.realized.is_none())
+        else {
+            return;
+        };
+        let realized = finished.saturating_sub(started);
+        forecast.realized = Some(realized);
+        if let Some(m) = &self.metrics {
+            m.note_forecast_error(realized.0.abs_diff(forecast.predicted.0));
+        }
     }
 }
 
@@ -412,72 +422,13 @@ pub fn decision_log_to_chrome(log: &[AdaptRecord], trace: &mut askel_obs::Chrome
 }
 
 impl Listener for TriggerEngine {
-    /// Logs the event for the next fold; see the module docs.
-    fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
-        self.log.log(event, Self::INTEREST, || drop(self.current()));
+    /// Hands the event to the knowledge; see the module docs.
+    fn on_event(&self, payload: &mut Payload<'_>, event: &Event) {
+        self.knowledge().on_event(payload, event);
     }
 
     fn interest(&self) -> Interest {
-        Self::INTEREST
-    }
-}
-
-impl TrigInner {
-    /// Replays one logged event.
-    fn apply(&mut self, event: EventRecord) {
-        if event.wher == Where::Skeleton && event.is_root() {
-            match event.when {
-                When::Before => {
-                    // A fresh root submission: drop finished instance
-                    // records so the tracker's memory stays bounded on
-                    // long streams (estimates are kept — they are the
-                    // whole point). Track the item's start for the
-                    // forecast audit (bounded: items that never complete
-                    // — poisoned runs — are swept wholesale at the cap).
-                    self.tracker.prune_finished();
-                    if self.item_starts.len() >= 1024 {
-                        self.item_starts.clear();
-                    }
-                    self.item_starts.insert(event.index, event.timestamp);
-                }
-                When::After => {
-                    // A root submission completed: its realized WCT
-                    // closes the forecast audit of the skeleton version
-                    // the item actually ran under — the last rewrite
-                    // applied before it started. Matching on version
-                    // (not merely "applied before") keeps back-to-back
-                    // rewrites honest: an item submitted under version 2
-                    // can never close version 1's audit, even when it
-                    // completes first.
-                    if let Some(started) = self.item_starts.remove(&event.index) {
-                        let realized = event.timestamp.saturating_sub(started);
-                        let ran_under = self
-                            .log
-                            .iter()
-                            .filter(|r| r.at <= started)
-                            .map(|r| r.version)
-                            .max();
-                        let mut audit_error = None;
-                        if let Some(version) = ran_under {
-                            if let Some(forecast) = self
-                                .log
-                                .iter_mut()
-                                .filter(|r| r.version == version && r.at <= started)
-                                .filter_map(|r| r.forecast.as_mut())
-                                .find(|f| f.realized.is_none())
-                            {
-                                forecast.realized = Some(realized);
-                                audit_error = Some(realized.0.abs_diff(forecast.predicted.0));
-                            }
-                        }
-                        if let (Some(err), Some(m)) = (audit_error, &self.metrics) {
-                            m.note_forecast_error(err);
-                        }
-                    }
-                }
-            }
-        }
-        self.tracker.observe(event);
+        self.knowledge().interest()
     }
 }
 
@@ -485,6 +436,7 @@ impl TrigInner {
 mod tests {
     use super::*;
     use crate::rules::{FallbackSwap, Knob, Promote, RetuneWidth, Trigger};
+    use askel_events::{EventRecord, When, Where};
     use askel_skeletons::seq;
 
     #[test]
@@ -574,218 +526,145 @@ mod tests {
         assert_eq!(log[0].rule, "promote");
     }
 
-    #[test]
-    fn realized_wct_closes_the_forecast_audit() {
-        use crate::forecast::Forecast;
+    /// An event of root `seq` instance `inst` of node 11, at `at` ns.
+    fn item(inst: u64, when: When, wher: Where, at: u64) -> Event {
         use askel_skeletons::{InstanceId, KindTag};
-
-        let t = TriggerEngine::new(0.5);
-        // An in-flight item that started *before* the rewrite must not
-        // close the audit; the first item submitted after it does.
-        let node = NodeId(11);
-        let root_event = |when, inst: u64, at_ms: u64| Event {
+        let (node, index) = (NodeId(11), InstanceId(inst));
+        Event {
             node,
             kind: KindTag::Seq,
             when,
-            wher: Where::Skeleton,
-            index: InstanceId(inst),
-            trace: askel_events::Trace::root(node, InstanceId(inst), KindTag::Seq),
-            timestamp: TimeNs::from_millis(at_ms),
+            wher,
+            index,
+            trace: askel_events::Trace::root(node, index, KindTag::Seq),
+            timestamp: TimeNs(at),
             info: askel_events::EventInfo::None,
-        };
-        t.on_event(&mut Payload::None, &root_event(When::Before, 1, 0));
-        t.record(AdaptRecord {
-            at: TimeNs::from_millis(10),
-            version: 1,
-            rule: "promote".into(),
-            target: None,
-            action: "replace".into(),
-            why: "gated".into(),
-            forecast: Some(Forecast {
-                predicted: TimeNs::from_millis(40),
-                baseline: TimeNs::from_millis(100),
-                realized: None,
-            }),
-        });
-        // The pre-rewrite item completes: audit stays open.
-        t.on_event(&mut Payload::None, &root_event(When::After, 1, 20));
-        assert_eq!(t.decision_log()[0].forecast.unwrap().realized, None);
-        // A post-rewrite item completes: realized = its WCT.
-        t.on_event(&mut Payload::None, &root_event(When::Before, 2, 25));
-        t.on_event(&mut Payload::None, &root_event(When::After, 2, 70));
-        assert_eq!(
-            t.decision_log()[0].forecast.unwrap().realized,
-            Some(TimeNs::from_millis(45))
-        );
-        // Later completions do not overwrite a closed audit.
-        t.on_event(&mut Payload::None, &root_event(When::Before, 3, 80));
-        t.on_event(&mut Payload::None, &root_event(When::After, 3, 81));
-        assert_eq!(
-            t.decision_log()[0].forecast.unwrap().realized,
-            Some(TimeNs::from_millis(45))
-        );
+        }
     }
 
-    #[test]
-    fn back_to_back_rewrites_attribute_realized_to_their_own_version() {
-        use crate::forecast::Forecast;
-        use askel_skeletons::{InstanceId, KindTag};
+    /// Raises item `inst`'s start or end at `at_ms`.
+    fn raise(t: &TriggerEngine, inst: u64, when: When, at_ms: u64) {
+        let at = TimeNs::from_millis(at_ms).0;
+        t.on_event(&mut Payload::None, &item(inst, when, Where::Skeleton, at));
+    }
 
-        let t = TriggerEngine::new(0.5);
-        let node = NodeId(11);
-        let root_event = |when, inst: u64, at_ms: u64| Event {
-            node,
-            kind: KindTag::Seq,
-            when,
-            wher: Where::Skeleton,
-            index: InstanceId(inst),
-            trace: askel_events::Trace::root(node, InstanceId(inst), KindTag::Seq),
-            timestamp: TimeNs::from_millis(at_ms),
-            info: askel_events::EventInfo::None,
-        };
-        let gated_record = |at_ms: u64, version: u64, predicted_ms: u64| AdaptRecord {
-            at: TimeNs::from_millis(at_ms),
+    /// A gated record of `version` applied at `at`, predicting `predicted`.
+    fn gated(at: TimeNs, version: u64, predicted: TimeNs) -> AdaptRecord {
+        AdaptRecord {
+            at,
             version,
             rule: format!("promote-v{version}"),
             target: None,
             action: "replace".into(),
             why: "gated".into(),
-            forecast: Some(Forecast {
-                predicted: TimeNs::from_millis(predicted_ms),
-                baseline: TimeNs::from_millis(100),
-                realized: None,
-            }),
-        };
-        // Two rewrites on consecutive safe points: v1 at 10ms, v2 at
-        // 30ms. Item A (inst 1) starts at 20ms under v1; item B (inst 2)
-        // starts at 35ms under v2 — and completes FIRST.
-        t.record(gated_record(10, 1, 40));
-        t.on_event(&mut Payload::None, &root_event(When::Before, 1, 20));
-        t.record(gated_record(30, 2, 25));
-        t.on_event(&mut Payload::None, &root_event(When::Before, 2, 35));
-        // B completes first: it ran under v2, so it must close v2's
-        // audit — not v1's, which is still waiting on A.
-        t.on_event(&mut Payload::None, &root_event(When::After, 2, 50));
-        let log = t.decision_log();
-        assert_eq!(log[0].forecast.unwrap().realized, None, "v1 still open");
-        assert_eq!(
-            log[1].forecast.unwrap().realized,
-            Some(TimeNs::from_millis(15)),
-            "v2 closed by its own item"
-        );
-        // A completes: closes v1's audit with A's WCT.
-        t.on_event(&mut Payload::None, &root_event(When::After, 1, 60));
-        let log = t.decision_log();
-        assert_eq!(
-            log[0].forecast.unwrap().realized,
-            Some(TimeNs::from_millis(40)),
-            "v1 closed by the item that ran under it"
-        );
-        assert_eq!(
-            log[1].forecast.unwrap().realized,
-            Some(TimeNs::from_millis(15)),
-            "v2's closed audit is not overwritten"
-        );
-    }
-
-    /// A gated record applied at `at`.
-    fn gated(at: TimeNs, version: u64) -> AdaptRecord {
-        AdaptRecord {
-            at,
-            version,
-            rule: "promote".into(),
-            target: None,
-            action: "replace".into(),
-            why: "gated".into(),
             forecast: Some(crate::forecast::Forecast {
-                predicted: TimeNs(40),
-                baseline: TimeNs(100),
+                predicted,
+                baseline: TimeNs::from_millis(100),
                 realized: None,
             }),
         }
     }
 
     #[test]
-    fn events_wait_in_the_log_until_state_is_read() {
-        use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole};
+    fn realized_wct_closes_the_forecast_audit() {
         let t = TriggerEngine::new(0.5);
-        let node = NodeId(11);
-        let event = |when, wher, at| Event {
-            node,
-            kind: KindTag::Seq,
-            when,
-            wher,
-            index: InstanceId(1),
-            trace: askel_events::Trace::root(node, InstanceId(1), KindTag::Seq),
-            timestamp: TimeNs(at),
-            info: askel_events::EventInfo::None,
-        };
-        t.on_event(&mut Payload::None, &event(When::Before, Where::Skeleton, 0));
-        t.on_event(&mut Payload::None, &event(When::After, Where::Skeleton, 60));
+        let realized = || t.decision_log()[0].forecast.unwrap().realized;
+        // An in-flight item that started *before* the rewrite must not
+        // close the audit; the first item submitted after it does.
+        raise(&t, 1, When::Before, 0);
+        t.record(gated(TimeNs::from_millis(10), 1, TimeNs::from_millis(40)));
+        // The pre-rewrite item completes: audit stays open.
+        raise(&t, 1, When::After, 20);
+        assert_eq!(realized(), None);
+        // A post-rewrite item completes: realized = its WCT.
+        raise(&t, 2, When::Before, 25);
+        raise(&t, 2, When::After, 70);
+        assert_eq!(realized(), Some(TimeNs::from_millis(45)));
+        // Later completions do not overwrite a closed audit.
+        raise(&t, 3, When::Before, 80);
+        raise(&t, 3, When::After, 81);
+        assert_eq!(realized(), Some(TimeNs::from_millis(45)));
+    }
+
+    #[test]
+    fn back_to_back_rewrites_attribute_realized_to_their_own_version() {
+        let t = TriggerEngine::new(0.5);
+        let ms = TimeNs::from_millis;
+        let realized = |v: usize| t.decision_log()[v].forecast.unwrap().realized;
+        // Two rewrites on consecutive safe points: v1 at 10ms, v2 at
+        // 30ms. Item A (inst 1) starts at 20ms under v1; item B (inst 2)
+        // starts at 35ms under v2 — and completes FIRST.
+        t.record(gated(ms(10), 1, ms(40)));
+        raise(&t, 1, When::Before, 20);
+        t.record(gated(ms(30), 2, ms(25)));
+        raise(&t, 2, When::Before, 35);
+        // B completes first: it ran under v2, so it must close v2's
+        // audit — not v1's, which is still waiting on A.
+        raise(&t, 2, When::After, 50);
+        assert_eq!(realized(0), None, "v1 still open");
+        assert_eq!(realized(1), Some(ms(15)), "v2 closed by its own item");
+        // A completes: closes v1's audit with A's WCT.
+        raise(&t, 1, When::After, 60);
+        assert_eq!(
+            realized(0),
+            Some(ms(40)),
+            "v1 closed by the item that ran under it"
+        );
+        assert_eq!(
+            realized(1),
+            Some(ms(15)),
+            "v2's closed audit is not overwritten"
+        );
+    }
+
+    #[test]
+    fn events_wait_in_the_log_until_state_is_read() {
+        use askel_skeletons::{MuscleId, MuscleRole};
+        let t = TriggerEngine::new(0.5);
+        let event = |when, wher, at| t.on_event(&mut Payload::None, &item(1, when, wher, at));
+        event(When::Before, Where::Skeleton, 0);
+        event(When::After, Where::Skeleton, 60);
         // Positions the state machines ignore are not even logged.
-        t.on_event(
-            &mut Payload::None,
-            &event(When::After, Where::NestedSkeleton, 61),
-        );
-        t.on_event(
-            &mut Payload::None,
-            &event(When::After, Where::Reconfigured, 62),
-        );
+        event(When::After, Where::NestedSkeleton, 61);
+        event(When::After, Where::Reconfigured, 62);
         let mut logged = Vec::new();
-        t.log.drain_into(&mut logged);
+        t.knowledge().log().drain_into(&mut logged);
         assert_eq!(logged.len(), 2);
-        assert!(t
-            .inner
-            .lock()
-            .tracker
-            .estimates()
-            .snapshot()
-            .durations
-            .is_empty());
+        // Nothing left to fold, and nothing was folded before.
+        let estimates =
+            |f: &dyn Fn(&askel_core::EstimatorTable) -> bool| t.knowledge().read_estimates(f);
+        assert!(estimates(&|e| e.snapshot().durations.is_empty()));
         for r in logged {
-            assert!(t.log.try_push(r));
+            assert!(t.knowledge().log().try_push(r));
         }
-        let fe = MuscleId::new(node, MuscleRole::Execute);
-        assert_eq!(t.read_estimates(|e| e.duration(fe)), Some(TimeNs(60)));
+        let fe = MuscleId::new(NodeId(11), MuscleRole::Execute);
+        assert!(estimates(&|e| e.duration(fe) == Some(TimeNs(60))));
     }
 
     #[test]
     fn a_full_log_is_folded_by_the_thread_that_fills_it() {
         use askel_events::event_log::SHARD_CAPACITY;
-        use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole};
+        use askel_skeletons::{MuscleId, MuscleRole};
         let t = TriggerEngine::new(1.0);
-        let node = NodeId(11);
         // Nobody reads: 3 capacities' worth of seq spans, each 1 ns
         // longer than the last.
         let spans = 3 * SHARD_CAPACITY as u64 / 2;
         for i in 0..spans {
             for (when, at) in [(When::Before, 10 * i), (When::After, 10 * i + i)] {
-                t.on_event(
-                    &mut Payload::None,
-                    &Event {
-                        node,
-                        kind: KindTag::Seq,
-                        when,
-                        wher: Where::Skeleton,
-                        index: InstanceId(i + 1),
-                        trace: askel_events::Trace::root(node, InstanceId(i + 1), KindTag::Seq),
-                        timestamp: TimeNs(at),
-                        info: askel_events::EventInfo::None,
-                    },
-                );
+                t.on_event(&mut Payload::None, &item(i + 1, when, Where::Skeleton, at));
             }
         }
         let mut left = Vec::new();
-        t.log.drain_into(&mut left);
+        t.knowledge().log().drain_into(&mut left);
         assert!(left.len() <= SHARD_CAPACITY, "the log stayed bounded");
         for r in left {
-            assert!(t.log.try_push(r));
+            assert!(t.knowledge().log().try_push(r));
         }
         // ρ = 1: the estimate is the last span, so nothing was dropped
         // and nothing replayed out of order.
-        let fe = MuscleId::new(node, MuscleRole::Execute);
+        let fe = MuscleId::new(NodeId(11), MuscleRole::Execute);
         assert_eq!(
-            t.read_estimates(|e| e.duration(fe)),
+            t.knowledge().read_estimates(|e| e.duration(fe)),
             Some(TimeNs(spans - 1))
         );
     }
@@ -868,18 +747,18 @@ mod tests {
             for (i, event) in events.iter().enumerate() {
                 if i == cut {
                     // A rewrite lands mid-stream: later items close its audit.
-                    in_order.record(gated(event.timestamp, 1));
-                    split.record(gated(event.timestamp, 1));
+                    in_order.record(gated(event.timestamp, 1, TimeNs(40)));
+                    split.record(gated(event.timestamp, 1, TimeNs(40)));
                 }
                 in_order.on_event(&mut Payload::None, event);
                 if TriggerEngine::INTEREST.contains(event.when, event.wher) {
                     let shard = deal[i % deal.len()] % threads;
-                    while !split.log.try_push_to(shard, EventRecord::from(event)) {
-                        drop(split.current());
+                    while !split.knowledge().log().try_push_to(shard, EventRecord::from(event)) {
+                        split.knowledge().with_tracker(|_| ());
                     }
                 }
             }
-            let table = |t: &TriggerEngine| t.read_estimates(|e| e.snapshot());
+            let table = |t: &TriggerEngine| t.knowledge().read_estimates(|e| e.snapshot());
             proptest::prop_assert_eq!(table(&in_order), table(&split));
             proptest::prop_assert!(!table(&split).durations.is_empty());
             proptest::prop_assert_eq!(in_order.decision_log(), split.decision_log());

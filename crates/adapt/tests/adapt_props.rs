@@ -343,7 +343,7 @@ proptest! {
         // (safe_point, old_value, new_value) per applied move.
         let mut fires: Vec<(usize, usize, usize)> = Vec::new();
         for (i, ms) in durations_ms.iter().enumerate() {
-            trigger.with_estimates(|est| est.init_duration(leaf, TimeNs::from_millis(*ms)));
+            trigger.knowledge().with_estimates(|est| est.init_duration(leaf, TimeNs::from_millis(*ms)));
             for plan in trigger.plan(&root, 0, 2, TimeNs::ZERO) {
                 let RewriteAction::SetKnob { knob, value } = plan.action else {
                     panic!("a grain rule only sets knobs");

@@ -65,7 +65,7 @@ fn main() {
             .manual_analysis(true),
         Arc::new(FnActuator(move |lp| r.store(lp, Ordering::SeqCst))),
     );
-    controller.with_estimates(|est| {
+    controller.knowledge().with_estimates(|est| {
         use askel_skeletons::{MuscleId, MuscleRole};
         for node in [f.outer, f.inner] {
             est.init_duration(MuscleId::new(node, MuscleRole::Split), sec(10));

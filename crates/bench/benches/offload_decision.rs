@@ -66,7 +66,9 @@ fn bench_offload_decision(c: &mut Criterion) {
         let program = fan_program();
         let leaf = MuscleId::new(program.node().children()[0].id, MuscleRole::Execute);
         let trigger = TriggerEngine::new(0.5);
-        trigger.with_estimates(|est| est.init_duration(leaf, TimeNs::from_millis(10)));
+        trigger
+            .knowledge()
+            .with_estimates(|est| est.init_duration(leaf, TimeNs::from_millis(10)));
         trigger.add_rule(
             RetuneGrain::new(Knob::new("grain", 64), leaf, TimeNs::from_millis(10))
                 .hysteresis(Hysteresis::new(8, 0.25)),
@@ -87,7 +89,7 @@ fn bench_offload_decision(c: &mut Criterion) {
         let current = fan_program();
         let candidate = fan_program();
         let trigger = TriggerEngine::new(0.5);
-        trigger.with_estimates(|est| {
+        trigger.knowledge().with_estimates(|est| {
             for program in [&current, &candidate] {
                 for m in program.node().collect_muscles() {
                     est.init_duration(m.id, TimeNs::from_millis(1));

@@ -70,7 +70,8 @@ fn live_tracker_for(card: usize) -> (SmTracker, Skel<Vec<i64>, i64>, TimeNs) {
         whole.observe(*event);
     }
     let estimates = EstimatorTable::from_snapshot(&whole.estimates().snapshot());
-    let mut tracker = SmTracker::with_estimates(estimates);
+    let mut tracker = SmTracker::new(0.5);
+    *tracker.estimates_mut() = estimates;
     let seen = &events[..events.len() / 2];
     for event in seen {
         tracker.observe(*event);

@@ -30,7 +30,7 @@
 //!   paper's objection was state-machine non-determinism, which our
 //!   per-instance records avoid).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -277,6 +277,9 @@ struct NodeEstimates {
     split_card: Option<f64>,
     /// Raw `|fc|`: a `while`'s expected `true` count, a `d&C`'s depth.
     cond_card: Option<f64>,
+    /// In the live tree, not a retired one: only the live tree's muscles
+    /// gate an analysis.
+    live: bool,
 }
 
 /// `|m|` as a usable count, at least `min`.
@@ -294,26 +297,28 @@ struct Estimates {
 }
 
 impl Estimates {
-    fn of(ast: &Arc<Node>) -> Self {
-        let mut rows: Vec<NodeEstimates> = ast
-            .collect_nodes()
-            .iter()
-            .map(|n| NodeEstimates {
-                node: n.id,
-                tag: n.tag(),
-                roles: n.own_roles(),
-                dur: [TimeNs::ZERO; 4],
-                split_card: None,
-                cond_card: None,
-            })
-            .collect();
+    /// Rows for the nodes of `ast` and the `retired` ones.
+    fn of(ast: &Arc<Node>, retired: &Retired) -> Self {
+        let row = |n: &Arc<Node>, live| NodeEstimates {
+            node: n.id,
+            tag: n.tag(),
+            roles: n.own_roles(),
+            dur: [TimeNs::ZERO; 4],
+            split_card: None,
+            cond_card: None,
+            live,
+        };
+        let mut rows: Vec<NodeEstimates> =
+            ast.collect_nodes().iter().map(|n| row(n, true)).collect();
+        rows.extend(retired.values().map(|n| row(n, false)));
         rows.sort_by_key(|r| r.node);
         rows.dedup_by_key(|r| r.node);
         Estimates { rows }
     }
 
-    /// Re-reads every estimate; `true` if none is missing — the same
-    /// verdict as [`EstimatorTable::covers`] on the AST's muscles.
+    /// Re-reads every estimate; `true` if none of the live tree's is
+    /// missing — the same verdict as [`EstimatorTable::covers`] on the
+    /// AST's muscles.
     fn refresh(&mut self, table: &EstimatorTable) -> bool {
         let mut covered = true;
         for row in &mut self.rows {
@@ -321,10 +326,10 @@ impl Estimates {
                 let muscle = MuscleId::new(row.node, role);
                 let dur = table.duration(muscle);
                 row.dur[role as usize] = dur.unwrap_or(TimeNs::ZERO);
-                covered &= dur.is_some();
+                covered &= dur.is_some() || !row.live;
                 if role_has_cardinality(row.tag, role) {
                     let card = table.cardinality(muscle);
-                    covered &= card.is_some();
+                    covered &= card.is_some() || !row.live;
                     match role {
                         MuscleRole::Split => row.split_card = card,
                         _ => row.cond_card = card,
@@ -380,15 +385,20 @@ const ENTRY: u32 = u32::MAX;
 /// that only moves forward; the *not-yet-started* children of one fan or
 /// loop are expanded once per build and copied for each sibling —
 /// across builds they are re-derived, because nearly every event moves a
-/// duration estimate.
+/// duration estimate. After a rewrite, a record that ran on an older
+/// tree is walked on the node it ran on, found by id among the retired.
 #[derive(Debug)]
 pub struct AdgWorkspace {
     ast: Arc<Node>,
+    retired: Retired,
     estimates: Estimates,
     adg: Adg,
     scratch: Scratch,
     finished: FinishedBlocks,
 }
+
+/// Nodes of earlier versions of the tree that the live one lacks, by id.
+type Retired = HashMap<NodeId, Arc<Node>>;
 
 /// The walk's two stacks; a nested fan uses the part above its parent's.
 #[derive(Debug, Default)]
@@ -403,12 +413,44 @@ struct Scratch {
 impl AdgWorkspace {
     /// A workspace for graphs of the skeleton rooted at `ast`.
     pub fn new(ast: &Arc<Node>) -> Self {
+        let retired = Retired::new();
         AdgWorkspace {
             ast: Arc::clone(ast),
-            estimates: Estimates::of(ast),
+            estimates: Estimates::of(ast, &retired),
+            retired,
             adg: Adg::default(),
             scratch: Scratch::default(),
             finished: FinishedBlocks::default(),
+        }
+    }
+
+    /// The root of the live tree.
+    pub(crate) fn root(&self) -> NodeId {
+        self.ast.id
+    }
+
+    /// Makes `tree` the live tree: what a rewrite produced. The nodes it
+    /// no longer has are retired, for the records that ran on them.
+    pub(crate) fn retarget(&mut self, tree: &Arc<Node>) {
+        if Arc::ptr_eq(&self.ast, tree) {
+            return;
+        }
+        let live: HashSet<NodeId> = tree.collect_nodes().iter().map(|n| n.id).collect();
+        self.retired.retain(|id, _| !live.contains(id));
+        for node in self.ast.collect_nodes() {
+            if !live.contains(&node.id) {
+                self.retired.insert(node.id, node);
+            }
+        }
+        self.ast = Arc::clone(tree);
+        self.estimates = Estimates::of(&self.ast, &self.retired);
+    }
+
+    /// Drops the retired nodes, once no record of them is left.
+    pub(crate) fn forget_retired(&mut self) {
+        if !self.retired.is_empty() {
+            self.retired.clear();
+            self.estimates = Estimates::of(&self.ast, &self.retired);
         }
     }
 
@@ -449,7 +491,7 @@ impl AdgWorkspace {
     pub(crate) fn build_refreshed(&mut self, tracker: &SmTracker) -> &Adg {
         self.adg.clear();
         if let Some(root) = tracker.current_root() {
-            if root.node == self.ast.id {
+            if root.node == self.ast.id || self.retired.contains_key(&root.node) {
                 self.walk(Some(tracker), |walk, ast| walk.instance(root, ast, None));
             }
         }
@@ -471,6 +513,7 @@ impl AdgWorkspace {
     ) {
         let mut walk = Walk {
             tracker,
+            retired: &self.retired,
             estimates: &self.estimates,
             adg: &mut self.adg,
             scratch: &mut self.scratch,
@@ -529,6 +572,7 @@ struct Template {
 /// One build: appends to the workspace's graph, recursively.
 struct Walk<'a> {
     tracker: Option<&'a SmTracker>,
+    retired: &'a Retired,
     estimates: &'a Estimates,
     adg: &'a mut Adg,
     scratch: &'a mut Scratch,
@@ -637,7 +681,16 @@ impl<'a> Walk<'a> {
     /// Appends the activities of an instance; returns what follows it
     /// hangs off. A finished instance's are copied once they are known.
     fn instance(&mut self, rec: &'a InstanceRecord, node: &Arc<Node>, entry: Link) -> Link {
-        debug_assert_eq!(rec.node, node.id, "record/AST mismatch");
+        // A record of an older version ran on a node the live tree lacks.
+        let retired = self.retired;
+        let node = if rec.node == node.id {
+            node
+        } else if let Some(older) = retired.get(&rec.node) {
+            older
+        } else {
+            debug_assert!(false, "record/AST mismatch");
+            return entry;
+        };
         // A `seq` is one activity: cheaper read off its record than
         // looked up.
         if !rec.is_finished() || rec.kind == KindTag::Seq {
@@ -841,13 +894,16 @@ impl<'a> Walk<'a> {
         // by node identity, consuming each record once: the first record
         // not yet taken that is of the branch's node. `next` only moves
         // forward, past the records taken; under a `map` every record
-        // matches, so every search ends where it starts.
+        // matches — a child begun on an older version of its inner node
+        // too — so every search ends where it starts.
         let records = &rec.children;
         let base = self.scratch.exits.len();
         let taken = self.scratch.taken.len();
         self.scratch.taken.resize(taken + records.len(), false);
         let mut next = 0;
         let mut template = None;
+        let retired = self.retired;
+        let uniform = matches!(children, FanChildren::Uniform(_));
         for k in 0..expected {
             let child_ast = match children {
                 FanChildren::Uniform(inner) => inner,
@@ -856,7 +912,9 @@ impl<'a> Walk<'a> {
             let found = (next..records.len())
                 .filter(|&i| !self.scratch.taken[taken + i])
                 .filter_map(|i| Some((i, self.record(records[i])?)))
-                .find(|(_, r)| r.node == child_ast.id);
+                .find(|(_, r)| {
+                    r.node == child_ast.id || (uniform && retired.contains_key(&r.node))
+                });
             let exit = match found {
                 Some((i, child)) => {
                     self.scratch.taken[taken + i] = true;

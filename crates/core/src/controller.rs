@@ -40,26 +40,19 @@
 //!
 //! # Who runs it
 //!
-//! `on_event` does not touch controller state. It appends the event's
-//! 48-byte [`EventRecord`] to an [`EventLog`] and, for an `After` event,
-//! *tries* the state's lock: whoever gets it replays ("folds") the log in
-//! order, analysing after each `After` record, while a worker that does
-//! not goes back to its muscle — its event is in the log and the holder
-//! looks at the log once more after letting go, so no event waits for the
-//! next one. Every accessor folds first, so what it returns reflects every
-//! event raised before the call. Logging, folding and their lock order
-//! are [`askel_events::event_log`]'s.
+//! Whoever folds the controller's [`Knowledge`] — a worker whose `After`
+//! event finds it free, an accessor, a trigger engine's safe point — runs
+//! the analysis after each `After` record, in order ([`crate::knowledge`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
-
-use askel_events::{Event, EventLog, EventRecord, Interest, Listener, Payload, When, Where};
+use askel_events::{Event, EventRecord, Interest, Listener, Payload, When, Where};
 use askel_skeletons::{Node, TimeNs};
 
 use crate::adg::AdgWorkspace;
 use crate::estimate::{EstimatorTable, Snapshot};
+use crate::knowledge::Knowledge;
 use crate::strategy::{Layouts, Scheduler};
 use crate::tracker::SmTracker;
 
@@ -291,11 +284,14 @@ struct AnalysisInputs {
     now: TimeNs,
 }
 
-struct Inner {
-    tracker: SmTracker,
-    /// The graph arena, the finished instances' blocks and the layout
-    /// buffers, reused from one analysis to the next.
-    workspace: AdgWorkspace,
+/// The controller's part of its knowledge's state: what the per-`After`
+/// step reads and writes, whoever folds.
+pub(crate) struct Analysis {
+    config: ControllerConfig,
+    actuator: Arc<dyn LpActuator>,
+    /// The live tree, the graph arena, the finished instances' blocks and
+    /// the layout buffers, reused from one analysis to the next.
+    pub(crate) workspace: AdgWorkspace,
     scheduler: Scheduler,
     current_lp: usize,
     deadline: Option<TimeNs>,
@@ -308,8 +304,6 @@ struct Inner {
     /// The last analysis that ran to its end and decided nothing: what it
     /// read and what it logged.
     memo: Option<(AnalysisInputs, AnalysisRecord)>,
-    /// Where a fold gathers the log's records; kept for its capacity.
-    fold_buf: Vec<EventRecord>,
 }
 
 /// Appends to the bounded analysis log.
@@ -322,12 +316,8 @@ fn log_analysis(log: &mut VecDeque<AnalysisRecord>, record: AnalysisRecord) {
 
 /// The autonomic controller. See the module docs.
 pub struct AutonomicController {
-    ast: Arc<Node>,
     config: ControllerConfig,
-    actuator: Arc<dyn LpActuator>,
-    inner: Mutex<Inner>,
-    /// Events logged by `on_event` and not yet folded into `inner`.
-    log: EventLog,
+    knowledge: Arc<Knowledge>,
 }
 
 impl AutonomicController {
@@ -338,30 +328,27 @@ impl AutonomicController {
         config: ControllerConfig,
         actuator: Arc<dyn LpActuator>,
     ) -> Arc<Self> {
-        let initial_lp = config.initial_lp;
         let mut tracker = SmTracker::new(config.rho);
         for (m, canonical) in &config.aliases {
             tracker.estimates_mut().set_alias(*m, *canonical);
         }
-        Arc::new(AutonomicController {
+        let analysis = Analysis {
             config: config.clone(),
             actuator,
-            inner: Mutex::new(Inner {
-                tracker,
-                workspace: AdgWorkspace::new(&ast),
-                scheduler: Scheduler::default(),
-                current_lp: initial_lp,
-                deadline: None,
-                last_decrease: None,
-                decisions: Vec::new(),
-                analysis_log: VecDeque::new(),
-                analyses: 0,
-                replayed: 0,
-                memo: None,
-                fold_buf: Vec::new(),
-            }),
-            log: EventLog::default(),
-            ast,
+            workspace: AdgWorkspace::new(&ast),
+            scheduler: Scheduler::default(),
+            current_lp: config.initial_lp,
+            deadline: None,
+            last_decrease: None,
+            decisions: Vec::new(),
+            analysis_log: VecDeque::new(),
+            analyses: 0,
+            replayed: 0,
+            memo: None,
+        };
+        Arc::new(AutonomicController {
+            config,
+            knowledge: Arc::new(Knowledge::over(tracker, Some(Box::new(analysis)))),
         })
     }
 
@@ -374,126 +361,81 @@ impl AutonomicController {
         .without(Interest::at(Where::NestedSkeleton).intersect(Interest::when(When::Before)))
         .without(Interest::at(Where::Reconfigured));
 
-    /// Locks the state with every logged event folded in.
-    fn current(&self) -> MutexGuard<'_, Inner> {
-        let mut inner = self.inner.lock();
-        self.fold(&mut inner);
-        inner
+    /// The knowledge this controller analyses: its estimator table and
+    /// event log, which a trigger engine made for it shares.
+    pub fn knowledge(&self) -> &Arc<Knowledge> {
+        &self.knowledge
     }
 
-    /// Replays the logged events, in order, analysing after each `After`.
-    fn fold(&self, inner: &mut Inner) {
-        self.log.fold(
-            inner,
-            |state| &mut state.fold_buf,
-            |state, record| self.replay(state, record),
-        );
-    }
-
-    fn replay(&self, inner: &mut Inner, event: EventRecord) {
-        // A new submission of our skeleton starts its WCT window.
-        if event.node == self.ast.id
-            && event.when == When::Before
-            && event.wher == Where::Skeleton
-            && event.is_root()
-        {
-            inner.tracker.prune_finished();
-            inner.workspace.forget_finished();
-            inner.deadline = Some(event.timestamp + self.config.wct_goal);
-        }
-        inner.tracker.observe(event);
-        // Estimates only change on After events; analyze there.
-        if event.when == When::After && !self.config.manual_analysis {
-            self.analyze(inner, event.timestamp, false);
-        }
+    /// Hands `f` the analysis and the tracker with every logged event
+    /// folded in.
+    fn current<T>(&self, f: impl FnOnce(&mut Analysis, &mut SmTracker) -> T) -> T {
+        self.knowledge.with_state(|state| {
+            let analysis = state.analysis.as_deref_mut();
+            f(
+                analysis.expect("a controller's knowledge analyses"),
+                &mut state.tracker,
+            )
+        })
     }
 
     /// Initializes the estimators from a previous run's snapshot (the
     /// paper's "Goal with initialization" scenario). Configured aliases
     /// are re-applied to the fresh table.
     pub fn init_estimates(&self, snapshot: &Snapshot) {
-        let mut inner = self.current();
         let mut table = EstimatorTable::from_snapshot(snapshot);
         for (m, canonical) in &self.config.aliases {
             table.set_alias(*m, *canonical);
         }
-        *inner.tracker.estimates_mut() = table;
-    }
-
-    /// Initializes the estimators programmatically.
-    pub fn with_estimates(&self, f: impl FnOnce(&mut EstimatorTable)) {
-        let mut inner = self.current();
-        f(inner.tracker.estimates_mut());
-    }
-
-    /// Drops estimator history for muscles of the `removed` nodes — the
-    /// controller↔trigger feedback loop on structural rewrites: when a
-    /// reconfiguration (`askel-adapt`) replaces a subtree, the replaced
-    /// nodes' history must not keep steering this controller's ADG
-    /// forecasts toward a tree that no longer exists. Returns the number
-    /// of positional entries dropped (see
-    /// [`EstimatorTable::invalidate_nodes`]).
-    pub fn invalidate_estimates_for(&self, removed: &[askel_skeletons::NodeId]) -> usize {
-        let mut inner = self.current();
-        inner.tracker.estimates_mut().invalidate_nodes(removed)
+        self.knowledge
+            .with_estimates(|estimates| *estimates = table);
     }
 
     /// Snapshot of the current estimates (feed it to the next run).
     pub fn snapshot(&self) -> Snapshot {
-        self.current().tracker.estimates().snapshot()
-    }
-
-    /// Read access to the live estimator table, for other autonomic layers
-    /// that want to share this controller's statistics (the
-    /// self-configuration runtime in `askel-adapt` seeds its trigger
-    /// estimates from here). The table lock is held for the duration of
-    /// `f`; keep it short.
-    pub fn read_estimates<T>(&self, f: impl FnOnce(&EstimatorTable) -> T) -> T {
-        let inner = self.current();
-        f(inner.tracker.estimates())
+        self.knowledge.read_estimates(EstimatorTable::snapshot)
     }
 
     /// Forecasts the WCT of one fresh submission of the skeleton rooted
     /// at `root` under `lp` workers, from this controller's **live**
-    /// estimator table ([`crate::strategy::predictive_wct`] over
-    /// [`read_estimates`](Self::read_estimates)).
+    /// estimator table ([`crate::strategy::predictive_wct`]).
     ///
     /// `root` need not be this controller's own AST: the
     /// self-configuration layer passes candidate *rewritten* trees here
     /// to gate promotions on forecast improvement. `None` while the
     /// table does not cover `root`'s muscles.
     pub fn forecast_wct(&self, root: &Arc<Node>, lp: usize) -> Option<TimeNs> {
-        let inner = self.current();
-        crate::strategy::predictive_wct(inner.tracker.estimates(), root, lp)
+        self.knowledge
+            .read_estimates(|estimates| crate::strategy::predictive_wct(estimates, root, lp))
     }
 
     /// The LP the controller believes the engine has.
     pub fn current_lp(&self) -> usize {
-        self.current().current_lp
+        self.current(|analysis, _| analysis.current_lp)
     }
 
     /// Every decision taken so far.
     pub fn decisions(&self) -> Vec<Decision> {
-        self.current().decisions.clone()
+        self.current(|analysis, _| analysis.decisions.clone())
     }
 
     /// How many analyses there were, replayed ones included.
     pub fn analyses(&self) -> usize {
-        self.current().analyses
+        self.current(|analysis, _| analysis.analyses)
     }
 
     /// How many of [`analyses`](Self::analyses) computed nothing: an
     /// analysis of the same inputs had just decided nothing, and its
     /// record was logged again (see the module docs).
     pub fn replayed(&self) -> usize {
-        self.current().replayed
+        self.current(|analysis, _| analysis.replayed)
     }
 
     /// The most recent [`ANALYSIS_LOG_CAPACITY`] analyses with their
     /// completion predictions, oldest first (accuracy studies: compare
     /// against the run's actual finish time).
     pub fn analysis_log(&self) -> Vec<AnalysisRecord> {
-        self.current().analysis_log.iter().copied().collect()
+        self.current(|analysis, _| analysis.analysis_log.iter().copied().collect())
     }
 
     /// The config.
@@ -504,30 +446,54 @@ impl AutonomicController {
     /// Forces an analysis at `now` (tests and benches): computed in
     /// full, never replayed.
     pub fn force_analyze(&self, now: TimeNs) {
-        let mut inner = self.current();
-        self.analyze(&mut inner, now, true);
+        self.current(|analysis, tracker| analysis.analyze(tracker, now, true));
+    }
+}
+
+impl Analysis {
+    /// The per-`After` step: replays one logged event, analysing after
+    /// each `After`.
+    pub(crate) fn replay(&mut self, tracker: &mut SmTracker, event: EventRecord) {
+        // A new submission of the live tree starts its WCT window.
+        if event.node == self.workspace.root()
+            && event.when == When::Before
+            && event.wher == Where::Skeleton
+            && event.is_root()
+        {
+            tracker.prune_finished();
+            self.workspace.forget_finished();
+            if tracker.current_root().is_none() {
+                // No submission of an older version is left.
+                self.workspace.forget_retired();
+            }
+            self.deadline = Some(event.timestamp + self.config.wct_goal);
+        }
+        tracker.observe(event);
+        // Estimates only change on After events; analyze there.
+        if event.when == When::After && !self.config.manual_analysis {
+            self.analyze(tracker, event.timestamp, false);
+        }
     }
 
-    fn analyze(&self, inner: &mut Inner, now: TimeNs, forced: bool) {
-        let Some(deadline) = inner.deadline else {
+    fn analyze(&mut self, tracker: &SmTracker, now: TimeNs, forced: bool) {
+        let Some(deadline) = self.deadline else {
             return;
         };
         let inputs = AnalysisInputs {
-            revision: inner.tracker.revision(),
-            lp: inner.current_lp,
+            revision: tracker.revision(),
+            lp: self.current_lp,
             deadline,
             now,
         };
         if !forced {
-            if let Some((_, record)) = inner.memo.filter(|(seen, _)| *seen == inputs) {
-                inner.analyses += 1;
-                inner.replayed += 1;
-                log_analysis(&mut inner.analysis_log, record);
+            if let Some((_, record)) = self.memo.filter(|(seen, _)| *seen == inputs) {
+                self.analyses += 1;
+                self.replayed += 1;
+                log_analysis(&mut self.analysis_log, record);
                 return;
             }
         }
-        let root_live = inner
-            .tracker
+        let root_live = tracker
             .current_root()
             .map(|r| !r.is_finished())
             .unwrap_or(false);
@@ -536,17 +502,17 @@ impl AutonomicController {
         }
         // Analysis gate: every muscle estimated at least once (§4). The
         // same pass reads the estimates the graph is built from.
-        if !inner.workspace.refresh(inner.tracker.estimates()) {
+        if !self.workspace.refresh(tracker.estimates()) {
             return;
         }
-        inner.analyses += 1;
+        self.analyses += 1;
 
-        let adg = inner.workspace.build_refreshed(&inner.tracker);
+        let adg = self.workspace.build_refreshed(tracker);
         if adg.is_empty() {
             return;
         }
-        let mut layouts = inner.scheduler.on(adg, now);
-        let cur = inner.current_lp;
+        let mut layouts = self.scheduler.on(adg, now);
+        let cur = self.current_lp;
         let cur_finish = layouts.limited_lp(cur);
         let record = AnalysisRecord {
             at: now,
@@ -554,127 +520,38 @@ impl AutonomicController {
             predicted_finish: cur_finish,
             best_effort_finish: layouts.best_effort(),
         };
-        log_analysis(&mut inner.analysis_log, record);
+        log_analysis(&mut self.analysis_log, record);
         let change = if cur_finish > deadline {
-            self.raise(&mut layouts, now, cur, deadline)
+            raise(&self.config, &mut layouts, now, cur, deadline)
         } else {
-            self.decrease(&mut layouts, now, cur, deadline, inner.last_decrease)
+            decrease(
+                &self.config,
+                &mut layouts,
+                now,
+                cur,
+                deadline,
+                self.last_decrease,
+            )
         };
         match change {
-            None => inner.memo = Some((inputs, record)),
+            None => self.memo = Some((inputs, record)),
             Some((to_lp, reason, predicted)) => {
-                inner.memo = None;
-                self.apply(inner, now, to_lp, reason, predicted);
+                self.memo = None;
+                self.apply(now, to_lp, reason, predicted);
             }
         }
     }
 
-    /// Self-configuration: more threads. `None` when no raise could help.
-    fn raise(
-        &self,
-        layouts: &mut Layouts<'_>,
-        now: TimeNs,
-        cur: usize,
-        deadline: TimeNs,
-    ) -> Option<(usize, DecisionReason, TimeNs)> {
-        let opt = layouts.best_effort_concurrency_from(now).max(MIN_LP);
-        let cap = opt.min(self.config.max_lp);
-        if cap <= cur {
-            return None; // nothing a raise could do
-        }
-        let cap_finish = layouts.limited_lp(cap);
-        // Minimal LP achieving `target_finish`, by binary search (WCT
-        // is non-increasing in LP under the paper's assumption).
-        let mut minimal_for = |target_finish: TimeNs| -> usize {
-            let mut lo = cur + 1;
-            let mut hi = cap;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if layouts.limited_lp_within(mid, target_finish).is_some() {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            lo
-        };
-        let (target, reason) = if cap_finish <= deadline {
-            (minimal_for(deadline), DecisionReason::RaiseToMeetGoal)
-        } else {
-            // Goal unreachable even at the cap: the smallest LP that
-            // achieves the best possible completion.
-            (minimal_for(cap_finish), DecisionReason::RaiseBestPossible)
-        };
-        let target = ((target as f64 * self.config.raise_headroom).round() as usize).min(cap);
-        let to_lp = match self.config.raise {
-            RaisePolicy::Unbounded => target,
-            RaisePolicy::Doubling => target.min(cur * 2 + 1),
-        };
-        Some((to_lp, reason, layouts.limited_lp(to_lp)))
-    }
-
-    /// Self-optimization: fewer threads when safe.
-    fn decrease(
-        &self,
-        layouts: &mut Layouts<'_>,
-        now: TimeNs,
-        cur: usize,
-        deadline: TimeNs,
-        last_decrease: Option<TimeNs>,
-    ) -> Option<(usize, DecisionReason, TimeNs)> {
-        if let Some(last) = last_decrease {
-            if self.config.decrease_cooldown > TimeNs::ZERO
-                && now < last + self.config.decrease_cooldown
-            {
-                return None;
-            }
-        }
-        // A decrease must keep the goal safe with margin.
-        let margin =
-            TimeNs::from_secs_f64(self.config.wct_goal.as_secs_f64() * self.config.decrease_safety);
-        let safe_deadline = deadline.saturating_sub(margin);
-        let to_lp = match self.config.decrease {
-            DecreasePolicy::Never => return None,
-            DecreasePolicy::Halve => (cur / 2).max(MIN_LP),
-            DecreasePolicy::ToMinimal => {
-                let mut lo = MIN_LP;
-                let mut hi = cur;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if layouts.limited_lp_within(mid, safe_deadline).is_some() {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                lo
-            }
-        };
-        if to_lp >= cur {
-            return None;
-        }
-        // The search ends on an LP that is safe, or on `cur` itself.
-        let predicted = layouts.limited_lp_within(to_lp, safe_deadline)?;
-        Some((to_lp, DecisionReason::Decrease, predicted))
-    }
-
-    fn apply(
-        &self,
-        inner: &mut Inner,
-        now: TimeNs,
-        to_lp: usize,
-        reason: DecisionReason,
-        predicted_wct: TimeNs,
-    ) {
-        let from_lp = inner.current_lp;
+    fn apply(&mut self, now: TimeNs, to_lp: usize, reason: DecisionReason, predicted_wct: TimeNs) {
+        let from_lp = self.current_lp;
         if to_lp == from_lp {
             return;
         }
         if to_lp < from_lp {
-            inner.last_decrease = Some(now);
+            self.last_decrease = Some(now);
         }
-        inner.current_lp = to_lp;
-        inner.decisions.push(Decision {
+        self.current_lp = to_lp;
+        self.decisions.push(Decision {
             at: now,
             from_lp,
             to_lp,
@@ -685,24 +562,97 @@ impl AutonomicController {
     }
 }
 
-impl Listener for AutonomicController {
-    /// Logs the event; an `After` event then folds the log if nobody else
-    /// is doing so. See *Who runs it* in the module docs.
-    fn on_event(&self, _payload: &mut Payload<'_>, event: &Event) {
-        let logged = self.log.log(event, Self::INTEREST, || drop(self.current()));
-        if !logged || event.when != When::After {
-            return;
-        }
-        while let Some(mut inner) = self.inner.try_lock() {
-            self.fold(&mut inner);
-            drop(inner);
-            // An event logged while the fold was applying the ones before
-            // it found the lock taken and left; it is ours to fold. One
-            // logged after this look finds the lock free.
-            if self.log.is_empty() {
-                return;
+/// Self-configuration: more threads. `None` when no raise could help.
+fn raise(
+    config: &ControllerConfig,
+    layouts: &mut Layouts<'_>,
+    now: TimeNs,
+    cur: usize,
+    deadline: TimeNs,
+) -> Option<(usize, DecisionReason, TimeNs)> {
+    let opt = layouts.best_effort_concurrency_from(now).max(MIN_LP);
+    let cap = opt.min(config.max_lp);
+    if cap <= cur {
+        return None; // nothing a raise could do
+    }
+    let cap_finish = layouts.limited_lp(cap);
+    // Minimal LP achieving `target_finish`, by binary search (WCT
+    // is non-increasing in LP under the paper's assumption).
+    let mut minimal_for = |target_finish: TimeNs| -> usize {
+        let mut lo = cur + 1;
+        let mut hi = cap;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if layouts.limited_lp_within(mid, target_finish).is_some() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
+        lo
+    };
+    let (target, reason) = if cap_finish <= deadline {
+        (minimal_for(deadline), DecisionReason::RaiseToMeetGoal)
+    } else {
+        // Goal unreachable even at the cap: the smallest LP that
+        // achieves the best possible completion.
+        (minimal_for(cap_finish), DecisionReason::RaiseBestPossible)
+    };
+    let target = ((target as f64 * config.raise_headroom).round() as usize).min(cap);
+    let to_lp = match config.raise {
+        RaisePolicy::Unbounded => target,
+        RaisePolicy::Doubling => target.min(cur * 2 + 1),
+    };
+    Some((to_lp, reason, layouts.limited_lp(to_lp)))
+}
+
+/// Self-optimization: fewer threads when safe.
+fn decrease(
+    config: &ControllerConfig,
+    layouts: &mut Layouts<'_>,
+    now: TimeNs,
+    cur: usize,
+    deadline: TimeNs,
+    last_decrease: Option<TimeNs>,
+) -> Option<(usize, DecisionReason, TimeNs)> {
+    if let Some(last) = last_decrease {
+        if config.decrease_cooldown > TimeNs::ZERO && now < last + config.decrease_cooldown {
+            return None;
+        }
+    }
+    // A decrease must keep the goal safe with margin.
+    let margin = TimeNs::from_secs_f64(config.wct_goal.as_secs_f64() * config.decrease_safety);
+    let safe_deadline = deadline.saturating_sub(margin);
+    let to_lp = match config.decrease {
+        DecreasePolicy::Never => return None,
+        DecreasePolicy::Halve => (cur / 2).max(MIN_LP),
+        DecreasePolicy::ToMinimal => {
+            let mut lo = MIN_LP;
+            let mut hi = cur;
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if layouts.limited_lp_within(mid, safe_deadline).is_some() {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        }
+    };
+    if to_lp >= cur {
+        return None;
+    }
+    // The search ends on an LP that is safe, or on `cur` itself.
+    let predicted = layouts.limited_lp_within(to_lp, safe_deadline)?;
+    Some((to_lp, DecisionReason::Decrease, predicted))
+}
+
+impl Listener for AutonomicController {
+    /// Hands the event to the knowledge: logged, and an `After` folds the
+    /// log if nobody else is doing so. See the [`crate::knowledge`] docs.
+    fn on_event(&self, payload: &mut Payload<'_>, event: &Event) {
+        self.knowledge.on_event(payload, event);
     }
 
     fn interest(&self) -> Interest {
@@ -713,6 +663,7 @@ impl Listener for AutonomicController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -788,14 +739,16 @@ mod tests {
         let mut p = Payload::None;
         controller.on_event(&mut p, &root_event(When::Before, Where::NestedSkeleton, 1));
         controller.on_event(&mut p, &root_event(When::After, Where::Reconfigured, 2));
-        assert!(controller.log.is_empty());
+        let log = controller.knowledge.log();
+        assert!(log.is_empty());
         // A `Before` is logged and left for the next fold.
         controller.on_event(&mut p, &root_event(When::Before, Where::Skeleton, 3));
-        assert!(!controller.log.is_empty());
-        assert!(controller.inner.lock().tracker.current_root().is_none());
+        assert!(!log.is_empty());
         assert_eq!(controller.current_lp(), 1, "any accessor folds");
-        assert!(controller.log.is_empty());
-        assert!(controller.inner.lock().tracker.current_root().is_some());
+        assert!(log.is_empty());
+        assert!(controller
+            .knowledge
+            .with_tracker(|t| t.current_root().is_some()));
     }
 
     /// One submission of a `fork` over eight differently shaped branches,
@@ -879,17 +832,22 @@ mod tests {
         })]
 
         /// The branches of one recorded submission dealt over up to four
-        /// threads that raise their events at the same time leave what
-        /// raising every event in order leaves: every record folded once
-        /// and in its thread's order (each muscle's estimate is an
+        /// threads that raise their events at the same time, while a
+        /// safe-point reader (what `TriggerEngine::plan` does: fold, read,
+        /// let go) folds the opening events and keeps taking the state
+        /// from them, leave what raising
+        /// every event in order leaves: every record folded once and in
+        /// its thread's order (each muscle's estimate is an
         /// order-dependent average over one thread's events), one
-        /// analysis per `After`, and an empty log — whichever thread lost
-        /// the `try_lock` while the holder was leaving.
+        /// analysis per `After` whoever folded it, and an empty log —
+        /// whichever caller lost the `try_lock` while the holder was
+        /// leaving.
         #[test]
         fn concurrent_callers_fold_what_one_caller_would(
             threads in 1usize..=4,
             deal in proptest::collection::vec(0usize..4, 8),
         ) {
+            use std::sync::atomic::AtomicBool;
             let (_, events) = recorded_fork();
             let feed = |c: &AutonomicController, mine: &dyn Fn(Option<usize>) -> bool| {
                 for (_, event) in events.iter().filter(|(branch, _)| mine(*branch)) {
@@ -905,22 +863,41 @@ mod tests {
 
             let dealt = fork_controller(Some(&estimates));
             // The fork's own events come before and after its branches'.
+            // The opening ones wait in the log for the reader to fold.
             let opening = events.iter().position(|(branch, _)| branch.is_some()).unwrap();
+            let knowledge = &dealt.knowledge;
             for (_, event) in &events[..opening] {
-                dealt.on_event(&mut Payload::None, event);
+                knowledge.log().log(event, knowledge.interest(), || unreachable!("room"));
             }
-            let start = std::sync::Barrier::new(threads);
+            knowledge.with_tracker(|_| ());
+            let (start, fed) = (std::sync::Barrier::new(threads + 1), AtomicBool::new(false));
             std::thread::scope(|scope| {
-                for thread in 0..threads {
-                    let (dealt, start, deal) = (&dealt, &start, &deal);
-                    scope.spawn(move || {
-                        start.wait();
-                        feed(dealt, &|branch| branch.is_some_and(|k| deal[k] % threads == thread));
-                    });
+                let workers: Vec<_> = (0..threads)
+                    .map(|thread| {
+                        let (dealt, start, deal) = (&dealt, &start, &deal);
+                        scope.spawn(move || {
+                            start.wait();
+                            feed(dealt, &|branch| {
+                                branch.is_some_and(|k| deal[k] % threads == thread)
+                            });
+                        })
+                    })
+                    .collect();
+                scope.spawn(|| {
+                    start.wait();
+                    while !fed.load(Ordering::Acquire) {
+                        knowledge.with_tracker(|tracker| {
+                            std::hint::black_box(tracker.estimates());
+                        });
+                    }
+                });
+                for worker in workers {
+                    worker.join().expect("a worker completes");
                 }
+                fed.store(true, Ordering::Release);
             });
-            // Every thread's last event was an `After`: nothing waits.
-            proptest::prop_assert!(dealt.log.is_empty());
+            // Every worker's last event was an `After`: nothing waits.
+            proptest::prop_assert!(knowledge.log().is_empty());
             for (_, event) in events[opening..].iter().filter(|(branch, _)| branch.is_none()) {
                 dealt.on_event(&mut Payload::None, event);
             }
@@ -933,7 +910,14 @@ mod tests {
             // All but the root's own end, after which nothing is live.
             proptest::prop_assert_eq!(in_order.analyses(), afters - 1);
             proptest::prop_assert_eq!(dealt.analyses(), afters - 1);
-            proptest::prop_assert_eq!(dealt.analysis_log().len(), afters - 1);
+            // One record per `After`, at its instant; what it predicts
+            // depends on which thread's events were folded first.
+            let instants = |c: &AutonomicController| {
+                let mut at: Vec<_> = c.analysis_log().iter().map(|r| (r.at, r.lp)).collect();
+                at.sort_unstable();
+                at
+            };
+            proptest::prop_assert_eq!(instants(&dealt), instants(&in_order));
             proptest::prop_assert_eq!(dealt.snapshot(), in_order.snapshot());
             proptest::prop_assert!(dealt.decisions().is_empty());
         }

@@ -104,8 +104,16 @@ pub struct EstimatorTable {
     rho: f64,
     durations: HashMap<MuscleId, Ewma>,
     cardinalities: HashMap<MuscleId, Ewma>,
-    group_durations: HashMap<MuscleId, Ewma>,
-    group_cardinalities: HashMap<MuscleId, Ewma>,
+    /// Alias groups, once one is declared or restored: most tables have
+    /// none, and keep three maps' room for them out of line.
+    groups: Option<Box<Groups>>,
+}
+
+/// An [`EstimatorTable`]'s group estimates, by canonical, and its aliases.
+#[derive(Clone, Debug, Default)]
+struct Groups {
+    durations: HashMap<MuscleId, Ewma>,
+    cardinalities: HashMap<MuscleId, Ewma>,
     aliases: HashMap<MuscleId, MuscleId>,
 }
 
@@ -116,9 +124,7 @@ impl EstimatorTable {
             rho: rho.clamp(0.0, 1.0),
             durations: HashMap::new(),
             cardinalities: HashMap::new(),
-            group_durations: HashMap::new(),
-            group_cardinalities: HashMap::new(),
-            aliases: HashMap::new(),
+            groups: None,
         }
     }
 
@@ -133,28 +139,34 @@ impl EstimatorTable {
     /// canonical member's own observations feed the group as well.
     pub fn set_alias(&mut self, muscle: MuscleId, canonical: MuscleId) {
         if muscle != canonical {
-            self.aliases.insert(muscle, canonical);
+            self.groups_mut().aliases.insert(muscle, canonical);
         }
     }
 
     /// The declared aliases.
     pub fn aliases(&self) -> impl Iterator<Item = (MuscleId, MuscleId)> + '_ {
-        self.aliases.iter().map(|(a, b)| (*a, *b))
+        let aliases = self.groups.iter().flat_map(|g| &g.aliases);
+        aliases.map(|(a, b)| (*a, *b))
+    }
+
+    fn groups_mut(&mut self) -> &mut Groups {
+        self.groups.get_or_insert_with(Default::default)
     }
 
     /// The group key of a muscle: the canonical id if it belongs to an
     /// alias group (including the canonical member itself), else `None`.
     fn group_of(&self, m: MuscleId) -> Option<MuscleId> {
+        let aliases = &self.groups.as_ref()?.aliases;
         let mut cur = m;
         let mut hops = 0;
-        while let Some(&next) = self.aliases.get(&cur) {
+        while let Some(&next) = aliases.get(&cur) {
             cur = next;
             hops += 1;
             if hops > 16 {
                 return None; // defensive cycle guard
             }
         }
-        if cur != m || self.aliases.values().any(|&c| c == m) {
+        if cur != m || aliases.values().any(|&c| c == m) {
             Some(cur)
         } else {
             None
@@ -168,9 +180,11 @@ impl EstimatorTable {
             .or_insert_with(|| Ewma::new(self.rho))
             .observe(actual.0 as f64);
         if let Some(g) = self.group_of(m) {
-            self.group_durations
+            let rho = self.rho;
+            self.groups_mut()
+                .durations
                 .entry(g)
-                .or_insert_with(|| Ewma::new(self.rho))
+                .or_insert_with(|| Ewma::new(rho))
                 .observe(actual.0 as f64);
         }
     }
@@ -182,9 +196,11 @@ impl EstimatorTable {
             .or_insert_with(|| Ewma::new(self.rho))
             .observe(actual);
         if let Some(g) = self.group_of(m) {
-            self.group_cardinalities
+            let rho = self.rho;
+            self.groups_mut()
+                .cardinalities
                 .entry(g)
-                .or_insert_with(|| Ewma::new(self.rho))
+                .or_insert_with(|| Ewma::new(rho))
                 .observe(actual);
         }
     }
@@ -209,9 +225,8 @@ impl EstimatorTable {
             .get(&m)
             .and_then(|e| e.value())
             .or_else(|| {
-                self.group_of(m)
-                    .and_then(|g| self.group_durations.get(&g))
-                    .and_then(|e| e.value())
+                let g = self.group_of(m)?;
+                self.groups.as_ref()?.durations.get(&g)?.value()
             })
             .map(|v| TimeNs(v.max(0.0).round() as u64))
     }
@@ -222,9 +237,8 @@ impl EstimatorTable {
             .get(&m)
             .and_then(|e| e.value())
             .or_else(|| {
-                self.group_of(m)
-                    .and_then(|g| self.group_cardinalities.get(&g))
-                    .and_then(|e| e.value())
+                let g = self.group_of(m)?;
+                self.groups.as_ref()?.cardinalities.get(&g)?.value()
             })
     }
 
@@ -257,15 +271,18 @@ impl EstimatorTable {
     /// tree is either computed from live estimates or withheld (the
     /// `covers` gate closes again until the replacement's muscles have
     /// run or been seeded).
-    pub fn invalidate_nodes(&mut self, removed: &[NodeId]) -> usize {
+    pub(crate) fn invalidate_nodes(&mut self, removed: &[NodeId]) -> usize {
         let gone = |m: &MuscleId| removed.contains(&m.node);
         let before = self.durations.len() + self.cardinalities.len();
         self.durations.retain(|m, _| !gone(m));
         self.cardinalities.retain(|m, _| !gone(m));
-        self.group_durations.retain(|m, _| !gone(m));
-        self.group_cardinalities.retain(|m, _| !gone(m));
-        self.aliases
-            .retain(|m, canonical| !gone(m) && !gone(canonical));
+        if let Some(groups) = &mut self.groups {
+            groups.durations.retain(|m, _| !gone(m));
+            groups.cardinalities.retain(|m, _| !gone(m));
+            groups
+                .aliases
+                .retain(|m, canonical| !gone(m) && !gone(canonical));
+        }
         before - (self.durations.len() + self.cardinalities.len())
     }
 
@@ -279,12 +296,14 @@ impl EstimatorTable {
             out.sort_by(|a, b| (a.node, &a.role).cmp(&(b.node, &b.role)));
             out
         }
+        let none = Groups::default();
+        let groups = self.groups.as_deref().unwrap_or(&none);
         Snapshot {
             rho: self.rho,
             durations: dump(&self.durations),
             cardinalities: dump(&self.cardinalities),
-            group_durations: dump(&self.group_durations),
-            group_cardinalities: dump(&self.group_cardinalities),
+            group_durations: dump(&groups.durations),
+            group_cardinalities: dump(&groups.cardinalities),
         }
     }
 
@@ -303,14 +322,18 @@ impl EstimatorTable {
         }
         for e in &snapshot.group_durations {
             if let Some(m) = e.muscle_id() {
-                t.group_durations
-                    .insert(m, Ewma::initialized(t.rho, e.value));
+                let rho = t.rho;
+                t.groups_mut()
+                    .durations
+                    .insert(m, Ewma::initialized(rho, e.value));
             }
         }
         for e in &snapshot.group_cardinalities {
             if let Some(m) = e.muscle_id() {
-                t.group_cardinalities
-                    .insert(m, Ewma::initialized(t.rho, e.value));
+                let rho = t.rho;
+                t.groups_mut()
+                    .cardinalities
+                    .insert(m, Ewma::initialized(rho, e.value));
             }
         }
         t

@@ -20,6 +20,9 @@
 //!    minimal sufficient value when the goal is endangered, halve it when
 //!    the goal is safe at half the threads.
 //!
+//! [`knowledge`] holds what 2–5 share with the self-configuration layer
+//! (`askel-adapt`): one tracker, one event log, one fold.
+//!
 //! Everything here is engine-agnostic: the controller is an
 //! [`askel_events::Listener`] plus an [`controller::LpActuator`], so the
 //! identical autonomic code runs on the multithreaded engine
@@ -31,6 +34,7 @@
 pub mod adg;
 pub mod controller;
 pub mod estimate;
+pub mod knowledge;
 pub mod strategy;
 pub mod tracker;
 
@@ -44,6 +48,7 @@ pub use controller::{
     DecreasePolicy, FnActuator, LpActuator, RaisePolicy, ANALYSIS_LOG_CAPACITY,
 };
 pub use estimate::{EstimatorTable, Ewma, Snapshot, SnapshotEntry};
+pub use knowledge::Knowledge;
 pub use strategy::{
     best_effort, limited_lp, optimal_lp, predictive_wct, Layouts, Schedule, Scheduler,
     TimelinePoint,

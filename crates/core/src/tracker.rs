@@ -16,13 +16,14 @@
 //! gives Seq and Map and leaves If/Fork "under construction"; supporting
 //! them is part of this reproduction's realized future work).
 //!
-//! The tracker is a plain state container — registering it as a listener is
-//! the controller's job (`askel-core::controller`), which also keeps event
-//! observation and ADG analysis under one lock.
+//! The tracker is a plain state container. The knowledge base
+//! ([`crate::knowledge`]) owns one, logs events for it and folds them in
+//! under one lock with the controller's analysis; the controller and the
+//! trigger engine read it there.
 
 use std::collections::{HashMap, VecDeque};
 
-use askel_events::{EventInfo, EventRecord, When, Where};
+use askel_events::{EventInfo, EventRecord, Interest, When, Where};
 use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole, NodeId, TimeNs};
 
 use crate::estimate::EstimatorTable;
@@ -109,28 +110,32 @@ pub struct SmTracker {
     keep_finished: bool,
     /// See [`revision`](SmTracker::revision).
     revision: u64,
+    /// Ended roots' spans, oldest first, until taken.
+    finished_roots: VecDeque<Span>,
 }
 
 /// Unfinished roots kept across prunes — the newest this many. An item
 /// that never completes (a poisoned run) ages out instead of leaking.
+/// Ended roots nobody has taken are kept up to the same count.
 const MAX_LIVE_ROOTS: usize = 1024;
 
 impl SmTracker {
+    /// The event positions the state machines read: not the nesting
+    /// markers (children announce themselves), nor rewrite announcements.
+    pub const INTEREST: Interest = Interest::ALL
+        .without(Interest::at(Where::NestedSkeleton))
+        .without(Interest::at(Where::Reconfigured));
+
     /// A tracker with a fresh estimator table using weight `rho`.
     pub fn new(rho: f64) -> Self {
-        Self::with_estimates(EstimatorTable::new(rho))
-    }
-
-    /// A tracker over a pre-initialized estimator table (the paper's
-    /// "with initialization" scenario).
-    pub fn with_estimates(estimates: EstimatorTable) -> Self {
         SmTracker {
-            estimates,
+            estimates: EstimatorTable::new(rho),
             instances: HashMap::new(),
             roots: VecDeque::new(),
             orphans: Vec::new(),
             keep_finished: true,
             revision: 0,
+            finished_roots: VecDeque::new(),
         }
     }
 
@@ -138,7 +143,7 @@ impl SmTracker {
     /// record is dropped the moment the instance ends, so memory follows
     /// the instances *running*, not the items in flight. No ADG can be
     /// built from it.
-    pub fn estimators_only(rho: f64) -> Self {
+    pub(crate) fn estimators_only(rho: f64) -> Self {
         SmTracker {
             keep_finished: false,
             ..Self::new(rho)
@@ -168,6 +173,13 @@ impl SmTracker {
         self.revision
     }
 
+    /// Removes and returns the spans of the root instances that ended
+    /// since the last call, in the order they ended — the realized WCT
+    /// of each item. The newest 1 024 are kept meanwhile.
+    pub fn take_finished_roots(&mut self) -> impl Iterator<Item = Span> + '_ {
+        self.finished_roots.drain(..)
+    }
+
     /// The current (most recent) root instance.
     pub fn current_root(&self) -> Option<&InstanceRecord> {
         self.roots.back().and_then(|id| self.instances.get(id))
@@ -176,12 +188,6 @@ impl SmTracker {
     /// Looks an instance up.
     pub fn instance(&self, id: InstanceId) -> Option<&InstanceRecord> {
         self.instances.get(&id)
-    }
-
-    /// Number of instances currently recorded.
-    #[cfg(test)]
-    pub(crate) fn instance_count(&self) -> usize {
-        self.instances.len()
     }
 
     /// Drops the records of finished roots and of orphans (estimates are
@@ -328,6 +334,15 @@ impl SmTracker {
             }
             _ => {}
         }
+        if rec.parent.is_none() {
+            if self.finished_roots.len() == MAX_LIVE_ROOTS {
+                self.finished_roots.pop_front();
+            }
+            self.finished_roots.push_back(Span {
+                started: rec.started,
+                finished: rec.finished,
+            });
+        }
         if !self.keep_finished {
             self.instances.remove(&event.index);
         }
@@ -431,25 +446,21 @@ mod tests {
     use super::*;
     use askel_events::{Event, Trace};
 
-    #[allow(clippy::too_many_arguments)]
+    /// An event of the last instance of `path` — `(node, kind, instance)`
+    /// from the root down.
     fn ev(
-        node: u64,
-        kind: KindTag,
+        path: &[(u64, KindTag, u64)],
         when: When,
         wher: Where,
-        index: u64,
-        parent: Option<(u64, KindTag, u64)>,
         at: u64,
         info: EventInfo,
     ) -> Event {
-        let trace = match parent {
-            Some((pn, pk, pi)) => Trace::root(NodeId(pn), InstanceId(pi), pk).child(
-                NodeId(node),
-                InstanceId(index),
-                kind,
-            ),
-            None => Trace::root(NodeId(node), InstanceId(index), kind),
-        };
+        let (node, kind, index) = *path.last().expect("a path names an instance");
+        let (root, rest) = path.split_first().expect("a path names an instance");
+        let trace = rest.iter().fold(
+            Trace::root(NodeId(root.0), InstanceId(root.2), root.1),
+            |trace, &(n, k, i)| trace.child(NodeId(n), InstanceId(i), k),
+        );
         Event {
             node: NodeId(node),
             kind,
@@ -462,53 +473,28 @@ mod tests {
         }
     }
 
+    /// A skeleton event of root `seq` instance `index` of node 1.
+    fn seq(index: u64, when: When, at: u64) -> Event {
+        ev(
+            &[(1, KindTag::Seq, index)],
+            when,
+            Where::Skeleton,
+            at,
+            EventInfo::None,
+        )
+    }
+
     #[test]
     fn seq_machine_updates_t_fe() {
         // Fig. 3 exactly: @b stores eti, @a updates t(fe) = ρ(now−eti)+(1−ρ)t(fe).
         let mut t = SmTracker::new(0.5);
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::Before,
-            Where::Skeleton,
-            10,
-            None,
-            100,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::After,
-            Where::Skeleton,
-            10,
-            None,
-            160,
-            EventInfo::None,
-        ));
+        t.observe(&seq(10, When::Before, 100));
+        t.observe(&seq(10, When::After, 160));
         let fe = MuscleId::new(NodeId(1), MuscleRole::Execute);
         assert_eq!(t.estimates().duration(fe), Some(TimeNs(60)));
         // Second run: 100ns → estimate (60+100)/2 = 80.
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::Before,
-            Where::Skeleton,
-            11,
-            None,
-            200,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::After,
-            Where::Skeleton,
-            11,
-            None,
-            300,
-            EventInfo::None,
-        ));
+        t.observe(&seq(11, When::Before, 200));
+        t.observe(&seq(11, When::After, 300));
         assert_eq!(t.estimates().duration(fe), Some(TimeNs(80)));
     }
 
@@ -516,15 +502,11 @@ mod tests {
     fn map_machine_updates_split_card_and_merge() {
         // Fig. 4: t(fs), |fs| at @as; t(fm) at @am.
         let mut t = SmTracker::new(0.5);
-        let map = |when, wher, at, info| ev(5, KindTag::Map, when, wher, 20, None, at, info);
+        let map = |when, wher, at, info| ev(&[(5, KindTag::Map, 20)], when, wher, at, info);
         t.observe(&map(When::Before, Where::Skeleton, 0, EventInfo::None));
         t.observe(&map(When::Before, Where::Split, 0, EventInfo::None));
-        t.observe(&map(
-            When::After,
-            Where::Split,
-            10,
-            EventInfo::SplitCardinality(3),
-        ));
+        let card = EventInfo::SplitCardinality(3);
+        t.observe(&map(When::After, Where::Split, 10, card));
         t.observe(&map(When::Before, Where::Merge, 65, EventInfo::None));
         t.observe(&map(When::After, Where::Merge, 70, EventInfo::None));
         t.observe(&map(When::After, Where::Skeleton, 70, EventInfo::None));
@@ -541,24 +523,20 @@ mod tests {
     #[test]
     fn children_attach_to_parents_in_order() {
         let mut t = SmTracker::new(0.5);
+        let map = (5, KindTag::Map, 20);
         t.observe(&ev(
-            5,
-            KindTag::Map,
+            &[map],
             When::Before,
             Where::Skeleton,
-            20,
-            None,
             0,
             EventInfo::None,
         ));
         for (i, at) in [(30u64, 10u64), (31, 10), (32, 65)] {
+            let child = [map, (6, KindTag::Seq, i)];
             t.observe(&ev(
-                6,
-                KindTag::Seq,
+                &child,
                 When::Before,
                 Where::Skeleton,
-                i,
-                Some((5, KindTag::Map, 20)),
                 at,
                 EventInfo::None,
             ));
@@ -576,17 +554,13 @@ mod tests {
     #[test]
     fn while_counts_trues_and_updates_cardinality() {
         let mut t = SmTracker::new(0.5);
-        let w = |when, wher, at, info| ev(7, KindTag::While, when, wher, 40, None, at, info);
+        let w = |when, wher, at, info| ev(&[(7, KindTag::While, 40)], when, wher, at, info);
         t.observe(&w(When::Before, Where::Skeleton, 0, EventInfo::None));
         for (k, verdict) in [true, true, true, false].iter().enumerate() {
             let at = (k as u64) * 10;
             t.observe(&w(When::Before, Where::Condition, at, EventInfo::None));
-            t.observe(&w(
-                When::After,
-                Where::Condition,
-                at + 2,
-                EventInfo::ConditionResult(*verdict),
-            ));
+            let verdict = EventInfo::ConditionResult(*verdict);
+            t.observe(&w(When::After, Where::Condition, at + 2, verdict));
         }
         t.observe(&w(When::After, Where::Skeleton, 40, EventInfo::None));
         let fc = MuscleId::new(NodeId(7), MuscleRole::Condition);
@@ -599,50 +573,24 @@ mod tests {
     fn dac_depth_reaches_the_recursion_root() {
         let mut t = SmTracker::new(0.5);
         // Root d&C instance 50 → child 51 → grandchild 52 (same node 9).
-        t.observe(&ev(
-            9,
-            KindTag::DivideConquer,
-            When::Before,
-            Where::Skeleton,
-            50,
-            None,
-            0,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            9,
-            KindTag::DivideConquer,
-            When::Before,
-            Where::Skeleton,
-            51,
-            Some((9, KindTag::DivideConquer, 50)),
-            10,
-            EventInfo::None,
-        ));
-        // Grandchild: trace root(9,#50)/(9,#51)/(9,#52) — build manually.
-        let trace = Trace::root(NodeId(9), InstanceId(50), KindTag::DivideConquer)
-            .child(NodeId(9), InstanceId(51), KindTag::DivideConquer)
-            .child(NodeId(9), InstanceId(52), KindTag::DivideConquer);
-        t.observe(&Event {
-            node: NodeId(9),
-            kind: KindTag::DivideConquer,
-            when: When::Before,
-            wher: Where::Skeleton,
-            index: InstanceId(52),
-            trace,
-            timestamp: TimeNs(20),
-            info: EventInfo::None,
-        });
+        let path: Vec<_> = (50..53).map(|i| (9, KindTag::DivideConquer, i)).collect();
+        for depth in 1..=3 {
+            let at = 10 * depth as u64;
+            t.observe(&ev(
+                &path[..depth],
+                When::Before,
+                Where::Skeleton,
+                at,
+                EventInfo::None,
+            ));
+        }
         assert_eq!(t.instance(InstanceId(52)).unwrap().dc_depth, 3);
         assert_eq!(t.instance(InstanceId(50)).unwrap().dc_max_depth, 3);
         // Root completion records |fc| = 3.
         t.observe(&ev(
-            9,
-            KindTag::DivideConquer,
+            &path[..1],
             When::After,
             Where::Skeleton,
-            50,
-            None,
             99,
             EventInfo::None,
         ));
@@ -653,75 +601,21 @@ mod tests {
     #[test]
     fn new_root_becomes_current() {
         let mut t = SmTracker::new(0.5);
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::Before,
-            Where::Skeleton,
-            60,
-            None,
-            0,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::After,
-            Where::Skeleton,
-            60,
-            None,
-            5,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::Before,
-            Where::Skeleton,
-            61,
-            None,
-            10,
-            EventInfo::None,
-        ));
+        t.observe(&seq(60, When::Before, 0));
+        t.observe(&seq(60, When::After, 5));
+        t.observe(&seq(61, When::Before, 10));
         assert_eq!(t.current_root().unwrap().id, InstanceId(61));
     }
 
     #[test]
     fn prune_keeps_live_root_only() {
         let mut t = SmTracker::new(0.5);
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::Before,
-            Where::Skeleton,
-            70,
-            None,
-            0,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::After,
-            Where::Skeleton,
-            70,
-            None,
-            5,
-            EventInfo::None,
-        ));
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::Before,
-            Where::Skeleton,
-            71,
-            None,
-            10,
-            EventInfo::None,
-        ));
-        assert_eq!(t.instance_count(), 2);
+        t.observe(&seq(70, When::Before, 0));
+        t.observe(&seq(70, When::After, 5));
+        t.observe(&seq(71, When::Before, 10));
+        assert_eq!(t.instances.len(), 2);
         t.prune_finished();
-        assert_eq!(t.instance_count(), 1);
+        assert_eq!(t.instances.len(), 1);
         assert_eq!(t.current_root().unwrap().id, InstanceId(71));
         // Estimates survive pruning.
         assert!(t
@@ -737,22 +631,20 @@ mod tests {
         // its record, or its merge is never observed.
         let mut t = SmTracker::new(0.5);
         let map =
-            |inst, when, wher, at| ev(5, KindTag::Map, when, wher, inst, None, at, EventInfo::None);
+            |inst, when, wher, at| ev(&[(5, KindTag::Map, inst)], when, wher, at, EventInfo::None);
         for (inst, at) in [(20, 0), (21, 1)] {
             t.prune_finished();
             t.observe(&map(inst, When::Before, Where::Skeleton, at));
+            let child = [(5, KindTag::Map, inst), (6, KindTag::Seq, inst + 10)];
             t.observe(&ev(
-                6,
-                KindTag::Seq,
+                &child,
                 When::Before,
                 Where::Skeleton,
-                inst + 10,
-                Some((5, KindTag::Map, inst)),
                 at,
                 EventInfo::None,
             ));
         }
-        assert_eq!(t.instance_count(), 4);
+        assert_eq!(t.instances.len(), 4);
         t.observe(&map(20, When::Before, Where::Merge, 10));
         t.observe(&map(20, When::After, Where::Merge, 15));
         t.observe(&map(21, When::Before, Where::Merge, 20));
@@ -766,7 +658,7 @@ mod tests {
         // Finished roots go, with their subtrees; the live one stays whole.
         t.observe(&map(20, When::After, Where::Skeleton, 40));
         t.prune_finished();
-        assert_eq!(t.instance_count(), 2);
+        assert_eq!(t.instances.len(), 2);
         assert_eq!(t.current_root().unwrap().id, InstanceId(21));
         assert!(t.instance(InstanceId(31)).is_some());
     }
@@ -774,39 +666,24 @@ mod tests {
     #[test]
     fn estimators_only_keeps_no_finished_record() {
         let mut t = SmTracker::estimators_only(0.5);
-        let map = |when, wher, at, info| ev(5, KindTag::Map, when, wher, 20, None, at, info);
+        let map = |when, wher, at, info| ev(&[(5, KindTag::Map, 20)], when, wher, at, info);
         t.observe(&map(When::Before, Where::Skeleton, 0, EventInfo::None));
         t.observe(&map(When::Before, Where::Split, 0, EventInfo::None));
-        t.observe(&map(
-            When::After,
-            Where::Split,
-            10,
-            EventInfo::SplitCardinality(2),
-        ));
+        let card = EventInfo::SplitCardinality(2);
+        t.observe(&map(When::After, Where::Split, 10, card));
         for (inst, from, to) in [(30, 10, 40), (31, 12, 32)] {
-            let seq = |when, at| {
-                let parent = Some((5, KindTag::Map, 20));
-                ev(
-                    6,
-                    KindTag::Seq,
-                    when,
-                    Where::Skeleton,
-                    inst,
-                    parent,
-                    at,
-                    EventInfo::None,
-                )
-            };
+            let path = [(5, KindTag::Map, 20), (6, KindTag::Seq, inst)];
+            let seq = |when, at| ev(&path, when, Where::Skeleton, at, EventInfo::None);
             t.observe(&seq(When::Before, from));
             assert!(t.instance(InstanceId(inst)).is_some());
             t.observe(&seq(When::After, to));
             assert!(t.instance(InstanceId(inst)).is_none());
         }
-        assert_eq!(t.instance_count(), 1, "only the running map is left");
+        assert_eq!(t.instances.len(), 1, "only the running map is left");
         t.observe(&map(When::Before, Where::Merge, 40, EventInfo::None));
         t.observe(&map(When::After, Where::Merge, 45, EventInfo::None));
         t.observe(&map(When::After, Where::Skeleton, 45, EventInfo::None));
-        assert_eq!(t.instance_count(), 0);
+        assert_eq!(t.instances.len(), 0);
         t.prune_finished();
         // Every estimate a full tracker would hold is there.
         let fe = MuscleId::new(NodeId(6), MuscleRole::Execute);
@@ -820,53 +697,50 @@ mod tests {
         assert_eq!(t.estimates().duration(fs), Some(TimeNs(10)));
         assert_eq!(t.estimates().cardinality(fs), Some(2.0));
         assert_eq!(t.estimates().duration(fm), Some(TimeNs(5)));
+        // The root's span outlives its record, for the realized-WCT audit.
+        let ended: Vec<Span> = t.take_finished_roots().collect();
+        assert_eq!(
+            ended,
+            [Span {
+                started: TimeNs(0),
+                finished: Some(TimeNs(45))
+            }]
+        );
+        assert_eq!(t.take_finished_roots().count(), 0, "taken once");
     }
 
     #[test]
     fn prune_drops_orphans_and_caps_unfinished_roots() {
         let mut t = SmTracker::new(0.5);
         // A child whose parent was never seen, and its own child.
+        let orphan = [
+            (5, KindTag::Map, 89),
+            (6, KindTag::Map, 90),
+            (7, KindTag::Seq, 91),
+        ];
         t.observe(&ev(
-            6,
-            KindTag::Map,
+            &orphan[..2],
             When::Before,
             Where::Skeleton,
-            90,
-            Some((5, KindTag::Map, 89)),
             0,
             EventInfo::None,
         ));
-        let trace = Trace::root(NodeId(5), InstanceId(89), KindTag::Map)
-            .child(NodeId(6), InstanceId(90), KindTag::Map)
-            .child(NodeId(7), InstanceId(91), KindTag::Seq);
-        t.observe(&Event {
-            node: NodeId(7),
-            kind: KindTag::Seq,
-            when: When::Before,
-            wher: Where::Skeleton,
-            index: InstanceId(91),
-            trace,
-            timestamp: TimeNs(1),
-            info: EventInfo::None,
-        });
-        assert_eq!(t.instance_count(), 2);
+        t.observe(&ev(
+            &orphan,
+            When::Before,
+            Where::Skeleton,
+            1,
+            EventInfo::None,
+        ));
+        assert_eq!(t.instances.len(), 2);
         t.prune_finished();
-        assert_eq!(t.instance_count(), 0);
+        assert_eq!(t.instances.len(), 0);
         // Roots that never finish age out, oldest first.
         for i in 0..(MAX_LIVE_ROOTS as u64 + 5) {
-            t.observe(&ev(
-                1,
-                KindTag::Seq,
-                When::Before,
-                Where::Skeleton,
-                1000 + i,
-                None,
-                i,
-                EventInfo::None,
-            ));
+            t.observe(&seq(1000 + i, When::Before, i));
         }
         t.prune_finished();
-        assert_eq!(t.instance_count(), MAX_LIVE_ROOTS);
+        assert_eq!(t.instances.len(), MAX_LIVE_ROOTS);
         assert!(t.instance(InstanceId(1004)).is_none());
         assert!(t.instance(InstanceId(1005)).is_some());
     }
@@ -875,16 +749,7 @@ mod tests {
     fn stray_after_events_are_tolerated() {
         let mut t = SmTracker::new(0.5);
         // After without Before: no panic, no record.
-        t.observe(&ev(
-            1,
-            KindTag::Seq,
-            When::After,
-            Where::Skeleton,
-            80,
-            None,
-            5,
-            EventInfo::None,
-        ));
+        t.observe(&seq(80, When::After, 5));
         assert!(t.current_root().is_none());
     }
 }

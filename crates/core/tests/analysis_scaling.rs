@@ -133,7 +133,9 @@ fn the_analysis_log_keeps_the_latest_records_and_then_stops_growing() {
     let config = ControllerConfig::new(TimeNs::from_secs(1_000_000), 4).manual_analysis(true);
     let controller = AutonomicController::new(node.clone(), config, Arc::new(FnActuator(|_| {})));
     let fe = MuscleId::new(node.id, MuscleRole::Execute);
-    controller.with_estimates(|table| table.init_duration(fe, TimeNs::from_secs(1)));
+    controller
+        .knowledge()
+        .with_estimates(|table| table.init_duration(fe, TimeNs::from_secs(1)));
     controller.on_event(
         &mut Payload::None,
         &Event {

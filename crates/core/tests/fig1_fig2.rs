@@ -455,7 +455,7 @@ fn controller_raises_lp_2_to_3_for_goal_100() {
         config,
         Arc::new(FnActuator(move |lp| r2.store(lp, Ordering::SeqCst))),
     );
-    controller.with_estimates(|est| {
+    controller.knowledge().with_estimates(|est| {
         for node in [f.outer, f.inner] {
             est.init_duration(
                 askel_skeletons::MuscleId::new(node, MuscleRole::Split),
@@ -506,7 +506,7 @@ fn controller_with_loose_goal_keeps_lp_2() {
         config,
         Arc::new(FnActuator(move |lp| r2.store(lp, Ordering::SeqCst))),
     );
-    controller.with_estimates(|est| {
+    controller.knowledge().with_estimates(|est| {
         for node in [f.outer, f.inner] {
             est.init_duration(
                 askel_skeletons::MuscleId::new(node, MuscleRole::Split),

@@ -119,6 +119,7 @@ impl Live {
         };
         let merge = MuscleId::new(live.program.node().id, MuscleRole::Merge);
         live.controller
+            .knowledge()
             .with_estimates(|table| table.init_duration(merge, TimeNs(5)));
         live.root(When::Before, Where::Skeleton, 0, EventInfo::None);
         live.root(When::Before, Where::Split, 0, EventInfo::None);
@@ -223,6 +224,7 @@ fn aliasing_an_estimate_stops_the_replay() {
     // (An alias is a fallback for a muscle without history, so this one
     // changes no estimate — and the recomputed record shows it.)
     live.controller
+        .knowledge()
         .with_estimates(|table| table.set_alias(execute, merge));
     live.nesting_marker();
     assert_eq!(live.counts(), (2, 0));
@@ -234,7 +236,12 @@ fn aliasing_an_estimate_stops_the_replay() {
 fn invalidating_an_estimate_stops_the_replay() {
     let live = Live::new(FAR, 2, 8);
     let inner = live.program.node().children()[0].id;
-    assert_eq!(live.controller.invalidate_estimates_for(&[inner]), 1);
+    assert_eq!(
+        live.controller
+            .knowledge()
+            .invalidate_estimates_for(&[inner], live.program.node()),
+        1
+    );
     live.nesting_marker();
     // Not replayed, and not computed either: the gate is shut again.
     assert_eq!(live.counts(), (1, 0));

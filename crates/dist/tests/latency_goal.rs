@@ -44,7 +44,7 @@ fn run_at(round_trip: TimeNs) -> (TimeNs, usize) {
         ControllerConfig::new(GOAL, 24).initial_lp(1),
         Arc::new(FnActuator(move |n| lp.request(n))),
     );
-    controller.with_estimates(|est| {
+    controller.knowledge().with_estimates(|est| {
         for m in &muscles {
             est.init_duration(m.id, duration(m.id.role));
             if m.id.role == MuscleRole::Split {

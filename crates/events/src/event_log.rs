@@ -1,25 +1,23 @@
 //! An append log for listeners that keep state: where `on_event` leaves
 //! an event for whoever next reads or advances that state to replay.
 //!
-//! Events arrive on the muscles' threads, many per microsecond; a
-//! listener's state is read far less often (the trigger engine's at safe
-//! points, once per item) or can be advanced by one thread on behalf of
-//! all (the controller's). So such a listener does not update state in
-//! `on_event`: it appends a 48-byte [`EventRecord`] to a log and returns,
-//! and whoever holds the state next replays ("folds") the log first.
-//! Both halves are written here once — [`EventLog::log`] for `on_event`,
-//! [`EventLog::fold`] for whoever holds the state — and a listener keeps
-//! only what differs: when it folds, and what applying a record means.
-//! Lock order, for every listener: its own state, then the log's shards.
-//! `fold` is therefore called with the state locked, and the `make_room`
-//! a listener hands to `log` locks the state to fold — so `on_event` must
-//! never run under that lock.
+//! Events arrive on the muscles' threads, many per microsecond; the state
+//! they feed (`askel-core`'s knowledge base) is read far less often (a
+//! lone trigger engine's at safe points, once per item) or can be
+//! advanced by one thread on behalf of all (a controller's analysis). So
+//! its listener does not update state in `on_event`: it appends a
+//! 48-byte [`EventRecord`] to a log and returns, and whoever holds the
+//! state next replays ("folds") the log first: [`EventLog::log`] is
+//! `on_event`'s half, [`EventLog::drain_into`] the folder's. Lock order:
+//! the owner's state, then the log's shards. A folder drains with the
+//! state locked, and the `make_room` the owner hands to `log` locks the
+//! state to fold — so `on_event` must never run under that lock.
 //!
 //! The log is sharded by thread, so that in the steady state two workers
 //! never write the same cache line: each live thread owns a small dense
 //! slot (recycled when the thread exits) that picks its shard, and a
 //! shard is a mutex nobody else takes between folds. Nothing is allocated
-//! until a trigger engine's first event; a shard's buffer is allocated at
+//! until the log's first event; a shard's buffer is allocated at
 //! that shard's first event, at its fixed capacity.
 
 use std::cmp::Reverse;
@@ -53,7 +51,7 @@ impl EventLog {
     /// `on_event`'s half: appends `event` if `interest` holds its
     /// position (a registry filters by interest already; a direct caller
     /// might not) and says whether it did. A full shard calls
-    /// `make_room`, which must [`fold`](EventLog::fold) this log, and
+    /// `make_room`, which must fold (drain) this log, and
     /// tries again. Below capacity this takes one lock no other thread
     /// is waiting for and allocates nothing (after the thread's first
     /// event).
@@ -66,25 +64,6 @@ impl EventLog {
             make_room();
         }
         true
-    }
-
-    /// The state holder's half, called with `state` locked: takes the
-    /// buffer `buf` finds in it (empty between folds, kept for its
-    /// capacity), gathers every logged record there, hands them to
-    /// `apply` in replay order (see [`drain_into`](EventLog::drain_into))
-    /// and puts the buffer back.
-    pub fn fold<S>(
-        &self,
-        state: &mut S,
-        buf: impl Fn(&mut S) -> &mut Vec<EventRecord>,
-        mut apply: impl FnMut(&mut S, EventRecord),
-    ) {
-        let mut records = std::mem::take(buf(state));
-        self.drain_into(&mut records);
-        for record in records.drain(..) {
-            apply(state, record);
-        }
-        *buf(state) = records;
     }
 
     /// Appends `record` to the calling thread's shard; `false` — and
@@ -111,7 +90,7 @@ impl EventLog {
     }
 
     /// `true` when no shard holds a record. A folder calls this after
-    /// letting go of its state (see the controller's fold protocol): it
+    /// letting go of its state (see `askel_core::knowledge`): it
     /// takes each shard's lock in turn, so a push it does not see
     /// happened after the caller's last unlock.
     pub fn is_empty(&self) -> bool {

@@ -8,8 +8,9 @@
 //! the tenants whose tree contains the event's node (an O(1) map
 //! lookup). There is no slot for a shared `AutonomicController`: a
 //! controller analyses one AST against one WCT goal, so it belongs to a
-//! session (`Adaptive::sync_controller`), not to a front that carries
-//! every tenant's events.
+//! session — whose trigger engine is made for it
+//! (`TriggerEngine::for_controller`) and shares its knowledge — not to a
+//! front that carries every tenant's events.
 //!
 //! Routing is by `NodeId`, so tenants running *the same* `Skel` clone
 //! (shared identity) both receive events for their shared nodes — the

@@ -159,7 +159,9 @@ where
         }
         if self.unpublished() {
             self.published = self.completed;
-            trigger.read_estimates(|table| shared.absorb(root, table));
+            trigger
+                .knowledge()
+                .read_estimates(|table| shared.absorb(root, table));
             self.cost_ns = shared.estimated_cost(root).map(|c| c.0);
         }
     }
@@ -295,7 +297,7 @@ where
         let adaptive = trigger.is_some();
         let (trigger, routed) = match trigger {
             Some(trigger) => {
-                trigger.with_estimates(|est| {
+                trigger.knowledge().with_estimates(|est| {
                     self.shared.warm(skel.node(), est);
                 });
                 self.monitor.install(&self.engine);

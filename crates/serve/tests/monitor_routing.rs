@@ -33,7 +33,7 @@ fn assert_heard_only(
     own: &Skel<Vec<i64>, i64>,
     other: &Skel<Vec<i64>, i64>,
 ) {
-    mine.read_estimates(|est| {
+    mine.knowledge().read_estimates(|est| {
         assert!(est.covers(&own.node().collect_muscles()));
         for m in other.node().collect_muscles() {
             assert_eq!(est.duration(m.id), None, "foreign event for {:?}", m.id);

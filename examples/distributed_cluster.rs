@@ -45,7 +45,7 @@ fn main() {
             lp.request(n)
         })),
     );
-    controller.with_estimates(|est| {
+    controller.knowledge().with_estimates(|est| {
         for m in &muscles {
             let d = if m.id.role == MuscleRole::Execute {
                 TimeNs::from_secs(2)

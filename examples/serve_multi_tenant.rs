@@ -118,7 +118,9 @@ fn main() {
     let trig_b = TriggerEngine::new(0.5);
     let b_program = program();
     let b = registry.register_adaptive(&b_program, trig_b.clone());
-    let warmed = trig_b.read_estimates(|est| predictive_wct(est, b_program.node(), lp));
+    let warmed = trig_b
+        .knowledge()
+        .read_estimates(|est| predictive_wct(est, b_program.node(), lp));
     let forecast = warmed.expect("warm-started tenant forecasts before its first item");
     println!(
         "tenant {b} warm-started from tenant {a}'s history: first forecast {} ns at lp {lp}",

@@ -245,7 +245,7 @@ mod tests {
         let config = ControllerConfig::new(TimeNs::from_secs(5), 16).initial_lp(1);
         let muscles = program.node().collect_muscles();
         let mut auto = AutonomicSim::new(program, config, cost);
-        auto.controller().with_estimates(|est| {
+        auto.controller().knowledge().with_estimates(|est| {
             for d in &muscles {
                 est.init_duration(d.id, TimeNs::from_secs(1));
                 if d.id.role == MuscleRole::Split {

@@ -194,10 +194,11 @@ fn skewed_cluster_offload_acceptance() {
     assert_eq!(a.grain_trace, b.grain_trace);
 }
 
-/// LP-coupled promotion: the forecast gate (fed through the controller's
-/// `read_estimates`/`seed_from` path) blocks an unprofitable promotion at
-/// LP 1, opens at LP 4, and the decision log audits the predicted WCT
-/// against the realized WCT of the first item under the new version.
+/// LP-coupled promotion: the forecast gate (reading the knowledge the
+/// trigger engine shares with a controller) blocks an unprofitable
+/// promotion at LP 1, opens at LP 4, and the decision log audits the
+/// predicted WCT against the realized WCT of the first item under the new
+/// version.
 #[test]
 fn forecast_gated_promotion_audits_predicted_vs_realized() {
     use autonomic_skeletons::core::{AutonomicController, ControllerConfig, FnActuator};
@@ -213,23 +214,28 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
     let v2_fs = MuscleId::new(v2.id(), MuscleRole::Split);
     let v2_fm = MuscleId::new(v2.id(), MuscleRole::Merge);
 
-    // The controller owns the estimates; the trigger seeds from it — the
-    // two autonomic layers decide from one shared view of the world.
-    let controller = AutonomicController::new(
-        v1.node().clone(),
-        ControllerConfig::new(TimeNs::from_secs(1), 4),
-        Arc::new(FnActuator(|_| {})),
-    );
-    controller.with_estimates(|est| {
-        est.init_duration(v1_fe, TimeNs::from_millis(800));
-        est.init_duration(v2_fe, TimeNs::from_millis(200));
-        est.init_duration(v2_fs, TimeNs::from_millis(1));
-        est.init_duration(v2_fm, TimeNs::from_millis(1));
-        est.init_cardinality(v2_fs, 4.0);
-    });
+    // The controller owns the estimates; the trigger decides from the
+    // same knowledge — the two autonomic layers share one view of the
+    // world.
+    let controller = || {
+        let controller = AutonomicController::new(
+            v1.node().clone(),
+            ControllerConfig::new(TimeNs::from_secs(1), 4),
+            Arc::new(FnActuator(|_| {})),
+        );
+        controller.knowledge().with_estimates(|est| {
+            est.init_duration(v1_fe, TimeNs::from_millis(800));
+            est.init_duration(v2_fe, TimeNs::from_millis(200));
+            est.init_duration(v2_fs, TimeNs::from_millis(1));
+            est.init_duration(v2_fm, TimeNs::from_millis(1));
+            est.init_cardinality(v2_fs, 4.0);
+        });
+        controller
+    };
     // The controller's own read path agrees with what the gate will see.
-    let at1 = controller.forecast_wct(v2.node(), 1).unwrap();
-    let at4 = controller.forecast_wct(v2.node(), 4).unwrap();
+    let controller_alone = controller();
+    let at1 = controller_alone.forecast_wct(v2.node(), 1).unwrap();
+    let at4 = controller_alone.forecast_wct(v2.node(), 4).unwrap();
     assert!(at4 < at1);
 
     let run = |lp: usize| {
@@ -239,8 +245,7 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
                 .with(v2_fe, TimeNs::from_millis(200)),
         );
         let sim = SimEngine::new(lp, cost);
-        let trigger = TriggerEngine::new(0.5);
-        trigger.seed_from(&controller);
+        let trigger = TriggerEngine::for_controller(&controller());
         sim.registry().add_listener(trigger.clone());
         trigger.add_rule(
             Promote::new(&v1, &v2)
@@ -290,8 +295,9 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
     assert!(realized < wcts[0], "promotion paid off: {wcts:?}");
 }
 
-/// Sharing the estimator view: the self-configuration layer can seed its
-/// trigger statistics from the self-optimization controller's live table.
+/// Sharing the estimator view: a trigger engine made for the
+/// self-optimization controller reads the controller's live table — not a
+/// copy — and a trigger engine of its own does not.
 #[test]
 fn trigger_seeds_from_controller_estimates() {
     use autonomic_skeletons::core::{AutonomicController, ControllerConfig, FnActuator};
@@ -303,16 +309,164 @@ fn trigger_seeds_from_controller_estimates() {
         ControllerConfig::new(TimeNs::from_secs(1), 4),
         Arc::new(FnActuator(|_| {})),
     );
-    controller.with_estimates(|est| est.init_duration(fe, TimeNs::from_millis(7)));
+    controller
+        .knowledge()
+        .with_estimates(|est| est.init_duration(fe, TimeNs::from_millis(7)));
 
-    let trigger = TriggerEngine::new(0.5);
-    assert_eq!(trigger.read_estimates(|t| t.duration(fe)), None);
-    trigger.seed_from(&controller);
+    let own = TriggerEngine::new(0.5);
+    assert_eq!(own.knowledge().read_estimates(|t| t.duration(fe)), None);
+    let shared = TriggerEngine::for_controller(&controller);
+    let seen = || shared.knowledge().read_estimates(|t| t.duration(fe));
+    assert_eq!(seen(), Some(TimeNs::from_millis(7)));
+    controller
+        .knowledge()
+        .with_estimates(|est| est.init_duration(fe, TimeNs::from_millis(9)));
     assert_eq!(
-        trigger.read_estimates(|t| t.duration(fe)),
-        Some(TimeNs::from_millis(7)),
-        "trigger adopted the controller's live estimates"
+        seen(),
+        Some(TimeNs::from_millis(9)),
+        "the trigger reads the controller's live estimates"
     );
+}
+
+/// One knowledge for both autonomic properties, across rewrites: a
+/// controller and a trigger engine made for it share one simulated stream
+/// through a nested promotion and then a root replacement. Every item
+/// equals the sequential reference of the version it ran on; the
+/// controller keeps analysing after each rewrite (its gate reopens once
+/// the new muscles have run, instead of staying shut over a tree that no
+/// longer exists); and it decides again on the replacement tree.
+#[test]
+fn controller_and_trigger_share_one_stream_across_rewrites() {
+    use autonomic_skeletons::core::FnActuator;
+
+    let sum = |v: Vec<i64>| v.iter().sum::<i64>();
+    let chunks = |n: usize| move |v: Vec<i64>| v.chunks(n).map(<[i64]>::to_vec).collect::<Vec<_>>();
+    let merge = |parts: Vec<i64>| parts.into_iter().sum::<i64>();
+    let leaf: Skel<Vec<i64>, i64> = seq(sum);
+    let v1 = map(chunks(4), farm(leaf.clone()), merge);
+    // Nested: the farmed leaf becomes a map over singletons (the root
+    // keeps its id). Root: a map over pairs, a tree with a new root.
+    let promoted_leaf = map(chunks(1), seq(sum), merge);
+    let replacement = map(chunks(2), seq(sum), merge);
+
+    // Every muscle takes 10 ms; the goal is 100 ms per item.
+    let sim = SimEngine::new(8, Arc::new(TableCost::new(TimeNs::from_millis(10))));
+    let lp = sim.lp_control();
+    let config = ControllerConfig::new(TimeNs::from_millis(100), 8).initial_lp(8);
+    let actuator = Arc::new(FnActuator(move |to: usize| lp.request(to)));
+    let controller = AutonomicController::new(v1.node().clone(), config, actuator);
+    sim.registry().add_listener(controller.clone());
+    let trigger = TriggerEngine::for_controller(&controller);
+    trigger.add_rule(
+        Promote::new(&leaf, &promoted_leaf)
+            .named("nested")
+            .when(Trigger::InputSizeAtLeast(12.0)),
+    );
+    trigger.add_rule(
+        Promote::new(&v1, &replacement)
+            .named("root")
+            .when(Trigger::InputSizeAtLeast(24.0)),
+    );
+    let mut session =
+        AdaptiveSimSession::new(sim, &v1, trigger.clone()).input_size(|v: &Vec<i64>| v.len());
+
+    // Sizes 8, then 16 (the nested promotion fires at the first), then
+    // 32 (the root replacement at the second).
+    let sizes = [8, 8, 8, 16, 16, 16, 16, 16, 32, 32, 32, 32, 32];
+    let mut ran = Vec::new();
+    for (i, &size) in sizes.iter().enumerate() {
+        let input: Vec<i64> = (0..size).map(|x| x * 3 + i as i64).collect();
+        session.feed(input.clone());
+        let reference = session.skeleton().apply(input);
+        let out = session.next_result().expect("lock-step");
+        assert_eq!(
+            out.ok(),
+            Some(reference),
+            "item {i} on v{}",
+            session.version()
+        );
+        ran.push((session.version(), controller.analyses()));
+    }
+    let versions: Vec<u64> = ran.iter().map(|r| r.0).collect();
+    assert_eq!(versions, [0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2]);
+    let log = trigger.decision_log();
+    assert_eq!(
+        log.iter().map(|r| r.rule.as_str()).collect::<Vec<_>>(),
+        ["nested", "root"]
+    );
+
+    // The analyses keep growing under every version, the last items of
+    // each included.
+    let analyses: Vec<usize> = ran.iter().map(|r| r.1).collect();
+    for (first, last) in [(0, 2), (3, 8), (9, 12)] {
+        assert!(
+            analyses[last] > analyses[last - 1] && analyses[last - 1] > analyses[first],
+            "v{}: {analyses:?}",
+            versions[last]
+        );
+    }
+    // And the controller decides on each tree: it lowers the LP on v1,
+    // raises it for v2's nested fan-out, and decides again on the
+    // replacement once the replacement's muscles have run.
+    let decisions = controller.decisions();
+    let on = |from: TimeNs, to: TimeNs| decisions.iter().filter(move |d| d.at > from && d.at < to);
+    let lowered: Vec<_> = on(TimeNs::ZERO, log[0].at).map(|d| d.reason).collect();
+    assert!(!lowered.is_empty() && lowered.iter().all(|r| *r == DecisionReason::Decrease));
+    assert!(
+        on(log[0].at, log[1].at).any(|d| d.to_lp > d.from_lp),
+        "{decisions:?}"
+    );
+    assert!(on(log[1].at, TimeNs(u64::MAX)).count() > 0, "{decisions:?}");
+    // One estimator table: the trigger sees what the controller learnt.
+    let fe = MuscleId::new(replacement.node().children()[0].id, MuscleRole::Execute);
+    assert!(trigger
+        .knowledge()
+        .read_estimates(|t| t.duration(fe))
+        .is_some());
+    assert_eq!(
+        controller.forecast_wct(replacement.node(), 4),
+        trigger
+            .knowledge()
+            .read_estimates(|t| autonomic_skeletons::core::predictive_wct(
+                t,
+                replacement.node(),
+                4
+            ))
+    );
+}
+
+/// A trigger engine made for a controller needs no listener of its own:
+/// the controller's registration feeds both, through one event log.
+#[test]
+fn a_shared_knowledge_is_one_listener() {
+    use autonomic_skeletons::core::FnActuator;
+
+    let engine = Engine::new(2);
+    let program: Skel<Vec<i64>, i64> = map(
+        |v: Vec<i64>| v.chunks(2).map(<[i64]>::to_vec).collect::<Vec<_>>(),
+        seq(|v: Vec<i64>| v.iter().sum::<i64>()),
+        |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
+    );
+    let config = ControllerConfig::new(TimeNs::from_secs(3600), 2).initial_lp(2);
+    let controller =
+        AutonomicController::new(program.node().clone(), config, Arc::new(FnActuator(|_| {})));
+    engine.registry().add_listener(controller.clone());
+    let trigger = TriggerEngine::for_controller(&controller);
+    let mut session = AdaptiveSession::new(&engine, &program, trigger.clone()).max_in_flight(4);
+    for x in 0..16 {
+        session.feed(vec![x, x + 1, x + 2, x + 3]);
+    }
+    let out: Vec<i64> = session.drain().map(|r| r.unwrap()).collect();
+    assert_eq!(out, (0..16).map(|x| 4 * x + 6).collect::<Vec<_>>());
+    assert_eq!(engine.registry().len(), 1);
+    assert!(controller.analyses() > 0);
+    let fe = MuscleId::new(program.node().children()[0].id, MuscleRole::Execute);
+    assert!(trigger
+        .knowledge()
+        .read_estimates(|t| t.duration(fe))
+        .is_some());
+    assert_eq!(trigger.safe_points(), 16);
+    engine.shutdown();
 }
 
 /// The engine-facing suppressed-panic noise check: a fragile muscle panic

@@ -2,7 +2,8 @@
 //! rule fires on one knob resolve to exactly one applied action per
 //! [`ConflictPolicy`], losers land in the decision log as suppressed
 //! records, and applied rewrites invalidate the estimator history of the
-//! replaced subtree in the trigger engine *and* a synced WCT controller.
+//! replaced subtree in the knowledge a trigger engine shares with a WCT
+//! controller.
 
 use std::sync::Arc;
 
@@ -218,38 +219,37 @@ fn uncontested_veto_is_dropped_silently() {
 fn applied_rewrite_invalidates_estimates_in_trigger_and_synced_controller() {
     // The stale-forecast regression: a promoted-away subtree must not
     // leave estimator history behind, or the next forecast prices a
-    // tree that no longer exists. Both tables are checked — the trigger
-    // engine's own, and a synced WCT controller's.
+    // tree that no longer exists. The trigger engine decides from the
+    // WCT controller's knowledge, so one invalidation clears the one
+    // table both read — and the controller analyses the new tree.
     let inner = seq(|x: i64| x + 1);
     let outer = pipe(inner.clone(), seq(|x: i64| x * 2));
     let replacement = seq(|x: i64| x + 100);
     let inner_muscles = inner.node().collect_muscles();
     let outer_muscles = outer.node().collect_muscles();
 
-    let trigger = TriggerEngine::new(0.5);
+    let config = ControllerConfig::new(TimeNs::from_secs(1), 4).initial_lp(1);
+    let controller =
+        AutonomicController::new(outer.node().clone(), config, Arc::new(FnActuator(|_lp| {})));
+    let trigger = TriggerEngine::for_controller(&controller);
     trigger.add_rule(
         Promote::new(&inner, &replacement)
             .named("promote-inner")
             .when(Trigger::InputSizeAtLeast(1.0)),
     );
-    let config = ControllerConfig::new(TimeNs::from_secs(1), 4).initial_lp(1);
-    let controller =
-        AutonomicController::new(outer.node().clone(), config, Arc::new(FnActuator(|_lp| {})));
-    // Seed both tables with history for every muscle in the tree.
-    let seed = |est: &mut autonomic_skeletons::core::EstimatorTable| {
+    // Seed the shared table with history for every muscle in the tree.
+    let knowledge = trigger.knowledge();
+    knowledge.with_estimates(|est| {
         for d in &outer_muscles {
             est.init_duration(d.id, TimeNs::from_millis(3));
         }
-    };
-    trigger.with_estimates(seed);
-    controller.with_estimates(seed);
+    });
     assert!(
-        trigger.read_estimates(|est| est.covers(&inner_muscles)),
+        knowledge.read_estimates(|est| est.covers(&inner_muscles)),
         "the gate is open before the rewrite"
     );
 
     let (_sim, reconf) = harness(&trigger);
-    let reconf = reconf.sync_controller(Arc::clone(&controller));
     let mut vskel = VersionedSkel::new(&outer);
     trigger.observe_input_size(5);
     assert_eq!(reconf.apply(&mut vskel), 1);
@@ -262,31 +262,38 @@ fn applied_rewrite_invalidates_estimates_in_trigger_and_synced_controller() {
         "the record audits the invalidation: {:?}",
         log[0]
     );
-    // The replaced subtree's history is gone from both tables; the
-    // surviving stages keep theirs.
+    // The replaced subtree's history is gone; the surviving stages keep
+    // theirs.
     for d in &inner_muscles {
         assert!(
-            trigger.read_estimates(|est| est.duration(d.id)).is_none(),
-            "stale trigger estimate for {:?}",
+            knowledge.read_estimates(|est| est.duration(d.id)).is_none(),
+            "stale estimate for {:?}",
             d.id
         );
-        controller.with_estimates(|est| {
-            assert!(est.duration(d.id).is_none(), "stale controller estimate");
-        });
     }
-    let survivors = outer_muscles
+    let survivors: Vec<_> = outer_muscles
         .iter()
         .filter(|d| d.id.node != inner.id())
-        .count();
-    assert!(survivors > 0);
-    for d in outer_muscles.iter().filter(|d| d.id.node != inner.id()) {
+        .collect();
+    assert!(!survivors.is_empty());
+    for d in survivors {
         assert!(
-            trigger.read_estimates(|est| est.duration(d.id)).is_some(),
+            knowledge.read_estimates(|est| est.duration(d.id)).is_some(),
             "surviving estimate dropped for {:?}",
             d.id
         );
     }
     // The forecast gate over the removed subtree's muscles is closed
     // again: a re-inserted copy would have to re-earn its estimates.
-    assert!(!trigger.read_estimates(|est| est.covers(&inner_muscles)));
+    assert!(!knowledge.read_estimates(|est| est.covers(&inner_muscles)));
+    // The controller prices the rewritten tree: its forecast needs the
+    // replacement's estimate, and has it once the replacement has run.
+    assert_eq!(controller.forecast_wct(vskel.skel().node(), 1), None);
+    knowledge.with_estimates(|est| {
+        est.init_duration(
+            replacement.node().collect_muscles()[0].id,
+            TimeNs::from_millis(3),
+        )
+    });
+    assert!(controller.forecast_wct(vskel.skel().node(), 1).is_some());
 }

@@ -28,7 +28,7 @@ fn threaded_controller_raises_lp_with_real_threads() {
     let muscles = program.node().collect_muscles();
     let config = ControllerConfig::new(TimeNs::from_millis(150), 8).initial_lp(1);
     let auto = AutonomicEngine::new(program, config);
-    auto.controller().with_estimates(|est| {
+    auto.controller().knowledge().with_estimates(|est| {
         for d in &muscles {
             let dur = match d.id.role {
                 MuscleRole::Execute => TimeNs::from_millis(30),

@@ -112,7 +112,10 @@ fn a_trigger_engine_logs_an_event_without_allocating() {
     assert_eq!(allocations, 0);
     // And none of them was lost on the way to the state machines.
     let fe = askel_skeletons::MuscleId::new(NodeId(1), askel_skeletons::MuscleRole::Execute);
-    assert!(trigger.read_estimates(|e| e.duration(fe)).is_some());
+    assert!(trigger
+        .knowledge()
+        .read_estimates(|e| e.duration(fe))
+        .is_some());
 }
 
 /// `first` then `second`, each a `seq`; `first`'s muscle runs `mid_item`.

@@ -154,7 +154,7 @@ fn min_lp_floor_keeps_the_engine_alive() {
         .initial_lp(4)
         .decrease(DecreasePolicy::ToMinimal);
     let mut auto = AutonomicSim::new(program, config, cost);
-    auto.controller().with_estimates(|est| {
+    auto.controller().knowledge().with_estimates(|est| {
         for d in &muscles {
             est.init_duration(d.id, TimeNs::from_millis(1));
             if d.id.role == MuscleRole::Split {
@@ -352,7 +352,7 @@ fn overdue_activities_do_not_break_estimation() {
     let cost = Arc::new(TableCost::new(TimeNs::from_secs(1)));
     let config = ControllerConfig::new(TimeNs::from_secs(2), 8).initial_lp(1);
     let mut auto = AutonomicSim::new(program, config, cost);
-    auto.controller().with_estimates(|est| {
+    auto.controller().knowledge().with_estimates(|est| {
         for d in &muscles {
             // Wildly optimistic: everything "should" take 1ms.
             est.init_duration(d.id, TimeNs::from_millis(1));

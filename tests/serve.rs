@@ -50,7 +50,8 @@ fn tenant_b_warm_starts_from_tenant_a_history() {
     let cold = TriggerEngine::new(0.5);
     let cold_skel = fan();
     assert!(
-        cold.read_estimates(|est| predictive_wct(est, cold_skel.node(), lp))
+        cold.knowledge()
+            .read_estimates(|est| predictive_wct(est, cold_skel.node(), lp))
             .is_none(),
         "an unwarmed tenant's forecast gate is closed"
     );
@@ -61,7 +62,9 @@ fn tenant_b_warm_starts_from_tenant_a_history() {
     let b_skel = fan();
     assert_ne!(b_skel.id(), cold_skel.id());
     let _b = registry.register_adaptive(&b_skel, trig_b.clone());
-    let forecast = trig_b.read_estimates(|est| predictive_wct(est, b_skel.node(), lp));
+    let forecast = trig_b
+        .knowledge()
+        .read_estimates(|est| predictive_wct(est, b_skel.node(), lp));
     assert!(
         forecast.is_some(),
         "warm-started tenant forecasts with zero items of its own"
@@ -73,11 +76,14 @@ fn tenant_b_warm_starts_from_tenant_a_history() {
     let _c = registry.register_adaptive(&c_skel, trig_c.clone());
     assert!(
         trig_c
+            .knowledge()
             .read_estimates(|est| predictive_wct(est, c_skel.node(), lp))
             .is_none(),
         "a structurally different skeleton must not inherit history"
     );
-    assert!(!trig_c.read_estimates(|est| est.covers(&c_skel.node().collect_muscles())));
+    assert!(!trig_c
+        .knowledge()
+        .read_estimates(|est| est.covers(&c_skel.node().collect_muscles())));
 
     engine.shutdown();
 }

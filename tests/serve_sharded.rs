@@ -263,7 +263,7 @@ fn join_reaches_a_driver_in_the_middle_of_a_pass() {
     serve.feed(t, 1);
     let (held, holding) = mpsc::channel();
     let holder = std::thread::spawn(move || {
-        trigger.read_estimates(|_| {
+        trigger.knowledge().read_estimates(|_| {
             held.send(()).unwrap();
             std::thread::sleep(Duration::from_millis(100));
         })
