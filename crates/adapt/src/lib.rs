@@ -19,18 +19,17 @@
 //!   is made for it ([`TriggerEngine::for_controller`]) — plus item
 //!   outcomes and input-size hints that events cannot carry.
 //! * **Plan** — [`Rule`]s ([`Promote`], [`FallbackSwap`], [`RetuneWidth`],
-//!   [`RetuneGrain`], [`Offload`], [`CostGuard`]) evaluated once per safe
-//!   point, each yielding at most one [`RewriteAction`]. Rules can be
-//!   coupled to the WCT controller's prediction machinery
-//!   ([`crate::forecast`]: `Promote::forecast_gated` /
-//!   `RetuneWidth::forecast_gated` fire only on a forecast WCT
-//!   improvement, audited predicted-vs-realized in the decision log),
-//!   damped against oscillating load ([`Hysteresis`]), and made
-//!   cluster-aware ([`Offload`] re-places a subtree onto an underloaded
-//!   `askel-dist` node, pairing with `askel_dist::ProvisioningPolicy`
-//!   for dynamic node provisioning; [`CostGuard`] opposes spend past a
-//!   node-hours budget). Every rule carries a [`Concern`] and a
-//!   priority.
+//!   [`RetuneGrain`], [`CostGuard`]) evaluated once per safe point, each
+//!   yielding at most one [`RewriteAction`]. Rules can be coupled to the
+//!   WCT controller's prediction machinery ([`crate::forecast`]:
+//!   `Promote::forecast_gated` / `RetuneWidth::forecast_gated` fire only
+//!   on a forecast WCT improvement, audited predicted-vs-realized in the
+//!   decision log), damped against oscillating load ([`Hysteresis`]), and
+//!   held to a budget ([`CostGuard`] opposes spend past what a
+//!   [`NodeHoursMeter`] has charged). Every rule carries a [`Concern`]
+//!   and a priority. The trait is open: `askel-dist` adds the
+//!   cluster-aware `Offload`, which re-places a subtree onto an
+//!   underloaded node.
 //! * **Execute** — [`Reconfigurator`] first **arbitrates** the safe
 //!   point's collected fires ([`crate::arbitration`]: conflicting
 //!   actions on one knob or overlapping subtrees resolve under a
@@ -47,12 +46,14 @@
 //!   the new tree.
 //!
 //! [`Adaptive`] packages the loop, once, over any
-//! `askel_events::StreamRuntime`: harvest → in-flight bound → size hint →
-//! [`Reconfigurator::apply`] → submit. [`AdaptiveSession`] is that type
-//! over `askel-engine`'s `StreamSession`; [`AdaptiveSimSession`] the same
-//! type over the discrete-event simulator (`askel-sim`), where rewrite
-//! decisions — timestamps included — replay deterministically, and where
-//! a seeded ordering policy fuzzes the very `feed` the threads run.
+//! `askel_events::StreamRuntime`, built from a stream and a
+//! [`Reconfigurator`] by [`Adaptive::over`]: harvest → in-flight bound →
+//! size hint → [`Reconfigurator::apply`] → submit. [`AdaptiveSession`] is
+//! that type over `askel-engine`'s `StreamSession`. The same type over the
+//! discrete-event simulator, where rewrite decisions — timestamps
+//! included — replay deterministically and a seeded ordering policy
+//! fuzzes the very `feed` the threads run, is `askel-dist`'s
+//! `AdaptiveSimSession`: this crate never compiles the simulator.
 //!
 //! In-flight items always finish on the skeleton *tree* they were
 //! submitted with (versions are immutable `Arc` trees), so a subtree
@@ -75,10 +76,10 @@ pub mod trigger;
 pub use arbitration::{arbitrate, ArbitrationOutcome, ConflictPolicy, Suppressed};
 pub use forecast::Forecast;
 pub use rules::{
-    Concern, CostGuard, ErrorStats, FallbackSwap, Hysteresis, Knob, Offload, Promote, RetuneGrain,
-    RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
+    Concern, CostGuard, ErrorStats, FallbackSwap, Hysteresis, Knob, NodeHoursMeter, Promote,
+    RetuneGrain, RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
 };
-pub use session::{Adaptive, AdaptiveSession, AdaptiveSimSession, Reconfigurator, VersionedSkel};
+pub use session::{Adaptive, AdaptiveSession, Reconfigurator, VersionedSkel};
 pub use trigger::{
     decision_log_to_chrome, AdaptRecord, PlannedRewrite, TriggerEngine, DECISION_LOG_CAPACITY,
 };

@@ -8,7 +8,7 @@
 //! [`Reconfigurator`](crate::Reconfigurator), so a rewrite can never be
 //! observed mid-item.
 //!
-//! Six built-in rules cover the paper-adjacent adaptation repertoire:
+//! Five built-in rules cover the paper-adjacent adaptation repertoire:
 //!
 //! | rule | concern | fires when | action |
 //! |------|---------|-----------|--------|
@@ -16,8 +16,11 @@
 //! | [`FallbackSwap`] | Reliability | `n` consecutive item errors | replace a subtree with a fallback |
 //! | [`RetuneWidth`] | Performance | desired width ≠ current knob value | set a split-width [`Knob`] |
 //! | [`RetuneGrain`] | Performance | leaf duration outside its target band | halve/double a d&C grain [`Knob`] |
-//! | [`Offload`] | Performance | cluster busy-share skew crosses its water marks | re-place a subtree onto another node |
-//! | [`CostGuard`] | Cost | accumulated node-time exceeds its budget | shrink a knob to its economy value, or veto growth |
+//! | [`CostGuard`] | Cost | a [`NodeHoursMeter`]'s node-time exceeds its budget | shrink a knob to its economy value, or veto growth |
+//!
+//! The cluster's rule, `askel_dist::Offload` (Performance: re-place a
+//! subtree onto an underloaded node when busy shares skew), lives with
+//! the cluster telemetry it reads, above the simulator.
 //!
 //! Every rule carries a [`Concern`] and a priority; when several rules
 //! fire on the same resource at one safe point, the
@@ -33,9 +36,8 @@
 //! controller's *forecasts* ([`Promote::forecast_gated`],
 //! [`RetuneWidth::forecast_gated`]: fire only when the LP-predicted WCT
 //! under the rewritten skeleton beats the current forecast by a margin),
-//! damped against oscillating load ([`Hysteresis`] on the knob rules),
-//! and made cluster-aware ([`Offload`]: move a subtree's placement onto
-//! an underloaded worker node).
+//! and damped against oscillating load ([`Hysteresis`] on the knob
+//! rules).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,7 +45,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use askel_core::EstimatorTable;
-use askel_dist::ClusterTelemetry;
 use askel_skeletons::{MuscleId, Node, NodeId, Skel, TimeNs};
 
 use crate::forecast::Forecast;
@@ -387,7 +388,7 @@ pub trait Rule: Send + Sync {
 
     /// Notification that an applied rewrite replaced the subtree
     /// `target` with `replacement`. Rules that track a `NodeId` may
-    /// retarget — [`Offload`] follows its subtree through replacements,
+    /// retarget — `askel_dist::Offload` follows its subtree through replacements,
     /// so a [`FallbackSwap`] that undoes a placement re-arms the offload
     /// against the fallback instead of leaving it dead. Default: ignore.
     fn on_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
@@ -964,163 +965,66 @@ impl Rule for RetuneGrain {
     }
 }
 
-/// Moves a subtree's **placement** onto an underloaded worker node — the
-/// cluster-aware rule: when the busiest *other* node's share of the
-/// cluster's busy time crosses the high-water mark while the destination
-/// node sits at or under the low-water mark, the subtree (typically a
-/// map/d&C fan-out) is re-placed onto the destination
-/// ([`RewriteAction::Place`] → `Skel::placed_at`, a deep placement
-/// annotation flowing through `SimEngine::with_workers`). Placement
-/// never changes results (property-tested).
+/// Accumulated **node-time**: the integral of enabled capacity over time
+/// — `2 slots enabled for 3 s` charges 6 slot-seconds — the cost signal
+/// [`CostGuard`] reads. Clones share the accumulator.
 ///
-/// The rule is **self-gating rather than once-firing**: while its
-/// subtree already sits on the destination it stays quiet, and when a
-/// later rewrite undoes the placement (e.g. a [`FallbackSwap`] replacing
-/// the placed subtree with an unplaced fallback) it re-arms
-/// automatically — the rule follows its subtree through applied
-/// replacements ([`Rule::on_replaced`] retargets it at the
-/// replacement), so an offload-back does not leave the cluster
-/// permanently unbalanced with a dead rule.
-///
-/// Reads the same [`ClusterTelemetry`] view that drives
-/// `askel_dist::ProvisioningPolicy`, so offloading and node provisioning
-/// decide from one picture of the cluster. The destination need not be
-/// enabled yet: a placement naming an offline node falls back to running
-/// anywhere until provisioning brings the node online.
-pub struct Offload {
-    name: String,
-    /// Interior-mutable: retargeted by [`Rule::on_replaced`] when an
-    /// applied rewrite replaces the watched subtree.
-    target: Mutex<NodeId>,
-    to_node: String,
-    telemetry: ClusterTelemetry,
-    high_water: f64,
-    low_water: f64,
-    triggers: Vec<Trigger>,
-    priority: i32,
+/// The meter is fed at explicit observation points:
+/// [`observe`](NodeHoursMeter::observe) charges the elapsed time since
+/// the previous observation at the capacity that *was* enabled across
+/// that interval, then records the new capacity. Observing at every safe
+/// point keeps the spend figure adaptation rules read never staler than
+/// one safe point.
+#[derive(Clone, Debug, Default)]
+pub struct NodeHoursMeter {
+    inner: Arc<Mutex<MeterInner>>,
 }
 
-impl Offload {
-    /// An offload of the subtree `target` onto the cluster node
-    /// `to_node`, judged from `telemetry`'s busy shares, with default
-    /// water marks `high = 0.75`, `low = 0.25`.
-    pub fn new<P, R>(
-        target: &Skel<P, R>,
-        to_node: impl Into<String>,
-        telemetry: ClusterTelemetry,
-    ) -> Self
-    where
-        P: Send + 'static,
-        R: Send + 'static,
-    {
-        Offload {
-            name: "offload".to_string(),
-            target: Mutex::new(target.id()),
-            to_node: to_node.into(),
-            telemetry,
-            high_water: 0.75,
-            low_water: 0.25,
-            triggers: Vec::new(),
-            priority: 0,
+#[derive(Debug, Default)]
+struct MeterInner {
+    /// Latest observed timestamp and the capacity enabled from then on.
+    last: Option<(TimeNs, usize)>,
+    /// Slot-time charged so far (slot-seconds, in `TimeNs` units).
+    accumulated: TimeNs,
+}
+
+impl NodeHoursMeter {
+    /// A fresh meter at zero spend.
+    pub fn new() -> Self {
+        NodeHoursMeter::default()
+    }
+
+    /// One observation: charges the interval since the latest observed
+    /// timestamp at the capacity enabled across it, then records
+    /// `enabled_slots` as current. The first observation charges nothing
+    /// (it only anchors the meter). An out-of-order timestamp charges
+    /// nothing and keeps the later anchor, so no interval is charged
+    /// twice.
+    pub fn observe(&self, now: TimeNs, enabled_slots: usize) {
+        let mut inner = self.inner.lock();
+        let mut anchor = now;
+        if let Some((at, slots)) = inner.last {
+            let elapsed = now.saturating_sub(at);
+            inner.accumulated += TimeNs(elapsed.0.saturating_mul(slots as u64));
+            anchor = anchor.max(at);
         }
+        inner.last = Some((anchor, enabled_slots));
     }
 
-    /// Renames the rule (decision logs).
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
+    /// Total slot-time charged so far (slot-seconds, as `TimeNs`).
+    pub(crate) fn node_time(&self) -> TimeNs {
+        self.inner.lock().accumulated
     }
 
-    /// Sets the arbitration priority (default 0; higher wins).
-    pub fn priority(mut self, priority: i32) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the busy-share water marks (clamped to `[0, 1]`,
-    /// `low ≤ high`).
-    pub fn water_marks(mut self, high: f64, low: f64) -> Self {
-        self.high_water = high.clamp(0.0, 1.0);
-        self.low_water = low.clamp(0.0, self.high_water);
-        self
-    }
-
-    /// Adds a gating condition (all must hold before the rule may fire).
-    pub fn when(mut self, trigger: Trigger) -> Self {
-        self.triggers.push(trigger);
-        self
+    /// Total spend in node-hours (slot-seconds / 3600).
+    pub fn node_hours(&self) -> f64 {
+        self.node_time().as_secs_f64() / 3600.0
     }
 }
 
-impl Rule for Offload {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn priority(&self) -> i32 {
-        self.priority
-    }
-
-    fn on_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
-        let mut t = self.target.lock();
-        if *t == target {
-            // Follow the subtree: the offload concern is positional, so
-            // whatever now stands where the watched subtree stood
-            // inherits the watch. If the replacement arrives unplaced
-            // (a fallback undoing the offload), the placement gate
-            // re-opens and the rule is live again.
-            *t = replacement.id;
-        }
-    }
-
-    fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
-        if !self.triggers.iter().all(|t| t.holds(ctx)) {
-            return None;
-        }
-        let target = *self.target.lock();
-        // The target may have been rewritten away — or already placed.
-        let subtree = ctx.root.find(target)?;
-        if subtree.placement.as_deref() == Some(self.to_node.as_str()) {
-            return None;
-        }
-        let dest = self.telemetry.node_index(&self.to_node)?;
-        let shares = self.telemetry.busy_share();
-        let dest_share = *shares.get(dest)?;
-        let (hot, hot_share) = shares
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| *i != dest)
-            .max_by(|a, b| a.1.total_cmp(&b.1))?;
-        if hot_share < self.high_water || dest_share > self.low_water {
-            return None;
-        }
-        let names = self.telemetry.names();
-        let mut why = format!(
-            "`{}` at {:.0}% of cluster busy time >= {:.0}% high water, `{}` at {:.0}% <= {:.0}% low water",
-            names[hot],
-            hot_share * 100.0,
-            self.high_water * 100.0,
-            self.to_node,
-            dest_share * 100.0,
-            self.low_water * 100.0,
-        );
-        if !self.triggers.is_empty() {
-            why = format!("{why} ({})", describe_all(&self.triggers, ctx));
-        }
-        Some(RuleFire::new(
-            RewriteAction::Place {
-                target,
-                node: self.to_node.clone(),
-            },
-            why,
-        ))
-    }
-}
-
-/// The **cost** concern as a rule: watches accumulated node-time (an
-/// `askel_dist::NodeHoursMeter`, fed by the caller through
-/// `NodeHoursMeter::observe`) and, once spend crosses its budget,
+/// The **cost** concern as a rule: watches accumulated node-time (a
+/// [`NodeHoursMeter`], fed by the caller through
+/// [`NodeHoursMeter::observe`]) and, once spend crosses its budget,
 /// opposes the performance rules' grow decisions.
 ///
 /// Over its knob ([`CostGuard::knob`]) the guard fires a real
@@ -1133,42 +1037,29 @@ impl Rule for Offload {
 /// are dropped without a log entry.
 pub struct CostGuard {
     name: String,
-    meter: askel_dist::NodeHoursMeter,
+    meter: NodeHoursMeter,
     budget: TimeNs,
     knob: Knob,
     economy: usize,
-    priority: i32,
 }
 
 impl CostGuard {
     /// Guards `knob`: once `meter`'s accumulated node-time reaches
     /// `budget`, shrink the knob to `economy` (if above) and veto growth
     /// (if at or below).
-    pub fn knob(
-        meter: askel_dist::NodeHoursMeter,
-        budget: TimeNs,
-        knob: Knob,
-        economy: usize,
-    ) -> Self {
+    pub fn knob(meter: NodeHoursMeter, budget: TimeNs, knob: Knob, economy: usize) -> Self {
         CostGuard {
             name: "cost-guard".to_string(),
             meter,
             budget,
             knob,
             economy,
-            priority: 0,
         }
     }
 
     /// Renames the rule (decision logs).
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
-        self
-    }
-
-    /// Sets the arbitration priority (default 0; higher wins).
-    pub fn priority(mut self, priority: i32) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -1180,10 +1071,6 @@ impl Rule for CostGuard {
 
     fn concern(&self) -> Concern {
         Concern::Cost
-    }
-
-    fn priority(&self) -> i32 {
-        self.priority
     }
 
     fn evaluate(&self, _ctx: &RuleCtx<'_>) -> Option<RuleFire> {
@@ -1585,49 +1472,32 @@ mod tests {
     }
 
     #[test]
-    fn offload_fires_on_skew_and_respects_placement() {
-        use askel_dist::{Cluster, NodeSpec};
-        let target: Skel<Vec<i64>, Vec<i64>> = seq(|v: Vec<i64>| v);
-        let cluster = Cluster::new(vec![
-            NodeSpec::local("edge", 1),
-            NodeSpec::remote("hub", 4, TimeNs::ZERO),
-        ]);
-        let telemetry = cluster.telemetry();
-        let rule = Offload::new(&target, "hub", telemetry.clone()).water_marks(0.8, 0.2);
-        let est = EstimatorTable::new(0.5);
-        let errors = ErrorStats::default();
-        let root = Arc::clone(target.node());
+    fn the_meter_charges_each_interval_once_at_the_capacity_before_it() {
+        let secs = TimeNs::from_secs;
+        let meter = NodeHoursMeter::new();
+        meter.observe(secs(10), 4);
+        assert_eq!(
+            meter.node_time(),
+            TimeNs::ZERO,
+            "the first observation anchors"
+        );
+        // 10 s at the 4 slots enabled before it; the new 1 is not charged yet.
+        meter.observe(secs(20), 1);
+        assert_eq!(meter.node_time(), secs(40));
+        meter.observe(secs(23), 4);
+        assert_eq!(
+            meter.node_time(),
+            secs(43),
+            "3 s at the 1 slot enabled before"
+        );
+        assert!((meter.clone().node_hours() - 43.0 / 3600.0).abs() < 1e-12);
 
-        // Balanced (nothing observed): quiet.
-        assert!(rule
-            .evaluate(&ctx_with(&est, &errors, &root, 2, None))
-            .is_none());
-        // Skewed: everything on the edge → fires.
-        let mut c = cluster;
-        use askel_sim::workers::WorkerModel;
-        c.note_busy(0, TimeNs::from_secs(9));
-        let fire = rule
-            .evaluate(&ctx_with(&est, &errors, &root, 2, None))
-            .expect("skew crossed the water marks");
-        match &fire.action {
-            RewriteAction::Place { target: t, node } => {
-                assert_eq!(*t, target.id());
-                assert_eq!(node, "hub");
-            }
-            other => panic!("{other:?}"),
+        // An out-of-order observation charges nothing and moves no anchor:
+        // 15 s of wall time at 4 slots is 60 slot-s, not 80.
+        let meter = NodeHoursMeter::new();
+        for (at, slots) in [(10, 4), (20, 4), (15, 4), (25, 4)] {
+            meter.observe(secs(at), slots);
         }
-        assert!(fire.why.contains("high water"), "{}", fire.why);
-        assert!(!rule.once(), "offload self-gates instead of retiring");
-        // Already placed on the destination: quiet even under skew.
-        let placed = target.placed_at(target.id(), "hub").unwrap();
-        let placed_root = Arc::clone(placed.node());
-        assert!(rule
-            .evaluate(&ctx_with(&est, &errors, &placed_root, 2, None))
-            .is_none());
-        // Unknown destination node: quiet.
-        let unknown = Offload::new(&target, "nope", telemetry).water_marks(0.8, 0.2);
-        assert!(unknown
-            .evaluate(&ctx_with(&est, &errors, &root, 2, None))
-            .is_none());
+        assert_eq!(meter.node_time(), secs(60));
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! [`Adaptive`] wires it into a stream, once, for any [`StreamRuntime`]
 //! — [`AdaptiveSession`] over the pool's `StreamSession`,
-//! [`AdaptiveSimSession`] over the simulator's `SimStream`: a stream
-//! whose skeleton is re-planned **between items** (the safe points).
+//! `askel_dist::AdaptiveSimSession` over the simulator's `SimStream`: a
+//! stream whose skeleton is re-planned **between items** (the safe points).
 //! Items already in flight always finish on the *tree* they were
 //! submitted with; a subtree swap is only visible to subsequent feeds.
 //! Knob retunes are live immediately (see [`crate::Knob`] for the
@@ -22,8 +22,6 @@ use std::sync::Arc;
 
 use askel_engine::{Engine, StreamSession};
 use askel_events::{Event, ListenerRegistry, Payload, StreamRuntime, StreamTypes};
-use askel_sim::components::Component;
-use askel_sim::{SimEngine, SimError, SimStream, StreamReport};
 use askel_skeletons::{Clock, Node, NodeId, Skel, TimeNs};
 
 use crate::arbitration::{arbitrate, ConflictPolicy};
@@ -301,14 +299,6 @@ pub struct Adaptive<S: StreamTypes> {
 /// ```
 pub type AdaptiveSession<P, R> = Adaptive<StreamSession<P, R>>;
 
-/// [`Adaptive`] over the discrete-event simulator (an `askel_sim`
-/// [`SimStream`]): virtual time, so every decision — timestamps included
-/// — replays deterministically, and under `OrderingPolicy::SeededRandom`
-/// the fuzz suite runs the [`feed`](Adaptive::feed) that ships. Actors
-/// reviewing on virtual time (`askel_dist::ProvisioningReview`) ride
-/// along as scheduler [`Component`]s.
-pub type AdaptiveSimSession<P, R> = Adaptive<SimStream<P, R>>;
-
 impl<P, R> AdaptiveSession<P, R>
 where
     P: Send + 'static,
@@ -331,6 +321,27 @@ where
         trigger.attach_metrics(engine.metrics_hub());
         let reconf = Reconfigurator::new(Arc::clone(engine.registry()), engine.clock(), trigger)
             .lp_source(move || pool.target_workers());
+        Adaptive::over(stream, skel, reconf)
+    }
+
+    /// Items fed so far.
+    pub fn fed(&self) -> usize {
+        self.stream.fed()
+    }
+}
+
+impl<S> Adaptive<S>
+where
+    S: StreamRuntime,
+    S::In: Send + 'static,
+    S::Out: Send + 'static,
+{
+    /// `stream`, opened on `skel`, adapted at every safe point by
+    /// `reconf`, with unbounded in-flight items by default. Each runtime's
+    /// session is this plus its runtime's registry, clock and LP source:
+    /// `AdaptiveSession::new` for the pool, `askel_dist::sim_session`
+    /// for the simulator.
+    pub fn over(stream: S, skel: &Skel<S::In, S::Out>, reconf: Reconfigurator) -> Self {
         Adaptive {
             stream,
             reconf,
@@ -348,35 +359,6 @@ where
         self
     }
 
-    /// Items fed so far.
-    pub fn fed(&self) -> usize {
-        self.stream.fed()
-    }
-}
-
-impl<P, R> AdaptiveSimSession<P, R>
-where
-    P: Send + 'static,
-    R: Send + 'static,
-{
-    /// A session streaming `skel` through `sim`, adapted by `trigger`'s
-    /// rules. Lock-step: one item in flight at a time, so every safe
-    /// point sees the outcome of every item before it — the strongest
-    /// safe-point guarantee. Registering the trigger as a listener on
-    /// `sim.registry()` stays the caller's choice, exactly as with the
-    /// threaded session.
-    pub fn new(sim: SimEngine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
-        let clock: Arc<dyn Clock> = Arc::clone(sim.clock()) as Arc<dyn Clock>;
-        Adaptive {
-            reconf: Reconfigurator::new(Arc::clone(sim.registry()), clock, trigger),
-            stream: SimStream::new(sim, skel),
-            vskel: VersionedSkel::new(skel),
-            out: VecDeque::new(),
-            max_in_flight: 1,
-            size_of: None,
-        }
-    }
-
     /// Forwards to [`Reconfigurator::lp_source`]: where width rules read
     /// the current level of parallelism.
     pub fn lp_source(mut self, f: impl Fn() -> usize + Send + Sync + 'static) -> Self {
@@ -384,47 +366,6 @@ where
         self
     }
 
-    /// Streams `items` to completion on a fresh run of the machine —
-    /// [`feed`](Adaptive::feed) each, then collect — returning their
-    /// outcomes in item order. `components` tick on virtual time while
-    /// work is in flight (pass `&mut []` for none).
-    pub fn run_stream(
-        &mut self,
-        items: impl IntoIterator<Item = P>,
-        components: &mut [Box<dyn Component>],
-    ) -> Vec<Result<R, SimError>> {
-        self.stream.open(components);
-        for input in items {
-            self.feed(input);
-        }
-        let results = self.collect_all();
-        self.stream.close(components);
-        results
-    }
-
-    /// Scheduler totals for the most recent
-    /// [`run_stream`](Adaptive::run_stream) call.
-    pub fn report(&self) -> Option<StreamReport> {
-        self.stream.report()
-    }
-
-    /// The underlying simulator (registry, clock, telemetry).
-    pub fn sim(&self) -> &SimEngine {
-        self.stream.sim()
-    }
-
-    /// Mutable access to the simulator (e.g. `set_lp` between streams).
-    pub fn sim_mut(&mut self) -> &mut SimEngine {
-        self.stream.sim_mut()
-    }
-}
-
-impl<S> Adaptive<S>
-where
-    S: StreamRuntime,
-    S::In: Send + 'static,
-    S::Out: Send + 'static,
-{
     /// Records `f(input)` as an input-size hint per feed; promotion rules
     /// gate on the EWMA of these (`Trigger::InputSizeAtLeast`).
     pub fn input_size(mut self, f: impl Fn(&S::In) -> usize + Send + 'static) -> Self {
@@ -534,6 +475,18 @@ where
 
     fn collect_all(&mut self) -> Vec<Result<S::Out, S::Error>> {
         std::iter::from_fn(|| self.next_result()).collect()
+    }
+
+    /// [`feed`](Adaptive::feed)s every item, then collects every
+    /// outstanding result, in submission order, leaving the session alive.
+    pub fn run_stream(
+        &mut self,
+        items: impl IntoIterator<Item = S::In>,
+    ) -> Vec<Result<S::Out, S::Error>> {
+        for input in items {
+            self.feed(input);
+        }
+        self.collect_all()
     }
 
     /// Blocks for every outstanding result, in submission order.

@@ -326,7 +326,7 @@ impl TriggerEngine {
 
     /// Tells every registered rule that an applied rewrite replaced the
     /// subtree `target` with `replacement` ([`Rule::on_replaced`]) —
-    /// how e.g. [`Offload`](crate::Offload) follows its subtree through
+    /// how e.g. `askel_dist::Offload` follows its subtree through
     /// a fallback swap and re-arms.
     pub(crate) fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
         let inner = self.inner.lock();

@@ -18,16 +18,13 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use askel_adapt::{
-    arbitrate, AdaptiveSession, AdaptiveSimSession, Concern, ConflictPolicy, FallbackSwap,
-    Hysteresis, Knob, Offload, PlannedRewrite, Promote, RetuneGrain, RewriteAction, Trigger,
-    TriggerEngine,
+    arbitrate, Adaptive, AdaptiveSession, Concern, ConflictPolicy, FallbackSwap, Hysteresis, Knob,
+    PlannedRewrite, Promote, Reconfigurator, RetuneGrain, RewriteAction, Trigger, TriggerEngine,
 };
-use askel_dist::{Cluster, NodeSpec};
 use askel_engine::{Engine, StreamSession};
 use askel_events::{Event, EventInfo, Listener, Payload, Trace, When, Where};
 use askel_sim::cost::{LinearCost, PerMuscleCost, TableCost};
-use askel_sim::workers::WorkerModel;
-use askel_sim::{OrderingPolicy, SimEngine};
+use askel_sim::{OrderingPolicy, SimEngine, SimStream};
 use askel_skeletons::{map, seq, InstanceId, KindTag, MuscleId, MuscleRole, NodeId, Skel, TimeNs};
 
 fn map_program() -> Skel<Vec<i64>, i64> {
@@ -384,65 +381,6 @@ proptest! {
     }
 
     #[test]
-    fn offload_on_a_balanced_cluster_is_byte_equivalent_to_stream_session(
-        inputs in proptest::collection::vec(proptest::collection::vec(-50i64..50, 1..8), 1..20),
-        edge_busy_ms in 0u64..100,
-        hub_busy_ms in 0u64..100,
-        bound in 1usize..4,
-    ) {
-        // The PR 4 disabled-rules equivalence property, extended to the
-        // placement path: with an armed Offload rule over an arbitrary
-        // cluster skew, results are byte-for-byte those of the plain
-        // StreamSession — whether or not the offload fires, because
-        // placement is a pure scheduling hint. And on a balanced cluster
-        // (skew inside the water marks) the rule must not fire at all.
-        let mut cluster = Cluster::new(vec![
-            NodeSpec::local("edge", 1),
-            NodeSpec::remote("hub", 2, TimeNs::ZERO),
-        ]);
-        cluster.note_busy(0, TimeNs::from_millis(edge_busy_ms)); // edge slot
-        cluster.note_busy(1, TimeNs::from_millis(hub_busy_ms)); // first hub slot
-        let telemetry = cluster.telemetry();
-
-        let program = map_program();
-        let trigger = TriggerEngine::new(0.5);
-        trigger.add_rule(
-            Offload::new(&program, "hub", telemetry.clone()).water_marks(0.75, 0.25),
-        );
-        let engine = Engine::new(2);
-        let mut adaptive = AdaptiveSession::new(&engine, &program, Arc::clone(&trigger))
-            .max_in_flight(bound);
-        let mut plain = StreamSession::new(&engine, &program).max_in_flight(bound);
-        for input in &inputs {
-            adaptive.feed(input.clone());
-            plain.feed(input.clone());
-        }
-        let a: Vec<i64> = adaptive.drain().map(|r| r.unwrap()).collect();
-        let p: Vec<i64> = plain.drain().map(|r| r.unwrap()).collect();
-        engine.shutdown();
-        prop_assert_eq!(&a, &p, "placement never changes results");
-
-        let fired = trigger
-            .decision_log()
-            .iter()
-            .any(|d| d.rule == "offload");
-        let total = edge_busy_ms + hub_busy_ms;
-        if total == 0 {
-            prop_assert!(!fired, "no skew observed, nothing may fire");
-        } else {
-            let edge_share = edge_busy_ms as f64 / total as f64;
-            let hub_share = hub_busy_ms as f64 / total as f64;
-            // Stay away from the exact water marks (f64 rounding there
-            // is the rule's prerogative).
-            if edge_share < 0.75 - 1e-6 || hub_share > 0.25 + 1e-6 {
-                prop_assert!(!fired, "balanced cluster: {edge_share} / {hub_share}");
-            } else if edge_share > 0.75 + 1e-6 && hub_share < 0.25 - 1e-6 {
-                prop_assert!(fired, "clear skew must offload: {edge_share} / {hub_share}");
-            }
-        }
-    }
-
-    #[test]
     fn rewrites_are_never_observed_mid_item(
         sizes in proptest::collection::vec(1usize..40, 4..24),
         threshold in 5usize..20,
@@ -490,7 +428,7 @@ proptest! {
     }
 }
 
-/// Everything one seeded `AdaptiveSimSession` stream observed.
+/// Everything one seeded adaptive stream over the simulator observed.
 struct SimRun {
     /// `(at, version, rule)` for every `AdaptRecord`, in log order.
     decisions: Vec<(TimeNs, u64, String)>,
@@ -554,14 +492,21 @@ fn sim_session_run(
     let knob_trace = Arc::new(Mutex::new(Vec::new()));
     let probe = Arc::clone(&knob_trace);
     let watched = knob.clone();
-    let mut session =
-        AdaptiveSimSession::new(sim, &halves, trigger.clone()).input_size(move |v: &Vec<i64>| {
+    // Lock-step on virtual time, as `askel_dist::sim_session` builds it.
+    let reconf = Reconfigurator::new(
+        Arc::clone(sim.registry()),
+        sim.clock().clone(),
+        trigger.clone(),
+    );
+    let mut session = Adaptive::over(SimStream::new(sim, &halves), &halves, reconf)
+        .max_in_flight(1)
+        .input_size(move |v: &Vec<i64>| {
             probe.lock().unwrap().push(watched.get());
             v.len()
         });
     let items: Vec<Vec<i64>> = sizes.iter().map(|s| (0..*s as i64).collect()).collect();
     let outputs = session
-        .run_stream(items, &mut [])
+        .run_stream(items)
         .into_iter()
         .map(|r| r.expect("no failure injected"))
         .collect();

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use askel_adapt::{Hysteresis, Knob, Offload, Promote, RetuneGrain, Trigger, TriggerEngine};
-use askel_dist::{Cluster, NodeSpec};
+use askel_adapt::{Hysteresis, Knob, Promote, RetuneGrain, Trigger, TriggerEngine};
+use askel_dist::{Cluster, NodeSpec, Offload};
 use askel_sim::workers::WorkerModel;
 use askel_skeletons::{map, seq, MuscleId, MuscleRole, Skel, TimeNs};
 

@@ -9,11 +9,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use askel_adapt::{
-    AdaptRecord, AdaptiveSimSession, Hysteresis, Knob, Offload, RetuneGrain, TriggerEngine,
-};
+use askel_adapt::{AdaptRecord, Hysteresis, Knob, RetuneGrain, TriggerEngine};
 use askel_dist::{
-    Cluster, ClusterTelemetry, NodeSpec, ProvisionAction, ProvisionRecord, ProvisioningPolicy,
+    sim_session, Cluster, ClusterTelemetry, NodeSpec, Offload, ProvisionAction, ProvisionRecord,
+    ProvisioningPolicy,
 };
 use askel_sim::cost::{LinearCost, PerMuscleCost, TableCost};
 use askel_sim::{OrderingPolicy, SimEngine};
@@ -89,8 +88,9 @@ pub fn run_skewed_cluster(ordering: OrderingPolicy) -> SkewedRun {
         KindTag::Map,
     );
     let clock = sim.clock().clone();
+    let lp = sim.lp_control();
     let lp_view = telemetry.clone();
-    let mut session = AdaptiveSimSession::new(sim, &scenario.program, trigger.clone())
+    let mut session = sim_session(sim, &scenario.program, trigger.clone())
         .lp_source(move || lp_view.capacity().max(1));
 
     // Lock-step, so the provisioning review sits between items; the safe
@@ -106,7 +106,7 @@ pub fn run_skewed_cluster(ordering: OrderingPolicy) -> SkewedRun {
         let out = session.next_result().expect("one item in flight");
         outputs.push(out.expect("sim run"));
         if let Some(capacity) = provisioning.review(&telemetry, clock.now()) {
-            session.sim_mut().set_lp(capacity);
+            lp.request(capacity);
         }
     }
     SkewedRun {

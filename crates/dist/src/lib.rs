@@ -13,10 +13,15 @@
 //! event stream and compensates for by provisioning more workers.
 //!
 //! In the crate layering (see `docs/ARCHITECTURE.md`), this sits above
-//! the simulator: a [`Cluster`] is an `askel_sim` worker model, driven
-//! by the same centralised event → analyze → plan → resize loop that
-//! scales the threaded engine's work-stealing pool — the paper's
-//! "adding or removing workers like adding or removing threads".
+//! the simulator and above `askel-adapt`: a [`Cluster`] is an `askel_sim`
+//! worker model, driven by the same centralised event → analyze → plan →
+//! resize loop that scales the threaded engine's work-stealing pool — the
+//! paper's "adding or removing workers like adding or removing threads".
+//! The self-configuration that only a cluster gives meaning to lives here
+//! too: the [`Offload`] rule re-places a subtree onto an underloaded node,
+//! and [`sim_session`] builds the adaptive session over the simulator
+//! ([`AdaptiveSimSession`]) whose placements the cluster honours. Nothing
+//! on the serving path depends on this crate.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -43,6 +48,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+mod offload;
+
+pub use offload::{sim_session, AdaptiveSimSession, Offload};
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -141,8 +150,8 @@ struct TelemetryInner {
 /// state is surfaced through this handle: keep a clone
 /// ([`Cluster::telemetry`]) before handing the cluster over, and read
 /// per-node busy time while or after the simulation runs. The
-/// `Offload` rule (`askel-adapt`) and [`ProvisioningPolicy`] decide from
-/// exactly this view.
+/// [`Offload`] rule and [`ProvisioningPolicy`] decide from exactly this
+/// view.
 #[derive(Clone, Debug)]
 pub struct ClusterTelemetry {
     inner: Arc<Mutex<TelemetryInner>>,
@@ -181,7 +190,7 @@ impl ClusterTelemetry {
     }
 
     /// Index (in node order) of the node called `name`.
-    pub fn node_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn node_index(&self, name: &str) -> Option<usize> {
         self.lock().names.iter().position(|n| n == name)
     }
 
@@ -209,11 +218,11 @@ impl ClusterTelemetry {
 
     /// Each node's share of the total accumulated busy time, in node
     /// order (`0.0` everywhere while nothing has run). Shares sum to 1
-    /// once any work has been accounted; they are what the `Offload`
+    /// once any work has been accounted; they are what the [`Offload`]
     /// high/low-water-mark comparisons and the [`ProvisioningPolicy`]
     /// read — a wall-clock-free skew measure that replays
     /// deterministically on the simulator.
-    pub fn busy_share(&self) -> Vec<f64> {
+    pub(crate) fn busy_share(&self) -> Vec<f64> {
         let inner = self.lock();
         let total: f64 = inner.busy.iter().map(|b| b.as_secs_f64()).sum();
         if total <= 0.0 {
@@ -419,68 +428,9 @@ pub struct ProvisionRecord {
     pub why: String,
 }
 
-/// Accumulated **node-time**: the integral of enabled cluster capacity
-/// over (virtual) time — `2 slots enabled for 3 s` charges 6 slot-seconds
-/// — the cost signal the `askel-adapt` cost concern (`CostGuard`) reads.
-/// Clones share the accumulator.
-///
-/// The meter is fed at explicit observation points:
-/// [`observe`](NodeHoursMeter::observe) charges the elapsed time since
-/// the previous observation at the capacity that *was* enabled across
-/// that interval, then records the new capacity. Observing at every safe
-/// point keeps the spend figure adaptation rules read never staler than
-/// one safe point.
-#[derive(Clone, Debug, Default)]
-pub struct NodeHoursMeter {
-    inner: Arc<Mutex<MeterInner>>,
-}
-
-#[derive(Debug, Default)]
-struct MeterInner {
-    /// Timestamp and enabled capacity at the last observation.
-    last: Option<(TimeNs, usize)>,
-    /// Slot-time charged so far (slot-seconds, in `TimeNs` units).
-    accumulated: TimeNs,
-}
-
-impl NodeHoursMeter {
-    /// A fresh meter at zero spend.
-    pub fn new() -> Self {
-        NodeHoursMeter::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MeterInner> {
-        self.inner.lock().expect("node-hours meter poisoned")
-    }
-
-    /// One observation: charges the interval since the previous
-    /// observation at the previously-enabled capacity, then records
-    /// `enabled_slots` as current. The first observation charges
-    /// nothing (it only anchors the meter). Out-of-order timestamps
-    /// charge nothing for the negative interval.
-    pub fn observe(&self, now: TimeNs, enabled_slots: usize) {
-        let mut inner = self.lock();
-        if let Some((at, slots)) = inner.last {
-            let elapsed = now.saturating_sub(at);
-            inner.accumulated += TimeNs(elapsed.0.saturating_mul(slots as u64));
-        }
-        inner.last = Some((now, enabled_slots));
-    }
-
-    /// Total slot-time charged so far (slot-seconds, as `TimeNs`).
-    pub fn node_time(&self) -> TimeNs {
-        self.lock().accumulated
-    }
-
-    /// Total spend in node-hours (slot-seconds / 3600).
-    pub fn node_hours(&self) -> f64 {
-        self.node_time().as_secs_f64() / 3600.0
-    }
-}
-
 /// Dynamic node provisioning from per-node utilization — the ROADMAP's
 /// "use the new utilization figures in decisions", and the actuation half
-/// of the `Offload` story: the `Offload` rule (`askel-adapt`) moves a
+/// of the [`Offload`] story: the [`Offload`] rule moves a
 /// subtree's *placement* onto an underloaded node, this policy decides
 /// which nodes are *online* at all.
 ///
@@ -499,14 +449,13 @@ impl NodeHoursMeter {
 /// added, saturated node is seen at its in-window share (not diluted by
 /// the lifetime it spent offline), and a long-retired node's stale
 /// history cannot mask a hot node below the high-water mark. (The
-/// `Offload` rule, which fires at most once, reads the raw cumulative
-/// shares.)
+/// [`Offload`] rule reads the raw cumulative shares.)
 ///
 /// The policy is driven at explicit review points (typically the same
 /// stream safe points that drive a `Reconfigurator`) and never touches
 /// the cluster itself: [`review`](ProvisioningPolicy::review) returns the
 /// new capacity for the caller to apply through its engine's LP channel
-/// (`SimEngine::set_lp`, `SimLpControl::request`) — symmetric to how the
+/// (`SimLpControl::request`) — symmetric to how the
 /// WCT controller actuates. Every change is logged as a
 /// [`ProvisionRecord`] (the most recent 1 024 are kept) and, when wired via
 /// [`announce_via`](ProvisioningPolicy::announce_via), announced as an
@@ -1024,7 +973,7 @@ mod tests {
         t.add(0, TimeNs::from_secs(10));
         let cap = policy.review(&t, TimeNs::from_secs(2));
         assert_eq!(cap, Some(4), "edge block (1) + hub block (3)");
-        t.set_enabled(vec![1, 3]); // the caller applied it (via set_lp)
+        t.set_enabled(vec![1, 3]); // the caller applied it (via its LP request)
 
         // Still skewed, but everything is online → hold; and the next
         // review is inside the cooldown anyway.

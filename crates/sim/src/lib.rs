@@ -236,13 +236,6 @@ impl SimEngine {
         self.rt.workers.capacity()
     }
 
-    /// Sets the LP from here on (clamped by the worker model); shrinking
-    /// never preempts what is running.
-    pub fn set_lp(&mut self, lp: usize) {
-        self.rt.workers.set_capacity(lp);
-        self.rt.rebuild_free();
-    }
-
     /// Runs one submission to completion in virtual time.
     pub fn run<P, R>(&mut self, skel: &Skel<P, R>, input: P) -> Result<SimOutcome<R>, SimError>
     where
@@ -326,8 +319,7 @@ impl SimEngine {
     }
 }
 
-/// Scheduler totals for one [`SimEngine::run_stream`] call (or one
-/// [`SimStream`] from `open` to `close`).
+/// Scheduler totals for one [`SimEngine::run_stream`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamReport {
     /// Items finished (successes and failures).

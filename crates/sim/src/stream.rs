@@ -5,9 +5,8 @@ use std::collections::VecDeque;
 use askel_events::{StreamRuntime, StreamTypes};
 use askel_skeletons::Skel;
 
-use crate::components::Component;
 use crate::rt::Finished;
-use crate::{typed, SimEngine, SimError, StreamReport};
+use crate::{typed, SimEngine, SimError};
 
 /// The simulator's [`StreamRuntime`], as `askel_engine::StreamSession` is
 /// the pool's: an ordered stream through one swappable skeleton on one
@@ -25,7 +24,6 @@ pub struct SimStream<P, R> {
     slots: VecDeque<Option<Result<R, SimError>>>,
     /// The machine's index for `slots[0]`.
     base: usize,
-    report: Option<StreamReport>,
 }
 
 impl<P, R> SimStream<P, R>
@@ -40,36 +38,12 @@ where
             skel: skel.clone(),
             slots: VecDeque::new(),
             base: 0,
-            report: None,
         }
-    }
-
-    /// Starts a fresh run of the machine, as each
-    /// [`SimEngine::run_stream`] call does; `components` tick on its
-    /// virtual time until [`close`](SimStream::close).
-    pub fn open(&mut self, components: &mut [Box<dyn Component>]) {
-        self.slots.clear();
-        self.sim.rt.begin(components);
-    }
-
-    /// Hands the components back and keeps the totals since `open`.
-    pub fn close(&mut self, components: &mut [Box<dyn Component>]) {
-        self.report = Some(self.sim.rt.end(components));
-    }
-
-    /// Totals of the most recently closed run.
-    pub fn report(&self) -> Option<StreamReport> {
-        self.report
     }
 
     /// The underlying simulator (registry, clock, telemetry).
     pub fn sim(&self) -> &SimEngine {
         &self.sim
-    }
-
-    /// Mutable access to the simulator (e.g. `set_lp` between items).
-    pub fn sim_mut(&mut self) -> &mut SimEngine {
-        &mut self.sim
     }
 
     fn place(&mut self, (index, outcome): Finished) {

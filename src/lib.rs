@@ -15,7 +15,8 @@
 //! | threaded engine | [`engine`] | the threaded runtime for the one skeleton interpreter ([`events::interp`]): guarded continuation-passing steps over the pool |
 //! | simulator | [`sim`] | the discrete-event runtime for the same interpreter: virtual time, pluggable cost models and ordering policies (deterministic replay, or seeded-ordering fuzzing) |
 //! | autonomic layer | [`core`] | EWMA estimators, event state machines, Activity Dependency Graphs, best-effort/limited-LP strategies, and the WCT/LP controller |
-//! | self-configuration | [`adapt`] | structural rewrite rules (promotion, fallback-swap, width/grain retuning, offload, cost guard) arbitrated across concerns and applied at stream safe points, with `Reconfigured` events and a decision log |
+//! | self-configuration | [`adapt`] | structural rewrite rules (promotion, fallback-swap, width/grain retuning, cost guard) arbitrated across concerns and applied at stream safe points, with `Reconfigured` events and a decision log |
+//! | simulated clusters | [`dist`] | local and remote nodes as a simulator worker model, node provisioning, the `Offload` rule and the adaptive session over the simulator |
 //! | serving | [`serve`] | multi-tenant session registry over one shared pool: admission control, batched ingestion, and a multiplexed autonomic loop with structure-keyed estimator sharing |
 //! | observability | [`obs`] | one metrics hub across the stack: counters, gauges, log-bucketed histograms, Prometheus/JSON exporters, and a `chrome://tracing` timeline writer |
 //! | workloads | [`workloads`] | synthetic tweet corpus, word count, numeric kernels |
@@ -71,17 +72,17 @@ use askel_skeletons::Skel;
 /// The items almost every user wants in scope.
 pub mod prelude {
     pub use askel_adapt::{
-        AdaptRecord, AdaptiveSession, AdaptiveSimSession, Concern, ConflictPolicy, CostGuard,
-        FallbackSwap, Forecast, Hysteresis, Knob, Offload, Promote, Reconfigurator, RetuneGrain,
-        RetuneWidth, Trigger, TriggerEngine, VersionedSkel,
+        AdaptRecord, AdaptiveSession, Concern, ConflictPolicy, CostGuard, FallbackSwap, Forecast,
+        Hysteresis, Knob, NodeHoursMeter, Promote, Reconfigurator, RetuneGrain, RetuneWidth,
+        Trigger, TriggerEngine, VersionedSkel,
     };
     pub use askel_core::{
         AutonomicController, ControllerConfig, DecisionReason, DecreasePolicy, RaisePolicy,
         Snapshot,
     };
     pub use askel_dist::{
-        Cluster, ClusterTelemetry, NodeHoursMeter, NodeSpec, ProvisionAction, ProvisionRecord,
-        ProvisioningPolicy, ProvisioningReview,
+        sim_session, AdaptiveSimSession, Cluster, ClusterTelemetry, NodeSpec, Offload,
+        ProvisionAction, ProvisionRecord, ProvisioningPolicy, ProvisioningReview,
     };
     pub use askel_engine::{Engine, EngineError, SkelFuture, StreamSession};
     pub use askel_events::{EventFilter, FnListener, Listener, Payload, When, Where};

@@ -130,10 +130,10 @@ fn sim_rewrite_decisions_are_deterministic() {
                 .named("collapse-fan")
                 .when(Trigger::DurationAtLeast(fe, TimeNs::from_millis(500))),
         );
-        let mut session = AdaptiveSimSession::new(sim, &v1, trigger.clone()).lp_source(|| 2);
+        let mut session = sim_session(sim, &v1, trigger.clone()).lp_source(|| 2);
         let items = (0..4).map(|round| (0..=round).collect::<Vec<i64>>());
         let outputs = session
-            .run_stream(items, &mut [])
+            .run_stream(items)
             .into_iter()
             .map(|r| r.expect("sim run"))
             .collect();
@@ -254,7 +254,7 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
                 .forecast_gated(0.2),
         );
         let clock = sim.clock().clone();
-        let mut session = AdaptiveSimSession::new(sim, &v1, trigger.clone()).lp_source(move || lp);
+        let mut session = sim_session(sim, &v1, trigger.clone()).lp_source(move || lp);
         let mut realized_wcts = Vec::new();
         for round in 0..3 {
             // The size hint is recorded after the item rather than through
@@ -367,8 +367,7 @@ fn controller_and_trigger_share_one_stream_across_rewrites() {
             .named("root")
             .when(Trigger::InputSizeAtLeast(24.0)),
     );
-    let mut session =
-        AdaptiveSimSession::new(sim, &v1, trigger.clone()).input_size(|v: &Vec<i64>| v.len());
+    let mut session = sim_session(sim, &v1, trigger.clone()).input_size(|v: &Vec<i64>| v.len());
 
     // Sizes 8, then 16 (the nested promotion fires at the first), then
     // 32 (the root replacement at the second).

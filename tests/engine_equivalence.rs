@@ -11,9 +11,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use askel_adapt::{
-    Adaptive, AdaptiveSession, AdaptiveSimSession, FallbackSwap, Knob, Promote, RetuneWidth,
-    Trigger, TriggerEngine,
+    Adaptive, AdaptiveSession, FallbackSwap, Knob, Promote, RetuneWidth, Trigger, TriggerEngine,
 };
+use askel_dist::sim_session;
 use askel_engine::Engine;
 use askel_events::{Event, FnListener, Listener, Payload, StreamRuntime, Where};
 use askel_sim::cost::{TableCost, ZeroCost};
@@ -378,7 +378,7 @@ proptest! {
 
         let case = AdaptiveCase::new();
         let sim = SimEngine::new(2, Arc::new(ZeroCost));
-        let session = AdaptiveSimSession::new(sim, &case.program, case.trigger.clone())
+        let session = sim_session(sim, &case.program, case.trigger.clone())
             .lp_source(|| 2)
             .input_size(|v: &Vec<i64>| v.len());
         let simulated = case.drive(session, &items);

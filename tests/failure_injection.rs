@@ -241,11 +241,11 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
         let trigger = autonomic_skeletons::adapt::TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
         trigger.add_rule(
-            autonomic_skeletons::adapt::Offload::new(&fragile, "hub", telemetry.clone())
+            autonomic_skeletons::dist::Offload::new(&fragile, "hub", telemetry.clone())
                 .water_marks(0.7, 0.2),
         );
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
-        let mut session = AdaptiveSimSession::new(sim, &fragile, trigger.clone()).lp_source(|| 4);
+        let mut session = sim_session(sim, &fragile, trigger.clone()).lp_source(|| 4);
 
         // Items 3 and 4 are poisoned: the hub (where the offload moved
         // the map) starts erroring mid-stream. The long healthy tail

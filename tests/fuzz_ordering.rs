@@ -128,7 +128,7 @@ mod remote_errors {
         sim.registry().add_listener(trigger.clone());
         trigger.add_rule(Offload::new(&fragile, "hub", telemetry.clone()).water_marks(0.7, 0.2));
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
-        let mut session = AdaptiveSimSession::new(sim, &fragile, trigger.clone()).lp_source(|| 4);
+        let mut session = sim_session(sim, &fragile, trigger.clone()).lp_source(|| 4);
 
         let items: Vec<Vec<i64>> = (0..28)
             .map(|k| {
@@ -140,7 +140,7 @@ mod remote_errors {
             })
             .collect();
         let outcomes = session
-            .run_stream(items, &mut [])
+            .run_stream(items)
             .into_iter()
             .map(|r| r.map_err(|e| e.to_string()))
             .collect();

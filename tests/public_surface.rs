@@ -9,7 +9,10 @@
 //! * every dependency a manifest declares is named by the code it is
 //!   declared for: `[dependencies]` in the package's `src/`,
 //!   `[dev-dependencies]` in its `src/`, `tests/`, `benches/` or
-//!   `examples/`.
+//!   `examples/`;
+//! * the serving path never compiles the simulator: the `[dependencies]`
+//!   closure of `askel-serve`, `askel-engine` and `askel-pool` holds
+//!   neither `askel-sim` nor `askel-dist` (ROADMAP 8a).
 //!
 //! Name-level, not type-checked: a name shared by two crates is skipped,
 //! and a same-named word in code anywhere counts as a read (a comment or
@@ -130,6 +133,43 @@ fn declared(manifest: &str, section: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// Every `from → to` edge by which the `[dependencies]` closure of `roots`
+/// (package names of `crates/*`) reaches a package in `forbidden`.
+fn forbidden_edges(root: &Path, roots: &[&str], forbidden: &[&str]) -> Vec<String> {
+    let mut deps: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for entry in fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        let manifest = entry.path().join("Cargo.toml");
+        if !manifest.is_file() {
+            continue;
+        }
+        let text = read(&manifest);
+        let name = text
+            .lines()
+            .find_map(|line| line.trim().strip_prefix("name = "))
+            .map(|name| name.trim_matches('"').to_string())
+            .unwrap_or_else(|| panic!("{}: no package name", manifest.display()));
+        deps.insert(name, declared(&text, "dependencies"));
+    }
+    let mut edges = Vec::new();
+    let mut seen: BTreeSet<&str> = roots.iter().copied().collect();
+    let mut todo: Vec<&str> = roots.to_vec();
+    while let Some(from) = todo.pop() {
+        for to in deps.get(from).into_iter().flatten() {
+            if forbidden.contains(&to.as_str()) {
+                edges.push(format!("{from} → {to}"));
+            } else if seen.insert(to) {
+                todo.push(to);
+            }
+        }
+    }
+    edges.sort();
+    edges
 }
 
 /// `tests/`, `benches/` and `examples/` sources under `dir`.
@@ -313,6 +353,20 @@ fn every_public_function_has_a_reader_and_every_dependency_a_user() {
 }
 
 #[test]
+fn the_serving_path_never_compiles_the_simulator() {
+    let edges = forbidden_edges(
+        Path::new(env!("CARGO_MANIFEST_DIR")),
+        &["askel-serve", "askel-engine", "askel-pool"],
+        &["askel-sim", "askel-dist"],
+    );
+    assert!(
+        edges.is_empty(),
+        "the serving path reaches the simulator through: {}",
+        edges.join(", ")
+    );
+}
+
+#[test]
 fn the_scanner_reports_what_is_planted() {
     let root = std::env::temp_dir().join(format!("askel-public-surface-{}", std::process::id()));
     let write = |path: &str, text: &str| {
@@ -323,7 +377,8 @@ fn the_scanner_reports_what_is_planted() {
     write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
     write(
         "crates/alpha/Cargo.toml",
-        "[dependencies]\nbeta.workspace = true\nunused-dep = \"1\"\n",
+        "[package]\nname = \"alpha\"\n\n[dependencies]\nbeta.workspace = true\nunused-dep = \"1\"\n\n\
+         [dev-dependencies]\ngamma.workspace = true\n",
     );
     write(
         "crates/alpha/src/lib.rs",
@@ -344,22 +399,32 @@ fn the_scanner_reports_what_is_planted() {
         }
         "#,
     );
-    write("crates/beta/Cargo.toml", "[dependencies]\n");
+    // beta reaches gamma, which no path from alpha may; alpha's own
+    // dev-dependency on gamma is no path.
+    write(
+        "crates/beta/Cargo.toml",
+        "[package]\nname = \"beta\"\n\n[dependencies]\ngamma.workspace = true\n",
+    );
     // A name in a comment or a string literal is no read.
     write(
         "crates/beta/src/lib.rs",
-        "pub fn shared() { read_by_beta(); let _ = \"planted_unread\"; }\n\
+        "pub fn shared() { read_by_beta(); gamma::run(); let _ = \"planted_unread\"; }\n\
          // read_only_by_own_tests\n",
     );
+    write("crates/gamma/Cargo.toml", "[package]\nname = \"gamma\"\n");
+    write("crates/gamma/src/lib.rs", "pub fn run() {}\n");
+    write("crates/alpha/tests/t.rs", "fn t() { gamma::run(); }\n");
     write(
         "benchmark/src/main.rs",
         "fn main() { read_by_the_ladder(); }\n",
     );
     let audit = audit(&root);
+    let edges = forbidden_edges(&root, &["alpha"], &["gamma"]);
     fs::remove_dir_all(&root).unwrap();
 
-    assert_eq!(audit.crates, ["alpha", "beta"]);
-    assert_eq!(audit.pub_fn_names, 5);
+    assert_eq!(edges, ["beta → gamma"]);
+    assert_eq!(audit.crates, ["alpha", "beta", "gamma"]);
+    assert_eq!(audit.pub_fn_names, 6);
     assert_eq!(
         audit.unread.keys().collect::<Vec<_>>(),
         ["planted_unread", "read_only_by_own_tests"]
