@@ -18,9 +18,13 @@
 //! | [`RetuneGrain`] | Performance | leaf duration outside its target band | halve/double a d&C grain [`Knob`] |
 //! | [`CostGuard`] | Cost | a [`NodeHoursMeter`]'s node-time exceeds its budget | shrink a knob to its economy value, or veto growth |
 //!
-//! The cluster's rule, `askel_dist::Offload` (Performance: re-place a
-//! subtree onto an underloaded node when busy shares skew), lives with
-//! the cluster telemetry it reads, above the simulator.
+//! The cluster's two rules live with the cluster telemetry they read,
+//! above the simulator, in `askel_dist`:
+//!
+//! | rule | concern | fires when | action |
+//! |------|---------|-----------|--------|
+//! | `Offload` | Performance | the busiest other node's busy share is high and the destination's low | re-place a subtree onto the destination node |
+//! | `ProvisioningPolicy` | Cost | the hottest enabled node's windowed busy share is high, or the last enabled node's low | set the `capacity` [`Knob`] (the simulator's LP target) to bring a node block online or retire it |
 //!
 //! Every rule carries a [`Concern`] and a priority; when several rules
 //! fire on the same resource at one safe point, the

@@ -8,12 +8,12 @@
 //! [90,105] under LP 2.
 
 use askel_bench::fig1::{sec, Fig1Fixture};
-use askel_core::{best_effort, limited_lp, ActState, AdgBuilder};
+use askel_core::{best_effort, limited_lp, ActState, AdgWorkspace};
 
 fn main() {
     let f = Fig1Fixture::new();
     let tracker = f.tracker_at_70();
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     let now = sec(70);
     let be = best_effort(&adg, now);
     let ll = limited_lp(&adg, now, 2);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use askel_bench::fig1::{sec, Fig1Fixture};
 use askel_core::{
-    best_effort, limited_lp, optimal_lp, AdgBuilder, AutonomicController, ControllerConfig,
+    best_effort, limited_lp, optimal_lp, AdgWorkspace, AutonomicController, ControllerConfig,
     FnActuator,
 };
 use askel_events::{Listener, Payload};
@@ -15,7 +15,7 @@ use askel_events::{Listener, Payload};
 fn main() {
     let f = Fig1Fixture::new();
     let tracker = f.tracker_at_70();
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     let now = sec(70);
     let be = best_effort(&adg, now);
     let ll = limited_lp(&adg, now, 2);

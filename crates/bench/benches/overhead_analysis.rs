@@ -15,8 +15,7 @@ use std::sync::{Arc, Mutex};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use askel_core::{
-    best_effort, limited_lp, ActState, Adg, AdgBuilder, AdgWorkspace, EstimatorTable, Scheduler,
-    SmTracker,
+    best_effort, limited_lp, ActState, Adg, AdgWorkspace, EstimatorTable, Scheduler, SmTracker,
 };
 use askel_events::{Event, EventRecord, FnListener, Payload};
 use askel_sim::cost::{JitterCost, TableCost};
@@ -86,7 +85,11 @@ fn bench_adg_build(c: &mut Criterion) {
     for card in [4usize, 16, 32] {
         let (tracker, skel) = tracker_for(card);
         group.bench_with_input(BenchmarkId::new("card", card), &card, |b, _| {
-            b.iter(|| AdgBuilder::new(&tracker).build_predictive(skel.node()))
+            b.iter(|| {
+                AdgWorkspace::new(skel.node())
+                    .build_predictive(tracker.estimates())
+                    .len()
+            })
         });
     }
     group.finish();
@@ -96,7 +99,7 @@ fn bench_adg_build(c: &mut Criterion) {
     for card in [4usize, 16, 32] {
         let (tracker, skel, _) = live_tracker_for(card);
         group.bench_with_input(BenchmarkId::new("fresh", card), &card, |b, _| {
-            b.iter(|| AdgBuilder::new(&tracker).build(skel.node()))
+            b.iter(|| AdgWorkspace::new(skel.node()).build(&tracker).len())
         });
         let mut workspace = AdgWorkspace::new(skel.node());
         group.bench_with_input(BenchmarkId::new("kept", card), &card, |b, _| {
@@ -132,11 +135,13 @@ fn bench_strategies(c: &mut Criterion) {
     for card in [4usize, 16, 32] {
         let (tracker, skel) = tracker_for(card);
         let predicted = (
-            AdgBuilder::new(&tracker).build_predictive(skel.node()),
+            AdgWorkspace::new(skel.node())
+                .build_predictive(tracker.estimates())
+                .clone(),
             TimeNs::ZERO,
         );
         let (tracker, skel, now) = live_tracker_for(card);
-        let live = (AdgBuilder::new(&tracker).build(skel.node()), now);
+        let live = (AdgWorkspace::new(skel.node()).build(&tracker).clone(), now);
         for (graph, (adg, now)) in [("predicted", &predicted), ("live", &live)] {
             let pending_work = adg
                 .activities

@@ -248,13 +248,13 @@ impl Default for Fig1Fixture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use askel_core::{best_effort, limited_lp, AdgBuilder};
+    use askel_core::{best_effort, limited_lp, AdgWorkspace};
 
     #[test]
     fn fixture_reproduces_the_paper_numbers() {
         let f = Fig1Fixture::new();
         let tracker = f.tracker_at_70();
-        let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+        let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
         assert_eq!(best_effort(&adg, sec(70)).finish, sec(100));
         assert_eq!(limited_lp(&adg, sec(70), 2).finish, sec(115));
     }

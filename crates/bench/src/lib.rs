@@ -17,4 +17,4 @@ pub mod skewed;
 
 pub use fig1::Fig1Fixture;
 pub use scenario::{PaperScenarios, ScenarioOutcome, ScenarioParams};
-pub use skewed::{run_skewed_cluster, SkewedRun};
+pub use skewed::{run_skewed_cluster, run_skewed_cluster_guarded, SkewedRun};

@@ -1,22 +1,24 @@
 //! The skewed-cluster acceptance scenario: an oscillating load on a
 //! one-slot `edge` node while a faster four-slot `hub` sits dark, with a
 //! hysteresis-damped [`RetuneGrain`], an [`Offload`] and a
-//! [`ProvisioningPolicy`] watching the same telemetry. Built here once
+//! [`ProvisioningPolicy`] watching the same telemetry — three rules of
+//! one trigger engine, arbitrated and logged together. Built here once
 //! for `tests/adaptive.rs` (acceptance + replay), `tests/fuzz_ordering.rs`
-//! (the same under every ordering seed) and `examples/offload_cluster.rs`
+//! (the same under every ordering seed), `tests/arbitration.rs` (a
+//! `CostGuard` holding the hub dark) and `examples/offload_cluster.rs`
 //! (the narrated run); each keeps only its own assertions and printing.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use askel_adapt::{AdaptRecord, Hysteresis, Knob, RetuneGrain, TriggerEngine};
-use askel_dist::{
-    sim_session, Cluster, ClusterTelemetry, NodeSpec, Offload, ProvisionAction, ProvisionRecord,
-    ProvisioningPolicy,
+use askel_adapt::{
+    AdaptRecord, ConflictPolicy, CostGuard, Hysteresis, Knob, NodeHoursMeter, RetuneGrain,
+    TriggerEngine,
 };
+use askel_dist::{sim_session, Cluster, ClusterTelemetry, NodeSpec, Offload, ProvisioningPolicy};
 use askel_sim::cost::{LinearCost, PerMuscleCost, TableCost};
 use askel_sim::{OrderingPolicy, SimEngine};
-use askel_skeletons::{Clock, KindTag, MuscleId, MuscleRole, TimeNs};
+use askel_skeletons::{MuscleId, MuscleRole, TimeNs};
 use askel_workloads::{GrainedSquareSum, OscillatingLoad};
 
 /// The grain knob's starting value.
@@ -32,20 +34,38 @@ pub struct SkewedRun {
     /// Their results, in order.
     pub outputs: Vec<i64>,
     /// `(item index, grain after its safe point)` for every item whose
-    /// safe point applied a rewrite.
+    /// safe point moved the grain knob.
     pub grain_trace: Vec<(usize, usize)>,
-    /// The trigger engine's decision log.
+    /// `(item index, capacity after its safe point)` for every item
+    /// whose safe point moved the capacity knob.
+    pub capacity_trace: Vec<(usize, usize)>,
+    /// The trigger engine's decision log: grain retunes, the offload and
+    /// provisioning alike.
     pub decisions: Vec<AdaptRecord>,
-    /// The provisioning policy's log.
-    pub provisions: Vec<ProvisionRecord>,
     /// The cluster's telemetry handle (per-node busy time, names).
     pub telemetry: ClusterTelemetry,
 }
 
-/// Runs the scenario in lock-step — one item in flight, a provisioning
-/// review after each — with same-instant scheduler ties ordered by
-/// `ordering`.
+/// Runs the scenario in lock-step — one item in flight, so each safe
+/// point sees every result before it — with same-instant scheduler ties
+/// ordered by `ordering`.
 pub fn run_skewed_cluster(ordering: OrderingPolicy) -> SkewedRun {
+    run(ordering, None)
+}
+
+/// The same scenario with a [`CostGuard`] over the capacity knob
+/// (economy 1 slot, `budget` of node-time; its meter is never fed, so
+/// only a zero budget counts as spent), every safe point's fires
+/// resolved under `conflict`.
+pub fn run_skewed_cluster_guarded(
+    ordering: OrderingPolicy,
+    conflict: ConflictPolicy,
+    budget: TimeNs,
+) -> SkewedRun {
+    run(ordering, Some((conflict, budget)))
+}
+
+fn run(ordering: OrderingPolicy, guard: Option<(ConflictPolicy, TimeNs)>) -> SkewedRun {
     let scenario = GrainedSquareSum::new(INITIAL_GRAIN);
     let inputs = OscillatingLoad::new(4, 160, 3).inputs(18);
 
@@ -68,6 +88,7 @@ pub fn run_skewed_cluster(ordering: OrderingPolicy) -> SkewedRun {
     .with_capacity(1);
     let telemetry = cluster.telemetry();
     let sim = SimEngine::with_workers(Box::new(cluster), Arc::new(cost)).ordering(ordering);
+    let capacity = Knob::from_shared("capacity", sim.lp_control().cell());
 
     let trigger = TriggerEngine::new(0.5);
     sim.registry().add_listener(trigger.clone());
@@ -82,39 +103,49 @@ pub fn run_skewed_cluster(ordering: OrderingPolicy) -> SkewedRun {
     );
     trigger
         .add_rule(Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2));
-    let mut provisioning = ProvisioningPolicy::new(0.8, 0.0).cooldown(3).announce_via(
-        Arc::clone(sim.registry()),
-        scenario.program.id(),
-        KindTag::Map,
+    trigger.add_rule(
+        ProvisioningPolicy::new(telemetry.clone(), capacity.clone(), 0.8, 0.0).cooldown(3),
     );
-    let clock = sim.clock().clone();
-    let lp = sim.lp_control();
+    let mut conflict = ConflictPolicy::default();
+    if let Some((policy, budget)) = guard {
+        conflict = policy;
+        trigger.add_rule(CostGuard::knob(
+            NodeHoursMeter::new(),
+            budget,
+            capacity.clone(),
+            1,
+        ));
+    }
     let lp_view = telemetry.clone();
     let mut session = sim_session(sim, &scenario.program, trigger.clone())
-        .lp_source(move || lp_view.capacity().max(1));
+        .lp_source(move || lp_view.capacity().max(1))
+        .conflict_policy(conflict);
 
-    // Lock-step, so the provisioning review sits between items; the safe
-    // point runs inside `feed`, before the submission.
+    // Lock-step: the safe point runs inside `feed`, before the
+    // submission, so a knob it moves holds from this item on.
     let mut outputs = Vec::new();
     let mut grain_trace = Vec::new();
+    let mut capacity_trace = Vec::new();
     for (k, input) in inputs.iter().enumerate() {
-        let version = session.version();
+        let grain = scenario.grain.load(Ordering::SeqCst);
+        let slots = capacity.get();
         session.feed(input.clone());
-        if session.version() > version {
-            grain_trace.push((k, scenario.grain.load(Ordering::SeqCst)));
+        let (grain_now, slots_now) = (scenario.grain.load(Ordering::SeqCst), capacity.get());
+        if grain_now != grain {
+            grain_trace.push((k, grain_now));
+        }
+        if slots_now != slots {
+            capacity_trace.push((k, slots_now));
         }
         let out = session.next_result().expect("one item in flight");
         outputs.push(out.expect("sim run"));
-        if let Some(capacity) = provisioning.review(&telemetry, clock.now()) {
-            lp.request(capacity);
-        }
     }
     SkewedRun {
         inputs,
         outputs,
         grain_trace,
+        capacity_trace,
         decisions: trigger.decision_log(),
-        provisions: provisioning.log(),
         telemetry,
     }
 }
@@ -127,15 +158,6 @@ impl SkewedRun {
         self.decisions
             .iter()
             .map(|d| (d.at, d.version, d.rule.clone()))
-            .collect()
-    }
-
-    /// `(at, node, capacity)` of every node the policy brought online.
-    pub fn additions(&self) -> Vec<(TimeNs, String, usize)> {
-        self.provisions
-            .iter()
-            .filter(|r| r.action == ProvisionAction::Add)
-            .map(|r| (r.at, r.node.clone(), r.capacity))
             .collect()
     }
 

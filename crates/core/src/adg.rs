@@ -524,36 +524,6 @@ impl AdgWorkspace {
     }
 }
 
-/// Builds one ADG from tracker state + estimator table + AST into a
-/// workspace of its own. The controller, which builds one per event,
-/// keeps an [`AdgWorkspace`] instead.
-pub struct AdgBuilder<'a> {
-    tracker: &'a SmTracker,
-}
-
-impl<'a> AdgBuilder<'a> {
-    /// A builder over the tracker's live state and its estimator table.
-    pub fn new(tracker: &'a SmTracker) -> Self {
-        AdgBuilder { tracker }
-    }
-
-    /// Builds the ADG of the tracker's current root submission executing
-    /// `ast` ([`AdgWorkspace::build`]).
-    pub fn build(self, ast: &Arc<Node>) -> Adg {
-        let mut workspace = AdgWorkspace::new(ast);
-        workspace.build(self.tracker);
-        workspace.adg
-    }
-
-    /// Builds a purely predictive ADG
-    /// ([`AdgWorkspace::build_predictive`]).
-    pub fn build_predictive(self, ast: &Arc<Node>) -> Adg {
-        let mut workspace = AdgWorkspace::new(ast);
-        workspace.build_predictive(self.tracker.estimates());
-        workspace.adg
-    }
-}
-
 /// The children of a fan: one skeleton for every sub-problem, or one each.
 #[derive(Clone, Copy)]
 enum FanChildren<'b> {
@@ -1223,7 +1193,9 @@ mod tests {
         let skel = nested_map();
         let mut tracker = SmTracker::new(0.5);
         init_estimates(&mut tracker, &skel, 3.0);
-        let adg = AdgBuilder::new(&tracker).build_predictive(skel.node());
+        let adg = AdgWorkspace::new(skel.node())
+            .build_predictive(tracker.estimates())
+            .clone();
         assert_eq!(adg.len(), 1 + 3 * (1 + 3 + 1) + 1);
         let (done, running, pending) = adg.state_counts();
         assert_eq!((done, running), (0, 0));
@@ -1242,7 +1214,7 @@ mod tests {
     fn empty_without_live_submission() {
         let skel = nested_map();
         let tracker = SmTracker::new(0.5);
-        let adg = AdgBuilder::new(&tracker).build(skel.node());
+        let adg = AdgWorkspace::new(skel.node()).build(&tracker).clone();
         assert!(adg.is_empty());
     }
 
@@ -1251,7 +1223,9 @@ mod tests {
         // No estimates at all → every split predicts one child.
         let skel = nested_map();
         let tracker = SmTracker::new(0.5);
-        let adg = AdgBuilder::new(&tracker).build_predictive(skel.node());
+        let adg = AdgWorkspace::new(skel.node())
+            .build_predictive(tracker.estimates())
+            .clone();
         // 1 split + 1×(1 split + 1 fe + 1 merge) + 1 merge = 5
         assert_eq!(adg.len(), 5);
     }

@@ -42,7 +42,8 @@ pub mod tracker;
 /// it lives in the leaf crate `askel-obs`.
 pub use askel_obs::json;
 
-pub use adg::{ActState, Activity, Adg, AdgBuilder, AdgWorkspace};
+pub use adg::{ActState, Activity, Adg, AdgWorkspace};
+pub use askel_skeletons::TimelinePoint;
 pub use controller::{
     AnalysisRecord, AutonomicController, ControllerConfig, Decision, DecisionReason,
     DecreasePolicy, FnActuator, LpActuator, RaisePolicy, ANALYSIS_LOG_CAPACITY,
@@ -51,6 +52,5 @@ pub use estimate::{EstimatorTable, Ewma, Snapshot, SnapshotEntry};
 pub use knowledge::Knowledge;
 pub use strategy::{
     best_effort, limited_lp, optimal_lp, predictive_wct, Layouts, Schedule, Scheduler,
-    TimelinePoint,
 };
 pub use tracker::{CondSpan, InstanceRecord, SmTracker, Span};

@@ -17,7 +17,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use askel_skeletons::TimeNs;
+use askel_skeletons::{TimeNs, TimelinePoint};
 
 use crate::adg::{ActState, Adg};
 
@@ -75,16 +75,6 @@ impl Schedule {
     pub fn max_concurrency_from(&self, t: TimeNs) -> usize {
         max_concurrency_from(&self.spans, t, &mut Vec::new())
     }
-}
-
-/// A point of a concurrency timeline: from `at` on, `active` activities
-/// run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Interval start.
-    pub at: TimeNs,
-    /// Concurrency during the interval.
-    pub active: usize,
 }
 
 /// Maximum concurrency of `spans` at or after `t`; `deltas` is scratch.

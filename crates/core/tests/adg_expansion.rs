@@ -1,7 +1,7 @@
 //! ADG expansion for partially-executed loops and recursions: the
 //! predictive part must splice correctly onto live instance records.
 
-use askel_core::{best_effort, ActState, AdgBuilder, SmTracker};
+use askel_core::{best_effort, ActState, AdgWorkspace, SmTracker};
 use askel_events::{Event, EventInfo, Trace, When, Where};
 use askel_skeletons::{
     dac, seq, sfor, swhile, InstanceId, KindTag, MuscleId, MuscleRole, NodeId, Skel, TimeNs,
@@ -111,7 +111,7 @@ fn while_mid_loop_predicts_remaining_iterations() {
         t += 4;
     }
     // Now at t = 8s, between iterations.
-    let adg = AdgBuilder::new(&tracker).build(program.node());
+    let adg = AdgWorkspace::new(program.node()).build(&tracker).clone();
     // 2 actual conds + 2 actual bodies + 3 predicted (cond+body) + final cond.
     assert_eq!(adg.len(), 2 + 2 + 3 * 2 + 1);
     let (done, running, pending) = adg.state_counts();
@@ -172,7 +172,7 @@ fn for_mid_loop_predicts_remaining_iterations() {
         EventInfo::None,
     ));
 
-    let adg = AdgBuilder::new(&tracker).build(program.node());
+    let adg = AdgWorkspace::new(program.node()).build(&tracker).clone();
     assert_eq!(adg.len(), 4, "1 actual + 3 predicted bodies");
     let (done, _, pending) = adg.state_counts();
     assert_eq!((done, pending), (1, 3));
@@ -259,7 +259,7 @@ fn dac_mid_recursion_predicts_missing_subtrees() {
     ));
 
     // Neither child has begun. Now = 3s.
-    let adg = AdgBuilder::new(&tracker).build(program.node());
+    let adg = AdgWorkspace::new(program.node()).build(&tracker).clone();
     // Root: cond + split + merge = 3 activities; each child predicted at
     // depth 2 (leaf level): cond + base = 2 activities each.
     assert_eq!(adg.len(), 3 + 2 * 2);
@@ -330,7 +330,7 @@ fn dac_base_case_has_no_recursion() {
         EventInfo::ConditionResult(false),
     ));
 
-    let adg = AdgBuilder::new(&tracker).build(program.node());
+    let adg = AdgWorkspace::new(program.node()).build(&tracker).clone();
     assert_eq!(adg.len(), 2, "cond + predicted base only");
     let be = best_effort(&adg, sec(1));
     assert_eq!(be.finish, sec(5));

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use askel_core::{Adg, AdgBuilder, AdgWorkspace, SmTracker};
+use askel_core::{Adg, AdgWorkspace, SmTracker};
 use askel_events::{Event, EventRecord, When, Where};
 use askel_skeletons::Node;
 
@@ -62,7 +62,7 @@ fn replay(ast: &Arc<Node>, events: &[Event], context: &str) -> (usize, bool) {
         let incremental = workspace.build(&tracker);
         assert_same(incremental, &scratch, &context);
         // A workspace of its own, nothing cached, gives the same.
-        assert_same(&AdgBuilder::new(&tracker).build(ast), &scratch, &context);
+        assert_same(AdgWorkspace::new(ast).build(&tracker), &scratch, &context);
         let (done, running, _) = incremental.state_counts();
         mixed |= done > 1 && running > 0;
     }

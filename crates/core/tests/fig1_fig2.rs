@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use askel_core::{
-    best_effort, limited_lp, optimal_lp, AdgBuilder, AutonomicController, ControllerConfig,
+    best_effort, limited_lp, optimal_lp, AdgWorkspace, AutonomicController, ControllerConfig,
     FnActuator, SmTracker, TimelinePoint,
 };
 use askel_events::{Event, EventInfo, Trace, When, Where};
@@ -292,7 +292,7 @@ fn tracker_at_70(f: &Fixture) -> SmTracker {
 fn adg_snapshot_has_the_papers_activities() {
     let f = fixture();
     let tracker = tracker_at_70(&f);
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     // 1 root split + 3×(split + 3 fe + merge) + 1 root merge = 17.
     assert_eq!(adg.len(), 17);
     let (done, running, pending) = adg.state_counts();
@@ -305,7 +305,7 @@ fn adg_snapshot_has_the_papers_activities() {
 fn best_effort_wct_is_100_and_optimal_lp_is_3() {
     let f = fixture();
     let tracker = tracker_at_70(&f);
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     let now = t(70);
     let be = best_effort(&adg, now);
     assert_eq!(be.finish, t(100), "paper: best-effort WCT 100");
@@ -346,7 +346,7 @@ fn best_effort_wct_is_100_and_optimal_lp_is_3() {
 fn limited_lp_2_finishes_at_115() {
     let f = fixture();
     let tracker = tracker_at_70(&f);
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     let now = t(70);
     let ll = limited_lp(&adg, now, 2);
     assert_eq!(ll.finish, t(115), "paper: limited-LP(2) WCT 115");
@@ -380,7 +380,7 @@ fn limited_lp_2_finishes_at_115() {
 fn limited_lp_3_meets_the_100_goal() {
     let f = fixture();
     let tracker = tracker_at_70(&f);
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     let ll = limited_lp(&adg, t(70), 3);
     assert_eq!(ll.finish, t(100), "LP 3 recovers the best-effort WCT");
 }
@@ -389,7 +389,7 @@ fn limited_lp_3_meets_the_100_goal() {
 fn activity_intervals_match_figure_1() {
     let f = fixture();
     let tracker = tracker_at_70(&f);
-    let adg = AdgBuilder::new(&tracker).build(f.skel.node());
+    let adg = AdgWorkspace::new(f.skel.node()).build(&tracker).clone();
     let now = t(70);
     let be = best_effort(&adg, now);
     let ll = limited_lp(&adg, now, 2);

@@ -18,10 +18,14 @@
 //! resize loop that scales the threaded engine's work-stealing pool — the
 //! paper's "adding or removing workers like adding or removing threads".
 //! The self-configuration that only a cluster gives meaning to lives here
-//! too: the [`Offload`] rule re-places a subtree onto an underloaded node,
-//! and [`sim_session`] builds the adaptive session over the simulator
-//! ([`AdaptiveSimSession`]) whose placements the cluster honours. Nothing
-//! on the serving path depends on this crate.
+//! too, as two rules the one safe-point loop evaluates, arbitrates, logs
+//! and announces like any other: the [`Offload`] rule re-places a subtree
+//! onto an underloaded node, and the [`ProvisioningPolicy`] brings whole
+//! node blocks online or retires them by setting a `capacity` knob over
+//! the simulator's LP target. [`sim_session`] builds the adaptive session
+//! over the simulator ([`AdaptiveSimSession`]) whose placements and
+//! capacity the cluster honours. Nothing on the serving path depends on
+//! this crate.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -53,11 +57,9 @@ mod offload;
 
 pub use offload::{sim_session, AdaptiveSimSession, Offload};
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use askel_events::{Event, Payload};
-use askel_sim::components::{Command, Component};
+use askel_adapt::{Concern, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
 use askel_sim::workers::WorkerModel;
 use askel_skeletons::TimeNs;
 
@@ -401,37 +403,9 @@ impl WorkerModel for Cluster {
     }
 }
 
-/// What a provisioning decision did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProvisionAction {
-    /// A node's slot block was brought online.
-    Add,
-    /// A node's slot block was taken offline.
-    Retire,
-}
-
-/// One audited provisioning decision — the cluster-level counterpart of
-/// `askel-adapt`'s `AdaptRecord`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProvisionRecord {
-    /// When the decision was taken (virtual or engine time).
-    pub at: TimeNs,
-    /// The policy's version counter after this change (1, 2, …).
-    pub version: u64,
-    /// The node that was added or retired.
-    pub node: String,
-    /// What was done.
-    pub action: ProvisionAction,
-    /// Enabled capacity (total slots) after the change.
-    pub capacity: usize,
-    /// The busy-share observations that justified it.
-    pub why: String,
-}
-
-/// Dynamic node provisioning from per-node utilization — the ROADMAP's
-/// "use the new utilization figures in decisions", and the actuation half
-/// of the [`Offload`] story: the [`Offload`] rule moves a
-/// subtree's *placement* onto an underloaded node, this policy decides
+/// Dynamic node provisioning from per-node utilization, as a rule — the
+/// actuation half of the [`Offload`] story: the [`Offload`] rule moves a
+/// subtree's *placement* onto an underloaded node, this rule decides
 /// which nodes are *online* at all.
 ///
 /// Capacity is prefix-based (slots come online in node order), so the
@@ -439,136 +413,81 @@ pub struct ProvisionRecord {
 /// order: when the busiest enabled node's busy share crosses the
 /// high-water mark and a later node is still (partly) offline, that
 /// node's block is brought fully online; when the *last* enabled node's
-/// share sits under the low-water mark, its block is retired. A cooldown
-/// (in review points) keeps oscillating load from flapping nodes on and
-/// off, exactly like the knob `Hysteresis` policy in `askel-adapt`.
+/// share sits under the low-water mark, its block is retired. The first
+/// node is never retired. A cooldown (in safe points) keeps oscillating
+/// load from flapping nodes on and off, exactly like the knob
+/// `Hysteresis` policy in `askel-adapt`.
 ///
-/// Shares are **windowed to the last capacity change**: the policy
-/// snapshots the per-node busy totals whenever it applies a change and
-/// judges each review on the busy time accrued *since* — a freshly
-/// added, saturated node is seen at its in-window share (not diluted by
-/// the lifetime it spent offline), and a long-retired node's stale
-/// history cannot mask a hot node below the high-water mark. (The
-/// [`Offload`] rule reads the raw cumulative shares.)
+/// Shares are **windowed to the last fire**: the policy snapshots the
+/// per-node busy totals whenever it fires and judges each safe point on
+/// the busy time accrued *since* — a freshly added, saturated node is
+/// seen at its in-window share (not diluted by the lifetime it spent
+/// offline), and a long-retired node's stale history cannot mask a hot
+/// node below the high-water mark. (The [`Offload`] rule reads the raw
+/// cumulative shares.)
 ///
-/// The policy is driven at explicit review points (typically the same
-/// stream safe points that drive a `Reconfigurator`) and never touches
-/// the cluster itself: [`review`](ProvisioningPolicy::review) returns the
-/// new capacity for the caller to apply through its engine's LP channel
-/// (`SimLpControl::request`) — symmetric to how the
-/// WCT controller actuates. Every change is logged as a
-/// [`ProvisionRecord`] (the most recent 1 024 are kept) and, when wired via
-/// [`announce_via`](ProvisioningPolicy::announce_via), announced as an
-/// `(After, Reconfigured)` event — the same vocabulary as the tree
-/// rewrites.
+/// The policy is a [`Concern::Cost`] [`Rule`] named `provisioning`,
+/// evaluated by the trigger engine at every stream safe point beside
+/// the tree rules. A decision is a [`RewriteAction::SetKnob`] on the
+/// `capacity` knob — typically `Knob::from_shared("capacity",
+/// lp.cell())` over the simulator's LP target (`SimLpControl::cell`) —
+/// so the `Reconfigurator` arbitrates it against every other fire (a
+/// `CostGuard` on the same knob can hold the cluster dark), applies it,
+/// logs it in the one decision log and announces it as an
+/// `(After, Reconfigured)` event. A fire that arbitration suppresses
+/// still restarts the window and the cooldown, so the rule waits out its
+/// cooldown before asking again.
 pub struct ProvisioningPolicy {
+    telemetry: ClusterTelemetry,
+    capacity: Knob,
     high_water: f64,
     low_water: f64,
     cooldown_points: usize,
-    review_points: usize,
-    last_change: Option<usize>,
-    /// Per-node busy totals at the last applied change (`None` until
-    /// one): the start of the current observation window.
-    window_start: Option<Vec<TimeNs>>,
-    version: u64,
-    /// The last [`PROVISION_LOG_CAPACITY`] records, oldest first.
-    log: VecDeque<ProvisionRecord>,
-    announce: Option<ProvisionAnnounce>,
+    window: Mutex<Window>,
 }
 
-/// How many [`ProvisionRecord`]s a policy keeps: the most recent this
-/// many. A review component keeps reviewing for as long as work is in
-/// flight, and a load that flaps the tail block adds a record per review.
-const PROVISION_LOG_CAPACITY: usize = 1 << 10;
-
-struct ProvisionAnnounce {
-    registry: Arc<askel_events::ListenerRegistry>,
-    subject: askel_skeletons::NodeId,
-    kind: askel_skeletons::KindTag,
+/// Where the observation window starts: the last fire.
+#[derive(Default)]
+struct Window {
+    /// The safe point of the last fire.
+    fired_at: Option<usize>,
+    /// Per-node busy totals at the last fire (`None` until one).
+    busy: Option<Vec<TimeNs>>,
 }
 
 impl ProvisioningPolicy {
-    /// A policy with the given busy-share water marks (clamped to
-    /// `[0, 1]`, `low ≤ high`) and no cooldown.
-    pub fn new(high_water: f64, low_water: f64) -> Self {
+    /// A policy over `telemetry`'s cluster, setting `capacity`, with the
+    /// given busy-share water marks (clamped to `[0, 1]`, `low ≤ high`)
+    /// and no cooldown.
+    pub fn new(
+        telemetry: ClusterTelemetry,
+        capacity: Knob,
+        high_water: f64,
+        low_water: f64,
+    ) -> Self {
         let high_water = high_water.clamp(0.0, 1.0);
         ProvisioningPolicy {
+            telemetry,
+            capacity,
             high_water,
             low_water: low_water.clamp(0.0, high_water),
             cooldown_points: 0,
-            review_points: 0,
-            last_change: None,
-            window_start: None,
-            version: 0,
-            log: VecDeque::new(),
-            announce: None,
+            window: Mutex::new(Window::default()),
         }
     }
 
-    /// Minimum review points between two capacity changes.
+    /// Minimum safe points between two fires.
     pub fn cooldown(mut self, points: usize) -> Self {
         self.cooldown_points = points;
         self
     }
 
-    /// Announces every applied change as an `(After, Reconfigured)` event
-    /// through `registry`, attributed to the skeleton node `subject` of
-    /// kind `kind` (typically the supervised program's root) — symmetric
-    /// to the `Reconfigurator`'s tree-rewrite events.
-    pub fn announce_via(
-        mut self,
-        registry: Arc<askel_events::ListenerRegistry>,
-        subject: askel_skeletons::NodeId,
-        kind: askel_skeletons::KindTag,
-    ) -> Self {
-        self.announce = Some(ProvisionAnnounce {
-            registry,
-            subject,
-            kind,
-        });
-        self
-    }
-
-    /// The most recent 1 024 applied provisioning changes, oldest first.
-    pub fn log(&self) -> Vec<ProvisionRecord> {
-        self.log.iter().cloned().collect()
-    }
-
-    /// Number of applied changes so far (the log may hold fewer).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// One review point: decides from the cluster's live busy shares
-    /// whether to bring the next offline node online or retire the last
-    /// online one. Returns the new total capacity for the caller to apply
-    /// (`None` = hold). Deterministic: same telemetry, same decision.
-    pub fn review(&mut self, telemetry: &ClusterTelemetry, now: TimeNs) -> Option<usize> {
-        self.review_points += 1;
-        if let Some(last) = self.last_change {
-            if self.review_points.saturating_sub(last) < self.cooldown_points {
-                return None;
-            }
-        }
-        // Window the shares to the busy time accrued since the last
-        // applied change (before the first change, since construction).
-        let busy = telemetry.busy_per_node();
-        let delta: Vec<f64> = match &self.window_start {
-            Some(start) => busy
-                .iter()
-                .zip(start)
-                .map(|(b, s)| b.saturating_sub(*s).as_secs_f64())
-                .collect(),
-            None => busy.iter().map(|b| b.as_secs_f64()).collect(),
-        };
-        let total: f64 = delta.iter().sum();
-        if total <= 0.0 {
-            return None; // nothing observed in this window yet
-        }
-        let shares: Vec<f64> = delta.iter().map(|d| d / total).collect();
-        let enabled = telemetry.enabled_per_node();
-        let slots = telemetry.slots_per_node();
-        let names = telemetry.names();
+    /// The capacity `shares` (windowed busy shares, in node order) call
+    /// for, and why — `None` to hold.
+    fn decide(&self, shares: &[f64]) -> Option<(usize, String)> {
+        let enabled = self.telemetry.enabled_per_node();
+        let slots = self.telemetry.slots_per_node();
+        let names = self.telemetry.names();
 
         // Add: the busiest enabled node is over the high-water mark and a
         // later block still has offline slots.
@@ -580,23 +499,15 @@ impl ProvisioningPolicy {
             .fold(0.0f64, f64::max);
         if hottest >= self.high_water {
             if let Some(i) = (0..slots.len()).find(|&i| enabled[i] < slots[i]) {
-                let new_capacity: usize = slots[..=i].iter().sum();
-                self.apply(
-                    now,
-                    names[i].clone(),
-                    ProvisionAction::Add,
-                    new_capacity,
-                    format!(
-                        "hottest enabled node at {:.0}% of windowed busy time >= {:.0}% \
-                         high water; bringing `{}` online ({} slots)",
-                        hottest * 100.0,
-                        self.high_water * 100.0,
-                        names[i],
-                        slots[i]
-                    ),
-                    busy,
+                let why = format!(
+                    "hottest enabled node at {:.0}% of windowed busy time >= {:.0}% \
+                     high water; bringing `{}` online ({} slots)",
+                    hottest * 100.0,
+                    self.high_water * 100.0,
+                    names[i],
+                    slots[i]
                 );
-                return Some(new_capacity);
+                return Some((slots[..=i].iter().sum(), why));
             }
             // Everything is already online: fall through — the idle
             // tail node may still deserve retirement.
@@ -609,109 +520,66 @@ impl ProvisioningPolicy {
         }
         let new_capacity: usize = slots[..last].iter().sum();
         if shares[last] <= self.low_water && new_capacity >= 1 {
-            self.apply(
-                now,
-                names[last].clone(),
-                ProvisionAction::Retire,
-                new_capacity,
-                format!(
-                    "`{}` at {:.0}% of windowed busy time <= {:.0}% low water; \
-                     retiring its {} slot(s)",
-                    names[last],
-                    shares[last] * 100.0,
-                    self.low_water * 100.0,
-                    slots[last]
-                ),
-                busy,
+            let why = format!(
+                "`{}` at {:.0}% of windowed busy time <= {:.0}% low water; \
+                 retiring its {} slot(s)",
+                names[last],
+                shares[last] * 100.0,
+                self.low_water * 100.0,
+                slots[last]
             );
-            return Some(new_capacity);
+            return Some((new_capacity, why));
         }
         None
     }
+}
 
-    fn apply(
-        &mut self,
-        now: TimeNs,
-        node: String,
-        action: ProvisionAction,
-        capacity: usize,
-        why: String,
-        busy_now: Vec<TimeNs>,
-    ) {
-        self.version += 1;
-        self.last_change = Some(self.review_points);
-        // Start a fresh observation window at every applied change.
-        self.window_start = Some(busy_now);
-        if let Some(announce) = &self.announce {
-            let event = Event::reconfigured(announce.subject, announce.kind, self.version, now);
-            announce.registry.emit(&mut Payload::None, &event);
+impl Rule for ProvisioningPolicy {
+    fn name(&self) -> &str {
+        "provisioning"
+    }
+
+    fn concern(&self) -> Concern {
+        Concern::Cost
+    }
+
+    /// Decides from the cluster's live busy shares whether to bring the
+    /// next offline node online or retire the last online one.
+    /// Deterministic: same telemetry, same decision.
+    fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
+        let mut window = self.window.lock().expect("provisioning window poisoned");
+        if let Some(fired_at) = window.fired_at {
+            if ctx.safe_point.saturating_sub(fired_at) < self.cooldown_points {
+                return None;
+            }
         }
-        if self.log.len() == PROVISION_LOG_CAPACITY {
-            self.log.pop_front();
+        // Window the shares to the busy time accrued since the last fire
+        // (before the first fire, since construction).
+        let busy = self.telemetry.busy_per_node();
+        let delta: Vec<f64> = match &window.busy {
+            Some(start) => busy
+                .iter()
+                .zip(start)
+                .map(|(b, s)| b.saturating_sub(*s).as_secs_f64())
+                .collect(),
+            None => busy.iter().map(|b| b.as_secs_f64()).collect(),
+        };
+        let total: f64 = delta.iter().sum();
+        if total <= 0.0 {
+            return None; // nothing observed in this window yet
         }
-        self.log.push_back(ProvisionRecord {
-            at: now,
-            version: self.version,
-            node,
-            action,
-            capacity,
+        let shares: Vec<f64> = delta.iter().map(|d| d / total).collect();
+        let (capacity, why) = self.decide(&shares)?;
+        // Applied or suppressed, a fire starts a fresh window.
+        window.fired_at = Some(ctx.safe_point);
+        window.busy = Some(busy);
+        Some(RuleFire::new(
+            RewriteAction::SetKnob {
+                knob: self.capacity.clone(),
+                value: capacity,
+            },
             why,
-        });
-    }
-}
-
-/// A [`ProvisioningPolicy`] mounted as a discrete-event scheduler
-/// [`Component`]: review points fire on **virtual time** instead of being
-/// hand-called between stream items, and an accepted decision actuates
-/// through the scheduler's LP channel ([`Command::RequestLp`]) — the same
-/// path an external controller uses. Review ticks only occur while the
-/// simulated machine has work in flight, so an idle cluster is never
-/// reviewed (and costs nothing to simulate).
-///
-/// The policy lives behind a shared handle ([`policy`]) so tests and
-/// callers can read its [`ProvisioningPolicy::log`] after (or during) the
-/// run.
-///
-/// [`policy`]: ProvisioningReview::policy
-pub struct ProvisioningReview {
-    policy: Arc<Mutex<ProvisioningPolicy>>,
-    telemetry: ClusterTelemetry,
-    every: TimeNs,
-    next: Option<TimeNs>,
-}
-
-impl ProvisioningReview {
-    /// Reviews `policy` against `telemetry` every `every` of virtual
-    /// time, starting one interval after the simulation first needs a
-    /// tick time.
-    pub fn new(policy: ProvisioningPolicy, telemetry: ClusterTelemetry, every: TimeNs) -> Self {
-        ProvisioningReview {
-            policy: Arc::new(Mutex::new(policy)),
-            telemetry,
-            every,
-            next: None,
-        }
-    }
-
-    /// Shared handle onto the wrapped policy (decision log, version).
-    pub fn policy(&self) -> Arc<Mutex<ProvisioningPolicy>> {
-        Arc::clone(&self.policy)
-    }
-}
-
-impl Component for ProvisioningReview {
-    fn next_tick(&self, now: TimeNs) -> Option<TimeNs> {
-        Some(self.next.unwrap_or(TimeNs(now.0 + self.every.0.max(1))))
-    }
-
-    fn tick(&mut self, now: TimeNs) -> Vec<Command> {
-        self.next = Some(TimeNs(now.0 + self.every.0.max(1)));
-        let mut policy = self.policy.lock().expect("provisioning policy poisoned");
-        policy
-            .review(&self.telemetry, now)
-            .map(Command::RequestLp)
-            .into_iter()
-            .collect()
+        ))
     }
 }
 
@@ -731,6 +599,7 @@ impl std::fmt::Display for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use askel_adapt::{Reconfigurator, TriggerEngine, VersionedSkel, DECISION_LOG_CAPACITY};
 
     fn two_node() -> Cluster {
         Cluster::new(vec![
@@ -956,6 +825,33 @@ mod tests {
         assert_eq!(telemetry.busy_per_node()[1], TimeNs::ZERO);
     }
 
+    /// A trigger engine holding `policy` alone.
+    fn host(policy: ProvisioningPolicy) -> Arc<TriggerEngine> {
+        let trigger = TriggerEngine::new(0.5);
+        trigger.add_rule(policy);
+        trigger
+    }
+
+    /// One safe point of `trigger`: the capacity its fire asks for, and
+    /// why (`None` = hold).
+    fn review(trigger: &TriggerEngine) -> Option<(usize, String)> {
+        let root = Arc::clone(askel_skeletons::seq(|x: i64| x).node());
+        let mut plans = trigger.plan(&root, 0, 1, TimeNs::ZERO);
+        assert!(plans.len() <= 1, "one rule, one fire");
+        let plan = plans.pop()?;
+        assert_eq!(
+            (plan.rule.as_str(), plan.concern),
+            ("provisioning", Concern::Cost)
+        );
+        match plan.action {
+            RewriteAction::SetKnob { knob, value } => {
+                assert_eq!(knob.name(), "capacity");
+                Some((value, plan.why))
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn provisioning_adds_and_retires_tail_nodes_with_cooldown() {
         let c = Cluster::new(vec![
@@ -964,43 +860,32 @@ mod tests {
         ])
         .with_capacity(1);
         let t = c.telemetry();
-        let mut policy = ProvisioningPolicy::new(0.8, 0.1).cooldown(3);
+        let trigger = host(
+            ProvisioningPolicy::new(t.clone(), Knob::new("capacity", 1), 0.8, 0.1).cooldown(3),
+        );
 
         // Nothing observed: hold.
-        assert_eq!(policy.review(&t, TimeNs::from_secs(1)), None);
+        assert_eq!(review(&trigger), None);
 
         // All busy time on the edge: over the high-water mark → add hub.
         t.add(0, TimeNs::from_secs(10));
-        let cap = policy.review(&t, TimeNs::from_secs(2));
-        assert_eq!(cap, Some(4), "edge block (1) + hub block (3)");
-        t.set_enabled(vec![1, 3]); // the caller applied it (via its LP request)
+        let (cap, why) = review(&trigger).expect("add");
+        assert_eq!(cap, 4, "edge block (1) + hub block (3)");
+        assert!(why.contains("bringing `hub` online"), "{why}");
+        t.set_enabled(vec![1, 3]); // the knob's LP request was applied
 
         // Still skewed, but everything is online → hold; and the next
-        // review is inside the cooldown anyway.
-        assert_eq!(policy.review(&t, TimeNs::from_secs(3)), None);
+        // safe point is inside the cooldown anyway.
+        assert_eq!(review(&trigger), None);
 
         // Load continues on the edge while the hub stays idle: once the
         // cooldown elapses the hub is retired (windowed shares — the
         // post-add window must see traffic to judge).
         t.add(0, TimeNs::from_secs(5));
-        assert_eq!(policy.review(&t, TimeNs::from_secs(4)), None, "cooldown");
-        let cap = policy.review(&t, TimeNs::from_secs(5));
-        assert_eq!(cap, Some(1), "hub retired, back to the edge block");
-
-        let log = policy.log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(
-            (log[0].action, log[0].node.as_str()),
-            (ProvisionAction::Add, "hub")
-        );
-        assert_eq!(log[0].capacity, 4);
-        assert_eq!(
-            (log[1].action, log[1].node.as_str()),
-            (ProvisionAction::Retire, "hub")
-        );
-        assert_eq!(log[1].capacity, 1);
-        assert_eq!(policy.version(), 2);
-        assert!(log.iter().all(|r| !r.why.is_empty()));
+        assert_eq!(review(&trigger), None, "cooldown");
+        let (cap, why) = review(&trigger).expect("retire");
+        assert_eq!(cap, 1, "hub retired, back to the edge block");
+        assert!(why.contains("`hub`") && why.contains("retiring"), "{why}");
     }
 
     #[test]
@@ -1016,31 +901,50 @@ mod tests {
         ])
         .with_capacity(1);
         let t = c.telemetry();
-        let mut policy = ProvisioningPolicy::new(0.8, 0.1).cooldown(1);
+        let trigger = host(
+            ProvisioningPolicy::new(t.clone(), Knob::new("capacity", 1), 0.8, 0.1).cooldown(1),
+        );
         t.add(0, TimeNs::from_secs(100)); // long edge-only history
-        assert_eq!(policy.review(&t, TimeNs::from_secs(1)), Some(4), "add hub");
+        assert_eq!(review(&trigger).map(|(cap, _)| cap), Some(4), "add hub");
         t.set_enabled(vec![1, 3]);
         // The hub now runs saturated; the edge is idle. In-window share:
         // hub 8s / 8s = 100%, edge 0% — lifetime share would be ~7%.
         t.add(1, TimeNs::from_secs(8));
         assert_eq!(
-            policy.review(&t, TimeNs::from_secs(2)),
+            review(&trigger),
             None,
             "a saturated fresh node is not retired (no add possible either)"
         );
-        assert_eq!(policy.log().len(), 1, "no flap: {:?}", policy.log());
     }
 
     #[test]
     fn provisioning_never_retires_the_first_node_or_goes_below_min() {
         let c = Cluster::new(vec![NodeSpec::local("only", 2)]);
         let t = c.telemetry();
-        let mut policy = ProvisioningPolicy::new(0.9, 0.5);
+        let trigger = host(ProvisioningPolicy::new(
+            t.clone(),
+            Knob::new("capacity", 2),
+            0.9,
+            0.5,
+        ));
         t.add(0, TimeNs::from_millis(1));
         // Share of "only" is 1.0 ≥ high water but there is nothing to
         // add; and it is the first node, so it can never be retired.
-        assert_eq!(policy.review(&t, TimeNs::ZERO), None);
-        assert!(policy.log().is_empty());
+        assert_eq!(review(&trigger), None);
+    }
+
+    /// A reconfigurator applying `policy`'s fires at safe points of a
+    /// one-muscle program, announcing through `registry`.
+    fn safe_points(
+        policy: ProvisioningPolicy,
+        registry: Arc<askel_events::ListenerRegistry>,
+    ) -> (Reconfigurator, VersionedSkel<i64, i64>) {
+        let clock: Arc<dyn askel_skeletons::Clock> = askel_skeletons::ManualClock::new();
+        let reconf = Reconfigurator::new(registry, clock, host(policy));
+        (
+            reconf,
+            VersionedSkel::new(&askel_skeletons::seq(|x: i64| x)),
+        )
     }
 
     #[test]
@@ -1051,21 +955,25 @@ mod tests {
         ])
         .with_capacity(1);
         let t = c.telemetry();
+        let knob = Knob::new("capacity", 1);
         // No cooldown, and all load on the edge: the hub is added, then
-        // retired at the next review (idle in its window), and so on.
-        let mut policy = ProvisioningPolicy::new(0.5, 0.0);
-        let n = PROVISION_LOG_CAPACITY as u64;
-        for s in 1..=3 * n {
+        // retired at the next safe point (idle in its window), and so on.
+        let policy = ProvisioningPolicy::new(t.clone(), knob.clone(), 0.5, 0.0);
+        let (reconf, mut vskel) = safe_points(policy, askel_events::ListenerRegistry::new());
+        let n = DECISION_LOG_CAPACITY;
+        for point in 1..=3 * n {
             t.add(0, TimeNs::from_secs(1));
-            let cap = policy.review(&t, TimeNs::from_secs(s)).expect("flaps");
+            assert_eq!(reconf.apply(&mut vskel), 1, "flaps at every safe point");
+            let cap = knob.get();
+            assert_eq!(cap, if point % 2 == 1 { 2 } else { 1 }, "add, retire, …");
             t.set_enabled(vec![1, cap - 1]);
         }
-        assert_eq!(policy.version(), 3 * n);
-        let log = policy.log();
-        assert_eq!(log.len(), PROVISION_LOG_CAPACITY);
-        assert_eq!(log[0].version, 2 * n + 1, "the oldest records went");
-        assert!(log.windows(2).all(|w| w[0].version + 1 == w[1].version));
-        assert_eq!(log.last().unwrap().at, TimeNs::from_secs(3 * n));
+        assert_eq!(vskel.version(), 3 * n as u64);
+        assert_eq!(
+            reconf.trigger().decision_log().len(),
+            n,
+            "one decision log, bounded"
+        );
     }
 
     #[test]
@@ -1092,80 +1000,8 @@ mod tests {
     }
 
     #[test]
-    fn provisioning_review_ticks_one_interval_after_now() {
-        let t = two_node().telemetry();
-        let mut review = ProvisioningReview::new(ProvisioningPolicy::new(0.8, 0.1), t, TimeNs(10));
-        let mut now = TimeNs::ZERO;
-        let mut ticks = Vec::new();
-        for _ in 0..3 {
-            let at = review.next_tick(now).unwrap();
-            assert!(at > now, "tick must be strictly in the future");
-            now = at;
-            review.tick(now);
-            ticks.push(now);
-        }
-        assert_eq!(ticks, vec![TimeNs(10), TimeNs(20), TimeNs(30)]);
-    }
-
-    #[test]
-    fn a_zero_review_interval_still_terminates() {
-        let t = two_node().telemetry();
-        let mut review =
-            ProvisioningReview::new(ProvisioningPolicy::new(0.8, 0.1), t, TimeNs::ZERO);
-        let at = review.next_tick(TimeNs(5)).unwrap();
-        assert!(at > TimeNs(5));
-        review.tick(at);
-        assert!(review.next_tick(at).unwrap() > at);
-    }
-
-    #[test]
-    fn provisioning_review_component_grows_the_cluster_mid_stream() {
-        use askel_sim::cost::TableCost;
-        use askel_sim::SimEngine;
-        use askel_skeletons::seq;
-
-        // One hot edge slot, a hub that can come online: the component
-        // reviews every virtual second while items stream and must add
-        // the hub without any hand-called review points.
-        let cluster = Cluster::new(vec![
-            NodeSpec::local("edge", 1),
-            NodeSpec::remote("hub", 3, TimeNs::ZERO),
-        ])
-        .with_capacity(1);
-        let telemetry = cluster.telemetry();
-        let policy = ProvisioningPolicy::new(0.5, 0.0);
-        let review = ProvisioningReview::new(policy, telemetry.clone(), TimeNs::from_secs(1));
-        let handle = review.policy();
-        let mut components: Vec<Box<dyn Component>> = vec![Box::new(review)];
-
-        let program = seq(|x: i64| x + 1);
-        let cost = Arc::new(TableCost::new(TimeNs::from_secs(1)));
-        let mut sim = SimEngine::with_workers(Box::new(cluster), cost);
-        let mut results = Vec::new();
-        let report = sim.run_stream(
-            4,
-            |i| (i < 12).then(|| (program.clone(), i as i64)),
-            |_i, r| results.push(r.unwrap()),
-            &mut components,
-        );
-        assert_eq!(results.len(), 12);
-        assert_eq!(report.items, 12);
-        assert!(report.events > 0);
-        let log = handle.lock().unwrap();
-        assert!(
-            log.log()
-                .iter()
-                .any(|r| r.action == ProvisionAction::Add && r.node == "hub"),
-            "the review component must bring the hub online: {:?}",
-            log.log()
-        );
-        assert_eq!(telemetry.capacity(), 4, "capacity actuated via RequestLp");
-    }
-
-    #[test]
     fn provisioning_announces_reconfigured_events() {
         use askel_events::{Event, FnListener, Payload, Where};
-        use askel_skeletons::KindTag;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let registry = askel_events::ListenerRegistry::new();
@@ -1185,14 +1021,46 @@ mod tests {
         ])
         .with_capacity(1);
         let t = c.telemetry();
-        let subject = askel_skeletons::NodeId(7);
-        let mut policy = ProvisioningPolicy::new(0.5, 0.0).announce_via(
-            Arc::clone(&registry),
-            subject,
-            KindTag::Map,
-        );
+        let knob = Knob::new("capacity", 1);
+        let policy = ProvisioningPolicy::new(t.clone(), knob.clone(), 0.5, 0.0);
+        let (reconf, mut vskel) = safe_points(policy, registry);
         t.add(0, TimeNs::from_secs(1));
-        assert_eq!(policy.review(&t, TimeNs::from_secs(1)), Some(2));
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
+        assert_eq!(reconf.apply(&mut vskel), 1);
+        assert_eq!(knob.get(), 2, "the hub's slot requested");
+        assert_eq!(seen.load(Ordering::SeqCst), 1, "one (After, Reconfigured)");
+        let log = reconf.trigger().decision_log();
+        assert_eq!(log.len(), 1);
+        assert_eq!((log[0].rule.as_str(), log[0].version), ("provisioning", 1));
+        assert_eq!(log[0].action, "set knob `capacity` 1 -> 2");
+    }
+
+    #[test]
+    fn a_clamped_lp_request_records_no_phantom_target_step() {
+        use askel_sim::cost::TableCost;
+        use askel_sim::SimEngine;
+        use askel_skeletons::seq;
+        use askel_skeletons::TimelinePoint;
+
+        // Two slots provisioned; asking for four clamps to the two the
+        // cluster already has, which is no step of the target timeline.
+        let cluster = Cluster::new(vec![NodeSpec::local("only", 2)]);
+        let cost = Arc::new(TableCost::new(TimeNs::from_secs(1)));
+        let mut sim = SimEngine::with_workers(Box::new(cluster), cost);
+        let program = seq(|x: i64| x + 1);
+        let lp = sim.lp_control();
+        lp.request(4);
+        sim.run(&program, 1).unwrap();
+        lp.request(4);
+        sim.run(&program, 2).unwrap();
+        let point = |secs, active| TimelinePoint {
+            at: TimeNs::from_secs(secs),
+            active,
+        };
+        // One sample per run's start, and nothing else.
+        assert_eq!(
+            sim.telemetry().target_timeline(),
+            vec![point(0, 2), point(1, 2)]
+        );
+        assert_eq!(sim.lp(), 2);
     }
 }

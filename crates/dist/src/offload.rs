@@ -1,7 +1,7 @@
 //! The cluster's side of self-configuration: the [`Offload`] rule, which
 //! decides from the same [`ClusterTelemetry`] as the
-//! [`ProvisioningPolicy`](crate::ProvisioningPolicy), and the adaptive
-//! session over the simulator that honours its placements.
+//! [`ProvisioningPolicy`](crate::ProvisioningPolicy) rule, and the
+//! adaptive session over the simulator that honours their decisions.
 
 use std::sync::{Arc, Mutex};
 

@@ -71,8 +71,9 @@ use parking_lot::{Mutex, RwLock};
 use askel_obs::{Counter, Gauge, Histogram, MetricsHub};
 use askel_skeletons::{Clock, RealClock, TimeNs};
 
+pub use askel_skeletons::TimelinePoint;
 use queue::{Injector, Parker, Shard};
-pub use telemetry::{telemetry_to_chrome, PoolTelemetry, TelemetrySample, TimelinePoint};
+pub use telemetry::{telemetry_to_chrome, PoolTelemetry, TelemetrySample};
 
 /// A unit of work for the pool.
 pub type Task = Box<dyn FnOnce() + Send>;

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use askel_skeletons::TimeNs;
+use askel_skeletons::{TimeNs, TimelinePoint};
 
 /// One timestamped telemetry sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,16 +49,6 @@ impl TelemetrySample {
             | TelemetrySample::TargetChange { at, .. } => *at,
         }
     }
-}
-
-/// A point of the active-threads timeline: from `at` onwards, `active`
-/// tasks were running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Start of the interval.
-    pub at: TimeNs,
-    /// Active tasks during it.
-    pub active: usize,
 }
 
 /// Shared telemetry for one pool.

@@ -1,12 +1,13 @@
 //! Scheduler components: periodic actors that tick on virtual time.
 //!
 //! A [`Component`] is anything that wants to run *between* muscle
-//! completions — a provisioning-policy review point, a telemetry
-//! sampler, a fault injector. The scheduler asks each component when it
-//! next wants to run ([`Component::next_tick`]) and, once virtual time
-//! reaches that instant, calls [`Component::tick`]. Ticks happen *before*
-//! any completion carrying the same timestamp, so a component observes
-//! the world as of strictly-earlier events.
+//! completions — a telemetry sampler, a fault injector. (Capacity is not
+//! one: `askel_dist::ProvisioningPolicy` is a rule, evaluated at stream
+//! safe points.) The scheduler asks each component when it next wants to
+//! run ([`Component::next_tick`]) and, once virtual time reaches that
+//! instant, calls [`Component::tick`]. Ticks happen *before* any
+//! completion carrying the same timestamp, so a component observes the
+//! world as of strictly-earlier events.
 //!
 //! Components only tick while the machine has work in flight: an idle
 //! simulated cluster costs nothing, and a simulation with no pending

@@ -29,7 +29,7 @@
 //! simulator into a replay-exact concurrency **fuzzer** for the
 //! adapt/offload decision stack (set the `ASKEL_SIM_SEED` env var to
 //! reproduce a failing seed from the command line). Long-lived actors —
-//! provisioning-policy review points, telemetry samplers — plug in as
+//! telemetry samplers, fault injectors — plug in as
 //! [`components::Component`]s that tick on virtual time, and
 //! [`SimEngine::run_stream`] (completion order) or a [`SimStream`]
 //! (submission order) feeds a whole item stream through one persistent
@@ -135,31 +135,37 @@ pub struct SimOutcome<R> {
     pub wct: TimeNs,
 }
 
-/// Handle through which a listener (the autonomic controller) requests LP
-/// changes while the simulation runs. Requests are applied at the current
-/// virtual instant; shrinking never preempts running activities.
+/// Handle through which a listener (the autonomic controller) or a rule
+/// requests LP changes while the simulation runs: a standing target the
+/// scheduler applies, at the current virtual instant, whenever it differs
+/// from the last target applied. Shrinking never preempts running
+/// activities.
 #[derive(Clone)]
 pub struct SimLpControl {
-    request: Arc<AtomicUsize>,
+    target: Arc<AtomicUsize>,
 }
 
 impl SimLpControl {
-    const NONE: usize = usize::MAX;
-
     /// Requests that the LP become `lp`.
     pub fn request(&self, lp: usize) {
-        self.request.store(lp, Ordering::SeqCst);
+        self.target.store(lp, Ordering::SeqCst);
     }
 
-    pub(crate) fn new() -> Self {
+    /// The target cell itself — it reads the current target and a store
+    /// is a request — for wrapping as a knob
+    /// (`Knob::from_shared("capacity", lp.cell())`).
+    pub fn cell(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.target)
+    }
+
+    pub(crate) fn new(initial: usize) -> Self {
         SimLpControl {
-            request: Arc::new(AtomicUsize::new(Self::NONE)),
+            target: Arc::new(AtomicUsize::new(initial)),
         }
     }
 
-    pub(crate) fn take(&self) -> Option<usize> {
-        let v = self.request.swap(Self::NONE, Ordering::SeqCst);
-        (v != Self::NONE).then_some(v)
+    pub(crate) fn target(&self) -> usize {
+        self.target.load(Ordering::SeqCst)
     }
 }
 

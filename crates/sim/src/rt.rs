@@ -78,6 +78,9 @@ pub(crate) struct SimRt {
     cost: Arc<dyn CostModel>,
     pub(crate) telemetry: Arc<PoolTelemetry>,
     pub(crate) lp_control: SimLpControl,
+    /// The last LP target [`apply_lp_request`](SimRt::apply_lp_request)
+    /// applied.
+    lp_applied: usize,
     pub(crate) policy: OrderingPolicy,
     pub(crate) workers: Box<dyn WorkerModel>,
     /// On loan from the caller from [`begin`](SimRt::begin) to `end`.
@@ -245,14 +248,21 @@ impl SimRt {
             .collect();
     }
 
+    /// Applies the standing LP target if it moved since the last one
+    /// applied. A target the worker model clamps to the capacity it
+    /// already has records nothing.
     pub(crate) fn apply_lp_request(&mut self) {
-        if let Some(lp) = self.lp_control.take() {
-            if lp != self.workers.capacity() {
-                self.workers.set_capacity(lp);
-                self.telemetry
-                    .record_target(self.now, self.workers.capacity());
-                self.rebuild_free();
-            }
+        let lp = self.lp_control.target();
+        if lp == self.lp_applied {
+            return;
+        }
+        self.lp_applied = lp;
+        let before = self.workers.capacity();
+        self.workers.set_capacity(lp);
+        if self.workers.capacity() != before {
+            self.telemetry
+                .record_target(self.now, self.workers.capacity());
+            self.rebuild_free();
         }
     }
 
@@ -426,7 +436,8 @@ impl SimRt {
             registry: ListenerRegistry::new(),
             cost,
             telemetry: Arc::new(telemetry),
-            lp_control: SimLpControl::new(),
+            lp_control: SimLpControl::new(workers.capacity()),
+            lp_applied: workers.capacity(),
             policy,
             workers,
             components: Vec::new(),

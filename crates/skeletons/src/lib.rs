@@ -49,4 +49,4 @@ pub use muscle::{Condition, Data, Execute, Merge, Split};
 pub use node::{KindTag, MuscleDescriptor, Node, NodeKind};
 pub use seq_eval::EvalError;
 pub use skel::{dac, farm, fork, map, pipe, seq, sfor, sif, swhile, Skel};
-pub use time::{Clock, ManualClock, RealClock, TimeNs};
+pub use time::{Clock, ManualClock, RealClock, TimeNs, TimelinePoint};

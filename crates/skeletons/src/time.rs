@@ -130,6 +130,17 @@ impl fmt::Display for TimeNs {
     }
 }
 
+/// A point of a step function over time: from `at` on, `active` things
+/// (running tasks, scheduled activities, an LP target) hold. The pool's
+/// telemetry timelines and the controller's schedules share it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimelinePoint {
+    /// Start of the interval.
+    pub at: TimeNs,
+    /// The value during it.
+    pub active: usize,
+}
+
 /// Source of timestamps for event emission and autonomic analysis.
 ///
 /// Implementations must be monotonic: `now()` never decreases.

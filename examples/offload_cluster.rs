@@ -4,13 +4,13 @@
 //! The stream's item sizes flip between a low and a high phase (the
 //! adversarial input for knob rules), and the cluster is skewed: a
 //! one-slot `edge` node does all the work while a faster four-slot `hub`
-//! sits dark. Three autonomic mechanisms fire, all audited:
+//! sits dark. Three rules of one trigger engine fire at the stream's safe
+//! points, arbitrated together and audited in one decision log:
 //!
-//! 1. **provisioning** — `ProvisioningPolicy` sees the edge's busy share
-//!    cross its high-water mark and brings the hub's slot block online
-//!    (announced as an `(After, Reconfigured)` event, applied through the
-//!    simulator's LP channel — the paper's "adding workers like adding
-//!    threads");
+//! 1. **provisioning** — the `ProvisioningPolicy` rule sees the edge's
+//!    busy share cross its high-water mark and sets the `capacity` knob
+//!    (the simulator's LP target) to bring the hub's slot block online —
+//!    the paper's "adding workers like adding threads";
 //! 2. **offload** — the `Offload` rule sees the same skew in
 //!    `ClusterTelemetry` and re-places the map subtree onto the hub
 //!    (`Skel::placed_at`, a deep placement annotation the simulator's
@@ -18,6 +18,9 @@
 //! 3. **grain retune, damped** — the oscillating load swings the leaf
 //!    duration EWMA across the `RetuneGrain` band; its `Hysteresis`
 //!    (cooldown + dead band) keeps the knob from flapping A→B→A.
+//!
+//! Each applied decision is announced as an `(After, Reconfigured)`
+//! event.
 //!
 //! Run with: `cargo run --example offload_cluster`
 
@@ -39,16 +42,9 @@ fn main() {
     // reversed inside its cooldown.
     run.check_invariants("");
 
-    println!("provisioning log:");
-    for r in &run.provisions {
-        println!(
-            "  t={:>6.3}s  {:?} `{}` -> capacity {} — {}",
-            r.at.as_secs_f64(),
-            r.action,
-            r.node,
-            r.capacity,
-            r.why
-        );
+    println!("provisioning decisions:");
+    for d in run.decisions.iter().filter(|d| d.rule == "provisioning") {
+        println!("  t={:>6.3}s  {} — {}", d.at.as_secs_f64(), d.action, d.why);
     }
     println!("adaptation decision log:");
     for d in &run.decisions {
@@ -69,8 +65,9 @@ fn main() {
     let log = &run.decisions;
     let offloads = log.iter().filter(|d| d.rule == "offload").count();
     assert_eq!(offloads, 1, "exactly one audited offload: {log:?}");
-    assert!(
-        run.additions().iter().any(|(_, node, _)| node == "hub"),
+    assert_eq!(
+        run.capacity_trace.last(),
+        Some(&(1, 5)),
         "provisioning brought the hub online"
     );
     assert!(busy[1] > TimeNs::ZERO, "offloaded work ran on the hub");

@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use askel_dist::{
         sim_session, AdaptiveSimSession, Cluster, ClusterTelemetry, NodeSpec, Offload,
-        ProvisionAction, ProvisionRecord, ProvisioningPolicy, ProvisioningReview,
+        ProvisioningPolicy,
     };
     pub use askel_engine::{Engine, EngineError, SkelFuture, StreamSession};
     pub use askel_events::{EventFilter, FnListener, Listener, Payload, When, Where};

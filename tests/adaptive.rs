@@ -175,11 +175,16 @@ fn skewed_cluster_offload_acceptance() {
     let offloads: Vec<_> = a.decisions.iter().filter(|d| d.rule == "offload").collect();
     assert_eq!(offloads.len(), 1, "{:?}", a.decisions);
     assert!(offloads[0].action.contains("`hub`"), "{:?}", offloads[0]);
-    // Provisioning brought the hub online and offloaded work ran there.
-    let additions = a.additions();
-    assert_eq!(additions.len(), 1, "{additions:?}");
-    assert_eq!(additions[0].1, "hub");
-    assert_eq!(additions[0].2, 5, "edge slot + 4 hub slots");
+    // Provisioning brought the hub online — one audited decision in the
+    // same log, at item 1's safe point — and offloaded work ran there.
+    let provisions: Vec<_> = a
+        .decisions
+        .iter()
+        .filter(|d| d.rule == "provisioning")
+        .collect();
+    assert_eq!(provisions.len(), 1, "{:?}", a.decisions);
+    assert!(provisions[0].why.contains("`hub`"), "{:?}", provisions[0]);
+    assert_eq!(a.capacity_trace, vec![(1, 5)], "edge slot + 4 hub slots");
     assert!(a.telemetry.busy_per_node()[1] > TimeNs::ZERO);
     assert!(!a.grain_trace.is_empty(), "the grain knob moved");
     // Deterministic: the whole decision sequence replays identically.
@@ -189,7 +194,7 @@ fn skewed_cluster_offload_acceptance() {
         b.decision_keys(),
         "virtual timestamps included"
     );
-    assert_eq!(additions, b.additions());
+    assert_eq!(a.capacity_trace, b.capacity_trace);
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.grain_trace, b.grain_trace);
 }

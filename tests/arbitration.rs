@@ -297,3 +297,51 @@ fn applied_rewrite_invalidates_estimates_in_trigger_and_synced_controller() {
     });
     assert!(controller.forecast_wct(vskel.skel().node(), 1).is_some());
 }
+
+/// Provisioning is a `Concern::Cost` rule on the `capacity` knob, so a
+/// `CostGuard` on the same knob arbitrates against it. In the skewed
+/// cluster with the budget spent (zero), the guard vetoes growth at every
+/// safe point provisioning asks for the hub: both are cost rules at equal
+/// priority, and `cost-guard` ranks before `provisioning` by name, so
+/// under priority-wins and veto alike the hub stays dark. With the budget
+/// unspent the guard is silent and the hub comes online as in the
+/// acceptance run.
+#[test]
+fn a_cost_guard_on_the_capacity_knob_holds_the_hub_dark() {
+    use askel_bench::run_skewed_cluster_guarded;
+
+    for conflict in [ConflictPolicy::PriorityWins, ConflictPolicy::Veto] {
+        let run =
+            run_skewed_cluster_guarded(OrderingPolicy::from_env(), conflict.clone(), TimeNs::ZERO);
+        run.check_invariants(&format!(" under {conflict:?}"));
+        assert!(run.capacity_trace.is_empty(), "{:?}", run.capacity_trace);
+        assert_eq!(run.telemetry.capacity(), 1, "the hub stayed dark");
+        assert_eq!(run.telemetry.busy_per_node()[1], TimeNs::ZERO);
+        let provisions: Vec<_> = run
+            .decisions
+            .iter()
+            .filter(|d| d.rule == "provisioning")
+            .collect();
+        assert!(!provisions.is_empty(), "provisioning asked for the hub");
+        for d in provisions {
+            assert!(
+                d.action
+                    .starts_with("suppressed by `cost-guard`: set knob `capacity` 1 -> 5"),
+                "{d:?} under {conflict:?}"
+            );
+        }
+        assert!(
+            run.decisions.iter().all(|d| d.rule != "cost-guard"),
+            "a standing veto is no decision"
+        );
+    }
+
+    let run = run_skewed_cluster_guarded(
+        OrderingPolicy::from_env(),
+        ConflictPolicy::PriorityWins,
+        TimeNs::from_secs(1),
+    );
+    run.check_invariants(" with the budget unspent");
+    assert_eq!(run.capacity_trace, vec![(1, 5)]);
+    assert!(run.telemetry.busy_per_node()[1] > TimeNs::ZERO);
+}

@@ -203,7 +203,7 @@ fn seeded_ordering_sweep_preserves_invariants_and_replays() {
             "skewed decisions must replay — {}",
             repro(seed)
         );
-        assert_eq!(a.additions(), b.additions(), "{}", repro(seed));
+        assert_eq!(a.capacity_trace, b.capacity_trace, "{}", repro(seed));
         assert_eq!(a.outputs, b.outputs, "{}", repro(seed));
         assert_eq!(a.grain_trace, b.grain_trace, "{}", repro(seed));
 
