@@ -34,7 +34,9 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeId, NodeKind, TimeNs};
+use askel_skeletons::{
+    IdMap, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeId, NodeKind, TimeNs,
+};
 
 use crate::estimate::{role_has_cardinality, EstimatorTable};
 use crate::tracker::{InstanceRecord, SmTracker, Span};
@@ -363,7 +365,7 @@ impl Estimates {
 struct FinishedBlocks {
     graph: Adg,
     /// Per finished instance, its block in `graph`.
-    of: HashMap<InstanceId, Block>,
+    of: IdMap<InstanceId, Block>,
 }
 
 /// Stands for "the entry" in [`FinishedBlocks::graph`]: outside every

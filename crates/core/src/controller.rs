@@ -794,7 +794,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, e)| {
                     e.timestamp = TimeNs(e.timestamp.0 + 13 * i as u64);
-                    let branch = match (e.trace.entries().get(1), e.info) {
+                    let branch = match (e.trace.entries().nth(1), e.info) {
                         (Some(below_root), _) => {
                             branches.iter().position(|b| b.id == below_root.node)
                         }

@@ -19,11 +19,9 @@
 //! [`Snapshot`] serializes it so one run can initialize the next (the
 //! paper's "Goal with initialization" scenario).
 
-use std::collections::HashMap;
-
 use crate::json::{Json, JsonError};
 
-use askel_skeletons::{KindTag, MuscleDescriptor, MuscleId, MuscleRole, NodeId, TimeNs};
+use askel_skeletons::{IdMap, KindTag, MuscleDescriptor, MuscleId, MuscleRole, NodeId, TimeNs};
 
 /// The paper's exponentially-weighted moving average.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -102,8 +100,8 @@ pub(crate) fn role_has_cardinality(tag: KindTag, role: MuscleRole) -> bool {
 #[derive(Clone, Debug)]
 pub struct EstimatorTable {
     rho: f64,
-    durations: HashMap<MuscleId, Ewma>,
-    cardinalities: HashMap<MuscleId, Ewma>,
+    durations: IdMap<MuscleId, Ewma>,
+    cardinalities: IdMap<MuscleId, Ewma>,
     /// Alias groups, once one is declared or restored: most tables have
     /// none, and keep three maps' room for them out of line.
     groups: Option<Box<Groups>>,
@@ -112,9 +110,9 @@ pub struct EstimatorTable {
 /// An [`EstimatorTable`]'s group estimates, by canonical, and its aliases.
 #[derive(Clone, Debug, Default)]
 struct Groups {
-    durations: HashMap<MuscleId, Ewma>,
-    cardinalities: HashMap<MuscleId, Ewma>,
-    aliases: HashMap<MuscleId, MuscleId>,
+    durations: IdMap<MuscleId, Ewma>,
+    cardinalities: IdMap<MuscleId, Ewma>,
+    aliases: IdMap<MuscleId, MuscleId>,
 }
 
 impl EstimatorTable {
@@ -122,8 +120,8 @@ impl EstimatorTable {
     pub fn new(rho: f64) -> Self {
         EstimatorTable {
             rho: rho.clamp(0.0, 1.0),
-            durations: HashMap::new(),
-            cardinalities: HashMap::new(),
+            durations: IdMap::default(),
+            cardinalities: IdMap::default(),
             groups: None,
         }
     }
@@ -288,7 +286,7 @@ impl EstimatorTable {
 
     /// Serializable snapshot of every estimate (see [`Snapshot`]).
     pub fn snapshot(&self) -> Snapshot {
-        fn dump(map: &HashMap<MuscleId, Ewma>) -> Vec<SnapshotEntry> {
+        fn dump(map: &IdMap<MuscleId, Ewma>) -> Vec<SnapshotEntry> {
             let mut out: Vec<SnapshotEntry> = map
                 .iter()
                 .filter_map(|(m, e)| e.value().map(|v| SnapshotEntry::new(*m, v)))

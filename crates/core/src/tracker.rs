@@ -21,10 +21,10 @@
 //! under one lock with the controller's analysis; the controller and the
 //! trigger engine read it there.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use askel_events::{EventInfo, EventRecord, Interest, When, Where};
-use askel_skeletons::{InstanceId, KindTag, MuscleId, MuscleRole, NodeId, TimeNs};
+use askel_skeletons::{IdMap, InstanceId, KindTag, MuscleId, MuscleRole, NodeId, TimeNs};
 
 use crate::estimate::EstimatorTable;
 
@@ -98,7 +98,7 @@ impl InstanceRecord {
 /// Event-driven execution tracker + estimator updater.
 pub struct SmTracker {
     estimates: EstimatorTable,
-    instances: HashMap<InstanceId, InstanceRecord>,
+    instances: IdMap<InstanceId, InstanceRecord>,
     /// Root instances in arrival order; the last is the current submission.
     roots: VecDeque<InstanceId>,
     /// Instances whose parent was unknown when they began (it was pruned,
@@ -130,7 +130,7 @@ impl SmTracker {
     pub fn new(rho: f64) -> Self {
         SmTracker {
             estimates: EstimatorTable::new(rho),
-            instances: HashMap::new(),
+            instances: IdMap::default(),
             roots: VecDeque::new(),
             orphans: Vec::new(),
             keep_finished: true,

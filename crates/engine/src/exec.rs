@@ -22,7 +22,16 @@
 //!   submit for the binary d&C case ([`Hint::Submit`]), one batch — one
 //!   queue-lock acquisition, one wake-up sweep — for wider splits
 //!   ([`Hint::Batch`]);
-//! * muscles are not metered and placement tags are ignored.
+//! * placement tags are ignored, and a muscle's metering only tells
+//!   [`ThreadRt::emit`] that the clock has moved.
+//!
+//! What a step costs: an instance is an index into the submission's
+//! [`Plan`] (reached through [`SubCtx::plan`]) plus, when observed, a
+//! trace sharing its parent's path — no step writes the shared tree. An
+//! inline step is neither boxed nor dispatched, a fan-out child completes
+//! into its join without a box, and a `for`/`while`/`pipe` instance keeps
+//! one boxed frame for all its iterations. An unobserved `for` iteration
+//! therefore allocates only its muscle's output.
 //!
 //! The listener set is sampled when the submission is made (the rule is
 //! stated once, in [`askel_events::interp`]): [`SubCtx::listeners`] is the
@@ -39,7 +48,7 @@ use askel_events::{
     Event, EventInfo, ListenerRegistry, ListenerSnapshot, Payload, Trace, When, Where,
 };
 use askel_pool::{ResizablePool, Task};
-use askel_skeletons::{Clock, Data, InstanceId, MuscleId, Node, Skel, TimeNs};
+use askel_skeletons::{Clock, Data, MuscleId, Plan, Skel, TimeNs};
 
 use crate::error::EngineError;
 use crate::future::{pair, SkelFuture};
@@ -48,22 +57,24 @@ use crate::Engine;
 
 /// Per-submission context: engine services plus the poisoning machinery.
 struct SubCtx {
+    /// The submitted program, shared with its `Skel`: one reference-count
+    /// bump per submission, none per step.
+    plan: Arc<Plan>,
     pool: ResizablePool,
     registry: Arc<ListenerRegistry>,
     clock: Arc<dyn Clock>,
     /// The listeners registered when this submission started, taken once
     /// at submit time; `None` when there were none, and then the
-    /// interpreter skips the whole event path — instance ids, trace
-    /// extension (an allocation per scheduled node) and emission — for
-    /// the submission's lifetime. Events dispatch through this view, so a
-    /// worker emitting one touches nothing another worker writes (see
-    /// [`ThreadRt::emit`]).
+    /// interpreter skips the whole event path — instance ids, traces and
+    /// emission — for the submission's lifetime. Events dispatch through
+    /// this view, so a worker emitting one touches nothing another worker
+    /// writes (see [`ThreadRt::emit`]).
     listeners: Option<Arc<ListenerSnapshot>>,
-    /// The stand-in trace every instance of an unobserved submission
-    /// shares. Allocated at submit whether or not it will be used, as it
-    /// always was: how many allocations a submission makes on the
-    /// submitting thread is what `serve_burst`'s shard-lock convoy is
-    /// balanced on (CHANGES.md, PR 13).
+    /// The path an observed submission's root instance hangs under.
+    /// Allocated at submit whether or not it will be used, as it always
+    /// was: how many allocations a submission makes on the submitting
+    /// thread is what `serve_burst`'s shard-lock convoy is balanced on
+    /// (CHANGES.md, PR 13).
     empty_trace: Trace,
     /// Span probe for the metrics hub, sampled once at submit time like
     /// `listeners`: `None` whenever the hub was disabled, making every
@@ -88,8 +99,8 @@ impl SubCtx {
 /// inline steps borrow their caller's.
 struct ThreadRt {
     ctx: Arc<SubCtx>,
-    /// The timestamp of the event this task raised last, while no `emit`
-    /// since has gone by without raising one (see [`ThreadRt::emit`]).
+    /// The timestamp of the event this task raised last, while no muscle
+    /// has been metered since (see [`ThreadRt::emit`]).
     last_raised: Option<TimeNs>,
 }
 
@@ -150,34 +161,32 @@ impl Runtime for ThreadRt {
     type Batch = Vec<Task>;
     const METERED: bool = false;
 
-    fn unobserved(&self) -> Option<Trace> {
-        match self.ctx.listeners {
-            Some(_) => None,
-            None => Some(self.ctx.empty_trace.clone()),
-        }
+    fn plan(&self) -> &Plan {
+        &self.ctx.plan
     }
 
-    /// Timestamps: every event reads the clock, except a
-    /// [`Where::NestedSkeleton`] one raised right after another event of
-    /// the same task, which carries that event's timestamp. The
-    /// interpreter raises a nesting event next to the `Skeleton`, `Split`
-    /// or `Condition` event that caused it with no muscle in between, so
-    /// the two are one instant — as they are on the simulator's virtual
-    /// clock — and a listener that keys on `(state, now)`, like the
-    /// controller's analysis memo, sees them as such.
+    fn observed(&self) -> Option<Trace> {
+        self.ctx
+            .listeners
+            .as_ref()
+            .map(|_| self.ctx.empty_trace.clone())
+    }
+
+    /// Timestamps: one clock read per muscle. An event raised with no
+    /// muscle metered since the previous event of this task carries that
+    /// event's timestamp; [`meter`](Runtime::meter), which runs before
+    /// every muscle, is the only thing that expires it. Events between
+    /// two muscles are one instant — as they are on the simulator's
+    /// virtual clock — and a listener that keys on `(state, now)`, like
+    /// the controller's analysis memo, sees them as such.
     fn emit(
         &mut self,
-        node: &Node,
         trace: &Trace,
-        index: InstanceId,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) {
-        // Whatever returns early below raised nothing: the next nesting
-        // event may then follow a muscle, and reads the clock.
-        let last_raised = self.last_raised.take();
         let ctx = &*self.ctx;
         let Some(taken) = &ctx.listeners else {
             return;
@@ -203,22 +212,8 @@ impl Runtime for ThreadRt {
         if !listeners.interest().contains(when, wher) {
             return;
         }
-        let timestamp = match last_raised {
-            Some(at) if wher == Where::NestedSkeleton => at,
-            _ => ctx.clock.now(),
-        };
-        let event = Event {
-            node: node.id,
-            kind: node.tag(),
-            when,
-            wher,
-            index,
-            trace: trace.clone(),
-            timestamp,
-            info,
-        };
-        listeners.dispatch(payload, &event);
-        self.last_raised = Some(timestamp);
+        let timestamp = *self.last_raised.get_or_insert_with(|| ctx.clock.now());
+        listeners.dispatch(payload, &Event::of(trace, when, wher, info, timestamp));
     }
 
     /// [`Hint::Run`] executes the step **inline in the current task** when
@@ -233,7 +228,7 @@ impl Runtime for ThreadRt {
     /// task is still running, so `wait_idle` cannot miss it.
     fn spawn(
         &mut self,
-        _placement: Option<Arc<str>>,
+        _at: usize,
         hint: Hint<'_, Vec<Task>>,
         step: impl FnOnce(&mut Self) + Send + 'static,
     ) {
@@ -263,7 +258,10 @@ impl Runtime for ThreadRt {
         self.ctx.pool.submit_batch(batch);
     }
 
-    fn meter(&mut self, _muscle: MuscleId, _items: usize, _payload: &dyn Any) {}
+    /// A muscle is about to run: the next event reads the clock.
+    fn meter(&mut self, _muscle: MuscleId, _items: usize, _payload: &dyn Any) {
+        self.last_raised = None;
+    }
 
     fn busy(&mut self, (): (), then: impl FnOnce(&mut Self) + Send + 'static) {
         then(self);
@@ -281,12 +279,14 @@ impl Runtime for ThreadRt {
 /// caller's future, and the root continuation that resolves it.
 fn submission<R: Send + 'static>(
     engine: &Engine,
+    plan: &Arc<Plan>,
     listeners: Option<Arc<ListenerSnapshot>>,
     span: Option<SpanProbe>,
 ) -> (ThreadRt, SkelFuture<R>, BoxedCont<ThreadRt>) {
     let (future, promise) = pair::<R>();
     let fail_promise = promise.clone();
     let rt = ThreadRt::new(Arc::new(SubCtx {
+        plan: Arc::clone(plan),
         pool: engine.pool.clone(),
         registry: Arc::clone(&engine.registry),
         clock: Arc::clone(&engine.clock),
@@ -317,8 +317,8 @@ where
     R: Send + 'static,
 {
     let span = engine.metrics.probe(&*engine.clock);
-    let (mut rt, future, done) = submission(engine, engine.registry.snapshot(), span);
-    rt.caught(|rt| interp::start(rt, skel.node(), Box::new(input), done));
+    let (mut rt, future, done) = submission(engine, skel.plan(), engine.registry.snapshot(), span);
+    rt.caught(|rt| interp::start(rt, Box::new(input), done));
     future
 }
 
@@ -353,9 +353,8 @@ where
     let mut tasks: Vec<Task> = Vec::with_capacity(inputs.len());
     for input in inputs {
         let span = submitted_at.map(|at| engine.metrics.probe_at(at));
-        let (rt, future, done) = submission(engine, listeners.clone(), span);
-        let node = Arc::clone(skel.node());
-        tasks.push(rt.task(move |rt| interp::start(rt, &node, Box::new(input), done)));
+        let (rt, future, done) = submission(engine, skel.plan(), listeners.clone(), span);
+        tasks.push(rt.task(move |rt| interp::start(rt, Box::new(input), done)));
         futures.push(future);
     }
     engine.pool.submit_batch(tasks);

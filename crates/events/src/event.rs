@@ -228,6 +228,27 @@ impl From<&Event> for EventRecord {
 }
 
 impl Event {
+    /// The event `(when, wher)` of the instance `trace` ends at, raised
+    /// at `timestamp`: node, kind and instance index are the leaf's.
+    ///
+    /// # Panics
+    /// On the empty trace, which names no instance.
+    pub fn of(trace: &Trace, when: When, wher: Where, info: EventInfo, timestamp: TimeNs) -> Event {
+        let leaf = *trace
+            .leaf()
+            .expect("an event's trace ends at the instance raising it");
+        Event {
+            node: leaf.node,
+            kind: leaf.kind,
+            when,
+            wher,
+            index: leaf.instance,
+            trace: trace.clone(),
+            timestamp,
+            info,
+        }
+    }
+
     /// The `(After, Reconfigured)` event announcing that the skeleton
     /// rooted at `node` (of kind `kind`) reached `version` at `at`: a root
     /// trace whose instance index is the version.

@@ -25,21 +25,34 @@
 //!
 //! **Listener sampling, the one rule for both runtimes:** whether a
 //! submission is observed is decided once, when its root node is
-//! scheduled, by [`Runtime::unobserved`]. An unobserved submission stays
-//! silent for its whole life — its instances carry [`InstanceId`] 0 and
-//! share one empty [`Trace`], no event is built, closing continuations
-//! that would only emit are skipped and merges consume the join's slots
-//! as they are. An observed one hands every event to [`Runtime::emit`],
-//! which delivers it to the listeners registered *at that moment*, so a
-//! listener added or removed mid-item takes effect at the item's next
-//! event. Register listeners before submitting.
+//! scheduled, by [`Runtime::observed`]. An unobserved submission stays
+//! silent for its whole life — its instances carry no trace and no
+//! [`InstanceId`], no event is built, closing continuations that would
+//! only emit are skipped and merges consume the join's slots as they are.
+//! An observed one hands every event to [`Runtime::emit`], which delivers
+//! it to the listeners registered *at that moment*, so a listener added
+//! or removed mid-item takes effect at the item's next event. Register
+//! listeners before submitting.
+//!
+//! **What a step writes.** An instance names its node by its entry in the
+//! submission's [`Plan`], which the runtime hands out
+//! ([`Runtime::plan`]); no step clones a node, so workers running one
+//! program only read its tree. A `for`, `while` or `pipe` instance keeps
+//! its state in one boxed frame that each iteration's body completes
+//! into, and an observed instance's trace shares its parent's path (the
+//! trace of every instance with children is joined into one path once,
+//! when the instance is made). On threads an unobserved `for` iteration therefore
+//! allocates nothing but its muscle's output.
 
 use std::any::Any;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_skeletons::{Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind};
+use askel_skeletons::muscle::MergeFn;
+use askel_skeletons::{
+    Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind, Plan,
+};
 
 use crate::EventInfo::{self, ChildIndex, ConditionResult, Iteration, SplitCardinality};
 use crate::When::{self, After, Before};
@@ -87,36 +100,39 @@ pub trait Runtime: Sized + 'static {
     /// when nobody listens.
     const METERED: bool;
 
-    /// Asked once per submission (see the module docs): `None` when a
-    /// listener is registered right now, else the empty trace every
-    /// instance of the unobserved submission will share.
-    fn unobserved(&self) -> Option<Trace>;
+    /// The program the current step's submission runs. Steps name their
+    /// node by its entry here.
+    fn plan(&self) -> &Plan;
 
-    /// Raises one event on the current thread at the current time.
+    /// Asked once per submission (see the module docs): the empty trace
+    /// the root instance hangs under when a listener is registered right
+    /// now, `None` when the submission goes unobserved.
+    fn observed(&self) -> Option<Trace>;
+
+    /// Raises one event of the instance `trace` ends at, on the current
+    /// thread at the current time.
     ///
-    /// A [`Where::NestedSkeleton`] event is raised in the same step as,
-    /// and right after, the event that caused it — the child's `(After,
-    /// Skeleton)`, the parent's `(After, Split)` or `(After, Condition)`,
-    /// the previous child's marker — with no muscle in between, so both
-    /// must carry **the same timestamp**: a virtual clock gives that for
-    /// free, a real one reuses the previous event's reading instead of
-    /// taking another.
-    #[allow(clippy::too_many_arguments)]
+    /// An event raised with no muscle called since the previous event of
+    /// the same step carries **the same timestamp**: a virtual clock gives
+    /// that for free, a real one reuses the previous event's reading until
+    /// [`meter`](Runtime::meter) announces a muscle. That covers every
+    /// [`Where::NestedSkeleton`] event, which follows the event that
+    /// caused it — the child's `(After, Skeleton)`, the parent's `(After,
+    /// Split)` or `(After, Condition)`, the previous child's marker.
     fn emit(
         &mut self,
-        node: &Node,
         trace: &Trace,
-        index: InstanceId,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
     );
 
-    /// Schedules `step`, guarded, on a worker `placement` allows.
+    /// Schedules `step`, guarded, on a worker the placement of the node at
+    /// plan entry `at` allows.
     fn spawn(
         &mut self,
-        placement: Option<Arc<str>>,
+        at: usize,
         hint: Hint<'_, Self::Batch>,
         step: impl FnOnce(&mut Self) + Send + 'static,
     );
@@ -150,6 +166,10 @@ enum Cont<R> {
     /// child — the parent's identity and continuation live once, in the
     /// [`Join`].
     Join { join: Arc<Join<R>>, k: usize },
+    /// A loop's body or a pipe's stage completes into the instance's
+    /// frame: one box per `for`/`while`/`pipe` instance, however many
+    /// iterations or stages it runs.
+    Frame(Box<Frame<R>>),
 }
 
 impl<R: Runtime> Cont<R> {
@@ -170,61 +190,66 @@ impl<R: Runtime> Cont<R> {
                     Err(msg) => rt.fail(Fault::Internal(msg)),
                 }
             }
+            Cont::Frame(frame) => frame.next(rt, data),
         }
     }
 }
 
-/// One skeleton instance's identity: every event it raises carries this
-/// triple.
+/// One skeleton instance: its node's entry in the plan and, when the
+/// submission is observed, its trace, whose leaf is this instance.
 #[derive(Clone)]
 struct Inst {
-    node: Arc<Node>,
-    trace: Trace,
-    id: InstanceId,
+    at: usize,
+    trace: Option<Trace>,
 }
 
 impl Inst {
     /// A submission's root instance — where observation is decided.
-    fn root<R: Runtime>(rt: &R, node: &Arc<Node>) -> Self {
-        Self::new(node, rt.unobserved(), |id| {
-            Trace::root(node.id, id, node.tag())
-        })
+    fn root<R: Runtime>(rt: &R) -> Self {
+        let at = Plan::ROOT;
+        let trace = rt
+            .observed()
+            .map(|empty| Self::trace(&empty, rt.plan().node(at)));
+        Inst { at, trace }
     }
 
-    /// A fresh instance of `node` nested in this one.
-    fn child(&self, node: &Arc<Node>) -> Self {
-        let silent = (!self.observed()).then(|| self.trace.clone());
-        Self::new(node, silent, |id| self.trace.child(node.id, id, node.tag()))
+    /// A fresh instance of the node at entry `at`, nested in this one.
+    /// An unobserved one is an index and nothing else.
+    fn child<R: Runtime>(&self, rt: &R, at: usize) -> Self {
+        let trace = self
+            .trace
+            .as_ref()
+            .map(|above| Self::trace(above, rt.plan().node(at)));
+        Inst { at, trace }
     }
 
-    /// An observed instance gets a fresh id and a trace built from it; an
-    /// unobserved one takes the submission's empty trace and id 0, and
-    /// allocates nothing.
-    fn new(
-        node: &Arc<Node>,
-        silent: Option<Trace>,
-        trace: impl FnOnce(InstanceId) -> Trace,
-    ) -> Self {
-        let (id, trace) = match silent {
-            Some(empty) => (InstanceId(0), empty),
-            None => {
-                let id = InstanceId::fresh();
-                (id, trace(id))
-            }
-        };
-        Inst {
-            node: Arc::clone(node),
-            trace,
-            id,
+    /// The trace of a fresh observed instance of `node` under `above`,
+    /// with a fresh id. The trace of a node with children is joined here,
+    /// once, so that all of them share its path; a `seq` leaf's shares
+    /// its parent's.
+    fn trace(above: &Trace, node: &Node) -> Trace {
+        let trace = above.child(node.id, InstanceId::fresh(), node.tag());
+        match node.kind {
+            NodeKind::Seq { .. } => trace,
+            _ => trace.joined(),
         }
     }
 
     fn observed(&self) -> bool {
-        self.trace.depth() > 0
+        self.trace.is_some()
     }
 
-    fn muscle(&self, role: MuscleRole) -> MuscleId {
-        MuscleId::new(self.node.id, role)
+    fn node<'p>(&self, plan: &'p Plan) -> &'p Node {
+        plan.node(self.at)
+    }
+
+    /// The entry of this instance's `k`-th child node.
+    fn kid<R: Runtime>(&self, rt: &R, k: usize) -> usize {
+        rt.plan().kid(self.at, k)
+    }
+
+    fn muscle<R: Runtime>(&self, rt: &R, role: MuscleRole) -> MuscleId {
+        MuscleId::new(self.node(rt.plan()).id, role)
     }
 
     /// Raises an event carrying one partial solution.
@@ -252,8 +277,8 @@ impl Inst {
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) {
-        if self.observed() {
-            rt.emit(&self.node, &self.trace, self.id, when, wher, info, payload);
+        if let Some(trace) = &self.trace {
+            rt.emit(trace, when, wher, info, payload);
         }
     }
 
@@ -273,11 +298,65 @@ impl Inst {
     }
 }
 
-/// Starts a submission: schedules `node` on `data`; `done` receives the
-/// result. A structural root raises its opening events here, in the
-/// caller's step.
-pub fn start<R: Runtime>(rt: &mut R, node: &Arc<Node>, data: Data, done: BoxedCont<R>) {
-    let root = Inst::root(rt, node);
+/// A `for`, `while` or `pipe` instance between its iterations (stages):
+/// the instance, how many have run, and its own continuation.
+struct Frame<R> {
+    inst: Inst,
+    k: usize,
+    cont: Cont<R>,
+}
+
+impl<R: Runtime> Frame<R> {
+    fn new(inst: Inst, cont: Cont<R>) -> Box<Self> {
+        Box::new(Frame { inst, k: 0, cont })
+    }
+
+    /// Iteration (stage) `k` ended with `out`: on to the next.
+    fn next(mut self: Box<Self>, rt: &mut R, mut out: Data) {
+        let k = self.k;
+        self.k += 1;
+        match self.inst.node(rt.plan()).tag() {
+            KindTag::For => {
+                self.inst
+                    .one(rt, After, NestedSkeleton, Iteration(k), &mut out);
+                for_iteration(rt, self, out);
+            }
+            KindTag::Pipe => {
+                self.inst
+                    .one(rt, After, NestedSkeleton, ChildIndex(k), &mut out);
+                pipe_stage(rt, self, out);
+            }
+            KindTag::While => {
+                self.inst
+                    .one(rt, After, NestedSkeleton, ChildIndex(k), &mut out);
+                // The next condition is a muscle call: its own step.
+                let at = self.inst.at;
+                rt.spawn(at, Hint::Run, move |rt| while_loop(rt, self, out));
+            }
+            _ => unreachable!("a frame belongs to a loop or a pipe"),
+        }
+    }
+
+    /// The instance ends with `out`.
+    fn close(self, rt: &mut R, mut out: Data) {
+        let Frame { inst, cont, .. } = self;
+        inst.one(rt, After, Skeleton, EventInfo::None, &mut out);
+        cont.run(rt, out);
+    }
+
+    /// Schedules the body (stage) the frame's instance runs next on
+    /// `data`, completing into this frame.
+    fn descend(self: Box<Self>, rt: &mut R, kid: usize, data: Data) {
+        let child = self.inst.child(rt, self.inst.kid(rt, kid));
+        schedule(rt, child, data, Cont::Frame(self), Hint::Run);
+    }
+}
+
+/// Starts a submission: schedules the root of [`Runtime::plan`] on
+/// `data`; `done` receives the result. A structural root raises its
+/// opening events here, in the caller's step.
+pub fn start<R: Runtime>(rt: &mut R, data: Data, done: BoxedCont<R>) {
+    let root = Inst::root(rt);
     schedule(rt, root, data, Cont::F(done), Hint::Run);
 }
 
@@ -290,29 +369,28 @@ fn schedule<R: Runtime>(
     cont: Cont<R>,
     hint: Hint<'_, R::Batch>,
 ) {
-    match inst.node.tag() {
+    let tag = inst.node(rt.plan()).tag();
+    match tag {
         KindTag::Farm => farm(rt, inst, data, cont),
         KindTag::Pipe => pipe(rt, inst, data, cont),
         KindTag::For => for_loop(rt, inst, data, cont),
-        _ => rt.spawn(inst.node.placement.clone(), hint, move |rt| {
-            match inst.node.tag() {
-                KindTag::Seq => seq(rt, inst, data, cont),
-                KindTag::While => while_loop(rt, inst, data, cont, 0),
-                KindTag::If => if_else(rt, inst, data, cont),
-                KindTag::Map | KindTag::Fork => split(rt, inst, data, cont),
-                KindTag::DivideConquer => dac(rt, inst, data, cont),
-                KindTag::Farm | KindTag::Pipe | KindTag::For => unreachable!("structural kind"),
-            }
+        _ => rt.spawn(inst.at, hint, move |rt| match tag {
+            KindTag::Seq => seq(rt, inst, data, cont),
+            KindTag::While => while_loop(rt, Frame::new(inst, cont), data),
+            KindTag::If => if_else(rt, inst, data, cont),
+            KindTag::Map | KindTag::Fork => split(rt, inst, data, cont),
+            KindTag::DivideConquer => dac(rt, inst, data, cont),
+            KindTag::Farm | KindTag::Pipe | KindTag::For => unreachable!("structural kind"),
         }),
     }
 }
 
 fn seq<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
-    let NodeKind::Seq { fe } = &inst.node.kind else {
+    let cost = rt.meter(inst.muscle(rt, MuscleRole::Execute), 1, &*data);
+    let NodeKind::Seq { fe } = &inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    let cost = rt.meter(inst.muscle(MuscleRole::Execute), 1, &*data);
     let mut out = fe.call(data);
     rt.busy(cost, move |rt| {
         inst.one(rt, After, Skeleton, EventInfo::None, &mut out);
@@ -323,137 +401,110 @@ fn seq<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
 fn farm<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     inst.one(rt, Before, NestedSkeleton, ChildIndex(0), &mut data);
-    let NodeKind::Farm { inner } = &inst.node.kind else {
-        unreachable!("tag checked by dispatcher")
-    };
-    let child = inst.child(inner);
+    let child = inst.child(rt, inst.kid(rt, 0));
     schedule(rt, child, data, inst.closing(0, cont), Hint::Run);
 }
 
 fn pipe<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
-    pipe_stage(rt, inst, data, cont, 0);
+    pipe_stage(rt, Frame::new(inst, cont), data);
 }
 
-fn pipe_stage<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>, k: usize) {
-    let NodeKind::Pipe { stages } = &inst.node.kind else {
+fn pipe_stage<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
+    let NodeKind::Pipe { stages } = &frame.inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    let Some(stage) = stages.get(k) else {
-        inst.one(rt, After, Skeleton, EventInfo::None, &mut data);
-        return cont.run(rt, data);
-    };
-    inst.one(rt, Before, NestedSkeleton, ChildIndex(k), &mut data);
-    let child = inst.child(stage);
-    let next = Cont::f(move |rt, mut out| {
-        inst.one(rt, After, NestedSkeleton, ChildIndex(k), &mut out);
-        pipe_stage(rt, inst, out, cont, k + 1);
-    });
-    schedule(rt, child, data, next, Hint::Run);
+    let k = frame.k;
+    if k == stages.len() {
+        return frame.close(rt, data);
+    }
+    frame
+        .inst
+        .one(rt, Before, NestedSkeleton, ChildIndex(k), &mut data);
+    frame.descend(rt, k, data);
 }
 
-fn while_loop<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>, iter: usize) {
+/// Iteration `frame.k`'s condition, in its own step.
+fn while_loop<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
+    let (inst, iter) = (&frame.inst, frame.k);
     if iter == 0 {
         inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     }
-    let NodeKind::While { fc, .. } = &inst.node.kind else {
+    inst.one(rt, Before, Condition, EventInfo::None, &mut data);
+    let cost = rt.meter(inst.muscle(rt, MuscleRole::Condition), 1, &*data);
+    let NodeKind::While { fc, .. } = &inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    inst.one(rt, Before, Condition, EventInfo::None, &mut data);
-    let cost = rt.meter(inst.muscle(MuscleRole::Condition), 1, &*data);
     let verdict = fc.call(&data);
     rt.busy(cost, move |rt| {
+        let inst = &frame.inst;
         inst.one(rt, After, Condition, ConditionResult(verdict), &mut data);
         if !verdict {
-            inst.one(rt, After, Skeleton, EventInfo::None, &mut data);
-            return cont.run(rt, data);
+            return frame.close(rt, data);
         }
         inst.one(rt, Before, NestedSkeleton, ChildIndex(iter), &mut data);
-        let NodeKind::While { inner, .. } = &inst.node.kind else {
-            unreachable!("tag checked above")
-        };
-        let child = inst.child(inner);
-        let next = Cont::f(move |rt: &mut R, mut out| {
-            inst.one(rt, After, NestedSkeleton, ChildIndex(iter), &mut out);
-            // The next condition is a muscle call: its own step.
-            rt.spawn(inst.node.placement.clone(), Hint::Run, move |rt| {
-                while_loop(rt, inst, out, cont, iter + 1)
-            });
-        });
-        schedule(rt, child, data, next, Hint::Run);
+        frame.descend(rt, 0, data);
     });
 }
 
 fn if_else<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
-    let NodeKind::If { fc, .. } = &inst.node.kind else {
+    inst.one(rt, Before, Condition, EventInfo::None, &mut data);
+    let cost = rt.meter(inst.muscle(rt, MuscleRole::Condition), 1, &*data);
+    let NodeKind::If { fc, .. } = &inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    inst.one(rt, Before, Condition, EventInfo::None, &mut data);
-    let cost = rt.meter(inst.muscle(MuscleRole::Condition), 1, &*data);
     let verdict = fc.call(&data);
     rt.busy(cost, move |rt| {
         inst.one(rt, After, Condition, ConditionResult(verdict), &mut data);
-        let NodeKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } = &inst.node.kind
-        else {
-            unreachable!("tag checked above")
-        };
-        let (branch, k) = if verdict {
-            (then_branch, 0)
-        } else {
-            (else_branch, 1)
-        };
+        // The then-branch is child 0, the else-branch child 1.
+        let k = usize::from(!verdict);
         inst.one(rt, Before, NestedSkeleton, ChildIndex(k), &mut data);
-        let child = inst.child(branch);
+        let child = inst.child(rt, inst.kid(rt, k));
         schedule(rt, child, data, inst.closing(k, cont), Hint::Run);
     });
 }
 
 fn for_loop<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
-    for_iteration(rt, inst, data, cont, 0);
+    for_iteration(rt, Frame::new(inst, cont), data);
 }
 
-fn for_iteration<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>, k: usize) {
-    let NodeKind::For { n, inner } = &inst.node.kind else {
+fn for_iteration<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
+    let NodeKind::For { n, .. } = frame.inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    if k == *n {
-        inst.one(rt, After, Skeleton, EventInfo::None, &mut data);
-        return cont.run(rt, data);
+    let k = frame.k;
+    if k == n {
+        return frame.close(rt, data);
     }
-    inst.one(rt, Before, NestedSkeleton, Iteration(k), &mut data);
-    let child = inst.child(inner);
-    let next = Cont::f(move |rt, mut out| {
-        inst.one(rt, After, NestedSkeleton, Iteration(k), &mut out);
-        for_iteration(rt, inst, out, cont, k + 1);
-    });
-    schedule(rt, child, data, next, Hint::Run);
+    frame
+        .inst
+        .one(rt, Before, NestedSkeleton, Iteration(k), &mut data);
+    frame.descend(rt, 0, data);
 }
 
 /// `map` and `fork`: split, then fan the parts out — to one shared inner
 /// skeleton, or to one branch each.
 fn split<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
-    let (NodeKind::Map { fs, .. } | NodeKind::Fork { fs, .. }) = &inst.node.kind else {
+    inst.one(rt, Before, Split, EventInfo::None, &mut data);
+    let cost = rt.meter(inst.muscle(rt, MuscleRole::Split), 1, &*data);
+    let (NodeKind::Map { fs, .. } | NodeKind::Fork { fs, .. }) = &inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    inst.one(rt, Before, Split, EventInfo::None, &mut data);
-    let cost = rt.meter(inst.muscle(MuscleRole::Split), 1, &*data);
     let mut parts = fs.call(data);
     rt.busy(cost, move |rt| {
         inst.many(rt, After, Split, SplitCardinality(parts.len()), &mut parts);
-        if let NodeKind::Fork { inners, .. } = &inst.node.kind {
+        let node = inst.node(rt.plan());
+        if let NodeKind::Fork { inners, .. } = &node.kind {
             if parts.len() != inners.len() {
-                return rt.fail(Fault::Eval(EvalError::ForkArityMismatch {
-                    node: inst.node.id,
+                let mismatch = EvalError::ForkArityMismatch {
+                    node: node.id,
                     branches: inners.len(),
                     produced: parts.len(),
-                }));
+                };
+                return rt.fail(Fault::Eval(mismatch));
             }
         }
         fan_out(rt, inst, parts, cont);
@@ -462,44 +513,56 @@ fn split<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
 
 fn dac<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
-    let NodeKind::DivideConquer { fc, .. } = &inst.node.kind else {
+    inst.one(rt, Before, Condition, EventInfo::None, &mut data);
+    let cost = rt.meter(inst.muscle(rt, MuscleRole::Condition), 1, &*data);
+    let NodeKind::DivideConquer { fc, .. } = &inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
-    inst.one(rt, Before, Condition, EventInfo::None, &mut data);
-    let cost = rt.meter(inst.muscle(MuscleRole::Condition), 1, &*data);
     let divide = fc.call(&data);
     rt.busy(cost, move |rt| {
         inst.one(rt, After, Condition, ConditionResult(divide), &mut data);
-        let NodeKind::DivideConquer { fs, inner, .. } = &inst.node.kind else {
-            unreachable!("tag checked above")
-        };
         if !divide {
             inst.one(rt, Before, NestedSkeleton, ChildIndex(0), &mut data);
-            let child = inst.child(inner);
+            let child = inst.child(rt, inst.kid(rt, 0));
             return schedule(rt, child, data, inst.closing(0, cont), Hint::Run);
         }
         inst.one(rt, Before, Split, EventInfo::None, &mut data);
-        let cost = rt.meter(inst.muscle(MuscleRole::Split), 1, &*data);
+        let cost = rt.meter(inst.muscle(rt, MuscleRole::Split), 1, &*data);
+        let NodeKind::DivideConquer { fs, .. } = &inst.node(rt.plan()).kind else {
+            unreachable!("tag checked above")
+        };
         let mut parts = fs.call(data);
         rt.busy(cost, move |rt| {
             inst.many(rt, After, Split, SplitCardinality(parts.len()), &mut parts);
             if parts.is_empty() {
-                return rt.fail(Fault::Eval(EvalError::EmptySplit { node: inst.node.id }));
+                let node = inst.node(rt.plan()).id;
+                return rt.fail(Fault::Eval(EvalError::EmptySplit { node }));
             }
             fan_out(rt, inst, parts, cont);
         });
     });
 }
 
-/// The skeleton child `k` of a fan-out runs: `map`'s one inner skeleton,
-/// `fork`'s k-th branch, or — `d&C` — a new instance of the node itself.
-fn fan_child(node: &Arc<Node>, k: usize) -> &Arc<Node> {
-    match &node.kind {
-        NodeKind::Map { inner, .. } => inner,
-        NodeKind::Fork { inners, .. } => &inners[k],
-        NodeKind::DivideConquer { .. } => node,
+/// The entry of the skeleton child `k` of a fan-out runs: `map`'s one
+/// inner skeleton, `fork`'s k-th branch, or — `d&C` — a new instance of
+/// the node itself.
+fn fan_child(plan: &Plan, at: usize, k: usize) -> usize {
+    match plan.node(at).kind {
+        NodeKind::Map { .. } => plan.kid(at, 0),
+        NodeKind::Fork { .. } => plan.kid(at, k),
+        NodeKind::DivideConquer { .. } => at,
         _ => unreachable!("fan-out on a kind without a split muscle"),
     }
+}
+
+/// The merge muscle of the fan-out kind at entry `at`.
+fn merge_muscle(plan: &Plan, at: usize) -> &MergeFn {
+    let (NodeKind::Map { fm, .. } | NodeKind::Fork { fm, .. } | NodeKind::DivideConquer { fm, .. }) =
+        &plan.node(at).kind
+    else {
+        unreachable!("merge scheduled on a kind without a merge muscle")
+    };
+    fm
 }
 
 /// Collects fan-out results in sub-problem order and owns the parent's
@@ -574,7 +637,7 @@ fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) 
     let mut last = None;
     for (k, mut part) in parts.into_iter().enumerate() {
         parent.one(rt, Before, NestedSkeleton, ChildIndex(k), &mut part);
-        let child = parent.child(fan_child(&parent.node, k));
+        let child = parent.child(rt, fan_child(rt.plan(), parent.at, k));
         if k + 1 == n {
             // Held back until its siblings are out for thieves.
             last = Some((child, part));
@@ -599,14 +662,8 @@ fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) 
 
 /// The merge step, spawned by whichever child closed the join.
 fn merge<R: Runtime>(rt: &mut R, inst: Inst, slots: Vec<Option<Data>>, cont: Cont<R>) {
-    rt.spawn(inst.node.placement.clone(), Hint::Run, move |rt| {
-        let (NodeKind::Map { fm, .. }
-        | NodeKind::Fork { fm, .. }
-        | NodeKind::DivideConquer { fm, .. }) = &inst.node.kind
-        else {
-            unreachable!("merge scheduled on a kind without a merge muscle")
-        };
-        let id = inst.muscle(MuscleRole::Merge);
+    rt.spawn(inst.at, Hint::Run, move |rt| {
+        let id = inst.muscle(rt, MuscleRole::Merge);
         let (cost, mut out) = if inst.observed() || R::METERED {
             // Listeners may transform the partial results and a cost
             // model may inspect them: both get the plain vector shape.
@@ -616,10 +673,11 @@ fn merge<R: Runtime>(rt: &mut R, inst: Inst, slots: Vec<Option<Data>>, cont: Con
                 .collect();
             inst.many(rt, Before, Merge, EventInfo::None, &mut results);
             let cost = rt.meter(id, results.len(), &results);
-            (cost, fm.call(results))
+            (cost, merge_muscle(rt.plan(), inst.at).call(results))
         } else {
             // The join's slot vector feeds the muscle with no re-collect.
-            (rt.meter(id, slots.len(), &slots), fm.call_slots(slots))
+            let cost = rt.meter(id, slots.len(), &slots);
+            (cost, merge_muscle(rt.plan(), inst.at).call_slots(slots))
         };
         rt.busy(cost, move |rt| {
             inst.one(rt, After, Merge, EventInfo::None, &mut out);

@@ -25,68 +25,91 @@ pub struct TraceEntry {
 /// An immutable path of [`TraceEntry`] values from the root instance
 /// (first) to the raising instance (last).
 ///
-/// Cloning is an `Arc` bump; extending copies the (short) path once, into
-/// one allocation.
+/// Stored as a shared path plus, optionally, one more entry kept inline:
+/// [`child`](Trace::child) of a trace with no inline entry shares its
+/// path and allocates nothing. The interpreter folds the inline entry of
+/// every instance that has children into a path of its own, once, so a
+/// loop's or a fan-out's children all share their parent's path. Cloning
+/// is an `Arc` bump.
 #[derive(Clone, Debug)]
-pub struct Trace(Arc<[TraceEntry]>);
+pub struct Trace {
+    path: Arc<[TraceEntry]>,
+    leaf: Option<TraceEntry>,
+}
 
 impl Trace {
     /// A trace containing only the root instance.
     pub fn root(node: NodeId, instance: InstanceId, kind: KindTag) -> Self {
-        Trace(Arc::from([TraceEntry {
-            node,
-            instance,
-            kind,
-        }]))
+        Trace::empty().child(node, instance, kind)
     }
 
-    /// An empty trace (used only as a neutral placeholder in tests).
+    /// The empty trace: the path above every root instance. A threaded
+    /// submission allocates one at submit; if the submission is observed,
+    /// its root instance's trace is this one's [`child`](Trace::child).
     pub fn empty() -> Self {
-        Trace(Arc::from([]))
+        Trace {
+            path: Arc::from([]),
+            leaf: None,
+        }
     }
 
-    /// The trace extended with one more (deeper) level.
+    /// The trace extended with one more (deeper) level. Allocates only if
+    /// this trace holds an entry inline, to join it into the path.
     pub fn child(&self, node: NodeId, instance: InstanceId, kind: KindTag) -> Self {
-        let leaf = TraceEntry {
-            node,
-            instance,
-            kind,
+        let path = match self.leaf {
+            None => Arc::clone(&self.path),
+            Some(_) => self.clone().joined().path,
         };
-        // An exact-size iterator: the `Arc<[_]>` is allocated once, at
-        // its final length, and filled in place.
-        Trace(
-            self.0
-                .iter()
-                .copied()
-                .chain(std::iter::once(leaf))
-                .collect(),
-        )
+        Trace {
+            path,
+            leaf: Some(TraceEntry {
+                node,
+                instance,
+                kind,
+            }),
+        }
+    }
+
+    /// The same trace with its entries in one shared path, so that every
+    /// [`child`](Trace::child) of it shares that path. Copies the (short)
+    /// path once, into one allocation, unless it is joined already.
+    pub(crate) fn joined(self) -> Self {
+        match self.leaf {
+            None => self,
+            Some(leaf) => Trace {
+                // An exact-size iterator: the `Arc<[_]>` is allocated
+                // once, at its final length, and filled in place.
+                path: self.path.iter().copied().chain([leaf]).collect(),
+                leaf: None,
+            },
+        }
     }
 
     /// The entries, root first.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.0
+    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
+        self.path.iter().chain(&self.leaf)
     }
 
     /// The innermost (raising) entry; `None` for the empty trace.
     pub fn leaf(&self) -> Option<&TraceEntry> {
-        self.0.last()
+        self.leaf.as_ref().or(self.path.last())
     }
 
     /// The entry one above the leaf, i.e. the parent instance.
     pub fn parent(&self) -> Option<&TraceEntry> {
-        self.0.len().checked_sub(2).map(|i| &self.0[i])
+        let above = self.depth().checked_sub(2)?;
+        self.path.get(above)
     }
 
     /// Nesting depth of the raising instance (root = 1).
     pub fn depth(&self) -> usize {
-        self.0.len()
+        self.path.len() + usize::from(self.leaf.is_some())
     }
 }
 
 impl std::fmt::Display for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, e) in self.0.iter().enumerate() {
+        for (i, e) in self.entries().enumerate() {
             if i > 0 {
                 f.write_str("/")?;
             }
@@ -101,7 +124,7 @@ mod tests {
     use super::*;
 
     fn entry_ids(t: &Trace) -> Vec<u64> {
-        t.entries().iter().map(|e| e.instance.0).collect()
+        t.entries().map(|e| e.instance.0).collect()
     }
 
     #[test]
@@ -113,6 +136,31 @@ mod tests {
         assert_eq!(deeper.parent().unwrap().instance, InstanceId(10));
         assert_eq!(deeper.leaf().unwrap().instance, InstanceId(11));
         assert_eq!(deeper.depth(), 2);
+    }
+
+    #[test]
+    fn a_joined_trace_reads_the_same_and_lends_its_path() {
+        let root = Trace::root(NodeId(1), InstanceId(10), KindTag::For).joined();
+        let mid = root.child(NodeId(2), InstanceId(11), KindTag::Map);
+        let joined = mid.clone().joined();
+        for t in [&mid, &joined] {
+            assert_eq!(entry_ids(t), vec![10, 11]);
+            assert_eq!(t.depth(), 2);
+            assert_eq!(t.parent().unwrap().instance, InstanceId(10));
+            assert_eq!(t.leaf().unwrap().instance, InstanceId(11));
+            assert_eq!(t.to_string(), "for[n1#i10]/map[n2#i11]");
+        }
+        // Children of a joined trace share its path; the root's children
+        // share the root's.
+        let (a, b) = (
+            joined.child(NodeId(3), InstanceId(12), KindTag::Seq),
+            joined.child(NodeId(3), InstanceId(13), KindTag::Seq),
+        );
+        assert!(Arc::ptr_eq(&a.path, &b.path));
+        assert!(Arc::ptr_eq(&a.path, &joined.path));
+        assert_eq!(entry_ids(&b), vec![10, 11, 13]);
+        assert_eq!(b.parent().unwrap().instance, InstanceId(11));
+        assert!(Arc::ptr_eq(&mid.path, &root.path));
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl SimEngine {
     {
         self.rt.begin(&mut []);
         let started_at = self.rt.now;
-        self.rt.submit(skel.node(), Box::new(input));
+        self.rt.submit(skel.plan(), Box::new(input));
         let outcome = self.rt.wait();
         self.rt.end(&mut []);
         let (_, outcome) = outcome.expect("the item in flight finishes or fails");
@@ -305,7 +305,7 @@ impl SimEngine {
             while open && self.rt.run.in_flight.len() < window {
                 match source(self.rt.run.submitted) {
                     Some((skel, input)) => {
-                        self.rt.submit(skel.node(), Box::new(input));
+                        self.rt.submit(skel.plan(), Box::new(input));
                     }
                     None => open = false,
                 }

@@ -5,7 +5,9 @@
 //! ([`askel_events::interp`]) — the same per-kind code the threaded engine
 //! runs, so what the simulator schedules, fuzzes and times is what ships.
 //! Here a spawned step joins the policy-ordered ready pool under its
-//! placement tag (the dispatch hint means nothing on one thread), a
+//! node's placement tag (the dispatch hint means nothing on one thread),
+//! carrying its submission's [`Plan`] — items of several programs (a
+//! stream across a rewrite) share the machine — and a
 //! muscle is priced by the cost model before it is called for real, and
 //! what follows it waits in the completion queue until its virtual
 //! duration has passed. Every work step, and the scheduling of every
@@ -25,7 +27,7 @@ use std::sync::Arc;
 use askel_events::interp::{self, panic_message, Fault, Hint, Runtime};
 use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
 use askel_pool::PoolTelemetry;
-use askel_skeletons::{Clock, Data, InstanceId, ManualClock, MuscleId, Node, TimeNs};
+use askel_skeletons::{Clock, Data, ManualClock, MuscleId, Plan, TimeNs};
 
 use crate::components::{Command, Component};
 use crate::cost::{CostModel, MuscleCall};
@@ -38,16 +40,27 @@ use crate::{SimError, SimLpControl, StreamReport};
 /// runs; any other step ends its chain and releases the worker.
 pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt) + Send>;
 
-/// A ready task plus the placement annotation of the node that produced
-/// it (`None` = run anywhere).
+/// A ready task: its submission's program, the plan entry of the node
+/// that produced it (whose placement annotation constrains where it
+/// runs) and the work.
 pub(crate) struct ReadyTask {
-    placement: Option<Arc<str>>,
+    plan: Arc<Plan>,
+    at: usize,
     work: SimWork,
 }
 
-/// A scheduled chain continuation: the slot it occupies and the work to
-/// resume. Timing and tie-breaking live in the [`EventQueue`].
+impl ReadyTask {
+    /// Where the task must run; `None` = anywhere.
+    fn placement(&self) -> Option<&str> {
+        self.plan.node(self.at).placement.as_deref()
+    }
+}
+
+/// A scheduled chain continuation: the slot it occupies, its
+/// submission's program and the work to resume. Timing and tie-breaking
+/// live in the [`EventQueue`].
 struct Completion {
+    plan: Arc<Plan>,
     work: SimWork,
     slot: usize,
 }
@@ -85,6 +98,9 @@ pub(crate) struct SimRt {
     pub(crate) workers: Box<dyn WorkerModel>,
     /// On loan from the caller from [`begin`](SimRt::begin) to `end`.
     components: Vec<Box<dyn Component>>,
+    /// The program of the submission whose step runs now (see
+    /// [`Runtime::plan`]); `None` between steps.
+    plan: Option<Arc<Plan>>,
     pub(crate) run: Run,
 }
 
@@ -142,16 +158,18 @@ impl Runtime for SimRt {
     type Batch = ();
     const METERED: bool = true;
 
-    fn unobserved(&self) -> Option<Trace> {
-        self.registry.is_empty().then(Trace::empty)
+    fn plan(&self) -> &Plan {
+        self.plan.as_deref().expect("a step runs for a submission")
+    }
+
+    fn observed(&self) -> Option<Trace> {
+        (!self.registry.is_empty()).then(Trace::empty)
     }
 
     /// Emits an event at the current virtual instant.
     fn emit(
         &mut self,
-        node: &Node,
         trace: &Trace,
-        index: InstanceId,
         when: When,
         wher: Where,
         info: EventInfo,
@@ -160,29 +178,22 @@ impl Runtime for SimRt {
         if self.registry.is_empty() {
             return;
         }
-        let event = Event {
-            node: node.id,
-            kind: node.tag(),
-            when,
-            wher,
-            index,
-            trace: trace.clone(),
-            timestamp: self.now,
-            info,
-        };
+        let event = Event::of(trace, when, wher, info, self.now);
         self.registry.emit(payload, &event);
     }
 
     /// Queues the step on the policy-ordered ready pool, tagged with the
-    /// placement annotation of the node that produced it.
+    /// node at plan entry `at`, whose placement annotation it honours.
     fn spawn(
         &mut self,
-        placement: Option<Arc<str>>,
+        at: usize,
         _hint: Hint<'_, ()>,
         step: impl FnOnce(&mut Self) + Send + 'static,
     ) {
+        let plan = Arc::clone(self.plan.as_ref().expect("a step runs for a submission"));
         self.run.ready.push(ReadyTask {
-            placement,
+            plan,
+            at,
             work: Box::new(step),
         });
     }
@@ -280,7 +291,7 @@ impl SimRt {
         let capacity = self.workers.capacity();
         let lowest_free = *self.run.free.first()?;
         for i in self.run.ready.order() {
-            match &self.run.ready.get(i).placement {
+            match self.run.ready.get(i).placement() {
                 Some(p) if self.workers.placement_enabled(p) => {
                     // Prefer the model's contiguous slot-block hint
                     // (O(log n)); fall back to probing each free slot.
@@ -310,9 +321,11 @@ impl SimRt {
         None
     }
 
-    fn execute(&mut self, work: SimWork, slot: usize, overhead: TimeNs) {
+    fn execute(&mut self, plan: Arc<Plan>, work: SimWork, slot: usize, overhead: TimeNs) {
         self.run.totals.events += 1;
+        self.plan = Some(plan);
         self.guarded(work);
+        let plan = self.plan.take().expect("set above");
         match self.run.parked.take() {
             Some((dur, then)) => {
                 // Asymmetric node speeds: the slot's cost factor scales
@@ -324,9 +337,14 @@ impl SimRt {
                     TimeNs(((dur.0 as f64) * factor.max(0.0)).round() as u64)
                 };
                 self.workers.note_busy(slot, dur + overhead);
+                let completion = Completion {
+                    plan,
+                    work: then,
+                    slot,
+                };
                 self.run
                     .completions
-                    .push(self.now + dur + overhead, Completion { work: then, slot });
+                    .push(self.now + dur + overhead, completion);
             }
             None => {
                 self.run.occupied.remove(&slot);
@@ -365,7 +383,7 @@ impl SimRt {
             let task = self.run.ready.remove(index);
             let overhead = self.workers.chain_overhead(slot);
             self.telemetry.record_task_start(self.now);
-            self.execute(task.work, slot, overhead);
+            self.execute(task.plan, task.work, slot, overhead);
             if self.run.error.is_some() {
                 return false;
             }
@@ -414,7 +432,7 @@ impl SimRt {
         };
         self.now = self.now.max(at);
         self.clock.advance_to(self.now);
-        self.execute(c.work, c.slot, TimeNs::ZERO);
+        self.execute(c.plan, c.work, c.slot, TimeNs::ZERO);
         true
     }
 
@@ -441,6 +459,7 @@ impl SimRt {
             policy,
             workers,
             components: Vec::new(),
+            plan: None,
         };
         rt.rebuild_free();
         rt
@@ -478,14 +497,16 @@ impl SimRt {
 
     /// Schedules one item's root, guarded, and returns its index;
     /// nothing runs until [`wait`](SimRt::wait) drives the machine.
-    pub(crate) fn submit(&mut self, node: &Arc<Node>, input: Data) -> usize {
+    pub(crate) fn submit(&mut self, plan: &Arc<Plan>, input: Data) -> usize {
         let index = self.run.submitted;
         self.run.submitted += 1;
         self.run.in_flight.push(index);
+        self.plan = Some(Arc::clone(plan));
         self.guarded(|rt| {
             let done = move |rt: &mut SimRt, data| rt.finish(index, Ok(data));
-            interp::start(rt, node, input, Box::new(done));
+            interp::start(rt, input, Box::new(done));
         });
+        self.plan = None;
         index
     }
 

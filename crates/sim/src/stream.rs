@@ -67,7 +67,7 @@ where
     }
 
     fn feed(&mut self, input: P) {
-        let index = self.sim.rt.submit(self.skel.node(), Box::new(input));
+        let index = self.sim.rt.submit(self.skel.plan(), Box::new(input));
         if self.slots.is_empty() {
             self.base = index;
         }

@@ -7,7 +7,10 @@
 //! accumulates history in the same estimator slots, which is exactly the
 //! "history-based estimation" behaviour of the paper.
 
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of one AST node (one syntactic occurrence of a skeleton).
@@ -51,12 +54,71 @@ impl fmt::Display for NodeId {
 pub struct InstanceId(pub u64);
 
 impl InstanceId {
-    /// Allocates the next process-unique instance id.
+    /// How many ids a thread takes from the process-wide counter at once.
+    const BLOCK: u64 = 1024;
+
+    /// Allocates a process-unique, non-zero instance id (`askel-events`'
+    /// `EventRecord` encodes "no parent" as 0).
+    ///
+    /// Each thread takes its ids from a block of 1 024 it reserved from
+    /// one process-wide counter, so concurrent workers do not write one
+    /// cache line per instance. A thread that is alone in taking ids sees
+    /// `1, 2, 3, …`, as with a plain counter.
     pub fn fresh() -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(1);
-        InstanceId(NEXT.fetch_add(1, Ordering::Relaxed))
+        thread_local! {
+            /// This thread's unused ids: `next..end`.
+            static RESERVED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        }
+        RESERVED.with(|block| {
+            let (mut next, mut end) = block.get();
+            if next == end {
+                next = NEXT.fetch_add(Self::BLOCK, Ordering::Relaxed);
+                end = next + Self::BLOCK;
+            }
+            block.set((next + 1, end));
+            InstanceId(next)
+        })
     }
 }
+
+/// A multiplicative hasher for the maps keyed by internal ids
+/// ([`InstanceId`], [`NodeId`], [`MuscleId`]). The keys are counters the
+/// process made, never chosen by an adversary, so SipHash's protection
+/// against crafted keys buys nothing; one rotate-xor-multiply per word
+/// (the `FxHash` step) spreads them well enough. Keep the default hasher
+/// for keys that come from outside the program.
+#[derive(Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by internal ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 impl fmt::Debug for InstanceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -145,6 +207,62 @@ mod tests {
         let a = InstanceId::fresh();
         let b = InstanceId::fresh();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn instance_ids_stay_unique_and_non_zero_across_threads() {
+        let per_thread = 3 * InstanceId::BLOCK as usize + 7;
+        let barrier = std::sync::Barrier::new(4);
+        let taken: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..per_thread)
+                            .map(|_| InstanceId::fresh().0)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for ids in &taken {
+            // One thread's ids only ever grow.
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        }
+        let mut all: Vec<u64> = taken.into_iter().flatten().collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 4 * per_thread, "an id was handed out twice");
+        assert!(all[0] > 0, "0 is the \"no instance\" id");
+    }
+
+    #[test]
+    fn a_lone_thread_counts_up_by_one() {
+        let ids: Vec<u64> = std::thread::spawn(|| {
+            (0..2 * InstanceId::BLOCK)
+                .map(|_| InstanceId::fresh().0)
+                .collect()
+        })
+        .join()
+        .unwrap();
+        // Other tests take ids meanwhile, so a block boundary may jump;
+        // within a block the sequence is the plain counter's.
+        let steps = ids.windows(2).filter(|w| w[1] != w[0] + 1).count();
+        assert!(steps <= 2, "{steps} jumps in two blocks' worth of ids");
+    }
+
+    #[test]
+    fn id_maps_find_what_they_hold() {
+        let mut map: IdMap<MuscleId, u64> = IdMap::default();
+        for n in 0..1000 {
+            for role in [MuscleRole::Split, MuscleRole::Merge] {
+                map.insert(MuscleId::new(NodeId(n), role), n);
+            }
+        }
+        assert_eq!(map.len(), 2000);
+        assert_eq!(map[&MuscleId::new(NodeId(417), MuscleRole::Merge)], 417);
+        assert!(!map.contains_key(&MuscleId::new(NodeId(1000), MuscleRole::Split)));
     }
 
     #[test]

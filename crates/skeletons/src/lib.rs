@@ -39,14 +39,16 @@ mod display;
 pub mod ids;
 pub mod muscle;
 pub mod node;
+pub mod plan;
 pub mod rewrite;
 pub mod seq_eval;
 pub mod skel;
 pub mod time;
 
-pub use ids::{InstanceId, MuscleId, MuscleRole, NodeId};
+pub use ids::{IdHasher, IdMap, InstanceId, MuscleId, MuscleRole, NodeId};
 pub use muscle::{Condition, Data, Execute, Merge, Split};
 pub use node::{KindTag, MuscleDescriptor, Node, NodeKind};
+pub use plan::Plan;
 pub use seq_eval::EvalError;
 pub use skel::{dac, farm, fork, map, pipe, seq, sfor, sif, swhile, Skel};
 pub use time::{Clock, ManualClock, RealClock, TimeNs, TimelinePoint};

@@ -1,7 +1,8 @@
 //! The typed public face of the skeleton language.
 //!
 //! [`Skel<P, R>`] is a cheaply-cloneable handle to a runtime AST
-//! ([`Node`]) plus phantom input/output types. The constructor functions
+//! ([`Node`]), laid out once as a [`Plan`], plus phantom input/output
+//! types. The constructor functions
 //! mirror the paper's grammar and enforce that muscles and nested skeletons
 //! agree on types *at compile time*; all type information is then erased so
 //! heterogeneous skeletons can nest freely inside one tree.
@@ -31,6 +32,7 @@ use std::sync::Arc;
 use crate::ids::NodeId;
 use crate::muscle::{CondFn, Condition, Execute, ExecuteFn, Merge, MergeFn, Split, SplitFn};
 use crate::node::{Node, NodeKind};
+use crate::plan::Plan;
 use crate::seq_eval::seq_eval;
 
 /// A typed handle to a skeleton program taking `P` and producing `R`.
@@ -39,14 +41,14 @@ use crate::seq_eval::seq_eval;
 /// estimator history in the autonomic layer, exactly like shared skeleton
 /// objects do in Skandium.
 pub struct Skel<P, R> {
-    node: Arc<Node>,
+    plan: Arc<Plan>,
     _types: PhantomData<fn(P) -> R>,
 }
 
 impl<P, R> Clone for Skel<P, R> {
     fn clone(&self) -> Self {
         Skel {
-            node: Arc::clone(&self.node),
+            plan: Arc::clone(&self.plan),
             _types: PhantomData,
         }
     }
@@ -58,8 +60,8 @@ impl<P, R> std::fmt::Debug for Skel<P, R> {
             f,
             "Skel<{}>({}: {})",
             std::any::type_name::<fn(P) -> R>(),
-            self.node.id,
-            crate::display::structure(&self.node)
+            self.plan.root().id,
+            crate::display::structure(self.plan.root())
         )
     }
 }
@@ -75,24 +77,30 @@ where
     /// typed constructors, which cannot get this wrong.
     pub(crate) fn from_node(node: Arc<Node>) -> Self {
         Skel {
-            node,
+            plan: Arc::new(Plan::new(node)),
             _types: PhantomData,
         }
     }
 
     /// The underlying runtime AST (shared).
     pub fn node(&self) -> &Arc<Node> {
-        &self.node
+        self.plan.root()
+    }
+
+    /// The AST laid out for the engines, built once with the handle and
+    /// shared by its clones.
+    pub fn plan(&self) -> &Arc<Plan> {
+        &self.plan
     }
 
     /// Consumes the handle, returning the runtime AST.
     pub(crate) fn into_node(self) -> Arc<Node> {
-        self.node
+        Arc::clone(self.node())
     }
 
     /// The root node's stable identity.
     pub fn id(&self) -> NodeId {
-        self.node.id
+        self.node().id
     }
 
     /// The program's structural fingerprint (see
@@ -102,7 +110,7 @@ where
     /// observations can warm another tenant's forecasts when — and only
     /// when — they run structurally identical programs.
     pub fn structure_key(&self) -> u64 {
-        self.node.structure_key()
+        self.node().structure_key()
     }
 
     /// Returns the same skeleton with a human-readable label on its root
@@ -112,16 +120,12 @@ where
     /// skeleton has its own estimator history.
     pub fn labeled(self, label: impl Into<String>) -> Self {
         let label: Arc<str> = Arc::from(label.into().into_boxed_str());
-        let node = Arc::new(Node {
+        Skel::from_node(Arc::new(Node {
             id: NodeId::fresh(),
             label: Some(label),
-            placement: self.node.placement.clone(),
-            kind: self.node.kind.clone(),
-        });
-        Skel {
-            node,
-            _types: PhantomData,
-        }
+            placement: self.node().placement.clone(),
+            kind: self.node().kind.clone(),
+        }))
     }
 
     /// Runs the skeleton *sequentially* on the calling thread using the
@@ -133,7 +137,7 @@ where
     /// Propagates muscle panics and panics on structural errors (e.g. a
     /// `fork` split of the wrong arity, an [`EvalError`](crate::EvalError)).
     pub fn apply(&self, input: P) -> R {
-        let out = seq_eval(&self.node, Box::new(input)).unwrap_or_else(|e| panic!("{e}"));
+        let out = seq_eval(self.node(), Box::new(input)).unwrap_or_else(|e| panic!("{e}"));
         *out.downcast::<R>()
             .expect("reference interpreter returned the wrong type")
     }

@@ -15,7 +15,7 @@ use askel_adapt::{
 };
 use askel_dist::sim_session;
 use askel_engine::Engine;
-use askel_events::{Event, FnListener, Listener, Payload, StreamRuntime, Where};
+use askel_events::{Event, FnListener, Listener, Payload, StreamRuntime, When, Where};
 use askel_sim::cost::{TableCost, ZeroCost};
 use askel_sim::SimEngine;
 use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel, TimeNs};
@@ -143,18 +143,29 @@ fn recorder() -> (Arc<dyn Listener>, Recording) {
     (Arc::new(listener), events)
 }
 
-/// The engines' timestamp rule: a nesting marker is raised in the same
-/// step as, and right after, the event that caused it, and carries that
-/// event's timestamp. A thread runs one step at a time and no step
-/// begins with a marker, so "the event before it in its step" is the
-/// event its thread raised last. Returns how many markers were checked.
-fn markers_carry_their_predecessors_timestamp(
-    events: &[(ThreadId, Event)],
-) -> Result<usize, String> {
+/// The engines' timestamp rule: an event raised with no muscle called
+/// since the previous event of its step carries that event's timestamp —
+/// one clock reading per muscle. A thread runs one step at a time, so "the
+/// previous event of its step" is the event its thread raised last,
+/// unless the event may begin a step: a muscle kind's `(Before,
+/// Skeleton)`, a `while`'s next `(Before, Condition)`, a `(Before,
+/// Merge)` — steps the runtime may have started anew, on any thread.
+/// Returns how many events the rule bound.
+fn one_timestamp_between_muscles(events: &[(ThreadId, Event)]) -> Result<usize, String> {
     let mut last: HashMap<ThreadId, &Event> = HashMap::new();
-    let mut markers = 0;
+    let mut bound = 0;
     for (thread, event) in events {
-        if event.wher == Where::NestedSkeleton {
+        let follows_a_muscle = match (event.when, event.wher) {
+            (When::After, Where::Skeleton) => event.kind == KindTag::Seq,
+            (When::After, Where::Condition | Where::Split | Where::Merge) => true,
+            _ => false,
+        };
+        let may_begin_a_step = match (event.when, event.wher) {
+            (When::Before, Where::Skeleton | Where::Merge) => true,
+            (When::Before, Where::Condition) => event.kind == KindTag::While,
+            _ => false,
+        };
+        if !follows_a_muscle && !may_begin_a_step {
             let Some(previous) = last.get(thread) else {
                 return Err(format!(
                     "{} begins a thread's events",
@@ -170,11 +181,11 @@ fn markers_carry_their_predecessors_timestamp(
                     previous.timestamp
                 ));
             }
-            markers += 1;
+            bound += 1;
         }
         last.insert(*thread, event);
     }
-    Ok(markers)
+    Ok(bound)
 }
 
 /// One instance: trace node-id path, events in order, fan-out child markers.
@@ -189,7 +200,7 @@ type InstanceShape = (Vec<u64>, Vec<String>, Vec<String>);
 fn per_instance(events: &[(ThreadId, Event)]) -> Vec<InstanceShape> {
     let mut instances: BTreeMap<u64, InstanceShape> = BTreeMap::new();
     for (_, e) in events {
-        let path = e.trace.entries().iter().map(|t| t.node.0).collect();
+        let path = e.trace.entries().map(|t| t.node.0).collect();
         let (_, ordered, markers) = instances
             .entry(e.index.0)
             .or_insert_with(|| (path, Vec::new(), Vec::new()));
@@ -331,9 +342,9 @@ proptest! {
         sim.run(&program.skel, input).expect("sim failed");
 
         let (threaded, simulated) = (threaded.lock().unwrap(), simulated.lock().unwrap());
-        let markers = markers_carry_their_predecessors_timestamp(&threaded);
-        prop_assert_eq!(&markers, &markers_carry_their_predecessors_timestamp(&simulated));
-        prop_assert!(markers.is_ok(), "{:?}", markers);
+        let bound = one_timestamp_between_muscles(&threaded);
+        prop_assert_eq!(&bound, &one_timestamp_between_muscles(&simulated));
+        prop_assert!(bound.is_ok(), "{:?}", bound);
         let threaded = per_instance(&threaded);
         let simulated = per_instance(&simulated);
         prop_assert!(!threaded.is_empty());

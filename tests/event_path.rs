@@ -1,11 +1,13 @@
 //! The per-event path: what it may not cost, and what listener
 //! registration still means now that a submission dispatches through a
-//! view of the registry taken when it started.
+//! view of the registry taken when it started. And the per-step path: a
+//! step writes nothing of the shared skeleton tree and allocates nothing
+//! beyond its muscle's output.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 use askel_adapt::TriggerEngine;
 use askel_engine::Engine;
@@ -13,19 +15,24 @@ use askel_events::util::CountingListener;
 use askel_events::{
     Event, EventInfo, FnListener, Listener, ListenerRegistry, Payload, Trace, When, Where,
 };
-use askel_skeletons::{pipe, seq, InstanceId, KindTag, NodeId, Skel, TimeNs};
+use askel_skeletons::{pipe, seq, sfor, InstanceId, KindTag, NodeId, Skel, TimeNs};
 
-/// Counts this thread's heap allocations (other tests' threads share the
-/// process, so a global count would be theirs too).
+/// Counts heap allocations twice: this thread's (other tests' threads
+/// share the process, so a global count would be theirs too), and every
+/// thread's, which only means something while [`whole_process`] keeps the
+/// other tests of this file out.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+static ALL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
 fn note_allocation() {
     // Plain data with no destructor: always accessible, never allocates.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    ALL_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards to `System` with the arguments it was
@@ -58,6 +65,15 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// Every test of this file holds this while it runs, so that what
+/// [`ALL_ALLOCATIONS`] counts meanwhile is one test's.
+fn whole_process() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn seq_event(when: When, inst: u64, at: u64) -> Event {
     Event {
         node: NodeId(1),
@@ -73,6 +89,7 @@ fn seq_event(when: When, inst: u64, at: u64) -> Event {
 
 #[test]
 fn emitting_through_a_registered_listener_allocates_nothing() {
+    let _one = whole_process();
     let registry = ListenerRegistry::new();
     let listener = CountingListener::new();
     registry.add_listener(listener.clone());
@@ -88,6 +105,7 @@ fn emitting_through_a_registered_listener_allocates_nothing() {
 
 #[test]
 fn a_trigger_engine_logs_an_event_without_allocating() {
+    let _one = whole_process();
     let trigger = TriggerEngine::new(0.5);
     // The thread's first event allocates its part of the log, once.
     trigger.on_event(&mut Payload::None, &seq_event(When::Before, 1, 0));
@@ -131,6 +149,7 @@ fn two_stage(mid_item: impl Fn() + Send + Sync + 'static) -> (Skel<i64, i64>, No
 
 #[test]
 fn an_event_emitted_after_remove_listener_returns_never_reaches_it() {
+    let _one = whole_process();
     let engine = Engine::new(2);
     let removed = CountingListener::new();
     let as_listener: Arc<dyn Listener> = removed.clone();
@@ -159,6 +178,7 @@ fn an_event_emitted_after_remove_listener_returns_never_reaches_it() {
 
 #[test]
 fn a_listener_added_mid_item_sees_the_items_later_events() {
+    let _one = whole_process();
     let engine = Engine::new(2);
     // Somebody listens from the start, so the submission is traced.
     engine.registry().add_listener(CountingListener::new());
@@ -186,6 +206,7 @@ fn a_listener_added_mid_item_sees_the_items_later_events() {
 
 #[test]
 fn a_handler_may_register_listeners_while_the_engine_dispatches() {
+    let _one = whole_process();
     let engine = Engine::new(2);
     let late = CountingListener::new();
     let once = AtomicUsize::new(0);
@@ -210,6 +231,7 @@ fn a_handler_may_register_listeners_while_the_engine_dispatches() {
 
 #[test]
 fn a_submission_nobody_listens_to_stays_silent() {
+    let _one = whole_process();
     // The other side of the same contract, unchanged: no listener at
     // submit, no events for that item, whoever registers meanwhile.
     let engine = Engine::new(2);
@@ -223,5 +245,88 @@ fn a_submission_nobody_listens_to_stays_silent() {
     assert_eq!(late.count(), 0);
     assert_eq!(engine.submit(&program, 1).get().unwrap(), 4);
     assert!(late.count() > 0, "the next submission is traced");
+    engine.shutdown();
+}
+
+/// The strong count of every node of `skel`'s tree, pre-order.
+fn strong_counts(skel: &Skel<i64, i64>) -> Vec<usize> {
+    skel.node()
+        .collect_nodes()
+        .iter()
+        // Less the one `collect_nodes` itself holds.
+        .map(|node| Arc::strong_count(node) - 1)
+        .collect()
+}
+
+#[test]
+fn a_running_item_moves_no_reference_count_of_its_tree() {
+    let _one = whole_process();
+    let engine = Engine::new(2);
+    // Input 0 parks mid-loop, at its 100th iteration, until released.
+    let park = Arc::new(Barrier::new(2));
+    let program: Skel<i64, i64> = {
+        let park = Arc::clone(&park);
+        sfor(
+            256,
+            seq(move |x: i64| {
+                if x == 100 {
+                    park.wait(); // parked
+                    park.wait(); // released
+                }
+                x + 1
+            }),
+        )
+    };
+    for observed in [false, true] {
+        if observed {
+            engine.registry().add_listener(CountingListener::new());
+        }
+        assert_eq!(engine.submit(&program, 1_000).get().unwrap(), 1_256);
+        let between = strong_counts(&program);
+        let in_flight = engine.submit(&program, 0);
+        park.wait();
+        let during = strong_counts(&program);
+        park.wait();
+        assert_eq!(in_flight.get().unwrap(), 256);
+        assert_eq!(during[1..], between[1..], "observed: {observed}");
+        assert!(
+            during[0] <= between[0] + 1,
+            "root {} > {} + 1 (observed: {observed})",
+            during[0],
+            between[0]
+        );
+    }
+    engine.shutdown();
+}
+
+/// Heap allocations per `sfor(64, seq)` item, on every thread, one item
+/// in flight at a time, after a warm-up.
+fn allocations_per_for_64_item(engine: &Engine) -> f64 {
+    const ITEMS: u64 = 64;
+    let program = sfor(64, seq(|x: i64| x + 1));
+    for _ in 0..16 {
+        assert_eq!(engine.submit(&program, 0).get().unwrap(), 64);
+    }
+    let before = ALL_ALLOCATIONS.load(Ordering::SeqCst);
+    for i in 0..ITEMS as i64 {
+        assert_eq!(engine.submit(&program, i).get().unwrap(), i + 64);
+    }
+    (ALL_ALLOCATIONS.load(Ordering::SeqCst) - before) as f64 / ITEMS as f64
+}
+
+#[test]
+fn a_for_iteration_allocates_only_its_muscles_output() {
+    let _one = whole_process();
+    let engine = Engine::new(2);
+    // 64 muscle outputs, one loop frame, and the submission's own.
+    let plain = allocations_per_for_64_item(&engine);
+    assert!(plain <= 80.0, "{plain} allocations per plain item");
+    // An observed item shares trace paths: only the loop's is new.
+    engine.registry().add_listener(CountingListener::new());
+    let observed = allocations_per_for_64_item(&engine);
+    assert!(
+        observed <= plain + 8.0,
+        "{observed} allocations per observed item, {plain} per plain one"
+    );
     engine.shutdown();
 }
