@@ -27,7 +27,8 @@
 //!
 //! What a step costs: an instance is an index into the submission's
 //! [`Plan`] (reached through [`SubCtx::plan`]) plus, when observed, a
-//! trace sharing its parent's path — no step writes the shared tree. An
+//! trace sharing its parent's path, which its events borrow rather than
+//! clone — no step writes the shared tree. An
 //! inline step is neither boxed nor dispatched, a fan-out child completes
 //! into its join without a box, and a `for`/`while`/`pipe` instance keeps
 //! one boxed frame for all its iterations. An unobserved `for` iteration
@@ -74,7 +75,7 @@ struct SubCtx {
     /// Allocated at submit whether or not it will be used, as it always
     /// was: how many allocations a submission makes on the submitting
     /// thread is what `serve_burst`'s shard-lock convoy is balanced on
-    /// (CHANGES.md, PR 13).
+    /// (see CHANGES.md).
     empty_trace: Trace,
     /// Span probe for the metrics hub, sampled once at submit time like
     /// `listeners`: `None` whenever the hub was disabled, making every
@@ -181,15 +182,15 @@ impl Runtime for ThreadRt {
     /// the controller's analysis memo, sees them as such.
     fn emit(
         &mut self,
-        trace: &Trace,
+        trace: Trace,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
-    ) {
+    ) -> Trace {
         let ctx = &*self.ctx;
         let Some(taken) = &ctx.listeners else {
-            return;
+            return trace;
         };
         // One Acquire load of a line that is only written when a listener
         // is added or removed. While it has not moved, dispatch goes
@@ -202,18 +203,20 @@ impl Runtime for ThreadRt {
             taken
         } else {
             let Some(now) = ctx.registry.snapshot() else {
-                return;
+                return trace;
             };
             fresh = now;
             &fresh
         };
         // A position nobody wants costs nothing further: no clock read,
-        // no trace clone, no event.
+        // no event.
         if !listeners.interest().contains(when, wher) {
-            return;
+            return trace;
         }
         let timestamp = *self.last_raised.get_or_insert_with(|| ctx.clock.now());
-        listeners.dispatch(payload, &Event::of(trace, when, wher, info, timestamp));
+        let event = Event::of(trace, when, wher, info, timestamp);
+        listeners.dispatch(payload, &event);
+        event.trace
     }
 
     /// [`Hint::Run`] executes the step **inline in the current task** when

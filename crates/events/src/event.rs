@@ -233,7 +233,7 @@ impl Event {
     ///
     /// # Panics
     /// On the empty trace, which names no instance.
-    pub fn of(trace: &Trace, when: When, wher: Where, info: EventInfo, timestamp: TimeNs) -> Event {
+    pub fn of(trace: Trace, when: When, wher: Where, info: EventInfo, timestamp: TimeNs) -> Event {
         let leaf = *trace
             .leaf()
             .expect("an event's trace ends at the instance raising it");
@@ -243,7 +243,7 @@ impl Event {
             when,
             wher,
             index: leaf.instance,
-            trace: trace.clone(),
+            trace,
             timestamp,
             info,
         }

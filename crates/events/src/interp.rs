@@ -41,8 +41,10 @@
 //! its state in one boxed frame that each iteration's body completes
 //! into, and an observed instance's trace shares its parent's path (the
 //! trace of every instance with children is joined into one path once,
-//! when the instance is made). On threads an unobserved `for` iteration therefore
-//! allocates nothing but its muscle's output.
+//! when the instance is made). An event takes its instance's trace for
+//! the time of its dispatch and hands it back, so raising one moves no
+//! reference count either. On threads an unobserved `for` iteration
+//! therefore allocates nothing but its muscle's output.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -110,7 +112,9 @@ pub trait Runtime: Sized + 'static {
     fn observed(&self) -> Option<Trace>;
 
     /// Raises one event of the instance `trace` ends at, on the current
-    /// thread at the current time.
+    /// thread at the current time, and hands `trace` back: the event owns
+    /// it while listeners see it, so raising an event moves no reference
+    /// count.
     ///
     /// An event raised with no muscle called since the previous event of
     /// the same step carries **the same timestamp**: a virtual clock gives
@@ -121,12 +125,12 @@ pub trait Runtime: Sized + 'static {
     /// Split)` or `(After, Condition)`, the previous child's marker.
     fn emit(
         &mut self,
-        trace: &Trace,
+        trace: Trace,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
-    );
+    ) -> Trace;
 
     /// Schedules `step`, guarded, on a worker the placement of the node at
     /// plan entry `at` allows.
@@ -181,10 +185,12 @@ impl<R: Runtime> Cont<R> {
         match self {
             Cont::F(f) => f(rt, data),
             Cont::Join { join, k } => {
-                let parent = &join.inst;
+                // Siblings may be raising the parent's events through the
+                // join's copy right now: this child raises through its own.
+                let mut parent = join.inst.clone();
                 parent.one(rt, After, NestedSkeleton, ChildIndex(k), &mut data);
                 match join.complete(k, data) {
-                    Ok(Some((slots, cont))) => merge(rt, parent.clone(), slots, cont),
+                    Ok(Some((slots, cont))) => merge(rt, parent, slots, cont),
                     Ok(None) => {}
                     // Report instead of panicking whoever noticed.
                     Err(msg) => rt.fail(Fault::Internal(msg)),
@@ -253,13 +259,20 @@ impl Inst {
     }
 
     /// Raises an event carrying one partial solution.
-    fn one<R: Runtime>(&self, rt: &mut R, when: When, wher: Where, info: EventInfo, d: &mut Data) {
+    fn one<R: Runtime>(
+        &mut self,
+        rt: &mut R,
+        when: When,
+        wher: Where,
+        info: EventInfo,
+        d: &mut Data,
+    ) {
         self.emit(rt, when, wher, info, &mut Payload::Single(d));
     }
 
     /// Raises an event carrying several (split results, merge inputs).
     fn many<R: Runtime>(
-        &self,
+        &mut self,
         rt: &mut R,
         when: When,
         wher: Where,
@@ -269,16 +282,17 @@ impl Inst {
         self.emit(rt, when, wher, info, &mut Payload::Many(d));
     }
 
+    /// Lends the instance's trace to the event for the time of the call.
     fn emit<R: Runtime>(
-        &self,
+        &mut self,
         rt: &mut R,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) {
-        if let Some(trace) = &self.trace {
-            rt.emit(trace, when, wher, info, payload);
+        if let Some(trace) = self.trace.take() {
+            self.trace = Some(rt.emit(trace, when, wher, info, payload));
         }
     }
 
@@ -286,7 +300,7 @@ impl Inst {
     /// own (`farm`, `if`, a `d&C` leaf): child `k` ended, the skeleton
     /// ended. It only emits, so an unobserved instance passes `cont`
     /// through without a box.
-    fn closing<R: Runtime>(self, k: usize, cont: Cont<R>) -> Cont<R> {
+    fn closing<R: Runtime>(mut self, k: usize, cont: Cont<R>) -> Cont<R> {
         if !self.observed() {
             return cont;
         }
@@ -339,7 +353,7 @@ impl<R: Runtime> Frame<R> {
 
     /// The instance ends with `out`.
     fn close(self, rt: &mut R, mut out: Data) {
-        let Frame { inst, cont, .. } = self;
+        let Frame { mut inst, cont, .. } = self;
         inst.one(rt, After, Skeleton, EventInfo::None, &mut out);
         cont.run(rt, out);
     }
@@ -385,7 +399,7 @@ fn schedule<R: Runtime>(
     }
 }
 
-fn seq<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn seq<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     let cost = rt.meter(inst.muscle(rt, MuscleRole::Execute), 1, &*data);
     let NodeKind::Seq { fe } = &inst.node(rt.plan()).kind else {
@@ -398,19 +412,19 @@ fn seq<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     });
 }
 
-fn farm<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn farm<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     inst.one(rt, Before, NestedSkeleton, ChildIndex(0), &mut data);
     let child = inst.child(rt, inst.kid(rt, 0));
     schedule(rt, child, data, inst.closing(0, cont), Hint::Run);
 }
 
-fn pipe<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn pipe<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     pipe_stage(rt, Frame::new(inst, cont), data);
 }
 
-fn pipe_stage<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
+fn pipe_stage<R: Runtime>(rt: &mut R, mut frame: Box<Frame<R>>, mut data: Data) {
     let NodeKind::Pipe { stages } = &frame.inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
@@ -425,8 +439,9 @@ fn pipe_stage<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
 }
 
 /// Iteration `frame.k`'s condition, in its own step.
-fn while_loop<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
-    let (inst, iter) = (&frame.inst, frame.k);
+fn while_loop<R: Runtime>(rt: &mut R, mut frame: Box<Frame<R>>, mut data: Data) {
+    let iter = frame.k;
+    let inst = &mut frame.inst;
     if iter == 0 {
         inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     }
@@ -437,7 +452,7 @@ fn while_loop<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
     };
     let verdict = fc.call(&data);
     rt.busy(cost, move |rt| {
-        let inst = &frame.inst;
+        let inst = &mut frame.inst;
         inst.one(rt, After, Condition, ConditionResult(verdict), &mut data);
         if !verdict {
             return frame.close(rt, data);
@@ -447,7 +462,7 @@ fn while_loop<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
     });
 }
 
-fn if_else<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn if_else<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     inst.one(rt, Before, Condition, EventInfo::None, &mut data);
     let cost = rt.meter(inst.muscle(rt, MuscleRole::Condition), 1, &*data);
@@ -465,12 +480,12 @@ fn if_else<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     });
 }
 
-fn for_loop<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn for_loop<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     for_iteration(rt, Frame::new(inst, cont), data);
 }
 
-fn for_iteration<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
+fn for_iteration<R: Runtime>(rt: &mut R, mut frame: Box<Frame<R>>, mut data: Data) {
     let NodeKind::For { n, .. } = frame.inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
@@ -486,7 +501,7 @@ fn for_iteration<R: Runtime>(rt: &mut R, frame: Box<Frame<R>>, mut data: Data) {
 
 /// `map` and `fork`: split, then fan the parts out — to one shared inner
 /// skeleton, or to one branch each.
-fn split<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn split<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     inst.one(rt, Before, Split, EventInfo::None, &mut data);
     let cost = rt.meter(inst.muscle(rt, MuscleRole::Split), 1, &*data);
@@ -511,7 +526,7 @@ fn split<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
     });
 }
 
-fn dac<R: Runtime>(rt: &mut R, inst: Inst, mut data: Data, cont: Cont<R>) {
+fn dac<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
     inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
     inst.one(rt, Before, Condition, EventInfo::None, &mut data);
     let cost = rt.meter(inst.muscle(rt, MuscleRole::Condition), 1, &*data);
@@ -624,6 +639,9 @@ fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) 
     if n == 0 {
         return merge(rt, inst, Vec::new(), cont);
     }
+    // The children's completions raise the parent's events through the
+    // join's copy; the fan-out raises its markers through its own.
+    let mut parent = inst.clone();
     let join = Arc::new(Join {
         inst,
         state: Mutex::new(JoinState {
@@ -632,7 +650,6 @@ fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) 
             cont: Some(cont),
         }),
     });
-    let parent = &join.inst;
     let mut batch = R::batch(if n > 2 { n - 1 } else { 0 });
     let mut last = None;
     for (k, mut part) in parts.into_iter().enumerate() {
@@ -661,7 +678,7 @@ fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) 
 }
 
 /// The merge step, spawned by whichever child closed the join.
-fn merge<R: Runtime>(rt: &mut R, inst: Inst, slots: Vec<Option<Data>>, cont: Cont<R>) {
+fn merge<R: Runtime>(rt: &mut R, mut inst: Inst, slots: Vec<Option<Data>>, cont: Cont<R>) {
     rt.spawn(inst.at, Hint::Run, move |rt| {
         let id = inst.muscle(rt, MuscleRole::Merge);
         let (cost, mut out) = if inst.observed() || R::METERED {

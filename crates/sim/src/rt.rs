@@ -169,17 +169,18 @@ impl Runtime for SimRt {
     /// Emits an event at the current virtual instant.
     fn emit(
         &mut self,
-        trace: &Trace,
+        trace: Trace,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
-    ) {
+    ) -> Trace {
         if self.registry.is_empty() {
-            return;
+            return trace;
         }
         let event = Event::of(trace, when, wher, info, self.now);
         self.registry.emit(payload, &event);
+        event.trace
     }
 
     /// Queues the step on the policy-ordered ready pool, tagged with the
