@@ -197,6 +197,34 @@ fn skewed_cluster_offload_acceptance() {
     assert_eq!(a.capacity_trace, b.capacity_trace);
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.grain_trace, b.grain_trace);
+    // And under the default ordering it is this sequence, literally.
+    let pinned = run_skewed_cluster(OrderingPolicy::Deterministic);
+    assert_eq!(
+        pinned.decision_keys(),
+        decision_keys(&[
+            (6, 1, "grain-retune"),
+            (6, 2, "offload"),
+            (6, 3, "provisioning"),
+            (15, 4, "grain-retune"),
+            (24, 5, "grain-retune"),
+            (294, 6, "grain-retune"),
+            (303, 7, "grain-retune"),
+            (351, 8, "grain-retune"),
+        ])
+    );
+    assert_eq!(pinned.capacity_trace, vec![(1, 5)]);
+    assert_eq!(
+        pinned.grain_trace,
+        vec![(1, 64), (2, 128), (3, 256), (7, 128), (8, 64), (10, 32)]
+    );
+}
+
+/// `(virtual ms, version, rule)` rows as `SkewedRun::decision_keys`
+/// reports them.
+fn decision_keys(rows: &[(u64, u64, &str)]) -> Vec<(TimeNs, u64, String)> {
+    rows.iter()
+        .map(|&(ms, version, rule)| (TimeNs::from_millis(ms), version, rule.to_string()))
+        .collect()
 }
 
 /// LP-coupled promotion: the forecast gate (reading the knowledge the

@@ -334,6 +334,33 @@ fn a_cost_guard_on_the_capacity_knob_holds_the_hub_dark() {
             run.decisions.iter().all(|d| d.rule != "cost-guard"),
             "a standing veto is no decision"
         );
+        // Under the default ordering, this sequence literally.
+        let pinned =
+            run_skewed_cluster_guarded(OrderingPolicy::Deterministic, conflict, TimeNs::ZERO);
+        assert_eq!(
+            pinned.decision_keys(),
+            decision_keys(&[
+                (6, 1, "grain-retune"),
+                (6, 2, "offload"),
+                (6, 2, "provisioning"),
+                (12, 3, "grain-retune"),
+                (18, 4, "grain-retune"),
+                (180, 4, "provisioning"),
+                (510, 5, "grain-retune"),
+                (510, 5, "provisioning"),
+                (516, 6, "grain-retune"),
+                (522, 7, "grain-retune"),
+                (684, 8, "grain-retune"),
+                (684, 8, "provisioning"),
+                (1014, 8, "provisioning"),
+                (1188, 8, "provisioning"),
+            ])
+        );
+        assert!(pinned.capacity_trace.is_empty());
+        assert_eq!(
+            pinned.grain_trace,
+            vec![(1, 64), (2, 128), (3, 256), (7, 128), (8, 64), (9, 32), (10, 16)]
+        );
     }
 
     let run = run_skewed_cluster_guarded(
@@ -344,4 +371,36 @@ fn a_cost_guard_on_the_capacity_knob_holds_the_hub_dark() {
     run.check_invariants(" with the budget unspent");
     assert_eq!(run.capacity_trace, vec![(1, 5)]);
     assert!(run.telemetry.busy_per_node()[1] > TimeNs::ZERO);
+    // Unspent, the guard changes nothing: the acceptance run's sequence.
+    let pinned = run_skewed_cluster_guarded(
+        OrderingPolicy::Deterministic,
+        ConflictPolicy::PriorityWins,
+        TimeNs::from_secs(1),
+    );
+    assert_eq!(
+        pinned.decision_keys(),
+        decision_keys(&[
+            (6, 1, "grain-retune"),
+            (6, 2, "offload"),
+            (6, 3, "provisioning"),
+            (15, 4, "grain-retune"),
+            (24, 5, "grain-retune"),
+            (294, 6, "grain-retune"),
+            (303, 7, "grain-retune"),
+            (351, 8, "grain-retune"),
+        ])
+    );
+    assert_eq!(pinned.capacity_trace, vec![(1, 5)]);
+    assert_eq!(
+        pinned.grain_trace,
+        vec![(1, 64), (2, 128), (3, 256), (7, 128), (8, 64), (10, 32)]
+    );
+}
+
+/// `(virtual ms, version, rule)` rows as `SkewedRun::decision_keys`
+/// reports them.
+fn decision_keys(rows: &[(u64, u64, &str)]) -> Vec<(TimeNs, u64, String)> {
+    rows.iter()
+        .map(|&(ms, version, rule)| (TimeNs::from_millis(ms), version, rule.to_string()))
+        .collect()
 }
