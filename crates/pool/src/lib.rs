@@ -69,7 +69,7 @@ use std::thread::JoinHandle;
 use parking_lot::{Mutex, RwLock};
 
 use askel_obs::{Counter, Gauge, Histogram, MetricsHub};
-use askel_skeletons::{Clock, RealClock, TimeNs};
+use askel_skeletons::{Clock, RealClock};
 
 pub use askel_skeletons::TimelinePoint;
 use queue::{Injector, Parker, Shard};
@@ -209,9 +209,9 @@ impl PoolInner {
             popped
         };
         // Wake-latency probe: one clock read covers the whole batch,
-        // and none at all while metrics are off (same discipline as
-        // `sample_time`). The stamp rides the parker; the woken worker
-        // records the delta.
+        // and none at all while metrics are off (as telemetry samples
+        // read it only while recording). The stamp rides the parker;
+        // the woken worker records the delta.
         let stamp = if self.hub.enabled() && !popped.is_empty() {
             self.clock.now().0.max(1)
         } else {
@@ -229,16 +229,6 @@ impl PoolInner {
     /// Wakes every sleeping worker (resize and shutdown transitions).
     fn wake_all(&self) {
         self.wake(usize::MAX);
-    }
-
-    /// A timestamp for telemetry samples; skips the clock read entirely
-    /// when sample recording is off (the counters don't need it).
-    fn sample_time(&self) -> TimeNs {
-        if self.telemetry.is_recording() {
-            self.clock.now()
-        } else {
-            TimeNs::ZERO
-        }
     }
 
     /// Refreshes the queue-depth gauge; one relaxed load and a branch
@@ -479,7 +469,7 @@ impl ResizablePool {
         if target != coord.target {
             self.inner
                 .telemetry
-                .record_target(self.inner.sample_time(), target);
+                .record_target(|| self.inner.clock.now(), target);
         }
         let shrinking = target < coord.target;
         coord.target = target;
@@ -631,7 +621,7 @@ fn find_task(inner: &Arc<PoolInner>, shard: &Arc<Shard>) -> Option<Task> {
         shard.push_batch(batch);
         task
     })?;
-    inner.telemetry.record_task_start(inner.sample_time());
+    inner.telemetry.record_task_start(|| inner.clock.now());
     if inner.has_stealable() {
         inner.wake(1);
     }
@@ -645,7 +635,7 @@ fn run_task(inner: &Arc<PoolInner>, task: Task) {
     let result = catch_unwind(AssertUnwindSafe(task));
     inner
         .telemetry
-        .record_task_end(inner.sample_time(), result.is_err());
+        .record_task_end(|| inner.clock.now(), result.is_err());
 }
 
 /// Runs the chain of tasks deposited in this worker's TLS next-task slot
@@ -676,7 +666,7 @@ fn drain_next_slot(inner: &Arc<PoolInner>, shard: &Arc<Shard>) {
             shard.push(task);
             return;
         }
-        inner.telemetry.record_task_start(inner.sample_time());
+        inner.telemetry.record_task_start(|| inner.clock.now());
         if inner.has_stealable() {
             inner.wake(1);
         }

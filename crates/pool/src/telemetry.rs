@@ -136,47 +136,53 @@ impl PoolTelemetry {
         self.panics.load(Ordering::Acquire)
     }
 
-    /// Records a task start at `at` (engine-internal).
-    pub fn record_task_start(&self, at: TimeNs) {
+    /// Records a task start (engine-internal). `now` is read only while
+    /// recording.
+    pub fn record_task_start(&self, now: impl FnOnce() -> TimeNs) {
         self.started.fetch_add(1, Ordering::SeqCst);
         let active = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         // Steady-state fast path: one load instead of a fetch_max.
         if active > self.peak.load(Ordering::Relaxed) {
             self.peak.fetch_max(active, Ordering::AcqRel);
         }
-        if self.recording.load(Ordering::Relaxed) {
-            self.samples
-                .lock()
-                .push(TelemetrySample::TaskStart { at, active });
-        }
+        self.sample(|| TelemetrySample::TaskStart { at: now(), active });
     }
 
-    /// Records a task end at `at` (engine-internal).
+    /// Records a task end (engine-internal). `now` is read only while
+    /// recording.
     ///
     /// The `active` decrement runs before the `finished` increment so a
     /// racing `active_now` can only see the task as still active, never
-    /// as both finished and active.
-    pub fn record_task_end(&self, at: TimeNs, panicked: bool) {
+    /// as both finished and active. The end sample, if any, is pushed
+    /// before `finished` moves: whoever sees the task finished
+    /// (`wait_idle`) sees its sample too, and a task that finished before
+    /// [`set_recording`](Self::set_recording) switched the timeline on
+    /// leaves nothing in it.
+    pub fn record_task_end(&self, now: impl FnOnce() -> TimeNs, panicked: bool) {
         let active = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.finished.fetch_add(1, Ordering::SeqCst);
         if panicked {
             self.panics.fetch_add(1, Ordering::Relaxed);
         }
-        if self.recording.load(Ordering::Relaxed) {
-            self.samples.lock().push(TelemetrySample::TaskEnd {
-                at,
-                active,
-                panicked,
-            });
-        }
+        self.sample(|| TelemetrySample::TaskEnd {
+            at: now(),
+            active,
+            panicked,
+        });
+        self.finished.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Records a target (LP) change at `at` (engine-internal).
-    pub fn record_target(&self, at: TimeNs, target: usize) {
+    /// Records a target (LP) change (engine-internal). `now` is read only
+    /// while recording.
+    pub fn record_target(&self, now: impl FnOnce() -> TimeNs, target: usize) {
+        self.sample(|| TelemetrySample::TargetChange { at: now(), target });
+    }
+
+    /// Appends `sample()` to the timeline if recording: one load decides
+    /// both whether the clock is read and whether the sample is kept.
+    fn sample(&self, sample: impl FnOnce() -> TelemetrySample) {
         if self.recording.load(Ordering::Relaxed) {
-            self.samples
-                .lock()
-                .push(TelemetrySample::TargetChange { at, target });
+            let sample = sample();
+            self.samples.lock().push(sample);
         }
     }
 
@@ -272,11 +278,11 @@ mod tests {
     #[test]
     fn counters_track_start_end() {
         let t = PoolTelemetry::new();
-        t.record_task_start(TimeNs(10));
-        t.record_task_start(TimeNs(20));
+        t.record_task_start(|| TimeNs(10));
+        t.record_task_start(|| TimeNs(20));
         assert_eq!(t.active_now(), 2);
         assert_eq!(t.peak_active(), 2);
-        t.record_task_end(TimeNs(30), false);
+        t.record_task_end(|| TimeNs(30), false);
         assert_eq!(t.active_now(), 1);
         assert_eq!(t.peak_active(), 2);
         assert_eq!(t.tasks_started(), 2);
@@ -286,11 +292,11 @@ mod tests {
     #[test]
     fn timeline_is_a_step_function() {
         let t = recording();
-        t.record_task_start(TimeNs(10));
-        t.record_target(TimeNs(15), 4);
-        t.record_task_start(TimeNs(20));
-        t.record_task_end(TimeNs(30), false);
-        t.record_task_end(TimeNs(40), false);
+        t.record_task_start(|| TimeNs(10));
+        t.record_target(|| TimeNs(15), 4);
+        t.record_task_start(|| TimeNs(20));
+        t.record_task_end(|| TimeNs(30), false);
+        t.record_task_end(|| TimeNs(40), false);
         let tl = t.active_timeline();
         assert_eq!(
             tl,
@@ -329,8 +335,8 @@ mod tests {
     #[test]
     fn same_instant_samples_collapse() {
         let t = recording();
-        t.record_task_start(TimeNs(10));
-        t.record_task_end(TimeNs(10), false);
+        t.record_task_start(|| TimeNs(10));
+        t.record_task_end(|| TimeNs(10), false);
         let tl = t.active_timeline();
         assert_eq!(
             tl,
@@ -351,14 +357,14 @@ mod tests {
     fn recording_can_be_disabled() {
         let t = PoolTelemetry::new();
         assert!(!t.is_recording() && !PoolTelemetry::default().is_recording());
-        t.record_target(TimeNs(5), 2);
-        t.record_task_start(TimeNs(10));
+        t.record_target(|| TimeNs(5), 2);
+        t.record_task_start(|| TimeNs(10));
         assert!(t.samples().is_empty());
         t.set_recording(true);
-        t.record_task_end(TimeNs(20), false);
+        t.record_task_end(|| TimeNs(20), false);
         assert_eq!(t.samples().len(), 1);
         t.set_recording(false);
-        t.record_task_start(TimeNs(30));
+        t.record_task_start(|| TimeNs(30));
         assert_eq!(t.samples().len(), 1);
         // Counters run either way.
         assert_eq!((t.tasks_started(), t.tasks_finished()), (2, 1));
@@ -367,8 +373,8 @@ mod tests {
     #[test]
     fn panics_are_counted() {
         let t = PoolTelemetry::new();
-        t.record_task_start(TimeNs(1));
-        t.record_task_end(TimeNs(2), true);
+        t.record_task_start(|| TimeNs(1));
+        t.record_task_end(|| TimeNs(2), true);
         assert_eq!(t.panics(), 1);
     }
 
@@ -377,9 +383,9 @@ mod tests {
         use askel_obs::Json;
 
         let t = recording();
-        t.record_task_start(TimeNs(10_000));
-        t.record_target(TimeNs(15_000), 4);
-        t.record_task_end(TimeNs(20_000), true);
+        t.record_task_start(|| TimeNs(10_000));
+        t.record_target(|| TimeNs(15_000), 4);
+        t.record_task_end(|| TimeNs(20_000), true);
         let mut trace = askel_obs::ChromeTrace::new();
         telemetry_to_chrome(&t.samples(), &mut trace);
         // start + target + end + panic marker

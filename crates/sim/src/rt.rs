@@ -273,7 +273,7 @@ impl SimRt {
         self.workers.set_capacity(lp);
         if self.workers.capacity() != before {
             self.telemetry
-                .record_target(self.now, self.workers.capacity());
+                .record_target(|| self.now, self.workers.capacity());
             self.rebuild_free();
         }
     }
@@ -352,7 +352,7 @@ impl SimRt {
                 if slot < self.workers.capacity() {
                     self.run.free.insert(slot);
                 }
-                self.telemetry.record_task_end(self.now, false);
+                self.telemetry.record_task_end(|| self.now, false);
             }
         }
     }
@@ -383,7 +383,7 @@ impl SimRt {
             self.run.free.remove(&slot);
             let task = self.run.ready.remove(index);
             let overhead = self.workers.chain_overhead(slot);
-            self.telemetry.record_task_start(self.now);
+            self.telemetry.record_task_start(|| self.now);
             self.execute(task.plan, task.work, slot, overhead);
             if self.run.error.is_some() {
                 return false;
@@ -478,7 +478,7 @@ impl SimRt {
     pub(crate) fn begin(&mut self, components: &mut [Box<dyn Component>]) {
         self.now = self.clock.now();
         self.telemetry
-            .record_target(self.now, self.workers.capacity());
+            .record_target(|| self.now, self.workers.capacity());
         self.restart();
         self.components
             .resize_with(components.len(), || Box::new(OnLoan));
