@@ -359,7 +359,15 @@ fn a_cost_guard_on_the_capacity_knob_holds_the_hub_dark() {
         assert!(pinned.capacity_trace.is_empty());
         assert_eq!(
             pinned.grain_trace,
-            vec![(1, 64), (2, 128), (3, 256), (7, 128), (8, 64), (9, 32), (10, 16)]
+            vec![
+                (1, 64),
+                (2, 128),
+                (3, 256),
+                (7, 128),
+                (8, 64),
+                (9, 32),
+                (10, 16)
+            ]
         );
     }
 
