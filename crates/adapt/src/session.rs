@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use askel_engine::{Engine, StreamSession};
 use askel_events::{Event, ListenerRegistry, Payload, StreamRuntime, StreamTypes};
-use askel_skeletons::{Clock, Node, NodeId, Skel, TimeNs};
+use askel_skeletons::{Node, NodeId, Skel, TimeNs};
 
 use crate::arbitration::{arbitrate, ConflictPolicy};
 use crate::rules::RewriteAction;
@@ -65,38 +65,21 @@ where
     }
 }
 
-/// Applies planned rewrites at safe points; see the module docs.
+/// Applies planned rewrites at safe points; see the module docs. Holds
+/// only what is the session's own — the trigger engine and the conflict
+/// policy; the runtime facts a safe point reads come from the stream.
 pub struct Reconfigurator {
-    registry: Arc<ListenerRegistry>,
-    clock: Arc<dyn Clock>,
     trigger: Arc<TriggerEngine>,
-    lp: Box<dyn Fn() -> usize + Send + Sync>,
     policy: ConflictPolicy,
 }
 
 impl Reconfigurator {
-    /// A reconfigurator emitting through `registry` with timestamps from
-    /// `clock`. The LP source defaults to 1; see
-    /// [`lp_source`](Reconfigurator::lp_source).
-    pub fn new(
-        registry: Arc<ListenerRegistry>,
-        clock: Arc<dyn Clock>,
-        trigger: Arc<TriggerEngine>,
-    ) -> Self {
+    /// A reconfigurator planning with `trigger`.
+    pub fn new(trigger: Arc<TriggerEngine>) -> Self {
         Reconfigurator {
-            registry,
-            clock,
             trigger,
-            lp: Box::new(|| 1),
             policy: ConflictPolicy::default(),
         }
-    }
-
-    /// Sets where the current level of parallelism is read from (rules
-    /// like `RetuneWidth` scale structure to it).
-    pub fn lp_source(mut self, f: impl Fn() -> usize + Send + Sync + 'static) -> Self {
-        self.lp = Box::new(f);
-        self
     }
 
     /// Sets how conflicting rule fires are resolved at each safe point
@@ -112,11 +95,12 @@ impl Reconfigurator {
         &self.trigger
     }
 
-    /// One safe point: plans against the current statistics,
-    /// **arbitrates** the collected fires (see [`crate::arbitration`])
-    /// and applies the winning set to `vskel`, emitting one
-    /// `(After, Reconfigured)` event and one decision-log record per
-    /// applied rewrite. Returns how many rewrites were applied.
+    /// One safe point at time `now`, with width rules reading `lp`:
+    /// plans against the current statistics, **arbitrates** the
+    /// collected fires (see [`crate::arbitration`]) and applies the
+    /// winning set to `vskel`, emitting one `(After, Reconfigured)` event
+    /// through `registry` and one decision-log record per applied
+    /// rewrite. Returns how many rewrites were applied.
     ///
     /// Bookkeeping around the winners:
     ///
@@ -134,15 +118,18 @@ impl Reconfigurator {
     ///   trigger engine's knowledge once, which drops the replaced nodes'
     ///   estimator history and gives a controller sharing it the new
     ///   tree, and notifies rules via [`Rule::on_replaced`](crate::Rule::on_replaced).
-    pub fn apply<P, R>(&self, vskel: &mut VersionedSkel<P, R>) -> usize
+    pub fn apply<P, R>(
+        &self,
+        vskel: &mut VersionedSkel<P, R>,
+        registry: &ListenerRegistry,
+        now: TimeNs,
+        lp: usize,
+    ) -> usize
     where
         P: Send + 'static,
         R: Send + 'static,
     {
-        let now = self.clock.now();
-        let plans = self
-            .trigger
-            .plan(vskel.skel.node(), vskel.version, (self.lp)(), now);
+        let plans = self.trigger.plan(vskel.skel.node(), vskel.version, lp, now);
         let outcome = arbitrate(plans, &self.policy, vskel.skel.node());
         for veto in &outcome.idle_vetoes {
             self.trigger.rearm(veto.rule_index);
@@ -204,7 +191,7 @@ impl Reconfigurator {
             };
             vskel.version += 1;
             let event = Event::reconfigured(event_node.id, event_node.tag(), vskel.version, now);
-            self.registry.emit(&mut Payload::None, &event);
+            registry.emit(&mut Payload::None, &event);
             self.trigger.record(audit(now, vskel.version, plan, text));
             applied += 1;
         }
@@ -307,21 +294,18 @@ where
     /// A session feeding `skel` on `engine`, adapted by `trigger`'s rules,
     /// with unbounded in-flight items by default. The session owns a
     /// non-owning engine clone, so it may outlive the borrow and move
-    /// across threads — many sessions can share one engine.
+    /// across threads — many sessions can share one engine. Rule fires
+    /// count in the engine's metrics hub.
     ///
-    /// Registering `trigger` as a listener on `engine.registry()` is the
-    /// caller's choice: with it, rules see event-derived estimates; without
-    /// it, only outcome- and input-size-triggered rules can fire (and the
+    /// Whether `trigger` hears events is the caller's choice: registered
+    /// on `engine.registry()`, it hears every submission's; made the
+    /// stream's session listener ([`StreamSession::listener`], built
+    /// with [`Adaptive::over`]), only this session's; unregistered, only
+    /// outcome- and input-size-triggered rules can fire (and the
     /// per-event overhead is avoided).
     pub fn new(engine: &Engine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
-        let stream = StreamSession::new(engine, skel);
-        // The engine's registry and clock, and its live LP as the width
-        // rules' input.
-        let pool = engine.pool().clone();
         trigger.attach_metrics(engine.metrics_hub());
-        let reconf = Reconfigurator::new(Arc::clone(engine.registry()), engine.clock(), trigger)
-            .lp_source(move || pool.target_workers());
-        Adaptive::over(stream, skel, reconf)
+        Adaptive::over(StreamSession::new(engine, skel), skel, trigger)
     }
 
     /// Items fed so far.
@@ -337,14 +321,15 @@ where
     S::Out: Send + 'static,
 {
     /// `stream`, opened on `skel`, adapted at every safe point by
-    /// `reconf`, with unbounded in-flight items by default. Each runtime's
-    /// session is this plus its runtime's registry, clock and LP source:
-    /// `AdaptiveSession::new` for the pool, `askel_dist::sim_session`
-    /// for the simulator.
-    pub fn over(stream: S, skel: &Skel<S::In, S::Out>, reconf: Reconfigurator) -> Self {
+    /// `trigger`'s rules, with unbounded in-flight items by default.
+    /// Every session is built here: safe points read registry, time and
+    /// LP from `stream` ([`StreamRuntime`]), so `AdaptiveSession::new`
+    /// adds only the metrics hub and `askel_dist::sim_session` only the
+    /// lock-step bound.
+    pub fn over(stream: S, skel: &Skel<S::In, S::Out>, trigger: Arc<TriggerEngine>) -> Self {
         Adaptive {
             stream,
-            reconf,
+            reconf: Reconfigurator::new(trigger),
             vskel: VersionedSkel::new(skel),
             out: VecDeque::new(),
             max_in_flight: usize::MAX,
@@ -356,13 +341,6 @@ where
     /// [`StreamSession::max_in_flight`].
     pub fn max_in_flight(mut self, n: usize) -> Self {
         self.max_in_flight = n.max(1);
-        self
-    }
-
-    /// Forwards to [`Reconfigurator::lp_source`]: where width rules read
-    /// the current level of parallelism.
-    pub fn lp_source(mut self, f: impl Fn() -> usize + Send + Sync + 'static) -> Self {
-        self.reconf = self.reconf.lp_source(f);
         self
     }
 
@@ -416,14 +394,22 @@ where
     }
 
     /// The safe point: size hints of what is about to be submitted, one
-    /// [`Reconfigurator::apply`], and the stream takes a rewritten tree.
+    /// [`Reconfigurator::apply`] against the stream's registry, clock and
+    /// LP, and the stream takes a rewritten tree.
     fn safe_point<'a>(&mut self, inputs: impl IntoIterator<Item = &'a S::In>) {
         if let Some(size_of) = &self.size_of {
             for input in inputs {
                 self.reconf.trigger().observe_input_size(size_of(input));
             }
         }
-        if self.reconf.apply(&mut self.vskel) > 0 {
+        let stream = &self.stream;
+        let applied = self.reconf.apply(
+            &mut self.vskel,
+            stream.registry(),
+            stream.now(),
+            stream.lp(),
+        );
+        if applied > 0 {
             self.stream.swap_skel(self.vskel.skel());
         }
     }

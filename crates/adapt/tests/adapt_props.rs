@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use askel_adapt::{
     arbitrate, Adaptive, AdaptiveSession, Concern, ConflictPolicy, FallbackSwap, Hysteresis, Knob,
-    PlannedRewrite, Promote, Reconfigurator, RetuneGrain, RewriteAction, Trigger, TriggerEngine,
+    PlannedRewrite, Promote, RetuneGrain, RewriteAction, Trigger, TriggerEngine,
 };
 use askel_engine::{Engine, StreamSession};
 use askel_events::{Event, EventInfo, Listener, Payload, Trace, When, Where};
@@ -493,12 +493,7 @@ fn sim_session_run(
     let probe = Arc::clone(&knob_trace);
     let watched = knob.clone();
     // Lock-step on virtual time, as `askel_dist::sim_session` builds it.
-    let reconf = Reconfigurator::new(
-        Arc::clone(sim.registry()),
-        sim.clock().clone(),
-        trigger.clone(),
-    );
-    let mut session = Adaptive::over(SimStream::new(sim, &halves), &halves, reconf)
+    let mut session = Adaptive::over(SimStream::new(sim, &halves), &halves, trigger.clone())
         .max_in_flight(1)
         .input_size(move |v: &Vec<i64>| {
             probe.lock().unwrap().push(watched.get());

@@ -116,10 +116,8 @@ fn run(ordering: OrderingPolicy, guard: Option<(ConflictPolicy, TimeNs)>) -> Ske
             1,
         ));
     }
-    let lp_view = telemetry.clone();
-    let mut session = sim_session(sim, &scenario.program, trigger.clone())
-        .lp_source(move || lp_view.capacity().max(1))
-        .conflict_policy(conflict);
+    let mut session =
+        sim_session(sim, &scenario.program, trigger.clone()).conflict_policy(conflict);
 
     // Lock-step: the safe point runs inside `feed`, before the
     // submission, so a knob it moves holds from this item on.

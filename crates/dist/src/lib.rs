@@ -934,15 +934,10 @@ mod tests {
     }
 
     /// A reconfigurator applying `policy`'s fires at safe points of a
-    /// one-muscle program, announcing through `registry`.
-    fn safe_points(
-        policy: ProvisioningPolicy,
-        registry: Arc<askel_events::ListenerRegistry>,
-    ) -> (Reconfigurator, VersionedSkel<i64, i64>) {
-        let clock: Arc<dyn askel_skeletons::Clock> = askel_skeletons::ManualClock::new();
-        let reconf = Reconfigurator::new(registry, clock, host(policy));
+    /// one-muscle program.
+    fn safe_points(policy: ProvisioningPolicy) -> (Reconfigurator, VersionedSkel<i64, i64>) {
         (
-            reconf,
+            Reconfigurator::new(host(policy)),
             VersionedSkel::new(&askel_skeletons::seq(|x: i64| x)),
         )
     }
@@ -959,11 +954,16 @@ mod tests {
         // No cooldown, and all load on the edge: the hub is added, then
         // retired at the next safe point (idle in its window), and so on.
         let policy = ProvisioningPolicy::new(t.clone(), knob.clone(), 0.5, 0.0);
-        let (reconf, mut vskel) = safe_points(policy, askel_events::ListenerRegistry::new());
+        let (reconf, mut vskel) = safe_points(policy);
+        let registry = askel_events::ListenerRegistry::new();
         let n = DECISION_LOG_CAPACITY;
         for point in 1..=3 * n {
             t.add(0, TimeNs::from_secs(1));
-            assert_eq!(reconf.apply(&mut vskel), 1, "flaps at every safe point");
+            assert_eq!(
+                reconf.apply(&mut vskel, &registry, TimeNs::ZERO, 1),
+                1,
+                "flaps at every safe point"
+            );
             let cap = knob.get();
             assert_eq!(cap, if point % 2 == 1 { 2 } else { 1 }, "add, retire, …");
             t.set_enabled(vec![1, cap - 1]);
@@ -1023,9 +1023,9 @@ mod tests {
         let t = c.telemetry();
         let knob = Knob::new("capacity", 1);
         let policy = ProvisioningPolicy::new(t.clone(), knob.clone(), 0.5, 0.0);
-        let (reconf, mut vskel) = safe_points(policy, registry);
+        let (reconf, mut vskel) = safe_points(policy);
         t.add(0, TimeNs::from_secs(1));
-        assert_eq!(reconf.apply(&mut vskel), 1);
+        assert_eq!(reconf.apply(&mut vskel, &registry, TimeNs::ZERO, 1), 1);
         assert_eq!(knob.get(), 2, "the hub's slot requested");
         assert_eq!(seen.load(Ordering::SeqCst), 1, "one (After, Reconfigured)");
         let log = reconf.trigger().decision_log();

@@ -5,11 +5,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use askel_adapt::{
-    Adaptive, Reconfigurator, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine,
-};
+use askel_adapt::{Adaptive, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine};
 use askel_sim::{SimEngine, SimStream};
-use askel_skeletons::{Clock, Node, NodeId, Skel};
+use askel_skeletons::{Node, NodeId, Skel};
 
 use crate::ClusterTelemetry;
 
@@ -146,13 +144,14 @@ impl Rule for Offload {
 /// ships. Built by [`sim_session`].
 pub type AdaptiveSimSession<P, R> = Adaptive<SimStream<P, R>>;
 
-/// A session streaming `skel` through `sim`, adapted by `trigger`'s rules
-/// and timed by `sim`'s virtual clock. Lock-step: one item in flight at a
-/// time, so every safe point sees the outcome of every item before it —
-/// the strongest safe-point guarantee. The LP rules read defaults to 1
-/// (`Adaptive::lp_source` sets it). Registering the trigger as a listener
-/// on `sim.registry()` stays the caller's choice, exactly as with the
-/// threaded `AdaptiveSession`.
+/// A session streaming `skel` through `sim`, adapted by `trigger`'s rules.
+/// Lock-step: one item in flight at a time, so every safe point sees the
+/// outcome of every item before it — the strongest safe-point guarantee.
+/// Safe points read the simulator's registry, virtual clock and LP
+/// ([`SimEngine::lp`]: the worker model's current capacity), so a width
+/// rule scales to the machine it runs on. Registering the trigger as a
+/// listener on `sim.registry()` stays the caller's choice, exactly as
+/// with the threaded `AdaptiveSession`.
 pub fn sim_session<P, R>(
     sim: SimEngine,
     skel: &Skel<P, R>,
@@ -162,9 +161,7 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
-    let clock: Arc<dyn Clock> = Arc::clone(sim.clock()) as Arc<dyn Clock>;
-    let reconf = Reconfigurator::new(Arc::clone(sim.registry()), clock, trigger);
-    Adaptive::over(SimStream::new(sim, skel), skel, reconf).max_in_flight(1)
+    Adaptive::over(SimStream::new(sim, skel), skel, trigger).max_in_flight(1)
 }
 
 #[cfg(test)]
@@ -237,5 +234,22 @@ mod tests {
         assert!(unknown
             .evaluate(&ctx_with(&est, &errors, &root, 2, None))
             .is_none());
+    }
+
+    /// Nothing tells the session the machine's width: its safe points
+    /// read it from the simulator, so a width rule scales to 3 workers.
+    #[test]
+    fn a_sim_sessions_rules_read_the_simulators_lp() {
+        use askel_adapt::{Knob, RetuneWidth};
+        use askel_sim::cost::ZeroCost;
+
+        let width = Knob::new("width", 1);
+        let trigger = TriggerEngine::new(0.5);
+        trigger.add_rule(RetuneWidth::new(width.clone(), 2).bounds(1, 64));
+        let sim = SimEngine::new(3, Arc::new(ZeroCost));
+        let mut session = sim_session(sim, &seq(|x: i64| x + 1), trigger);
+        session.feed(1);
+        assert_eq!(width.get(), 6, "3 workers × 2 tasks per worker");
+        assert_eq!(session.next_result().unwrap().unwrap(), 2);
     }
 }

@@ -9,8 +9,8 @@
 
 use std::collections::VecDeque;
 
-use askel_events::{StreamRuntime, StreamTypes};
-use askel_skeletons::Skel;
+use askel_events::{ListenerRegistry, StreamRuntime, StreamTypes};
+use askel_skeletons::{Skel, TimeNs};
 
 use crate::error::EngineError;
 use crate::future::SkelFuture;
@@ -193,8 +193,8 @@ impl<P, R> StreamTypes for StreamSession<P, R> {
     type Error = EngineError;
 }
 
-/// The threaded stream runtime: every call is the inherent method of
-/// the same name.
+/// The threaded stream runtime: every stream call is the inherent method
+/// of the same name; registry, clock and LP are the engine's.
 impl<P, R> StreamRuntime for StreamSession<P, R>
 where
     P: Send + 'static,
@@ -222,6 +222,19 @@ where
 
     fn in_flight(&self) -> usize {
         StreamSession::in_flight(self)
+    }
+
+    fn registry(&self) -> &ListenerRegistry {
+        &self.engine.registry
+    }
+
+    fn now(&self) -> TimeNs {
+        self.engine.clock.now()
+    }
+
+    /// The pool's worker target.
+    fn lp(&self) -> usize {
+        self.engine.pool.target_workers()
     }
 }
 

@@ -4,8 +4,12 @@
 //! [`StreamRuntime`]; `askel-engine`'s `StreamSession` implements it on
 //! pool threads (blocking parks the caller), `askel-sim`'s `SimStream`
 //! on one simulated machine (blocking is what advances virtual time).
+//! A safe point reads its runtime facts — registry, time, LP — from the
+//! stream it runs on, so no session carries a copy of them.
 
-use askel_skeletons::Skel;
+use askel_skeletons::{Skel, TimeNs};
+
+use crate::registry::ListenerRegistry;
 
 /// What a stream is fed, yields and fails with. Apart from its
 /// operations, so that a type built on them is well-formed wherever the
@@ -47,4 +51,15 @@ pub trait StreamRuntime: StreamTypes {
     /// Items submitted and not yet collected (those `poll_ready` has
     /// counted may be left out).
     fn in_flight(&self) -> usize;
+
+    /// The registry the runtime emits through; a safe point announces
+    /// its rewrites here.
+    fn registry(&self) -> &ListenerRegistry;
+
+    /// The runtime clock's current time.
+    fn now(&self) -> TimeNs;
+
+    /// The runtime's current level of parallelism, which width rules
+    /// scale to.
+    fn lp(&self) -> usize;
 }

@@ -2,8 +2,8 @@
 
 use std::collections::VecDeque;
 
-use askel_events::{StreamRuntime, StreamTypes};
-use askel_skeletons::Skel;
+use askel_events::{ListenerRegistry, StreamRuntime, StreamTypes};
+use askel_skeletons::{Clock, Skel, TimeNs};
 
 use crate::rt::Finished;
 use crate::{typed, SimEngine, SimError};
@@ -11,7 +11,9 @@ use crate::{typed, SimEngine, SimError};
 /// The simulator's [`StreamRuntime`], as `askel_engine::StreamSession` is
 /// the pool's: an ordered stream through one swappable skeleton on one
 /// persistent machine (occupancy, in-flight chains and muscle invocation
-/// counters carry over from item to item).
+/// counters carry over from item to item). Its registry, clock and LP
+/// are the simulator's: [`SimEngine::registry`], the virtual clock and
+/// [`SimEngine::lp`].
 ///
 /// Feeding runs nothing: virtual time advances only while `next_result`
 /// waits for the oldest uncollected item, and `poll_ready` sees what
@@ -92,5 +94,17 @@ where
 
     fn in_flight(&self) -> usize {
         self.slots.len()
+    }
+
+    fn registry(&self) -> &ListenerRegistry {
+        self.sim.registry()
+    }
+
+    fn now(&self) -> TimeNs {
+        self.sim.clock().now()
+    }
+
+    fn lp(&self) -> usize {
+        self.sim.lp()
     }
 }

@@ -130,7 +130,7 @@ fn sim_rewrite_decisions_are_deterministic() {
                 .named("collapse-fan")
                 .when(Trigger::DurationAtLeast(fe, TimeNs::from_millis(500))),
         );
-        let mut session = sim_session(sim, &v1, trigger.clone()).lp_source(|| 2);
+        let mut session = sim_session(sim, &v1, trigger.clone());
         let items = (0..4).map(|round| (0..=round).collect::<Vec<i64>>());
         let outputs = session
             .run_stream(items)
@@ -287,7 +287,7 @@ fn forecast_gated_promotion_audits_predicted_vs_realized() {
                 .forecast_gated(0.2),
         );
         let clock = sim.clock().clone();
-        let mut session = sim_session(sim, &v1, trigger.clone()).lp_source(move || lp);
+        let mut session = sim_session(sim, &v1, trigger.clone());
         let mut realized_wcts = Vec::new();
         for round in 0..3 {
             // The size hint is recorded after the item rather than through

@@ -11,17 +11,27 @@ use autonomic_skeletons::core::FnActuator;
 use autonomic_skeletons::prelude::*;
 
 /// Infrastructure for a rule-only safe point: no items need to run, the
-/// reconfigurator just plans/arbitrates/applies against the sim's
-/// registry and virtual clock.
-fn harness(trigger: &Arc<TriggerEngine>) -> (SimEngine, Reconfigurator) {
-    let sim = SimEngine::new(1, Arc::new(ZeroCost));
-    let reconf = Reconfigurator::new(
-        Arc::clone(sim.registry()),
-        sim.clock().clone(),
-        Arc::clone(trigger),
-    )
-    .lp_source(|| 4);
-    (sim, reconf)
+/// reconfigurator just plans/arbitrates/applies against a 4-worker sim's
+/// registry, virtual clock and LP.
+struct Harness {
+    sim: SimEngine,
+    reconf: Reconfigurator,
+}
+
+fn harness(trigger: &Arc<TriggerEngine>) -> Harness {
+    Harness {
+        sim: SimEngine::new(4, Arc::new(ZeroCost)),
+        reconf: Reconfigurator::new(Arc::clone(trigger)),
+    }
+}
+
+impl Harness {
+    /// One safe point on `vskel`.
+    fn apply(&self, vskel: &mut VersionedSkel<i64, i64>) -> usize {
+        let sim = &self.sim;
+        self.reconf
+            .apply(vskel, sim.registry(), sim.clock().now(), sim.lp())
+    }
 }
 
 #[test]
@@ -36,11 +46,11 @@ fn same_knob_cost_beats_performance_at_equal_priority() {
     let trigger = TriggerEngine::new(0.5);
     trigger.add_rule(RetuneWidth::new(width.clone(), 2).named("grow-width"));
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
-    let (_sim, reconf) = harness(&trigger);
+    let h = harness(&trigger);
     let program: Skel<i64, i64> = seq(|x: i64| x);
     let mut vskel = VersionedSkel::new(&program);
 
-    assert_eq!(reconf.apply(&mut vskel), 1, "exactly one action applied");
+    assert_eq!(h.apply(&mut vskel), 1, "exactly one action applied");
     assert_eq!(width.get(), 2, "the cost guard's economy width won");
     assert_eq!(vskel.version(), 1, "one version bump, not two");
     let log = trigger.decision_log();
@@ -74,11 +84,11 @@ fn same_knob_priority_overrides_the_concern_rank() {
             .priority(5),
     );
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
-    let (_sim, reconf) = harness(&trigger);
+    let h = harness(&trigger);
     let program: Skel<i64, i64> = seq(|x: i64| x);
     let mut vskel = VersionedSkel::new(&program);
 
-    assert_eq!(reconf.apply(&mut vskel), 1);
+    assert_eq!(h.apply(&mut vskel), 1);
     assert_eq!(width.get(), 8, "the prioritized performance grow won");
     let log = trigger.decision_log();
     assert_eq!(log.len(), 2, "{log:?}");
@@ -108,12 +118,12 @@ fn veto_policy_blocks_the_knob_regardless_of_priority() {
             .priority(5),
     );
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
-    let (_sim, reconf) = harness(&trigger);
+    let mut h = harness(&trigger);
+    h.reconf = h.reconf.conflict_policy(ConflictPolicy::Veto);
     let program: Skel<i64, i64> = seq(|x: i64| x);
     let mut vskel = VersionedSkel::new(&program);
-    let reconf = reconf.conflict_policy(ConflictPolicy::Veto);
 
-    assert_eq!(reconf.apply(&mut vskel), 0, "the veto blocked everything");
+    assert_eq!(h.apply(&mut vskel), 0, "the veto blocked everything");
     assert_eq!(width.get(), 2, "the knob did not move");
     assert_eq!(vskel.version(), 0);
     let log = trigger.decision_log();
@@ -147,16 +157,16 @@ fn a_standing_veto_leaves_the_decision_log_a_ring_that_still_audits() {
         width.clone(),
         2,
     ));
-    let (mut sim, reconf) = harness(&trigger);
-    let reconf = reconf.conflict_policy(ConflictPolicy::Veto);
-    sim.registry().add_listener(trigger.clone());
+    let mut h = harness(&trigger);
+    h.reconf = h.reconf.conflict_policy(ConflictPolicy::Veto);
+    h.sim.registry().add_listener(trigger.clone());
     let program: Skel<i64, i64> = seq(|x: i64| x);
     let mut vskel = VersionedSkel::new(&program);
 
     let gated_at = 3 * N - 8;
     for point in 1..=3 * N {
-        sim.clock().advance_to(TimeNs(point));
-        assert_eq!(reconf.apply(&mut vskel), 0, "the veto stands");
+        h.sim.clock().advance_to(TimeNs(point));
+        assert_eq!(h.apply(&mut vskel), 0, "the veto stands");
         if point == gated_at {
             trigger.record(AdaptRecord {
                 at: TimeNs(point),
@@ -171,7 +181,7 @@ fn a_standing_veto_leaves_the_decision_log_a_ring_that_still_audits() {
                     realized: None,
                 }),
             });
-            assert_eq!(sim.run(&program, 7).expect("sim run").result, 7);
+            assert_eq!(h.sim.run(&program, 7).expect("sim run").result, 7);
         }
     }
 
@@ -200,16 +210,12 @@ fn uncontested_veto_is_dropped_silently() {
     let meter = NodeHoursMeter::new();
     let trigger = TriggerEngine::new(0.5);
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
-    let (_sim, reconf) = harness(&trigger);
+    let h = harness(&trigger);
     let program: Skel<i64, i64> = seq(|x: i64| x);
     let mut vskel = VersionedSkel::new(&program);
 
-    assert_eq!(reconf.apply(&mut vskel), 0);
-    assert_eq!(
-        reconf.apply(&mut vskel),
-        0,
-        "still quiet at the next safe point"
-    );
+    assert_eq!(h.apply(&mut vskel), 0);
+    assert_eq!(h.apply(&mut vskel), 0, "still quiet at the next safe point");
     assert_eq!(width.get(), 2);
     assert_eq!(vskel.version(), 0);
     assert!(trigger.decision_log().is_empty());
@@ -249,10 +255,10 @@ fn applied_rewrite_invalidates_estimates_in_trigger_and_synced_controller() {
         "the gate is open before the rewrite"
     );
 
-    let (_sim, reconf) = harness(&trigger);
+    let h = harness(&trigger);
     let mut vskel = VersionedSkel::new(&outer);
     trigger.observe_input_size(5);
-    assert_eq!(reconf.apply(&mut vskel), 1);
+    assert_eq!(h.apply(&mut vskel), 1);
     assert_eq!(vskel.version(), 1);
 
     let log = trigger.decision_log();

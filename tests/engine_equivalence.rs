@@ -390,7 +390,6 @@ proptest! {
         let case = AdaptiveCase::new();
         let sim = SimEngine::new(2, Arc::new(ZeroCost));
         let session = sim_session(sim, &case.program, case.trigger.clone())
-            .lp_source(|| 2)
             .input_size(|v: &Vec<i64>| v.len());
         let simulated = case.drive(session, &items);
 

@@ -245,7 +245,7 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
                 .water_marks(0.7, 0.2),
         );
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
-        let mut session = sim_session(sim, &fragile, trigger.clone()).lp_source(|| 4);
+        let mut session = sim_session(sim, &fragile, trigger.clone());
 
         // Items 3 and 4 are poisoned: the hub (where the offload moved
         // the map) starts erroring mid-stream. The long healthy tail

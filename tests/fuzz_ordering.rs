@@ -128,7 +128,7 @@ mod remote_errors {
         sim.registry().add_listener(trigger.clone());
         trigger.add_rule(Offload::new(&fragile, "hub", telemetry.clone()).water_marks(0.7, 0.2));
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
-        let mut session = sim_session(sim, &fragile, trigger.clone()).lp_source(|| 4);
+        let mut session = sim_session(sim, &fragile, trigger.clone());
 
         let items: Vec<Vec<i64>> = (0..28)
             .map(|k| {
