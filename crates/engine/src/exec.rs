@@ -37,7 +37,9 @@
 //! The listener set is sampled when the submission is made (the rule is
 //! stated once, in [`askel_events::interp`]): [`SubCtx::listeners`] is the
 //! view taken then, and an event dispatches through it for as long as the
-//! registry's generation stands.
+//! registry's generation stands. A stream session's own listener
+//! ([`SubCtx::own`]) rides along with each of its submissions and hears
+//! those and no others.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,6 +73,11 @@ struct SubCtx {
     /// this view, so a worker emitting one touches nothing another worker
     /// writes (see [`ThreadRt::emit`]).
     listeners: Option<Arc<ListenerSnapshot>>,
+    /// The submitting session's own listener
+    /// ([`StreamSession::listener`](crate::StreamSession::listener)), as
+    /// a one-entry view: it hears this submission besides whatever the
+    /// registry holds, and observes it even when the registry is empty.
+    own: Option<Arc<ListenerSnapshot>>,
     /// The path an observed submission's root instance hangs under.
     /// Allocated at submit whether or not it will be used, as it always
     /// was: how many allocations a submission makes on the submitting
@@ -167,10 +174,8 @@ impl Runtime for ThreadRt {
     }
 
     fn observed(&self) -> Option<Trace> {
-        self.ctx
-            .listeners
-            .as_ref()
-            .map(|_| self.ctx.empty_trace.clone())
+        let ctx = &*self.ctx;
+        (ctx.listeners.is_some() || ctx.own.is_some()).then(|| ctx.empty_trace.clone())
     }
 
     /// Timestamps: one clock read per muscle. An event raised with no
@@ -189,33 +194,34 @@ impl Runtime for ThreadRt {
         payload: &mut Payload<'_>,
     ) -> Trace {
         let ctx = &*self.ctx;
-        let Some(taken) = &ctx.listeners else {
-            return trace;
-        };
         // One Acquire load of a line that is only written when a listener
         // is added or removed. While it has not moved, dispatch goes
         // through the view taken at submit: no lock, no allocation, no
         // reference count. Once it has, every event of this submission
         // re-reads the registry, so listeners added or removed mid-item
-        // take effect at the next event, as they always did.
+        // take effect at the next event, as they always did. A submission
+        // that found the registry empty never reads it.
         let fresh;
-        let listeners = if ctx.registry.generation() == taken.generation() {
-            taken
-        } else {
-            let Some(now) = ctx.registry.snapshot() else {
-                return trace;
-            };
-            fresh = now;
-            &fresh
+        let shared = match &ctx.listeners {
+            Some(taken) if ctx.registry.generation() == taken.generation() => Some(taken),
+            Some(_) => {
+                fresh = ctx.registry.snapshot();
+                fresh.as_ref()
+            }
+            None => None,
         };
         // A position nobody wants costs nothing further: no clock read,
         // no event.
-        if !listeners.interest().contains(when, wher) {
+        let wants = |view: &&Arc<ListenerSnapshot>| view.interest().contains(when, wher);
+        let (shared, own) = (shared.filter(wants), ctx.own.as_ref().filter(wants));
+        if shared.is_none() && own.is_none() {
             return trace;
         }
         let timestamp = *self.last_raised.get_or_insert_with(|| ctx.clock.now());
         let event = Event::of(trace, when, wher, info, timestamp);
-        listeners.dispatch(payload, &event);
+        for view in [shared, own].into_iter().flatten() {
+            view.dispatch(payload, &event);
+        }
         event.trace
     }
 
@@ -284,6 +290,7 @@ fn submission<R: Send + 'static>(
     engine: &Engine,
     plan: &Arc<Plan>,
     listeners: Option<Arc<ListenerSnapshot>>,
+    own: Option<&Arc<ListenerSnapshot>>,
     span: Option<SpanProbe>,
 ) -> (ThreadRt, SkelFuture<R>, BoxedCont<ThreadRt>) {
     let (future, promise) = pair::<R>();
@@ -294,6 +301,7 @@ fn submission<R: Send + 'static>(
         registry: Arc::clone(&engine.registry),
         clock: Arc::clone(&engine.clock),
         listeners,
+        own: own.cloned(),
         empty_trace: Trace::empty(),
         span,
         failed: AtomicBool::new(false),
@@ -313,14 +321,21 @@ fn submission<R: Send + 'static>(
     (rt, future, done)
 }
 
-/// Entry point used by [`crate::Engine::submit`].
-pub(crate) fn submit<P, R>(engine: &Engine, skel: &Skel<P, R>, input: P) -> SkelFuture<R>
+/// Entry point used by [`crate::Engine::submit`] (no `own` listener) and
+/// by a [`StreamSession`](crate::StreamSession)'s feeds.
+pub(crate) fn submit<P, R>(
+    engine: &Engine,
+    skel: &Skel<P, R>,
+    input: P,
+    own: Option<&Arc<ListenerSnapshot>>,
+) -> SkelFuture<R>
 where
     P: Send + 'static,
     R: Send + 'static,
 {
     let span = engine.metrics.probe(&*engine.clock);
-    let (mut rt, future, done) = submission(engine, skel.plan(), engine.registry.snapshot(), span);
+    let listeners = engine.registry.snapshot();
+    let (mut rt, future, done) = submission(engine, skel.plan(), listeners, own, span);
     rt.caught(|rt| interp::start(rt, Box::new(input), done));
     future
 }
@@ -339,6 +354,7 @@ pub(crate) fn submit_batch<P, R>(
     engine: &Engine,
     skel: &Skel<P, R>,
     inputs: Vec<P>,
+    own: Option<&Arc<ListenerSnapshot>>,
 ) -> Vec<SkelFuture<R>>
 where
     P: Send + 'static,
@@ -356,7 +372,7 @@ where
     let mut tasks: Vec<Task> = Vec::with_capacity(inputs.len());
     for input in inputs {
         let span = submitted_at.map(|at| engine.metrics.probe_at(at));
-        let (rt, future, done) = submission(engine, skel.plan(), listeners.clone(), span);
+        let (rt, future, done) = submission(engine, skel.plan(), listeners.clone(), own, span);
         tasks.push(rt.task(move |rt| interp::start(rt, Box::new(input), done)));
         futures.push(future);
     }

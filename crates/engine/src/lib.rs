@@ -174,7 +174,7 @@ impl Engine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        exec::submit(self, skel, input)
+        exec::submit(self, skel, input, None)
     }
 
     /// Submits a batch of inputs to one skeleton in a single pool
@@ -192,7 +192,7 @@ impl Engine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        exec::submit_batch(self, skel, inputs)
+        exec::submit_batch(self, skel, inputs, None)
     }
 
     /// Shuts the pool down, finishing queued work first.

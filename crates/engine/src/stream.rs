@@ -8,13 +8,14 @@
 //! and collect results **in submission order**.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use askel_events::{ListenerRegistry, StreamRuntime, StreamTypes};
+use askel_events::{Listener, ListenerRegistry, ListenerSnapshot, StreamRuntime, StreamTypes};
 use askel_skeletons::{Skel, TimeNs};
 
 use crate::error::EngineError;
 use crate::future::SkelFuture;
-use crate::Engine;
+use crate::{exec, Engine};
 
 /// An ordered stream of inputs through one skeleton.
 ///
@@ -24,7 +25,9 @@ use crate::Engine;
 /// the first feed observes every item fed afterwards (regression-tested
 /// below). Only the item in flight at registration time keeps its original
 /// (possibly empty) snapshot — register listeners before feeding when every
-/// item must be observed.
+/// item must be observed. A session may also carry one listener of its
+/// own ([`listener`](StreamSession::listener)), which hears this
+/// session's items and no others.
 ///
 /// The skeleton itself may be swapped between items with
 /// [`swap_skel`](StreamSession::swap_skel): subsequent feeds use the new
@@ -53,6 +56,8 @@ pub struct StreamSession<P, R> {
     ready: VecDeque<Result<R, EngineError>>,
     max_in_flight: usize,
     fed: usize,
+    /// The session's own listener, as a one-entry view.
+    own: Option<Arc<ListenerSnapshot>>,
 }
 
 impl<P, R> StreamSession<P, R>
@@ -75,7 +80,25 @@ where
             ready: VecDeque::new(),
             max_in_flight: usize::MAX,
             fed: 0,
+            own: None,
         }
+    }
+
+    /// Gives the session a listener of its own: it hears the events of
+    /// exactly the items this session submits, and of no other
+    /// submission on the engine. Like a registered listener it is asked
+    /// only for the positions its [`Listener::interest`] names, and it
+    /// is sampled per submission, at submit time; the engine's registry
+    /// still hears the items too. A session has one; calling this again
+    /// replaces it.
+    pub fn listener(mut self, listener: Arc<dyn Listener>) -> Self {
+        // Registered as the registry registers it, so the interest rule
+        // is the registry's own; the one-entry view is then held for the
+        // session's life.
+        let own = ListenerRegistry::new();
+        own.add_listener(listener);
+        self.own = own.snapshot();
+        self
     }
 
     /// Bounds how many inputs may be in flight; `feed` blocks on the
@@ -122,8 +145,8 @@ where
             let oldest = self.in_flight.pop_front().expect("non-empty by bound");
             self.ready.push_back(oldest.get());
         }
-        self.in_flight
-            .push_back(self.engine.submit(&self.skel, input));
+        let future = exec::submit(&self.engine, &self.skel, input, self.own.as_ref());
+        self.in_flight.push_back(future);
         self.fed += 1;
     }
 
@@ -150,8 +173,8 @@ where
                 Vec::new()
             };
             self.fed += inputs.len();
-            self.in_flight
-                .extend(self.engine.submit_batch(&self.skel, inputs));
+            let futures = exec::submit_batch(&self.engine, &self.skel, inputs, self.own.as_ref());
+            self.in_flight.extend(futures);
             inputs = rest;
         }
     }
@@ -368,6 +391,60 @@ mod tests {
             seen.load(Ordering::SeqCst),
             5,
             "each feed re-samples the registry, so all 5 post-registration items emit"
+        );
+        engine.shutdown();
+    }
+
+    /// Two sessions on one engine run the same skeleton clone; only one
+    /// carries a listener, which asks for `(After, Skeleton)` alone. It
+    /// hears that position of its own items — fed one by one and in a
+    /// batch — and nothing of the other session's, and the registry
+    /// stays empty throughout.
+    #[test]
+    fn a_session_listener_hears_its_own_items_at_its_positions_only() {
+        use askel_events::{Event, Interest, Payload, When, Where};
+        use askel_skeletons::KindTag;
+
+        #[derive(Default)]
+        struct Ends {
+            seq_ends: AtomicUsize,
+            elsewhere: AtomicUsize,
+        }
+        impl Listener for Ends {
+            fn on_event(&self, _: &mut Payload<'_>, e: &Event) {
+                if e.is(KindTag::Seq, When::After, Where::Skeleton) {
+                    self.seq_ends.fetch_add(1, Ordering::SeqCst);
+                } else if !(e.when == When::After && e.wher == Where::Skeleton) {
+                    self.elsewhere.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            fn interest(&self) -> Interest {
+                Interest::at(Where::Skeleton).intersect(Interest::when(When::After))
+            }
+        }
+
+        let engine = Engine::new(2);
+        let program = farm(seq(|x: i64| x + 1));
+        let ends = Arc::new(Ends::default());
+        let mut heard = StreamSession::new(&engine, &program).listener(ends.clone());
+        let mut plain = StreamSession::new(&engine, &program.clone());
+        for x in 0..5 {
+            heard.feed(x);
+            plain.feed(x);
+            plain.feed(x);
+        }
+        heard.feed_batch((5..8).collect());
+        plain.feed_batch((0..8).collect());
+        assert!(engine.registry().is_empty());
+        let got: Vec<i64> = heard.drain().map(|r| r.unwrap()).collect();
+        assert_eq!(got, (1..9).collect::<Vec<_>>());
+        assert_eq!(plain.drain().count(), 18);
+        engine.pool().wait_idle();
+        assert_eq!(ends.seq_ends.load(Ordering::SeqCst), 8, "one per own item");
+        assert_eq!(
+            ends.elsewhere.load(Ordering::SeqCst),
+            0,
+            "outside its interest"
         );
         engine.shutdown();
     }

@@ -20,15 +20,19 @@
 //!   independent registry shards (pure hash of [`TenantId`] — nothing
 //!   to rebalance), each owned by its own driver thread running the
 //!   feed→drain→harvest loop, all over the **one** shared engine, one
-//!   metrics hub, one monitor, and one cross-shard estimator pool.
-//! * **A multiplexed autonomic loop**: one registered listener
-//!   ([`ServeMonitor`]) routes events to the owning tenants' trigger
-//!   engines, and [`SharedEstimators`] pools estimator history across
-//!   tenants by **skeleton structure**
+//!   metrics hub, and one cross-shard estimator pool.
+//! * **Per-tenant monitoring, pooled knowledge**: an adaptive tenant's
+//!   trigger engine is its own stream's session listener
+//!   ([`StreamSession::listener`](askel_engine::StreamSession::listener)),
+//!   so it hears exactly that tenant's items — the paper's listener
+//!   attached to the skeleton run it steers — and the engine's registry
+//!   stays empty, leaving plain tenants unobserved. [`SharedEstimators`]
+//!   pools estimator history across tenants by **skeleton structure**
 //!   ([`Skel::structure_key`](askel_skeletons::Skel::structure_key)):
 //!   tenant N's observations warm tenant N+1's forecast gates when —
-//!   and only when — they run structurally identical programs.
-//!   Safe-point arbitration stays strictly per tenant.
+//!   and only when — they run structurally identical programs, clones
+//!   of one `Skel` included. Safe-point arbitration stays strictly per
+//!   tenant.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,12 +40,10 @@
 mod admission;
 mod estimators;
 mod metrics;
-mod mux;
 mod registry;
 mod shard;
 
 pub use admission::{Admission, AdmissionPolicy, BatchAdmission, RejectReason};
 pub use estimators::SharedEstimators;
-pub use mux::ServeMonitor;
 pub use registry::{ServeRegistry, TenantId, TenantStats};
 pub use shard::ShardedServe;

@@ -3,12 +3,15 @@
 //! [`ServeRegistry`] owns one [`Engine`] clone and shards any number of
 //! per-tenant [`AdaptiveSession`]s over it. Each tenant keeps its own
 //! trigger engine, safe-point arbitration and rewrite history — the
-//! per-tenant half of the MAPE loop stays fully independent — while the
-//! monitor ([`crate::ServeMonitor`]) and the [`SharedEstimators`] pool
-//! are multiplexed across all of them. Under a
+//! per-tenant half of the MAPE loop stays fully independent. An adaptive
+//! tenant's trigger is its stream's session listener
+//! ([`StreamSession::listener`]), so it hears exactly the items that
+//! tenant submits and the engine's registry stays empty; a plain
+//! tenant's items go unobserved. What is multiplexed across tenants is
+//! the [`SharedEstimators`] pool. Under a
 //! [`ShardedServe`](crate::ShardedServe) front, many registries run as
-//! shards sharing **one** monitor and **one** estimator pool over the
-//! same engine; the registry itself is shard-agnostic.
+//! shards sharing **one** estimator pool over the same engine; the
+//! registry itself is shard-agnostic.
 //!
 //! Feeding goes through admission control (see [`AdmissionPolicy`]):
 //! one private function prices a tenant's room under its quota and the
@@ -21,23 +24,21 @@
 //! starved — even across registration/detach churn. The drain cycle is
 //! also where cross-tenant publication happens: each visited tenant's
 //! estimator history is absorbed into the shared pool (and its
-//! admission cost estimate re-priced), and its event routes are
-//! refreshed if a safe point rewrote its tree since the last visit —
-//! work [`settled`](ServeRegistry::settled) counts as owed until done.
+//! admission cost estimate re-priced) — work
+//! [`settled`](ServeRegistry::settled) counts as owed until done.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use askel_adapt::{AdaptiveSession, TriggerEngine};
-use askel_engine::{Engine, EngineError};
+use askel_adapt::{Adaptive, AdaptiveSession, TriggerEngine};
+use askel_engine::{Engine, EngineError, StreamSession};
 use askel_obs::{HistogramSnapshot, MetricsSnapshot};
-use askel_skeletons::{Clock, NodeId, Skel};
+use askel_skeletons::{Clock, Skel};
 
 use crate::admission::{Admission, AdmissionPolicy, BatchAdmission, RejectReason};
 use crate::estimators::SharedEstimators;
 use crate::metrics::ServeMetrics;
-use crate::mux::ServeMonitor;
 
 /// A registered tenant's handle. Displays as `t<n>`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,11 +77,9 @@ struct Tenant<P, R> {
     session: AdaptiveSession<P, R>,
     backlog: VecDeque<P>,
     ready: VecDeque<Result<R, EngineError>>,
-    /// Whether this tenant's trigger engine is routed engine events (and
-    /// its history published to the shared pool).
+    /// Whether this tenant's trigger engine hears its items' events (and
+    /// its history is published to the shared pool).
     adaptive: bool,
-    routed: Vec<NodeId>,
-    routed_version: u64,
     submitted: u64,
     completed: u64,
     rejected: u64,
@@ -143,23 +142,15 @@ where
         self.adaptive && self.completed > self.published
     }
 
-    /// Post-visit bookkeeping for an adaptive tenant (key `key`): re-route
-    /// its events if a safe point rewrote the tree since the last visit,
-    /// absorb new estimator history into `shared`, and re-price the
-    /// tenant's admission cost estimate from it.
-    fn refresh(&mut self, key: u64, monitor: &ServeMonitor, shared: &SharedEstimators) {
-        if !self.adaptive {
-            return;
-        }
-        let (trigger, root) = (self.session.trigger(), self.session.skeleton().node());
-        if self.session.version() != self.routed_version {
-            monitor.unroute(key, &self.routed);
-            self.routed = monitor.route(key, trigger, root);
-            self.routed_version = self.session.version();
-        }
+    /// Post-visit bookkeeping for an adaptive tenant: absorb new
+    /// estimator history into `shared`, and re-price the tenant's
+    /// admission cost estimate from it.
+    fn publish(&mut self, shared: &SharedEstimators) {
         if self.unpublished() {
             self.published = self.completed;
-            trigger
+            let root = self.session.skeleton().node();
+            self.session
+                .trigger()
                 .knowledge()
                 .read_estimates(|table| shared.absorb(root, table));
             self.cost_ns = shared.estimated_cost(root).map(|c| c.0);
@@ -200,7 +191,6 @@ pub struct ServeRegistry<P, R> {
     engine: Engine,
     policy: AdmissionPolicy,
     shared: SharedEstimators,
-    monitor: Arc<ServeMonitor>,
     tenants: BTreeMap<u64, Tenant<P, R>>,
     next_id: u64,
     /// The key the previous drain cycle first visited; the next cycle
@@ -223,18 +213,15 @@ where
     pub fn new(engine: &Engine) -> Self {
         Self::new_shard(
             engine,
-            ServeMonitor::new(),
             SharedEstimators::new(0.5),
             AdmissionPolicy::default(),
         )
     }
 
     /// A shard registry for a [`ShardedServe`](crate::ShardedServe):
-    /// shares the front's monitor and estimator pool instead of owning
-    /// its own.
+    /// shares the front's estimator pool instead of owning its own.
     pub(crate) fn new_shard(
         engine: &Engine,
-        monitor: Arc<ServeMonitor>,
         shared: SharedEstimators,
         policy: AdmissionPolicy,
     ) -> Self {
@@ -244,7 +231,6 @@ where
             engine: engine.clone(),
             policy,
             shared,
-            monitor,
             tenants: BTreeMap::new(),
             next_id: 0,
             cursor: None,
@@ -258,8 +244,9 @@ where
     }
 
     /// Registers a plain tenant: a session with a private, rule-less
-    /// trigger engine and **no** event routing — zero per-event overhead,
-    /// no estimator sharing. The cheap default for bulk tenants.
+    /// trigger engine and **no** listener — its items go unobserved, at
+    /// zero per-event overhead, and share no estimator history. The cheap
+    /// default for bulk tenants.
     pub fn register(&mut self, skel: &Skel<P, R>) -> TenantId {
         self.insert(self.next_id, skel, None)
     }
@@ -270,8 +257,10 @@ where
     ///   history for structurally identical programs (only entries the
     ///   trigger does not already hold; see [`SharedEstimators::warm`]),
     ///   and
-    /// * engine events for the tenant's tree are routed to the trigger
-    ///   through the multiplexed monitor.
+    /// * the trigger is the tenant stream's session listener: it hears
+    ///   the events of exactly the items this tenant submits, whoever
+    ///   else runs the same `Skel`. Estimator history crosses tenants
+    ///   only through the shared pool.
     pub fn register_adaptive(
         &mut self,
         skel: &Skel<P, R>,
@@ -295,18 +284,19 @@ where
         );
         self.next_id = self.next_id.max(id + 1);
         let adaptive = trigger.is_some();
-        let (trigger, routed) = match trigger {
+        let mut stream = StreamSession::new(&self.engine, skel);
+        let trigger = match trigger {
             Some(trigger) => {
                 trigger.knowledge().with_estimates(|est| {
                     self.shared.warm(skel.node(), est);
                 });
-                self.monitor.install(&self.engine);
-                let routed = self.monitor.route(id, &trigger, skel.node());
-                (trigger, routed)
+                stream = stream.listener(trigger.clone());
+                trigger
             }
-            None => (TriggerEngine::new(0.5), Vec::new()),
+            None => TriggerEngine::new(0.5),
         };
-        let session = AdaptiveSession::new(&self.engine, skel, trigger);
+        trigger.attach_metrics(self.engine.metrics_hub());
+        let session = Adaptive::over(stream, skel, trigger);
         let cost_ns = self.shared.estimated_cost(skel.node()).map(|c| c.0);
         self.tenants.insert(
             id,
@@ -315,8 +305,6 @@ where
                 backlog: VecDeque::new(),
                 ready: VecDeque::new(),
                 adaptive,
-                routed,
-                routed_version: 0,
                 submitted: 0,
                 completed: 0,
                 rejected: 0,
@@ -413,10 +401,9 @@ where
     /// cycles shifts nobody else's turn and no tenant can be repeatedly
     /// re-favored. Per visited tenant: finished results are harvested,
     /// backlogged items are dispatched up to the in-flight quota (through
-    /// the batched path, under the latency gate), event routes are
-    /// refreshed if a rewrite changed the tree, and new estimator history
-    /// is published to the shared pool. Returns how many backlogged items
-    /// were dispatched.
+    /// the batched path, under the latency gate), and new estimator
+    /// history is published to the shared pool. Returns how many
+    /// backlogged items were dispatched.
     pub fn drain_cycle(&mut self) -> usize {
         let keys: Vec<u64> = self.tenants.keys().copied().collect();
         if keys.is_empty() {
@@ -446,7 +433,7 @@ where
                     t.dispatch(chunk, &self.metrics, &*self.clock);
                 }
             }
-            t.refresh(key, &self.monitor, &self.shared);
+            t.publish(&self.shared);
         }
         dispatched
     }
@@ -497,13 +484,13 @@ where
     }
 
     /// Dispatches and drains everything the tenant still owes, removes
-    /// it from the registry (unrouting its events), and returns its
-    /// remaining results in submission order. The tenant's final
-    /// estimator history is published to the shared pool first, so a
-    /// successor tenant of the same structure still warm-starts from it.
+    /// it from the registry (its trigger hears nothing after), and
+    /// returns its remaining results in submission order. The tenant's
+    /// final estimator history is published to the shared pool first, so
+    /// a successor tenant of the same structure still warm-starts from it.
     pub fn detach(&mut self, tenant: TenantId) -> Option<Vec<Result<R, EngineError>>> {
         let mut t = self.tenants.remove(&tenant.0)?;
-        t.refresh(tenant.0, &self.monitor, &self.shared);
+        t.publish(&self.shared);
         // Past the registry's gates now: submit the whole backlog (the
         // session's own batched path still bounds pool transactions).
         let backlog: Vec<P> = t.backlog.drain(..).collect();
@@ -511,9 +498,6 @@ where
         let drained: Vec<_> = std::iter::from_fn(|| t.session.next_result()).collect();
         t.note_sojourns(drained.len(), &self.metrics, &*self.clock);
         t.ready.extend(drained);
-        if t.adaptive {
-            self.monitor.unroute(tenant.0, &t.routed);
-        }
         Some(t.ready.into())
     }
 
@@ -578,11 +562,6 @@ where
     /// The cross-tenant estimator pool (a cheap clonable handle).
     pub fn shared_estimators(&self) -> &SharedEstimators {
         &self.shared
-    }
-
-    /// The multiplexed event monitor.
-    pub fn monitor(&self) -> &Arc<ServeMonitor> {
-        &self.monitor
     }
 
     /// The admission policy feeds are gated by.
@@ -728,23 +707,41 @@ mod tests {
         engine.shutdown();
     }
 
+    /// An adaptive tenant's trigger hears its own items through its
+    /// session, with no engine listener registered, and nothing once the
+    /// tenant is detached — not even a successor's run of the same tree.
     #[test]
-    fn detach_flushes_backlog_and_unroutes() {
+    fn detach_flushes_backlog_and_silences_the_trigger() {
+        use askel_skeletons::{map, MuscleId, MuscleRole};
+
         let engine = Engine::new(1);
         let policy = AdmissionPolicy::default().max_in_flight(1).max_backlog(64);
-        let mut reg: ServeRegistry<i64, i64> = ServeRegistry::new(&engine).with_policy(policy);
+        let mut reg: ServeRegistry<Vec<i64>, i64> = ServeRegistry::new(&engine).with_policy(policy);
+        let program = map(
+            |v: Vec<i64>| v.into_iter().map(|x| vec![x]).collect::<Vec<_>>(),
+            seq(|v: Vec<i64>| v[0] * 2),
+            |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
+        );
+        let split = MuscleId::new(program.id(), MuscleRole::Split);
+        let parts = |t: &TriggerEngine| t.knowledge().read_estimates(|e| e.cardinality(split));
         let trigger = TriggerEngine::new(0.5);
-        let t = reg.register_adaptive(&doubler(), trigger);
-        assert!(reg.monitor().routed_nodes() > 0);
+        let t = reg.register_adaptive(&program, trigger.clone());
         for x in 0..6 {
-            reg.feed(t, x);
+            reg.feed(t, vec![x, x]);
         }
         let results = reg.detach(t).unwrap();
         assert_eq!(
             results.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-            (0..6).map(|x| x * 2).collect::<Vec<_>>()
+            (0..6).map(|x| x * 4).collect::<Vec<_>>()
         );
-        assert_eq!(reg.monitor().routed_nodes(), 0, "routes removed");
+        assert!(engine.registry().is_empty(), "no engine listener");
+        assert_eq!(parts(&trigger), Some(2.0), "heard its own items");
+
+        let next = reg.register_adaptive(&program, TriggerEngine::new(0.5));
+        reg.feed(next, vec![1, 2, 3, 4]);
+        reg.quiesce();
+        assert_eq!(parts(&trigger), Some(2.0), "silent once detached");
+        assert_eq!(reg.detach(next).unwrap().len(), 1);
         assert!(reg.is_empty());
         engine.shutdown();
     }

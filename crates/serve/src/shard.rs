@@ -14,10 +14,10 @@
 //!
 //! * **one [`Engine`] / pool** — all shards submit into the same
 //!   workers, so capacity decisions (LP, provisioning) stay global;
-//! * **one [`ServeMonitor`]** — still the *single* registered listener;
-//!   its route table is shard-aware (each route carries its shard tag)
-//!   and delivery walks only the monitor's own lock, so an event can
-//!   never serialize two shards on each other;
+//! * **no listener at all** on the engine's registry: an adaptive
+//!   tenant's trigger rides its own session's submissions, so an event
+//!   reaches its trigger with no shared table or lock in between and
+//!   can never serialize two shards on each other;
 //! * **one [`SharedEstimators`] pool** — a clonable `Arc`-shared,
 //!   lock-guarded handle, so structural twins warm-start each other
 //!   *across* shards and the latency-aware admission gate prices every
@@ -49,7 +49,6 @@ use askel_skeletons::Skel;
 
 use crate::admission::{Admission, AdmissionPolicy, BatchAdmission};
 use crate::estimators::SharedEstimators;
-use crate::mux::ServeMonitor;
 use crate::registry::{ServeRegistry, TenantId, TenantStats};
 
 /// SplitMix64 — the tenant→shard hash. Any fixed mixing function works
@@ -76,7 +75,6 @@ struct ShardSlot<P, R> {
 
 struct Inner<P, R> {
     engine: Engine,
-    monitor: Arc<ServeMonitor>,
     shared: SharedEstimators,
     shards: Vec<ShardSlot<P, R>>,
     next_tenant: AtomicU64,
@@ -114,16 +112,10 @@ where
     /// [`join`](Self::join)).
     pub fn new(engine: &Engine, shards: usize, policy: AdmissionPolicy) -> Self {
         let shards = shards.max(1);
-        let monitor = ServeMonitor::new();
         let shared = SharedEstimators::new(0.5);
         let slots = (0..shards)
             .map(|_| ShardSlot {
-                registry: Mutex::new(ServeRegistry::new_shard(
-                    engine,
-                    Arc::clone(&monitor),
-                    shared.clone(),
-                    policy,
-                )),
+                registry: Mutex::new(ServeRegistry::new_shard(engine, shared.clone(), policy)),
                 doorbell: Condvar::new(),
                 #[cfg(test)]
                 passes: Default::default(),
@@ -131,7 +123,6 @@ where
             .collect();
         let inner = Arc::new(Inner {
             engine: engine.clone(),
-            monitor,
             shared,
             shards: slots,
             next_tenant: AtomicU64::new(0),
@@ -155,8 +146,8 @@ where
         self.insert(skel, None)
     }
 
-    /// Registers an adaptive tenant on its hash-owned shard: events are
-    /// routed through the shared monitor, and the trigger warm-starts
+    /// Registers an adaptive tenant on its hash-owned shard: the trigger
+    /// hears the tenant's own items through its session, and warm-starts
     /// from the global estimator pool — history absorbed on *any* shard
     /// warms structural twins on every shard (see
     /// [`ServeRegistry::register_adaptive`]).
@@ -274,11 +265,6 @@ where
     /// The shared engine (non-owning clone).
     pub fn engine(&self) -> &Engine {
         &self.inner.engine
-    }
-
-    /// The single multiplexed event monitor all shards route through.
-    pub fn monitor(&self) -> &Arc<ServeMonitor> {
-        &self.inner.monitor
     }
 
     /// The global cross-shard estimator pool.

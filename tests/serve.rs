@@ -35,7 +35,7 @@ fn tenant_b_warm_starts_from_tenant_a_history() {
     let engine = Engine::new(2);
     let mut registry: ServeRegistry<Vec<i64>, i64> = ServeRegistry::new(&engine);
 
-    // Tenant A builds estimator history through its routed events.
+    // Tenant A builds estimator history from its own items' events.
     let trig_a = TriggerEngine::new(0.5);
     let a = registry.register_adaptive(&fan(), trig_a.clone());
     for n in 0..12i64 {
