@@ -17,7 +17,11 @@
 //!   cardinalities from the same state machines as the WCT controller —
 //!   the controller's own, one table and one event log, when the engine
 //!   is made for it ([`TriggerEngine::for_controller`]) — plus item
-//!   outcomes and input-size hints that events cannot carry.
+//!   outcomes and input-size hints that events cannot carry. It hears
+//!   either every submission on a runtime (registered on its registry)
+//!   or one session's alone (as that stream's session listener,
+//!   `askel_engine::StreamSession::listener`, as each serve tenant's
+//!   trigger does).
 //! * **Plan** — [`Rule`]s ([`Promote`], [`FallbackSwap`], [`RetuneWidth`],
 //!   [`RetuneGrain`], [`CostGuard`]) evaluated once per safe point, each
 //!   yielding at most one [`RewriteAction`]. Rules can be coupled to the
@@ -30,7 +34,8 @@
 //!   and a priority. The trait is open: `askel-dist` adds the
 //!   cluster-aware `Offload`, which re-places a subtree onto an
 //!   underloaded node.
-//! * **Execute** — [`Reconfigurator`] first **arbitrates** the safe
+//! * **Execute** — [`Reconfigurator`] (its trigger engine and conflict
+//!   policy, nothing more) first **arbitrates** the safe
 //!   point's collected fires ([`crate::arbitration`]: conflicting
 //!   actions on one knob or overlapping subtrees resolve under a
 //!   [`ConflictPolicy`]; losers are logged as suppressed
@@ -46,10 +51,12 @@
 //!   the new tree.
 //!
 //! [`Adaptive`] packages the loop, once, over any
-//! `askel_events::StreamRuntime`, built from a stream and a
-//! [`Reconfigurator`] by [`Adaptive::over`]: harvest → in-flight bound →
-//! size hint → [`Reconfigurator::apply`] → submit. [`AdaptiveSession`] is
-//! that type over `askel-engine`'s `StreamSession`. The same type over the
+//! `askel_events::StreamRuntime`, built from a stream, its skeleton and
+//! a trigger engine by [`Adaptive::over`]: harvest → in-flight bound →
+//! size hint → [`Reconfigurator::apply`] → submit, the safe point
+//! reading the registry it announces through, the time and the LP from
+//! the stream itself. [`AdaptiveSession`] is that type over
+//! `askel-engine`'s `StreamSession`. The same type over the
 //! discrete-event simulator, where rewrite decisions — timestamps
 //! included — replay deterministically and a seeded ordering policy
 //! fuzzes the very `feed` the threads run, is `askel-dist`'s

@@ -11,7 +11,8 @@
 //! [`Adaptive`] wires it into a stream, once, for any [`StreamRuntime`]
 //! — [`AdaptiveSession`] over the pool's `StreamSession`,
 //! `askel_dist::AdaptiveSimSession` over the simulator's `SimStream`: a
-//! stream whose skeleton is re-planned **between items** (the safe points).
+//! stream whose skeleton is re-planned **between items** (the safe
+//! points), each of which reads registry, time and LP from the stream.
 //! Items already in flight always finish on the *tree* they were
 //! submitted with; a subtree swap is only visible to subsequent feeds.
 //! Knob retunes are live immediately (see [`crate::Knob`] for the

@@ -133,7 +133,9 @@ pub trait Runtime: Sized + 'static {
     ) -> Trace;
 
     /// Schedules `step`, guarded, on a worker the placement of the node at
-    /// plan entry `at` allows.
+    /// plan entry `at` allows. Placement is a simulator concern: the
+    /// simulator holds a placed step to its node's slots, and threads
+    /// ignore `at` by design.
     fn spawn(
         &mut self,
         at: usize,

@@ -95,9 +95,9 @@ fn main() {
     }
 
     // --- 3. Cross-tenant estimator warm-start ------------------------
-    // Tenant A is adaptive: its trigger engine receives the engine's
-    // events (routed by the multiplexed monitor) and builds estimator
-    // history as its traffic flows.
+    // Tenant A is adaptive: its trigger engine hears the events of A's
+    // own items (it rides A's submissions as the stream's session
+    // listener) and builds estimator history as A's traffic flows.
     let trig_a = TriggerEngine::new(0.5);
     let a = registry.register_adaptive(&program(), trig_a.clone());
     for n in 0..12 {
