@@ -8,9 +8,10 @@
 //! Multi-concern autonomic work (Aldinucci/Danelutto/Kilpatrick's
 //! per-concern managers; Dearle/Kirby/McCarthy's single re-solved
 //! objective) coordinates explicitly instead of letting registration
-//! order decide. This module is that coordination step, run by the
-//! [`Reconfigurator`](crate::Reconfigurator) between
-//! [`TriggerEngine::plan`](crate::TriggerEngine::plan) and application:
+//! order decide. This module is that coordination step, run by
+//! [`TriggerEngine::safe_point`](crate::TriggerEngine::safe_point)
+//! between [`TriggerEngine::plan`](crate::TriggerEngine::plan) and
+//! application:
 //!
 //! 1. **Group** the safe point's fires into conflict groups: two fires
 //!    conflict when they touch the same resource — `SetKnob`s whose
@@ -20,7 +21,7 @@
 //!    conflict with tree actions.
 //! 2. **Pick a winner** per group under the configured
 //!    [`ConflictPolicy`].
-//! 3. Report losers as suppressed (the `Reconfigurator` logs them as
+//! 3. Report losers as suppressed (the safe point logs them as
 //!    suppressed `AdaptRecord`s and re-arms their rules) and vetoes that
 //!    opposed nothing as idle (dropped silently).
 //!
@@ -156,8 +157,9 @@ fn objective_score(plan: &PlannedRewrite, policy: &ConflictPolicy) -> f64 {
 /// Arbitrates one safe point's fires: groups conflicting actions against
 /// the current tree `root`, resolves each group under `policy`, and
 /// splits the fires into winners, suppressed losers and idle vetoes. A
-/// pure function — no logging, no re-arming; the
-/// [`Reconfigurator`](crate::Reconfigurator) handles the bookkeeping.
+/// pure function — no logging, no re-arming;
+/// [`TriggerEngine::safe_point`](crate::TriggerEngine::safe_point)
+/// handles the bookkeeping.
 pub fn arbitrate(
     plans: Vec<PlannedRewrite>,
     policy: &ConflictPolicy,

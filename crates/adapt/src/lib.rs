@@ -34,28 +34,29 @@
 //!   and a priority. The trait is open: `askel-dist` adds the
 //!   cluster-aware `Offload`, which re-places a subtree onto an
 //!   underloaded node.
-//! * **Execute** — [`Reconfigurator`] (its trigger engine and conflict
-//!   policy, nothing more) first **arbitrates** the safe
-//!   point's collected fires ([`crate::arbitration`]: conflicting
+//! * **Execute** — [`TriggerEngine::safe_point`], the same engine again,
+//!   over the tree the stream runs next: it first **arbitrates** the
+//!   safe point's collected fires ([`crate::arbitration`]: conflicting
 //!   actions on one knob or overlapping subtrees resolve under a
 //!   [`ConflictPolicy`]; losers are logged as suppressed
-//!   [`AdaptRecord`]s and re-armed), then applies the winning set to a
-//!   [`VersionedSkel`] **between stream items**: the tree is rebuilt
-//!   persistently (`Skel::rewritten`), the version bumps, an
-//!   `(After, Reconfigured)` event announces the change through the
-//!   registry, an [`AdaptRecord`] lands in the decision log — symmetric
-//!   to the controller's `AnalysisRecord` — and the knowledge is told
-//!   once (`Knowledge::invalidate_estimates_for`): the replaced
-//!   subtree's estimator history goes, so the next forecast is computed
-//!   from the live tree, and a controller sharing the knowledge analyses
-//!   the new tree.
+//!   [`AdaptRecord`]s and re-armed), then applies the winning set
+//!   **between stream items**: the tree is rebuilt persistently
+//!   (`Skel::rewritten`), the version bumps, an `(After, Reconfigured)`
+//!   event announces the change through the registry, an [`AdaptRecord`]
+//!   lands in the decision log — symmetric to the controller's
+//!   `AnalysisRecord` — and the knowledge is told once
+//!   (`Knowledge::invalidate_estimates_for`): the replaced subtree's
+//!   estimator history goes, so the next forecast is computed from the
+//!   live tree, and a controller sharing the knowledge analyses the new
+//!   tree.
 //!
 //! [`Adaptive`] packages the loop, once, over any
-//! `askel_events::StreamRuntime`, built from a stream, its skeleton and
-//! a trigger engine by [`Adaptive::over`]: harvest → in-flight bound →
-//! size hint → [`Reconfigurator::apply`] → submit, the safe point
-//! reading the registry it announces through, the time and the LP from
-//! the stream itself. [`AdaptiveSession`] is that type over
+//! `askel_events::StreamRuntime`, built from a stream and a trigger
+//! engine by [`Adaptive::over`]: harvest → in-flight bound → size hint
+//! → [`TriggerEngine::safe_point`] → submit, the safe point reading the
+//! tree it rewrites, the registry it announces through, the time and
+//! the LP from the stream itself; the session keeps only a version
+//! counter and its conflict policy. [`AdaptiveSession`] is that type over
 //! `askel-engine`'s `StreamSession`. The same type over the
 //! discrete-event simulator, where rewrite decisions — timestamps
 //! included — replay deterministically and a seeded ordering policy
@@ -86,7 +87,7 @@ pub use rules::{
     Concern, CostGuard, ErrorStats, FallbackSwap, Hysteresis, Knob, NodeHoursMeter, Promote,
     RetuneGrain, RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
 };
-pub use session::{Adaptive, AdaptiveSession, Reconfigurator, VersionedSkel};
+pub use session::{Adaptive, AdaptiveSession};
 pub use trigger::{
     decision_log_to_chrome, AdaptRecord, PlannedRewrite, TriggerEngine, DECISION_LOG_CAPACITY,
 };

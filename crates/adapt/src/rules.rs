@@ -4,9 +4,9 @@
 //! [`TriggerEngine`](crate::TriggerEngine) derived from the event stream
 //! (EWMA muscle durations and cardinalities, observed input sizes, error
 //! streaks) and may produce one [`RewriteAction`]. Rules never apply
-//! anything themselves — application happens at the safe point, by the
-//! [`Reconfigurator`](crate::Reconfigurator), so a rewrite can never be
-//! observed mid-item.
+//! anything themselves — application happens at the safe point, in
+//! [`TriggerEngine::safe_point`](crate::TriggerEngine::safe_point), so a
+//! rewrite can never be observed mid-item.
 //!
 //! Five built-in rules cover the paper-adjacent adaptation repertoire:
 //!
@@ -27,10 +27,10 @@
 //! | `ProvisioningPolicy` | Cost | the hottest enabled node's windowed busy share is high, or the last enabled node's low | set the `capacity` [`Knob`] (the simulator's LP target) to bring a node block online or retire it |
 //!
 //! Every rule carries a [`Concern`] and a priority; when several rules
-//! fire on the same resource at one safe point, the
-//! [`Reconfigurator`](crate::Reconfigurator) arbitrates
-//! (see [`crate::arbitration`]) instead of applying whichever registered
-//! first.
+//! fire on the same resource at one safe point,
+//! [`TriggerEngine::safe_point`](crate::TriggerEngine::safe_point)
+//! arbitrates (see [`crate::arbitration`]) instead of applying whichever
+//! registered first.
 //!
 //! The typed constructors ([`Promote::new`], [`FallbackSwap::new`]) take
 //! both sides as `Skel<P, R>`, so a replacement can never disagree with the
@@ -56,9 +56,9 @@ use crate::forecast::Forecast;
 /// The non-functional concern a rule optimizes for. Multi-concern
 /// autonomic work (Aldinucci/Danelutto/Kilpatrick) runs one manager per
 /// concern over a single skeleton and coordinates them explicitly; here
-/// each [`Rule`] declares its concern and the
-/// [`Reconfigurator`](crate::Reconfigurator) arbitrates conflicting
-/// firings (see [`crate::arbitration`]).
+/// each [`Rule`] declares its concern and
+/// [`TriggerEngine::safe_point`](crate::TriggerEngine::safe_point)
+/// arbitrates conflicting firings (see [`crate::arbitration`]).
 ///
 /// The derived order ranks concerns for tie-breaking (equal priorities):
 /// `Reliability > Cost > Performance` — keep it correct, then cheap,

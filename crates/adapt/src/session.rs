@@ -1,255 +1,51 @@
-//! Safe-point application: the *Plan/Execute* half of self-configuration.
+//! The adaptive session: a stream whose skeleton reshapes itself between
+//! items.
 //!
-//! [`Reconfigurator`] turns the rewrites a [`TriggerEngine`] planned into an
-//! actual new skeleton version: it rewrites the tree (sharing untouched
-//! subtrees), bumps the version, emits a `(After, Reconfigured)` event
-//! through the listener registry and appends an [`AdaptRecord`] to the
-//! decision log. It is engine-agnostic — the same type drives the threaded
-//! engine and the discrete-event simulator, which is what makes rewrite
-//! decisions reproducible in tests and benches.
-//!
-//! [`Adaptive`] wires it into a stream, once, for any [`StreamRuntime`]
-//! — [`AdaptiveSession`] over the pool's `StreamSession`,
-//! `askel_dist::AdaptiveSimSession` over the simulator's `SimStream`: a
-//! stream whose skeleton is re-planned **between items** (the safe
-//! points), each of which reads registry, time and LP from the stream.
-//! Items already in flight always finish on the *tree* they were
-//! submitted with; a subtree swap is only visible to subsequent feeds.
-//! Knob retunes are live immediately (see [`crate::Knob`] for the
-//! result-invariance contract that makes that safe).
+//! [`Adaptive`] runs the self-configuration loop, once, for any
+//! [`StreamRuntime`] — [`AdaptiveSession`] over the pool's
+//! `StreamSession`, `askel_dist::AdaptiveSimSession` over the simulator's
+//! `SimStream`. Before every submission comes a safe point: one
+//! [`TriggerEngine::safe_point`] call over the tree the stream runs next,
+//! reading registry, time and LP from the stream too, so the session
+//! keeps only its version counter and conflict policy beside them. The
+//! same call drives the threaded engine and the discrete-event
+//! simulator, which is what makes rewrite decisions reproducible in
+//! tests and benches. Items already in flight always finish on the
+//! *tree* they were submitted with; a subtree swap is only visible to
+//! subsequent feeds. Knob retunes are live immediately (see
+//! [`crate::Knob`] for the result-invariance contract that makes that
+//! safe).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use askel_engine::{Engine, StreamSession};
-use askel_events::{Event, ListenerRegistry, Payload, StreamRuntime, StreamTypes};
-use askel_skeletons::{Node, NodeId, Skel, TimeNs};
+use askel_events::{StreamRuntime, StreamTypes};
+use askel_skeletons::Skel;
 
-use crate::arbitration::{arbitrate, ConflictPolicy};
-use crate::rules::RewriteAction;
-use crate::trigger::{AdaptRecord, PlannedRewrite, TriggerEngine};
+use crate::arbitration::ConflictPolicy;
+use crate::trigger::TriggerEngine;
 
 /// Input-size probe recorded per fed item. `Send` so a session can move
 /// across threads (the serving layer shards sessions over workers).
 type SizeProbe<P> = Box<dyn Fn(&P) -> usize + Send>;
 
-/// A skeleton plus its rewrite version: 0 as constructed, +1 per applied
-/// rewrite. In-flight executions keep the `Arc`'d version they started
-/// with, so versions never tear mid-item.
-#[derive(Clone)]
-pub struct VersionedSkel<P, R> {
-    skel: Skel<P, R>,
-    version: u64,
-}
-
-impl<P, R> VersionedSkel<P, R>
-where
-    P: Send + 'static,
-    R: Send + 'static,
-{
-    /// Version 0 of `skel`.
-    pub fn new(skel: &Skel<P, R>) -> Self {
-        VersionedSkel {
-            skel: skel.clone(),
-            version: 0,
-        }
-    }
-
-    /// The current skeleton.
-    pub fn skel(&self) -> &Skel<P, R> {
-        &self.skel
-    }
-
-    /// The current version (number of rewrites applied).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-}
-
-/// Applies planned rewrites at safe points; see the module docs. Holds
-/// only what is the session's own — the trigger engine and the conflict
-/// policy; the runtime facts a safe point reads come from the stream.
-pub struct Reconfigurator {
-    trigger: Arc<TriggerEngine>,
-    policy: ConflictPolicy,
-}
-
-impl Reconfigurator {
-    /// A reconfigurator planning with `trigger`.
-    pub fn new(trigger: Arc<TriggerEngine>) -> Self {
-        Reconfigurator {
-            trigger,
-            policy: ConflictPolicy::default(),
-        }
-    }
-
-    /// Sets how conflicting rule fires are resolved at each safe point
-    /// (default [`ConflictPolicy::PriorityWins`]); see
-    /// [`crate::arbitration`].
-    pub fn conflict_policy(mut self, policy: ConflictPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The trigger engine this reconfigurator plans with.
-    pub fn trigger(&self) -> &Arc<TriggerEngine> {
-        &self.trigger
-    }
-
-    /// One safe point at time `now`, with width rules reading `lp`:
-    /// plans against the current statistics, **arbitrates** the
-    /// collected fires (see [`crate::arbitration`]) and applies the
-    /// winning set to `vskel`, emitting one `(After, Reconfigured)` event
-    /// through `registry` and one decision-log record per applied
-    /// rewrite. Returns how many rewrites were applied.
-    ///
-    /// Bookkeeping around the winners:
-    ///
-    /// * **Suppressed losers** — fires that conflicted with a winner (or
-    ///   were blocked by a veto) are logged as `suppressed by \`rule\``
-    ///   records (no version bump) and their rules re-armed (so a
-    ///   once-rule is not lost); idle vetoes are re-armed but not logged.
-    /// * **Skipped plans** — a `Replace`/`Place` whose target no longer
-    ///   occurs (an earlier rewrite *in the same safe point* removed it)
-    ///   is not applied: the rule is re-armed and a `skipped` entry
-    ///   lands in the log. At the next safe point the rule re-evaluates
-    ///   against the new tree (the built-in replacement rules gate on
-    ///   their target being present).
-    /// * **Estimator invalidation** — every applied `Replace` tells the
-    ///   trigger engine's knowledge once, which drops the replaced nodes'
-    ///   estimator history and gives a controller sharing it the new
-    ///   tree, and notifies rules via [`Rule::on_replaced`](crate::Rule::on_replaced).
-    pub fn apply<P, R>(
-        &self,
-        vskel: &mut VersionedSkel<P, R>,
-        registry: &ListenerRegistry,
-        now: TimeNs,
-        lp: usize,
-    ) -> usize
-    where
-        P: Send + 'static,
-        R: Send + 'static,
-    {
-        let plans = self.trigger.plan(vskel.skel.node(), vskel.version, lp, now);
-        let outcome = arbitrate(plans, &self.policy, vskel.skel.node());
-        for veto in &outcome.idle_vetoes {
-            self.trigger.rearm(veto.rule_index);
-        }
-        let mut applied = 0;
-        for plan in outcome.winners {
-            // Rendered before it is applied: a knob still shows its old value.
-            let mut text = format!("{:?}", plan.action);
-            let event_node = match &plan.action {
-                RewriteAction::Replace {
-                    target,
-                    replacement,
-                } => {
-                    // Whatever of the replaced subtree does not survive
-                    // into the new tree has its estimator history dropped.
-                    let ids = |root: &Arc<Node>| -> HashSet<NodeId> {
-                        root.collect_nodes().iter().map(|n| n.id).collect()
-                    };
-                    let old = vskel.skel.node().find(*target).map(|sub| ids(&sub));
-                    let Some(new_skel) = vskel.skel.rewritten(*target, replacement) else {
-                        self.skip(now, vskel.version, *target, plan);
-                        continue;
-                    };
-                    vskel.skel = new_skel;
-                    let kept = ids(vskel.skel.node());
-                    let removed: Vec<NodeId> =
-                        old.unwrap_or_default().difference(&kept).copied().collect();
-                    let knowledge = self.trigger.knowledge();
-                    let dropped = knowledge.invalidate_estimates_for(&removed, vskel.skel.node());
-                    self.trigger.note_replaced(*target, replacement);
-                    if dropped > 0 {
-                        text.push_str(&format!("; dropped {dropped} stale estimator entries"));
-                    }
-                    Arc::clone(replacement)
-                }
-                RewriteAction::SetKnob { knob, value } => {
-                    if knob.get() == *value {
-                        continue;
-                    }
-                    knob.set(*value);
-                    Arc::clone(vskel.skel.node())
-                }
-                RewriteAction::Place { target, node } => {
-                    // Both failure shapes — the target vanished before
-                    // `placed_at`, or (defensively) the placed tree does
-                    // not contain it afterwards — skip with an audit
-                    // record instead of panicking the session.
-                    let placed = vskel.skel.placed_at(*target, node).and_then(|new_skel| {
-                        let placed_root = new_skel.node().find(*target)?;
-                        Some((new_skel, placed_root))
-                    });
-                    let Some((new_skel, placed_root)) = placed else {
-                        self.skip(now, vskel.version, *target, plan);
-                        continue;
-                    };
-                    vskel.skel = new_skel;
-                    placed_root
-                }
-            };
-            vskel.version += 1;
-            let event = Event::reconfigured(event_node.id, event_node.tag(), vskel.version, now);
-            registry.emit(&mut Payload::None, &event);
-            self.trigger.record(audit(now, vskel.version, plan, text));
-            applied += 1;
-        }
-        // Losers after winners, so the log reads "what happened, then
-        // what was overruled".
-        for s in outcome.suppressed {
-            let text = format!("suppressed by `{}`: {:?}", s.by, s.plan.action);
-            self.not_applied(now, vskel.version, s.plan, text);
-        }
-        applied
-    }
-
-    /// A winning plan whose `target` an earlier rewrite of the same safe
-    /// point removed.
-    fn skip(&self, now: TimeNs, version: u64, target: NodeId, plan: PlannedRewrite) {
-        let text = format!("skipped: target {target} no longer in the skeleton");
-        self.not_applied(now, version, plan, text);
-    }
-
-    /// A fire that did not happen (skipped, suppressed): audited with no
-    /// version bump and no forecast to realize, and its rule re-armed.
-    fn not_applied(&self, now: TimeNs, version: u64, plan: PlannedRewrite, text: String) {
-        self.trigger.rearm(plan.rule_index);
-        let plan = PlannedRewrite {
-            forecast: None,
-            ..plan
-        };
-        self.trigger.record(audit(now, version, plan, text));
-    }
-}
-
-/// The decision-log entry for `plan`, at `version`, reading `action`.
-fn audit(at: TimeNs, version: u64, plan: PlannedRewrite, action: String) -> AdaptRecord {
-    AdaptRecord {
-        at,
-        version,
-        target: plan.action.target(),
-        rule: plan.rule,
-        action,
-        why: plan.why,
-        forecast: plan.forecast,
-    }
-}
-
 /// An ordered stream whose skeleton reshapes itself between items,
 /// written once over whatever [`StreamRuntime`] `S` executes it.
 ///
-/// Feeding and collection are `S`'s (and — with no rules registered, or
-/// the trigger disabled — so are the results, property-tested), plus a
-/// safe point before every submission where the [`TriggerEngine`]'s rules
-/// may rewrite the skeleton for subsequent items. Item outcomes are
+/// Feeding and collection are `S`'s (and — with no rule able to fire —
+/// so are the results, property-tested), plus a safe point before every
+/// submission where the [`TriggerEngine`]'s rules may rewrite the
+/// skeleton for subsequent items. Item outcomes are
 /// reported back to the trigger engine as results are collected, which is
 /// what drives fallback-swap rules.
 pub struct Adaptive<S: StreamTypes> {
+    /// Holds the tree the next feed runs.
     stream: S,
-    reconf: Reconfigurator,
-    vskel: VersionedSkel<S::In, S::Out>,
+    trigger: Arc<TriggerEngine>,
+    policy: ConflictPolicy,
+    /// Rewrites applied so far: 0 as built, +1 per applied rewrite.
+    version: u64,
     /// Results already collected from the inner stream (in submission
     /// order, older than anything the stream still holds).
     out: VecDeque<Result<S::Out, S::Error>>,
@@ -306,7 +102,7 @@ where
     /// per-event overhead is avoided).
     pub fn new(engine: &Engine, skel: &Skel<P, R>, trigger: Arc<TriggerEngine>) -> Self {
         trigger.attach_metrics(engine.metrics_hub());
-        Adaptive::over(StreamSession::new(engine, skel), skel, trigger)
+        Adaptive::over(StreamSession::new(engine, skel), trigger)
     }
 
     /// Items fed so far.
@@ -321,17 +117,19 @@ where
     S::In: Send + 'static,
     S::Out: Send + 'static,
 {
-    /// `stream`, opened on `skel`, adapted at every safe point by
-    /// `trigger`'s rules, with unbounded in-flight items by default.
-    /// Every session is built here: safe points read registry, time and
-    /// LP from `stream` ([`StreamRuntime`]), so `AdaptiveSession::new`
-    /// adds only the metrics hub and `askel_dist::sim_session` only the
-    /// lock-step bound.
-    pub fn over(stream: S, skel: &Skel<S::In, S::Out>, trigger: Arc<TriggerEngine>) -> Self {
+    /// `stream` adapted at every safe point by `trigger`'s rules, starting
+    /// at version 0 of the skeleton it was opened on, with unbounded
+    /// in-flight items by default. Every session is built here: safe
+    /// points read the tree, registry, time and LP from `stream`
+    /// ([`StreamRuntime`]), so `AdaptiveSession::new` adds only the
+    /// metrics hub and `askel_dist::sim_session` only the lock-step
+    /// bound.
+    pub fn over(stream: S, trigger: Arc<TriggerEngine>) -> Self {
         Adaptive {
             stream,
-            reconf: Reconfigurator::new(trigger),
-            vskel: VersionedSkel::new(skel),
+            trigger,
+            policy: ConflictPolicy::default(),
+            version: 0,
             out: VecDeque::new(),
             max_in_flight: usize::MAX,
             size_of: None,
@@ -352,15 +150,16 @@ where
         self
     }
 
-    /// Forwards to [`Reconfigurator::conflict_policy`]: how conflicting
-    /// rule fires at one safe point are arbitrated.
+    /// Sets how conflicting rule fires at one safe point are arbitrated
+    /// (default [`ConflictPolicy::PriorityWins`]); see
+    /// [`crate::arbitration`].
     pub fn conflict_policy(mut self, policy: ConflictPolicy) -> Self {
-        self.reconf = self.reconf.conflict_policy(policy);
+        self.policy = policy;
         self
     }
 
     fn observe(&self, result: &Result<S::Out, S::Error>) {
-        self.reconf.trigger().record_outcome(result.is_ok());
+        self.trigger.record_outcome(result.is_ok());
     }
 
     /// Collects the oldest outstanding result from the inner stream,
@@ -394,24 +193,26 @@ where
         self.stream.feed(input);
     }
 
-    /// The safe point: size hints of what is about to be submitted, one
-    /// [`Reconfigurator::apply`] against the stream's registry, clock and
-    /// LP, and the stream takes a rewritten tree.
+    /// The safe point: size hints of what is about to be submitted, then
+    /// one [`TriggerEngine::safe_point`] over the stream's tree, registry,
+    /// clock and LP; the stream takes a rewritten tree.
     fn safe_point<'a>(&mut self, inputs: impl IntoIterator<Item = &'a S::In>) {
         if let Some(size_of) = &self.size_of {
             for input in inputs {
-                self.reconf.trigger().observe_input_size(size_of(input));
+                self.trigger.observe_input_size(size_of(input));
             }
         }
         let stream = &self.stream;
-        let applied = self.reconf.apply(
-            &mut self.vskel,
+        let rewritten = self.trigger.safe_point(
+            stream.skel(),
+            &mut self.version,
+            &self.policy,
             stream.registry(),
             stream.now(),
             stream.lp(),
         );
-        if applied > 0 {
-            self.stream.swap_skel(self.vskel.skel());
+        if let Some(skel) = rewritten {
+            self.stream.swap_skel(&skel);
         }
     }
 
@@ -497,17 +298,17 @@ where
 
     /// The current skeleton version (rewrites applied so far).
     pub fn version(&self) -> u64 {
-        self.vskel.version()
+        self.version
     }
 
     /// The skeleton the next feed will use.
     pub fn skeleton(&self) -> &Skel<S::In, S::Out> {
-        self.vskel.skel()
+        self.stream.skel()
     }
 
     /// The trigger engine (decision log, statistics).
     pub fn trigger(&self) -> &Arc<TriggerEngine> {
-        self.reconf.trigger()
+        &self.trigger
     }
 
     /// Items currently in flight.
@@ -519,10 +320,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{FallbackSwap, Knob, Promote, RetuneWidth, Trigger};
+    use crate::rules::{FallbackSwap, Knob, Promote, RetuneWidth, RewriteAction, Trigger};
     use askel_engine::Engine;
-    use askel_events::Where;
-    use askel_skeletons::{map, pipe, seq};
+    use askel_events::{Event, Payload, Where};
+    use askel_skeletons::{map, pipe, seq, NodeId};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn doubler() -> Skel<i64, i64> {

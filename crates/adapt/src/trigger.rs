@@ -1,4 +1,5 @@
-//! The trigger engine: the *Monitor/Analyze* half of self-configuration.
+//! The trigger engine: self-configuration's autonomic manager, which
+//! monitors, plans and executes.
 //!
 //! [`TriggerEngine`] is a [`Listener`] over an [`askel_core::Knowledge`]:
 //! the WCT controller's state machines and EWMA estimators per muscle —
@@ -7,24 +8,28 @@
 //! session-level statistics they cannot carry: per-item outcomes (error
 //! streaks, fed by the adaptive session) and input-size hints.
 //!
-//! Rules ([`crate::rules`]) are evaluated **only** at safe points, via
-//! [`TriggerEngine::plan`] — never from inside `on_event` — so a rewrite
-//! can fire at most once per safe point and never mid-item; every read
-//! folds the knowledge's log first. Every applied rewrite is recorded in
-//! an auditable decision log ([`AdaptRecord`]), symmetric to the
-//! controller's `AnalysisRecord` and, like it, a ring of the most recent
-//! [`DECISION_LOG_CAPACITY`] records; a forecast-gated record's realized
-//! WCT comes from the root spans the tracker records.
+//! Rules ([`crate::rules`]) are evaluated **only** at safe points — one
+//! [`TriggerEngine::safe_point`] call over the tree the stream runs
+//! next, which plans, arbitrates and applies; never from inside
+//! `on_event` — so a rewrite can fire at most once per safe point and
+//! never mid-item; every read folds the knowledge's log first. A rewrite
+//! rebuilds the tree persistently (sharing untouched subtrees), so items
+//! in flight keep the tree they started on. Every applied rewrite is
+//! recorded in an auditable decision log ([`AdaptRecord`]), symmetric to
+//! the controller's `AnalysisRecord` and, like it, a ring of the most
+//! recent [`DECISION_LOG_CAPACITY`] records; a forecast-gated record's
+//! realized WCT comes from the root spans the tracker records.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use askel_core::{AutonomicController, Ewma, Knowledge, SmTracker, Span};
-use askel_events::{Event, Interest, Listener, Payload};
-use askel_skeletons::{Node, NodeId, TimeNs};
+use askel_events::{Event, Interest, Listener, ListenerRegistry, Payload};
+use askel_skeletons::{Node, NodeId, Skel, TimeNs};
 
+use crate::arbitration::{arbitrate, ConflictPolicy};
 use crate::forecast::Forecast;
 use crate::metrics::AdaptMetrics;
 use crate::rules::{Concern, ErrorStats, RewriteAction, Rule, RuleCtx};
@@ -64,10 +69,9 @@ pub const DECISION_LOG_CAPACITY: usize = 1 << 10;
 pub struct PlannedRewrite {
     /// Name of the rule that fired.
     pub rule: String,
-    /// Registration index of that rule: the
-    /// [`Reconfigurator`](crate::Reconfigurator) re-arms it by this index
-    /// if the plan could not be applied, so a once-rule retired at fire
-    /// time is not lost.
+    /// Registration index of that rule: [`TriggerEngine::safe_point`]
+    /// re-arms it by this index if the plan could not be applied, so a
+    /// once-rule retired at fire time is not lost.
     pub rule_index: usize,
     /// The requested change — or, for a veto, the contested resource.
     pub action: RewriteAction,
@@ -90,7 +94,6 @@ struct TrigInner {
     rules: Vec<Box<dyn Rule>>,
     /// Parallel to `rules`: `true` once a once-rule has fired.
     retired: Vec<bool>,
-    enabled: bool,
     /// The last [`DECISION_LOG_CAPACITY`] records, oldest first.
     log: VecDeque<AdaptRecord>,
     safe_points: usize,
@@ -135,7 +138,6 @@ impl TriggerEngine {
                 input_size: Ewma::new(rho.clamp(0.0, 1.0)),
                 rules: Vec::new(),
                 retired: Vec::new(),
-                enabled: true,
                 log: VecDeque::new(),
                 safe_points: 0,
                 evaluations: 0,
@@ -181,8 +183,8 @@ impl TriggerEngine {
     /// and the resulting fires are **arbitrated** (see
     /// [`crate::arbitration`]) before any are applied — which rule wins a
     /// conflict is decided by priority, concern and the configured
-    /// [`ConflictPolicy`](crate::ConflictPolicy), never by the order the
-    /// rules were registered in.
+    /// [`ConflictPolicy`], never by the order the rules were registered
+    /// in.
     pub fn add_rule(&self, rule: impl Rule + 'static) {
         let mut inner = self.inner.lock();
         inner.rules.push(Box::new(rule));
@@ -192,18 +194,6 @@ impl TriggerEngine {
     /// Number of registered rules (retired once-rules included).
     pub fn rules(&self) -> usize {
         self.inner.lock().rules.len()
-    }
-
-    /// Enables/disables every rule at once. A disabled trigger engine
-    /// still tracks statistics but [`plan`](TriggerEngine::plan) returns
-    /// nothing — the session behaves exactly like a plain `StreamSession`.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.lock().enabled = enabled;
-    }
-
-    /// Whether rules may fire.
-    pub fn enabled(&self) -> bool {
-        self.inner.lock().enabled
     }
 
     /// Records one stream item's outcome (the adaptive session calls this
@@ -232,24 +222,14 @@ impl TriggerEngine {
         self.inner.lock().errors
     }
 
-    /// One safe point: evaluates every live rule once against the current
-    /// statistics and returns the rewrites that fired (at most one per
-    /// rule). Once-rules that fire are retired. Returns nothing while
-    /// disabled. The caller (normally a
-    /// [`Reconfigurator`](crate::Reconfigurator)) applies the plans and
-    /// records them with [`TriggerEngine::record`].
-    pub fn plan(
-        &self,
-        root: &Arc<Node>,
-        version: u64,
-        lp: usize,
-        _now: TimeNs,
-    ) -> Vec<PlannedRewrite> {
+    /// Evaluates every live rule once against the current statistics and
+    /// returns the rewrites that fired (at most one per rule); counts as
+    /// a safe point. Once-rules that fire are retired.
+    /// [`safe_point`](TriggerEngine::safe_point) plans this way, then
+    /// arbitrates and applies.
+    pub fn plan(&self, root: &Arc<Node>, version: u64, lp: usize) -> Vec<PlannedRewrite> {
         self.current(|tracker, inner| {
             inner.safe_points += 1;
-            if !inner.enabled {
-                return Vec::new();
-            }
             let TrigInner {
                 errors,
                 input_size,
@@ -298,13 +278,145 @@ impl TriggerEngine {
         })
     }
 
+    /// One safe point over `skel`, the tree the stream's next feed runs,
+    /// at `version`: plans against the current statistics, with width
+    /// rules reading `lp`, **arbitrates** the collected fires under
+    /// `policy` (see [`crate::arbitration`]) and applies the winning set.
+    /// Each applied rewrite bumps `version`, emits one
+    /// `(After, Reconfigured)` event through `registry` and appends one
+    /// decision-log record, all stamped `now`. Returns the rewritten tree
+    /// when a rewrite changed it; a knob retune bumps the version and
+    /// leaves the tree as it is.
+    ///
+    /// Bookkeeping around the winners:
+    ///
+    /// * **Suppressed losers** — fires that conflicted with a winner (or
+    ///   were blocked by a veto) are logged as `suppressed by \`rule\``
+    ///   records (no version bump) and their rules re-armed (so a
+    ///   once-rule is not lost); idle vetoes are re-armed but not logged.
+    /// * **Skipped plans** — a `Replace`/`Place` whose target no longer
+    ///   occurs (an earlier rewrite *in the same safe point* removed it)
+    ///   is not applied: the rule is re-armed and a `skipped` entry
+    ///   lands in the log. At the next safe point the rule re-evaluates
+    ///   against the new tree (the built-in replacement rules gate on
+    ///   their target being present).
+    /// * **Estimator invalidation** — every applied `Replace` tells the
+    ///   knowledge once, which drops the replaced nodes' estimator
+    ///   history and gives a controller sharing it the new tree, and
+    ///   notifies rules via [`Rule::on_replaced`].
+    pub fn safe_point<P, R>(
+        &self,
+        skel: &Skel<P, R>,
+        version: &mut u64,
+        policy: &ConflictPolicy,
+        registry: &ListenerRegistry,
+        now: TimeNs,
+        lp: usize,
+    ) -> Option<Skel<P, R>>
+    where
+        P: Send + 'static,
+        R: Send + 'static,
+    {
+        let plans = self.plan(skel.node(), *version, lp);
+        let outcome = arbitrate(plans, policy, skel.node());
+        for veto in &outcome.idle_vetoes {
+            self.rearm(veto.rule_index);
+        }
+        let mut rewritten: Option<Skel<P, R>> = None;
+        for plan in outcome.winners {
+            let current = rewritten.as_ref().unwrap_or(skel);
+            // Rendered before it is applied: a knob still shows its old value.
+            let mut text = format!("{:?}", plan.action);
+            let event_node = match &plan.action {
+                RewriteAction::Replace {
+                    target,
+                    replacement,
+                } => {
+                    // Whatever of the replaced subtree does not survive
+                    // into the new tree has its estimator history dropped.
+                    let ids = |root: &Arc<Node>| -> HashSet<NodeId> {
+                        root.collect_nodes().iter().map(|n| n.id).collect()
+                    };
+                    let old = current.node().find(*target).map(|sub| ids(&sub));
+                    let Some(new_skel) = current.rewritten(*target, replacement) else {
+                        self.skip(now, *version, *target, plan);
+                        continue;
+                    };
+                    let kept = ids(new_skel.node());
+                    let removed: Vec<NodeId> =
+                        old.unwrap_or_default().difference(&kept).copied().collect();
+                    let dropped = self
+                        .knowledge
+                        .invalidate_estimates_for(&removed, new_skel.node());
+                    self.note_replaced(*target, replacement);
+                    if dropped > 0 {
+                        text.push_str(&format!("; dropped {dropped} stale estimator entries"));
+                    }
+                    rewritten = Some(new_skel);
+                    Arc::clone(replacement)
+                }
+                RewriteAction::SetKnob { knob, value } => {
+                    if knob.get() == *value {
+                        continue;
+                    }
+                    knob.set(*value);
+                    Arc::clone(current.node())
+                }
+                RewriteAction::Place { target, node } => {
+                    // Both failure shapes — the target vanished before
+                    // `placed_at`, or (defensively) the placed tree does
+                    // not contain it afterwards — skip with an audit
+                    // record instead of panicking the session.
+                    let placed = current.placed_at(*target, node).and_then(|new_skel| {
+                        let placed_root = new_skel.node().find(*target)?;
+                        Some((new_skel, placed_root))
+                    });
+                    let Some((new_skel, placed_root)) = placed else {
+                        self.skip(now, *version, *target, plan);
+                        continue;
+                    };
+                    rewritten = Some(new_skel);
+                    placed_root
+                }
+            };
+            *version += 1;
+            let event = Event::reconfigured(event_node.id, event_node.tag(), *version, now);
+            registry.emit(&mut Payload::None, &event);
+            self.record(audit(now, *version, plan, text));
+        }
+        // Losers after winners, so the log reads "what happened, then
+        // what was overruled".
+        for s in outcome.suppressed {
+            let text = format!("suppressed by `{}`: {:?}", s.by, s.plan.action);
+            self.not_applied(now, *version, s.plan, text);
+        }
+        rewritten
+    }
+
+    /// A winning plan whose `target` an earlier rewrite of the same safe
+    /// point removed.
+    fn skip(&self, now: TimeNs, version: u64, target: NodeId, plan: PlannedRewrite) {
+        let text = format!("skipped: target {target} no longer in the skeleton");
+        self.not_applied(now, version, plan, text);
+    }
+
+    /// A fire that did not happen (skipped, suppressed): audited with no
+    /// version bump and no forecast to realize, and its rule re-armed.
+    fn not_applied(&self, now: TimeNs, version: u64, plan: PlannedRewrite, text: String) {
+        self.rearm(plan.rule_index);
+        let plan = PlannedRewrite {
+            forecast: None,
+            ..plan
+        };
+        self.record(audit(now, version, plan, text));
+    }
+
     /// Un-retires the rule at `index` (as reported in
-    /// [`PlannedRewrite::rule_index`]). The
-    /// [`Reconfigurator`](crate::Reconfigurator) calls this when a
-    /// planned subtree replacement could not be applied — e.g. an earlier rewrite in the
-    /// same safe point removed its target — so the rule gets another
-    /// chance instead of being silently lost.
-    pub(crate) fn rearm(&self, index: usize) {
+    /// [`PlannedRewrite::rule_index`]) when its plan could not be applied
+    /// — e.g. an earlier rewrite in the same safe point removed its
+    /// target — so the rule gets another chance instead of being
+    /// silently lost.
+    fn rearm(&self, index: usize) {
         let mut inner = self.inner.lock();
         if let Some(retired) = inner.retired.get_mut(index) {
             *retired = false;
@@ -328,7 +440,7 @@ impl TriggerEngine {
     /// subtree `target` with `replacement` ([`Rule::on_replaced`]) —
     /// how e.g. `askel_dist::Offload` follows its subtree through
     /// a fallback swap and re-arms.
-    pub(crate) fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
+    fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
         let inner = self.inner.lock();
         for rule in &inner.rules {
             rule.on_replaced(target, replacement);
@@ -349,6 +461,19 @@ impl TriggerEngine {
     /// How many individual rule evaluations ran across all safe points.
     pub fn evaluations(&self) -> usize {
         self.inner.lock().evaluations
+    }
+}
+
+/// The decision-log entry for `plan`, at `version`, reading `action`.
+fn audit(at: TimeNs, version: u64, plan: PlannedRewrite, action: String) -> AdaptRecord {
+    AdaptRecord {
+        at,
+        version,
+        target: plan.action.target(),
+        rule: plan.rule,
+        action,
+        why: plan.why,
+        forecast: plan.forecast,
     }
 }
 
@@ -460,27 +585,14 @@ mod tests {
         t.add_rule(FallbackSwap::new(&target, &fallback, 1));
         t.record_outcome(false);
         let root = Arc::clone(target.node());
-        let first = t.plan(&root, 0, 1, TimeNs::ZERO);
+        let first = t.plan(&root, 0, 1);
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].rule, "fallback-swap");
         // The streak still holds, but the once-rule is retired.
-        let second = t.plan(&root, 1, 1, TimeNs::ZERO);
+        let second = t.plan(&root, 1, 1);
         assert!(second.is_empty());
         assert_eq!(t.safe_points(), 2);
         assert_eq!(t.evaluations(), 1, "retired rules are not re-evaluated");
-    }
-
-    #[test]
-    fn disabled_engine_plans_nothing() {
-        let target = seq(|x: i64| x);
-        let t = TriggerEngine::new(0.5);
-        t.add_rule(FallbackSwap::new(&target, &target, 1));
-        t.record_outcome(false);
-        t.set_enabled(false);
-        let root = Arc::clone(target.node());
-        assert!(t.plan(&root, 0, 1, TimeNs::ZERO).is_empty());
-        t.set_enabled(true);
-        assert_eq!(t.plan(&root, 0, 1, TimeNs::ZERO).len(), 1);
     }
 
     #[test]
@@ -491,10 +603,10 @@ mod tests {
         t.add_rule(Promote::new(&target, &replacement).when(Trigger::InputSizeAtLeast(100.0)));
         let root = Arc::clone(target.node());
         t.observe_input_size(10);
-        assert!(t.plan(&root, 0, 1, TimeNs::ZERO).is_empty());
+        assert!(t.plan(&root, 0, 1).is_empty());
         t.observe_input_size(1000);
         // EWMA(10, 1000) at ρ=0.5 is 505 ≥ 100.
-        assert_eq!(t.plan(&root, 0, 1, TimeNs::ZERO).len(), 1);
+        assert_eq!(t.plan(&root, 0, 1).len(), 1);
     }
 
     #[test]
@@ -504,7 +616,7 @@ mod tests {
         t.add_rule(RetuneWidth::new(Knob::new("w", 1), 4));
         t.record_outcome(false);
         let root = Arc::clone(target.node());
-        let plans = t.plan(&root, 0, 2, TimeNs::ZERO);
+        let plans = t.plan(&root, 0, 2);
         assert_eq!(plans.len(), 1, "one rule, at most one plan");
     }
 

@@ -232,13 +232,13 @@ proptest! {
         let program = map_program();
         let trigger = TriggerEngine::new(0.5);
         if disabled_not_empty {
-            // Rules present but the whole engine disabled.
+            // Rules present, but over a node the program does not
+            // contain: neither can fire.
             let target = seq(|v: Vec<i64>| v[0]);
             trigger.add_rule(
                 Promote::new(&target, &target).when(Trigger::InputSizeAtLeast(0.0)),
             );
             trigger.add_rule(FallbackSwap::new(&target, &target, 1));
-            trigger.set_enabled(false);
         }
         let mut adaptive = AdaptiveSession::new(&engine, &program, Arc::clone(&trigger))
             .max_in_flight(bound)
@@ -298,7 +298,7 @@ proptest! {
                 }
             }
             if do_safe_point {
-                let plans = trigger.plan(&root, version, 2, now);
+                let plans = trigger.plan(&root, version, 2);
                 let mut this_point = std::collections::HashMap::<String, usize>::new();
                 for p in &plans {
                     *this_point.entry(p.rule.clone()).or_insert(0) += 1;
@@ -341,7 +341,7 @@ proptest! {
         let mut fires: Vec<(usize, usize, usize)> = Vec::new();
         for (i, ms) in durations_ms.iter().enumerate() {
             trigger.knowledge().with_estimates(|est| est.init_duration(leaf, TimeNs::from_millis(*ms)));
-            for plan in trigger.plan(&root, 0, 2, TimeNs::ZERO) {
+            for plan in trigger.plan(&root, 0, 2) {
                 let RewriteAction::SetKnob { knob, value } = plan.action else {
                     panic!("a grain rule only sets knobs");
                 };
@@ -493,7 +493,7 @@ fn sim_session_run(
     let probe = Arc::clone(&knob_trace);
     let watched = knob.clone();
     // Lock-step on virtual time, as `askel_dist::sim_session` builds it.
-    let mut session = Adaptive::over(SimStream::new(sim, &halves), &halves, trigger.clone())
+    let mut session = Adaptive::over(SimStream::new(sim, &halves), trigger.clone())
         .max_in_flight(1)
         .input_size(move |v: &Vec<i64>| {
             probe.lock().unwrap().push(watched.get());

@@ -54,7 +54,7 @@ fn bench_offload_decision(c: &mut Criterion) {
         let root = Arc::clone(program.node());
         c.bench_function("offload_eval_no_fire", |b| {
             b.iter(|| {
-                let plans = trigger.plan(&root, 0, 2, TimeNs::ZERO);
+                let plans = trigger.plan(&root, 0, 2);
                 assert!(plans.is_empty(), "balanced cluster must not fire");
                 plans.len()
             })
@@ -76,7 +76,7 @@ fn bench_offload_decision(c: &mut Criterion) {
         let root = Arc::clone(program.node());
         c.bench_function("hysteresis_eval_no_fire", |b| {
             b.iter(|| {
-                let plans = trigger.plan(&root, 0, 2, TimeNs::ZERO);
+                let plans = trigger.plan(&root, 0, 2);
                 assert!(plans.is_empty(), "in-band estimate must not fire");
                 plans.len()
             })
@@ -109,7 +109,7 @@ fn bench_offload_decision(c: &mut Criterion) {
         let root = Arc::clone(current.node());
         c.bench_function("forecast_gate_eval_no_fire", |b| {
             b.iter(|| {
-                let plans = trigger.plan(&root, 0, 4, TimeNs::ZERO);
+                let plans = trigger.plan(&root, 0, 4);
                 assert!(plans.is_empty(), "identical trees must not pass the margin");
                 plans.len()
             })

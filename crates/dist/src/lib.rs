@@ -57,7 +57,9 @@ mod offload;
 
 pub use offload::{sim_session, AdaptiveSimSession, Offload};
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use askel_adapt::{Concern, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
 use askel_sim::workers::WorkerModel;
@@ -171,51 +173,47 @@ impl ClusterTelemetry {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TelemetryInner> {
-        self.inner.lock().expect("cluster telemetry poisoned")
-    }
-
     fn add(&self, node: usize, busy: TimeNs) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         if let Some(t) = inner.busy.get_mut(node) {
             *t += busy;
         }
     }
 
     fn set_enabled(&self, enabled: Vec<usize>) {
-        self.lock().enabled = enabled;
+        self.inner.lock().enabled = enabled;
     }
 
     /// Node names, in slot order.
     pub fn names(&self) -> Vec<String> {
-        self.lock().names.clone()
+        self.inner.lock().names.clone()
     }
 
     /// Index (in node order) of the node called `name`.
     pub(crate) fn node_index(&self, name: &str) -> Option<usize> {
-        self.lock().names.iter().position(|n| n == name)
+        self.inner.lock().names.iter().position(|n| n == name)
     }
 
     /// Provisioned slots per node.
     pub(crate) fn slots_per_node(&self) -> Vec<usize> {
-        self.lock().slots.clone()
+        self.inner.lock().slots.clone()
     }
 
     /// Currently-enabled slots per node (live: follows every capacity
     /// change, including mid-run LP requests).
     pub(crate) fn enabled_per_node(&self) -> Vec<usize> {
-        self.lock().enabled.clone()
+        self.inner.lock().enabled.clone()
     }
 
     /// Total enabled slots — the cluster's current capacity.
     pub fn capacity(&self) -> usize {
-        self.lock().enabled.iter().sum()
+        self.inner.lock().enabled.iter().sum()
     }
 
     /// Accumulated busy virtual time per node, in node order (scaled
     /// muscle durations plus communication round-trips).
     pub fn busy_per_node(&self) -> Vec<TimeNs> {
-        self.lock().busy.clone()
+        self.inner.lock().busy.clone()
     }
 
     /// Each node's share of the total accumulated busy time, in node
@@ -225,7 +223,7 @@ impl ClusterTelemetry {
     /// read — a wall-clock-free skew measure that replays
     /// deterministically on the simulator.
     pub(crate) fn busy_share(&self) -> Vec<f64> {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         let total: f64 = inner.busy.iter().map(|b| b.as_secs_f64()).sum();
         if total <= 0.0 {
             return vec![0.0; inner.busy.len()];
@@ -427,13 +425,13 @@ impl WorkerModel for Cluster {
 /// cumulative shares.)
 ///
 /// The policy is a [`Concern::Cost`] [`Rule`] named `provisioning`,
-/// evaluated by the trigger engine at every stream safe point beside
-/// the tree rules. A decision is a [`RewriteAction::SetKnob`] on the
-/// `capacity` knob — typically `Knob::from_shared("capacity",
-/// lp.cell())` over the simulator's LP target (`SimLpControl::cell`) —
-/// so the `Reconfigurator` arbitrates it against every other fire (a
-/// `CostGuard` on the same knob can hold the cluster dark), applies it,
-/// logs it in the one decision log and announces it as an
+/// evaluated at every stream safe point beside the tree rules. A
+/// decision is a [`RewriteAction::SetKnob`] on the `capacity` knob —
+/// typically `Knob::from_shared("capacity", lp.cell())` over the
+/// simulator's LP target (`SimLpControl::cell`) — so the one
+/// `TriggerEngine::safe_point` call arbitrates it against every other
+/// fire (a `CostGuard` on the same knob can hold the cluster dark),
+/// applies it, logs it in the one decision log and announces it as an
 /// `(After, Reconfigured)` event. A fire that arbitration suppresses
 /// still restarts the window and the cooldown, so the rule waits out its
 /// cooldown before asking again.
@@ -547,7 +545,7 @@ impl Rule for ProvisioningPolicy {
     /// next offline node online or retire the last online one.
     /// Deterministic: same telemetry, same decision.
     fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
-        let mut window = self.window.lock().expect("provisioning window poisoned");
+        let mut window = self.window.lock();
         if let Some(fired_at) = window.fired_at {
             if ctx.safe_point.saturating_sub(fired_at) < self.cooldown_points {
                 return None;
@@ -599,7 +597,7 @@ impl std::fmt::Display for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use askel_adapt::{Reconfigurator, TriggerEngine, VersionedSkel, DECISION_LOG_CAPACITY};
+    use askel_adapt::{ConflictPolicy, TriggerEngine, DECISION_LOG_CAPACITY};
 
     fn two_node() -> Cluster {
         Cluster::new(vec![
@@ -836,7 +834,7 @@ mod tests {
     /// why (`None` = hold).
     fn review(trigger: &TriggerEngine) -> Option<(usize, String)> {
         let root = Arc::clone(askel_skeletons::seq(|x: i64| x).node());
-        let mut plans = trigger.plan(&root, 0, 1, TimeNs::ZERO);
+        let mut plans = trigger.plan(&root, 0, 1);
         assert!(plans.len() <= 1, "one rule, one fire");
         let plan = plans.pop()?;
         assert_eq!(
@@ -933,13 +931,41 @@ mod tests {
         assert_eq!(review(&trigger), None);
     }
 
-    /// A reconfigurator applying `policy`'s fires at safe points of a
-    /// one-muscle program.
-    fn safe_points(policy: ProvisioningPolicy) -> (Reconfigurator, VersionedSkel<i64, i64>) {
-        (
-            Reconfigurator::new(host(policy)),
-            VersionedSkel::new(&askel_skeletons::seq(|x: i64| x)),
-        )
+    /// `policy`'s trigger engine over a one-muscle program, holding the
+    /// tree and version a stream's safe points would.
+    struct SafePoints {
+        trigger: Arc<TriggerEngine>,
+        skel: askel_skeletons::Skel<i64, i64>,
+        version: u64,
+    }
+
+    fn safe_points(policy: ProvisioningPolicy) -> SafePoints {
+        SafePoints {
+            trigger: host(policy),
+            skel: askel_skeletons::seq(|x: i64| x),
+            version: 0,
+        }
+    }
+
+    impl SafePoints {
+        /// One safe point at time zero and LP 1, announcing through
+        /// `registry`: how many rewrites it applied.
+        fn apply(&mut self, registry: &askel_events::ListenerRegistry) -> u64 {
+            let before = self.version;
+            let policy = ConflictPolicy::default();
+            let rewritten = self.trigger.safe_point(
+                &self.skel,
+                &mut self.version,
+                &policy,
+                registry,
+                TimeNs::ZERO,
+                1,
+            );
+            if let Some(skel) = rewritten {
+                self.skel = skel;
+            }
+            self.version - before
+        }
     }
 
     #[test]
@@ -954,23 +980,19 @@ mod tests {
         // No cooldown, and all load on the edge: the hub is added, then
         // retired at the next safe point (idle in its window), and so on.
         let policy = ProvisioningPolicy::new(t.clone(), knob.clone(), 0.5, 0.0);
-        let (reconf, mut vskel) = safe_points(policy);
+        let mut points = safe_points(policy);
         let registry = askel_events::ListenerRegistry::new();
         let n = DECISION_LOG_CAPACITY;
         for point in 1..=3 * n {
             t.add(0, TimeNs::from_secs(1));
-            assert_eq!(
-                reconf.apply(&mut vskel, &registry, TimeNs::ZERO, 1),
-                1,
-                "flaps at every safe point"
-            );
+            assert_eq!(points.apply(&registry), 1, "flaps at every safe point");
             let cap = knob.get();
             assert_eq!(cap, if point % 2 == 1 { 2 } else { 1 }, "add, retire, …");
             t.set_enabled(vec![1, cap - 1]);
         }
-        assert_eq!(vskel.version(), 3 * n as u64);
+        assert_eq!(points.version, 3 * n as u64);
         assert_eq!(
-            reconf.trigger().decision_log().len(),
+            points.trigger.decision_log().len(),
             n,
             "one decision log, bounded"
         );
@@ -1023,12 +1045,12 @@ mod tests {
         let t = c.telemetry();
         let knob = Knob::new("capacity", 1);
         let policy = ProvisioningPolicy::new(t.clone(), knob.clone(), 0.5, 0.0);
-        let (reconf, mut vskel) = safe_points(policy);
+        let mut points = safe_points(policy);
         t.add(0, TimeNs::from_secs(1));
-        assert_eq!(reconf.apply(&mut vskel, &registry, TimeNs::ZERO, 1), 1);
+        assert_eq!(points.apply(&registry), 1);
         assert_eq!(knob.get(), 2, "the hub's slot requested");
         assert_eq!(seen.load(Ordering::SeqCst), 1, "one (After, Reconfigured)");
-        let log = reconf.trigger().decision_log();
+        let log = points.trigger.decision_log();
         assert_eq!(log.len(), 1);
         assert_eq!((log[0].rule.as_str(), log[0].version), ("provisioning", 1));
         assert_eq!(log[0].action, "set knob `capacity` 1 -> 2");

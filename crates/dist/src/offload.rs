@@ -3,7 +3,9 @@
 //! [`ProvisioningPolicy`](crate::ProvisioningPolicy) rule, and the
 //! adaptive session over the simulator that honours their decisions.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use askel_adapt::{Adaptive, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine};
 use askel_sim::{SimEngine, SimStream};
@@ -75,10 +77,6 @@ impl Offload {
         self.low_water = low.clamp(0.0, self.high_water);
         self
     }
-
-    fn target(&self) -> std::sync::MutexGuard<'_, NodeId> {
-        self.target.lock().expect("offload target poisoned")
-    }
 }
 
 impl Rule for Offload {
@@ -87,7 +85,7 @@ impl Rule for Offload {
     }
 
     fn on_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
-        let mut t = self.target();
+        let mut t = self.target.lock();
         if *t == target {
             // Follow the subtree: the offload concern is positional, so
             // whatever now stands where the watched subtree stood
@@ -99,7 +97,7 @@ impl Rule for Offload {
     }
 
     fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
-        let target = *self.target();
+        let target = *self.target.lock();
         // The target may have been rewritten away — or already placed.
         let subtree = ctx.root.find(target)?;
         if subtree.placement.as_deref() == Some(self.to_node.as_str()) {
@@ -161,7 +159,7 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
-    Adaptive::over(SimStream::new(sim, skel), skel, trigger).max_in_flight(1)
+    Adaptive::over(SimStream::new(sim, skel), trigger).max_in_flight(1)
 }
 
 #[cfg(test)]

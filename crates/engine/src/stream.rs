@@ -128,15 +128,15 @@ where
     /// submission (in submission order, stopping at the first unfinished
     /// one) into the internal ready buffer, where
     /// [`next_result`](StreamSession::next_result) pops it without
-    /// blocking. Returns how many results were buffered by this call.
+    /// blocking. Returns how many results that buffer holds — every
+    /// finished item at the head of the stream, including those an
+    /// earlier call or a backpressured feed buffered.
     pub fn poll_ready(&mut self) -> usize {
-        let mut buffered = 0;
         while self.in_flight.front().is_some_and(SkelFuture::is_ready) {
             let f = self.in_flight.pop_front().expect("checked non-empty");
             self.ready.push_back(f.get());
-            buffered += 1;
         }
-        buffered
+        self.ready.len()
     }
 
     /// Submits one input. Blocks only when the in-flight bound is hit.
@@ -223,6 +223,10 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
+    fn skel(&self) -> &Skel<P, R> {
+        StreamSession::skel(self)
+    }
+
     fn swap_skel(&mut self, skel: &Skel<P, R>) {
         StreamSession::swap_skel(self, skel);
     }

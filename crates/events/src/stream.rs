@@ -4,8 +4,9 @@
 //! [`StreamRuntime`]; `askel-engine`'s `StreamSession` implements it on
 //! pool threads (blocking parks the caller), `askel-sim`'s `SimStream`
 //! on one simulated machine (blocking is what advances virtual time).
-//! A safe point reads its runtime facts — registry, time, LP — from the
-//! stream it runs on, so no session carries a copy of them.
+//! A safe point reads what it rewrites and its runtime facts — the
+//! skeleton, registry, time, LP — from the stream it runs on, so no
+//! session carries a copy of them.
 
 use askel_skeletons::{Skel, TimeNs};
 
@@ -26,6 +27,9 @@ pub trait StreamTypes {
 
 /// An ordered stream of inputs through one swappable skeleton.
 pub trait StreamRuntime: StreamTypes {
+    /// The skeleton the next submission runs; a safe point rewrites it.
+    fn skel(&self) -> &Skel<Self::In, Self::Out>;
+
     /// Swaps the skeleton *subsequent* submissions run; items in flight
     /// finish on the tree they were submitted with.
     fn swap_skel(&mut self, skel: &Skel<Self::In, Self::Out>);
@@ -40,8 +44,9 @@ pub trait StreamRuntime: StreamTypes {
         }
     }
 
-    /// Counts, without blocking, the finished items at the head of the
-    /// stream: that many `next_result` calls then return at once.
+    /// Counts, without blocking, every finished item at the head of the
+    /// stream — those an earlier call counted and nobody has collected
+    /// yet included: that many `next_result` calls then return at once.
     fn poll_ready(&mut self) -> usize;
 
     /// The oldest uncollected result, waiting for it if need be; `None`

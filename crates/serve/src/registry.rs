@@ -296,7 +296,7 @@ where
             None => TriggerEngine::new(0.5),
         };
         trigger.attach_metrics(self.engine.metrics_hub());
-        let session = Adaptive::over(stream, skel, trigger);
+        let session = Adaptive::over(stream, trigger);
         let cost_ns = self.shared.estimated_cost(skel.node()).map(|c| c.0);
         self.tenants.insert(
             id,

@@ -64,6 +64,10 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
+    fn skel(&self) -> &Skel<P, R> {
+        &self.skel
+    }
+
     fn swap_skel(&mut self, skel: &Skel<P, R>) {
         self.skel = skel.clone();
     }

@@ -73,8 +73,8 @@ use askel_skeletons::Skel;
 pub mod prelude {
     pub use askel_adapt::{
         AdaptRecord, AdaptiveSession, Concern, ConflictPolicy, CostGuard, FallbackSwap, Forecast,
-        Hysteresis, Knob, NodeHoursMeter, Promote, Reconfigurator, RetuneGrain, RetuneWidth,
-        Trigger, TriggerEngine, VersionedSkel,
+        Hysteresis, Knob, NodeHoursMeter, Promote, RetuneGrain, RetuneWidth, Trigger,
+        TriggerEngine,
     };
     pub use askel_core::{
         AutonomicController, ControllerConfig, DecisionReason, DecreasePolicy, RaisePolicy,

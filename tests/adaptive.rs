@@ -517,7 +517,5 @@ fn facade_exports_adaptive_surface() {
     engine.shutdown();
     // Re-exported rule/record types are nameable through the prelude.
     let _ = |r: AdaptRecord| r.version;
-    let _ = |v: VersionedSkel<i64, i64>| v.version();
-    let _ = autonomic_skeletons::adapt::Reconfigurator::new;
     let _ = RetuneGrain::new;
 }

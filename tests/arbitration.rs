@@ -11,26 +11,62 @@ use autonomic_skeletons::core::FnActuator;
 use autonomic_skeletons::prelude::*;
 
 /// Infrastructure for a rule-only safe point: no items need to run, the
-/// reconfigurator just plans/arbitrates/applies against a 4-worker sim's
+/// trigger engine just plans/arbitrates/applies against a 4-worker sim's
 /// registry, virtual clock and LP.
 struct Harness {
     sim: SimEngine,
-    reconf: Reconfigurator,
+    trigger: Arc<TriggerEngine>,
+    policy: ConflictPolicy,
 }
 
 fn harness(trigger: &Arc<TriggerEngine>) -> Harness {
     Harness {
         sim: SimEngine::new(4, Arc::new(ZeroCost)),
-        reconf: Reconfigurator::new(Arc::clone(trigger)),
+        trigger: Arc::clone(trigger),
+        policy: ConflictPolicy::default(),
+    }
+}
+
+/// The tree a safe point rewrites and its version, as a stream holds them.
+struct Versioned {
+    skel: Skel<i64, i64>,
+    version: u64,
+}
+
+impl Versioned {
+    fn new(skel: &Skel<i64, i64>) -> Self {
+        Versioned {
+            skel: skel.clone(),
+            version: 0,
+        }
+    }
+
+    fn skel(&self) -> &Skel<i64, i64> {
+        &self.skel
+    }
+
+    fn version(&self) -> u64 {
+        self.version
     }
 }
 
 impl Harness {
-    /// One safe point on `vskel`.
-    fn apply(&self, vskel: &mut VersionedSkel<i64, i64>) -> usize {
+    /// One safe point on `vskel`: how many rewrites it applied.
+    fn apply(&self, vskel: &mut Versioned) -> usize {
         let sim = &self.sim;
-        self.reconf
-            .apply(vskel, sim.registry(), sim.clock().now(), sim.lp())
+        let before = vskel.version;
+        let rewritten = self.trigger.safe_point(
+            &vskel.skel,
+            &mut vskel.version,
+            &self.policy,
+            sim.registry(),
+            sim.clock().now(),
+            sim.lp(),
+        );
+        if let Some(skel) = rewritten {
+            vskel.skel = skel;
+        }
+        (vskel.version - before) as usize
     }
 }
 
@@ -48,7 +84,7 @@ fn same_knob_cost_beats_performance_at_equal_priority() {
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
     let h = harness(&trigger);
     let program: Skel<i64, i64> = seq(|x: i64| x);
-    let mut vskel = VersionedSkel::new(&program);
+    let mut vskel = Versioned::new(&program);
 
     assert_eq!(h.apply(&mut vskel), 1, "exactly one action applied");
     assert_eq!(width.get(), 2, "the cost guard's economy width won");
@@ -86,7 +122,7 @@ fn same_knob_priority_overrides_the_concern_rank() {
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
     let h = harness(&trigger);
     let program: Skel<i64, i64> = seq(|x: i64| x);
-    let mut vskel = VersionedSkel::new(&program);
+    let mut vskel = Versioned::new(&program);
 
     assert_eq!(h.apply(&mut vskel), 1);
     assert_eq!(width.get(), 8, "the prioritized performance grow won");
@@ -119,9 +155,9 @@ fn veto_policy_blocks_the_knob_regardless_of_priority() {
     );
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
     let mut h = harness(&trigger);
-    h.reconf = h.reconf.conflict_policy(ConflictPolicy::Veto);
+    h.policy = ConflictPolicy::Veto;
     let program: Skel<i64, i64> = seq(|x: i64| x);
-    let mut vskel = VersionedSkel::new(&program);
+    let mut vskel = Versioned::new(&program);
 
     assert_eq!(h.apply(&mut vskel), 0, "the veto blocked everything");
     assert_eq!(width.get(), 2, "the knob did not move");
@@ -158,10 +194,10 @@ fn a_standing_veto_leaves_the_decision_log_a_ring_that_still_audits() {
         2,
     ));
     let mut h = harness(&trigger);
-    h.reconf = h.reconf.conflict_policy(ConflictPolicy::Veto);
+    h.policy = ConflictPolicy::Veto;
     h.sim.registry().add_listener(trigger.clone());
     let program: Skel<i64, i64> = seq(|x: i64| x);
-    let mut vskel = VersionedSkel::new(&program);
+    let mut vskel = Versioned::new(&program);
 
     let gated_at = 3 * N - 8;
     for point in 1..=3 * N {
@@ -212,7 +248,7 @@ fn uncontested_veto_is_dropped_silently() {
     trigger.add_rule(CostGuard::knob(meter, TimeNs::ZERO, width.clone(), 2).named("cost-guard"));
     let h = harness(&trigger);
     let program: Skel<i64, i64> = seq(|x: i64| x);
-    let mut vskel = VersionedSkel::new(&program);
+    let mut vskel = Versioned::new(&program);
 
     assert_eq!(h.apply(&mut vskel), 0);
     assert_eq!(h.apply(&mut vskel), 0, "still quiet at the next safe point");
@@ -256,7 +292,7 @@ fn applied_rewrite_invalidates_estimates_in_trigger_and_synced_controller() {
     );
 
     let h = harness(&trigger);
-    let mut vskel = VersionedSkel::new(&outer);
+    let mut vskel = Versioned::new(&outer);
     trigger.observe_input_size(5);
     assert_eq!(h.apply(&mut vskel), 1);
     assert_eq!(vskel.version(), 1);

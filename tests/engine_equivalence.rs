@@ -14,10 +14,10 @@ use askel_adapt::{
     Adaptive, AdaptiveSession, FallbackSwap, Knob, Promote, RetuneWidth, Trigger, TriggerEngine,
 };
 use askel_dist::sim_session;
-use askel_engine::Engine;
+use askel_engine::{Engine, StreamSession};
 use askel_events::{Event, FnListener, Listener, Payload, StreamRuntime, When, Where};
 use askel_sim::cost::{TableCost, ZeroCost};
-use askel_sim::SimEngine;
+use askel_sim::{SimEngine, SimStream};
 use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel, TimeNs};
 
 /// A generated program: the skeleton plus a description for shrinking
@@ -403,4 +403,47 @@ proptest! {
             }
         }
     }
+}
+
+/// `poll_ready` counts every finished item at the head of the stream, so
+/// a second poll with nothing collected in between counts the same
+/// items again — on both runtimes, through the trait the adaptive
+/// session polls.
+#[test]
+fn a_second_poll_counts_the_same_finished_head() {
+    fn polls<S: StreamRuntime<In = i64, Out = i64>>(stream: &mut S) -> [usize; 2] {
+        [stream.poll_ready(), stream.poll_ready()]
+    }
+    // Item 0 loops eight times; the others are one muscle each.
+    let program = sif(
+        |x: &i64| *x == 0,
+        sfor(8, seq(|x: i64| x + 1)),
+        seq(|x: i64| x + 1),
+    );
+    let expected = [8, 2, 3];
+
+    let engine = Engine::new(2);
+    let mut threads = StreamSession::new(&engine, &program);
+    for x in 0..3 {
+        StreamRuntime::feed(&mut threads, x);
+    }
+    engine.pool().wait_idle();
+    assert_eq!(polls(&mut threads), [3, 3], "threads");
+    let got: Vec<i64> = threads.drain().map(|r| r.unwrap()).collect();
+    assert_eq!(got, expected);
+    engine.shutdown();
+
+    // Nothing runs on the simulator until a result is awaited: waiting
+    // for the long item 0 finishes the two short ones behind it.
+    let sim = SimEngine::new(3, Arc::new(TableCost::new(TimeNs::from_micros(1))));
+    let mut simulated = SimStream::new(sim, &program);
+    for x in 0..3 {
+        simulated.feed(x);
+    }
+    assert_eq!(simulated.next_result().unwrap().unwrap(), expected[0]);
+    assert_eq!(polls(&mut simulated), [2, 2], "simulator");
+    let rest: Vec<i64> = std::iter::from_fn(|| simulated.next_result())
+        .map(|r| r.unwrap())
+        .collect();
+    assert_eq!(rest, expected[1..]);
 }

@@ -12,8 +12,8 @@
 //! `AdaptiveSimSession` is the same `Adaptive` session as the threaded
 //! `AdaptiveSession`, so every safe point below — harvest, outcome
 //! recording, size hint, arbitration, rewrite, submit — is the `feed`
-//! that serves real streams. Nothing here builds a `Reconfigurator` or
-//! records an outcome by hand.
+//! that serves real streams. Nothing here calls
+//! `TriggerEngine::safe_point` or records an outcome by hand.
 //!
 //! Two acceptance scenarios run under every seed, twice each:
 //!
