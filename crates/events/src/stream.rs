@@ -45,8 +45,8 @@ pub trait StreamRuntime: StreamTypes {
     }
 
     /// Counts, without blocking, every finished item at the head of the
-    /// stream — those an earlier call counted and nobody has collected
-    /// yet included: that many `next_result` calls then return at once.
+    /// stream, including any an earlier call counted that nobody has
+    /// collected yet: that many `next_result` calls then return at once.
     fn poll_ready(&mut self) -> usize;
 
     /// The oldest uncollected result, waiting for it if need be; `None`
