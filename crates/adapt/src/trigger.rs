@@ -484,23 +484,22 @@ impl TrigInner {
     /// merely "applied before") keeps back-to-back rewrites honest: an
     /// item submitted under version 2 can never close version 1's audit,
     /// even when it completes first.
+    ///
+    /// The log is appended in `at` order with versions that never go
+    /// down, so that version is the newest record's at or before the
+    /// item's start, and its records are the run ending there.
     fn close_audit(&mut self, item: Span) {
         let (started, Some(finished)) = (item.started, item.finished) else {
             return;
         };
-        let Some(version) = self
-            .log
-            .iter()
-            .filter(|r| r.at <= started)
-            .map(|r| r.version)
-            .max()
-        else {
+        let Some(newest) = self.log.iter().rposition(|r| r.at <= started) else {
             return;
         };
+        let version = self.log[newest].version;
+        let first = self.log.partition_point(|r| r.version < version);
         let Some(forecast) = self
             .log
-            .iter_mut()
-            .filter(|r| r.version == version && r.at <= started)
+            .range_mut(first..=newest)
             .filter_map(|r| r.forecast.as_mut())
             .find(|f| f.realized.is_none())
         else {
@@ -730,6 +729,45 @@ mod tests {
     }
 
     #[test]
+    fn a_full_log_of_suppressed_records_still_closes_the_right_audit() {
+        let t = TriggerEngine::new(0.5);
+        let us = TimeNs::from_micros;
+        let suppressed = |at: u64, version: u64| AdaptRecord {
+            forecast: None,
+            action: "suppressed by `veto`".into(),
+            ..gated(us(at), version, TimeNs(0))
+        };
+        // A standing veto fills the log under version 0, a gated rewrite
+        // makes version 1, and the veto keeps logging under it.
+        for at in 0..DECISION_LOG_CAPACITY as u64 {
+            t.record(suppressed(at, 0));
+        }
+        t.record(gated(us(2_000), 1, us(400)));
+        for at in 2_001..2_100 {
+            t.record(suppressed(at, 1));
+        }
+        assert_eq!(t.decision_log().len(), DECISION_LOG_CAPACITY);
+        let audit = || {
+            let log = t.decision_log();
+            let gated = log.iter().find(|r| r.forecast.is_some()).unwrap();
+            gated.forecast.unwrap().realized
+        };
+        // An item that started under version 0 closes nothing.
+        let run = |inst, from: u64, to: u64| {
+            for (when, at) in [(When::Before, us(from)), (When::After, us(to))] {
+                t.on_event(&mut Payload::None, &item(inst, when, Where::Skeleton, at.0));
+            }
+        };
+        run(1, 1_500, 3_000);
+        assert_eq!(audit(), None);
+        // The first under version 1 — after its suppressed records — does.
+        run(2, 2_050, 2_550);
+        assert_eq!(audit(), Some(us(500)));
+        run(3, 2_060, 2_960);
+        assert_eq!(audit(), Some(us(500)), "a closed audit stays as it is");
+    }
+
+    #[test]
     fn events_wait_in_the_log_until_state_is_read() {
         use askel_skeletons::{MuscleId, MuscleRole};
         let t = TriggerEngine::new(0.5);
@@ -741,7 +779,9 @@ mod tests {
         event(When::After, Where::Reconfigured, 62);
         let mut logged = Vec::new();
         t.knowledge().log().drain_into(&mut logged);
-        assert_eq!(logged.len(), 2);
+        // The seq's two events, logged back to back, are one span.
+        assert_eq!(logged.len(), 1);
+        assert_eq!(logged[0].span_start(), Some(TimeNs(0)));
         // Nothing left to fold, and nothing was folded before.
         let estimates =
             |f: &dyn Fn(&askel_core::EstimatorTable) -> bool| t.knowledge().read_estimates(f);

@@ -14,7 +14,14 @@
 //! `on_event` appends a 48-byte [`EventRecord`] to the log and touches no
 //! state; whoever holds the state next replays ("folds") the log in order
 //! through the tracker, running the controller's analysis after each
-//! `After`. If a controller analyses, an `After` event *tries* the state
+//! `After`. A knowledge no controller analyses never reads a running
+//! instance, so its log closes spans: a finished `seq` instance whose two
+//! events one thread logged back to back is one record (see
+//! [`EventLog`]), which the tracker replays as both. A controller's log
+//! keeps one record per event, since its analysis runs at every `After`
+//! and reads the instances still running.
+//!
+//! If a controller analyses, an `After` event *tries* the state
 //! lock and folds if it gets it — a worker that does not goes back to its
 //! muscle — and every holder (worker, accessor, a trigger's safe point)
 //! looks at the log once more after letting go, so every `After` is
@@ -55,9 +62,10 @@ impl State {
             match &mut self.analysis {
                 Some(analysis) => analysis.replay(&mut self.tracker, event),
                 None => {
-                    // A new root: drop finished records, keep estimates.
+                    // A new root (a span begins one too): drop finished
+                    // records, keep estimates.
                     if event.wher == Where::Skeleton
-                        && event.when == When::Before
+                        && (event.when == When::Before || event.span_start().is_some())
                         && event.is_root()
                     {
                         self.tracker.prune_finished();
@@ -115,7 +123,11 @@ impl Knowledge {
             hot: EventPath {
                 _before: [0; 64],
                 of: None,
-                log: EventLog::default(),
+                // An analysis reads running instances at every `After`.
+                log: match analysis {
+                    Some(_) => EventLog::default(),
+                    None => EventLog::with_spans(),
+                },
                 analyses: analysis.is_some(),
                 _after: [0; 63],
             },

@@ -229,9 +229,14 @@ impl SmTracker {
     }
 
     /// Feeds one event through the state machines: an `&Event` as it is
-    /// raised, or the [`EventRecord`] a listener kept of it.
+    /// raised, or the [`EventRecord`] a listener kept of it. A span
+    /// ([`EventRecord::span_start`]) is a finished `seq` instance's two
+    /// events at once, and leaves what they would.
     pub fn observe(&mut self, event: impl Into<EventRecord>) {
         let event = &event.into();
+        if let Some(started) = event.span_start() {
+            return self.on_span(event, started);
+        }
         match (event.when, event.wher) {
             (When::Before, Where::Skeleton) => self.on_instance_begin(event),
             (When::After, Where::Skeleton) => self.on_instance_end(event),
@@ -249,6 +254,40 @@ impl SmTracker {
             (_, Where::NestedSkeleton | Where::Reconfigured) => return,
         }
         self.revision += 1;
+    }
+
+    /// A `seq` instance that began at `started` and ended at `span`'s
+    /// timestamp. A tracker that keeps records begins and ends it; one
+    /// that does not keeps of it what its two events would leave — the
+    /// `t(fe)` update and, for a root, its place among the roots and its
+    /// span — without making the record it would drop straight away.
+    fn on_span(&mut self, span: &EventRecord, started: TimeNs) {
+        self.revision += 2;
+        if self.keep_finished {
+            let mut begin = *span;
+            (begin.when, begin.timestamp) = (When::Before, started);
+            self.on_instance_begin(&begin);
+            return self.on_instance_end(span);
+        }
+        let dur = span.timestamp.saturating_sub(started);
+        self.estimates
+            .observe_duration(MuscleId::new(span.node, MuscleRole::Execute), dur);
+        if span.parent().is_none() {
+            self.roots.push_back(span.index);
+            self.end_root(Span {
+                started,
+                finished: Some(span.timestamp),
+            });
+        }
+    }
+
+    /// Keeps an ended root's span until taken, the newest
+    /// [`MAX_LIVE_ROOTS`] at most.
+    fn end_root(&mut self, span: Span) {
+        if self.finished_roots.len() == MAX_LIVE_ROOTS {
+            self.finished_roots.pop_front();
+        }
+        self.finished_roots.push_back(span);
     }
 
     fn on_instance_begin(&mut self, event: &EventRecord) {
@@ -335,13 +374,11 @@ impl SmTracker {
             _ => {}
         }
         if rec.parent.is_none() {
-            if self.finished_roots.len() == MAX_LIVE_ROOTS {
-                self.finished_roots.pop_front();
-            }
-            self.finished_roots.push_back(Span {
+            let span = Span {
                 started: rec.started,
                 finished: rec.finished,
-            });
+            };
+            self.end_root(span);
         }
         if !self.keep_finished {
             self.instances.remove(&event.index);

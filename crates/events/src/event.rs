@@ -152,6 +152,13 @@ pub struct Event {
 /// parent instance and the nesting depth (saturating at 255). Small
 /// (48 bytes) and `Copy`, so a listener can append it to a log on the
 /// muscle's thread and return.
+///
+/// A record is one event, or one finished `seq` instance: a *span*, which
+/// a log that closes spans makes of a `seq`'s `(Before, Skeleton)` record
+/// when the same instance's `(After, Skeleton)` follows it directly (see
+/// [`EventLog`](crate::EventLog)). A span is that `After` record — its
+/// timestamp, so it replays where the `After` would — that also carries
+/// the `Before`'s timestamp ([`span_start`](EventRecord::span_start)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EventRecord {
     /// Node that raised the event.
@@ -176,7 +183,33 @@ pub struct EventRecord {
     pub depth: u8,
 }
 
+/// `info_tag` of a span: `info_value` holds its start.
+const SPAN: u8 = 6;
+
 impl EventRecord {
+    /// For a span — a finished `seq` instance in one record — when the
+    /// instance began; `None` for the record of one event.
+    pub fn span_start(&self) -> Option<TimeNs> {
+        (self.info_tag == SPAN).then_some(TimeNs(self.info_value))
+    }
+
+    /// Makes this record, a `seq` instance's `(Before, Skeleton)`, the
+    /// span it closes with `after`, that instance's `(After, Skeleton)`;
+    /// `false`, and nothing changed, when `after` is not that event.
+    pub(crate) fn close_span(&mut self, after: &EventRecord) -> bool {
+        let closes = after.kind == KindTag::Seq
+            && (after.when, after.wher, after.info_tag) == (When::After, Where::Skeleton, 0)
+            && (self.when, self.wher, self.info_tag) == (When::Before, Where::Skeleton, 0)
+            && (self.index, self.node) == (after.index, after.node);
+        if closes {
+            self.info_tag = SPAN;
+            self.info_value = self.timestamp.0;
+            self.timestamp = after.timestamp;
+            self.when = When::After;
+        }
+        closes
+    }
+
     /// The enclosing instance, if any.
     pub fn parent(&self) -> Option<InstanceId> {
         (self.parent != 0).then_some(InstanceId(self.parent))

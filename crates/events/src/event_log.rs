@@ -19,12 +19,28 @@
 //! shard is a mutex nobody else takes between folds. Nothing is allocated
 //! until the log's first event; a shard's buffer is allocated at
 //! that shard's first event, at its fixed capacity.
+//!
+//! A record is one event, except in a log that closes spans
+//! ([`EventLog::with_spans`], for state that only ever needs an instance
+//! once it has ended): there a `seq` instance's `(After, Skeleton)` event
+//! that finds the same instance's `(Before, Skeleton)` record last in the
+//! calling thread's shard rewrites that record, in place, into one span
+//! ([`EventRecord::span_start`]). A `seq` runs its muscle between its two
+//! events on one thread, so on threads that is the common case; a fold in
+//! between, another thread's record or a muscle that raises events of its
+//! own leaves the two records as they are.
+//!
+//! A fold is linear in the records it takes: each shard's run is put in
+//! replay order by an insertion sort (a thread's records are in order but
+//! for ties) and the runs are merged.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
+
+use askel_skeletons::TimeNs;
 
 use crate::event::{Event, EventRecord, When};
 use crate::listener::Interest;
@@ -45,22 +61,34 @@ struct Shard(Mutex<Vec<EventRecord>>);
 #[derive(Default)]
 pub struct EventLog {
     shards: OnceLock<Box<[Shard; SHARDS]>>,
+    /// Whether [`log`](EventLog::log) closes spans: fixed at construction.
+    spans: bool,
 }
 
 impl EventLog {
+    /// A log whose [`log`](EventLog::log) closes spans (see the module
+    /// docs): for state that reads an instance only once it has ended.
+    pub fn with_spans() -> Self {
+        EventLog {
+            spans: true,
+            ..Self::default()
+        }
+    }
+
     /// `on_event`'s half: appends `event` if `interest` holds its
     /// position (a registry filters by interest already; a direct caller
     /// might not) and says whether it did. A full shard calls
     /// `make_room`, which must fold (drain) this log, and
     /// tries again. Below capacity this takes one lock no other thread
     /// is waiting for and allocates nothing (after the thread's first
-    /// event).
+    /// event). In a log that closes spans, a `seq`'s `After` may instead
+    /// close its `Before` record into a span, under the same lock.
     pub fn log(&self, event: &Event, interest: Interest, mut make_room: impl FnMut()) -> bool {
         if !interest.contains(event.when, event.wher) {
             return false;
         }
         let record = EventRecord::from(event);
-        while !self.try_push(record) {
+        while !self.push(thread_slot() % SHARDS, record, self.spans) {
             make_room();
         }
         true
@@ -76,9 +104,20 @@ impl EventLog {
 
     /// [`try_push`](EventLog::try_push) to a named shard (`< SHARDS`):
     /// tests deal one stream over several threads' shards with this.
+    /// Neither closes a span: the record is appended as it is.
     pub fn try_push_to(&self, shard: usize, record: EventRecord) -> bool {
+        self.push(shard, record, false)
+    }
+
+    /// Appends `record` to `shard`, or, with `span`, closes the span the
+    /// shard's last record opens if `record` ends it; `false` when the
+    /// record needs room the shard has not got.
+    fn push(&self, shard: usize, record: EventRecord, span: bool) -> bool {
         let shards = self.shards.get_or_init(Default::default);
         let mut buf = shards[shard].0.lock();
+        if span && buf.last_mut().is_some_and(|last| last.close_span(&record)) {
+            return true;
+        }
         if buf.len() == SHARD_CAPACITY {
             return false;
         }
@@ -108,29 +147,71 @@ impl EventLog {
     /// happens-before order. Several are merged by timestamp; equal
     /// timestamps put `Before` ahead of `After`, outer `Before` first and
     /// inner `After` first — an instance begins after its parent and
-    /// ends before it — and otherwise keep shard order.
+    /// ends before it — and otherwise keep shard order, then arrival
+    /// order: exactly a stable sort of the shards' concatenation, in
+    /// time linear in the records (but for ties out of order in one
+    /// shard) and with no allocation beyond `out`'s growth.
     pub fn drain_into(&self, out: &mut Vec<EventRecord>) {
         let Some(shards) = self.shards.get() else {
             return;
         };
-        let start = out.len();
-        let mut sources = 0;
-        {
-            let mut guards: [_; SHARDS] = std::array::from_fn(|i| shards[i].0.lock());
-            for buf in guards.iter_mut().filter(|buf| !buf.is_empty()) {
-                sources += 1;
-                out.extend_from_slice(buf);
-                buf.clear();
-            }
+        let mut guards: [_; SHARDS] = std::array::from_fn(|i| shards[i].0.lock());
+        let mut runs = (0..SHARDS).filter(|&i| !guards[i].is_empty());
+        let (Some(first), second) = (runs.next(), runs.next()) else {
+            return;
+        };
+        if second.is_none() {
+            out.extend_from_slice(&guards[first]);
+            guards[first].clear();
+            return;
         }
-        if sources > 1 {
-            out[start..].sort_by_key(|r| {
-                let rank = match r.when {
-                    When::Before => r.depth as u16,
-                    When::After => 0x100 + (u8::MAX - r.depth) as u16,
-                };
-                (r.timestamp, rank)
-            });
+        let total = guards.iter().map(|buf| buf.len()).sum();
+        out.reserve(total);
+        for buf in guards.iter_mut() {
+            insertion_sort(buf);
+        }
+        let mut next = [0; SHARDS];
+        for _ in 0..total {
+            // The first shard whose next record replays soonest (no
+            // record's key is the maximum).
+            let (mut from, mut soonest) = (0, (TimeNs(u64::MAX), u16::MAX));
+            for (i, buf) in guards.iter().enumerate() {
+                if let Some(key) = buf.get(next[i]).map(replay_key) {
+                    if key < soonest {
+                        (from, soonest) = (i, key);
+                    }
+                }
+            }
+            out.push(guards[from][next[from]]);
+            next[from] += 1;
+        }
+        for buf in guards.iter_mut() {
+            buf.clear();
+        }
+    }
+}
+
+/// Where a record replays among records of other threads: by timestamp,
+/// then `Before` (outer first) ahead of `After` (inner first).
+fn replay_key(r: &EventRecord) -> (TimeNs, u16) {
+    let rank = match r.when {
+        When::Before => r.depth as u16,
+        When::After => 0x100 + (u8::MAX - r.depth) as u16,
+    };
+    (r.timestamp, rank)
+}
+
+/// A stable sort by [`replay_key`] that costs one comparison per record
+/// on a run already in order.
+fn insertion_sort(run: &mut [EventRecord]) {
+    for i in 1..run.len() {
+        let key = replay_key(&run[i]);
+        let mut j = i;
+        while j > 0 && replay_key(&run[j - 1]) > key {
+            j -= 1;
+        }
+        if j < i {
+            run[j..=i].rotate_right(1);
         }
     }
 }
@@ -169,7 +250,7 @@ fn thread_slot() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, EventInfo, Trace, Where};
+    use crate::{EventInfo, Trace, Where};
     use askel_skeletons::{InstanceId, KindTag, NodeId, TimeNs};
 
     /// An event of instance `depth` of a chain `#1/#2/…`, at time `at`.
@@ -305,6 +386,87 @@ mod tests {
         );
         assert_eq!(drained(&log).len(), SHARD_CAPACITY + 1);
         assert!(log.try_push_to(0, rec(1, When::Before, 1000)));
+    }
+
+    proptest::proptest! {
+        /// Records dealt over shards — ties and, within a shard, records
+        /// out of order included — drain exactly as a stable sort of the
+        /// shards' concatenation, the way the log replayed before its
+        /// fold merged runs.
+        #[test]
+        fn draining_equals_sorting_the_shards_in_order(
+            dealt in proptest::collection::vec((0..SHARDS, 1u64..=4, 0u8..2, 0u64..6), 0..200),
+        ) {
+            let log = EventLog::default();
+            let mut shards: [Vec<EventRecord>; SHARDS] = Default::default();
+            for (i, &(shard, depth, after, at)) in dealt.iter().enumerate() {
+                let when = if after == 1 { When::After } else { When::Before };
+                let mut r = rec(depth, when, at);
+                r.index = InstanceId(i as u64);
+                assert!(log.try_push_to(shard, r));
+                shards[shard].push(r);
+            }
+            let mut expected: Vec<EventRecord> = shards.concat();
+            if shards.iter().filter(|run| !run.is_empty()).count() > 1 {
+                expected.sort_by_key(|r| {
+                    let rank = match r.when {
+                        When::Before => r.depth as u16,
+                        When::After => 0x100 + (u8::MAX - r.depth) as u16,
+                    };
+                    (r.timestamp, rank)
+                });
+            }
+            let mut out = vec![rec(9, When::Before, 9)];
+            log.drain_into(&mut out);
+            proptest::prop_assert_eq!(&out[1..], &expected[..]);
+            proptest::prop_assert!(log.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_seq_that_ends_right_after_it_began_is_one_span() {
+        let seq = |inst: u64, when, at| {
+            let mut r = rec(2, when, at);
+            (r.kind, r.index) = (KindTag::Seq, InstanceId(inst));
+            r
+        };
+        let event = |r: EventRecord| Event {
+            node: r.node,
+            kind: r.kind,
+            when: r.when,
+            wher: r.wher,
+            index: r.index,
+            trace: Trace::root(NodeId(1), InstanceId(1), KindTag::Map)
+                .child(r.node, r.index, r.kind),
+            timestamp: r.timestamp,
+            info: EventInfo::None,
+        };
+        let logged = |log: &EventLog, events: &[EventRecord]| {
+            for r in events {
+                assert!(log.log(&event(*r), Interest::ALL, || unreachable!("room")));
+            }
+            let mut out = Vec::new();
+            log.drain_into(&mut out);
+            out
+        };
+        let pair = [seq(7, When::Before, 3), seq(7, When::After, 8)];
+        // A log that closes spans makes the pair one record: the `After`,
+        // carrying the `Before`'s timestamp.
+        let spans = EventLog::with_spans();
+        let [span] = logged(&spans, &pair)[..] else {
+            panic!("one record")
+        };
+        assert_eq!(span.span_start(), Some(TimeNs(3)));
+        assert_eq!((span.when, span.timestamp), (When::After, TimeNs(8)));
+        assert_eq!(span.info(), EventInfo::None);
+        assert_eq!(pair[1].span_start(), None);
+        // Another event in between, or a plain log, keeps both records.
+        let between = [pair[0], seq(8, When::Before, 4), pair[1]];
+        assert_eq!(logged(&spans, &between), between);
+        assert_eq!(logged(&EventLog::default(), &pair), pair);
+        // So does a fold in between.
+        assert_eq!(logged(&spans, &pair[..1]), pair[..1]);
+        assert_eq!(logged(&spans, &pair[1..]), pair[1..]);
     }
 
     #[test]

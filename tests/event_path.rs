@@ -330,3 +330,21 @@ fn a_for_iteration_allocates_only_its_muscles_output() {
     );
     engine.shutdown();
 }
+
+#[test]
+fn a_lone_trigger_logs_each_finished_seq_of_a_for_64_item_as_one_span() {
+    let _one = whole_process();
+    let engine = Engine::new(2);
+    let trigger = TriggerEngine::new(0.5);
+    let program = sfor(64, seq(|x: i64| x + 1));
+    let mut session = askel_engine::StreamSession::new(&engine, &program).listener(trigger.clone());
+    session.feed(0);
+    assert_eq!(session.next_result().unwrap().unwrap(), 64);
+    // The loop's two records and one per iteration: each `seq` ran its
+    // muscle between its two events on one thread.
+    let mut logged = Vec::new();
+    trigger.knowledge().log().drain_into(&mut logged);
+    let spans = logged.iter().filter(|r| r.span_start().is_some()).count();
+    assert_eq!((logged.len(), spans), (66, 64));
+    engine.shutdown();
+}
