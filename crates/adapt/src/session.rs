@@ -284,16 +284,17 @@ where
 
     /// Non-blocking, non-consuming harvest: collects every
     /// already-finished leading item (outcomes recorded with the trigger
-    /// engine, exactly as blocking collection would) and returns them in
-    /// submission order, leaving the session alive for further feeds.
+    /// engine, exactly as blocking collection would) and returns how many
+    /// results the session now buffers, in submission order, for
+    /// [`next_result`](Adaptive::next_result) to pop without blocking.
     ///
     /// This is the interleaving primitive a multi-tenant registry needs:
     /// unlike [`drain`](Adaptive::drain), which consumes the
-    /// session and blocks to the end, `drain_ready` lets a driver visit
+    /// session and blocks to the end, `poll_ready` lets a driver visit
     /// many sessions round-robin, taking from each only what is ready.
-    pub fn drain_ready(&mut self) -> Vec<Result<S::Out, S::Error>> {
+    pub fn poll_ready(&mut self) -> usize {
         self.harvest();
-        self.out.drain(..).collect()
+        self.out.len()
     }
 
     /// The current skeleton version (rewrites applied so far).
@@ -362,28 +363,28 @@ mod tests {
     }
 
     #[test]
-    fn drain_ready_interleaves_without_consuming_the_session() {
+    fn poll_ready_interleaves_without_consuming_the_session() {
         let engine = Engine::new(2);
         let program = doubler();
         let trigger = TriggerEngine::new(0.5);
         let mut session = AdaptiveSession::new(&engine, &program, trigger.clone());
         session.feed_batch(vec![1, 2]);
         engine.pool().wait_idle();
-        let first = session.drain_ready();
-        assert_eq!(
-            first.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-            vec![2, 4]
-        );
-        // The session is still usable — and outcomes were recorded.
+        assert_eq!(session.poll_ready(), 2);
+        // Polling again harvests nothing new and consumes nothing.
+        assert_eq!(session.poll_ready(), 2);
+        // The harvest recorded outcomes before anything was taken.
         assert_eq!(trigger.error_stats().items, 2);
+        assert_eq!(session.next_result().map(Result::unwrap), Some(2));
+        // The session is still usable, and order is kept across feeds.
         session.feed(3);
         engine.pool().wait_idle();
-        let second = session.drain_ready();
-        assert_eq!(
-            second.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-            vec![6]
-        );
-        assert!(session.next_result().is_none());
+        assert_eq!(session.poll_ready(), 2);
+        let rest: Vec<i64> = std::iter::from_fn(|| session.next_result())
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(rest, vec![4, 6]);
+        assert_eq!(session.poll_ready(), 0);
         engine.shutdown();
     }
 

@@ -15,11 +15,13 @@
 //! Sojourn is measured **registry-side**: from the moment an item is
 //! handed to the tenant's session (feed, batch feed, or backlog
 //! dispatch) to the moment its result is harvested back out — queueing
-//! on the shared pool included, tenant backlog time excluded. Items are
-//! stamped unconditionally with 0 ("unstamped") when the hub is
-//! disabled, so the timestamp queue never desynchronizes from the
-//! session's in-order results while the enabled flag flips mid-stream,
-//! and the disabled path never reads a clock.
+//! on the shared pool included, tenant backlog time excluded. Items
+//! handed over while the hub is disabled are counted as unstamped (a run
+//! of them is one run-length entry, or none at the head of the queue),
+//! so the timestamp queue never desynchronizes from the session's
+//! in-order results while the enabled flag flips mid-stream, and the
+//! disabled path never reads a clock. A tenant's own histogram counts
+//! every stamped item; the aggregate records only while the hub is on.
 
 use std::sync::Arc;
 

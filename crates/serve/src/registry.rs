@@ -1,14 +1,15 @@
 //! The session registry: many tenants, one engine.
 //!
 //! [`ServeRegistry`] owns one [`Engine`] clone and shards any number of
-//! per-tenant [`AdaptiveSession`]s over it. Each tenant keeps its own
+//! per-tenant sessions over it: a plain tenant is its bare
+//! [`StreamSession`] (no trigger engine, no safe point, its items go
+//! unobserved); an adaptive tenant is an [`AdaptiveSession`] with its own
 //! trigger engine, safe-point arbitration and rewrite history — the
-//! per-tenant half of the MAPE loop stays fully independent. An adaptive
-//! tenant's trigger is its stream's session listener
-//! ([`StreamSession::listener`]), so it hears exactly the items that
-//! tenant submits and the engine's registry stays empty; a plain
-//! tenant's items go unobserved. What is multiplexed across tenants is
-//! the [`SharedEstimators`] pool. Under a
+//! per-tenant half of the MAPE loop stays fully independent. Its trigger
+//! is its stream's session listener ([`StreamSession::listener`]), so it
+//! hears exactly the items that tenant submits and the engine's registry
+//! stays empty. What is multiplexed across tenants is the
+//! [`SharedEstimators`] pool. Under a
 //! [`ShardedServe`](crate::ShardedServe) front, many registries run as
 //! shards sharing **one** estimator pool over the same engine; the
 //! registry itself is shard-agnostic.
@@ -73,13 +74,31 @@ pub struct TenantStats {
     pub est_cost_ns: Option<u64>,
 }
 
+/// A tenant's stream: a plain tenant's is bare, with no trigger engine
+/// and no safe point; an adaptive one's is boxed, so the larger variant
+/// does not size every plain record.
+enum Session<P, R> {
+    Plain(StreamSession<P, R>),
+    Adaptive(Box<AdaptiveSession<P, R>>),
+}
+
+/// Calls the same-named method of either kind of session.
+macro_rules! for_both {
+    ($session:expr, $s:ident => $call:expr) => {
+        match $session {
+            Session::Plain($s) => $call,
+            Session::Adaptive($s) => $call,
+        }
+    };
+}
+
 struct Tenant<P, R> {
-    session: AdaptiveSession<P, R>,
+    session: Session<P, R>,
     backlog: VecDeque<P>,
-    ready: VecDeque<Result<R, EngineError>>,
-    /// Whether this tenant's trigger engine hears its items' events (and
-    /// its history is published to the shared pool).
-    adaptive: bool,
+    /// How many results at the head of the session's own buffer are
+    /// already counted in `completed` (sojourns noted): what `take_ready`
+    /// hands out. Results stay in that one buffer until taken.
+    ready: usize,
     submitted: u64,
     completed: u64,
     rejected: u64,
@@ -90,14 +109,16 @@ struct Tenant<P, R> {
     /// registration and re-priced on every drain-cycle publication, so
     /// the admission fast path never takes the estimator lock.
     cost_ns: Option<u64>,
-    /// Submission timestamps of items handed to the session and not yet
-    /// harvested, in submission order (the session returns results in
-    /// that same order). `0` marks an item fed while the metrics hub was
-    /// disabled — always stamped, so the queue stays aligned with the
-    /// session's results even when the enabled flag flips mid-stream.
-    fed_at: VecDeque<u64>,
-    /// Per-tenant sojourn histogram (submit → harvest), recorded only
-    /// while the hub is enabled; exported as
+    /// Stamps of the items handed to the session and not yet counted
+    /// completed, oldest first, as results come back: `unstamped` items
+    /// fed with the metrics hub off, then runs of `(stamp, items)`, where
+    /// stamp `0` again means off. Counting the unstamped keeps the stamps
+    /// aligned with the results when the hub flips mid-stream; with the
+    /// hub off the queue stays empty.
+    unstamped: u64,
+    fed_at: VecDeque<(u64, u64)>,
+    /// Per-tenant sojourn histogram (submit → harvest) of the items fed
+    /// while the hub was enabled; exported as
     /// `serve_sojourn_ns{tenant="tN"}`.
     sojourn: HistogramSnapshot,
 }
@@ -107,13 +128,15 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
-    /// Moves everything the session has finished into the ready queue,
-    /// keeping the completion counter and sojourn tallies current.
+    /// Counts everything the session has newly finished as completed,
+    /// keeping the sojourn tallies current; the results stay buffered in
+    /// the session.
     fn harvest(&mut self, metrics: &ServeMetrics, clock: &dyn Clock) {
-        let got = self.session.drain_ready();
-        self.completed += got.len() as u64;
-        self.note_sojourns(got.len(), metrics, clock);
-        self.ready.extend(got);
+        let buffered = for_both!(&mut self.session, s => s.poll_ready());
+        let new = buffered - self.ready;
+        self.ready = buffered;
+        self.completed += new as u64;
+        self.note_sojourns(new, metrics, clock);
     }
 
     /// How many items the tenant may hand the pool now, at `depth`
@@ -123,33 +146,37 @@ where
         if policy.cost_room(depth, self.cost_ns) {
             policy
                 .max_in_flight
-                .saturating_sub(self.session.in_flight())
+                .saturating_sub(for_both!(&self.session, s => s.in_flight()))
         } else {
             0
         }
     }
 
-    /// Hands `items` to the session as one batch (one safe point),
-    /// stamped and counted: every batch submission goes through here.
+    /// Hands `items` to the session as one batch (one safe point for an
+    /// adaptive tenant), stamped and counted: every batch submission
+    /// goes through here.
     fn dispatch(&mut self, items: Vec<P>, metrics: &ServeMetrics, clock: &dyn Clock) {
         self.submitted += items.len() as u64;
         self.stamp_fed(items.len(), metrics, clock);
-        self.session.feed_batch(items);
+        for_both!(&mut self.session, s => s.feed_batch(items));
     }
 
     /// Whether the shared pool has yet to absorb harvested history.
     fn unpublished(&self) -> bool {
-        self.adaptive && self.completed > self.published
+        matches!(self.session, Session::Adaptive(_)) && self.completed > self.published
     }
 
     /// Post-visit bookkeeping for an adaptive tenant: absorb new
     /// estimator history into `shared`, and re-price the tenant's
     /// admission cost estimate from it.
     fn publish(&mut self, shared: &SharedEstimators) {
-        if self.unpublished() {
+        let Session::Adaptive(session) = &self.session else {
+            return;
+        };
+        if self.completed > self.published {
             self.published = self.completed;
-            let root = self.session.skeleton().node();
-            self.session
+            let root = session.skeleton().node();
+            session
                 .trigger()
                 .knowledge()
                 .read_estimates(|table| shared.absorb(root, table));
@@ -158,28 +185,48 @@ where
     }
 
     /// Stamps `n` items handed to the session just now. One clock read
-    /// per call when the hub is enabled; zero-stamps (no clock) when not.
+    /// per call when the hub is enabled; when not, no clock read, and at
+    /// most one queue entry per run of calls.
     fn stamp_fed(&mut self, n: usize, metrics: &ServeMetrics, clock: &dyn Clock) {
         let stamp = if metrics.enabled() {
             clock.now().0.max(1)
         } else {
             0
         };
-        self.fed_at.extend(std::iter::repeat_n(stamp, n));
+        match self.fed_at.back_mut() {
+            None if stamp == 0 => self.unstamped += n as u64,
+            Some((last, items)) if *last == stamp => *items += n as u64,
+            _ if n > 0 => self.fed_at.push_back((stamp, n as u64)),
+            _ => {}
+        }
     }
 
     /// Consumes `n` submission stamps (oldest first — the order results
     /// come back in) and records the sojourns of the stamped ones. Reads
     /// the clock at most once per call.
     fn note_sojourns(&mut self, n: usize, metrics: &ServeMetrics, clock: &dyn Clock) {
+        let skip = n.min(self.unstamped as usize);
+        self.unstamped -= skip as u64;
+        let mut n = n - skip;
         let mut now = None;
-        for _ in 0..n {
-            let stamp = self.fed_at.pop_front().unwrap_or(0);
-            if stamp != 0 && metrics.enabled() {
-                let at = *now.get_or_insert_with(|| clock.now().0);
-                let ns = at.saturating_sub(stamp);
-                metrics.note_sojourn(ns);
-                self.sojourn.record(ns);
+        while n > 0 {
+            let Some((stamp, items)) = self.fed_at.front_mut() else {
+                return;
+            };
+            let take = n.min(*items as usize);
+            if *stamp != 0 {
+                let ns = now
+                    .get_or_insert_with(|| clock.now().0)
+                    .saturating_sub(*stamp);
+                for _ in 0..take {
+                    metrics.note_sojourn(ns);
+                    self.sojourn.record(ns);
+                }
+            }
+            *items -= take as u64;
+            n -= take;
+            if *items == 0 {
+                self.fed_at.pop_front();
             }
         }
     }
@@ -243,10 +290,10 @@ where
         self
     }
 
-    /// Registers a plain tenant: a session with a private, rule-less
-    /// trigger engine and **no** listener — its items go unobserved, at
-    /// zero per-event overhead, and share no estimator history. The cheap
-    /// default for bulk tenants.
+    /// Registers a plain tenant: a bare stream session with **no**
+    /// trigger engine and no listener — its items go unobserved, at zero
+    /// per-event overhead, run no safe point, and share no estimator
+    /// history. The cheap default for bulk tenants.
     pub fn register(&mut self, skel: &Skel<P, R>) -> TenantId {
         self.insert(self.next_id, skel, None)
     }
@@ -283,33 +330,31 @@ where
             "tenant id {id} registered twice"
         );
         self.next_id = self.next_id.max(id + 1);
-        let adaptive = trigger.is_some();
-        let mut stream = StreamSession::new(&self.engine, skel);
-        let trigger = match trigger {
+        let stream = StreamSession::new(&self.engine, skel);
+        let session = match trigger {
             Some(trigger) => {
                 trigger.knowledge().with_estimates(|est| {
                     self.shared.warm(skel.node(), est);
                 });
-                stream = stream.listener(trigger.clone());
-                trigger
+                trigger.attach_metrics(self.engine.metrics_hub());
+                let stream = stream.listener(trigger.clone());
+                Session::Adaptive(Box::new(Adaptive::over(stream, trigger)))
             }
-            None => TriggerEngine::new(0.5),
+            None => Session::Plain(stream),
         };
-        trigger.attach_metrics(self.engine.metrics_hub());
-        let session = Adaptive::over(stream, trigger);
         let cost_ns = self.shared.estimated_cost(skel.node()).map(|c| c.0);
         self.tenants.insert(
             id,
             Tenant {
                 session,
                 backlog: VecDeque::new(),
-                ready: VecDeque::new(),
-                adaptive,
+                ready: 0,
                 submitted: 0,
                 completed: 0,
                 rejected: 0,
                 published: 0,
                 cost_ns,
+                unstamped: 0,
                 fed_at: VecDeque::new(),
                 sojourn: HistogramSnapshot::new(),
             },
@@ -330,7 +375,7 @@ where
         t.harvest(&self.metrics, &*self.clock);
         if t.backlog.is_empty() && t.room(&policy, depth) > 0 {
             t.stamp_fed(1, &self.metrics, &*self.clock);
-            t.session.feed(input);
+            for_both!(&mut t.session, s => s.feed(input));
             t.submitted += 1;
             self.metrics.note_submitted(1);
             Admission::Submitted
@@ -464,7 +509,10 @@ where
             return Vec::new();
         };
         t.harvest(&self.metrics, &*self.clock);
-        t.ready.drain(..).collect()
+        let ready = std::mem::take(&mut t.ready);
+        (0..ready)
+            .map_while(|_| for_both!(&mut t.session, s => s.next_result()))
+            .collect()
     }
 
     /// The tenant's next result in submission order, blocking until it
@@ -474,12 +522,13 @@ where
     /// [`quiesce`](ServeRegistry::quiesce)) to dispatch them first.
     pub fn next_result(&mut self, tenant: TenantId) -> Option<Result<R, EngineError>> {
         let t = self.tenants.get_mut(&tenant.0)?;
-        if let Some(r) = t.ready.pop_front() {
-            return Some(r);
+        let r = for_both!(&mut t.session, s => s.next_result())?;
+        if t.ready > 0 {
+            t.ready -= 1;
+        } else {
+            t.completed += 1;
+            t.note_sojourns(1, &self.metrics, &*self.clock);
         }
-        let r = t.session.next_result()?;
-        t.completed += 1;
-        t.note_sojourns(1, &self.metrics, &*self.clock);
         Some(r)
     }
 
@@ -495,19 +544,21 @@ where
         // session's own batched path still bounds pool transactions).
         let backlog: Vec<P> = t.backlog.drain(..).collect();
         t.dispatch(backlog, &self.metrics, &*self.clock);
-        let drained: Vec<_> = std::iter::from_fn(|| t.session.next_result()).collect();
-        t.note_sojourns(drained.len(), &self.metrics, &*self.clock);
-        t.ready.extend(drained);
-        Some(t.ready.into())
+        let out: Vec<_> =
+            std::iter::from_fn(|| for_both!(&mut t.session, s => s.next_result())).collect();
+        t.note_sojourns(out.len() - t.ready, &self.metrics, &*self.clock);
+        Some(out)
     }
 
     /// Whether a drain cycle owes nothing: no tenant holds backlogged or
     /// in-flight items, or history the shared pool has not absorbed. A
     /// shard driver sleeps untimed only while this holds.
     pub fn settled(&self) -> bool {
-        self.tenants
-            .values()
-            .all(|t| t.backlog.is_empty() && t.session.in_flight() == 0 && !t.unpublished())
+        self.tenants.values().all(|t| {
+            t.backlog.is_empty()
+                && for_both!(&t.session, s => s.in_flight()) == 0
+                && !t.unpublished()
+        })
     }
 
     /// Whether `tenant` holds history only a drain cycle will publish.
@@ -537,9 +588,12 @@ where
             completed: t.completed,
             rejected: t.rejected,
             backlog: t.backlog.len(),
-            in_flight: t.session.in_flight(),
-            ready: t.ready.len(),
-            version: t.session.version(),
+            in_flight: for_both!(&t.session, s => s.in_flight()),
+            ready: t.ready,
+            version: match &t.session {
+                Session::Plain(_) => 0,
+                Session::Adaptive(a) => a.version(),
+            },
             est_cost_ns: t.cost_ns,
         })
     }
@@ -569,8 +623,9 @@ where
         &self.policy
     }
 
-    /// The tenant's sojourn histogram (submit → harvest, recorded while
-    /// the metrics hub was enabled); `None` for an unknown tenant.
+    /// The tenant's sojourn histogram (submit → harvest, of the items
+    /// handed to its session while the metrics hub was enabled); `None`
+    /// for an unknown tenant.
     pub fn tenant_sojourn(&self, tenant: TenantId) -> Option<&HistogramSnapshot> {
         self.tenants.get(&tenant.0).map(|t| &t.sojourn)
     }

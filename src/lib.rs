@@ -17,7 +17,7 @@
 //! | autonomic layer | [`core`] | EWMA estimators, event state machines, Activity Dependency Graphs, best-effort/limited-LP strategies, and the WCT/LP controller |
 //! | self-configuration | [`adapt`] | structural rewrite rules (promotion, fallback-swap, width/grain retuning, cost guard) arbitrated across concerns and applied at stream safe points, with `Reconfigured` events and a decision log |
 //! | simulated clusters | [`dist`] | local and remote nodes as a simulator worker model, node provisioning, the `Offload` rule and the adaptive session over the simulator |
-//! | serving | [`serve`] | multi-tenant session registry over one shared pool: admission control, batched ingestion, and a multiplexed autonomic loop with structure-keyed estimator sharing |
+//! | serving | [`serve`] | multi-tenant session registry over one shared pool: admission control, batched ingestion, per-tenant autonomic loops for adaptive tenants and bare stream sessions for plain ones, with structure-keyed estimator sharing |
 //! | observability | [`obs`] | one metrics hub across the stack: counters, gauges, log-bucketed histograms, Prometheus/JSON exporters, and a `chrome://tracing` timeline writer |
 //! | workloads | [`workloads`] | synthetic tweet corpus, word count, numeric kernels |
 //!

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use askel_adapt::TriggerEngine;
 use askel_core::{predictive_wct, EstimatorTable};
 use askel_engine::Engine;
-use askel_serve::{Admission, AdmissionPolicy, ServeRegistry};
+use askel_serve::{Admission, AdmissionPolicy, RejectReason, ServeRegistry, TenantId};
 use askel_skeletons::{map, pipe, seq, MuscleRole, Skel, TimeNs};
 
 /// The shared tenant program: square every element in parallel, sum.
@@ -199,20 +199,77 @@ proptest! {
     }
 }
 
-/// One op in an interleaved schedule: which tenant, and the items it
-/// feeds (1 item = `feed`, several = `feed_batch`).
+/// One op in an interleaved schedule over three tenant slots.
 #[derive(Clone, Debug)]
-struct Op {
-    tenant: usize,
-    items: Vec<Vec<i64>>,
+enum Op {
+    /// Feeds the slot's tenant (1 item = `feed`, several = `feed_batch`).
+    Feed(usize, Vec<Vec<i64>>),
+    /// `take_ready`, checked against the `stats` read just before it.
+    Take(usize),
+    /// One blocking `next_result`.
+    Next(usize),
+    /// A `stats` read, checked against what was fed and handed out.
+    Stats(usize),
+    /// `detach`, then a fresh tenant of the same kind in the slot.
+    Detach(usize),
+    /// Drain cycles until settled: every backlog is dispatched.
+    Quiesce,
+    /// Enables or disables the metrics hub.
+    Hub(bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (
-        0usize..3,
-        proptest::collection::vec(proptest::collection::vec(-50i64..50, 1..4), 1..4),
-    )
-        .prop_map(|(tenant, items)| Op { tenant, items })
+    let items = proptest::collection::vec(proptest::collection::vec(-50i64..50, 1..4), 1..4);
+    prop_oneof![
+        6 => (0usize..3, items).prop_map(|(slot, items)| Op::Feed(slot, items)),
+        2 => (0usize..3).prop_map(Op::Take),
+        2 => (0usize..3).prop_map(Op::Next),
+        1 => (0usize..3).prop_map(Op::Stats),
+        1 => (0usize..3).prop_map(Op::Detach),
+        1 => Just(Op::Quiesce),
+        1 => any::<bool>().prop_map(Op::Hub),
+    ]
+}
+
+/// The schedule's model of one slot's current tenant.
+struct Slot {
+    id: TenantId,
+    /// Admitted items (submitted or queued), in feed order.
+    fed: Vec<Vec<i64>>,
+    /// Results handed out so far, in the order they came.
+    got: Vec<i64>,
+    /// Items queued in the tenant's backlog and not yet dispatched.
+    queued: usize,
+    /// Items handed to the session while the hub was on.
+    stamped: u64,
+}
+
+impl Slot {
+    fn new(id: TenantId) -> Self {
+        Slot {
+            id,
+            fed: Vec::new(),
+            got: Vec::new(),
+            queued: 0,
+            stamped: 0,
+        }
+    }
+
+    fn hand_out(&mut self, results: Vec<Result<i64, askel_engine::EngineError>>) {
+        self.got.extend(
+            results
+                .into_iter()
+                .map(|r| r.expect("no failures in this workload")),
+        );
+    }
+
+    /// A quiesce or a detach dispatches the whole backlog at once.
+    fn dispatch_backlog(&mut self, hub_on: bool) {
+        if hub_on {
+            self.stamped += self.queued as u64;
+        }
+        self.queued = 0;
+    }
 }
 
 proptest! {
@@ -223,41 +280,114 @@ proptest! {
 
     #[test]
     fn interleaved_tenants_match_their_sequential_references(
-        ops in proptest::collection::vec(op_strategy(), 1..24),
+        ops in proptest::collection::vec(op_strategy(), 1..32),
         quota in 1usize..6,
+        adaptive in proptest::collection::vec(any::<bool>(), 3),
     ) {
         let engine = Engine::new(2);
         let policy = AdmissionPolicy::default().max_in_flight(quota);
         let mut registry: ServeRegistry<Vec<i64>, i64> =
             ServeRegistry::new(&engine).with_policy(policy);
         let programs = [fan(), chain(), fan()];
-        let tenants: Vec<_> = programs.iter().map(|p| registry.register(p)).collect();
-
-        // Interleave feeds across tenants; record each tenant's schedule.
-        let mut fed: Vec<Vec<Vec<i64>>> = vec![Vec::new(); tenants.len()];
-        for op in &ops {
-            fed[op.tenant].extend(op.items.iter().cloned());
-            if op.items.len() == 1 {
-                registry.feed(tenants[op.tenant], op.items[0].clone());
+        let register = |registry: &mut ServeRegistry<Vec<i64>, i64>, i: usize| {
+            if adaptive[i] {
+                registry.register_adaptive(&programs[i], TriggerEngine::new(0.5))
             } else {
-                registry.feed_batch(tenants[op.tenant], op.items.clone());
+                registry.register(&programs[i])
+            }
+        };
+        let reference = |i: usize, fed: &[Vec<i64>]| -> Vec<i64> {
+            fed.iter().map(|item| programs[i].apply(item.clone())).collect()
+        };
+        let mut slots: Vec<Slot> = (0..3).map(|i| Slot::new(register(&mut registry, i))).collect();
+        let mut hub_on = false;
+
+        // Interleave every op across tenants; record each one's schedule.
+        for op in &ops {
+            match op {
+                Op::Feed(i, items) => {
+                    let s = &mut slots[*i];
+                    let (submitted, queued) = if items.len() == 1 {
+                        match registry.feed(s.id, items[0].clone()) {
+                            Admission::Submitted => (1, 0),
+                            Admission::Queued => (0, 1),
+                            Admission::Rejected(_) => (0, 0),
+                        }
+                    } else {
+                        let out = registry.feed_batch(s.id, items.clone());
+                        (out.submitted, out.queued)
+                    };
+                    s.fed.extend(items[..submitted + queued].iter().cloned());
+                    s.queued += queued;
+                    if hub_on {
+                        s.stamped += submitted as u64;
+                    }
+                }
+                Op::Take(i) => {
+                    let s = &mut slots[*i];
+                    let stats = registry.stats(s.id).unwrap();
+                    let got = registry.take_ready(s.id);
+                    // Only what was in flight can finish in between.
+                    prop_assert!(stats.ready <= got.len());
+                    prop_assert!(got.len() <= stats.ready + stats.in_flight);
+                    if stats.in_flight == 0 {
+                        prop_assert_eq!(stats.ready, got.len());
+                    }
+                    s.hand_out(got);
+                }
+                Op::Next(i) => {
+                    let s = &mut slots[*i];
+                    match registry.next_result(s.id) {
+                        Some(r) => s.hand_out(vec![r]),
+                        None => {
+                            let stats = registry.stats(s.id).unwrap();
+                            prop_assert_eq!((stats.in_flight, stats.ready), (0, 0));
+                        }
+                    }
+                }
+                Op::Stats(i) => {
+                    let s = &slots[*i];
+                    let stats = registry.stats(s.id).unwrap();
+                    prop_assert_eq!(stats.completed, (s.got.len() + stats.ready) as u64);
+                    prop_assert_eq!(stats.submitted as usize + stats.backlog, s.fed.len());
+                    prop_assert_eq!(stats.backlog, s.queued);
+                    prop_assert_eq!(stats.version, 0, "no rule can fire");
+                }
+                Op::Detach(i) => {
+                    let s = &mut slots[*i];
+                    let rest = registry.detach(s.id).expect("registered");
+                    s.hand_out(rest);
+                    prop_assert_eq!(&s.got, &reference(*i, &s.fed), "tenant {} diverged", s.id);
+                    prop_assert_eq!(
+                        registry.feed(s.id, vec![1]),
+                        Admission::Rejected(RejectReason::UnknownTenant)
+                    );
+                    *s = Slot::new(register(&mut registry, *i));
+                }
+                Op::Quiesce => {
+                    registry.quiesce();
+                    slots.iter_mut().for_each(|s| s.dispatch_backlog(hub_on));
+                }
+                Op::Hub(on) => {
+                    engine.metrics_hub().set_enabled(*on);
+                    hub_on = *on;
+                }
             }
         }
         registry.quiesce();
+        slots.iter_mut().for_each(|s| s.dispatch_backlog(hub_on));
 
         // Every tenant's results equal its own sequential reference, in
-        // its own feed order — no cross-tenant bleed, no reordering.
-        for (i, &t) in tenants.iter().enumerate() {
-            let got: Vec<i64> = registry
-                .take_ready(t)
-                .into_iter()
-                .map(|r| r.expect("no failures in this workload"))
-                .collect();
-            let expected: Vec<i64> = fed[i]
-                .iter()
-                .map(|item| programs[i].apply(item.clone()))
-                .collect();
-            prop_assert_eq!(got, expected, "tenant {} diverged", t);
+        // its own feed order, each exactly once — no cross-tenant bleed,
+        // no reordering — and every stamped item left one sojourn.
+        for (i, s) in slots.iter_mut().enumerate() {
+            let stats = registry.stats(s.id).unwrap();
+            let got = registry.take_ready(s.id);
+            prop_assert_eq!(stats.ready, got.len());
+            s.hand_out(got);
+            prop_assert_eq!(stats.completed, s.got.len() as u64);
+            prop_assert_eq!(&s.got, &reference(i, &s.fed), "tenant {} diverged", s.id);
+            prop_assert_eq!(registry.tenant_sojourn(s.id).unwrap().count(), s.stamped);
         }
         engine.shutdown();
     }
