@@ -8,11 +8,10 @@
 //! skeleton?"* — closing the loop the paper's two autonomic properties
 //! share one analysis for.
 //!
-//! Rules opt in via [`Promote::forecast_gated`](crate::Promote::forecast_gated)
-//! / [`RetuneWidth::forecast_gated`](crate::RetuneWidth::forecast_gated):
-//! the rule then fires only when the forecast under the rewritten
-//! structure beats the forecast under the current one by a configurable
-//! margin. Every forecast-gated firing carries a [`Forecast`] into the
+//! Rules opt in via [`Governed::forecast_gated`](crate::Governed::forecast_gated):
+//! the rule then fires only when its forecast under the rewritten
+//! structure ([`Rule::forecast`](crate::Rule::forecast)) beats the
+//! forecast under the current one by a configurable margin. Every forecast-gated firing carries a [`Forecast`] into the
 //! decision log; the [`TriggerEngine`](crate::TriggerEngine) later fills
 //! in the *realized* WCT of the first item completing under the new
 //! version, so prediction accuracy is auditable — symmetric to the

@@ -24,16 +24,17 @@
 //!   trigger does).
 //! * **Plan** — [`Rule`]s ([`Promote`], [`FallbackSwap`], [`RetuneWidth`],
 //!   [`RetuneGrain`], [`CostGuard`]) evaluated once per safe point, each
-//!   yielding at most one [`RewriteAction`]. Rules can be coupled to the
-//!   WCT controller's prediction machinery ([`crate::forecast`]:
-//!   `Promote::forecast_gated` / `RetuneWidth::forecast_gated` fire only
-//!   on a forecast WCT improvement, audited predicted-vs-realized in the
-//!   decision log), damped against oscillating load ([`Hysteresis`]), and
-//!   held to a budget ([`CostGuard`] opposes spend past what a
-//!   [`NodeHoursMeter`] has charged). Every rule carries a [`Concern`]
-//!   and a priority. The trait is open: `askel-dist` adds the
-//!   cluster-aware `Offload`, which re-places a subtree onto an
-//!   underloaded node.
+//!   proposing at most one [`RewriteAction`]. What every rule shares is
+//!   decided once, by the [`Governed`] wrapper each constructor returns:
+//!   name, [`Concern`] and priority, triggers, cooldown, fire-once
+//!   retirement, damping against oscillating load ([`Hysteresis`]) and
+//!   the coupling to the WCT controller's prediction machinery
+//!   ([`crate::forecast`]: `forecast_gated` fires only on a forecast WCT
+//!   improvement, audited predicted-vs-realized in the decision log).
+//!   [`CostGuard`] holds spend to a budget (it opposes growth past what a
+//!   [`NodeHoursMeter`] has charged). The trait is open: `askel-dist`
+//!   adds the cluster-aware `Offload`, which re-places a subtree onto an
+//!   underloaded node, and `ProvisioningPolicy`.
 //! * **Execute** — [`TriggerEngine::safe_point`], the same engine again,
 //!   over the tree the stream runs next: it first **arbitrates** the
 //!   safe point's collected fires ([`crate::arbitration`]: conflicting
@@ -84,8 +85,8 @@ pub mod trigger;
 pub use arbitration::{arbitrate, ArbitrationOutcome, ConflictPolicy, Suppressed};
 pub use forecast::Forecast;
 pub use rules::{
-    Concern, CostGuard, ErrorStats, FallbackSwap, Hysteresis, Knob, NodeHoursMeter, Promote,
-    RetuneGrain, RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
+    Concern, CostGuard, ErrorStats, FallbackSwap, Governed, Hysteresis, Knob, NodeHoursMeter,
+    Promote, RetuneGrain, RetuneWidth, RewriteAction, Rule, RuleCtx, RuleFire, Trigger,
 };
 pub use session::{Adaptive, AdaptiveSession};
 pub use trigger::{

@@ -494,14 +494,14 @@ mod tests {
         // audit record and re-arm, never panic.
         struct PlaceBogus {
             target: NodeId,
-            fired: std::sync::atomic::AtomicBool,
+            fired: bool,
         }
         impl crate::rules::Rule for PlaceBogus {
-            fn name(&self) -> &str {
-                "place-bogus"
-            }
-            fn evaluate(&self, _ctx: &crate::rules::RuleCtx<'_>) -> Option<crate::rules::RuleFire> {
-                if self.fired.swap(true, Ordering::Relaxed) {
+            fn evaluate(
+                &mut self,
+                _ctx: &crate::rules::RuleCtx<'_>,
+            ) -> Option<crate::rules::RuleFire> {
+                if std::mem::replace(&mut self.fired, true) {
                     return None;
                 }
                 Some(crate::rules::RuleFire::new(
@@ -517,10 +517,15 @@ mod tests {
         let program = doubler();
         let elsewhere = doubler(); // a distinct tree: its id never occurs in `program`
         let trigger = TriggerEngine::new(1.0);
-        trigger.add_rule(PlaceBogus {
+        let bogus = PlaceBogus {
             target: elsewhere.id(),
-            fired: std::sync::atomic::AtomicBool::new(false),
-        });
+            fired: false,
+        };
+        trigger.add_rule(crate::Governed::new(
+            "place-bogus",
+            crate::Concern::Performance,
+            bogus,
+        ));
         let mut stream = AdaptiveSession::new(&engine, &program, trigger.clone());
         let mut got = Vec::new();
         for x in 0..3 {

@@ -32,7 +32,7 @@ use askel_skeletons::{Node, NodeId, Skel, TimeNs};
 use crate::arbitration::{arbitrate, ConflictPolicy};
 use crate::forecast::Forecast;
 use crate::metrics::AdaptMetrics;
-use crate::rules::{Concern, ErrorStats, RewriteAction, Rule, RuleCtx};
+use crate::rules::{Concern, ErrorStats, Governed, RewriteAction, Rule, RuleCtx};
 
 /// One audited structural rewrite — the self-configuration counterpart of
 /// `askel_core::AnalysisRecord`.
@@ -91,9 +91,9 @@ pub struct PlannedRewrite {
 struct TrigInner {
     errors: ErrorStats,
     input_size: Ewma,
-    rules: Vec<Box<dyn Rule>>,
-    /// Parallel to `rules`: `true` once a once-rule has fired.
-    retired: Vec<bool>,
+    /// Evaluated and notified under this struct's lock, so a rule needs
+    /// no lock of its own.
+    rules: Vec<Box<Governed<dyn Rule>>>,
     /// The last [`DECISION_LOG_CAPACITY`] records, oldest first.
     log: VecDeque<AdaptRecord>,
     safe_points: usize,
@@ -137,7 +137,6 @@ impl TriggerEngine {
                 errors: ErrorStats::default(),
                 input_size: Ewma::new(rho.clamp(0.0, 1.0)),
                 rules: Vec::new(),
-                retired: Vec::new(),
                 log: VecDeque::new(),
                 safe_points: 0,
                 evaluations: 0,
@@ -179,21 +178,14 @@ impl TriggerEngine {
         self.inner.lock().metrics = Some(AdaptMetrics::register(hub));
     }
 
-    /// Registers a rule. At each safe point every live rule is evaluated
-    /// and the resulting fires are **arbitrated** (see
-    /// [`crate::arbitration`]) before any are applied — which rule wins a
-    /// conflict is decided by priority, concern and the configured
+    /// Registers a rule under its governance. At each safe point every
+    /// live rule is evaluated and the resulting fires are **arbitrated**
+    /// (see [`crate::arbitration`]) before any are applied — which rule
+    /// wins a conflict is decided by priority, concern and the configured
     /// [`ConflictPolicy`], never by the order the rules were registered
     /// in.
-    pub fn add_rule(&self, rule: impl Rule + 'static) {
-        let mut inner = self.inner.lock();
-        inner.rules.push(Box::new(rule));
-        inner.retired.push(false);
-    }
-
-    /// Number of registered rules (retired once-rules included).
-    pub fn rules(&self) -> usize {
-        self.inner.lock().rules.len()
+    pub fn add_rule<R: Rule + 'static>(&self, rule: Governed<R>) {
+        self.inner.lock().rules.push(Box::new(rule));
     }
 
     /// Records one stream item's outcome (the adaptive session calls this
@@ -222,19 +214,18 @@ impl TriggerEngine {
         self.inner.lock().errors
     }
 
-    /// Evaluates every live rule once against the current statistics and
-    /// returns the rewrites that fired (at most one per rule); counts as
-    /// a safe point. Once-rules that fire are retired.
-    /// [`safe_point`](TriggerEngine::safe_point) plans this way, then
-    /// arbitrates and applies.
-    pub fn plan(&self, root: &Arc<Node>, version: u64, lp: usize) -> Vec<PlannedRewrite> {
+    /// Evaluates every live rule once, under its governance, against the
+    /// current statistics and returns the rewrites that fired (at most
+    /// one per rule); counts as a safe point. Once-rules that fire are
+    /// retired. [`safe_point`](TriggerEngine::safe_point) plans this way,
+    /// then arbitrates and applies.
+    pub fn plan(&self, root: &Arc<Node>, lp: usize) -> Vec<PlannedRewrite> {
         self.current(|tracker, inner| {
             inner.safe_points += 1;
             let TrigInner {
                 errors,
                 input_size,
                 rules,
-                retired,
                 evaluations,
                 safe_points,
                 metrics,
@@ -245,31 +236,27 @@ impl TriggerEngine {
                 errors,
                 input_size: input_size.value(),
                 root,
-                version,
                 lp,
                 safe_point: *safe_points,
             };
             let mut plans = Vec::new();
-            for (index, (rule, retired)) in rules.iter().zip(retired.iter_mut()).enumerate() {
-                if *retired {
+            for (index, rule) in rules.iter_mut().enumerate() {
+                if rule.retired {
                     continue;
                 }
                 *evaluations += 1;
-                if let Some(fire) = rule.evaluate(&ctx) {
-                    if rule.once() {
-                        *retired = true;
-                    }
+                if let Some((fire, forecast)) = rule.evaluate(&ctx) {
                     if let Some(m) = metrics.as_mut() {
-                        m.note_fire(rule.name());
+                        m.note_fire(&rule.name);
                     }
                     plans.push(PlannedRewrite {
-                        rule: rule.name().to_string(),
+                        rule: rule.name.clone(),
                         rule_index: index,
                         action: fire.action,
                         why: fire.why,
-                        forecast: fire.forecast,
-                        concern: rule.concern(),
-                        priority: rule.priority(),
+                        forecast,
+                        concern: rule.concern,
+                        priority: rule.priority,
                         veto: fire.veto,
                     });
                 }
@@ -317,7 +304,7 @@ impl TriggerEngine {
         P: Send + 'static,
         R: Send + 'static,
     {
-        let plans = self.plan(skel.node(), *version, lp);
+        let plans = self.plan(skel.node(), lp);
         let outcome = arbitrate(plans, policy, skel.node());
         for veto in &outcome.idle_vetoes {
             self.rearm(veto.rule_index);
@@ -417,9 +404,8 @@ impl TriggerEngine {
     /// target — so the rule gets another chance instead of being
     /// silently lost.
     fn rearm(&self, index: usize) {
-        let mut inner = self.inner.lock();
-        if let Some(retired) = inner.retired.get_mut(index) {
-            *retired = false;
+        if let Some(rule) = self.inner.lock().rules.get_mut(index) {
+            rule.retired = false;
         }
     }
 
@@ -441,9 +427,8 @@ impl TriggerEngine {
     /// how e.g. `askel_dist::Offload` follows its subtree through
     /// a fallback swap and re-arms.
     fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
-        let inner = self.inner.lock();
-        for rule in &inner.rules {
-            rule.on_replaced(target, replacement);
+        for rule in &mut self.inner.lock().rules {
+            rule.rule.on_replaced(target, replacement);
         }
     }
 
@@ -584,11 +569,11 @@ mod tests {
         t.add_rule(FallbackSwap::new(&target, &fallback, 1));
         t.record_outcome(false);
         let root = Arc::clone(target.node());
-        let first = t.plan(&root, 0, 1);
+        let first = t.plan(&root, 1);
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].rule, "fallback-swap");
         // The streak still holds, but the once-rule is retired.
-        let second = t.plan(&root, 1, 1);
+        let second = t.plan(&root, 1);
         assert!(second.is_empty());
         assert_eq!(t.safe_points(), 2);
         assert_eq!(t.evaluations(), 1, "retired rules are not re-evaluated");
@@ -602,10 +587,10 @@ mod tests {
         t.add_rule(Promote::new(&target, &replacement).when(Trigger::InputSizeAtLeast(100.0)));
         let root = Arc::clone(target.node());
         t.observe_input_size(10);
-        assert!(t.plan(&root, 0, 1).is_empty());
+        assert!(t.plan(&root, 1).is_empty());
         t.observe_input_size(1000);
         // EWMA(10, 1000) at ρ=0.5 is 505 ≥ 100.
-        assert_eq!(t.plan(&root, 0, 1).len(), 1);
+        assert_eq!(t.plan(&root, 1).len(), 1);
     }
 
     #[test]
@@ -615,8 +600,54 @@ mod tests {
         t.add_rule(RetuneWidth::new(Knob::new("w", 1), 4));
         t.record_outcome(false);
         let root = Arc::clone(target.node());
-        let plans = t.plan(&root, 0, 2);
+        let plans = t.plan(&root, 2);
         assert_eq!(plans.len(), 1, "one rule, at most one plan");
+    }
+
+    /// Governance records a fire before arbitration: a width grow the
+    /// cost guard's veto suppresses still starts the hysteresis window,
+    /// so the shrink after it waits out the cooldown.
+    #[test]
+    fn a_suppressed_grow_still_blocks_a_shrink_inside_the_cooldown() {
+        use crate::rules::{CostGuard, Hysteresis, NodeHoursMeter};
+        let width = Knob::new("width", 2);
+        let t = TriggerEngine::new(0.5);
+        let damped = RetuneWidth::new(width.clone(), 1).hysteresis(Hysteresis::new(4, 0.0));
+        t.add_rule(damped);
+        // Spent from the start, and already at its economy value: it vetoes.
+        t.add_rule(CostGuard::knob(
+            NodeHoursMeter::new(),
+            TimeNs::ZERO,
+            width.clone(),
+            2,
+        ));
+        let skel = seq(|x: i64| x);
+        let registry = ListenerRegistry::new();
+        let mut version = 0;
+        let policy = ConflictPolicy::default();
+        // Safe point 1, LP 4: the grow 2 -> 4 fires and is suppressed.
+        assert!(t
+            .safe_point(&skel, &mut version, &policy, &registry, TimeNs::ZERO, 4)
+            .is_none());
+        assert_eq!((width.get(), version), (2, 0));
+        let log = t.decision_log();
+        assert_eq!(log.len(), 1);
+        assert!(
+            log[0].action.starts_with("suppressed by `cost-guard`"),
+            "{}",
+            log[0].action
+        );
+        // Safe points 2-4, LP 1: the shrink 2 -> 1 reverses the suppressed
+        // grow inside its cooldown, so the width rule stays quiet ...
+        let width_fires = || {
+            let plans = t.plan(skel.node(), 1);
+            plans.iter().filter(|p| p.rule == "width-retune").count()
+        };
+        for _ in 2..=4 {
+            assert_eq!(width_fires(), 0);
+        }
+        // ... until safe point 5, 4 after the grow.
+        assert_eq!(width_fires(), 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn rule_fires_are_counted_per_rule_when_enabled() {
     t.add_rule(FallbackSwap::new(&target, &fallback, 1));
     t.record_outcome(false);
     let root = Arc::clone(target.node());
-    assert_eq!(t.plan(&root, 0, 1).len(), 1);
+    assert_eq!(t.plan(&root, 1).len(), 1);
     let snap = hub.snapshot();
     assert_eq!(snap.counter("adapt_rule_fires_total"), Some(1));
     assert_eq!(
@@ -84,7 +84,7 @@ fn disabled_hub_counts_nothing() {
     t.add_rule(FallbackSwap::new(&target, &target, 1));
     t.record_outcome(false);
     let root = Arc::clone(target.node());
-    assert_eq!(t.plan(&root, 0, 1).len(), 1);
+    assert_eq!(t.plan(&root, 1).len(), 1);
     assert_eq!(hub.snapshot().counter("adapt_rule_fires_total"), Some(0));
 }
 

@@ -282,7 +282,6 @@ proptest! {
         let mut inst = 0u64;
         let mut now = TimeNs::ZERO;
         let mut fired_per_rule = std::collections::HashMap::<String, usize>::new();
-        let mut version = 0u64;
         for (observations, do_safe_point) in script {
             for obs in observations {
                 match obs {
@@ -298,7 +297,7 @@ proptest! {
                 }
             }
             if do_safe_point {
-                let plans = trigger.plan(&root, version, 2);
+                let plans = trigger.plan(&root, 2);
                 let mut this_point = std::collections::HashMap::<String, usize>::new();
                 for p in &plans {
                     *this_point.entry(p.rule.clone()).or_insert(0) += 1;
@@ -307,7 +306,6 @@ proptest! {
                 for (rule, n) in &this_point {
                     prop_assert_eq!(*n, 1usize, "rule {} fired {} times in one safe point", rule, n);
                 }
-                version += plans.len() as u64;
             }
         }
         // Both are once-rules: across the whole interleaving each fires at most once.
@@ -341,7 +339,7 @@ proptest! {
         let mut fires: Vec<(usize, usize, usize)> = Vec::new();
         for (i, ms) in durations_ms.iter().enumerate() {
             trigger.knowledge().with_estimates(|est| est.init_duration(leaf, TimeNs::from_millis(*ms)));
-            for plan in trigger.plan(&root, 0, 2) {
+            for plan in trigger.plan(&root, 2) {
                 let RewriteAction::SetKnob { knob, value } = plan.action else {
                     panic!("a grain rule only sets knobs");
                 };

@@ -1,7 +1,7 @@
 //! Cluster-aware rule costs: what does a safe point pay for the new
 //! decision machinery when **nothing fires**?
 //!
-//! Three measurements, all per `TriggerEngine::plan` call (the per-item
+//! Four measurements, all per `TriggerEngine::plan` call (the per-item
 //! safe-point cost an `AdaptiveSession` adds):
 //!
 //! * `offload_eval_no_fire` — one armed [`Offload`] rule over a balanced
@@ -15,9 +15,12 @@
 //!   whose gate is open for evaluation but whose margin never passes:
 //!   this one *prices the predictive ADG* (two `predictive_wct` calls
 //!   per safe point) and is the figure to watch before arming forecast
-//!   gates on hot streams.
+//!   gates on hot streams;
+//! * `width_forecast_gate_eval_no_fire` — the same gate on a
+//!   [`RetuneWidth`] with its constant-work model: two estimator-table
+//!   clones on top of the two forecasts.
 //!
-//! The ladder benchmark has no rung for these three; the end-to-end
+//! The ladder benchmark has no rung for these four; the end-to-end
 //! no-fire cost of a session with the classic rules armed is its
 //! `adapt.session_delta_ns`.
 
@@ -25,7 +28,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use askel_adapt::{Hysteresis, Knob, Promote, RetuneGrain, Trigger, TriggerEngine};
+use askel_adapt::{Hysteresis, Knob, Promote, RetuneGrain, RetuneWidth, Trigger, TriggerEngine};
 use askel_dist::{Cluster, NodeSpec, Offload};
 use askel_sim::workers::WorkerModel;
 use askel_skeletons::{map, seq, MuscleId, MuscleRole, Skel, TimeNs};
@@ -50,11 +53,11 @@ fn bench_offload_decision(c: &mut Criterion) {
         let telemetry = cluster.telemetry();
         let program = fan_program();
         let trigger = TriggerEngine::new(0.5);
-        trigger.add_rule(Offload::new(&program, "hub", telemetry).water_marks(0.75, 0.25));
+        trigger.add_rule(Offload::new(&program, "hub", telemetry, 0.75, 0.25));
         let root = Arc::clone(program.node());
         c.bench_function("offload_eval_no_fire", |b| {
             b.iter(|| {
-                let plans = trigger.plan(&root, 0, 2);
+                let plans = trigger.plan(&root, 2);
                 assert!(plans.is_empty(), "balanced cluster must not fire");
                 plans.len()
             })
@@ -76,7 +79,7 @@ fn bench_offload_decision(c: &mut Criterion) {
         let root = Arc::clone(program.node());
         c.bench_function("hysteresis_eval_no_fire", |b| {
             b.iter(|| {
-                let plans = trigger.plan(&root, 0, 2);
+                let plans = trigger.plan(&root, 2);
                 assert!(plans.is_empty(), "in-band estimate must not fire");
                 plans.len()
             })
@@ -109,8 +112,36 @@ fn bench_offload_decision(c: &mut Criterion) {
         let root = Arc::clone(current.node());
         c.bench_function("forecast_gate_eval_no_fire", |b| {
             b.iter(|| {
-                let plans = trigger.plan(&root, 0, 4);
+                let plans = trigger.plan(&root, 4);
                 assert!(plans.is_empty(), "identical trees must not pass the margin");
+                plans.len()
+            })
+        });
+    }
+
+    // Forecast-gated width retune: 32 → 4 chunks of the same total work
+    // at LP 4 forecasts no gain, so the margin rejects it every time.
+    {
+        let program = fan_program();
+        let split = MuscleId::new(program.id(), MuscleRole::Split);
+        let leaf = MuscleId::new(program.node().children()[0].id, MuscleRole::Execute);
+        let trigger = TriggerEngine::new(0.5);
+        trigger.knowledge().with_estimates(|est| {
+            for m in program.node().collect_muscles() {
+                est.init_duration(m.id, TimeNs::from_millis(1));
+            }
+            est.init_cardinality(split, 32.0);
+        });
+        trigger.add_rule(
+            RetuneWidth::new(Knob::new("width", 32), 1)
+                .constant_work(split, leaf)
+                .forecast_gated(0.5),
+        );
+        let root = Arc::clone(program.node());
+        c.bench_function("width_forecast_gate_eval_no_fire", |b| {
+            b.iter(|| {
+                let plans = trigger.plan(&root, 4);
+                assert!(plans.is_empty(), "constant work must not pass the margin");
                 plans.len()
             })
         });

@@ -101,8 +101,13 @@ fn run(ordering: OrderingPolicy, guard: Option<(ConflictPolicy, TimeNs)>) -> Ske
         .bounds(4, 256)
         .hysteresis(Hysteresis::new(COOLDOWN, 0.2)),
     );
-    trigger
-        .add_rule(Offload::new(&scenario.program, "hub", telemetry.clone()).water_marks(0.7, 0.2));
+    trigger.add_rule(Offload::new(
+        &scenario.program,
+        "hub",
+        telemetry.clone(),
+        0.7,
+        0.2,
+    ));
     trigger.add_rule(
         ProvisioningPolicy::new(telemetry.clone(), capacity.clone(), 0.8, 0.0).cooldown(3),
     );

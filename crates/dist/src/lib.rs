@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_adapt::{Concern, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
+use askel_adapt::{Concern, Governed, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
 use askel_sim::workers::WorkerModel;
 use askel_skeletons::TimeNs;
 
@@ -401,56 +401,34 @@ impl WorkerModel for Cluster {
     }
 }
 
-/// Dynamic node provisioning from per-node utilization, as a rule — the
-/// actuation half of the [`Offload`] story: the [`Offload`] rule moves a
-/// subtree's *placement* onto an underloaded node, this rule decides
-/// which nodes are *online* at all.
+/// Dynamic node provisioning from per-node utilization, as a rule: the
+/// [`Offload`] rule moves a subtree's *placement* onto an underloaded
+/// node, this rule decides which nodes are *online* at all.
 ///
 /// Capacity is prefix-based (slots come online in node order), so the
-/// policy adds and retires whole node blocks at the **tail** of the slot
-/// order: when the busiest enabled node's busy share crosses the
-/// high-water mark and a later node is still (partly) offline, that
-/// node's block is brought fully online; when the *last* enabled node's
-/// share sits under the low-water mark, its block is retired. The first
-/// node is never retired. A cooldown (in safe points) keeps oscillating
-/// load from flapping nodes on and off, exactly like the knob
-/// `Hysteresis` policy in `askel-adapt`.
+/// policy adds and retires whole node blocks at the **tail**: when the
+/// busiest enabled node's busy share crosses the high-water mark and a
+/// later node is still (partly) offline, that block is brought online;
+/// when the *last* enabled node's share sits under the low-water mark,
+/// its block is retired. The first node never is. Shares are **windowed
+/// to the last proposal** — the busy time accrued since — so a fresh,
+/// saturated node is not diluted by the lifetime it spent offline, and a
+/// retired node's stale history cannot mask a hot one.
 ///
-/// Shares are **windowed to the last fire**: the policy snapshots the
-/// per-node busy totals whenever it fires and judges each safe point on
-/// the busy time accrued *since* — a freshly added, saturated node is
-/// seen at its in-window share (not diluted by the lifetime it spent
-/// offline), and a long-retired node's stale history cannot mask a hot
-/// node below the high-water mark. (The [`Offload`] rule reads the raw
-/// cumulative shares.)
-///
-/// The policy is a [`Concern::Cost`] [`Rule`] named `provisioning`,
-/// evaluated at every stream safe point beside the tree rules. A
-/// decision is a [`RewriteAction::SetKnob`] on the `capacity` knob —
-/// typically `Knob::from_shared("capacity", lp.cell())` over the
-/// simulator's LP target (`SimLpControl::cell`) — so the one
-/// `TriggerEngine::safe_point` call arbitrates it against every other
-/// fire (a `CostGuard` on the same knob can hold the cluster dark),
-/// applies it, logs it in the one decision log and announces it as an
-/// `(After, Reconfigured)` event. A fire that arbitration suppresses
-/// still restarts the window and the cooldown, so the rule waits out its
-/// cooldown before asking again.
+/// A [`Concern::Cost`] [`Rule`] named `provisioning`: its decision is a
+/// [`RewriteAction::SetKnob`] on the `capacity` knob (typically
+/// `Knob::from_shared("capacity", lp.cell())`, the simulator's LP
+/// target), arbitrated, applied, logged and announced like every fire.
+/// A cooldown (`Governed::cooldown`) keeps oscillating load from
+/// flapping nodes; like every fire, a suppressed one still restarts the
+/// window and the cooldown (see `Governed`).
 pub struct ProvisioningPolicy {
     telemetry: ClusterTelemetry,
     capacity: Knob,
     high_water: f64,
     low_water: f64,
-    cooldown_points: usize,
-    window: Mutex<Window>,
-}
-
-/// Where the observation window starts: the last fire.
-#[derive(Default)]
-struct Window {
-    /// The safe point of the last fire.
-    fired_at: Option<usize>,
-    /// Per-node busy totals at the last fire (`None` until one).
-    busy: Option<Vec<TimeNs>>,
+    /// Per-node busy totals at the last proposal (`None` until one).
+    window: Option<Vec<TimeNs>>,
 }
 
 impl ProvisioningPolicy {
@@ -462,22 +440,16 @@ impl ProvisioningPolicy {
         capacity: Knob,
         high_water: f64,
         low_water: f64,
-    ) -> Self {
+    ) -> Governed<Self> {
         let high_water = high_water.clamp(0.0, 1.0);
-        ProvisioningPolicy {
+        let rule = ProvisioningPolicy {
             telemetry,
             capacity,
             high_water,
             low_water: low_water.clamp(0.0, high_water),
-            cooldown_points: 0,
-            window: Mutex::new(Window::default()),
-        }
-    }
-
-    /// Minimum safe points between two fires.
-    pub fn cooldown(mut self, points: usize) -> Self {
-        self.cooldown_points = points;
-        self
+            window: None,
+        };
+        Governed::new("provisioning", Concern::Cost, rule)
     }
 
     /// The capacity `shares` (windowed busy shares, in node order) call
@@ -533,51 +505,29 @@ impl ProvisioningPolicy {
 }
 
 impl Rule for ProvisioningPolicy {
-    fn name(&self) -> &str {
-        "provisioning"
-    }
-
-    fn concern(&self) -> Concern {
-        Concern::Cost
-    }
-
     /// Decides from the cluster's live busy shares whether to bring the
     /// next offline node online or retire the last online one.
     /// Deterministic: same telemetry, same decision.
-    fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
-        let mut window = self.window.lock();
-        if let Some(fired_at) = window.fired_at {
-            if ctx.safe_point.saturating_sub(fired_at) < self.cooldown_points {
-                return None;
-            }
-        }
-        // Window the shares to the busy time accrued since the last fire
-        // (before the first fire, since construction).
+    fn evaluate(&mut self, _ctx: &RuleCtx<'_>) -> Option<RuleFire> {
+        // The busy time accrued since the last proposal (before the
+        // first, since construction).
         let busy = self.telemetry.busy_per_node();
-        let delta: Vec<f64> = match &window.busy {
-            Some(start) => busy
-                .iter()
-                .zip(start)
-                .map(|(b, s)| b.saturating_sub(*s).as_secs_f64())
-                .collect(),
-            None => busy.iter().map(|b| b.as_secs_f64()).collect(),
-        };
+        let start = |i: usize| self.window.as_ref().map_or(TimeNs::ZERO, |w| w[i]);
+        let delta: Vec<f64> = (0..busy.len())
+            .map(|i| busy[i].saturating_sub(start(i)).as_secs_f64())
+            .collect();
         let total: f64 = delta.iter().sum();
         if total <= 0.0 {
             return None; // nothing observed in this window yet
         }
         let shares: Vec<f64> = delta.iter().map(|d| d / total).collect();
         let (capacity, why) = self.decide(&shares)?;
-        // Applied or suppressed, a fire starts a fresh window.
-        window.fired_at = Some(ctx.safe_point);
-        window.busy = Some(busy);
-        Some(RuleFire::new(
-            RewriteAction::SetKnob {
-                knob: self.capacity.clone(),
-                value: capacity,
-            },
-            why,
-        ))
+        self.window = Some(busy);
+        let action = RewriteAction::SetKnob {
+            knob: self.capacity.clone(),
+            value: capacity,
+        };
+        Some(RuleFire::new(action, why))
     }
 }
 
@@ -823,8 +773,58 @@ mod tests {
         assert_eq!(telemetry.busy_per_node()[1], TimeNs::ZERO);
     }
 
+    /// Every constructor's governance, before any setter: name, concern,
+    /// fire-once and priority 0.
+    #[test]
+    fn every_rule_constructor_starts_from_its_default_governance() {
+        use askel_adapt::{
+            CostGuard, FallbackSwap, NodeHoursMeter, Promote, RetuneGrain, RetuneWidth,
+        };
+        use askel_skeletons::{seq, MuscleId, MuscleRole};
+        let leaf = seq(|x: i64| x);
+        let knob = || Knob::new("k", 1);
+        let muscle = MuscleId::new(leaf.id(), MuscleRole::Execute);
+        let t = Cluster::new(vec![NodeSpec::local("edge", 1)]).telemetry();
+        let rows = [
+            (
+                format!("{:?}", Promote::new(&leaf, &leaf)),
+                "promote (performance, priority 0, once)",
+            ),
+            (
+                format!("{:?}", FallbackSwap::new(&leaf, &leaf, 2)),
+                "fallback-swap (reliability, priority 0, once)",
+            ),
+            (
+                format!("{:?}", RetuneWidth::new(knob(), 2)),
+                "width-retune (performance, priority 0)",
+            ),
+            (
+                format!("{:?}", RetuneGrain::new(knob(), muscle, TimeNs::ZERO)),
+                "grain-retune (performance, priority 0)",
+            ),
+            (
+                format!(
+                    "{:?}",
+                    CostGuard::knob(NodeHoursMeter::new(), TimeNs::ZERO, knob(), 1)
+                ),
+                "cost-guard (cost, priority 0)",
+            ),
+            (
+                format!("{:?}", Offload::new(&leaf, "edge", t.clone(), 0.7, 0.2)),
+                "offload (performance, priority 0)",
+            ),
+            (
+                format!("{:?}", ProvisioningPolicy::new(t, knob(), 0.8, 0.0)),
+                "provisioning (cost, priority 0)",
+            ),
+        ];
+        for (governance, expected) in rows {
+            assert_eq!(governance, expected);
+        }
+    }
+
     /// A trigger engine holding `policy` alone.
-    fn host(policy: ProvisioningPolicy) -> Arc<TriggerEngine> {
+    fn host(policy: Governed<ProvisioningPolicy>) -> Arc<TriggerEngine> {
         let trigger = TriggerEngine::new(0.5);
         trigger.add_rule(policy);
         trigger
@@ -834,7 +834,7 @@ mod tests {
     /// why (`None` = hold).
     fn review(trigger: &TriggerEngine) -> Option<(usize, String)> {
         let root = Arc::clone(askel_skeletons::seq(|x: i64| x).node());
-        let mut plans = trigger.plan(&root, 0, 1);
+        let mut plans = trigger.plan(&root, 1);
         assert!(plans.len() <= 1, "one rule, one fire");
         let plan = plans.pop()?;
         assert_eq!(
@@ -939,7 +939,7 @@ mod tests {
         version: u64,
     }
 
-    fn safe_points(policy: ProvisioningPolicy) -> SafePoints {
+    fn safe_points(policy: Governed<ProvisioningPolicy>) -> SafePoints {
         SafePoints {
             trigger: host(policy),
             skel: askel_skeletons::seq(|x: i64| x),

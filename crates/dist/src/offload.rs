@@ -5,43 +5,32 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use askel_adapt::{Adaptive, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine};
+use askel_adapt::{
+    Adaptive, Concern, Governed, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine,
+};
 use askel_sim::{SimEngine, SimStream};
 use askel_skeletons::{Node, NodeId, Skel};
 
 use crate::ClusterTelemetry;
 
-/// Moves a subtree's **placement** onto an underloaded worker node — the
-/// cluster-aware rule: when the busiest *other* node's share of the
-/// cluster's busy time crosses the high-water mark while the destination
-/// node sits at or under the low-water mark, the subtree (typically a
-/// map/d&C fan-out) is re-placed onto the destination
-/// ([`RewriteAction::Place`] → `Skel::placed_at`, a deep placement
-/// annotation flowing through `SimEngine::with_workers`). Placement
-/// never changes results (property-tested), and only the simulator
-/// honours it: the threaded engine runs a placed subtree anywhere.
+/// Moves a subtree's **placement** onto an underloaded worker node: when
+/// the busiest *other* node's share of the cluster's busy time crosses
+/// the high-water mark while the destination sits at or under the
+/// low-water mark, the subtree is re-placed onto the destination
+/// ([`RewriteAction::Place`] → `Skel::placed_at`). Placement never
+/// changes results (property-tested), and only the simulator honours it.
 ///
-/// The rule is **self-gating rather than once-firing**: while its
-/// subtree already sits on the destination it stays quiet, and when a
-/// later rewrite undoes the placement (e.g. a `FallbackSwap` replacing
-/// the placed subtree with an unplaced fallback) it re-arms
-/// automatically — the rule follows its subtree through applied
-/// replacements ([`Rule::on_replaced`] retargets it at the
-/// replacement), so an offload-back does not leave the cluster
-/// permanently unbalanced with a dead rule.
-///
-/// Reads the same [`ClusterTelemetry`] view that drives
-/// [`ProvisioningPolicy`](crate::ProvisioningPolicy), so offloading and
-/// node provisioning decide from one picture of the cluster. The
-/// destination need not be enabled yet: a placement naming an offline
-/// node falls back to running anywhere until provisioning brings the
-/// node online.
+/// **Self-gating rather than once-firing**: quiet while its subtree sits
+/// on the destination, and it follows that subtree through applied
+/// replacements ([`Rule::on_replaced`]), so a `FallbackSwap` that undoes
+/// the placement re-arms it instead of leaving a dead rule. It reads the
+/// same [`ClusterTelemetry`] as
+/// [`ProvisioningPolicy`](crate::ProvisioningPolicy); a destination not
+/// yet online runs the subtree anywhere until provisioning brings it up.
 pub struct Offload {
-    /// Interior-mutable: retargeted by [`Rule::on_replaced`] when an
-    /// applied rewrite replaces the watched subtree.
-    target: Mutex<NodeId>,
+    /// Retargeted by [`Rule::on_replaced`] when an applied rewrite
+    /// replaces the watched subtree.
+    target: NodeId,
     to_node: String,
     telemetry: ClusterTelemetry,
     high_water: f64,
@@ -50,54 +39,45 @@ pub struct Offload {
 
 impl Offload {
     /// An offload of the subtree `target` onto the cluster node
-    /// `to_node`, judged from `telemetry`'s busy shares, with default
-    /// water marks `high = 0.75`, `low = 0.25`.
+    /// `to_node`, judged from `telemetry`'s busy shares against the
+    /// water marks `high` and `low` (clamped to `[0, 1]`, `low ≤ high`).
     pub fn new<P, R>(
         target: &Skel<P, R>,
         to_node: impl Into<String>,
         telemetry: ClusterTelemetry,
-    ) -> Self
+        high: f64,
+        low: f64,
+    ) -> Governed<Self>
     where
         P: Send + 'static,
         R: Send + 'static,
     {
-        Offload {
-            target: Mutex::new(target.id()),
+        let high_water = high.clamp(0.0, 1.0);
+        let rule = Offload {
+            target: target.id(),
             to_node: to_node.into(),
             telemetry,
-            high_water: 0.75,
-            low_water: 0.25,
-        }
-    }
-
-    /// Sets the busy-share water marks (clamped to `[0, 1]`,
-    /// `low ≤ high`).
-    pub fn water_marks(mut self, high: f64, low: f64) -> Self {
-        self.high_water = high.clamp(0.0, 1.0);
-        self.low_water = low.clamp(0.0, self.high_water);
-        self
+            high_water,
+            low_water: low.clamp(0.0, high_water),
+        };
+        Governed::new("offload", Concern::Performance, rule)
     }
 }
 
 impl Rule for Offload {
-    fn name(&self) -> &str {
-        "offload"
-    }
-
-    fn on_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
-        let mut t = self.target.lock();
-        if *t == target {
+    fn on_replaced(&mut self, target: NodeId, replacement: &Arc<Node>) {
+        if self.target == target {
             // Follow the subtree: the offload concern is positional, so
             // whatever now stands where the watched subtree stood
             // inherits the watch. If the replacement arrives unplaced
             // (a fallback undoing the offload), the placement gate
             // re-opens and the rule is live again.
-            *t = replacement.id;
+            self.target = replacement.id;
         }
     }
 
-    fn evaluate(&self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
-        let target = *self.target.lock();
+    fn evaluate(&mut self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
+        let target = self.target;
         // The target may have been rewritten away — or already placed.
         let subtree = ctx.root.find(target)?;
         if subtree.placement.as_deref() == Some(self.to_node.as_str()) {
@@ -166,27 +146,7 @@ where
 mod tests {
     use super::*;
     use crate::{Cluster, NodeSpec};
-    use askel_adapt::ErrorStats;
-    use askel_core::EstimatorTable;
     use askel_skeletons::{seq, TimeNs};
-
-    fn ctx_with<'a>(
-        estimates: &'a EstimatorTable,
-        errors: &'a ErrorStats,
-        root: &'a Arc<Node>,
-        lp: usize,
-        input_size: Option<f64>,
-    ) -> RuleCtx<'a> {
-        RuleCtx {
-            estimates,
-            errors,
-            input_size,
-            root,
-            version: 0,
-            lp,
-            safe_point: 1,
-        }
-    }
 
     #[test]
     fn offload_fires_on_skew_and_respects_placement() {
@@ -196,21 +156,19 @@ mod tests {
             NodeSpec::remote("hub", 4, TimeNs::ZERO),
         ]);
         let telemetry = cluster.telemetry();
-        let rule = Offload::new(&target, "hub", telemetry.clone()).water_marks(0.8, 0.2);
-        let est = EstimatorTable::new(0.5);
-        let errors = ErrorStats::default();
+        let trigger = TriggerEngine::new(0.5);
+        trigger.add_rule(Offload::new(&target, "hub", telemetry.clone(), 0.8, 0.2));
         let root = Arc::clone(target.node());
 
         // Balanced (nothing observed): quiet.
-        assert!(rule
-            .evaluate(&ctx_with(&est, &errors, &root, 2, None))
-            .is_none());
+        assert!(trigger.plan(&root, 2).is_empty());
         // Skewed: everything on the edge → fires.
         let mut c = cluster;
         use askel_sim::workers::WorkerModel;
         c.note_busy(0, TimeNs::from_secs(9));
-        let fire = rule
-            .evaluate(&ctx_with(&est, &errors, &root, 2, None))
+        let fire = trigger
+            .plan(&root, 2)
+            .pop()
             .expect("skew crossed the water marks");
         match &fire.action {
             RewriteAction::Place { target: t, node } => {
@@ -220,18 +178,19 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(fire.why.contains("high water"), "{}", fire.why);
-        assert!(!rule.once(), "offload self-gates instead of retiring");
+        assert_eq!(
+            trigger.plan(&root, 2).len(),
+            1,
+            "offload self-gates instead of retiring"
+        );
         // Already placed on the destination: quiet even under skew.
         let placed = target.placed_at(target.id(), "hub").unwrap();
         let placed_root = Arc::clone(placed.node());
-        assert!(rule
-            .evaluate(&ctx_with(&est, &errors, &placed_root, 2, None))
-            .is_none());
+        assert!(trigger.plan(&placed_root, 2).is_empty());
         // Unknown destination node: quiet.
-        let unknown = Offload::new(&target, "nope", telemetry).water_marks(0.8, 0.2);
-        assert!(unknown
-            .evaluate(&ctx_with(&est, &errors, &root, 2, None))
-            .is_none());
+        let unknown = TriggerEngine::new(0.5);
+        unknown.add_rule(Offload::new(&target, "nope", telemetry, 0.8, 0.2));
+        assert!(unknown.plan(&root, 2).is_empty());
     }
 
     /// Nothing tells the session the machine's width: its safe points

@@ -50,7 +50,7 @@ proptest! {
         let program = map_program();
         let trigger = TriggerEngine::new(0.5);
         trigger.add_rule(
-            Offload::new(&program, "hub", telemetry.clone()).water_marks(0.75, 0.25),
+            Offload::new(&program, "hub", telemetry.clone(), 0.75, 0.25),
         );
         let engine = Engine::new(2);
         let mut adaptive = AdaptiveSession::new(&engine, &program, Arc::clone(&trigger))

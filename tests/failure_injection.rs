@@ -240,10 +240,13 @@ fn remote_errors_trigger_fallback_swap_offload_back() {
 
         let trigger = autonomic_skeletons::adapt::TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
-        trigger.add_rule(
-            autonomic_skeletons::dist::Offload::new(&fragile, "hub", telemetry.clone())
-                .water_marks(0.7, 0.2),
-        );
+        trigger.add_rule(autonomic_skeletons::dist::Offload::new(
+            &fragile,
+            "hub",
+            telemetry.clone(),
+            0.7,
+            0.2,
+        ));
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
         let mut session = sim_session(sim, &fragile, trigger.clone());
 

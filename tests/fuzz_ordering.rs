@@ -126,7 +126,7 @@ mod remote_errors {
 
         let trigger = TriggerEngine::new(0.5);
         sim.registry().add_listener(trigger.clone());
-        trigger.add_rule(Offload::new(&fragile, "hub", telemetry.clone()).water_marks(0.7, 0.2));
+        trigger.add_rule(Offload::new(&fragile, "hub", telemetry.clone(), 0.7, 0.2));
         trigger.add_rule(FallbackSwap::new(&fragile, &robust, 2).named("offload-back"));
         let mut session = sim_session(sim, &fragile, trigger.clone());
 
