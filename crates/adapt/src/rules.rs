@@ -108,7 +108,7 @@ impl RuleCtx<'_> {
     /// Forecasts the WCT of one submission of `root` at the current LP,
     /// from this context's estimator table (`None` while the table does
     /// not cover `root`'s muscles — see [`crate::forecast`]).
-    pub fn forecast_wct(&self, root: &Arc<Node>) -> Option<TimeNs> {
+    pub(crate) fn forecast_wct(&self, root: &Arc<Node>) -> Option<TimeNs> {
         askel_core::predictive_wct(self.estimates, root, self.lp)
     }
 

@@ -539,6 +539,10 @@ impl Listener for TriggerEngine {
     fn interest(&self) -> Interest {
         self.knowledge().interest()
     }
+
+    fn accepts_spans(&self) -> bool {
+        self.knowledge().accepts_spans()
+    }
 }
 
 #[cfg(test)]
@@ -708,6 +712,42 @@ mod tests {
     }
 
     #[test]
+    fn a_span_closes_the_forecast_audit_as_its_two_events_would() {
+        let (pairs, spans) = (TriggerEngine::new(0.5), TriggerEngine::new(0.5));
+        let span = |inst, from_ms, to_ms| {
+            let mut e = item(inst, When::After, Where::Skeleton, 0);
+            e.timestamp = TimeNs::from_millis(to_ms);
+            e.info = askel_events::EventInfo::Started(TimeNs::from_millis(from_ms));
+            spans.on_event(&mut Payload::None, &e);
+            raise(&pairs, inst, When::Before, from_ms);
+            raise(&pairs, inst, When::After, to_ms);
+        };
+        let audits = |t: &TriggerEngine| {
+            let log = t.decision_log();
+            log.iter()
+                .map(|r| r.forecast.unwrap().realized)
+                .collect::<Vec<_>>()
+        };
+        for t in [&pairs, &spans] {
+            t.record(gated(TimeNs::from_millis(10), 1, TimeNs::from_millis(40)));
+        }
+        // Begun before the rewrite: no audit closes.
+        span(1, 5, 20);
+        assert_eq!(audits(&spans), [None]);
+        span(2, 25, 70);
+        for t in [&pairs, &spans] {
+            t.record(gated(TimeNs::from_millis(75), 2, TimeNs::from_millis(40)));
+        }
+        span(3, 80, 81);
+        span(4, 90, 99);
+        assert_eq!(
+            audits(&spans),
+            [Some(TimeNs::from_millis(45)), Some(TimeNs::from_millis(1))]
+        );
+        assert_eq!(audits(&spans), audits(&pairs));
+    }
+
+    #[test]
     fn realized_wct_closes_the_forecast_audit() {
         let t = TriggerEngine::new(0.5);
         let realized = || t.decision_log()[0].forecast.unwrap().realized;
@@ -803,14 +843,16 @@ mod tests {
         use askel_skeletons::{MuscleId, MuscleRole};
         let t = TriggerEngine::new(0.5);
         let event = |when, wher, at| t.on_event(&mut Payload::None, &item(1, when, wher, at));
-        event(When::Before, Where::Skeleton, 0);
-        event(When::After, Where::Skeleton, 60);
+        // A lone trigger accepts spans: the seq raises one event.
+        assert!(t.accepts_spans());
+        let mut span = item(1, When::After, Where::Skeleton, 60);
+        span.info = askel_events::EventInfo::Started(TimeNs(0));
+        t.on_event(&mut Payload::None, &span);
         // Positions the state machines ignore are not even logged.
         event(When::After, Where::NestedSkeleton, 61);
         event(When::After, Where::Reconfigured, 62);
         let mut logged = Vec::new();
         t.knowledge().log().drain_into(&mut logged);
-        // The seq's two events, logged back to back, are one span.
         assert_eq!(logged.len(), 1);
         assert_eq!(logged[0].span_start(), Some(TimeNs(0)));
         // Nothing left to fold, and nothing was folded before.

@@ -15,11 +15,12 @@
 //! state; whoever holds the state next replays ("folds") the log in order
 //! through the tracker, running the controller's analysis after each
 //! `After`. A knowledge no controller analyses never reads a running
-//! instance, so its log closes spans: a finished `seq` instance whose two
-//! events one thread logged back to back is one record (see
-//! [`EventLog`]), which the tracker replays as both. A controller's log
-//! keeps one record per event, since its analysis runs at every `After`
-//! and reads the instances still running.
+//! instance, so it [accepts spans](Listener::accepts_spans): where it is
+//! all a submission dispatches to, each finished `seq` instance arrives
+//! as one event, logged as one record that the tracker replays as both
+//! (see [`askel_events::interp`]). A controller's knowledge does not,
+//! since its analysis runs at every `After` and reads the instances
+//! still running.
 //!
 //! If a controller analyses, an `After` event *tries* the state
 //! lock and folds if it gets it — a worker that does not goes back to its
@@ -123,11 +124,7 @@ impl Knowledge {
             hot: EventPath {
                 _before: [0; 64],
                 of: None,
-                // An analysis reads running instances at every `After`.
-                log: match analysis {
-                    Some(_) => EventLog::default(),
-                    None => EventLog::with_spans(),
-                },
+                log: EventLog::default(),
                 analyses: analysis.is_some(),
                 _after: [0; 63],
             },
@@ -230,5 +227,11 @@ impl Listener for Knowledge {
         } else {
             SmTracker::INTEREST
         }
+    }
+
+    /// Yes when no controller analyses: an analysis reads running
+    /// instances at every `After`.
+    fn accepts_spans(&self) -> bool {
+        !self.resolved().hot.analyses
     }
 }

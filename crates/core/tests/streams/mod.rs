@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use askel_events::{Event, FnListener, Payload, When, Where};
+use askel_events::{Event, Listener, Payload, When, Where};
 use askel_sim::cost::{JitterCost, TableCost};
 use askel_sim::sched::OrderingPolicy;
 use askel_sim::SimEngine;
@@ -97,23 +97,50 @@ pub fn programs() -> Vec<(&'static str, Skel<i64, i64>, Vec<i64>)> {
     ]
 }
 
+/// Keeps every event it hears, and accepts spans when told to.
+#[derive(Default)]
+struct Recorder {
+    events: Mutex<Vec<Event>>,
+    spans: bool,
+}
+
+impl Listener for Recorder {
+    fn on_event(&self, _: &mut Payload<'_>, e: &Event) {
+        self.events.lock().unwrap().push(e.clone());
+    }
+
+    fn accepts_spans(&self) -> bool {
+        self.spans
+    }
+}
+
 /// Every event of `inputs` run one after the other at `lp` workers, ties
-/// broken by `seed`.
+/// broken by `seed`: two per `seq` instance.
 pub fn record(program: &Skel<i64, i64>, inputs: &[i64], lp: usize, seed: u64) -> Vec<Event> {
+    record_as(program, inputs, lp, seed, false)
+}
+
+/// [`record`], heard by a listener that accepts spans if `spans` is set:
+/// each `seq` instance is then one event.
+pub fn record_as(
+    program: &Skel<i64, i64>,
+    inputs: &[i64],
+    lp: usize,
+    seed: u64,
+    spans: bool,
+) -> Vec<Event> {
     let cost = JitterCost::new(TableCost::new(TimeNs::from_millis(10)), 0.8, seed);
     let mut sim = SimEngine::new(lp, Arc::new(cost)).ordering(OrderingPolicy::SeededRandom(seed));
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&events);
-    sim.registry().add_listener(Arc::new(FnListener(
-        move |_: &mut Payload<'_>, e: &Event| {
-            sink.lock().unwrap().push(e.clone());
-        },
-    )));
+    let recorder = Arc::new(Recorder {
+        spans,
+        ..Recorder::default()
+    });
+    sim.registry().add_listener(recorder.clone());
     for &input in inputs {
         let expected = program.apply(input);
         assert_eq!(sim.run(program, input).unwrap().result, expected);
     }
-    let events = events.lock().unwrap();
+    let events = recorder.events.lock().unwrap();
     events.clone()
 }
 

@@ -39,7 +39,8 @@
 //! view taken then, and an event dispatches through it for as long as the
 //! registry's generation stands. A stream session's own listener
 //! ([`SubCtx::own`]) rides along with each of its submissions and hears
-//! those and no others.
+//! those and no others. Whether both views accept spans is sampled with
+//! them ([`SubCtx::spans`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,6 +79,9 @@ struct SubCtx {
     /// a one-entry view: it hears this submission besides whatever the
     /// registry holds, and observes it even when the registry is empty.
     own: Option<Arc<ListenerSnapshot>>,
+    /// Whether every view above accepts spans, sampled with them: this
+    /// submission's `seq` instances then each raise one event.
+    spans: bool,
     /// The path an observed submission's root instance hangs under.
     /// Allocated at submit whether or not it will be used, as it always
     /// was: how many allocations a submission makes on the submitting
@@ -225,6 +229,15 @@ impl Runtime for ThreadRt {
         event.trace
     }
 
+    /// The `Before`'s timestamp: the last event's, or the clock read the
+    /// `Before` would have made. The `After` reads the clock as ever, so
+    /// a muscle still costs one read.
+    fn span_start(&mut self) -> Option<TimeNs> {
+        let ctx = &*self.ctx;
+        ctx.spans
+            .then(|| *self.last_raised.get_or_insert_with(|| ctx.clock.now()))
+    }
+
     /// [`Hint::Run`] executes the step **inline in the current task** when
     /// the calling thread is a pool worker and the depth cap allows —
     /// guarded, but with no closure box and no dispatch — and otherwise
@@ -295,6 +308,10 @@ fn submission<R: Send + 'static>(
 ) -> (ThreadRt, SkelFuture<R>, BoxedCont<ThreadRt>) {
     let (future, promise) = pair::<R>();
     let fail_promise = promise.clone();
+    let spans = [listeners.as_ref(), own]
+        .into_iter()
+        .flatten()
+        .all(|view| view.accepts_spans());
     let rt = ThreadRt::new(Arc::new(SubCtx {
         plan: Arc::clone(plan),
         pool: engine.pool.clone(),
@@ -302,6 +319,7 @@ fn submission<R: Send + 'static>(
         clock: Arc::clone(&engine.clock),
         listeners,
         own: own.cloned(),
+        spans,
         empty_trace: Trace::empty(),
         span,
         failed: AtomicBool::new(false),

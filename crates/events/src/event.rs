@@ -6,7 +6,7 @@
 //!
 //! | skeleton | events (paper notation → ours) |
 //! |----------|--------------------------------|
-//! | `seq`    | `@b`/`@a` → (Before/After, Skeleton) |
+//! | `seq`    | `@b`/`@a` → (Before/After, Skeleton), or one (After, Skeleton) carrying its start when every listener accepts spans |
 //! | `map`    | `@b`, `@bs`/`@as`, nested before/after, `@bm`/`@am`, `@a` → (Before/After, Skeleton / Split / NestedSkeleton / Merge) |
 //! | `while`, `if`, `d&C` | additionally (Before/After, Condition) per test |
 //! | all others | (Before/After, Skeleton) plus their muscles' pairs |
@@ -96,6 +96,9 @@ pub enum EventInfo {
         /// Version of the skeleton after this rewrite.
         version: u64,
     },
+    /// `(After, Skeleton)` of a `seq` that raised no `Before`, because
+    /// every listener accepts spans: when the instance began.
+    Started(TimeNs),
 }
 
 impl EventInfo {
@@ -153,12 +156,11 @@ pub struct Event {
 /// (48 bytes) and `Copy`, so a listener can append it to a log on the
 /// muscle's thread and return.
 ///
-/// A record is one event, or one finished `seq` instance: a *span*, which
-/// a log that closes spans makes of a `seq`'s `(Before, Skeleton)` record
-/// when the same instance's `(After, Skeleton)` follows it directly (see
-/// [`EventLog`](crate::EventLog)). A span is that `After` record — its
-/// timestamp, so it replays where the `After` would — that also carries
-/// the `Before`'s timestamp ([`span_start`](EventRecord::span_start)).
+/// A record is one event, or one finished `seq` instance: a *span*, the
+/// record of an `(After, Skeleton)` that carries its start
+/// ([`EventInfo::Started`], raised when every listener accepts spans).
+/// It replays where the `After` would, and stands for both events
+/// ([`span_start`](EventRecord::span_start)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EventRecord {
     /// Node that raised the event.
@@ -193,23 +195,6 @@ impl EventRecord {
         (self.info_tag == SPAN).then_some(TimeNs(self.info_value))
     }
 
-    /// Makes this record, a `seq` instance's `(Before, Skeleton)`, the
-    /// span it closes with `after`, that instance's `(After, Skeleton)`;
-    /// `false`, and nothing changed, when `after` is not that event.
-    pub(crate) fn close_span(&mut self, after: &EventRecord) -> bool {
-        let closes = after.kind == KindTag::Seq
-            && (after.when, after.wher, after.info_tag) == (When::After, Where::Skeleton, 0)
-            && (self.when, self.wher, self.info_tag) == (When::Before, Where::Skeleton, 0)
-            && (self.index, self.node) == (after.index, after.node);
-        if closes {
-            self.info_tag = SPAN;
-            self.info_value = self.timestamp.0;
-            self.timestamp = after.timestamp;
-            self.when = When::After;
-        }
-        closes
-    }
-
     /// The enclosing instance, if any.
     pub fn parent(&self) -> Option<InstanceId> {
         (self.parent != 0).then_some(InstanceId(self.parent))
@@ -225,6 +210,7 @@ impl EventRecord {
             5 => EventInfo::Reconfigured {
                 version: self.info_value,
             },
+            SPAN => EventInfo::Started(TimeNs(self.info_value)),
             _ => EventInfo::None,
         }
     }
@@ -244,6 +230,7 @@ impl From<&Event> for EventRecord {
             EventInfo::ChildIndex(k) => (3, k as u64),
             EventInfo::Iteration(k) => (4, k as u64),
             EventInfo::Reconfigured { version } => (5, version),
+            EventInfo::Started(at) => (SPAN, at.0),
         };
         EventRecord {
             node: e.node,
@@ -328,6 +315,7 @@ impl Event {
             EventInfo::ChildIndex(k) => s.push_str(&format!(", child={k}")),
             EventInfo::Iteration(k) => s.push_str(&format!(", iter={k}")),
             EventInfo::Reconfigured { version } => s.push_str(&format!(", v={version}")),
+            EventInfo::Started(at) => s.push_str(&format!(", from={at}")),
         }
         s.push(')');
         s
@@ -401,11 +389,17 @@ mod tests {
             EventInfo::ChildIndex(3),
             EventInfo::Iteration(9),
             EventInfo::Reconfigured { version: 2 },
+            EventInfo::Started(TimeNs(3)),
         ];
         for info in infos {
             let mut e = event(KindTag::Map, When::After, Where::Split, info);
             let r = EventRecord::from(&e);
             assert_eq!(r.info(), info);
+            let started = match info {
+                EventInfo::Started(at) => Some(at),
+                _ => None,
+            };
+            assert_eq!(r.span_start(), started);
             assert_eq!(
                 (r.node, r.index, r.timestamp),
                 (e.node, e.index, e.timestamp)

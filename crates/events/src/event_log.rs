@@ -20,15 +20,10 @@
 //! until the log's first event; a shard's buffer is allocated at
 //! that shard's first event, at its fixed capacity.
 //!
-//! A record is one event, except in a log that closes spans
-//! ([`EventLog::with_spans`], for state that only ever needs an instance
-//! once it has ended): there a `seq` instance's `(After, Skeleton)` event
-//! that finds the same instance's `(Before, Skeleton)` record last in the
-//! calling thread's shard rewrites that record, in place, into one span
-//! ([`EventRecord::span_start`]). A `seq` runs its muscle between its two
-//! events on one thread, so on threads that is the common case; a fold in
-//! between, another thread's record or a muscle that raises events of its
-//! own leaves the two records as they are.
+//! A record is one event, as it was raised. A finished `seq` instance is
+//! one record only when the interpreter raised it as one event — a span,
+//! formed at the source when every listener accepts spans (see
+//! [`crate::interp`]); the log never merges records.
 //!
 //! A fold is linear in the records it takes: each shard's run is put in
 //! replay order by an insertion sort (a thread's records are in order but
@@ -61,34 +56,22 @@ struct Shard(Mutex<Vec<EventRecord>>);
 #[derive(Default)]
 pub struct EventLog {
     shards: OnceLock<Box<[Shard; SHARDS]>>,
-    /// Whether [`log`](EventLog::log) closes spans: fixed at construction.
-    spans: bool,
 }
 
 impl EventLog {
-    /// A log whose [`log`](EventLog::log) closes spans (see the module
-    /// docs): for state that reads an instance only once it has ended.
-    pub fn with_spans() -> Self {
-        EventLog {
-            spans: true,
-            ..Self::default()
-        }
-    }
-
     /// `on_event`'s half: appends `event` if `interest` holds its
     /// position (a registry filters by interest already; a direct caller
     /// might not) and says whether it did. A full shard calls
     /// `make_room`, which must fold (drain) this log, and
     /// tries again. Below capacity this takes one lock no other thread
     /// is waiting for and allocates nothing (after the thread's first
-    /// event). In a log that closes spans, a `seq`'s `After` may instead
-    /// close its `Before` record into a span, under the same lock.
+    /// event).
     pub fn log(&self, event: &Event, interest: Interest, mut make_room: impl FnMut()) -> bool {
         if !interest.contains(event.when, event.wher) {
             return false;
         }
         let record = EventRecord::from(event);
-        while !self.push(thread_slot() % SHARDS, record, self.spans) {
+        while !self.try_push(record) {
             make_room();
         }
         true
@@ -104,20 +87,9 @@ impl EventLog {
 
     /// [`try_push`](EventLog::try_push) to a named shard (`< SHARDS`):
     /// tests deal one stream over several threads' shards with this.
-    /// Neither closes a span: the record is appended as it is.
     pub fn try_push_to(&self, shard: usize, record: EventRecord) -> bool {
-        self.push(shard, record, false)
-    }
-
-    /// Appends `record` to `shard`, or, with `span`, closes the span the
-    /// shard's last record opens if `record` ends it; `false` when the
-    /// record needs room the shard has not got.
-    fn push(&self, shard: usize, record: EventRecord, span: bool) -> bool {
         let shards = self.shards.get_or_init(Default::default);
         let mut buf = shards[shard].0.lock();
-        if span && buf.last_mut().is_some_and(|last| last.close_span(&record)) {
-            return true;
-        }
         if buf.len() == SHARD_CAPACITY {
             return false;
         }
@@ -421,52 +393,6 @@ mod tests {
             proptest::prop_assert_eq!(&out[1..], &expected[..]);
             proptest::prop_assert!(log.is_empty());
         }
-    }
-
-    #[test]
-    fn a_seq_that_ends_right_after_it_began_is_one_span() {
-        let seq = |inst: u64, when, at| {
-            let mut r = rec(2, when, at);
-            (r.kind, r.index) = (KindTag::Seq, InstanceId(inst));
-            r
-        };
-        let event = |r: EventRecord| Event {
-            node: r.node,
-            kind: r.kind,
-            when: r.when,
-            wher: r.wher,
-            index: r.index,
-            trace: Trace::root(NodeId(1), InstanceId(1), KindTag::Map)
-                .child(r.node, r.index, r.kind),
-            timestamp: r.timestamp,
-            info: EventInfo::None,
-        };
-        let logged = |log: &EventLog, events: &[EventRecord]| {
-            for r in events {
-                assert!(log.log(&event(*r), Interest::ALL, || unreachable!("room")));
-            }
-            let mut out = Vec::new();
-            log.drain_into(&mut out);
-            out
-        };
-        let pair = [seq(7, When::Before, 3), seq(7, When::After, 8)];
-        // A log that closes spans makes the pair one record: the `After`,
-        // carrying the `Before`'s timestamp.
-        let spans = EventLog::with_spans();
-        let [span] = logged(&spans, &pair)[..] else {
-            panic!("one record")
-        };
-        assert_eq!(span.span_start(), Some(TimeNs(3)));
-        assert_eq!((span.when, span.timestamp), (When::After, TimeNs(8)));
-        assert_eq!(span.info(), EventInfo::None);
-        assert_eq!(pair[1].span_start(), None);
-        // Another event in between, or a plain log, keeps both records.
-        let between = [pair[0], seq(8, When::Before, 4), pair[1]];
-        assert_eq!(logged(&spans, &between), between);
-        assert_eq!(logged(&EventLog::default(), &pair), pair);
-        // So does a fold in between.
-        assert_eq!(logged(&spans, &pair[..1]), pair[..1]);
-        assert_eq!(logged(&spans, &pair[1..]), pair[1..]);
     }
 
     #[test]

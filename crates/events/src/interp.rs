@@ -34,6 +34,16 @@
 //! or removed mid-item takes effect at the item's next event. Register
 //! listeners before submitting.
 //!
+//! **Spans.** When every listener an observed submission dispatches to
+//! [accepts spans](crate::Listener::accepts_spans), each of its `seq`
+//! instances raises no `(Before, Skeleton)` and one `(After, Skeleton)`
+//! carrying [`EventInfo::Started`]: the timestamp its `Before` would have
+//! carried ([`Runtime::span_start`]). Threads sample the answer with the
+//! listeners, once per submission, and the simulator reads it from its
+//! registry, so both form the same spans for the same program. A listener
+//! added mid-item may therefore see a `seq`'s `After` without its
+//! `Before`, as it may whenever it is added between the two.
+//!
 //! **What a step writes.** An instance names its node by its entry in the
 //! submission's [`Plan`], which the runtime hands out
 //! ([`Runtime::plan`]); no step clones a node, so workers running one
@@ -53,7 +63,7 @@ use parking_lot::Mutex;
 
 use askel_skeletons::muscle::MergeFn;
 use askel_skeletons::{
-    Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind, Plan,
+    Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind, Plan, TimeNs,
 };
 
 use crate::EventInfo::{self, ChildIndex, ConditionResult, Iteration, SplitCardinality};
@@ -131,6 +141,12 @@ pub trait Runtime: Sized + 'static {
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) -> Trace;
+
+    /// Asked at the start of an observed `seq` instance: when every
+    /// listener the submission dispatches to accepts spans, the timestamp
+    /// the instance's `(Before, Skeleton)` would carry, which is then not
+    /// raised; `None` otherwise (see the module docs).
+    fn span_start(&mut self) -> Option<TimeNs>;
 
     /// Schedules `step`, guarded, on a worker the placement of the node at
     /// plan entry `at` allows. Placement is a simulator concern: the
@@ -402,14 +418,20 @@ fn schedule<R: Runtime>(
 }
 
 fn seq<R: Runtime>(rt: &mut R, mut inst: Inst, mut data: Data, cont: Cont<R>) {
-    inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
+    let end = match inst.observed().then(|| rt.span_start()).flatten() {
+        Some(start) => EventInfo::Started(start),
+        None => {
+            inst.one(rt, Before, Skeleton, EventInfo::None, &mut data);
+            EventInfo::None
+        }
+    };
     let cost = rt.meter(inst.muscle(rt, MuscleRole::Execute), 1, &*data);
     let NodeKind::Seq { fe } = &inst.node(rt.plan()).kind else {
         unreachable!("tag checked by dispatcher")
     };
     let mut out = fe.call(data);
     rt.busy(cost, move |rt| {
-        inst.one(rt, After, Skeleton, EventInfo::None, &mut out);
+        inst.one(rt, After, Skeleton, end, &mut out);
         cont.run(rt, out);
     });
 }

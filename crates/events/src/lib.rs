@@ -17,7 +17,9 @@
 //! * listeners are registered on a [`registry::ListenerRegistry`], run
 //!   **synchronously on the thread that executes the related muscle**, and
 //!   may inspect *and transform* the partial solution (the paper's example:
-//!   encrypting partial results in flight).
+//!   encrypting partial results in flight);
+//! * a submission whose every listener accepts spans raises a `seq` as
+//!   its `@a` alone, carrying when it began (see [`interp`]).
 //!
 //! The autonomic layer (`askel-core`) is just a listener; so are the logger
 //! and collector utilities in [`util`].

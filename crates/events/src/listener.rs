@@ -148,6 +148,15 @@ pub trait Listener: Send + Sync {
     fn interest(&self) -> Interest {
         Interest::ALL
     }
+
+    /// Whether this listener takes a finished `seq` instance as one
+    /// event, no by default: where every listener of a submission says
+    /// yes, a `seq` raises no `Before` (nor its payload) and one `After`
+    /// carrying [`EventInfo::Started`](crate::EventInfo::Started) (see
+    /// [`crate::interp`]). The answer must not change once registered.
+    fn accepts_spans(&self) -> bool {
+        false
+    }
 }
 
 /// Adapter turning a closure into a [`Listener`].

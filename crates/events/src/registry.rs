@@ -38,6 +38,8 @@ pub struct ListenerSnapshot {
     generation: u64,
     /// Union of the entries' interests.
     interest: Interest,
+    /// Whether every entry accepts spans.
+    spans: bool,
     entries: Box<[Entry]>,
 }
 
@@ -48,6 +50,7 @@ impl ListenerSnapshot {
             interest: entries
                 .iter()
                 .fold(Interest::NONE, |acc, e| acc.union(e.interest)),
+            spans: entries.iter().all(|e| e.listener.accepts_spans()),
             entries: entries.into(),
         })
     }
@@ -61,6 +64,12 @@ impl ListenerSnapshot {
     /// need not be built at all.
     pub fn interest(&self) -> Interest {
         self.interest
+    }
+
+    /// `true` when every listener in the view
+    /// [accepts spans](Listener::accepts_spans).
+    pub fn accepts_spans(&self) -> bool {
+        self.spans
     }
 
     /// Dispatches an event to every matching listener, synchronously on

@@ -88,6 +88,9 @@ pub(crate) struct SimRt {
     pub(crate) now: TimeNs,
     pub(crate) clock: Arc<ManualClock>,
     pub(crate) registry: Arc<ListenerRegistry>,
+    /// Whether every registered listener accepts spans, and the registry
+    /// generation that was read at.
+    spans: (u64, bool),
     cost: Arc<dyn CostModel>,
     pub(crate) telemetry: Arc<PoolTelemetry>,
     pub(crate) lp_control: SimLpControl,
@@ -181,6 +184,20 @@ impl Runtime for SimRt {
         let event = Event::of(trace, when, wher, info, self.now);
         self.registry.emit(payload, &event);
         event.trace
+    }
+
+    /// The step's start, read from the registry as [`emit`](Runtime::emit)
+    /// reads its listeners: at the event, not per submission.
+    fn span_start(&mut self) -> Option<TimeNs> {
+        let generation = self.registry.generation();
+        if generation != self.spans.0 {
+            let spans = self
+                .registry
+                .snapshot()
+                .is_some_and(|view| view.accepts_spans());
+            self.spans = (generation, spans);
+        }
+        self.spans.1.then_some(self.now)
     }
 
     /// Queues the step on the policy-ordered ready pool, tagged with the
@@ -453,6 +470,7 @@ impl SimRt {
             run: Run::new(policy, clock.now()),
             clock,
             registry: ListenerRegistry::new(),
+            spans: (0, false),
             cost,
             telemetry: Arc::new(telemetry),
             lp_control: SimLpControl::new(workers.capacity()),

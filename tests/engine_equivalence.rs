@@ -20,6 +20,11 @@ use askel_sim::cost::{TableCost, ZeroCost};
 use askel_sim::{SimEngine, SimStream};
 use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, KindTag, Skel, TimeNs};
 
+// The differential tests' programs, covering all nine kinds.
+#[allow(dead_code)]
+#[path = "../crates/core/tests/streams/mod.rs"]
+mod streams;
+
 /// A generated program: the skeleton plus a description for shrinking
 /// diagnostics.
 #[derive(Clone)]
@@ -446,4 +451,44 @@ fn a_second_poll_counts_the_same_finished_head() {
         .map(|r| r.unwrap())
         .collect();
     assert_eq!(rest, expected[1..]);
+}
+
+/// Under a lone trigger, which accepts spans, both runtimes raise every
+/// `seq` as one event: each item of each program leaves the trigger's log
+/// the same records, spans among them, on threads and on the simulator.
+#[test]
+fn both_runtimes_form_the_same_spans_under_a_lone_trigger() {
+    /// The records and the spans `trigger`'s log holds, taken.
+    fn logged(trigger: &TriggerEngine) -> (usize, usize) {
+        let mut records = Vec::new();
+        trigger.knowledge().log().drain_into(&mut records);
+        let spans = records.iter().filter(|r| r.span_start().is_some()).count();
+        (records.len(), spans)
+    }
+    for (name, program, inputs) in streams::programs() {
+        let engine = Engine::new(2);
+        let trigger = TriggerEngine::new(0.5);
+        engine.registry().add_listener(trigger.clone());
+        let threads: Vec<_> = inputs
+            .iter()
+            .map(|&x| {
+                assert_eq!(engine.submit(&program, x).get().unwrap(), program.apply(x));
+                logged(&trigger)
+            })
+            .collect();
+        engine.shutdown();
+
+        let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
+        let trigger = TriggerEngine::new(0.5);
+        sim.registry().add_listener(trigger.clone());
+        let simulated: Vec<_> = inputs
+            .iter()
+            .map(|&x| {
+                assert_eq!(sim.run(&program, x).unwrap().result, program.apply(x));
+                logged(&trigger)
+            })
+            .collect();
+        assert_eq!(threads, simulated, "{name}");
+        assert!(threads.iter().all(|&(_, spans)| spans > 0), "{name}");
+    }
 }

@@ -15,7 +15,7 @@ use askel_events::util::CountingListener;
 use askel_events::{
     Event, EventInfo, FnListener, Listener, ListenerRegistry, Payload, Trace, When, Where,
 };
-use askel_skeletons::{pipe, seq, sfor, InstanceId, KindTag, NodeId, Skel, TimeNs};
+use askel_skeletons::{map, pipe, seq, sfor, InstanceId, KindTag, NodeId, Skel, TimeNs};
 
 /// Counts heap allocations twice: this thread's (other tests' threads
 /// share the process, so a global count would be theirs too), and every
@@ -331,20 +331,149 @@ fn a_for_iteration_allocates_only_its_muscles_output() {
     engine.shutdown();
 }
 
+/// Counts the events it hears and hands each on to `inner`, declaring
+/// `inner`'s interest; accepts spans if `inner` does, unless `spans` is
+/// off.
+struct Tally {
+    inner: Arc<dyn Listener>,
+    spans: bool,
+    heard: AtomicUsize,
+}
+
+impl Tally {
+    fn new(inner: Arc<dyn Listener>, spans: bool) -> Arc<Tally> {
+        let heard = AtomicUsize::new(0);
+        Arc::new(Tally {
+            inner,
+            spans,
+            heard,
+        })
+    }
+
+    fn take(&self) -> usize {
+        self.heard.swap(0, Ordering::SeqCst)
+    }
+}
+
+impl Listener for Tally {
+    fn on_event(&self, payload: &mut Payload<'_>, event: &Event) {
+        self.heard.fetch_add(1, Ordering::SeqCst);
+        self.inner.on_event(payload, event);
+    }
+
+    fn interest(&self) -> askel_events::Interest {
+        self.inner.interest()
+    }
+
+    fn accepts_spans(&self) -> bool {
+        self.spans && self.inner.accepts_spans()
+    }
+}
+
+fn for_64() -> Skel<i64, i64> {
+    sfor(64, seq(|x: i64| x + 1))
+}
+
+/// The ladder's `map_512`: 32 chunks of 16, summed.
+fn map_512() -> Skel<Vec<i64>, i64> {
+    map(
+        |v: Vec<i64>| v.chunks(16).map(<[i64]>::to_vec).collect::<Vec<_>>(),
+        seq(|v: Vec<i64>| v.iter().sum::<i64>()),
+        |parts: Vec<i64>| parts.into_iter().sum::<i64>(),
+    )
+}
+
+/// Per item, `ITEMS` items of `program` on `input` one at a time through
+/// an engine whose registry holds `tallies`: the events each heard, and
+/// the records and spans `trigger`'s log held.
+fn per_item<P: Clone + Send + 'static>(
+    program: &Skel<P, i64>,
+    input: P,
+    tallies: &[&Arc<Tally>],
+    trigger: &TriggerEngine,
+) -> Vec<(Vec<usize>, usize, usize)> {
+    const ITEMS: usize = 4;
+    let engine = Engine::new(2);
+    for tally in tallies {
+        engine
+            .registry()
+            .add_listener(Arc::clone(tally) as Arc<dyn Listener>);
+    }
+    let expected = program.apply(input.clone());
+    let counts = (0..ITEMS)
+        .map(|_| {
+            assert_eq!(
+                engine.submit(program, input.clone()).get().unwrap(),
+                expected
+            );
+            let mut logged = Vec::new();
+            trigger.knowledge().log().drain_into(&mut logged);
+            let spans = logged.iter().filter(|r| r.span_start().is_some()).count();
+            let heard = tallies.iter().map(|t| t.take()).collect();
+            (heard, logged.len(), spans)
+        })
+        .collect();
+    engine.shutdown();
+    counts
+}
+
 #[test]
 fn a_lone_trigger_logs_each_finished_seq_of_a_for_64_item_as_one_span() {
     let _one = whole_process();
     let engine = Engine::new(2);
     let trigger = TriggerEngine::new(0.5);
-    let program = sfor(64, seq(|x: i64| x + 1));
-    let mut session = askel_engine::StreamSession::new(&engine, &program).listener(trigger.clone());
-    session.feed(0);
-    assert_eq!(session.next_result().unwrap().unwrap(), 64);
-    // The loop's two records and one per iteration: each `seq` ran its
-    // muscle between its two events on one thread.
-    let mut logged = Vec::new();
-    trigger.knowledge().log().drain_into(&mut logged);
-    let spans = logged.iter().filter(|r| r.span_start().is_some()).count();
-    assert_eq!((logged.len(), spans), (66, 64));
+    let tally = Tally::new(trigger.clone(), true);
+    let mut session = askel_engine::StreamSession::new(&engine, &for_64()).listener(tally.clone());
+    for item in 0..4 {
+        session.feed(item);
+        assert_eq!(session.next_result().unwrap().unwrap(), item + 64);
+        // The loop's two events and one per iteration, raised and logged
+        // as they are: each `seq` raised one event.
+        let mut logged = Vec::new();
+        trigger.knowledge().log().drain_into(&mut logged);
+        let spans = logged.iter().filter(|r| r.span_start().is_some()).count();
+        assert_eq!((tally.take(), logged.len(), spans), (66, 66, 64));
+    }
     engine.shutdown();
+}
+
+#[test]
+fn spans_form_where_every_listener_of_a_submission_accepts_them() {
+    let _one = whole_process();
+    let vector: Vec<i64> = (0..512).collect();
+    // A lone trigger, through the registry: one event per `seq`.
+    let trigger = TriggerEngine::new(0.5);
+    let lone = Tally::new(trigger.clone(), true);
+    for counts in per_item(&for_64(), 0, &[&lone], &trigger) {
+        assert_eq!(counts, (vec![66], 66, 64));
+    }
+    for counts in per_item(&map_512(), vector.clone(), &[&lone], &trigger) {
+        assert_eq!(counts, (vec![38], 38, 32));
+    }
+    // The same trigger behind a listener that takes no spans hears both
+    // events of every `seq` at its positions (no nesting markers).
+    let pairs = Tally::new(trigger.clone(), false);
+    for counts in per_item(&for_64(), 0, &[&pairs], &trigger) {
+        assert_eq!(counts, (vec![130], 130, 0));
+    }
+    for counts in per_item(&map_512(), vector.clone(), &[&pairs], &trigger) {
+        assert_eq!(counts, (vec![70], 70, 0));
+    }
+    // A counting listener alone hears every position: what the ladder's
+    // `events.emitted_per_item` counts (134 per `map_512` item).
+    let counting = Tally::new(CountingListener::new(), true);
+    for counts in per_item(&for_64(), 0, &[&counting], &trigger) {
+        assert_eq!(counts, (vec![258], 0, 0));
+    }
+    for counts in per_item(&map_512(), vector.clone(), &[&counting], &trigger) {
+        assert_eq!(counts, (vec![134], 0, 0));
+    }
+    // Both registered: one of them takes no spans, so each `seq` raises
+    // two events again and the trigger's log holds both.
+    for counts in per_item(&for_64(), 0, &[&lone, &counting], &trigger) {
+        assert_eq!(counts, (vec![130, 258], 130, 0));
+    }
+    for counts in per_item(&map_512(), vector, &[&lone, &counting], &trigger) {
+        assert_eq!(counts, (vec![70, 134], 70, 0));
+    }
 }
