@@ -83,6 +83,8 @@ pub mod session;
 pub mod trigger;
 
 pub use arbitration::{arbitrate, ArbitrationOutcome, ConflictPolicy, Suppressed};
+/// What a rule reads ([`Rule::reads`]), re-exported for rule authors.
+pub use askel_events::Reads;
 pub use forecast::Forecast;
 pub use rules::{
     Concern, CostGuard, ErrorStats, FallbackSwap, Governed, Hysteresis, Knob, NodeHoursMeter,

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use askel_core::EstimatorTable;
+use askel_events::Reads;
 use askel_skeletons::{MuscleId, Node, NodeId, TimeNs};
 
 use crate::forecast::Forecast;
@@ -307,6 +308,16 @@ pub enum Trigger {
 }
 
 impl Trigger {
+    /// The muscle whose estimate the condition reads, if any.
+    pub(crate) fn muscle(&self) -> Option<MuscleId> {
+        match *self {
+            Trigger::DurationAtLeast(m, _)
+            | Trigger::DurationAtMost(m, _)
+            | Trigger::CardinalityAtLeast(m, _) => Some(m),
+            Trigger::InputSizeAtLeast(_) | Trigger::ErrorStreakAtLeast(_) => None,
+        }
+    }
+
     /// Does the condition hold under `ctx`?
     pub(crate) fn holds(&self, ctx: &RuleCtx<'_>) -> bool {
         match *self {
@@ -363,6 +374,17 @@ pub trait Rule: Send {
     /// [`FallbackSwap`]. Default: ignore.
     fn on_replaced(&mut self, target: NodeId, replacement: &Arc<Node>) {
         let _ = (target, replacement);
+    }
+
+    /// The muscles whose estimates [`evaluate`](Rule::evaluate) reads from
+    /// `ctx.estimates` — the trigger engine hears only the events those
+    /// estimates are made from ([`askel_events::Listener::reads`]); its
+    /// [`Governed`] wrapper adds its triggers' muscles, and a forecast
+    /// gate reads every muscle. Asked again whenever the rule is added,
+    /// fires, is re-armed or sees a replacement. Default: every muscle,
+    /// which is always correct; a rule that reads fewer says so.
+    fn reads(&self) -> Reads {
+        Reads::All
     }
 
     /// The WCT forecast of applying `action` now, for a forecast-gated

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use askel_events::Reads;
 use askel_skeletons::TimeNs;
 
 use super::{Concern, Governed, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
@@ -103,6 +104,11 @@ impl CostGuard {
 }
 
 impl Rule for CostGuard {
+    /// Node-time comes from its meter, not from events.
+    fn reads(&self) -> Reads {
+        Reads::NOTHING
+    }
+
     fn evaluate(&mut self, _ctx: &RuleCtx<'_>) -> Option<RuleFire> {
         let spent = self.meter.node_time();
         if spent < self.budget {

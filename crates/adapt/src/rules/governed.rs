@@ -1,5 +1,6 @@
 //! The governance every rule shares, applied once for all of them.
 
+use askel_events::Reads;
 use askel_skeletons::TimeNs;
 
 use super::{Concern, RewriteAction, Rule, RuleCtx, RuleFire, Trigger};
@@ -143,6 +144,16 @@ impl<R: Rule> Governed<R> {
 }
 
 impl<R: Rule + ?Sized> Governed<R> {
+    /// What the rule reads ([`Rule::reads`]) and its triggers read; with
+    /// a forecast gate, which lays the whole tree out, every muscle.
+    pub(crate) fn reads(&self) -> Reads {
+        if self.margin.is_some() {
+            return Reads::All;
+        }
+        let triggers = self.triggers.iter().filter_map(Trigger::muscle);
+        triggers.fold(self.rule.reads(), |reads, m| reads.union(Reads::muscle(m)))
+    }
+
     /// One safe point's evaluation: the fire, and its gate's forecast.
     pub(crate) fn evaluate(&mut self, ctx: &RuleCtx<'_>) -> Option<(RuleFire, Option<Forecast>)> {
         let since = |at: usize| ctx.safe_point.saturating_sub(at);

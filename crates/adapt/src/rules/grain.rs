@@ -1,5 +1,6 @@
 //! The divide-and-conquer grain retune.
 
+use askel_events::Reads;
 use askel_skeletons::{MuscleId, TimeNs};
 
 use super::{Concern, Governed, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
@@ -42,6 +43,10 @@ impl Governed<RetuneGrain> {
 }
 
 impl Rule for RetuneGrain {
+    fn reads(&self) -> Reads {
+        Reads::muscle(self.leaf)
+    }
+
     fn evaluate(&mut self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
         let t = ctx.estimates.duration(self.leaf)?;
         let grain = self.knob.get();

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use askel_events::Reads;
 use askel_skeletons::{Node, NodeId, Skel};
 
 use super::{Concern, Governed, RewriteAction, Rule, RuleCtx, RuleFire, Trigger};
@@ -64,6 +65,11 @@ impl FallbackSwap {
 }
 
 impl Rule for Promote {
+    /// Only its triggers (and a forecast gate) read estimates.
+    fn reads(&self) -> Reads {
+        Reads::NOTHING
+    }
+
     fn evaluate(&mut self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
         // The target may have been rewritten away by an earlier rule.
         ctx.root.find(self.target)?;

@@ -1,5 +1,6 @@
 //! The split-width retune.
 
+use askel_events::Reads;
 use askel_skeletons::{MuscleId, TimeNs};
 
 use super::{Concern, Governed, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
@@ -53,6 +54,12 @@ impl Governed<RetuneWidth> {
 }
 
 impl Rule for RetuneWidth {
+    /// The width follows the LP; only the forecast reads estimates, and
+    /// a forecast gate reads every muscle anyway.
+    fn reads(&self) -> Reads {
+        Reads::NOTHING
+    }
+
     fn evaluate(&mut self, ctx: &RuleCtx<'_>) -> Option<RuleFire> {
         let want = (ctx.lp * self.tasks_per_worker).clamp(self.min, self.max);
         let current = self.knob.get();

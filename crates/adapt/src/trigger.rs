@@ -19,14 +19,25 @@
 //! the controller's `AnalysisRecord` and, like it, a ring of the most
 //! recent [`DECISION_LOG_CAPACITY`] records; a forecast-gated record's
 //! realized WCT comes from the root spans the tracker records.
+//!
+//! What the engine hears is what its live rules read
+//! ([`Listener::reads`]): the union of their [`Rule::reads`], each
+//! muscle with its alias group, plus the root's span while a forecast
+//! audit is open. A trigger whose rules read nothing leaves the
+//! submissions it samples unobserved. The set is worked out again,
+//! between items, whenever a rule is added, fires, is re-armed or sees a
+//! replacement, whenever an audit opens or closes and whenever the
+//! estimator table's aliases change; a trigger made
+//! [`for_controller`](TriggerEngine::for_controller) reads everything.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_core::{AutonomicController, Ewma, Knowledge, SmTracker, Span};
-use askel_events::{Event, Interest, Listener, ListenerRegistry, Payload};
+use askel_core::{AutonomicController, EstimatorTable, Ewma, Knowledge, SmTracker, Span};
+use askel_events::{Event, Interest, Listener, ListenerRegistry, Payload, Reads};
 use askel_skeletons::{Node, NodeId, Skel, TimeNs};
 
 use crate::arbitration::{arbitrate, ConflictPolicy};
@@ -101,22 +112,35 @@ struct TrigInner {
     /// Metrics handles once attached to a hub (see [`crate::metrics`]):
     /// rule-fire counters and the forecast-error histogram.
     metrics: Option<AdaptMetrics>,
+    /// Gated records in `log` whose audit is open.
+    open_audits: usize,
+    /// What the live rules read, as last worked out.
+    reads: Reads,
+    /// Something `reads` follows may have changed since.
+    reads_stale: bool,
+    /// How many aliases the estimator table declared when `reads` was
+    /// worked out.
+    aliases: usize,
 }
 
 /// Event-driven rule host; see the module docs.
 pub struct TriggerEngine {
     /// Its own, or one sharing a controller's; what every event reads of
     /// it sits apart from anything written (see [`Knowledge`]).
-    knowledge: Knowledge,
+    knowledge: Arc<Knowledge>,
     /// Locked after the knowledge's state, never before.
     inner: Mutex<TrigInner>,
+    /// Moves whenever `inner.reads` does.
+    reads_version: AtomicU64,
+    /// Made for a controller, whose analysis reads every muscle.
+    reads_all: bool,
 }
 
 impl TriggerEngine {
     /// A trigger engine with knowledge of its own, whose EWMA estimators
     /// use weight `rho` (the paper's ρ, 0.5 by convention).
     pub fn new(rho: f64) -> Arc<Self> {
-        Self::over(Knowledge::new(rho), rho)
+        Self::over(Knowledge::new(rho), rho, false)
     }
 
     /// A trigger engine deciding from `controller`'s knowledge: one
@@ -127,12 +151,14 @@ impl TriggerEngine {
     /// analyses.
     pub fn for_controller(controller: &AutonomicController) -> Arc<Self> {
         let knowledge = Knowledge::sharing(controller.knowledge());
-        Self::over(knowledge, controller.config().rho)
+        Self::over(knowledge, controller.config().rho, true)
     }
 
-    fn over(knowledge: Knowledge, rho: f64) -> Arc<Self> {
+    fn over(knowledge: Knowledge, rho: f64, reads_all: bool) -> Arc<Self> {
         Arc::new(TriggerEngine {
-            knowledge,
+            knowledge: Arc::new(knowledge),
+            reads_version: AtomicU64::new(0),
+            reads_all,
             inner: Mutex::new(TrigInner {
                 errors: ErrorStats::default(),
                 input_size: Ewma::new(rho.clamp(0.0, 1.0)),
@@ -141,6 +167,10 @@ impl TriggerEngine {
                 safe_points: 0,
                 evaluations: 0,
                 metrics: None,
+                open_audits: 0,
+                reads: Reads::NOTHING,
+                reads_stale: false,
+                aliases: 0,
             }),
         })
     }
@@ -151,20 +181,32 @@ impl TriggerEngine {
     pub const INTEREST: Interest = SmTracker::INTEREST;
 
     /// The knowledge this engine decides from: its estimator table and
-    /// event log.
-    pub fn knowledge(&self) -> &Knowledge {
+    /// event log. Registered as a listener in the engine's place, it
+    /// hears every event rather than what the rules read.
+    pub fn knowledge(&self) -> &Arc<Knowledge> {
         &self.knowledge
     }
 
     /// Folds the knowledge, closes the forecast audits of the items it
-    /// saw complete, and hands `f` the tracker and the trigger state.
+    /// saw complete, and hands `f` the tracker and the trigger state;
+    /// then works out again what the rules read, if that may have moved.
     fn current<T>(&self, f: impl FnOnce(&mut SmTracker, &mut TrigInner) -> T) -> T {
         self.knowledge().with_tracker(|tracker| {
             let mut inner = self.inner.lock();
             for item in tracker.take_finished_roots() {
                 inner.close_audit(item);
             }
-            f(tracker, &mut inner)
+            let out = f(tracker, &mut inner);
+            let aliases = tracker.estimates().aliases().count();
+            if std::mem::take(&mut inner.reads_stale) || aliases != inner.aliases {
+                inner.aliases = aliases;
+                let reads = inner.derive_reads(tracker.estimates());
+                if reads != inner.reads {
+                    inner.reads = reads;
+                    self.reads_version.fetch_add(1, Ordering::Release);
+                }
+            }
+            out
         })
     }
 
@@ -185,7 +227,10 @@ impl TriggerEngine {
     /// [`ConflictPolicy`], never by the order the rules were registered
     /// in.
     pub fn add_rule<R: Rule + 'static>(&self, rule: Governed<R>) {
-        self.inner.lock().rules.push(Box::new(rule));
+        self.current(|_, inner| {
+            inner.rules.push(Box::new(rule));
+            inner.reads_stale = true;
+        });
     }
 
     /// Records one stream item's outcome (the adaptive session calls this
@@ -229,6 +274,7 @@ impl TriggerEngine {
                 evaluations,
                 safe_points,
                 metrics,
+                reads_stale,
                 ..
             } = inner;
             let ctx = RuleCtx {
@@ -246,6 +292,8 @@ impl TriggerEngine {
                 }
                 *evaluations += 1;
                 if let Some((fire, forecast)) = rule.evaluate(&ctx) {
+                    // A once-rule that fires retires: its reads go.
+                    *reads_stale |= rule.retired;
                     if let Some(m) = metrics.as_mut() {
                         m.note_fire(&rule.name);
                     }
@@ -404,9 +452,12 @@ impl TriggerEngine {
     /// target — so the rule gets another chance instead of being
     /// silently lost.
     fn rearm(&self, index: usize) {
-        if let Some(rule) = self.inner.lock().rules.get_mut(index) {
-            rule.retired = false;
-        }
+        self.current(|_, inner| {
+            if let Some(rule) = inner.rules.get_mut(index) {
+                rule.retired = false;
+                inner.reads_stale = true;
+            }
+        });
     }
 
     /// Appends one applied rewrite to the decision log, dropping the
@@ -415,8 +466,17 @@ impl TriggerEngine {
         // Folded first: items that completed before this rewrite must not
         // find it in the log when their realized WCT looks for an audit.
         self.current(|_, inner| {
+            let open = |r: &AdaptRecord| r.forecast.is_some_and(|f| f.realized.is_none());
             if inner.log.len() == DECISION_LOG_CAPACITY {
-                inner.log.pop_front();
+                let dropped = inner.log.pop_front().expect("the log is full");
+                if open(&dropped) {
+                    inner.open_audits -= 1;
+                    inner.reads_stale = true;
+                }
+            }
+            if open(&record) {
+                inner.open_audits += 1;
+                inner.reads_stale = true;
             }
             inner.log.push_back(record);
         });
@@ -427,9 +487,12 @@ impl TriggerEngine {
     /// how e.g. `askel_dist::Offload` follows its subtree through
     /// a fallback swap and re-arms.
     fn note_replaced(&self, target: NodeId, replacement: &Arc<Node>) {
-        for rule in &mut self.inner.lock().rules {
-            rule.rule.on_replaced(target, replacement);
-        }
+        self.current(|_, inner| {
+            for rule in &mut inner.rules {
+                rule.rule.on_replaced(target, replacement);
+            }
+            inner.reads_stale = true;
+        });
     }
 
     /// The decision log: the most recent [`DECISION_LOG_CAPACITY`]
@@ -463,6 +526,36 @@ fn audit(at: TimeNs, version: u64, plan: PlannedRewrite, action: String) -> Adap
 }
 
 impl TrigInner {
+    /// What the live rules read, each muscle with its alias group, and
+    /// the root's span while an audit waits for it.
+    fn derive_reads(&self, estimates: &EstimatorTable) -> Reads {
+        let live = self.rules.iter().filter(|rule| !rule.retired);
+        let mut reads = live.fold(Reads::NOTHING, |reads, rule| reads.union(rule.reads()));
+        if self.open_audits > 0 {
+            let root = Reads::Only {
+                muscles: Vec::new(),
+                root: true,
+            };
+            reads = reads.union(root);
+        }
+        if let Reads::Only { muscles, .. } = &mut reads {
+            // Groups are chains to a canonical member: grow to a fixpoint.
+            let mut grown = true;
+            while grown {
+                grown = false;
+                for (m, canonical) in estimates.aliases() {
+                    for (has, add) in [(m, canonical), (canonical, m)] {
+                        if muscles.contains(&has) && !muscles.contains(&add) {
+                            muscles.push(add);
+                            grown = true;
+                        }
+                    }
+                }
+            }
+        }
+        reads
+    }
+
     /// A root submission completed: its realized WCT closes the forecast
     /// audit of the skeleton version the item actually ran under — the
     /// last rewrite applied before it started. Matching on version (not
@@ -492,6 +585,8 @@ impl TrigInner {
         };
         let realized = finished.saturating_sub(started);
         forecast.realized = Some(realized);
+        self.open_audits -= 1;
+        self.reads_stale = true;
         if let Some(m) = &self.metrics {
             m.note_forecast_error(realized.0.abs_diff(forecast.predicted.0));
         }
@@ -543,12 +638,24 @@ impl Listener for TriggerEngine {
     fn accepts_spans(&self) -> bool {
         self.knowledge().accepts_spans()
     }
+
+    /// What the live rules read (see the module docs).
+    fn reads(&self) -> Reads {
+        if self.reads_all {
+            return Reads::All;
+        }
+        self.inner.lock().reads.clone()
+    }
+
+    fn reads_version(&self) -> u64 {
+        self.reads_version.load(Ordering::Acquire)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{FallbackSwap, Knob, Promote, RetuneWidth, Trigger};
+    use crate::rules::{FallbackSwap, Knob, Promote, RetuneGrain, RetuneWidth, Trigger};
     use askel_events::{EventRecord, When, Where};
     use askel_skeletons::seq;
 
@@ -652,6 +759,74 @@ mod tests {
         }
         // ... until safe point 5, 4 after the grow.
         assert_eq!(width_fires(), 1);
+    }
+
+    #[test]
+    fn a_trigger_reads_what_its_live_rules_read() {
+        use askel_skeletons::{MuscleId, MuscleRole};
+        let m = |n| MuscleId::new(NodeId(n), MuscleRole::Execute);
+        let t = TriggerEngine::new(0.5);
+        assert_eq!((t.reads(), t.reads_version()), (Reads::NOTHING, 0));
+        // A grain rule reads its leaf; a trigger its muscle.
+        t.add_rule(RetuneGrain::new(Knob::new("g", 4), m(1), TimeNs(10)));
+        t.add_rule(
+            RetuneWidth::new(Knob::new("w", 2), 1)
+                .when(Trigger::DurationAtLeast(m(2), TimeNs::MAX)),
+        );
+        assert_eq!(t.reads(), Reads::muscle(m(1)).union(Reads::muscle(m(2))));
+        let version = t.reads_version();
+        assert!(version > 0);
+        // A read covers the muscle's alias group, seen at the next fold.
+        t.knowledge().with_estimates(|e| e.set_alias(m(3), m(1)));
+        t.decision_log();
+        assert!(t.reads_version() > version);
+        let Reads::Only { muscles, root } = t.reads() else {
+            panic!("all");
+        };
+        assert_eq!((muscles, root), (vec![m(1), m(2), m(3)], false));
+        // An open audit reads the root's span until an item closes it.
+        t.record(gated(TimeNs::from_millis(10), 1, TimeNs::from_millis(40)));
+        assert!(matches!(t.reads(), Reads::Only { root: true, .. }));
+        raise(&t, 7, When::Before, 20);
+        raise(&t, 7, When::After, 60);
+        t.decision_log();
+        assert!(matches!(t.reads(), Reads::Only { root: false, .. }));
+        // A once-rule reads while it is live, a forecast gate everything.
+        let leaf = seq(|x: i64| x);
+        t.add_rule(
+            Promote::new(&leaf, &leaf)
+                .when(Trigger::InputSizeAtLeast(1.0))
+                .forecast_gated(0.0),
+        );
+        assert_eq!(t.reads(), Reads::All);
+        // Made for a controller: everything, always.
+        let c = askel_core::AutonomicController::new(
+            Arc::clone(leaf.node()),
+            askel_core::ControllerConfig::new(TimeNs::from_millis(1), 2),
+            Arc::new(askel_core::FnActuator(|_: usize| {})),
+        );
+        assert_eq!(TriggerEngine::for_controller(&c).reads(), Reads::All);
+    }
+
+    #[test]
+    fn a_fired_once_rule_stops_reading() {
+        use askel_skeletons::{MuscleId, MuscleRole};
+        let leaf = seq(|x: i64| x);
+        let fe = MuscleId::new(leaf.id(), MuscleRole::Execute);
+        let other = MuscleId::new(NodeId(u64::MAX), MuscleRole::Execute);
+        let t = TriggerEngine::new(0.5);
+        t.knowledge()
+            .with_estimates(|e| e.init_duration(other, TimeNs(5)));
+        let watched = Trigger::DurationAtMost(other, TimeNs::MAX);
+        t.add_rule(FallbackSwap::new(&leaf, &leaf, 1).when(watched));
+        t.add_rule(RetuneGrain::new(Knob::new("g", 4), fe, TimeNs(10)));
+        assert_eq!(t.reads(), Reads::muscle(other).union(Reads::muscle(fe)));
+        t.record_outcome(false);
+        let version = t.reads_version();
+        assert_eq!(t.plan(leaf.node(), 1).len(), 1);
+        // The swap retired: the grain rule still reads `fe`.
+        assert_eq!(t.reads(), Reads::muscle(fe));
+        assert_eq!(t.reads_version(), version + 1);
     }
 
     #[test]

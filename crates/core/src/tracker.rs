@@ -180,6 +180,12 @@ impl SmTracker {
         self.finished_roots.drain(..)
     }
 
+    /// How many instance records, orphans and live roots the tracker
+    /// holds: what a long stream must keep bounded.
+    pub fn footprint(&self) -> (usize, usize, usize) {
+        (self.instances.len(), self.orphans.len(), self.roots.len())
+    }
+
     /// The current (most recent) root instance.
     pub fn current_root(&self) -> Option<&InstanceRecord> {
         self.roots.back().and_then(|id| self.instances.get(id))
@@ -359,6 +365,9 @@ impl SmTracker {
                 self.estimates
                     .observe_duration(MuscleId::new(event.node, MuscleRole::Execute), dur);
             }
+            // A loop whose condition went unheard (a listener reading a
+            // muscle below it keeps only its brackets) leaves |fc| alone.
+            KindTag::While if rec.conds.is_empty() => {}
             KindTag::While => {
                 // |fc| of a while = number of `true` verdicts this run.
                 let trues = rec.cond_trues as f64;

@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use askel_adapt::{Concern, Governed, Knob, RewriteAction, Rule, RuleCtx, RuleFire};
+use askel_adapt::{Concern, Governed, Knob, Reads, RewriteAction, Rule, RuleCtx, RuleFire};
 use askel_sim::workers::WorkerModel;
 use askel_skeletons::TimeNs;
 
@@ -505,6 +505,11 @@ impl ProvisioningPolicy {
 }
 
 impl Rule for ProvisioningPolicy {
+    /// Busy shares come from the cluster's telemetry, not from events.
+    fn reads(&self) -> Reads {
+        Reads::NOTHING
+    }
+
     /// Decides from the cluster's live busy shares whether to bring the
     /// next offline node online or retire the last online one.
     /// Deterministic: same telemetry, same decision.

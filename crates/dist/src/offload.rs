@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use askel_adapt::{
-    Adaptive, Concern, Governed, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine,
+    Adaptive, Concern, Governed, Reads, RewriteAction, Rule, RuleCtx, RuleFire, TriggerEngine,
 };
 use askel_sim::{SimEngine, SimStream};
 use askel_skeletons::{Node, NodeId, Skel};
@@ -65,6 +65,11 @@ impl Offload {
 }
 
 impl Rule for Offload {
+    /// Busy shares come from the cluster's telemetry, not from events.
+    fn reads(&self) -> Reads {
+        Reads::NOTHING
+    }
+
     fn on_replaced(&mut self, target: NodeId, replacement: &Arc<Node>) {
         if self.target == target {
             // Follow the subtree: the offload concern is positional, so

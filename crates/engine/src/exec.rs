@@ -36,11 +36,14 @@
 //!
 //! The listener set is sampled when the submission is made (the rule is
 //! stated once, in [`askel_events::interp`]): [`SubCtx::listeners`] is the
-//! view taken then, and an event dispatches through it for as long as the
-//! registry's generation stands. A stream session's own listener
-//! ([`SubCtx::own`]) rides along with each of its submissions and hears
-//! those and no others. Whether both views accept spans is sampled with
-//! them ([`SubCtx::spans`]).
+//! registry's view taken then, compiled against the submission's plan,
+//! and an event dispatches through it for as long as the registry's
+//! generation stands. A stream session's own listener ([`SubCtx::own`])
+//! rides along with each of its submissions, compiled the same way, and
+//! hears those and no others. A view nobody reads anything through is
+//! dropped at submit, so the submission costs what an unobserved one
+//! does. Whether both views accept spans is sampled with them
+//! ([`SubCtx::spans`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,7 +52,7 @@ use std::sync::Arc;
 
 use askel_events::interp::{self, panic_message, BoxedCont, Fault, Hint, Runtime};
 use askel_events::{
-    Event, EventInfo, ListenerRegistry, ListenerSnapshot, Payload, Trace, When, Where,
+    Event, EventInfo, ListenerRegistry, ListenerSnapshot, Payload, PlanView, Trace, When, Where,
 };
 use askel_pool::{ResizablePool, Task};
 use askel_skeletons::{Clock, Data, MuscleId, Plan, Skel, TimeNs};
@@ -68,17 +71,19 @@ struct SubCtx {
     registry: Arc<ListenerRegistry>,
     clock: Arc<dyn Clock>,
     /// The listeners registered when this submission started, taken once
-    /// at submit time; `None` when there were none, and then the
+    /// at submit time and compiled against `plan`; `None` when none of
+    /// them reads anything of it, and then (with no `own` either) the
     /// interpreter skips the whole event path — instance ids, traces and
     /// emission — for the submission's lifetime. Events dispatch through
     /// this view, so a worker emitting one touches nothing another worker
     /// writes (see [`ThreadRt::emit`]).
-    listeners: Option<Arc<ListenerSnapshot>>,
+    listeners: Option<PlanView>,
     /// The submitting session's own listener
     /// ([`StreamSession::listener`](crate::StreamSession::listener)), as
-    /// a one-entry view: it hears this submission besides whatever the
-    /// registry holds, and observes it even when the registry is empty.
-    own: Option<Arc<ListenerSnapshot>>,
+    /// a one-entry view compiled the same way: it hears this submission
+    /// besides whatever the registry holds, and observes it even when
+    /// the registry is empty.
+    own: Option<PlanView>,
     /// Whether every view above accepts spans, sampled with them: this
     /// submission's `seq` instances then each raise one event.
     spans: bool,
@@ -182,6 +187,14 @@ impl Runtime for ThreadRt {
         (ctx.listeners.is_some() || ctx.own.is_some()).then(|| ctx.empty_trace.clone())
     }
 
+    fn traced(&self, at: usize) -> bool {
+        let ctx = &*self.ctx;
+        [&ctx.listeners, &ctx.own]
+            .into_iter()
+            .flatten()
+            .any(|view| view.traced(at))
+    }
+
     /// Timestamps: one clock read per muscle. An event raised with no
     /// muscle metered since the previous event of this task carries that
     /// event's timestamp; [`meter`](Runtime::meter), which runs before
@@ -191,6 +204,7 @@ impl Runtime for ThreadRt {
     /// the controller's analysis memo, sees them as such.
     fn emit(
         &mut self,
+        at: usize,
         trace: Trace,
         when: When,
         wher: Where,
@@ -204,19 +218,19 @@ impl Runtime for ThreadRt {
         // reference count. Once it has, every event of this submission
         // re-reads the registry, so listeners added or removed mid-item
         // take effect at the next event, as they always did. A submission
-        // that found the registry empty never reads it.
+        // that found nothing read never reads it.
         let fresh;
         let shared = match &ctx.listeners {
             Some(taken) if ctx.registry.generation() == taken.generation() => Some(taken),
             Some(_) => {
-                fresh = ctx.registry.snapshot();
+                fresh = ctx.registry.view(&ctx.plan);
                 fresh.as_ref()
             }
             None => None,
         };
-        // A position nobody wants costs nothing further: no clock read,
-        // no event.
-        let wants = |view: &&Arc<ListenerSnapshot>| view.interest().contains(when, wher);
+        // A position nobody reads here costs nothing further: no clock
+        // read, no event.
+        let wants = |view: &&PlanView| view.wants(at, when, wher);
         let (shared, own) = (shared.filter(wants), ctx.own.as_ref().filter(wants));
         if shared.is_none() && own.is_none() {
             return trace;
@@ -224,7 +238,7 @@ impl Runtime for ThreadRt {
         let timestamp = *self.last_raised.get_or_insert_with(|| ctx.clock.now());
         let event = Event::of(trace, when, wher, info, timestamp);
         for view in [shared, own].into_iter().flatten() {
-            view.dispatch(payload, &event);
+            view.dispatch(at, payload, &event);
         }
         event.trace
     }
@@ -302,13 +316,13 @@ impl Runtime for ThreadRt {
 fn submission<R: Send + 'static>(
     engine: &Engine,
     plan: &Arc<Plan>,
-    listeners: Option<Arc<ListenerSnapshot>>,
-    own: Option<&Arc<ListenerSnapshot>>,
+    listeners: Option<PlanView>,
+    own: Option<PlanView>,
     span: Option<SpanProbe>,
 ) -> (ThreadRt, SkelFuture<R>, BoxedCont<ThreadRt>) {
     let (future, promise) = pair::<R>();
     let fail_promise = promise.clone();
-    let spans = [listeners.as_ref(), own]
+    let spans = [&listeners, &own]
         .into_iter()
         .flatten()
         .all(|view| view.accepts_spans());
@@ -318,7 +332,7 @@ fn submission<R: Send + 'static>(
         registry: Arc::clone(&engine.registry),
         clock: Arc::clone(&engine.clock),
         listeners,
-        own: own.cloned(),
+        own,
         spans,
         empty_trace: Trace::empty(),
         span,
@@ -339,6 +353,18 @@ fn submission<R: Send + 'static>(
     (rt, future, done)
 }
 
+/// The registry's listeners and the session's `own`, compiled against
+/// `plan`; a view through which nothing of the program is read is none.
+fn views(
+    engine: &Engine,
+    plan: &Arc<Plan>,
+    own: Option<&Arc<ListenerSnapshot>>,
+) -> (Option<PlanView>, Option<PlanView>) {
+    let read = |view: &PlanView| view.traced(Plan::ROOT);
+    let listeners = engine.registry.view(plan).filter(read);
+    (listeners, own.map(|own| own.view(plan)).filter(read))
+}
+
 /// Entry point used by [`crate::Engine::submit`] (no `own` listener) and
 /// by a [`StreamSession`](crate::StreamSession)'s feeds.
 pub(crate) fn submit<P, R>(
@@ -352,7 +378,7 @@ where
     R: Send + 'static,
 {
     let span = engine.metrics.probe(&*engine.clock);
-    let listeners = engine.registry.snapshot();
+    let (listeners, own) = views(engine, skel.plan(), own);
     let (mut rt, future, done) = submission(engine, skel.plan(), listeners, own, span);
     rt.caught(|rt| interp::start(rt, Box::new(input), done));
     future
@@ -378,7 +404,7 @@ where
     P: Send + 'static,
     R: Send + 'static,
 {
-    let listeners = engine.registry.snapshot();
+    let (listeners, own) = views(engine, skel.plan(), own);
     // One enabled check and one clock read for the whole batch; every
     // item's span shares the submit timestamp.
     let submitted_at = if engine.metrics.enabled() {
@@ -390,7 +416,8 @@ where
     let mut tasks: Vec<Task> = Vec::with_capacity(inputs.len());
     for input in inputs {
         let span = submitted_at.map(|at| engine.metrics.probe_at(at));
-        let (rt, future, done) = submission(engine, skel.plan(), listeners.clone(), own, span);
+        let (listeners, own) = (listeners.clone(), own.clone());
+        let (rt, future, done) = submission(engine, skel.plan(), listeners, own, span);
         tasks.push(rt.task(move |rt| interp::start(rt, Box::new(input), done)));
         futures.push(future);
     }

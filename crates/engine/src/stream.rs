@@ -87,9 +87,11 @@ where
     /// Gives the session a listener of its own: it hears the events of
     /// exactly the items this session submits, and of no other
     /// submission on the engine. Like a registered listener it is asked
-    /// only for the positions its [`Listener::interest`] names, and it
-    /// is sampled per submission, at submit time; the engine's registry
-    /// still hears the items too. A session has one; calling this again
+    /// only for the positions its [`Listener::interest`] names at the
+    /// nodes its [`Listener::reads`] names, compiled against each
+    /// submission's program at submit time — so a change in what it
+    /// reads takes effect at the next feed; the engine's registry still
+    /// hears the items too. A session has one; calling this again
     /// replaces it.
     pub fn listener(mut self, listener: Arc<dyn Listener>) -> Self {
         // Registered as the registry registers it, so the interest rule

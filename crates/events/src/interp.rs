@@ -23,26 +23,36 @@
 //!   listener or a continuation poisons the submission, and its remaining
 //!   steps are skipped.
 //!
-//! **Listener sampling, the one rule for both runtimes:** whether a
-//! submission is observed is decided once, when its root node is
-//! scheduled, by [`Runtime::observed`]. An unobserved submission stays
-//! silent for its whole life — its instances carry no trace and no
-//! [`InstanceId`], no event is built, closing continuations that would
-//! only emit are skipped and merges consume the join's slots as they are.
-//! An observed one hands every event to [`Runtime::emit`], which delivers
-//! it to the listeners registered *at that moment*, so a listener added
-//! or removed mid-item takes effect at the item's next event. Register
-//! listeners before submitting.
+//! **Listener sampling, the one rule for both runtimes:** what a
+//! submission raises is decided once, when its root node is scheduled,
+//! from the listeners registered at that moment compiled against its
+//! program ([`PlanView`](crate::PlanView)): per plan entry, the positions
+//! some listener reads there — its [`interest`](crate::Listener::interest)
+//! and registration filter, narrowed to the nodes its
+//! [`reads`](crate::Listener::reads) name. An instance carries a trace
+//! and an [`InstanceId`] only when its subtree holds an entry read
+//! ([`Runtime::traced`]); one that does not stays silent for its whole
+//! life — no event is built, closing continuations that would only emit
+//! are skipped and merges consume the join's slots as they are. A
+//! submission whose root is not traced goes unobserved altogether
+//! ([`Runtime::observed`]), and costs what a submission nobody listens to
+//! costs. A traced instance raises an event at the positions its entry's
+//! mask holds, through [`Runtime::emit`], which delivers it to the
+//! listeners that read it; should the registry change mid-item, the
+//! event goes to the listeners registered *at that moment* instead, so a
+//! listener added or removed mid-item takes effect at the item's next
+//! event of an instance already traced. What a listener reads changes
+//! only between items. Register listeners before submitting.
 //!
 //! **Spans.** When every listener an observed submission dispatches to
 //! [accepts spans](crate::Listener::accepts_spans), each of its `seq`
 //! instances raises no `(Before, Skeleton)` and one `(After, Skeleton)`
 //! carrying [`EventInfo::Started`]: the timestamp its `Before` would have
-//! carried ([`Runtime::span_start`]). Threads sample the answer with the
-//! listeners, once per submission, and the simulator reads it from its
-//! registry, so both form the same spans for the same program. A listener
-//! added mid-item may therefore see a `seq`'s `After` without its
-//! `Before`, as it may whenever it is added between the two.
+//! carried ([`Runtime::span_start`]). Both runtimes sample the answer
+//! with the listeners, once per submission, so both form the same spans
+//! for the same program. A listener added mid-item may see a `seq`'s
+//! `After` without its `Before`, as it may whenever it is added between
+//! the two.
 //!
 //! **What a step writes.** An instance names its node by its entry in the
 //! submission's [`Plan`], which the runtime hands out
@@ -117,14 +127,21 @@ pub trait Runtime: Sized + 'static {
     fn plan(&self) -> &Plan;
 
     /// Asked once per submission (see the module docs): the empty trace
-    /// the root instance hangs under when a listener is registered right
-    /// now, `None` when the submission goes unobserved.
+    /// the root instance hangs under when a listener registered right now
+    /// reads something of the program, `None` when the submission goes
+    /// unobserved.
     fn observed(&self) -> Option<Trace>;
 
-    /// Raises one event of the instance `trace` ends at, on the current
-    /// thread at the current time, and hands `trace` back: the event owns
-    /// it while listeners see it, so raising an event moves no reference
-    /// count.
+    /// Whether a fresh instance at plan entry `at`, nested in a traced
+    /// one, needs a trace of its own: whether some listener the
+    /// submission sampled reads an entry of its subtree.
+    fn traced(&self, at: usize) -> bool;
+
+    /// Raises one event of the instance at plan entry `at` that `trace`
+    /// ends at, on the current thread at the current time, if some
+    /// listener reads that position there, and hands `trace` back: the
+    /// event owns it while listeners see it, so raising an event moves no
+    /// reference count.
     ///
     /// An event raised with no muscle called since the previous event of
     /// the same step carries **the same timestamp**: a virtual clock gives
@@ -135,6 +152,7 @@ pub trait Runtime: Sized + 'static {
     /// Split)` or `(After, Condition)`, the previous child's marker.
     fn emit(
         &mut self,
+        at: usize,
         trace: Trace,
         when: When,
         wher: Where,
@@ -219,8 +237,9 @@ impl<R: Runtime> Cont<R> {
     }
 }
 
-/// One skeleton instance: its node's entry in the plan and, when the
-/// submission is observed, its trace, whose leaf is this instance.
+/// One skeleton instance: its node's entry in the plan and, when
+/// something of its subtree is read, its trace, whose leaf is this
+/// instance.
 #[derive(Clone)]
 struct Inst {
     at: usize,
@@ -238,11 +257,12 @@ impl Inst {
     }
 
     /// A fresh instance of the node at entry `at`, nested in this one.
-    /// An unobserved one is an index and nothing else.
+    /// One whose subtree nobody reads is an index and nothing else.
     fn child<R: Runtime>(&self, rt: &R, at: usize) -> Self {
         let trace = self
             .trace
             .as_ref()
+            .filter(|_| rt.traced(at))
             .map(|above| Self::trace(above, rt.plan().node(at)));
         Inst { at, trace }
     }
@@ -310,7 +330,7 @@ impl Inst {
         payload: &mut Payload<'_>,
     ) {
         if let Some(trace) = self.trace.take() {
-            self.trace = Some(rt.emit(trace, when, wher, info, payload));
+            self.trace = Some(rt.emit(self.at, trace, when, wher, info, payload));
         }
     }
 

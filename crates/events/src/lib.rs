@@ -38,7 +38,7 @@ pub mod util;
 
 pub use event::{Event, EventInfo, EventRecord, When, Where};
 pub use event_log::EventLog;
-pub use listener::{EventFilter, FnListener, Interest, Listener, Payload};
-pub use registry::{ListenerRegistry, ListenerSnapshot};
+pub use listener::{EventFilter, FnListener, Interest, Listener, Payload, Reads};
+pub use registry::{ListenerRegistry, ListenerSnapshot, PlanView};
 pub use stream::{StreamRuntime, StreamTypes};
 pub use trace::{Trace, TraceEntry};

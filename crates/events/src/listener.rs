@@ -7,7 +7,7 @@
 //! paper's motivating example is encrypting partial solutions before they
 //! cross a communication boundary.
 
-use askel_skeletons::{Data, KindTag, NodeId};
+use askel_skeletons::{Data, KindTag, MuscleId, MuscleRole, Node, NodeId, Plan};
 
 use crate::event::{Event, When, Where};
 
@@ -129,6 +129,122 @@ impl Interest {
     pub const fn contains(self, when: When, wher: Where) -> bool {
         self.0 & Self::bit(when, wher) != 0
     }
+
+    /// `true` for the empty set.
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+/// Which events of a program a listener reads, by node: the other half
+/// of its filter beside [`Interest`]'s positions.
+///
+/// A muscle's estimates come from its own node's events alone, so a
+/// listener that reads a few muscles' estimates names those muscles; a
+/// submission compiles the names against its program
+/// and raises nothing anywhere else.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Reads {
+    /// Every event of every node: what a listener that declares nothing
+    /// reads.
+    All,
+    /// The events the named muscles' estimates are made from, and — with
+    /// `root` — the root instance's skeleton brackets (its span).
+    Only {
+        /// The muscles read.
+        muscles: Vec<MuscleId>,
+        /// Whether the root's span is read.
+        root: bool,
+    },
+}
+
+impl Reads {
+    /// Nothing at all.
+    pub const NOTHING: Reads = Reads::Only {
+        muscles: Vec::new(),
+        root: false,
+    };
+
+    /// The events of one muscle.
+    pub fn muscle(m: MuscleId) -> Reads {
+        Reads::Only {
+            muscles: vec![m],
+            root: false,
+        }
+    }
+
+    /// What either reads.
+    pub fn union(self, other: Reads) -> Reads {
+        match (self, other) {
+            (Reads::All, _) | (_, Reads::All) => Reads::All,
+            (
+                Reads::Only { mut muscles, root },
+                Reads::Only {
+                    muscles: more,
+                    root: also,
+                },
+            ) => {
+                for m in more {
+                    if !muscles.contains(&m) {
+                        muscles.push(m);
+                    }
+                }
+                Reads::Only {
+                    muscles,
+                    root: root || also,
+                }
+            }
+        }
+    }
+
+    /// The positions read at each entry of `plan`.
+    ///
+    /// A read muscle contributes its own positions plus its node's
+    /// skeleton brackets, which the state machines keep its instance's
+    /// record by; a muscle the plan's node does not have (the split of a
+    /// `for`, a node elsewhere) contributes nothing. Every ancestor of an
+    /// entry read keeps its skeleton brackets, so an instance read always
+    /// hangs under instances whose beginning was heard.
+    pub(crate) fn compile(&self, plan: &Plan) -> Vec<Interest> {
+        let n = plan.entries();
+        let Reads::Only { muscles, root } = self else {
+            return vec![Interest::ALL; n];
+        };
+        let brackets = Interest::at(Where::Skeleton);
+        let mut out: Vec<Interest> = (0..n)
+            .map(|at| {
+                let node = plan.node(at);
+                muscles
+                    .iter()
+                    .filter(|m| m.node == node.id)
+                    .fold(Interest::NONE, |acc, m| acc.union(positions(node, m.role)))
+            })
+            .collect();
+        if *root {
+            out[Plan::ROOT] = out[Plan::ROOT].union(brackets);
+        }
+        for at in (0..n).rev() {
+            if plan.kids(at).any(|kid| !out[kid].is_empty()) {
+                out[at] = out[at].union(brackets);
+            }
+        }
+        out
+    }
+}
+
+/// The positions `node`'s muscle `role` raises, with the node's skeleton
+/// brackets; none for a role the node does not own.
+fn positions(node: &Node, role: MuscleRole) -> Interest {
+    if !node.own_roles().contains(&role) {
+        return Interest::NONE;
+    }
+    let wher = match role {
+        MuscleRole::Execute => Where::Skeleton,
+        MuscleRole::Split => Where::Split,
+        MuscleRole::Merge => Where::Merge,
+        MuscleRole::Condition => Where::Condition,
+    };
+    Interest::at(wher).union(Interest::at(Where::Skeleton))
 }
 
 /// Non-functional code attached to skeleton events.
@@ -142,11 +258,33 @@ pub trait Listener: Send + Sync {
     /// registry intersects this with the registration filter, and an
     /// engine skips — before reading the clock or building the event —
     /// every position no registered listener wants. Events outside the
-    /// set are never delivered through a registry. The registry reads
-    /// this once, when the listener is registered: the answer must not
-    /// depend on state that changes afterwards.
+    /// set are never delivered through a registry. Like
+    /// [`reads`](Listener::reads), the answer **changes only between
+    /// items**: it is asked when a submission's listeners are compiled
+    /// against its program, and asked again once
+    /// [`reads_version`](Listener::reads_version) has moved.
     fn interest(&self) -> Interest {
         Interest::ALL
+    }
+
+    /// Which nodes' events this listener reads; everything by default.
+    ///
+    /// A submission compiles the answer against its program, with
+    /// [`interest`](Listener::interest) and the registration filter,
+    /// into one mask per plan entry: an instance whose subtree nobody
+    /// reads carries no trace and raises nothing, and a submission
+    /// nobody reads anything of goes unobserved (see
+    /// [`crate::interp`]). The answer **changes only between items**: a
+    /// submission keeps the masks it was compiled with, and asks again
+    /// only when [`reads_version`](Listener::reads_version) has moved.
+    fn reads(&self) -> Reads {
+        Reads::All
+    }
+
+    /// Moves whenever [`reads`](Listener::reads) may answer differently;
+    /// a listener whose reads never change keeps the default.
+    fn reads_version(&self) -> u64 {
+        0
     }
 
     /// Whether this listener takes a finished `seq` instance as one
@@ -307,6 +445,71 @@ mod tests {
         );
         // node/kind narrowing cannot be expressed as positions.
         assert_eq!(EventFilter::all().node(NodeId(3)).interest(), Interest::ALL);
+    }
+
+    /// What `reads` compiles to at each entry of `program`'s plan.
+    fn compiled<P: Send + 'static, R: Send + 'static>(
+        reads: &Reads,
+        program: &askel_skeletons::Skel<P, R>,
+    ) -> Vec<Interest> {
+        reads.compile(program.plan())
+    }
+
+    #[test]
+    fn a_read_muscle_brings_its_positions_and_its_ancestors_brackets() {
+        use askel_skeletons::{dac, map, seq, sfor};
+        let brackets = Interest::at(Where::Skeleton);
+        let split = Interest::at(Where::Split).union(brackets);
+        let leaf = seq(|v: Vec<i64>| v.len() as i64);
+        let program = map(|v: Vec<i64>| vec![v], leaf.clone(), |p: Vec<i64>| p[0]);
+        let fs = MuscleId::new(program.id(), MuscleRole::Split);
+        let fe = MuscleId::new(leaf.id(), MuscleRole::Execute);
+        // The split: its two positions and the map's brackets, nothing below.
+        assert_eq!(
+            compiled(&Reads::muscle(fs), &program),
+            [split, Interest::NONE]
+        );
+        // The leaf: its brackets, and the map's above it.
+        assert_eq!(compiled(&Reads::muscle(fe), &program), [brackets, brackets]);
+        // A `for` has no split, and a muscle elsewhere is no muscle here.
+        let looped = sfor(4, seq(|x: i64| x));
+        let none = [Interest::NONE, Interest::NONE];
+        let no_split = MuscleId::new(looped.id(), MuscleRole::Split);
+        assert_eq!(compiled(&Reads::muscle(no_split), &looped), none);
+        assert_eq!(compiled(&Reads::muscle(fe), &looped), none);
+        assert_eq!(compiled(&Reads::NOTHING, &looped), none);
+        // The root's span alone, and everything.
+        let root = Reads::Only {
+            muscles: Vec::new(),
+            root: true,
+        };
+        assert_eq!(compiled(&root, &looped), [brackets, Interest::NONE]);
+        assert_eq!(compiled(&Reads::All, &looped), [Interest::ALL; 2]);
+        // A d&C's leaf keeps the recursion's brackets (one entry for
+        // every level) and not its condition.
+        let sort = dac(
+            |v: &Vec<i64>| v.len() > 2,
+            |v: Vec<i64>| vec![v[..1].to_vec(), v[1..].to_vec()],
+            leaf.clone(),
+            |p: Vec<i64>| p.iter().sum(),
+        );
+        assert_eq!(compiled(&Reads::muscle(fe), &sort), [brackets, brackets]);
+        let fc = MuscleId::new(sort.id(), MuscleRole::Condition);
+        let cond = Interest::at(Where::Condition).union(brackets);
+        assert_eq!(
+            compiled(&Reads::muscle(fc).union(Reads::muscle(fe)), &sort),
+            [cond, brackets]
+        );
+    }
+
+    #[test]
+    fn reads_unite_muscles_once_and_all_absorbs() {
+        let m = |n| MuscleId::new(NodeId(n), MuscleRole::Execute);
+        let both = Reads::muscle(m(1)).union(Reads::muscle(m(2)));
+        let again = both.clone().union(Reads::muscle(m(1)));
+        assert_eq!(again, both);
+        assert_eq!(both.union(Reads::All), Reads::All);
+        assert_eq!(Reads::NOTHING.union(Reads::NOTHING), Reads::NOTHING);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   feed→drain→harvest loop, all over the **one** shared engine, one
 //!   metrics hub, and one cross-shard estimator pool.
 //! * **Per-tenant monitoring, pooled knowledge**: an adaptive tenant's
-//!   trigger engine is its own stream's session listener
+//!   trigger engine's knowledge is its own stream's session listener
 //!   ([`StreamSession::listener`](askel_engine::StreamSession::listener)),
-//!   so it hears exactly that tenant's items — the paper's listener
+//!   so it hears every event of exactly that tenant's items — the paper's listener
 //!   attached to the skeleton run it steers — and the engine's registry
 //!   stays empty, leaving plain tenants unobserved. [`SharedEstimators`]
 //!   pools estimator history across tenants by **skeleton structure**

@@ -5,14 +5,14 @@
 //! [`StreamSession`] (no trigger engine, no safe point, its items go
 //! unobserved); an adaptive tenant is an [`AdaptiveSession`] with its own
 //! trigger engine, safe-point arbitration and rewrite history — the
-//! per-tenant half of the MAPE loop stays fully independent. Its trigger
-//! is its stream's session listener ([`StreamSession::listener`]), so it
-//! hears exactly the items that tenant submits and the engine's registry
-//! stays empty. What is multiplexed across tenants is the
-//! [`SharedEstimators`] pool. Under a
-//! [`ShardedServe`](crate::ShardedServe) front, many registries run as
-//! shards sharing **one** estimator pool over the same engine; the
-//! registry itself is shard-agnostic.
+//! per-tenant half of the MAPE loop stays fully independent. Its
+//! trigger's knowledge is its stream's session listener
+//! ([`StreamSession::listener`]), so it hears every event of exactly the
+//! items that tenant submits and the engine's registry stays empty.
+//! What is multiplexed across tenants is the [`SharedEstimators`] pool.
+//! Under a [`ShardedServe`](crate::ShardedServe) front, many registries
+//! run as shards sharing **one** estimator pool over the same engine;
+//! the registry itself is shard-agnostic.
 //!
 //! Feeding goes through admission control (see [`AdmissionPolicy`]):
 //! one private function prices a tenant's room under its quota and the
@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use askel_adapt::{Adaptive, AdaptiveSession, TriggerEngine};
 use askel_engine::{Engine, EngineError, StreamSession};
@@ -119,8 +119,9 @@ struct Tenant<P, R> {
     fed_at: VecDeque<(u64, u64)>,
     /// Per-tenant sojourn histogram (submit → harvest) of the items fed
     /// while the hub was enabled; exported as
-    /// `serve_sojourn_ns{tenant="tN"}`.
-    sojourn: HistogramSnapshot,
+    /// `serve_sojourn_ns{tenant="tN"}`. Made at the first sojourn
+    /// recorded, so a tenant served with the hub off carries none.
+    sojourn: Option<Box<HistogramSnapshot>>,
 }
 
 impl<P, R> Tenant<P, R>
@@ -218,9 +219,10 @@ where
                 let ns = now
                     .get_or_insert_with(|| clock.now().0)
                     .saturating_sub(*stamp);
+                let sojourn = self.sojourn.get_or_insert_default();
                 for _ in 0..take {
                     metrics.note_sojourn(ns);
-                    self.sojourn.record(ns);
+                    sojourn.record(ns);
                 }
             }
             *items -= take as u64;
@@ -304,10 +306,11 @@ where
     ///   history for structurally identical programs (only entries the
     ///   trigger does not already hold; see [`SharedEstimators::warm`]),
     ///   and
-    /// * the trigger is the tenant stream's session listener: it hears
-    ///   the events of exactly the items this tenant submits, whoever
-    ///   else runs the same `Skel`. Estimator history crosses tenants
-    ///   only through the shared pool.
+    /// * the trigger's knowledge is the tenant stream's session listener:
+    ///   it hears every event of exactly the items this tenant submits,
+    ///   whoever else runs the same `Skel`, and not only what the rules
+    ///   read, since its whole estimator history is published. Estimator
+    ///   history crosses tenants only through the shared pool.
     pub fn register_adaptive(
         &mut self,
         skel: &Skel<P, R>,
@@ -337,7 +340,10 @@ where
                     self.shared.warm(skel.node(), est);
                 });
                 trigger.attach_metrics(self.engine.metrics_hub());
-                let stream = stream.listener(trigger.clone());
+                // Its knowledge hears everything, not only what the rules
+                // read: the whole history is published and prices
+                // admission.
+                let stream = stream.listener(trigger.knowledge().clone());
                 Session::Adaptive(Box::new(Adaptive::over(stream, trigger)))
             }
             None => Session::Plain(stream),
@@ -356,7 +362,7 @@ where
                 cost_ns,
                 unstamped: 0,
                 fed_at: VecDeque::new(),
-                sojourn: HistogramSnapshot::new(),
+                sojourn: None,
             },
         );
         TenantId(id)
@@ -627,7 +633,10 @@ where
     /// handed to its session while the metrics hub was enabled); `None`
     /// for an unknown tenant.
     pub fn tenant_sojourn(&self, tenant: TenantId) -> Option<&HistogramSnapshot> {
-        self.tenants.get(&tenant.0).map(|t| &t.sojourn)
+        static NONE_YET: OnceLock<HistogramSnapshot> = OnceLock::new();
+        let t = self.tenants.get(&tenant.0)?;
+        let none_yet = || NONE_YET.get_or_init(HistogramSnapshot::new);
+        Some(t.sojourn.as_deref().unwrap_or_else(none_yet))
     }
 
     /// Appends this registry's per-tenant sojourn histograms to `snap`
@@ -636,10 +645,10 @@ where
     /// one hub snapshot through this.
     pub(crate) fn append_tenant_histograms(&self, snap: &mut MetricsSnapshot) {
         for (id, t) in &self.tenants {
-            if t.sojourn.count() > 0 {
+            if let Some(sojourn) = t.sojourn.as_deref().filter(|s| s.count() > 0) {
                 snap.push_histogram(
                     format!("serve_sojourn_ns{{tenant=\"{}\"}}", TenantId(*id)),
-                    t.sojourn.clone(),
+                    sojourn.clone(),
                 );
             }
         }

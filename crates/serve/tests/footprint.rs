@@ -65,8 +65,8 @@ fn a_plain_tenant_costs_its_session_and_counters() {
     let registered = live();
     let per_tenant = (registered - empty) / TENANTS as isize;
     assert!(
-        per_tenant <= 800,
-        "a registered plain tenant holds {per_tenant} B (bound 800)"
+        per_tenant <= 583,
+        "a registered plain tenant holds {per_tenant} B (bound 583)"
     );
 
     for &t in &tenants {

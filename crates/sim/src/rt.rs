@@ -25,7 +25,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use askel_events::interp::{self, panic_message, Fault, Hint, Runtime};
-use askel_events::{Event, EventInfo, ListenerRegistry, Payload, Trace, When, Where};
+use askel_events::{
+    Event, EventInfo, ListenerRegistry, ListenerSnapshot, Payload, PlanView, Trace, When, Where,
+};
 use askel_pool::PoolTelemetry;
 use askel_skeletons::{Clock, Data, ManualClock, MuscleId, Plan, TimeNs};
 
@@ -40,11 +42,19 @@ use crate::{SimError, SimLpControl, StreamReport};
 /// runs; any other step ends its chain and releases the worker.
 pub(crate) type SimWork = Box<dyn FnOnce(&mut SimRt) + Send>;
 
-/// A ready task: its submission's program, the plan entry of the node
-/// that produced it (whose placement annotation constrains where it
-/// runs) and the work.
-pub(crate) struct ReadyTask {
+/// What a submission's steps share: its program, and the listeners
+/// sampled when it was made, compiled against the program (`None` when
+/// nothing of it is read).
+struct Sub {
     plan: Arc<Plan>,
+    view: Option<PlanView>,
+}
+
+/// A ready task: its submission, the plan entry of the node that
+/// produced it (whose placement annotation constrains where it runs) and
+/// the work.
+pub(crate) struct ReadyTask {
+    sub: Arc<Sub>,
     at: usize,
     work: SimWork,
 }
@@ -52,15 +62,15 @@ pub(crate) struct ReadyTask {
 impl ReadyTask {
     /// Where the task must run; `None` = anywhere.
     fn placement(&self) -> Option<&str> {
-        self.plan.node(self.at).placement.as_deref()
+        self.sub.plan.node(self.at).placement.as_deref()
     }
 }
 
-/// A scheduled chain continuation: the slot it occupies, its
-/// submission's program and the work to resume. Timing and tie-breaking
-/// live in the [`EventQueue`].
+/// A scheduled chain continuation: the slot it occupies, its submission
+/// and the work to resume. Timing and tie-breaking live in the
+/// [`EventQueue`].
 struct Completion {
-    plan: Arc<Plan>,
+    sub: Arc<Sub>,
     work: SimWork,
     slot: usize,
 }
@@ -88,9 +98,8 @@ pub(crate) struct SimRt {
     pub(crate) now: TimeNs,
     pub(crate) clock: Arc<ManualClock>,
     pub(crate) registry: Arc<ListenerRegistry>,
-    /// Whether every registered listener accepts spans, and the registry
-    /// generation that was read at.
-    spans: (u64, bool),
+    /// The registry's listeners, and the generation they were read at.
+    listeners: (u64, Option<Arc<ListenerSnapshot>>),
     cost: Arc<dyn CostModel>,
     pub(crate) telemetry: Arc<PoolTelemetry>,
     pub(crate) lp_control: SimLpControl,
@@ -101,9 +110,9 @@ pub(crate) struct SimRt {
     pub(crate) workers: Box<dyn WorkerModel>,
     /// On loan from the caller from [`begin`](SimRt::begin) to `end`.
     components: Vec<Box<dyn Component>>,
-    /// The program of the submission whose step runs now (see
-    /// [`Runtime::plan`]); `None` between steps.
-    plan: Option<Arc<Plan>>,
+    /// The submission whose step runs now (see [`Runtime::plan`]);
+    /// `None` between steps.
+    sub: Option<Arc<Sub>>,
     pub(crate) run: Run,
 }
 
@@ -162,42 +171,45 @@ impl Runtime for SimRt {
     const METERED: bool = true;
 
     fn plan(&self) -> &Plan {
-        self.plan.as_deref().expect("a step runs for a submission")
+        &self.sub().plan
     }
 
     fn observed(&self) -> Option<Trace> {
-        (!self.registry.is_empty()).then(Trace::empty)
+        self.sub().view.as_ref().map(|_| Trace::empty())
     }
 
-    /// Emits an event at the current virtual instant.
+    fn traced(&self, at: usize) -> bool {
+        self.sub().view.as_ref().is_some_and(|view| view.traced(at))
+    }
+
+    /// Emits an event at the current virtual instant, through the view
+    /// the submission was made with while the registry stands, as the
+    /// threaded runtime does.
     fn emit(
         &mut self,
+        at: usize,
         trace: Trace,
         when: When,
         wher: Where,
         info: EventInfo,
         payload: &mut Payload<'_>,
     ) -> Trace {
-        if self.registry.is_empty() {
-            return trace;
-        }
-        let event = Event::of(trace, when, wher, info, self.now);
-        self.registry.emit(payload, &event);
-        event.trace
+        let now = self.now;
+        self.with_view(|view| {
+            let Some(view) = view.filter(|view| view.wants(at, when, wher)) else {
+                return trace;
+            };
+            let event = Event::of(trace, when, wher, info, now);
+            view.dispatch(at, payload, &event);
+            event.trace
+        })
     }
 
-    /// The step's start, read from the registry as [`emit`](Runtime::emit)
-    /// reads its listeners: at the event, not per submission.
+    /// The step's start, when every listener the event would go to
+    /// accepts spans.
     fn span_start(&mut self) -> Option<TimeNs> {
-        let generation = self.registry.generation();
-        if generation != self.spans.0 {
-            let spans = self
-                .registry
-                .snapshot()
-                .is_some_and(|view| view.accepts_spans());
-            self.spans = (generation, spans);
-        }
-        self.spans.1.then_some(self.now)
+        let now = self.now;
+        self.with_view(|view| view.is_some_and(PlanView::accepts_spans).then_some(now))
     }
 
     /// Queues the step on the policy-ordered ready pool, tagged with the
@@ -208,9 +220,9 @@ impl Runtime for SimRt {
         _hint: Hint<'_, ()>,
         step: impl FnOnce(&mut Self) + Send + 'static,
     ) {
-        let plan = Arc::clone(self.plan.as_ref().expect("a step runs for a submission"));
+        let sub = Arc::clone(self.sub.as_ref().expect("a step runs for a submission"));
         self.run.ready.push(ReadyTask {
-            plan,
+            sub,
             at,
             work: Box::new(step),
         });
@@ -252,6 +264,33 @@ impl Runtime for SimRt {
 }
 
 impl SimRt {
+    fn sub(&self) -> &Sub {
+        self.sub.as_deref().expect("a step runs for a submission")
+    }
+
+    /// The registry's listeners compiled against `plan`, read again only
+    /// when the registry has moved.
+    fn view(&mut self, plan: &Arc<Plan>) -> Option<PlanView> {
+        let generation = self.registry.generation();
+        if generation != self.listeners.0 {
+            self.listeners = (generation, self.registry.snapshot());
+        }
+        let listeners = self.listeners.1.as_ref()?;
+        Some(listeners.view(plan))
+    }
+
+    /// Hands `f` the view an event of the running step goes through:
+    /// the one its submission was made with while the registry stands,
+    /// the registry's listeners now once it has moved.
+    fn with_view<T>(&mut self, f: impl FnOnce(Option<&PlanView>) -> T) -> T {
+        let taken = self.sub().view.as_ref().map(PlanView::generation);
+        if taken.is_none_or(|taken| taken == self.registry.generation()) {
+            return f(self.sub().view.as_ref());
+        }
+        let plan = Arc::clone(&self.sub().plan);
+        f(self.view(&plan).as_ref())
+    }
+
     /// Runs a piece of interpreter work — muscle, listeners and
     /// continuation alike — converting a panic into a simulation failure.
     fn guarded(&mut self, f: impl FnOnce(&mut SimRt)) {
@@ -339,11 +378,11 @@ impl SimRt {
         None
     }
 
-    fn execute(&mut self, plan: Arc<Plan>, work: SimWork, slot: usize, overhead: TimeNs) {
+    fn execute(&mut self, sub: Arc<Sub>, work: SimWork, slot: usize, overhead: TimeNs) {
         self.run.totals.events += 1;
-        self.plan = Some(plan);
+        self.sub = Some(sub);
         self.guarded(work);
-        let plan = self.plan.take().expect("set above");
+        let sub = self.sub.take().expect("set above");
         match self.run.parked.take() {
             Some((dur, then)) => {
                 // Asymmetric node speeds: the slot's cost factor scales
@@ -356,7 +395,7 @@ impl SimRt {
                 };
                 self.workers.note_busy(slot, dur + overhead);
                 let completion = Completion {
-                    plan,
+                    sub,
                     work: then,
                     slot,
                 };
@@ -401,7 +440,7 @@ impl SimRt {
             let task = self.run.ready.remove(index);
             let overhead = self.workers.chain_overhead(slot);
             self.telemetry.record_task_start(|| self.now);
-            self.execute(task.plan, task.work, slot, overhead);
+            self.execute(task.sub, task.work, slot, overhead);
             if self.run.error.is_some() {
                 return false;
             }
@@ -450,7 +489,7 @@ impl SimRt {
         };
         self.now = self.now.max(at);
         self.clock.advance_to(self.now);
-        self.execute(c.plan, c.work, c.slot, TimeNs::ZERO);
+        self.execute(c.sub, c.work, c.slot, TimeNs::ZERO);
         true
     }
 
@@ -470,7 +509,7 @@ impl SimRt {
             run: Run::new(policy, clock.now()),
             clock,
             registry: ListenerRegistry::new(),
-            spans: (0, false),
+            listeners: (0, None),
             cost,
             telemetry: Arc::new(telemetry),
             lp_control: SimLpControl::new(workers.capacity()),
@@ -478,7 +517,7 @@ impl SimRt {
             policy,
             workers,
             components: Vec::new(),
-            plan: None,
+            sub: None,
         };
         rt.rebuild_free();
         rt
@@ -520,12 +559,14 @@ impl SimRt {
         let index = self.run.submitted;
         self.run.submitted += 1;
         self.run.in_flight.push(index);
-        self.plan = Some(Arc::clone(plan));
+        let view = self.view(plan).filter(|view| view.traced(Plan::ROOT));
+        let plan = Arc::clone(plan);
+        self.sub = Some(Arc::new(Sub { plan, view }));
         self.guarded(|rt| {
             let done = move |rt: &mut SimRt, data| rt.finish(index, Ok(data));
             interp::start(rt, input, Box::new(done));
         });
-        self.plan = None;
+        self.sub = None;
         index
     }
 

@@ -61,6 +61,19 @@ impl Plan {
     pub fn kid(&self, at: usize, k: usize) -> usize {
         self.first[at] + k
     }
+
+    /// How many entries the plan has: one per node occurrence.
+    pub fn entries(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The entries of entry `at`'s children. They all come after `at`,
+    /// so a walk from the last entry to the root meets every child before
+    /// its parent.
+    pub fn kids(&self, at: usize) -> std::ops::Range<usize> {
+        let end = self.first.get(at + 1).copied().unwrap_or(self.nodes.len());
+        self.first[at]..end
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +101,10 @@ mod tests {
         assert_eq!(plan.node(then_leaf).id, leaf.id());
         assert_eq!(plan.node(body).id, leaf.id());
         assert_ne!(plan.node(plan.kid(branch, 1)).id, leaf.id());
+        assert_eq!(plan.kids(root), branch..looped + 1);
+        assert_eq!(plan.kids(branch).len(), 2);
+        assert!(plan.kids(body).is_empty());
+        assert_eq!(plan.entries(), program.node().size());
     }
 
     #[test]

@@ -9,13 +9,18 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
-use askel_adapt::TriggerEngine;
+use askel_adapt::{
+    Concern, FallbackSwap, Governed, Knob, Promote, RetuneGrain, RetuneWidth, Rule, RuleCtx,
+    RuleFire, Trigger, TriggerEngine,
+};
 use askel_engine::Engine;
 use askel_events::util::CountingListener;
 use askel_events::{
     Event, EventInfo, FnListener, Listener, ListenerRegistry, Payload, Trace, When, Where,
 };
-use askel_skeletons::{map, pipe, seq, sfor, InstanceId, KindTag, NodeId, Skel, TimeNs};
+use askel_skeletons::{
+    map, pipe, seq, sfor, InstanceId, KindTag, MuscleId, MuscleRole, NodeId, Skel, TimeNs,
+};
 
 /// Counts heap allocations twice: this thread's (other tests' threads
 /// share the process, so a global count would be theirs too), and every
@@ -332,8 +337,8 @@ fn a_for_iteration_allocates_only_its_muscles_output() {
 }
 
 /// Counts the events it hears and hands each on to `inner`, declaring
-/// `inner`'s interest; accepts spans if `inner` does, unless `spans` is
-/// off.
+/// `inner`'s interest and reads; accepts spans if `inner` does, unless
+/// `spans` is off.
 struct Tally {
     inner: Arc<dyn Listener>,
     spans: bool,
@@ -368,6 +373,59 @@ impl Listener for Tally {
     fn accepts_spans(&self) -> bool {
         self.spans && self.inner.accepts_spans()
     }
+
+    fn reads(&self) -> askel_events::Reads {
+        self.inner.reads()
+    }
+
+    fn reads_version(&self) -> u64 {
+        self.inner.reads_version()
+    }
+}
+
+/// A rule that never fires and declares no reads, so the trigger holding
+/// it hears every event.
+struct ReadsAll;
+
+impl Rule for ReadsAll {
+    fn evaluate(&mut self, _: &RuleCtx<'_>) -> Option<RuleFire> {
+        None
+    }
+}
+
+/// A trigger engine whose one rule reads every muscle: it hears what a
+/// rule-less one did before rules declared their reads.
+fn reading_all() -> Arc<TriggerEngine> {
+    let trigger = TriggerEngine::new(0.5);
+    trigger.add_rule(Governed::new("reads-all", Concern::Performance, ReadsAll));
+    trigger
+}
+
+/// The ladder's four armed rules, none of which can fire: they read one
+/// split cardinality of `program` (which a `for` has not) and the
+/// duration of a muscle that never runs.
+fn silent_rules<P: Send + 'static, R: Send + 'static>(
+    trigger: &TriggerEngine,
+    program: &Skel<P, R>,
+) {
+    let decoy = seq(|x: u8| x);
+    let fs = MuscleId::new(program.id(), MuscleRole::Split);
+    let silent = MuscleId::new(decoy.id(), MuscleRole::Execute);
+    trigger.add_rule(
+        Promote::new(program, program)
+            .named("promote-never")
+            .when(Trigger::InputSizeAtLeast(f64::MAX)),
+    );
+    trigger.add_rule(FallbackSwap::new(program, program, usize::MAX).named("swap-never"));
+    trigger.add_rule(
+        RetuneWidth::new(Knob::new("width-never", 32), 16)
+            .when(Trigger::CardinalityAtLeast(fs, f64::MAX)),
+    );
+    trigger.add_rule(RetuneGrain::new(
+        Knob::new("grain-never", 64),
+        silent,
+        TimeNs::from_millis(1),
+    ));
 }
 
 fn for_64() -> Skel<i64, i64> {
@@ -421,7 +479,7 @@ fn per_item<P: Clone + Send + 'static>(
 fn a_lone_trigger_logs_each_finished_seq_of_a_for_64_item_as_one_span() {
     let _one = whole_process();
     let engine = Engine::new(2);
-    let trigger = TriggerEngine::new(0.5);
+    let trigger = reading_all();
     let tally = Tally::new(trigger.clone(), true);
     let mut session = askel_engine::StreamSession::new(&engine, &for_64()).listener(tally.clone());
     for item in 0..4 {
@@ -441,8 +499,9 @@ fn a_lone_trigger_logs_each_finished_seq_of_a_for_64_item_as_one_span() {
 fn spans_form_where_every_listener_of_a_submission_accepts_them() {
     let _one = whole_process();
     let vector: Vec<i64> = (0..512).collect();
-    // A lone trigger, through the registry: one event per `seq`.
-    let trigger = TriggerEngine::new(0.5);
+    // A lone trigger reading everything, through the registry: one event
+    // per `seq`.
+    let trigger = reading_all();
     let lone = Tally::new(trigger.clone(), true);
     for counts in per_item(&for_64(), 0, &[&lone], &trigger) {
         assert_eq!(counts, (vec![66], 66, 64));
@@ -475,5 +534,74 @@ fn spans_form_where_every_listener_of_a_submission_accepts_them() {
     }
     for counts in per_item(&map_512(), vector, &[&lone, &counting], &trigger) {
         assert_eq!(counts, (vec![70, 134], 70, 0));
+    }
+}
+
+/// Whether two means of [`allocations_per_for_64_item`] count the same
+/// allocations per item: one more per item moves a mean by 1, while the
+/// pool's own occasional growth, which no item owns, moves it by a
+/// fraction.
+fn same_per_item(a: f64, b: f64) -> bool {
+    (a - b).abs() < 0.5
+}
+
+#[test]
+fn a_trigger_whose_rules_read_nothing_of_a_for_64_leaves_it_unobserved() {
+    let _one = whole_process();
+    let engine = Engine::new(2);
+    let plain = allocations_per_for_64_item(&engine);
+    // The ladder's silent rules read the split of a `for`, which it has
+    // not, and a muscle that never runs: nothing of the program.
+    let trigger = TriggerEngine::new(0.5);
+    silent_rules(&trigger, &for_64());
+    let tally = Tally::new(trigger.clone(), true);
+    engine.registry().add_listener(tally.clone());
+    let silent = allocations_per_for_64_item(&engine);
+    assert_eq!(tally.take(), 0, "no event");
+    let mut logged = Vec::new();
+    trigger.knowledge().log().drain_into(&mut logged);
+    assert!(logged.is_empty());
+    // An instance id is minted only with a trace, which costs its path:
+    // allocating what a plain item does, it minted none.
+    assert!(
+        same_per_item(silent, plain),
+        "{silent} allocations per silent item, {plain} per plain"
+    );
+    engine.shutdown();
+}
+
+#[test]
+fn a_trigger_with_no_rule_costs_what_no_listener_costs() {
+    let _one = whole_process();
+    let engine = Engine::new(2);
+    let plain = allocations_per_for_64_item(&engine);
+    let trigger = TriggerEngine::new(0.5);
+    let tally = Tally::new(trigger.clone(), true);
+    engine.registry().add_listener(tally.clone());
+    let unread = allocations_per_for_64_item(&engine);
+    assert!(
+        same_per_item(unread, plain),
+        "{unread} allocations per item, {plain} plain"
+    );
+    let vector: Vec<i64> = (0..512).collect();
+    for counts in per_item(&map_512(), vector, &[&tally], &trigger) {
+        assert_eq!(counts, (vec![0], 0, 0));
+    }
+    assert_eq!(tally.take(), 0);
+    engine.shutdown();
+}
+
+#[test]
+fn the_silent_rules_hear_a_map_512_item_at_its_map_alone() {
+    let _one = whole_process();
+    let vector: Vec<i64> = (0..512).collect();
+    let program = map_512();
+    let trigger = TriggerEngine::new(0.5);
+    silent_rules(&trigger, &program);
+    let tally = Tally::new(trigger.clone(), true);
+    // The split cardinality they read: the split's two events and the
+    // map's skeleton brackets. The 32 `seq` children stay untraced.
+    for counts in per_item(&program, vector, &[&tally], &trigger) {
+        assert_eq!(counts, (vec![4], 4, 0));
     }
 }
