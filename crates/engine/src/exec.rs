@@ -9,7 +9,12 @@
 //! * every step body (muscle + listeners + continuation) runs under
 //!   [`ThreadRt::guarded`]: a panic poisons the submission and
 //!   short-circuits its remaining steps — the root's scheduling on the
-//!   submitting thread (a structural root's opening events) included;
+//!   submitting thread (a structural root's opening events) included. A
+//!   step is one muscle, or a whole unobserved subtree with no fan-out
+//!   run by the sequential reference (see [`askel_events::interp`]): the
+//!   guard sees such a subtree as one step, so a panic in it fails the
+//!   item once, and a poison a sibling sets while it runs is seen only
+//!   by the steps after it;
 //! * [`Hint::Run`] steps (pipe stages, while/for iterations, a fan-out's
 //!   last child, the merge its closing child spawns) run **inline in the
 //!   current task** with no closure box and no dispatch while the depth
@@ -31,8 +36,9 @@
 //! clone — no step writes the shared tree. An
 //! inline step is neither boxed nor dispatched, a fan-out child completes
 //! into its join without a box, and a `for`/`while`/`pipe` instance keeps
-//! one boxed frame for all its iterations. An unobserved `for` iteration
-//! therefore allocates only its muscle's output.
+//! one boxed frame for all its iterations. An unobserved `for` with no
+//! fan-out below it is one step and has no frame at all: its iterations
+//! allocate only their muscles' outputs.
 //!
 //! The listener set is sampled when the submission is made (the rule is
 //! stated once, in [`askel_events::interp`]): [`SubCtx::listeners`] is the
@@ -163,9 +169,11 @@ impl ThreadRt {
 /// How deep inline continuation execution may nest on one worker before
 /// deferring to the pool's next-task slot. Balanced d&C recursions stay
 /// logarithmic and never get near this; the cap keeps degenerate shapes
-/// (a one-element-per-level split, a long while/pipe chain) from
-/// growing the worker's stack without bound — past it, the chain takes
-/// one slot round-trip through the worker loop and the depth resets.
+/// (a one-element-per-level split, a long observed while/pipe chain)
+/// from growing the worker's stack without bound — past it, the chain
+/// takes one slot round-trip through the worker loop and the depth
+/// resets. An unobserved chain with no fan-out is one step and never
+/// reaches it.
 const MAX_INLINE_DEPTH: usize = 64;
 
 thread_local! {

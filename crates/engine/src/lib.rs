@@ -23,7 +23,10 @@
 //! The listener set is sampled when a submission starts: if no listener
 //! is registered at that moment, the submission skips the entire event
 //! path (instance ids, traces, emission) for its lifetime. Register
-//! listeners before submitting.
+//! listeners before submitting. A subtree nobody reads and with no
+//! fan-out in it (only `seq`/`farm`/`pipe`/`if`/`for`/`while`) has no
+//! parallelism to lose and no event to raise: it runs as one step, the
+//! sequential reference's, on the worker that reaches it.
 //!
 //! ```
 //! use askel_engine::Engine;
@@ -42,7 +45,8 @@
 //! Failure model: a panicking muscle (or a structural error such as a
 //! `fork` arity mismatch) *poisons the submission* — the future resolves to
 //! an [`EngineError`], outstanding sibling tasks of that submission
-//! short-circuit, and the pool workers survive.
+//! short-circuit when they next start a step, and the pool workers
+//! survive.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

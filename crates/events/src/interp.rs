@@ -19,9 +19,18 @@
 //!   them — they have no muscle for a thread guarantee to bind to;
 //! * `map`/`fork`/`d&C` children fan out through a `Join`; the merge is
 //!   a step spawned by the last child to finish;
+//! * an unobserved instance whose subtree holds no fan-out
+//!   ([`Plan::fanless`]) and is more than a bare `seq` is **one step**
+//!   on a runtime that meters nothing: the step runs the sequential
+//!   reference ([`seq_eval`](fn@askel_skeletons::seq_eval)) on the subtree, then the
+//!   instance's continuation. The subtree has no parallelism to lose and
+//!   nobody hears it, so its muscles need no step each. A metered
+//!   runtime prices every muscle and keeps the stepwise path;
 //! * a runtime runs every step under a guard: a panic in a muscle, a
 //!   listener or a continuation poisons the submission, and its remaining
-//!   steps are skipped.
+//!   steps are skipped. A step boundary is where one of the above hands a
+//!   step to [`Runtime::spawn`]; a fan-less step is guarded as a whole,
+//!   so a poison set while it runs is seen when it ends.
 //!
 //! **Listener sampling, the one rule for both runtimes:** what a
 //! submission raises is decided once, when its root node is scheduled,
@@ -63,8 +72,9 @@
 //! trace of every instance with children is joined into one path once,
 //! when the instance is made). An event takes its instance's trace for
 //! the time of its dispatch and hands it back, so raising one moves no
-//! reference count either. On threads an unobserved `for` iteration
-//! therefore allocates nothing but its muscle's output.
+//! reference count either. On threads an unobserved `for` with no
+//! fan-out below it is one step with no frame, so its iterations
+//! allocate nothing but their muscles' outputs.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -73,7 +83,8 @@ use parking_lot::Mutex;
 
 use askel_skeletons::muscle::MergeFn;
 use askel_skeletons::{
-    Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind, Plan, TimeNs,
+    seq_eval, Data, EvalError, InstanceId, KindTag, MuscleId, MuscleRole, Node, NodeKind, Plan,
+    TimeNs,
 };
 
 use crate::EventInfo::{self, ChildIndex, ConditionResult, Iteration, SplitCardinality};
@@ -413,7 +424,8 @@ pub fn start<R: Runtime>(rt: &mut R, data: Data, done: BoxedCont<R>) {
 }
 
 /// Structural kinds recurse inline; a muscle kind's entry step goes to
-/// the runtime.
+/// the runtime. An unobserved subtree with no fan-out is one step of its
+/// own (see the module docs).
 fn schedule<R: Runtime>(
     rt: &mut R,
     inst: Inst,
@@ -422,6 +434,9 @@ fn schedule<R: Runtime>(
     hint: Hint<'_, R::Batch>,
 ) {
     let tag = inst.node(rt.plan()).tag();
+    if !R::METERED && tag != KindTag::Seq && !inst.observed() && rt.plan().fanless(inst.at) {
+        return rt.spawn(inst.at, hint, move |rt| fanless(rt, inst, data, cont));
+    }
     match tag {
         KindTag::Farm => farm(rt, inst, data, cont),
         KindTag::Pipe => pipe(rt, inst, data, cont),
@@ -434,6 +449,18 @@ fn schedule<R: Runtime>(
             KindTag::DivideConquer => dac(rt, inst, data, cont),
             KindTag::Farm | KindTag::Pipe | KindTag::For => unreachable!("structural kind"),
         }),
+    }
+}
+
+/// A whole unobserved subtree with no fan-out, run by the sequential
+/// reference in this one step. To the runtime it is one execute muscle
+/// of its root's node, metered so that the next event of the step reads
+/// the clock afresh.
+fn fanless<R: Runtime>(rt: &mut R, inst: Inst, data: Data, cont: Cont<R>) {
+    rt.meter(inst.muscle(rt, MuscleRole::Execute), 1, &*data);
+    match seq_eval(inst.node(rt.plan()), data) {
+        Ok(out) => cont.run(rt, out),
+        Err(e) => rt.fail(Fault::Eval(e)),
     }
 }
 

@@ -49,6 +49,6 @@ pub use ids::{IdHasher, IdMap, InstanceId, MuscleId, MuscleRole, NodeId};
 pub use muscle::{Condition, Data, Execute, Merge, Split};
 pub use node::{KindTag, MuscleDescriptor, Node, NodeKind};
 pub use plan::Plan;
-pub use seq_eval::EvalError;
+pub use seq_eval::{seq_eval, EvalError};
 pub use skel::{dac, farm, fork, map, pipe, seq, sfor, sif, swhile, Skel};
 pub use time::{Clock, ManualClock, RealClock, TimeNs, TimelinePoint};

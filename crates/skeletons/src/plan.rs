@@ -13,10 +13,14 @@
 //! nested twice (a shared `Arc`) has one entry per occurrence, as it has
 //! one instance per occurrence at run time. The plan points down into the
 //! tree only; nothing in a [`Node`] points back at a plan.
+//!
+//! What the structure alone says about an entry is worked out here, once
+//! per program: whether its subtree holds a fan-out
+//! ([`Plan::fanless`]).
 
 use std::sync::Arc;
 
-use crate::node::Node;
+use crate::node::{KindTag, Node};
 
 /// A program's node occurrences, indexed; the root is entry
 /// [`Plan::ROOT`].
@@ -24,6 +28,8 @@ pub struct Plan {
     nodes: Box<[Arc<Node>]>,
     /// Per entry, the index of its first child.
     first: Box<[usize]>,
+    /// Per entry, whether no `map`, `fork` or `d&C` sits at or below it.
+    fanless: Box<[bool]>,
 }
 
 impl Plan {
@@ -41,10 +47,22 @@ impl Plan {
             nodes.extend(node.children().into_iter().cloned());
             at += 1;
         }
-        Plan {
+        let mut plan = Plan {
             nodes: nodes.into_boxed_slice(),
             first: first.into_boxed_slice(),
+            fanless: Box::default(),
+        };
+        // Bottom-up: every child's entry is decided before its parent's.
+        let mut fanless = vec![false; plan.entries()];
+        for at in (0..plan.entries()).rev() {
+            let fans_out = matches!(
+                plan.nodes[at].tag(),
+                KindTag::Map | KindTag::Fork | KindTag::DivideConquer
+            );
+            fanless[at] = !fans_out && plan.kids(at).all(|kid| fanless[kid]);
         }
+        plan.fanless = fanless.into_boxed_slice();
+        plan
     }
 
     /// The root node.
@@ -74,13 +92,19 @@ impl Plan {
         let end = self.first.get(at + 1).copied().unwrap_or(self.nodes.len());
         self.first[at]..end
     }
+
+    /// Whether the subtree at entry `at` holds no fan-out: only `seq`,
+    /// `farm`, `pipe`, `if`, `for` and `while`. Such a subtree has no
+    /// parallelism to lose by running on one thread.
+    pub fn fanless(&self, at: usize) -> bool {
+        self.fanless[at]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skel::{map, pipe, seq, sfor, sif};
-    use crate::KindTag;
+    use crate::skel::{dac, map, pipe, seq, sfor, sif, swhile};
 
     #[test]
     fn children_are_addressed_in_syntactic_order() {
@@ -118,5 +142,31 @@ mod tests {
             plan.node(plan.kid(Plan::ROOT, 0)),
             &**leaf.node()
         ));
+    }
+
+    #[test]
+    fn a_subtree_is_fanless_when_no_map_fork_or_dac_sits_in_it() {
+        let leaf = seq(|x: i64| x + 1);
+        let branch = sif(|x: &i64| *x > 0, leaf.clone(), seq(|x: i64| -x));
+        let looped = sfor(3, swhile(|x: &i64| *x < 0, leaf.clone()));
+        let program = pipe(branch, looped);
+        let plan = Plan::new(Arc::clone(program.node()));
+        assert!((0..plan.entries()).all(|at| plan.fanless(at)));
+
+        let split = |x: i64| vec![x, x];
+        let sum = |parts: Vec<i64>| parts.into_iter().sum::<i64>();
+        let fanned = map(split, leaf.clone(), sum);
+        let plan = Plan::new(Arc::clone(fanned.node()));
+        assert!(!plan.fanless(Plan::ROOT));
+        assert!(plan.fanless(plan.kid(Plan::ROOT, 0)), "its seq body");
+
+        let looped = sfor(4, map(split, leaf.clone(), sum));
+        let plan = Plan::new(Arc::clone(looped.node()));
+        assert!(!plan.fanless(Plan::ROOT), "a map below");
+        assert!(!plan.fanless(plan.kid(Plan::ROOT, 0)));
+
+        let halved = dac(|x: &i64| *x > 1, |x: i64| vec![x / 2, x - x / 2], leaf, sum);
+        let plan = Plan::new(Arc::clone(halved.node()));
+        assert!(!plan.fanless(Plan::ROOT));
     }
 }

@@ -3,9 +3,9 @@
 //! Defines the functional semantics of the skeleton language: both the
 //! threaded engine and the simulator must produce results equal to
 //! [`Skel::apply`](crate::Skel::apply) (they are property-tested against it). It is also the
-//! "one thread" baseline used for the paper's sequential-WCT figure.
-
-use std::sync::Arc;
+//! "one thread" baseline used for the paper's sequential-WCT figure, and
+//! what the threaded engine runs, as one step, for an unobserved subtree
+//! with no fan-out ([`Plan::fanless`](crate::Plan::fanless)).
 
 use crate::ids::NodeId;
 use crate::muscle::Data;
@@ -61,7 +61,7 @@ impl std::error::Error for EvalError {}
 /// Muscles run in the exact dependency order a parallel engine would honour
 /// (split → children in order → merge), so any side effects observe a
 /// canonical ordering.
-pub(crate) fn seq_eval(node: &Arc<Node>, input: Data) -> Result<Data, EvalError> {
+pub fn seq_eval(node: &Node, input: Data) -> Result<Data, EvalError> {
     match &node.kind {
         NodeKind::Seq { fe } => Ok(fe.call(input)),
         NodeKind::Farm { inner } => seq_eval(inner, input),
