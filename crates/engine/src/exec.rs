@@ -10,11 +10,12 @@
 //!   [`ThreadRt::guarded`]: a panic poisons the submission and
 //!   short-circuits its remaining steps — the root's scheduling on the
 //!   submitting thread (a structural root's opening events) included. A
-//!   step is one muscle, or a whole unobserved subtree with no fan-out
-//!   run by the sequential reference (see [`askel_events::interp`]): the
-//!   guard sees such a subtree as one step, so a panic in it fails the
-//!   item once, and a poison a sibling sets while it runs is seen only
-//!   by the steps after it;
+//!   step is one muscle, a whole unobserved subtree with no fan-out run
+//!   by the sequential reference, or a claimer running a quiet fan-out's
+//!   children one claim at a time (see [`askel_events::interp`]): the
+//!   guard sees a subtree or a claimer as one step, so a panic in it
+//!   fails the item once, and a poison a sibling sets while it runs is
+//!   seen only by the steps after it;
 //! * [`Hint::Run`] steps (pipe stages, while/for iterations, a fan-out's
 //!   last child, the merge its closing child spawns) run **inline in the
 //!   current task** with no closure box and no dispatch while the depth
@@ -26,7 +27,10 @@
 //! * a fan-out's other children go to the pool for thieves: one direct
 //!   submit for the binary d&C case ([`Hint::Submit`]), one batch — one
 //!   queue-lock acquisition, one wake-up sweep — for wider splits
-//!   ([`Hint::Batch`]);
+//!   ([`Hint::Batch`]). A fan-out whose children are all unobserved and
+//!   fan-less batches at most LP − 1 claimers instead, LP being the
+//!   pool's target worker count ([`Runtime::width`]), and runs the last
+//!   claimer inline;
 //! * placement tags are ignored, and a muscle's metering only tells
 //!   [`ThreadRt::emit`] that the clock has moved.
 //!
@@ -37,8 +41,10 @@
 //! inline step is neither boxed nor dispatched, a fan-out child completes
 //! into its join without a box, and a `for`/`while`/`pipe` instance keeps
 //! one boxed frame for all its iterations. An unobserved `for` with no
-//! fan-out below it is one step and has no frame at all: its iterations
-//! allocate only their muscles' outputs.
+//! fan-out below it is one step and has no frame at all, and a body whose
+//! input and result types are one type keeps its input's box: its
+//! iterations allocate nothing. A finished item wakes its reader only if
+//! the reader parked ([`SkelFuture`](crate::SkelFuture)).
 //!
 //! The listener set is sampled when the submission is made (the rule is
 //! stated once, in [`askel_events::interp`]): [`SubCtx::listeners`] is the
@@ -316,6 +322,11 @@ impl Runtime for ThreadRt {
             Fault::Eval(e) => EngineError::Eval(e),
             Fault::Internal(msg) => EngineError::Internal(msg),
         });
+    }
+
+    /// The pool's target worker count: the LP the controller set.
+    fn width(&self) -> usize {
+        self.ctx.pool.target_workers()
     }
 }
 

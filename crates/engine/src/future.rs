@@ -12,8 +12,16 @@ use crate::error::EngineError;
 const SPIN_CHECKS: u32 = 32;
 
 struct Shared<R> {
-    slot: Mutex<Option<Result<R, EngineError>>>,
+    slot: Mutex<Slot<R>>,
     cond: Condvar,
+}
+
+/// The result, once set, and whether a reader has parked on the condvar
+/// waiting for it: [`Promise::set`] wakes only a parked reader, since a
+/// notification is a syscall even when nobody waits.
+struct Slot<R> {
+    result: Option<Result<R, EngineError>>,
+    parked: bool,
 }
 
 /// A blocking future for one skeleton submission — the Rust shape of the
@@ -40,7 +48,10 @@ impl<R> Clone for Promise<R> {
 /// Creates a connected (future, promise) pair.
 pub(crate) fn pair<R>() -> (SkelFuture<R>, Promise<R>) {
     let shared = Arc::new(Shared {
-        slot: Mutex::new(None),
+        slot: Mutex::new(Slot {
+            result: None,
+            parked: false,
+        }),
         cond: Condvar::new(),
     });
     (
@@ -64,9 +75,11 @@ impl<R> Promise<R> {
 
     fn set(&self, result: Result<R, EngineError>) {
         let mut slot = self.shared.slot.lock();
-        if slot.is_none() {
-            *slot = Some(result);
-            self.shared.cond.notify_all();
+        if slot.result.is_none() {
+            slot.result = Some(result);
+            if slot.parked {
+                self.shared.cond.notify_all();
+            }
         }
     }
 }
@@ -91,17 +104,20 @@ impl<R> SkelFuture<R> {
         for _ in 0..SPIN_CHECKS {
             {
                 let mut slot = self.shared.slot.lock();
-                if slot.is_some() {
-                    return slot.take().expect("checked above");
+                if let Some(result) = slot.result.take() {
+                    return result;
                 }
             }
             std::thread::yield_now();
         }
         let mut slot = self.shared.slot.lock();
-        while slot.is_none() {
+        loop {
+            if let Some(result) = slot.result.take() {
+                return result;
+            }
+            slot.parked = true;
             self.shared.cond.wait(&mut slot);
         }
-        slot.take().expect("checked by loop")
     }
 
     /// Blocks up to `timeout`; `Err(self)` gives the future back on
@@ -115,7 +131,7 @@ impl<R> SkelFuture<R> {
     pub fn get_timeout(self, timeout: Duration) -> Result<Result<R, EngineError>, Self> {
         let deadline = Instant::now() + timeout;
         let mut slot = self.shared.slot.lock();
-        while slot.is_none() {
+        while slot.result.is_none() {
             let now = Instant::now();
             let Some(remaining) = deadline
                 .checked_duration_since(now)
@@ -123,9 +139,10 @@ impl<R> SkelFuture<R> {
             else {
                 break;
             };
+            slot.parked = true;
             self.shared.cond.wait_for(&mut slot, remaining);
         }
-        match slot.take() {
+        match slot.result.take() {
             Some(r) => Ok(r),
             None => {
                 drop(slot);
@@ -136,7 +153,7 @@ impl<R> SkelFuture<R> {
 
     /// `true` once the submission has finished (ok or poisoned).
     pub(crate) fn is_ready(&self) -> bool {
-        self.shared.slot.lock().is_some()
+        self.shared.slot.lock().result.is_some()
     }
 }
 
@@ -214,5 +231,31 @@ mod tests {
             elapsed >= timeout,
             "returned after {elapsed:?}, before the {timeout:?} timeout elapsed"
         );
+    }
+
+    #[test]
+    fn a_reader_parked_past_its_spins_is_woken() {
+        // The promise notifies only a reader that parked: one that spun
+        // its `SPIN_CHECKS` out and sleeps on the condvar must still wake,
+        // through `get` and through `get_timeout` alike.
+        for timed in [false, true] {
+            let (f, p) = pair::<i32>();
+            let shared = Arc::clone(&f.shared);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = std::thread::spawn(move || {
+                let got = match timed {
+                    false => f.get(),
+                    true => f.get_timeout(Duration::from_secs(60)).expect("resolved"),
+                };
+                tx.send(got).unwrap();
+            });
+            while !shared.slot.lock().parked {
+                std::thread::yield_now();
+            }
+            p.fulfill(7);
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(got, Ok(Ok(7)), "timed: {timed}");
+            reader.join().unwrap();
+        }
     }
 }

@@ -26,7 +26,9 @@
 //! listeners before submitting. A subtree nobody reads and with no
 //! fan-out in it (only `seq`/`farm`/`pipe`/`if`/`for`/`while`) has no
 //! parallelism to lose and no event to raise: it runs as one step, the
-//! sequential reference's, on the worker that reaches it.
+//! sequential reference's, on the worker that reaches it. A `map` or
+//! `fork` whose children are all such subtrees (or bare `seq`s) runs them
+//! over at most LP claimers, one child per claim, rather than a step each.
 //!
 //! ```
 //! use askel_engine::Engine;

@@ -16,9 +16,17 @@
 //!   (or simulated worker) that runs the muscle;
 //! * purely structural kinds (`farm`, `pipe`, `for`) raise their
 //!   skeleton-level events inline in whichever step schedules or completes
-//!   them — they have no muscle for a thread guarantee to bind to;
+//!   them in a tail position — they have no muscle for a thread guarantee
+//!   to bind to; one a fan-out hands out as a sibling starts in a step of
+//!   its own, so it does not run ahead of its siblings' scheduling;
 //! * `map`/`fork`/`d&C` children fan out through a `Join`; the merge is
 //!   a step spawned by the last child to finish;
+//! * a `map` or `fork` whose children are all unobserved and fan-less
+//!   (a bare `seq` counts) hands them, on a runtime that meters nothing,
+//!   to at most [`Runtime::width`] **claimers** instead of a step each: a
+//!   claimer takes the next unclaimed child off one shared cursor, runs
+//!   it through the sequential reference, metered as one muscle, and
+//!   completes the join once for all the children it ran;
 //! * an unobserved instance whose subtree holds no fan-out
 //!   ([`Plan::fanless`]) and is more than a bare `seq` is **one step**
 //!   on a runtime that meters nothing: the step runs the sequential
@@ -28,9 +36,11 @@
 //!   runtime prices every muscle and keeps the stepwise path;
 //! * a runtime runs every step under a guard: a panic in a muscle, a
 //!   listener or a continuation poisons the submission, and its remaining
-//!   steps are skipped. A step boundary is where one of the above hands a
-//!   step to [`Runtime::spawn`]; a fan-less step is guarded as a whole,
-//!   so a poison set while it runs is seen when it ends.
+//!   steps are skipped. A step is what one of the above hands to
+//!   [`Runtime::spawn`]: one muscle and what follows it up to the next
+//!   spawn, a fan-less subtree, or a claimer with all the children it
+//!   claims. A fan-less step and a claimer are each guarded as a whole,
+//!   so a poison set while one runs is seen when it ends.
 //!
 //! **Listener sampling, the one rule for both runtimes:** what a
 //! submission raises is decided once, when its root node is scheduled,
@@ -73,8 +83,9 @@
 //! when the instance is made). An event takes its instance's trace for
 //! the time of its dispatch and hands it back, so raising one moves no
 //! reference count either. On threads an unobserved `for` with no
-//! fan-out below it is one step with no frame, so its iterations
-//! allocate nothing but their muscles' outputs.
+//! fan-out below it is one step with no frame, and a muscle whose input
+//! and result types are one type writes its result back into its input's
+//! box, so such a loop's iterations allocate nothing.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -112,8 +123,8 @@ pub enum Hint<'a, B> {
     Run,
     /// A binary fan-out's lone sibling: make it stealable now.
     Submit,
-    /// One of a wider fan-out's siblings: collect it for one bulk
-    /// [`Runtime::flush`].
+    /// One of a wider fan-out's siblings, or of its claimers: collect it
+    /// for one bulk [`Runtime::flush`].
     Batch(&'a mut B),
 }
 
@@ -203,6 +214,10 @@ pub trait Runtime: Sized + 'static {
 
     /// Poisons the submission.
     fn fail(&mut self, fault: Fault);
+
+    /// How many workers the runtime runs on now: the LP. A fan-out whose
+    /// children need no step each splits them over this many claimers.
+    fn width(&self) -> usize;
 }
 
 /// A general continuation: receives a node's result. What [`start`] takes
@@ -236,7 +251,7 @@ impl<R: Runtime> Cont<R> {
                 // join's copy right now: this child raises through its own.
                 let mut parent = join.inst.clone();
                 parent.one(rt, After, NestedSkeleton, ChildIndex(k), &mut data);
-                match join.complete(k, data) {
+                match join.complete([(k, data)]) {
                     Ok(Some((slots, cont))) => merge(rt, parent, slots, cont),
                     Ok(None) => {}
                     // Report instead of panicking whoever noticed.
@@ -423,9 +438,10 @@ pub fn start<R: Runtime>(rt: &mut R, data: Data, done: BoxedCont<R>) {
     schedule(rt, root, data, Cont::F(done), Hint::Run);
 }
 
-/// Structural kinds recurse inline; a muscle kind's entry step goes to
-/// the runtime. An unobserved subtree with no fan-out is one step of its
-/// own (see the module docs).
+/// Structural kinds recurse inline in a tail position; a muscle kind's
+/// entry step, and a structural one handed out as a sibling, go to the
+/// runtime. An unobserved subtree with no fan-out is one step of its own
+/// (see the module docs).
 fn schedule<R: Runtime>(
     rt: &mut R,
     inst: Inst,
@@ -437,18 +453,26 @@ fn schedule<R: Runtime>(
     if !R::METERED && tag != KindTag::Seq && !inst.observed() && rt.plan().fanless(inst.at) {
         return rt.spawn(inst.at, hint, move |rt| fanless(rt, inst, data, cont));
     }
-    match tag {
+    let structural = matches!(tag, KindTag::Farm | KindTag::Pipe | KindTag::For);
+    // A sibling that recursed inline would run its first muscle (a loop,
+    // up to 64 of them) before the rest of its fan-out is out for thieves.
+    if structural && matches!(hint, Hint::Run) {
+        return enter(rt, inst, data, cont);
+    }
+    rt.spawn(inst.at, hint, move |rt| enter(rt, inst, data, cont));
+}
+
+/// The instance's first step, by kind.
+fn enter<R: Runtime>(rt: &mut R, inst: Inst, data: Data, cont: Cont<R>) {
+    match inst.node(rt.plan()).tag() {
+        KindTag::Seq => seq(rt, inst, data, cont),
         KindTag::Farm => farm(rt, inst, data, cont),
         KindTag::Pipe => pipe(rt, inst, data, cont),
         KindTag::For => for_loop(rt, inst, data, cont),
-        _ => rt.spawn(inst.at, hint, move |rt| match tag {
-            KindTag::Seq => seq(rt, inst, data, cont),
-            KindTag::While => while_loop(rt, Frame::new(inst, cont), data),
-            KindTag::If => if_else(rt, inst, data, cont),
-            KindTag::Map | KindTag::Fork => split(rt, inst, data, cont),
-            KindTag::DivideConquer => dac(rt, inst, data, cont),
-            KindTag::Farm | KindTag::Pipe | KindTag::For => unreachable!("structural kind"),
-        }),
+        KindTag::While => while_loop(rt, Frame::new(inst, cont), data),
+        KindTag::If => if_else(rt, inst, data, cont),
+        KindTag::Map | KindTag::Fork => split(rt, inst, data, cont),
+        KindTag::DivideConquer => dac(rt, inst, data, cont),
     }
 }
 
@@ -672,20 +696,39 @@ struct JoinState<R> {
 type Closed<R> = (Vec<Option<Data>>, Cont<R>);
 
 impl<R> Join<R> {
-    /// Records child `k`'s result; the closing child gets the slot vector
-    /// **as-is** for [`askel_skeletons::MergeFn::call_slots`].
+    /// A join for `n` children of `inst`, which hands `cont` the results.
+    fn new(inst: Inst, n: usize, cont: Cont<R>) -> Self {
+        let state = JoinState {
+            slots: (0..n).map(|_| None).collect(),
+            remaining: n,
+            cont: Some(cont),
+        };
+        Join {
+            inst,
+            state: Mutex::new(state),
+        }
+    }
+
+    /// Records the `(k, result)` of one or more children under one lock
+    /// acquisition; the closing completion gets the slot vector **as-is**
+    /// for [`askel_skeletons::MergeFn::call_slots`].
     ///
     /// A child completing twice, or after the continuation left, is an
     /// `Err` rather than a panic, so a race against a poisoned sibling
     /// poisons the submission and not the worker.
-    fn complete(&self, k: usize, value: Data) -> Result<Option<Closed<R>>, &'static str> {
+    fn complete(
+        &self,
+        results: impl IntoIterator<Item = (usize, Data)>,
+    ) -> Result<Option<Closed<R>>, &'static str> {
         let mut state = self.state.lock();
-        match state.slots.get_mut(k) {
-            Some(slot @ None) => *slot = Some(value),
-            Some(Some(_)) => return Err("fan-out child completed its join twice"),
-            None => return Err("fan-out child index out of join bounds"),
+        for (k, value) in results {
+            match state.slots.get_mut(k) {
+                Some(slot @ None) => *slot = Some(value),
+                Some(Some(_)) => return Err("fan-out child completed its join twice"),
+                None => return Err("fan-out child index out of join bounds"),
+            }
+            state.remaining -= 1;
         }
-        state.remaining -= 1;
         if state.remaining > 0 {
             return Ok(None);
         }
@@ -705,22 +748,20 @@ impl<R> Join<R> {
 /// one [`Hint::Batch`] for wider splits — and the **last child takes the
 /// tail position**, like rayon's `join`: its parent would end right after
 /// submitting it, so a runtime that can runs it in the parent's own task.
+/// Children that are all unobserved and fan-less go to claimers instead
+/// ([`claim_out`]) on a runtime that meters nothing.
 fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) {
     let n = parts.len();
     if n == 0 {
         return merge(rt, inst, Vec::new(), cont);
     }
+    if !R::METERED && claimable(rt, &inst) {
+        return claim_out(rt, inst, parts, cont);
+    }
     // The children's completions raise the parent's events through the
     // join's copy; the fan-out raises its markers through its own.
     let mut parent = inst.clone();
-    let join = Arc::new(Join {
-        inst,
-        state: Mutex::new(JoinState {
-            slots: (0..n).map(|_| None).collect(),
-            remaining: n,
-            cont: Some(cont),
-        }),
-    });
+    let join = Arc::new(Join::new(inst, n, cont));
     let mut batch = R::batch(if n > 2 { n - 1 } else { 0 });
     let mut last = None;
     for (k, mut part) in parts.into_iter().enumerate() {
@@ -745,6 +786,82 @@ fn fan_out<R: Runtime>(rt: &mut R, inst: Inst, parts: Vec<Data>, cont: Cont<R>) 
     rt.flush(batch);
     if let Some((child, part)) = last {
         schedule(rt, child, part, Cont::Join { join, k: n - 1 }, Hint::Run);
+    }
+}
+
+/// Whether every child instance of the `map` or `fork` `inst` would be
+/// untraced and fan-less. A `d&C`'s children are the `d&C` again, never
+/// fan-less.
+fn claimable<R: Runtime>(rt: &R, inst: &Inst) -> bool {
+    let plan = rt.plan();
+    let quiet = |kid| plan.fanless(kid) && !(inst.observed() && rt.traced(kid));
+    plan.node(inst.at).tag() != KindTag::DivideConquer && plan.kids(inst.at).all(quiet)
+}
+
+/// A fan-out whose children claimers run: the join, and the parts no
+/// claimer has taken yet, in order — the one shared cursor.
+struct Claims<R> {
+    join: Join<R>,
+    unclaimed: Mutex<std::iter::Enumerate<std::vec::IntoIter<Data>>>,
+}
+
+/// Fans `parts` out to at most [`Runtime::width`] claimers, each of which
+/// runs children one claim at a time until none is left ([`claim`]).
+/// The parent raises its `Before` markers here, all of them, as the
+/// stepwise path raises them while it hands its children out. All
+/// claimers but one go out as one stealable batch; the last takes the
+/// tail position.
+fn claim_out<R: Runtime>(rt: &mut R, mut inst: Inst, mut parts: Vec<Data>, cont: Cont<R>) {
+    let (at, n) = (inst.at, parts.len());
+    for (k, part) in parts.iter_mut().enumerate() {
+        inst.one(rt, Before, NestedSkeleton, ChildIndex(k), part);
+    }
+    let claims = Arc::new(Claims {
+        join: Join::new(inst, n, cont),
+        unclaimed: Mutex::new(parts.into_iter().enumerate()),
+    });
+    let claimers = rt.width().clamp(1, n);
+    let mut batch = R::batch(claimers - 1);
+    for _ in 1..claimers {
+        let claims = Arc::clone(&claims);
+        rt.spawn(at, Hint::Batch(&mut batch), move |rt| claim(rt, &claims));
+    }
+    rt.flush(batch);
+    rt.spawn(at, Hint::Run, move |rt| claim(rt, &claims));
+}
+
+/// One claimer: takes the next unclaimed child until none is left, runs
+/// each through the sequential reference, metered as one muscle so that
+/// the parent's `After` marker reads the clock afresh, and completes the
+/// join once for all it ran. One step to the runtime's guard: a panic
+/// fails the item and leaves the join open.
+fn claim<R: Runtime>(rt: &mut R, claims: &Claims<R>) {
+    let mut parent = claims.join.inst.clone();
+    let mut done = Vec::new();
+    loop {
+        // The cursor's lock is held for the claim alone (a `while let`
+        // would hold it through the child).
+        let Some((k, part)) = claims.unclaimed.lock().next() else {
+            break;
+        };
+        let entry = fan_child(rt.plan(), parent.at, k);
+        let muscle = MuscleId::new(rt.plan().node(entry).id, MuscleRole::Execute);
+        rt.meter(muscle, 1, &*part);
+        let mut out = match seq_eval(rt.plan().node(entry), part) {
+            Ok(out) => out,
+            Err(e) => return rt.fail(Fault::Eval(e)),
+        };
+        parent.one(rt, After, NestedSkeleton, ChildIndex(k), &mut out);
+        done.push((k, out));
+    }
+    if done.is_empty() {
+        // Its siblings took every child; the join is theirs to close.
+        return;
+    }
+    match claims.join.complete(done) {
+        Ok(Some((slots, cont))) => merge(rt, parent, slots, cont),
+        Ok(None) => {}
+        Err(msg) => rt.fail(Fault::Internal(msg)),
     }
 }
 

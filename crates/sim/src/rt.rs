@@ -261,6 +261,11 @@ impl Runtime for SimRt {
             Fault::Internal(msg) => SimError::MusclePanic(msg.into()),
         });
     }
+
+    /// The simulated worker slots now enabled.
+    fn width(&self) -> usize {
+        self.workers.capacity()
+    }
 }
 
 impl SimRt {

@@ -19,7 +19,7 @@
 //! API; it panics with a descriptive message if someone hand-assembles an
 //! ill-typed [`Node`](crate::node::Node).
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::sync::Arc;
 
 /// A type-erased value flowing through a skeleton at runtime.
@@ -89,9 +89,10 @@ where
     }
 }
 
-fn downcast<P: Send + 'static>(d: Data, role: &str) -> P {
+/// `d`'s box, as the box of the `P` it holds.
+fn downcast_box<P: Send + 'static>(d: Data, role: &str) -> Box<P> {
     match d.downcast::<P>() {
-        Ok(b) => *b,
+        Ok(b) => b,
         Err(_) => panic!(
             "skeleton type mismatch: {role} muscle expected `{}`",
             std::any::type_name::<P>()
@@ -99,17 +100,45 @@ fn downcast<P: Send + 'static>(d: Data, role: &str) -> P {
     }
 }
 
+fn downcast<P: Send + 'static>(d: Data, role: &str) -> P {
+    *downcast_box(d, role)
+}
+
+/// Whether a muscle's result can be written back into its input's box.
+fn same_type<P: 'static, R: 'static>() -> bool {
+    TypeId::of::<P>() == TypeId::of::<R>()
+}
+
+/// `r` as the type `P` it is (the caller checked [`same_type`]).
+fn identity<R: 'static, P: 'static>(r: R) -> P {
+    let mut r = Some(r);
+    (&mut r as &mut dyn Any)
+        .downcast_mut::<Option<P>>()
+        .and_then(Option::take)
+        .expect("muscle result type checked equal to its input type")
+}
+
 /// Type-erased Execute muscle stored in the runtime AST.
 #[derive(Clone)]
 pub struct ExecuteFn(Arc<dyn Fn(Data) -> Data + Send + Sync>);
 
 impl ExecuteFn {
-    /// Erases a typed Execute muscle.
+    /// Erases a typed Execute muscle. One whose input and result types
+    /// are equal writes its result back into its input's box, so a call
+    /// allocates nothing of its own.
     pub fn new<P, R>(f: impl Execute<P, R>) -> Self
     where
         P: Send + 'static,
         R: Send + 'static,
     {
+        if same_type::<P, R>() {
+            return ExecuteFn(Arc::new(move |d| {
+                let mut b = downcast_box::<P>(d, "execute");
+                // Should `f` panic, the moved-out box is freed unread.
+                *b = identity(f.execute(*b));
+                b
+            }));
+        }
         ExecuteFn(Arc::new(move |d| {
             Box::new(f.execute(downcast::<P>(d, "execute")))
         }))
@@ -157,19 +186,30 @@ impl SplitFn {
 pub struct MergeFn(Arc<dyn Fn(Vec<Option<Data>>) -> Data + Send + Sync>);
 
 impl MergeFn {
-    /// Erases a typed Merge muscle.
+    /// Erases a typed Merge muscle. One whose part and result types are
+    /// equal writes its result back into its first part's box.
     pub fn new<P, R>(f: impl Merge<P, R>) -> Self
     where
         P: Send + 'static,
         R: Send + 'static,
     {
+        let filled = |d: Option<Data>| d.expect("merge called with an unfilled result slot");
+        if same_type::<P, R>() {
+            return MergeFn(Arc::new(move |parts| {
+                let mut parts = parts.into_iter().map(filled);
+                let Some(first) = parts.next() else {
+                    return Box::new(f.merge(Vec::new()));
+                };
+                let mut b = downcast_box::<P>(first, "merge");
+                let rest = parts.map(|d| downcast::<P>(d, "merge"));
+                *b = identity(f.merge(std::iter::once(*b).chain(rest).collect()));
+                b
+            }));
+        }
         MergeFn(Arc::new(move |parts| {
             let typed: Vec<P> = parts
                 .into_iter()
-                .map(|d| {
-                    let d = d.expect("merge called with an unfilled result slot");
-                    downcast::<P>(d, "merge")
-                })
+                .map(|d| downcast::<P>(filled(d), "merge"))
                 .collect();
             Box::new(f.merge(typed))
         }))
@@ -280,5 +320,61 @@ mod tests {
         }
         let fe = ExecuteFn::new(Doubler);
         assert_eq!(*fe.call(Box::new(4i64)).downcast::<i64>().unwrap(), 8);
+    }
+
+    /// Where a box's value lives.
+    fn address(d: &Data) -> *const () {
+        &**d as *const (dyn Any + Send) as *const ()
+    }
+
+    #[test]
+    fn a_same_typed_muscle_keeps_its_inputs_box() {
+        let fe = ExecuteFn::new(|s: String| s + "!");
+        let d: Data = Box::new(String::from("hi"));
+        let before = address(&d);
+        let out = fe.call(d);
+        assert_eq!(address(&out), before, "the input's allocation");
+        assert_eq!(*out.downcast::<String>().unwrap(), "hi!");
+
+        let fm = MergeFn::new(|parts: Vec<i64>| parts.iter().sum::<i64>());
+        let parts: Vec<Data> = vec![Box::new(1i64), Box::new(2i64), Box::new(39i64)];
+        let first = address(&parts[0]);
+        let out = fm.call(parts);
+        assert_eq!(address(&out), first, "the first part's allocation");
+        assert_eq!(*out.downcast::<i64>().unwrap(), 42);
+        let none = MergeFn::new(|parts: Vec<i64>| parts.len() as i64);
+        assert_eq!(*none.call(Vec::new()).downcast::<i64>().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_muscle_of_two_types_still_boxes_its_result() {
+        let fe = ExecuteFn::new(|x: i64| x.to_string());
+        assert_eq!(*fe.call(Box::new(7i64)).downcast::<String>().unwrap(), "7");
+        let fm = MergeFn::new(|parts: Vec<i64>| parts.len());
+        let out = fm.call(vec![Box::new(1i64) as Data, Box::new(2i64)]);
+        assert_eq!(*out.downcast::<usize>().unwrap(), 2);
+    }
+
+    #[test]
+    fn a_same_typed_muscle_that_panics_drops_its_input_once() {
+        let fe = ExecuteFn::new(|s: String| {
+            assert!(s != "x", "rejects x");
+            s + "y"
+        });
+        let call = |s: &str| {
+            let fe = std::panic::AssertUnwindSafe(&fe);
+            std::panic::catch_unwind(move || fe.call(Box::new(String::from(s))))
+        };
+        assert!(call("x").is_err());
+        // The erased muscle still serves the next call.
+        let out = call("w").expect("no panic");
+        assert_eq!(*out.downcast::<String>().unwrap(), "wy");
+    }
+
+    #[test]
+    #[should_panic(expected = "type mismatch")]
+    fn a_same_typed_muscle_still_checks_its_input_type() {
+        let fe = ExecuteFn::new(|x: i64| x);
+        let _ = fe.call(Box::new(1.5f64));
     }
 }

@@ -5,7 +5,8 @@
 //! [`Skel::apply`](crate::Skel::apply) (they are property-tested against it). It is also the
 //! "one thread" baseline used for the paper's sequential-WCT figure, and
 //! what the threaded engine runs, as one step, for an unobserved subtree
-//! with no fan-out ([`Plan::fanless`](crate::Plan::fanless)).
+//! with no fan-out ([`Plan::fanless`](crate::Plan::fanless)), and, one
+//! claim at a time, for each child of a fan-out whose children all are.
 
 use crate::ids::NodeId;
 use crate::muscle::Data;

@@ -27,6 +27,7 @@ use askel_skeletons::{map, pipe, seq, sfor, sif, KindTag, Skel, TimeNs};
 mod streams;
 
 // Generated programs over all nine kinds.
+#[allow(dead_code)]
 mod programs;
 use programs::program_strategy;
 

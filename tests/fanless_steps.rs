@@ -11,80 +11,20 @@
 //! observed one as many as its steps take.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use askel_engine::{Engine, EngineError, StreamSession};
 use askel_events::util::CountingListener;
-use askel_events::{Event, Listener, Payload, Reads, When, Where};
+use askel_events::{Event, Reads, When, Where};
 use askel_sim::cost::ZeroCost;
 use askel_sim::SimEngine;
-use askel_skeletons::{fork, pipe, seq, sfor, KindTag, MuscleId, MuscleRole, Skel};
+use askel_skeletons::{fork, pipe, seq, sfor, KindTag, MuscleId, MuscleRole};
 
 mod programs;
-use programs::program_strategy;
-
-/// Keeps the events it hears, reading one muscle's alone.
-struct OneMuscle {
-    muscle: MuscleId,
-    heard: Mutex<Vec<Event>>,
-}
-
-impl OneMuscle {
-    fn new(muscle: MuscleId) -> Arc<OneMuscle> {
-        let heard = Mutex::default();
-        Arc::new(OneMuscle { muscle, heard })
-    }
-
-    fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.heard.lock().unwrap())
-    }
-}
-
-impl Listener for OneMuscle {
-    fn on_event(&self, _: &mut Payload<'_>, event: &Event) {
-        self.heard.lock().unwrap().push(event.clone());
-    }
-
-    fn reads(&self) -> Reads {
-        Reads::muscle(self.muscle)
-    }
-}
-
-/// `program`, followed by an identity stage that counts the items it
-/// sees: what leaves the program leaves it exactly once if that count
-/// equals the items fed.
-fn counted(program: &Skel<i64, i64>) -> (Skel<i64, i64>, Arc<AtomicUsize>) {
-    let seen = Arc::new(AtomicUsize::new(0));
-    let tally = Arc::clone(&seen);
-    let tail = seq(move |x: i64| {
-        tally.fetch_add(1, Ordering::SeqCst);
-        x
-    });
-    (pipe(program.clone(), tail), seen)
-}
-
-/// Streams `inputs` through `program` on `engine` and checks the results
-/// are the reference's, in order, each item's exactly once.
-fn streams_like_the_reference(
-    engine: &Engine,
-    program: &Skel<i64, i64>,
-    inputs: &[i64],
-) -> Result<(), TestCaseError> {
-    let (wrapped, seen) = counted(program);
-    let mut session = StreamSession::new(engine, &wrapped);
-    for &x in inputs {
-        session.feed(x);
-    }
-    let got: Vec<i64> = session.drain().map(|r| r.expect("item failed")).collect();
-    let expected: Vec<i64> = inputs.iter().map(|&x| program.apply(x)).collect();
-    prop_assert_eq!(got, expected);
-    engine.pool().wait_idle();
-    prop_assert_eq!(seen.load(Ordering::SeqCst), inputs.len());
-    Ok(())
-}
+use programs::{counted, program_strategy, streams_like_the_reference, Heard};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -110,7 +50,7 @@ proptest! {
         // The simulator meters every muscle, so it runs every program
         // stepwise: its per-item events are the reference.
         let mut sim = SimEngine::new(2, Arc::new(ZeroCost));
-        let listener = OneMuscle::new(read);
+        let listener = Heard::new(Reads::muscle(read));
         sim.registry().add_listener(listener.clone());
         let simulated: Vec<usize> = inputs
             .iter()
@@ -124,7 +64,7 @@ proptest! {
             let engine = Engine::new(workers);
             streams_like_the_reference(&engine, &program.skel, &inputs)?;
 
-            let listener = OneMuscle::new(read);
+            let listener = Heard::new(Reads::muscle(read));
             engine.registry().add_listener(listener.clone());
             streams_like_the_reference(&engine, &program.skel, &inputs)?;
             listener.take();
@@ -153,7 +93,10 @@ fn the_event_after_a_collapsed_subtree_reads_the_clock_afresh() {
     });
     let program = pipe(first.clone(), sfor(4, slow));
     let engine = Engine::new(1);
-    let listener = OneMuscle::new(MuscleId::new(first.id(), MuscleRole::Execute));
+    let listener = Heard::new(Reads::muscle(MuscleId::new(
+        first.id(),
+        MuscleRole::Execute,
+    )));
     engine.registry().add_listener(listener.clone());
     assert_eq!(engine.submit(&program, 0).get(), Ok(5));
     engine.shutdown();
@@ -262,10 +205,10 @@ fn a_panicking_sibling_of_a_collapsed_loop_fails_the_item_once() {
         "{got:?}"
     );
     engine.pool().wait_idle();
-    // The collapsed loop is a task of its own, which the second worker
-    // takes while the sibling runs in the fan-out's task. A step is
-    // guarded as a whole: the loop, begun before the poison, runs to its
-    // end, then completes into a join that never closes.
+    // Both children are unobserved and fan-less, so the fork's two
+    // claimers run them, one on each worker. A claimer is guarded as a
+    // whole: the loop, begun before the poison, runs to its end, then
+    // completes into a join that never closes.
     assert!(
         overlapped.load(Ordering::SeqCst),
         "the loop ran beside its sibling"

@@ -1,9 +1,75 @@
 //! Randomly generated skeleton programs over `i64`, covering all nine
-//! kinds, for the property tests that run them on both runtimes.
+//! kinds, for the property tests that run them on both runtimes, and the
+//! helpers those tests stream and listen to them with.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use askel_engine::{Engine, StreamSession};
+use askel_events::{Event, Listener, Payload, Reads};
 use askel_skeletons::{dac, fork, map, pipe, seq, sfor, sif, swhile, Skel};
+
+/// Keeps the events it hears, reading what `reads` names.
+pub struct Heard {
+    reads: Reads,
+    heard: Mutex<Vec<Event>>,
+}
+
+impl Heard {
+    pub fn new(reads: Reads) -> Arc<Heard> {
+        let heard = Mutex::default();
+        Arc::new(Heard { reads, heard })
+    }
+
+    pub fn take(&self) -> Vec<Event> {
+        std::mem::take(&mut *self.heard.lock().unwrap())
+    }
+}
+
+impl Listener for Heard {
+    fn on_event(&self, _: &mut Payload<'_>, event: &Event) {
+        self.heard.lock().unwrap().push(event.clone());
+    }
+
+    fn reads(&self) -> Reads {
+        self.reads.clone()
+    }
+}
+
+/// `program`, followed by an identity stage that counts the items it
+/// sees: what leaves the program leaves it exactly once if that count
+/// equals the items fed.
+pub fn counted(program: &Skel<i64, i64>) -> (Skel<i64, i64>, Arc<AtomicUsize>) {
+    let seen = Arc::new(AtomicUsize::new(0));
+    let tally = Arc::clone(&seen);
+    let tail = seq(move |x: i64| {
+        tally.fetch_add(1, Ordering::SeqCst);
+        x
+    });
+    (pipe(program.clone(), tail), seen)
+}
+
+/// Streams `inputs` through `program` on `engine` and checks the results
+/// are the reference's, in order, each item's exactly once.
+pub fn streams_like_the_reference(
+    engine: &Engine,
+    program: &Skel<i64, i64>,
+    inputs: &[i64],
+) -> Result<(), TestCaseError> {
+    let (wrapped, seen) = counted(program);
+    let mut session = StreamSession::new(engine, &wrapped);
+    for &x in inputs {
+        session.feed(x);
+    }
+    let got: Vec<i64> = session.drain().map(|r| r.expect("item failed")).collect();
+    let expected: Vec<i64> = inputs.iter().map(|&x| program.apply(x)).collect();
+    prop_assert_eq!(got, expected);
+    engine.pool().wait_idle();
+    prop_assert_eq!(seen.load(Ordering::SeqCst), inputs.len());
+    Ok(())
+}
 
 /// A generated program: the skeleton plus a description for shrinking
 /// diagnostics.
